@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 
@@ -22,6 +23,8 @@ from .rng import color_matrix, derive_seed
 from .shift import Pattern, as_fraction
 
 WILSON_Z95 = 1.959963984540054
+# two-sided tail mass of a single 3-sigma test
+SWEEP_ALPHA = 2 * (1 - NormalDist().cdf(3.0))
 
 
 def scb_bound(s: int, b: float, t: float) -> float:
@@ -197,6 +200,14 @@ def wilson_zero_floor(trials: int, z: float = WILSON_Z95) -> float:
     return wilson_interval(0, trials, z)[1]
 
 
+def familywise_z(m: int) -> float:
+    """|z| limit for m simultaneous two-sided tests whose total false-alarm
+    rate is SWEEP_ALPHA (Bonferroni); 3.0 for a single test."""
+    if m < 1:
+        raise ValueError(f"need at least one test, got {m}")
+    return NormalDist().inv_cdf(1 - SWEEP_ALPHA / (2 * m))
+
+
 def deviation_sweep(grid, action_factory, trials: int, seed: int,
                     bound_cutoff: float = 0.9) -> list[SweepRow]:
     """Run mc_deviation_prob over a parameter grid.
@@ -204,25 +215,31 @@ def deviation_sweep(grid, action_factory, trials: int, seed: int,
     `grid` yields (k, S, eps, D); points whose closed-form bound is above
     `bound_cutoff` are reported as vacuous rather than compared.  A point
     fails only when the Wilson lower limit exceeds the bound or the
-    occurrence-count mean misses its target by more than 3 sigma; a raw
+    occurrence-count mean misses its target by more than
+    familywise_z(m) sigma, m being the number of non-vacuous points, so the
+    whole sweep fails by chance no more often than one 3-sigma test; a raw
     estimate above the bound is not by itself a failure.
     """
     from .shift import all_patterns
 
-    rows = []
+    points = []
     for i, (k, S, eps, D) in enumerate(grid):
         inp = ConcentrationBoundInput(k, S, as_fraction(eps), D)
-        bound = concentration_bound(inp)
         action = action_factory(k, S, eps, D)
         phi = all_patterns(S, k)[0]  # all-zero pattern: worst positive correlation
         est = mc_deviation_prob(inp, action, 0, phi, trials, derive_seed(seed, i))
+        points.append((inp, concentration_bound(inp), est))
+    tested = sum(bound < bound_cutoff for _, bound, _ in points)
+    z_limit = familywise_z(max(tested, 1))
+    rows = []
+    for inp, bound, est in points:
         if bound >= bound_cutoff:
             verdict = "vacuous"
-        elif est.wilson_95_lower <= bound and est.expectation_within_3sigma:
+        elif est.wilson_95_lower <= bound and abs(est.expectation_zscore) <= z_limit:
             verdict = "pass"
         else:
             verdict = "fail"
-        rows.append(SweepRow(k, len(S), float(as_fraction(eps)), len(D), bound,
+        rows.append(SweepRow(inp.k, len(inp.S), float(inp.eps), len(inp.D), bound,
                              est.estimate, est.wilson_95_lower, est.wilson_95_upper,
                              est.expectation_zscore, verdict))
     return rows

@@ -25,7 +25,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .rng import derive_seed, mix_counters
-from .windows import circular_window_all
+from .windows import circular_window_reduce
 
 
 class TowerError(ValueError):
@@ -115,15 +115,22 @@ class TowerSystem:
         return Fraction(self.columns, self.modulus)
 
     def band_mask(self, band: range) -> np.ndarray:
-        lev = self.level_array()
-        return (lev >= band.start) & (lev < band.stop)
+        """Points whose level lies in `band`: a length-H pattern tiled over
+        the columns, then the residual, rotated by the base offset."""
+        levels = np.arange(self.height)
+        pattern = (levels >= band.start) & (levels < band.stop)
+        mask = np.zeros(self.modulus, dtype=bool)
+        mask[:self.columns * self.height].reshape(self.columns, self.height)[:] = pattern
+        return np.roll(mask, self.offset)
 
     def check_disjoint_levels(self) -> bool:
-        """Every point belongs to at most one level: exact enumeration."""
+        """The levels partition the tower: each of 0..H-1 holds exactly
+        `columns` points and exactly `residual` points lie outside; exact
+        enumeration."""
         lev = self.level_array()
-        counts = np.zeros(self.modulus, dtype=np.int64)
-        counts[lev >= 0] += 1
-        return bool((counts <= 1).all())
+        counts = np.bincount(lev[lev >= 0], minlength=self.height)
+        return bool((counts == self.columns).all()
+                    and int((lev == -1).sum()) == self.residual)
 
 
 @dataclass
@@ -150,8 +157,8 @@ def build_tower(plan: BadIntervalPlan, modulus: int, offset: int = 0) -> TowerBu
     tower = TowerSystem.build(modulus, H, offset)
     a_mask = tower.band_mask(plan.a_band)
     b_mask = tower.band_mask(plan.b_band)
-    mu_a = Fraction(int(a_mask.sum()), modulus)
-    mu_b = Fraction(int(b_mask.sum()), modulus)
+    mu_a = Fraction(int(np.count_nonzero(a_mask)), modulus)
+    mu_b = Fraction(int(np.count_nonzero(b_mask)), modulus)
     if not mu_a < plan.eps:
         raise TowerError("capture slab unexpectedly large")
     if not mu_b > 1 - plan.eps:
@@ -184,10 +191,10 @@ def verify_capture(build: TowerBuild) -> CaptureReport:
     witnesses = np.full(M, -1, dtype=np.int64)
     # interval n is interval 0 shifted by n*ell, so one windowed-all pass
     # plus rolls covers all of them
-    base = circular_window_all(build.a_mask, range(plan.ell), M)
+    base = circular_window_reduce(build.a_mask, plan.ell, 1, M, np.logical_and)
     for n in range(plan.N - 1, -1, -1):
         witnesses[np.roll(base, -n * plan.ell)] = n
-    frac = Fraction(int((witnesses >= 0).sum()), M)
+    frac = Fraction(int(np.count_nonzero(witnesses >= 0)), M)
     all_b = bool((witnesses[build.b_mask] >= 0).all())
     return CaptureReport(frac, witnesses, all_b)
 
@@ -282,17 +289,18 @@ def bad_sequence_experiment(h: Union[Callable[[int], int], Sequence[int]],
         union = np.zeros(modulus, dtype=bool)
         for i in range(q, i_max):
             union |= a_masks[i]
-        mu_tail[q] = Fraction(int(union.sum()), modulus)
+        mu_tail[q] = Fraction(int(np.count_nonzero(union)), modulus)
         everywhere = np.ones(modulus, dtype=bool)
         for i in range(q, i_max):
             plan = plans[i]
-            captured = np.zeros(modulus, dtype=bool)
-            base = circular_window_all(union, range(plan.ell), modulus)
-            for n in range(plan.N):
-                captured |= np.roll(base, -n * plan.ell)
-            frac = Fraction(int(captured.sum()), modulus)
+            # base[x]: interval 0 translated by x lies inside the union;
+            # interval n is interval 0 shifted by n*ell
+            base = circular_window_reduce(union, plan.ell, 1, modulus, np.logical_and)
+            captured = circular_window_reduce(base, plan.N, plan.ell, modulus,
+                                              np.logical_or)
+            frac = Fraction(int(np.count_nonzero(captured)), modulus)
             band_rows.append(BandCapture(q, i, frac, frac))
             everywhere &= captured
         if q < i_max:
-            all_bands[q] = Fraction(int(everywhere.sum()), modulus)
+            all_bands[q] = Fraction(int(np.count_nonzero(everywhere)), modulus)
     return BadSequenceReport(modulus, stages, mu_tail, band_rows, all_bands)

@@ -1,8 +1,10 @@
 """Circular window kernels over Z/M.
 
-Shared numpy machinery for "sum/all over {x + d : d in offsets} (mod M)"
-computed for every x at once.  Offsets are compressed into maximal runs of
-consecutive residues so each run costs one prefix-sum pass.
+Shared numpy machinery for windowed reductions computed for every x at once.
+`circular_window_sums` compresses offsets into maximal runs of consecutive
+residues so each run costs one prefix-sum pass over contiguous slices;
+`circular_window_reduce` evaluates and/or over an arithmetic progression of
+offsets by doubling over bool arrays.
 """
 
 from __future__ import annotations
@@ -32,17 +34,42 @@ def circular_window_sums(values: np.ndarray, offsets, modulus: int) -> np.ndarra
     v = np.asarray(values)
     runs = offset_runs(offsets, m)
     span = max(hi for _, hi in runs) + 1
-    ext = np.concatenate([v, v[:span]])
-    prefix = np.concatenate([[0], np.cumsum(ext, dtype=np.int64)])
-    x = np.arange(m)
+    # prefix sums of v followed by its first `span` values, so every run's
+    # window, wrapped or not, is the difference of two contiguous slices
+    prefix = np.zeros(m + span + 1, dtype=np.int64)
+    np.cumsum(v, dtype=np.int64, out=prefix[1:m + 1])
+    np.cumsum(v[:span], dtype=np.int64, out=prefix[m + 1:])
+    prefix[m + 1:] += prefix[m]
     out = np.zeros(m, dtype=np.int64)
     for lo, hi in runs:
-        out += prefix[x + hi + 1] - prefix[x + lo]
+        out += prefix[hi + 1:hi + 1 + m]
+        out -= prefix[lo:lo + m]
     return out
 
 
-def circular_window_all(mask: np.ndarray, offsets, modulus: int) -> np.ndarray:
-    """out[x] = all(mask[(x + d) % M] for d in offsets)."""
-    offs = [int(o) for o in offsets]
-    counts = circular_window_sums(mask.astype(np.int8), offs, modulus)
-    return counts == len(offs)
+def circular_window_reduce(mask: np.ndarray, count: int, step: int, modulus: int,
+                           op) -> np.ndarray:
+    """out[x] = op over n < count of mask[(x + n*step) % M], for all x.
+
+    `op` must be an idempotent binary ufunc (np.logical_and, np.logical_or).
+    After the pass with shift k*step the array holds windows of 2k terms;
+    doubling stops at the largest power of two k <= count, and one final
+    pass shifted by count - k <= k overlaps the two halves, which
+    idempotence makes harmless.  That is ceil(log2 count) passes in total.
+    """
+    if count < 1:
+        raise ValueError(f"window needs count >= 1, got {count}")
+    m = modulus
+    w = np.asarray(mask, dtype=bool)
+    spare = np.empty_like(w)
+    k = 1
+    while k < count:
+        shift = min(k, count - k)
+        s = (shift * step) % m
+        # spare[x] = op(w[x], w[(x + s) % M]), written as two contiguous slices
+        op(w[:m - s], w[s:], out=spare[:m - s])
+        op(w[m - s:], w[:s], out=spare[m - s:])
+        # the first pass reads the caller's mask, which is never written
+        w, spare = spare, (np.empty_like(w) if k == 1 else w)
+        k += shift
+    return w if count > 1 else w.copy()

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab.concentration import (ConcentrationBoundInput, concentration_bound,
-                                    deviation_sweep, mc_deviation_prob, scb_bound,
+from shiftlab import concentration
+from shiftlab.concentration import (ConcentrationBoundInput, McEstimate,
+                                    concentration_bound, deviation_sweep,
+                                    familywise_z, mc_deviation_prob, scb_bound,
                                     wilson_interval, wilson_zero_floor)
 from shiftlab.groups import CyclicTranslation, GroupError, integer_interval
 from shiftlab.shift import all_patterns
@@ -106,6 +108,39 @@ def test_sweep_bounds_hold_small():
         if r.verdict == "pass" and r.bound >= floor:
             assert r.wilson_upper <= r.bound
         assert abs(r.expectation_zscore) <= 3.0
+
+
+def test_familywise_z_limits():
+    assert familywise_z(1) == pytest.approx(3.0)
+    assert familywise_z(14) == pytest.approx(3.73, abs=0.01)
+    assert familywise_z(2) < familywise_z(14) < familywise_z(100)
+    with pytest.raises(ValueError):
+        familywise_z(0)
+
+
+def _sweep_with_zscores(monkeypatch, zscores):
+    # one non-vacuous point per z-score; the estimate itself sits below the bound
+    def fake_mc(inp, action, x, phi, trials, seed):
+        z = next(it)
+        return McEstimate(trials, 0, 0.0, 1e-3, 0.0, 100.0 + z, 100.0, z)
+
+    it = iter(zscores)
+    monkeypatch.setattr(concentration, "mc_deviation_prob", fake_mc)
+    grid = [(2, integer_interval(1), Fraction(1, 5), integer_interval(2000))] * len(zscores)
+    return deviation_sweep(grid, lambda k, S, e, D: CyclicTranslation(10_000),
+                           trials=100, seed=0)
+
+
+def test_sweep_verdict_uses_familywise_limit(monkeypatch):
+    z_star = familywise_z(14)
+    inside = _sweep_with_zscores(monkeypatch, [-3.5] + [0.0] * 13)
+    assert 3.0 < 3.5 < z_star
+    assert [r.verdict for r in inside] == ["pass"] * 14
+    assert inside[0].expectation_zscore == -3.5
+    outside = _sweep_with_zscores(monkeypatch, [0.0] * 13 + [z_star + 0.05])
+    assert [r.verdict for r in outside] == ["pass"] * 13 + ["fail"]
+    # a single tested point keeps the plain 3-sigma rule
+    assert _sweep_with_zscores(monkeypatch, [3.5])[0].verdict == "fail"
 
 
 def test_mc_on_torus_action():

@@ -1,9 +1,12 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from shiftlab.rokhlin import (TowerError, bad_sequence_experiment,
+from shiftlab.rokhlin import (TowerError, TowerSystem, bad_sequence_experiment,
                               build_tower, plan_intervals, verify_capture)
 
 
@@ -91,10 +94,17 @@ def test_capture_bulk_and_fraction():
 
 def test_capture_with_offset():
     plan = plan_intervals(lambda n: 5, "0.2")
-    build = build_tower(plan, plan.height * 40, offset=1234)
+    M = plan.height * 40
+    build = build_tower(plan, M, offset=1234)
     cap = verify_capture(build)
     assert cap.fraction >= 1 - plan.eps
     assert cap.all_b_captured
+    # witnesses are the least interval index, by per-point enumeration
+    a = build.a_mask
+    least = [next((n for n in range(plan.N)
+                   if all(a[(x + j) % M] for j in plan.interval(n))), -1)
+             for x in range(M)]
+    assert cap.witnesses.tolist() == least
 
 
 def test_bad_sequence_small():
@@ -137,3 +147,69 @@ def test_tower_level_rows():
     assert len(rows) == plan.height
     assert sum(r[1] for r in rows) == 2 * plan.ell      # capture slab width
     assert sum(r[2] for r in rows) == plan.N * plan.ell  # bulk width
+
+
+@st.composite
+def towers_and_bands(draw):
+    height = draw(st.integers(1, 12))
+    modulus = height * draw(st.integers(1, 8)) + draw(st.integers(0, height - 1))
+    start = draw(st.integers(0, height))
+    return (modulus, height, draw(st.integers(-100, 100)),
+            range(start, draw(st.integers(start, height))))
+
+
+@given(towers_and_bands())
+@example((19, 5, 40, range(1, 4)))   # residual 4, offset past M
+@example((23, 4, -7, range(0, 4)))   # residual 3, the whole tower
+@settings(max_examples=150, deadline=None)
+def test_band_mask_matches_level_oracle(case):
+    modulus, height, offset, band = case
+    tower = TowerSystem.build(modulus, height, offset)
+    lev = tower.level_array()
+    expected = (lev >= band.start) & (lev < band.stop)
+    assert tower.band_mask(band).tolist() == expected.tolist()
+    assert tower.check_disjoint_levels()
+
+
+def test_check_disjoint_levels_rejects_miscounted_tower():
+    tower = TowerSystem.build(10, 3, offset=4)
+    assert tower.check_disjoint_levels()
+    assert not dataclasses.replace(tower, residual=2).check_disjoint_levels()
+    assert not dataclasses.replace(tower, columns=4, residual=0).check_disjoint_levels()
+    assert not dataclasses.replace(tower, height=2).check_disjoint_levels()
+
+
+def brute_force_bands(rep):
+    """band_rows and all_bands_frac by per-point enumeration of the interval
+    translates against union sets read off the level oracle."""
+    M = rep.modulus
+    a_sets = []
+    for s in rep.stages:
+        lev = TowerSystem.build(M, s.plan.height, s.offset).level_array()
+        a_sets.append({x for x in range(M) if lev[x] in s.plan.a_band})
+        assert s.mu_a == Fraction(len(a_sets[-1]), M)
+    rows, everywhere = [], {}
+    for q in sorted(rep.mu_tail):
+        union = set().union(*a_sets[q:])
+        assert rep.mu_tail[q] == Fraction(len(union), M)
+        in_every_band = set(range(M))
+        for i in range(q, len(rep.stages)):
+            plan = rep.stages[i].plan
+            caught = {x for x in range(M)
+                      if any(all((x + j) % M in union for j in plan.interval(n))
+                             for n in range(plan.N))}
+            rows.append((q, i, Fraction(len(caught), M)))
+            in_every_band &= caught
+        if q < len(rep.stages):
+            everywhere[q] = Fraction(len(in_every_band), M)
+    return rows, everywhere
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_bad_sequence_matches_enumeration(seed):
+    rep = bad_sequence_experiment(lambda n: 2 + (n % 3), 3, seed=seed)
+    assert all(s.plan.ell > 1 for s in rep.stages)
+    rows, everywhere = brute_force_bands(rep)
+    assert [(b.q, b.band, b.frac_full) for b in rep.band_rows] == rows
+    assert all(b.frac_null == b.frac_full for b in rep.band_rows)
+    assert rep.all_bands_frac == everywhere
