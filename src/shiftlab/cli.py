@@ -173,6 +173,20 @@ SCHEMAS = {
 }
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# JSON type tests for the schema types that name one; the others are
+# checked by their drivers
+_TYPE_CHECKS = {
+    "int": _is_int,
+    "list[int]": lambda v: isinstance(v, list) and all(_is_int(x) for x in v),
+    "number": lambda v: _is_int(v) or isinstance(v, float),
+    "bool": lambda v: isinstance(v, bool),
+}
+
+
 def _validate(kind: str, params: dict) -> dict:
     schema = SCHEMAS[kind]["params"]
     unknown = set(params) - set(schema)
@@ -181,6 +195,10 @@ def _validate(kind: str, params: dict) -> dict:
     missing = [p for p, (_t, req, _d) in schema.items() if req and p not in params]
     if missing:
         raise ConfigError(f"missing required keys for {kind}: {missing}")
+    for name, value in params.items():
+        typ = schema[name][0]
+        if typ in _TYPE_CHECKS and not _TYPE_CHECKS[typ](value):
+            raise ConfigError(f"{kind}: {name} must be {typ}, got {value!r}")
     return params
 
 

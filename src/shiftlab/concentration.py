@@ -53,11 +53,17 @@ class ConcentrationBoundInput:
             raise ValueError("S and D must be nonempty")
 
 
+def deviation_exponent(eps: float, s_size: int, d_size: int) -> float:
+    """eps^2 |D| / (2 |S|^3), the exponent of the frequency-deviation bound.
+    Every bound, margin and witness limit in the package reads it from here,
+    so their floats agree bit for bit."""
+    return eps * eps * d_size / (2.0 * s_size ** 3)
+
+
 def concentration_bound(inp: ConcentrationBoundInput) -> float:
     """2 exp(-eps^2 |D| / (2 |S|^3)); equals scb_bound(|S||D|, |S|, eps|D|)."""
-    s_sz, d_sz = len(inp.S), len(inp.D)
     eps = float(as_fraction(inp.eps))
-    return 2.0 * math.exp(-eps * eps * d_sz / (2.0 * s_sz ** 3))
+    return 2.0 * math.exp(-deviation_exponent(eps, len(inp.S), len(inp.D)))
 
 
 def wilson_interval(hits: int, trials: int, z: float = WILSON_Z95) -> tuple[float, float]:

@@ -12,6 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .concentration import deviation_exponent
 from .groups import (CyclicTranslation, FiniteAction, GroupCtx, GroupError,
                      GroupSet, integer_interval, is_sd_free)
 from .lll import (CertificationError, FrequencyDeviationEvent, GLLLWitnessSpec,
@@ -100,20 +101,22 @@ def ergodic_convergence_experiment(k: int, S: GroupSet, eps, seq: AveragingSeque
     """
     if S.ctx != INTEGERS_CTX:
         raise GroupError("this experiment runs over integer windows")
+    if len(S) == 0:
+        raise ValueError("pattern domain S must be nonempty")
     eps_fr = as_fraction(eps)
     d_sets = [seq.realize(n) for n in range(n_max + 1)]
     d_sizes = [len(d) for d in d_sets]
     s_elems = [int(e) for e in S.elements]
     scale = k ** len(S)
 
-    sites = sorted({s + int(d) for d_set in d_sets for d in d_set.elements
-                    for s in s_elems})
-    lo, hi = sites[0], sites[-1]
+    # the sites s + d span [min S + min D_n, max S + max D_n] over all n
+    lo = s_elems[0] + min(ds.elements[0] for ds in d_sets)
+    hi = s_elems[-1] + max(ds.elements[-1] for ds in d_sets)
     width = hi - lo + 1
-    d_offsets = [np.asarray([int(d) - lo for d in ds.elements], dtype=np.int64)
-                 for ds in d_sets]
-    prefix_mode = all(np.array_equal(off, np.arange(sz))
-                      for off, sz in zip(d_offsets, d_sizes))
+    # prefix mode: every D_n is an interval whose anchors start at column 0
+    prefix_mode = all(ds.interval == (lo, sz) for ds, sz in zip(d_sets, d_sizes))
+    if not prefix_mode:
+        d_offsets = [np.asarray(ds.elements, dtype=np.int64) - lo for ds in d_sets]
 
     patterns = all_patterns(S, k)
     exceed = np.zeros((samples, n_max + 1), dtype=bool)
@@ -155,7 +158,7 @@ def ergodic_convergence_experiment(k: int, S: GroupSet, eps, seq: AveragingSeque
     exceed_frac = any_beyond.mean(axis=0)
 
     epsf = float(eps_fr)
-    bounds = [2.0 * math.exp(-epsf * epsf * sz / (2.0 * len(S) ** 3)) for sz in d_sizes]
+    bounds = [2.0 * math.exp(-deviation_exponent(epsf, len(S), sz)) for sz in d_sizes]
     tails = np.cumsum(bounds[::-1])[::-1]
 
     rows_out = []
@@ -190,8 +193,7 @@ class UniformDiscrepancyResult:
 def uniform_discrepancy_experiment(k: int, S: GroupSet, eps, seq: AveragingSequence,
                                    n_max: int, action: FiniteAction, seed: int,
                                    a: Optional[float] = None,
-                                   max_steps: Optional[int] = None,
-                                   degree_mode: Optional[str] = None
+                                   max_steps: Optional[int] = None
                                    ) -> UniformDiscrepancyResult:
     """Resample until every point sees every pattern with frequency within
     eps of k^{-|S|} over every D_n, and compare the resampled fraction with
@@ -210,8 +212,8 @@ def uniform_discrepancy_experiment(k: int, S: GroupSet, eps, seq: AveragingSeque
     if a is None:
         a = epsf * epsf / (4.0 * len(S) ** 3)
     witness = GLLLWitnessSpec(a=a)
-    if degree_mode is None:
-        degree_mode = "interval" if _all_intervals([S] + d_sets) else "generic"
+    degree_mode = ("interval" if all(s.interval is not None for s in [S, *d_sets])
+                   else "generic")
     warnings = []
     try:
         cert = check_glll_witness(k, S, eps_fr, d_sets, witness, eps_sum=eps_fr,
@@ -254,16 +256,6 @@ def uniform_discrepancy_experiment(k: int, S: GroupSet, eps, seq: AveragingSeque
     delta = Fraction(len(result.defect_points), action.n_points)
     return UniformDiscrepancyResult(result, stats_per_n, certified, cert,
                                     max_dev, all_within, fracs, warnings, delta)
-
-
-def _all_intervals(sets: Sequence[GroupSet]) -> bool:
-    for s in sets:
-        if s.ctx != INTEGERS_CTX:
-            return False
-        e = s.elements
-        if e[-1] - e[0] + 1 != len(e):
-            return False
-    return True
 
 
 # -- periodic approximations of the uniform measure ----------------------------

@@ -1,10 +1,12 @@
 """Supported groups, their finite subsets, and finite actions.
 
-Five group kinds are supported: the integers, integer lattices up to
-dimension 3, free groups up to rank 3, cyclic groups, and products of two
-cyclic groups.  Elements are stored as canonical normal forms (an ``int``,
-a tuple of ints, or a reduced generator word as a tuple of nonzero signed
-ints), so ``==`` on elements is exactly group equality.
+Three group kinds are supported: the integers, integer lattices up to
+dimension 3, and free groups up to rank 3.  Elements are stored as
+canonical normal forms (an ``int``, a tuple of ints, or a reduced generator
+word as a tuple of nonzero signed ints), so ``==`` on elements is exactly
+group equality.  A finite set of consecutive integers reports itself as an
+interval (`GroupSet.interval`), and products of intervals are formed in
+closed form.
 
 All values here are immutable after construction and safe to share across
 threads.
@@ -28,8 +30,6 @@ class GroupError(ValueError):
 INTEGERS = "integers"
 LATTICE = "lattice"
 FREE = "free"
-CYCLIC = "cyclic"
-CYCLIC_PRODUCT = "cyclic-product"
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,6 @@ class GroupCtx:
       - ("integers", 0)           the group of integers under addition
       - ("lattice", d)            integer d-tuples, 2 <= d <= 3
       - ("free", r)               free group on r generators, 1 <= r <= 3
-      - ("cyclic", M)             residues mod M, M >= 1
-      - ("cyclic-product", (M1, M2))
     """
 
     kind: str
@@ -56,25 +54,16 @@ class GroupCtx:
         elif self.kind == FREE:
             if not (1 <= self.param <= 3):
                 raise GroupError(f"free rank must be 1..3, got {self.param}")
-        elif self.kind == CYCLIC:
-            if not (isinstance(self.param, int) and self.param >= 1):
-                raise GroupError(f"cyclic modulus must be >= 1, got {self.param}")
-        elif self.kind == CYCLIC_PRODUCT:
-            p = self.param
-            if not (isinstance(p, tuple) and len(p) == 2 and all(m >= 1 for m in p)):
-                raise GroupError(f"cyclic product needs two moduli >= 1, got {p}")
         else:
             raise GroupError(f"unknown group kind {self.kind!r}")
 
     # -- algebra ---------------------------------------------------------
 
     def identity(self) -> Elem:
-        if self.kind in (INTEGERS, CYCLIC):
+        if self.kind == INTEGERS:
             return 0
         if self.kind == LATTICE:
             return (0,) * self.param
-        if self.kind == CYCLIC_PRODUCT:
-            return (0, 0)
         return ()
 
     def normalize(self, a) -> Elem:
@@ -83,20 +72,11 @@ class GroupCtx:
             if not isinstance(a, (int, np.integer)):
                 raise GroupError(f"integer element expected, got {a!r}")
             return int(a)
-        if self.kind == CYCLIC:
-            if not isinstance(a, (int, np.integer)):
-                raise GroupError(f"residue expected, got {a!r}")
-            return int(a) % self.param
         if self.kind == LATTICE:
             t = tuple(int(v) for v in a)
             if len(t) != self.param:
                 raise GroupError(f"lattice element of dim {self.param} expected, got {a!r}")
             return t
-        if self.kind == CYCLIC_PRODUCT:
-            t = tuple(int(v) for v in a)
-            if len(t) != 2:
-                raise GroupError(f"pair expected, got {a!r}")
-            return (t[0] % self.param[0], t[1] % self.param[1])
         # free group: reduce the word
         word = tuple(int(v) for v in a)
         for v in word:
@@ -113,31 +93,22 @@ class GroupCtx:
     def op(self, a: Elem, b: Elem) -> Elem:
         if self.kind == INTEGERS:
             return a + b
-        if self.kind == CYCLIC:
-            return (a + b) % self.param
         if self.kind == LATTICE:
             return tuple(x + y for x, y in zip(a, b))
-        if self.kind == CYCLIC_PRODUCT:
-            return ((a[0] + b[0]) % self.param[0], (a[1] + b[1]) % self.param[1])
         return self.normalize(a + b)
 
     def inv(self, a: Elem) -> Elem:
         if self.kind == INTEGERS:
             return -a
-        if self.kind == CYCLIC:
-            return (-a) % self.param
         if self.kind == LATTICE:
             return tuple(-x for x in a)
-        if self.kind == CYCLIC_PRODUCT:
-            return ((-a[0]) % self.param[0], (-a[1]) % self.param[1])
         return tuple(-v for v in reversed(a))
 
     # -- parsing / serialization -----------------------------------------
 
     @classmethod
     def parse(cls, spec) -> "GroupCtx":
-        """Parse a context literal: "Z", "Z^2", "F2", {"cyclic": M},
-        {"cyclic_product": [M1, M2]}."""
+        """Parse a context literal: "Z", "Z^2" or "F2"."""
         if isinstance(spec, GroupCtx):
             return spec
         if isinstance(spec, str):
@@ -148,13 +119,6 @@ class GroupCtx:
                 return cls(LATTICE, int(s[2:]))
             if s.startswith("F"):
                 return cls(FREE, int(s[1:]))
-            raise GroupError(f"unknown group literal {spec!r}")
-        if isinstance(spec, dict):
-            if "cyclic" in spec:
-                return cls(CYCLIC, int(spec["cyclic"]))
-            if "cyclic_product" in spec:
-                m1, m2 = spec["cyclic_product"]
-                return cls(CYCLIC_PRODUCT, (int(m1), int(m2)))
         raise GroupError(f"unknown group literal {spec!r}")
 
     def to_json(self):
@@ -162,11 +126,7 @@ class GroupCtx:
             return "Z"
         if self.kind == LATTICE:
             return f"Z^{self.param}"
-        if self.kind == FREE:
-            return f"F{self.param}"
-        if self.kind == CYCLIC:
-            return {"cyclic": self.param}
-        return {"cyclic_product": list(self.param)}
+        return f"F{self.param}"
 
     def elem_to_json(self, a: Elem):
         return a if isinstance(a, int) else list(a)
@@ -185,22 +145,17 @@ def group_inv(ctx: GroupCtx, a: Elem) -> Elem:
     return ctx.inv(ctx.normalize(a))
 
 
-def _sort_key(e: Elem):
-    # Homogeneous within a ctx except free-group words of varying length,
-    # for which plain tuple order is already lexicographic.
-    return e
-
-
 @dataclass(frozen=True)
 class GroupSet:
-    """Deduplicated finite subset of a group with deterministic order."""
+    """Deduplicated finite subset of a group in sorted order (free-group
+    words of different lengths compare as tuples, i.e. lexicographically)."""
 
     ctx: GroupCtx
     elements: tuple
 
     @classmethod
     def from_iterable(cls, ctx: GroupCtx, items: Iterable) -> "GroupSet":
-        elems = sorted({ctx.normalize(e) for e in items}, key=_sort_key)
+        elems = sorted({ctx.normalize(e) for e in items})
         return cls(ctx, tuple(elems))
 
     def __len__(self) -> int:
@@ -211,6 +166,15 @@ class GroupSet:
 
     def __contains__(self, e) -> bool:
         return self.ctx.normalize(e) in set(self.elements)
+
+    @property
+    def interval(self) -> Optional[tuple[int, int]]:
+        """(start, length) when this is a nonempty set of consecutive
+        integers {start, ..., start+length-1}, else None."""
+        e = self.elements
+        if self.ctx.kind != INTEGERS or not e or e[-1] - e[0] + 1 != len(e):
+            return None
+        return e[0], len(e)
 
     def to_json(self):
         return [self.ctx.elem_to_json(e) for e in self.elements]
@@ -224,18 +188,22 @@ def gset(ctx: GroupCtx, items: Iterable) -> GroupSet:
     return GroupSet.from_iterable(ctx, items)
 
 
-def integer_interval(n: int, start: int = 0, ctx: Optional[GroupCtx] = None) -> GroupSet:
+def integer_interval(n: int, start: int = 0) -> GroupSet:
     """The interval {start, ..., start+n-1} in the integers."""
     if n < 1:
         raise GroupError(f"interval length must be >= 1, got {n}")
-    return GroupSet.from_iterable(ctx or GroupCtx(INTEGERS), range(start, start + n))
+    return GroupSet(GroupCtx(INTEGERS), tuple(range(start, start + n)))
 
 
 def set_product(S: GroupSet, D: GroupSet) -> GroupSet:
-    """{s * d : s in S, d in D}, deduplicated; |SD| <= |S||D|."""
+    """{s * d : s in S, d in D}, deduplicated; |SD| <= |S||D|.  Two
+    integer intervals give the interval of length |S| + |D| - 1."""
     if S.ctx != D.ctx:
         raise GroupError(f"context mismatch: {S.ctx} vs {D.ctx}")
     ctx = S.ctx
+    s_iv, d_iv = S.interval, D.interval
+    if s_iv is not None and d_iv is not None:
+        return integer_interval(s_iv[1] + d_iv[1] - 1, s_iv[0] + d_iv[0])
     if ctx.kind == INTEGERS:
         a = np.asarray(S.elements, dtype=np.int64)
         b = np.asarray(D.elements, dtype=np.int64)
@@ -247,7 +215,7 @@ def set_product(S: GroupSet, D: GroupSet) -> GroupSet:
             vals = np.unique(np.concatenate(parts))
         return GroupSet(ctx, tuple(int(v) for v in vals))
     prods = {ctx.op(s, d) for s in S for d in D}
-    return GroupSet(ctx, tuple(sorted(prods, key=_sort_key)))
+    return GroupSet(ctx, tuple(sorted(prods)))
 
 
 def set_inverse(S: GroupSet) -> GroupSet:
@@ -262,7 +230,7 @@ def ball(S: GroupSet, n: int) -> GroupSet:
     for _ in range(n - 1):
         step = {S.ctx.op(w, s) for w in cur for s in S.elements}
         cur = step
-    return GroupSet(S.ctx, tuple(sorted(cur, key=_sort_key)))
+    return GroupSet(S.ctx, tuple(sorted(cur)))
 
 
 def difference_set_size(S: GroupSet, D: GroupSet, cap: int = 10_000) -> Optional[int]:
@@ -444,35 +412,19 @@ def is_sd_free(action: FiniteAction, sets: Sequence[GroupSet]) -> Optional[bool]
 
 
 def growth_profile(action: FiniteAction, S: GroupSet, n_max: int) -> list[int]:
-    """max_x |S^n . x| for n = 1..n_max.
+    """max_x |S^n . x| for n = 1..n_max on a translation action.
 
-    For translation flavors the orbit-ball size does not depend on x, so a
-    single-point expansion suffices; otherwise all points are expanded.
+    Translations commute, so the orbit-ball size does not depend on x and
+    a single expansion from point 0 suffices.
     """
-    if not action.total:
-        raise GroupError("growth profile requires a total action")
+    if not isinstance(action, (CyclicTranslation, TorusTranslation)):
+        raise GroupError("growth profile is defined for translation actions only")
     if n_max < 1:
         raise GroupError(f"n_max must be >= 1, got {n_max}")
     elems = [action.ctx.normalize(e) for e in S]
-
-    if isinstance(action, (CyclicTranslation, TorusTranslation)):
-        reach = {0}
-        out = []
-        for _ in range(n_max):
-            reach = {action.act(e, p) for p in reach for e in elems}
-            out.append(len(reach))
-        return out
-
-    # generic: boolean reachability matrix, one row per starting point
-    n = action.n_points
-    reach = np.zeros((n, n), dtype=bool)
-    reach[np.arange(n), np.arange(n)] = True
-    maps = [action.act_array(e, np.arange(n)) for e in elems]
+    reach = {0}
     out = []
     for _ in range(n_max):
-        nxt = np.zeros_like(reach)
-        for m in maps:
-            nxt[:, m] |= reach
-        reach = nxt
-        out.append(int(reach.sum(axis=1).max()))
+        reach = {action.act(e, p) for p in reach for e in elems}
+        out.append(len(reach))
     return out

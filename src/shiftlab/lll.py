@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
+from .concentration import deviation_exponent
 from .groups import (FiniteAction, GroupError, GroupSet, difference_set_size,
                      set_product)
 from .shift import Config, all_patterns, as_fraction
@@ -209,14 +210,13 @@ class InstanceStats:
 def p_bound_freq(k: int, s_size: int, eps: float, d_size: int) -> float:
     """2 k^{|S|} exp(-eps^2 |D| / (2|S|^3)): union of the per-pattern
     concentration bounds over all k^{|S|} patterns."""
-    return 2.0 * (k ** s_size) * math.exp(-eps * eps * d_size / (2.0 * s_size ** 3))
+    return 2.0 * (k ** s_size) * math.exp(-deviation_exponent(eps, s_size, d_size))
 
 
 def _interval_extent(S: GroupSet) -> int:
-    elems = S.elements
-    if S.ctx.kind != "integers" or elems[-1] - elems[0] + 1 != len(elems):
+    if S.interval is None:
         raise CertificationError("interval degree mode needs integer intervals")
-    return len(elems)
+    return len(S)
 
 
 def slll_stats(k: int, S: GroupSet, eps, D: GroupSet,
@@ -419,7 +419,7 @@ def check_glll_witness(k: int, S: GroupSet, eps, d_seq: Sequence[GroupSet],
     """
     epsf = float(as_fraction(eps))
     s_sz = len(S)
-    limit = epsf * epsf / (2.0 * s_sz ** 3)
+    limit = deviation_exponent(epsf, s_sz, 1)
     if not (0 < witness.a < limit):
         raise CertificationError(
             f"witness exponent a={witness.a} outside (0, eps^2/(2|S|^3)) = (0, {limit})")
@@ -462,7 +462,7 @@ def check_glll_witness(k: int, S: GroupSet, eps, d_seq: Sequence[GroupSet],
     # witness inequality per n, in log space
     prefix_log1m = [math.log1p(-w) for w in omegas]
     for n, (Dn, wn) in enumerate(zip(d_seq, omegas)):
-        log_lhs = math.log(2.0 * k ** s_sz) - epsf * epsf * sizes[n] / (2.0 * s_sz ** 3)
+        log_lhs = math.log(2.0 * k ** s_sz) - deviation_exponent(epsf, s_sz, sizes[n])
         log_rhs = math.log(wn)
         for m, Dm in enumerate(d_seq):
             cnt = _pair_neighbor_cap(S, Dm, Dn, m == n, degree_mode)
@@ -497,7 +497,7 @@ def find_log_growth_constant(k: int, S: GroupSet, eps, a: float, eps_sum,
     """
     epsf = float(as_fraction(eps))
     s_sz = len(S)
-    limit = epsf * epsf / (2.0 * s_sz ** 3)
+    limit = deviation_exponent(epsf, s_sz, 1)
     if not (0 < a < limit):
         raise CertificationError(f"a must lie in (0, {limit}), got {a}")
     eps_sum_f = float(as_fraction(eps_sum))

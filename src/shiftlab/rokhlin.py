@@ -239,7 +239,6 @@ class BadSequenceReport:
 def bad_sequence_experiment(h: Union[Callable[[int], int], Sequence[int]],
                             i_max: int, seed: int = 0,
                             k_probe: Optional[Sequence[int]] = None,
-                            m_multiplier: int = 1,
                             m_cap: int = 50_000_000) -> BadSequenceReport:
     """Concatenate escape stages with eps_i = 2^{-i-1} on one shared cyclic
     space (a common multiple of all tower heights, so every tower is exact),
@@ -264,7 +263,7 @@ def bad_sequence_experiment(h: Union[Callable[[int], int], Sequence[int]],
         n_start += plan.N
 
     heights = [p.height for p in plans]
-    modulus = math.lcm(*heights) * m_multiplier
+    modulus = math.lcm(*heights)
     for p in plans:
         need = p.height * math.ceil(2 / float(p.eps))
         while modulus < need:

@@ -156,3 +156,23 @@ def test_glll_mode_autocomputes_constant(tmp_path):
     summary = json.loads((out / "lll-check-summary.json").read_text())
     assert summary["summary"]["ok"] is True
     assert summary["summary"]["C"] > 0
+
+
+def test_mistyped_config_value_is_config_error(tmp_path, capsys):
+    base = {"experiment": "moser-tardos", "k": 2, "modulus": 200, "s_size": 1,
+            "eps": "0.3", "d_size": 20, "seeds": 1}
+    for key, bad in [("k", "2"), ("k", True), ("d_size", 20.0),
+                     ("expect_certified", "yes")]:
+        cfg = write_config(tmp_path, {**base, key: bad})
+        assert main(["run", cfg, "--out", str(tmp_path / "rep")]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "config error" in err and key in err and "Traceback" not in err
+
+
+def test_empty_pattern_domain_is_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "experiment": "ergodic-converge", "k": 2, "S": [], "eps": "0.2",
+        "C": 60, "n_max": 3, "samples": 4, "seed": 2})
+    assert main(["run", cfg, "--out", str(tmp_path / "rep")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err

@@ -8,7 +8,8 @@ from shiftlab.ergodic import (AveragingSequence, ergodic_convergence_experiment,
                               near_invariant_measure, periodic_cylinder_table,
                               periodic_cylinder_value,
                               uniform_discrepancy_experiment)
-from shiftlab.groups import CyclicTranslation, GroupCtx, GroupError, integer_interval
+from shiftlab.groups import (CyclicTranslation, GroupCtx, GroupError, gset,
+                             integer_interval)
 from shiftlab.lll import CertificationError
 from shiftlab.shift import Pattern, all_patterns
 
@@ -76,6 +77,35 @@ def test_convergence_matches_bruteforce_on_tiny_case():
     assert rep.rows[1].exceed_frac_beyond == pytest.approx(exceed_counts[1] / 25)
     assert rep.rows[0].worst_dev == pytest.approx(worst[0])
     assert rep.rows[1].worst_dev == pytest.approx(worst[1])
+
+
+def test_convergence_matches_bruteforce_off_prefix():
+    # S reaches left of 0 and D_0 has gaps, so the counts go through
+    # explicit anchor offsets instead of prefix sums
+    S = gset(Z, [-1, 0])
+    d_sets = [gset(Z, [0, 2, 5]), integer_interval(4)]
+    rep = ergodic_convergence_experiment(2, S, "0.5", AveragingSequence.from_sets(d_sets),
+                                         1, 40, seed=5)
+    from shiftlab.rng import color_matrix, derive_seed
+    lo = -1  # min S + min D_n; sites run from -1 to 0 + 5
+    colors = color_matrix(derive_seed(5, 0xE6), 40, 7, 2)
+    exceeded = []
+    worst = [Fraction(0), Fraction(0)]
+    for row in colors:
+        hits = []
+        for i, D in enumerate(d_sets):
+            words = [tuple(int(row[d + s - lo]) for s in (-1, 0)) for d in D.elements]
+            devs = [abs(Fraction(words.count(w), len(words)) - Fraction(1, 4))
+                    for w in itertools.product(range(2), repeat=2)]
+            worst[i] = max(worst[i], max(devs))
+            hits.append(max(devs) >= Fraction(1, 2))
+        exceeded.append(hits)
+    assert rep.rows[0].exceed_frac_beyond == pytest.approx(
+        sum(a or b for a, b in exceeded) / 40)
+    assert rep.rows[1].exceed_frac_beyond == pytest.approx(
+        sum(b for _a, b in exceeded) / 40)
+    assert rep.rows[0].worst_dev == pytest.approx(float(worst[0]))
+    assert rep.rows[1].worst_dev == pytest.approx(float(worst[1]))
 
 
 def test_uniform_discrepancy_single_certified_event():
@@ -151,7 +181,7 @@ def test_periodic_partition_identity():
 
 
 def test_periodic_rejects_non_integer_group():
-    phi = Pattern.from_map(GroupCtx("cyclic", 5), {0: 0}, 2)
+    phi = Pattern.from_map(GroupCtx("lattice", 2), {(0, 0): 0}, 2)
     with pytest.raises(GroupError):
         periodic_cylinder_value(2, 2, phi)
 

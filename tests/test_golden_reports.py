@@ -1,0 +1,31 @@
+"""Reports of the shipped configs, pinned by sha256.
+
+Every summary and detail file written by the eight quick shipped configs
+must hash to the value recorded in perfbench/reference.json (seed 0, the
+configs as shipped).  concentration-sweep and moser-tardos take several
+seconds each and are left to the benchmark's own reference check.
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import pytest
+
+from shiftlab.cli import EXIT_OK, main
+
+ROOT = Path(__file__).resolve().parent.parent
+REFERENCE = json.loads((ROOT / "perfbench" / "reference.json").read_text())["lab-configs"]
+QUICK = ["approx-invariant", "ergodic-converge", "lll-glll", "lll-slll",
+         "moser-tardos-small", "resfin", "rokhlin-bad", "uniform-discrepancy"]
+
+
+@pytest.mark.parametrize("name", QUICK)
+def test_shipped_config_reports_match_reference(name, tmp_path, capsys):
+    out = tmp_path / name
+    code = main(["run", str(ROOT / "configs" / f"{name}.json"), "--out", str(out)])
+    capsys.readouterr()
+    assert code == EXIT_OK
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(out.iterdir()) if not p.name.endswith("-meta.json")}
+    assert got == REFERENCE[name]

@@ -5,23 +5,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab.groups import (CyclicTranslation, GroupCtx, GroupError, GroupSet,
-                             TorusTranslation, ball, difference_set_size,
+from shiftlab.groups import (CyclicTranslation, FiniteAction, GroupCtx,
+                             GroupError, GroupSet, TorusTranslation, ball,
+                             difference_set_size,
                              free_group_window, group_inv, group_op,
                              growth_profile, gset, integer_interval, is_sd_free,
                              lattice_window, set_product)
 
 Z = GroupCtx("integers")
 F2 = GroupCtx("free", 2)
-C7 = GroupCtx("cyclic", 7)
 L2 = GroupCtx("lattice", 2)
-CP = GroupCtx("cyclic-product", (4, 6))
 
 CTX_ELEMS = {
     Z: st.integers(-50, 50),
-    C7: st.integers(0, 6),
     L2: st.tuples(st.integers(-10, 10), st.integers(-10, 10)),
-    CP: st.tuples(st.integers(0, 3), st.integers(0, 5)),
     F2: st.lists(st.sampled_from([1, 2, -1, -2]), max_size=6).map(tuple),
 }
 
@@ -29,11 +26,11 @@ CTX_ELEMS = {
 def test_basic_examples():
     assert group_op(Z, 3, -5) == -2
     assert group_op(F2, (1, 2), (-2,)) == (1,)
-    assert group_inv(C7, 3) == 4
+    assert group_inv(L2, (3, -1)) == (-3, 1)
     assert Z.identity() == 0 and F2.identity() == () and L2.identity() == (0, 0)
 
 
-@pytest.mark.parametrize("ctx", [Z, C7, L2, CP, F2])
+@pytest.mark.parametrize("ctx", [Z, L2, F2])
 def test_group_laws(ctx):
     @settings(max_examples=60, deadline=None)
     @given(CTX_ELEMS[ctx], CTX_ELEMS[ctx], CTX_ELEMS[ctx])
@@ -53,15 +50,17 @@ def test_ctx_validation():
     with pytest.raises(GroupError):
         GroupCtx("free", 0)
     with pytest.raises(GroupError):
-        GroupCtx("cyclic", 0)
+        GroupCtx("cyclic", 7)  # not a supported kind
     with pytest.raises(GroupError):
         group_op(F2, (3,), (1,))  # letter outside rank
 
 
 def test_ctx_parse_roundtrip():
-    for spec in ["Z", "Z^2", "F2", {"cyclic": 5}, {"cyclic_product": [3, 4]}]:
+    for spec in ["Z", "Z^2", "F2"]:
         ctx = GroupCtx.parse(spec)
         assert GroupCtx.parse(ctx.to_json()) == ctx
+    with pytest.raises(GroupError):
+        GroupCtx.parse({"cyclic": 5})
 
 
 def test_set_product_examples():
@@ -86,7 +85,7 @@ def test_set_product_size_bound(s_items, d_items):
 
 def test_set_product_ctx_mismatch():
     with pytest.raises(GroupError):
-        set_product(gset(Z, [0]), gset(C7, [0]))
+        set_product(gset(Z, [0]), gset(L2, [(0, 0)]))
 
 
 def test_ball_examples():
@@ -198,6 +197,20 @@ def test_growth_profile_generic_matches_translation_path():
     assert fast == generic
 
 
+def test_growth_profile_rejects_other_actions():
+    class Reversal(FiniteAction):
+        # a total action that is not a translation: x -> g - x on Z/5
+        ctx, n_points, total = Z, 5, True
+
+        def act(self, gamma, point):
+            return (gamma - point) % 5
+
+    with pytest.raises(GroupError):
+        growth_profile(Reversal(), gset(Z, [0, 1]), 3)
+    with pytest.raises(GroupError):
+        growth_profile(lattice_window([5]), gset(Z, [0, 1]), 3)
+
+
 def test_difference_set_interval_law():
     # |(SD)^-1 SD| = 2|SD| - 1 for integer intervals
     for s_sz, d_sz in [(1, 10), (2, 25), (3, 40)]:
@@ -232,3 +245,34 @@ def test_sd_free_iff_distinct_residues(modulus, items):
     D = gset(Z, items)
     distinct = len({d % modulus for d in items}) == len(D)
     assert is_sd_free(CyclicTranslation(modulus), [D]) is distinct
+
+
+# integer sets of every shape: runs with negative starts, single points,
+# sparse sets, and inputs that repeat elements before deduplication
+INT_SETS = st.one_of(
+    st.tuples(st.integers(-40, 40), st.integers(1, 12)).map(
+        lambda t: list(range(t[0], t[0] + t[1])) * 2),
+    st.lists(st.integers(-40, 40), min_size=1, max_size=10),
+)
+
+
+@given(INT_SETS, INT_SETS)
+@settings(max_examples=200, deadline=None)
+def test_interval_products_match_naive_sets(s_items, d_items):
+    S, D = gset(Z, s_items), gset(Z, d_items)
+    for X, items in ((S, s_items), (D, d_items)):
+        u = sorted(set(items))
+        runs = u == list(range(u[0], u[0] + len(u)))
+        assert X.interval == ((u[0], len(u)) if runs else None)
+    sd = {s + d for s in s_items for d in d_items}
+    got = set_product(S, D)
+    assert got.elements == tuple(sorted(sd))
+    assert got == gset(Z, sd)
+    assert difference_set_size(S, D) == len({b - a for a in sd for b in sd})
+
+
+def test_interval_only_for_integers():
+    assert gset(L2, [(0, 0), (0, 1)]).interval is None
+    assert GroupSet(Z, ()).interval is None
+    assert integer_interval(3, -2).elements == (-2, -1, 0)
+    assert integer_interval(3, -2).interval == (-2, 3)
