@@ -19,7 +19,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .groups import FiniteAction, GroupError, GroupSet, set_product
-from .rng import color_matrix, derive_seed
+from .rng import block_rows, color_matrix, derive_seed
 from .shift import Pattern, as_fraction
 
 WILSON_Z95 = 1.959963984540054
@@ -117,16 +117,20 @@ def _check_sd_free_at(action: FiniteAction, S: GroupSet, D: GroupSet, x: int):
 
 def mc_deviation_prob(inp: ConcentrationBoundInput, action: FiniteAction, x: int,
                       phi: Pattern, trials: int, seed: int,
-                      chunk: int = 2000) -> McEstimate:
+                      chunk: int | None = None) -> McEstimate:
     """Estimate the deviation probability bounded by concentration_bound.
 
     Each trial colors SD.x uniformly at random and counts the elements of D
     at which phi occurs in the coloring pulled back through the action.  A
     trial is a hit when the frequency misses k^{-|S|} by eps or more (exact
     rational comparison).  The occurrence-count mean is also compared with
-    |D| / k^{|S|}.
+    |D| / k^{|S|}.  Trials run `chunk` at a time, by default as many as
+    make one RNG block of colors; every accumulator is an exact integer
+    count, so the chunk size cannot change the result.
     """
     S, D, k = inp.S, inp.D, inp.k
+    if chunk is not None and chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     if tuple(phi.domain.elements) != tuple(S.elements):
         raise ValueError("pattern domain must be exactly S")
     _check_sd_free_at(action, S, D, x)
@@ -159,6 +163,7 @@ def mc_deviation_prob(inp: ConcentrationBoundInput, action: FiniteAction, x: int
     occ_sum = 0.0
     occ_sumsq = 0.0
     run_seed = derive_seed(seed, 0xC0)
+    chunk = chunk or block_rows(len(sites))
     for start in range(0, trials, chunk):
         rows = min(chunk, trials - start)
         colors = color_matrix(run_seed, rows, len(sites), k, row_offset=start)
@@ -174,9 +179,10 @@ def mc_deviation_prob(inp: ConcentrationBoundInput, action: FiniteAction, x: int
     mean_occ = occ_sum / trials
     expected = d_sz / (k ** s_sz)
     var = max(occ_sumsq / trials - mean_occ ** 2, 0.0)
-    se = math.sqrt(var / trials) if var > 0 else 0.0
-    z = 0.0 if se == 0 and mean_occ == expected else \
-        (mean_occ - expected) / se if se > 0 else math.inf
+    if var > 0:
+        z = (mean_occ - expected) / math.sqrt(var / trials)
+    else:  # every trial saw the same count: any miss is infinitely many sigma
+        z = 0.0 if mean_occ == expected else math.copysign(math.inf, mean_occ - expected)
     lo, hi = wilson_interval(hits, trials)
     return McEstimate(trials, hits, hits / trials, hi, lo, mean_occ, expected, z)
 

@@ -19,7 +19,7 @@ from .lll import (CertificationError, FrequencyDeviationEvent, GLLLWitnessSpec,
                   check_glll_witness, slll_stats)
 from .moser_tardos import (EventFamily, MTResult, TapeSpace, frequency_counts,
                            resample_fraction, run_mt)
-from .rng import color_matrix, derive_seed
+from .rng import block_rows, color_matrix, derive_seed
 from .shift import Pattern, PatternStats, all_patterns, as_fraction
 
 INTEGERS_CTX = GroupCtx("integers")
@@ -93,12 +93,16 @@ class ConvergenceReport:
 
 def ergodic_convergence_experiment(k: int, S: GroupSet, eps, seq: AveragingSequence,
                                    n_max: int, samples: int, seed: int,
-                                   chunk: int = 512) -> ConvergenceReport:
+                                   chunk: int | None = None) -> ConvergenceReport:
     """Sample i.i.d. uniform configurations and track, for each n, the worst
     pattern-frequency deviation over D_n, the fraction of samples that still
     deviate by eps somewhere at or beyond n, and the summed closed-form
-    bound 2 exp(-eps^2 |D_m| / (2|S|^3)) over m >= n.
+    bound 2 exp(-eps^2 |D_m| / (2|S|^3)) over m >= n.  Samples run `chunk`
+    at a time, by default as many as make one RNG block of colors; the
+    result does not depend on the chunk size.
     """
+    if chunk is not None and chunk < 1:
+        raise ValueError(f"chunk must be >= 1, got {chunk}")
     if S.ctx != INTEGERS_CTX:
         raise GroupError("this experiment runs over integer windows")
     if len(S) == 0:
@@ -123,6 +127,7 @@ def ergodic_convergence_experiment(k: int, S: GroupSet, eps, seq: AveragingSeque
     worst_num = np.zeros(n_max + 1, dtype=np.int64)  # max |count*scale - |D||
 
     run_seed = derive_seed(seed, 0xE6)
+    chunk = chunk or block_rows(width)
     for start in range(0, samples, chunk):
         rows = min(chunk, samples - start)
         colors = color_matrix(run_seed, rows, width, k, row_offset=start)

@@ -18,14 +18,14 @@ def offset_runs(offsets, modulus: int) -> list[tuple[int, int]]:
     Multiplicities are preserved by returning one run per repeat; callers
     pass deduplicated offsets when sets are intended.
     """
-    res = sorted(int(o) % modulus for o in offsets)
-    runs: list[tuple[int, int]] = []
-    for r in res:
-        if runs and runs[-1][1] + 1 == r:
-            runs[-1] = (runs[-1][0], r)
-        else:
-            runs.append((r, r))
-    return runs
+    res = np.sort(np.asarray(offsets, dtype=np.int64).reshape(-1) % modulus)
+    if res.size == 0:
+        raise ValueError("a window needs at least one offset")
+    # a run ends wherever the next residue is not one more (a repeat included)
+    cut = np.flatnonzero(np.diff(res) != 1)
+    lo = res[np.concatenate(([0], cut + 1))]
+    hi = res[np.concatenate((cut, [res.size - 1]))]
+    return list(zip(lo.tolist(), hi.tolist()))
 
 
 def circular_window_sums(values: np.ndarray, offsets, modulus: int) -> np.ndarray:

@@ -85,6 +85,19 @@ def test_mc_expectation_identity():
     assert est.expectation_within_3sigma
 
 
+@pytest.mark.parametrize("seed, mean, z", [(4, 20.0, -math.inf), (3, 33.0, math.inf),
+                                           (0, 25.0, 0.0)])
+def test_mc_zero_variance_zscore_has_the_sign_of_the_miss(seed, mean, z):
+    # one trial has zero variance: the z-score is infinite with the sign of
+    # mean - expected, or 0 when the mean is exact
+    inp = ConcentrationBoundInput(2, integer_interval(1), Fraction(1, 10),
+                                  integer_interval(50))
+    phi = all_patterns(integer_interval(1), 2)[0]
+    est = mc_deviation_prob(inp, CyclicTranslation(1000), 0, phi, trials=1, seed=seed)
+    assert (est.mean_occurrences, est.expected_occurrences) == (mean, 25.0)
+    assert est.expectation_zscore == z
+
+
 def test_mc_requires_freeness():
     inp = ConcentrationBoundInput(2, integer_interval(1), Fraction(1, 10),
                                   integer_interval(20))

@@ -188,8 +188,14 @@ def test_mc_chunk_invariance():
     act = CyclicTranslation(5000)
     a = mc_deviation_prob(inp, act, 0, phi, 700, seed=3, chunk=64)
     b = mc_deviation_prob(inp, act, 0, phi, 700, seed=3, chunk=700)
+    # the default chunk spans 327 rows of |SD| = 100 colors: 700 is no multiple
+    c = mc_deviation_prob(inp, act, 0, phi, 700, seed=3)
     assert a.hits == b.hits
     assert a.mean_occurrences == b.mean_occurrences
+    assert c == b
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="chunk"):
+            mc_deviation_prob(inp, act, 0, phi, 700, seed=3, chunk=bad)
 
 
 def test_ergodic_chunk_invariance():
@@ -199,6 +205,13 @@ def test_ergodic_chunk_invariance():
                                         seed=5, chunk=7)
     r2 = ergodic_convergence_experiment(2, integer_interval(1), "0.2", seq, 8, 50,
                                         seed=5, chunk=50)
+    r3 = ergodic_convergence_experiment(2, integer_interval(1), "0.2", seq, 8, 50,
+                                        seed=5)
     for a, b in zip(r1.rows, r2.rows):
         assert a.worst_dev == b.worst_dev
         assert a.exceed_frac_beyond == b.exceed_frac_beyond
+    assert r3 == r2
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="chunk"):
+            ergodic_convergence_experiment(2, integer_interval(1), "0.2", seq, 8, 50,
+                                           seed=5, chunk=bad)

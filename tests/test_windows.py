@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shiftlab.windows import circular_window_reduce, circular_window_sums
+from shiftlab.windows import circular_window_reduce, circular_window_sums, offset_runs
 
 FOLDS = {"and": (np.logical_and, all), "or": (np.logical_or, any)}
 
@@ -27,6 +27,37 @@ def test_window_sums_match_direct_summation(case):
     got = circular_window_sums(values, offsets, m)
     assert got.dtype == np.int64
     assert got.tolist() == expected
+
+
+def _runs_by_loop(offsets, modulus):
+    """Run detection one residue at a time: the reference for offset_runs."""
+    res = sorted(int(o) % modulus for o in offsets)
+    runs = []
+    for r in res:
+        if runs and runs[-1][1] + 1 == r:
+            runs[-1] = (runs[-1][0], r)
+        else:
+            runs.append((r, r))
+    return runs
+
+
+@given(values_and_offsets())
+@example((6, None, [5, 0, 1, 1, 2, -1, 11, 3]))  # repeats extend only the last run
+@example((1, None, [0, 4, -7]))                   # everything folds onto residue 0
+@settings(max_examples=300, deadline=None)
+def test_offset_runs_match_loop(case):
+    m, _values, offsets = case
+    for given_as in (offsets, tuple(offsets), np.array(offsets, dtype=np.int64)):
+        got = offset_runs(given_as, m)
+        assert got == _runs_by_loop(offsets, m)
+        assert all(type(v) is int for run in got for v in run)
+
+
+def test_window_sums_reject_empty_offsets():
+    with pytest.raises(ValueError, match="at least one offset"):
+        offset_runs([], 5)
+    with pytest.raises(ValueError, match="at least one offset"):
+        circular_window_sums(np.ones(5, dtype=np.int8), (), 5)
 
 
 @st.composite
