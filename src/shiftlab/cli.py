@@ -184,6 +184,8 @@ _TYPE_CHECKS = {
     "list[int]": lambda v: isinstance(v, list) and all(_is_int(x) for x in v),
     "number": lambda v: _is_int(v) or isinstance(v, float),
     "bool": lambda v: isinstance(v, bool),
+    "int | list[int]": lambda v: _is_int(v) or (isinstance(v, list)
+                                                and all(_is_int(x) for x in v)),
 }
 
 
@@ -234,6 +236,9 @@ def _run_ergodic_converge(p, out, jobs, transcript):
 
 
 def _run_concentration_sweep(p, out, jobs, transcript):
+    for key in ("ks", "s_sizes", "eps_list", "d_sizes"):
+        if not p[key]:
+            raise ConfigError(f"concentration-sweep: {key} must be nonempty")
     grid = [(k, integer_interval(s), _frac(e), integer_interval(d))
             for k in p["ks"] for s in p["s_sizes"]
             for e in p["eps_list"] for d in p["d_sizes"]]
@@ -307,29 +312,33 @@ def _run_moser_tardos(p, out, jobs, transcript):
     a = p.get("a", float(eps) ** 2 / (4.0 * len(S) ** 3))
     omega = math.exp(-a * len(D))
     seeds = list(range(p["seeds"])) if isinstance(p["seeds"], int) else list(p["seeds"])
+    if not seeds:
+        raise ConfigError(f"moser-tardos: seeds must be a count >= 1 or a nonempty "
+                          f"list, got {p['seeds']!r}")
 
     def one(seed):
+        # measured inside the task, so only one seed's arrays are alive at a time
         tr = [] if transcript else None
         res = run_mt(action, family, TapeSpace(seed=derive_seed(seed, 0xA0), k=k),
                      max_steps=p.get("max_steps"), transcript=tr)
-        return res, tr
+        fr = resample_fraction(res, family, {0: omega})
+        led = stabilization_ledger(res, action, family)
+        tap = tape_consistency(res)
+        return (seed, res.converged, res.steps, float(fr.frac_resampled),
+                float(fr.frac_changed), res.index_total(0), led, tap), tr
 
-    results = _parallel(one, seeds, jobs)
     rows = []
     converged = 0
     ledger_ok = True
     mean_index = 0.0
     resampled = 0.0
-    for seed, (res, tr) in zip(seeds, results):
-        fr = resample_fraction(res, family, {0: omega})
-        led = stabilization_ledger(res, action, family)
-        tap = tape_consistency(res)
+    for row, tr in _parallel(one, seeds, jobs):
+        seed, conv, _steps, frac_resampled, _changed, index_total, led, tap = row
         ledger_ok &= led and tap
-        converged += int(res.converged)
-        mean_index += res.index_total(0) / action.n_points
-        resampled += float(fr.frac_resampled)
-        rows.append((seed, res.converged, res.steps, float(fr.frac_resampled),
-                     float(fr.frac_changed), res.index_total(0), led, tap))
+        converged += int(conv)
+        mean_index += index_total / action.n_points
+        resampled += frac_resampled
+        rows.append(row)
         if tr is not None:
             with open(out / f"moser-tardos-transcript-{seed}.jsonl", "w") as fh:
                 for line in tr:

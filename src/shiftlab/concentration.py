@@ -126,9 +126,13 @@ def mc_deviation_prob(inp: ConcentrationBoundInput, action: FiniteAction, x: int
     rational comparison).  The occurrence-count mean is also compared with
     |D| / k^{|S|}.  Trials run `chunk` at a time, by default as many as
     make one RNG block of colors; every accumulator is an exact integer
-    count, so the chunk size cannot change the result.
+    count, so the chunk size cannot change the result.  The columns of
+    s*D.x are read as a slice when they are consecutive sites, as they are
+    for intervals S and D on a cyclic action, and gathered otherwise.
     """
     S, D, k = inp.S, inp.D, inp.k
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     if chunk is not None and chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     if tuple(phi.domain.elements) != tuple(S.elements):
@@ -145,12 +149,16 @@ def mc_deviation_prob(inp: ConcentrationBoundInput, action: FiniteAction, x: int
         if y not in site_index:
             site_index[y] = len(sites)
             sites.append(y)
-    # column index of s*d . x for each s (rows follow sorted D)
+    # columns of s*d . x for each s (in the order of sorted D): a slice when
+    # they are consecutive sites, else the index array
     ctx = S.ctx
-    cols = {}
+    cols = []
     for s in S.elements:
-        cols[s] = np.array(
+        c = np.array(
             [site_index[action.act(ctx.op(s, d), x)] for d in D.elements], dtype=np.int64)
+        if np.all(np.diff(c) == 1):
+            c = slice(int(c[0]), int(c[-1]) + 1)
+        cols.append(c)
 
     d_sz, s_sz = len(D), len(S)
     eps = as_fraction(inp.eps)
@@ -159,26 +167,25 @@ def mc_deviation_prob(inp: ConcentrationBoundInput, action: FiniteAction, x: int
     threshold_num = eps.numerator * d_sz * lhs_scale
     threshold_den = eps.denominator
 
-    hits = 0
-    occ_sum = 0.0
-    occ_sumsq = 0.0
+    # exact integer accumulators, converted to float once after the loop
+    hits = occ_sum = occ_sumsq = 0
     run_seed = derive_seed(seed, 0xC0)
     chunk = chunk or block_rows(len(sites))
     for start in range(0, trials, chunk):
         rows = min(chunk, trials - start)
         colors = color_matrix(run_seed, rows, len(sites), k, row_offset=start)
-        match = np.ones((rows, d_sz), dtype=bool)
-        for s, col in zip(S.elements, phi.colors):
-            match &= colors[:, cols[s]] == col
-        counts = match.sum(axis=1).astype(np.int64)
+        match = colors[:, cols[0]] == phi.colors[0]
+        for sel, col in zip(cols[1:], phi.colors[1:]):
+            match &= colors[:, sel] == col
+        counts = np.count_nonzero(match, axis=1)
         dev = np.abs(counts * lhs_scale - d_sz) * threshold_den
-        hits += int((dev >= threshold_num).sum())
-        occ_sum += float(counts.sum())
-        occ_sumsq += float((counts.astype(float) ** 2).sum())
+        hits += int(np.count_nonzero(dev >= threshold_num))
+        occ_sum += int(counts.sum())
+        occ_sumsq += int(np.dot(counts, counts))
 
-    mean_occ = occ_sum / trials
+    mean_occ = float(occ_sum) / trials
     expected = d_sz / (k ** s_sz)
-    var = max(occ_sumsq / trials - mean_occ ** 2, 0.0)
+    var = max(float(occ_sumsq) / trials - mean_occ ** 2, 0.0)
     if var > 0:
         z = (mean_occ - expected) / math.sqrt(var / trials)
     else:  # every trial saw the same count: any miss is infinitely many sigma

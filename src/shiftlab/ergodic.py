@@ -101,6 +101,10 @@ def ergodic_convergence_experiment(k: int, S: GroupSet, eps, seq: AveragingSeque
     at a time, by default as many as make one RNG block of colors; the
     result does not depend on the chunk size.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if n_max < 0:
+        raise ValueError(f"n_max must be >= 0, got {n_max}")
     if chunk is not None and chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     if S.ctx != INTEGERS_CTX:

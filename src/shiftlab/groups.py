@@ -305,6 +305,9 @@ class CyclicTranslation(FiniteAction):
         return (points + int(gamma)) % self.modulus
 
     def free_for(self, S: GroupSet) -> bool:
+        iv = S.interval
+        if iv is not None:  # consecutive integers have distinct residues iff they fit
+            return iv[1] <= self.modulus
         residues = {int(e) % self.modulus for e in S}
         return len(residues) == len(S)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .concentration import deviation_exponent
@@ -84,7 +85,7 @@ class FrequencyDeviationEvent(BadEvent):
         if self.S.ctx != self.D.ctx:
             raise GroupError("S and D must share a context")
 
-    @property
+    @cached_property
     def domain(self) -> GroupSet:
         return set_product(self.S, self.D)
 

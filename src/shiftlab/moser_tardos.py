@@ -38,8 +38,7 @@ class TapeSpace:
         return uniform_colors(self.seed, points, ts, self.k)
 
     def row(self, n_points: int, t: int = 0) -> np.ndarray:
-        pts = np.arange(n_points)
-        return self.symbols(pts, np.full(n_points, t))
+        return self.symbols(np.arange(n_points), t)
 
 
 @dataclass(frozen=True)
@@ -79,6 +78,7 @@ class MTResult:
     converged: bool
     defect_points: tuple          # violated anchors remaining (empty iff converged)
     tape: TapeSpace
+    first_row: np.ndarray         # tape row 0, the starting coloring (not aliased)
 
     def index_total(self, n: int) -> int:
         return sum(c for (m, _x), c in self.index_counts.items() if m == n)
@@ -186,6 +186,7 @@ def run_mt(action: FiniteAction, family: EventFamily, tape: TapeSpace,
     n_pts = action.n_points
     t = np.zeros(n_pts, dtype=np.int64)
     g = tape.row(n_pts, 0)
+    first_row = g.copy()  # g is resampled in place below
     domains = {n: ev.domain.elements for n, ev in family}
     index_counts: dict = {}
     steps = 0
@@ -227,7 +228,7 @@ def run_mt(action: FiniteAction, family: EventFamily, tape: TapeSpace,
                                "tape_advanced": int(touched.size)})
         steps += 1
 
-    return MTResult(g, t, index_counts, steps, converged, residual, tape)
+    return MTResult(g, t, index_counts, steps, converged, residual, tape, first_row)
 
 
 # -- post-run measurements -----------------------------------------------------
@@ -310,8 +311,7 @@ def resample_fraction(result: MTResult, family: Optional[EventFamily] = None,
                       omegas: Optional[dict] = None) -> ResampleFractions:
     n_pts = result.t.size
     resampled = int((result.t >= 1).sum())
-    first_row = result.tape.row(n_pts, 0)
-    changed = int((result.coloring != first_row).sum())
+    changed = int((result.coloring != result.first_row).sum())
     bound = None
     if family is not None and omegas is not None:
         bound = sum(len(ev.domain) * omegas[n] / (1.0 - omegas[n]) for n, ev in family)

@@ -176,3 +176,41 @@ def test_empty_pattern_domain_is_config_error(tmp_path, capsys):
     assert main(["run", cfg, "--out", str(tmp_path / "rep")]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
+
+
+def _assert_config_error(tmp_path, capsys, doc, key):
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", cfg, "--out", str(tmp_path / "rep")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err and "Traceback" not in err
+
+
+SWEEP = {"experiment": "concentration-sweep", "ks": [2], "s_sizes": [1],
+         "eps_list": ["0.2"], "d_sizes": [40], "trials": 20, "modulus": 1000,
+         "seed": 6}
+ERGODIC = {"experiment": "ergodic-converge", "k": 2, "S": [0], "eps": "0.2",
+           "C": 60, "n_max": 3, "samples": 4, "seed": 2}
+MT = {"experiment": "moser-tardos", "k": 2, "modulus": 200, "s_size": 1,
+      "eps": "0.3", "d_size": 20, "seeds": 1}
+
+
+def test_zero_trials_is_config_error(tmp_path, capsys):
+    _assert_config_error(tmp_path, capsys, {**SWEEP, "trials": 0}, "trials")
+
+
+def test_zero_samples_is_config_error(tmp_path, capsys):
+    _assert_config_error(tmp_path, capsys, {**ERGODIC, "samples": 0}, "samples")
+
+
+def test_negative_n_max_is_config_error(tmp_path, capsys):
+    _assert_config_error(tmp_path, capsys, {**ERGODIC, "n_max": -1}, "n_max")
+
+
+def test_no_seeds_is_config_error(tmp_path, capsys):
+    for seeds in (-2, 0, []):
+        _assert_config_error(tmp_path, capsys, {**MT, "seeds": seeds}, "seeds")
+
+
+def test_empty_sweep_grid_is_config_error(tmp_path, capsys):
+    for key in ("ks", "s_sizes", "eps_list", "d_sizes"):
+        _assert_config_error(tmp_path, capsys, {**SWEEP, key: []}, key)

@@ -167,3 +167,82 @@ def test_mc_on_torus_action():
     assert est.expected_occurrences == 50.0
     assert est.expectation_within_3sigma
     assert est.wilson_95_upper <= 1.0
+
+
+def _mc_oracle(inp, action, x, phi, trials, seed):
+    """mc_deviation_prob one trial at a time: each trial colors the sites of
+    SD.x from its own color_matrix row and counts occurrences site by site."""
+    from shiftlab.groups import set_product
+    from shiftlab.rng import color_matrix, derive_seed
+    S, D, k = inp.S, inp.D, inp.k
+    sites = []
+    for e in set_product(S, D).elements:
+        y = action.act(e, x)
+        if y not in sites:
+            sites.append(y)
+    target = Fraction(1, k ** len(S))
+    run_seed = derive_seed(seed, 0xC0)
+    counts = []
+    for r in range(trials):
+        row = color_matrix(run_seed, 1, len(sites), k, row_offset=r)[0]
+        color = dict(zip(sites, row.tolist()))
+        counts.append(sum(
+            all(color[action.act(S.ctx.op(s, d), x)] == c for s, c in phi.items())
+            for d in D.elements))
+    hits = sum(abs(Fraction(c, len(D)) - target) >= inp.eps for c in counts)
+    return hits, Fraction(sum(counts), trials)
+
+
+_MC_SETS = {  # name -> elements in the integers; intervals and gapped sets
+    "0": [0], "01": [0, 1], "-1,2": [-1, 2], "012": [0, 1, 2],
+    "0..5": list(range(6)), "0,2,5": [0, 2, 5], "-3,-2,4": [-3, -2, 4],
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(s_name=st.sampled_from(["0", "01", "-1,2", "012"]),
+       d_name=st.sampled_from(["0", "0..5", "0,2,5", "-3,-2,4"]),
+       k=st.sampled_from([2, 3]), colors=st.lists(st.integers(0, 2), min_size=3, max_size=3),
+       eps=st.sampled_from([Fraction(1, 10), Fraction(1, 4), Fraction(1, 2)]),
+       modulus=st.integers(12, 20), x=st.integers(0, 19),
+       trials=st.integers(1, 25), chunk=st.sampled_from([None, 1, 2, 7, 40]),
+       seed=st.integers(0, 2 ** 32))
+def test_mc_matches_per_trial_oracle(s_name, d_name, k, colors, eps, modulus, x,
+                                     trials, chunk, seed):
+    # interval S and D read their columns as slices, gapped sets gather them;
+    # x and the modulus move the sites around the cycle
+    from shiftlab.groups import GroupCtx, gset
+    from shiftlab.shift import Pattern
+    Z = GroupCtx("integers")
+    S, D = gset(Z, _MC_SETS[s_name]), gset(Z, _MC_SETS[d_name])
+    phi = Pattern(S, tuple(c % k for c in colors[:len(S)]), k)
+    inp = ConcentrationBoundInput(k, S, eps, D)
+    action = CyclicTranslation(modulus)
+    est = mc_deviation_prob(inp, action, x % modulus, phi, trials, seed, chunk=chunk)
+    hits, mean = _mc_oracle(inp, action, x % modulus, phi, trials, seed)
+    assert (est.trials, est.hits) == (trials, hits)
+    assert est.estimate == hits / trials
+    assert est.mean_occurrences == float(mean)
+
+
+def test_mc_matches_per_trial_oracle_on_torus():
+    from shiftlab.groups import GroupCtx, TorusTranslation, gset
+    from shiftlab.shift import Pattern
+    L2 = GroupCtx("lattice", 2)
+    S = gset(L2, [(0, 0), (0, 1)])
+    D = gset(L2, [(0, 0), (1, 0), (1, 1), (2, 3)])
+    inp = ConcentrationBoundInput(2, S, Fraction(1, 4), D)
+    phi = Pattern(S, (1, 0), 2)
+    action = TorusTranslation(5, 6)
+    for chunk in (None, 1, 3):
+        est = mc_deviation_prob(inp, action, 7, phi, 30, seed=9, chunk=chunk)
+        hits, mean = _mc_oracle(inp, action, 7, phi, 30, seed=9)
+        assert est.hits == hits and est.mean_occurrences == float(mean)
+
+
+def test_mc_rejects_zero_trials():
+    inp = ConcentrationBoundInput(2, integer_interval(1), Fraction(1, 10),
+                                  integer_interval(5))
+    phi = all_patterns(integer_interval(1), 2)[0]
+    with pytest.raises(ValueError, match="trials"):
+        mc_deviation_prob(inp, CyclicTranslation(100), 0, phi, 0, seed=0)

@@ -276,3 +276,24 @@ def test_interval_only_for_integers():
     assert GroupSet(Z, ()).interval is None
     assert integer_interval(3, -2).elements == (-2, -1, 0)
     assert integer_interval(3, -2).interval == (-2, 3)
+
+
+def _free_by_residues(M, elems):
+    return len({e % M for e in elems}) == len(elems)
+
+
+def test_cyclic_free_for_intervals_matches_residue_formula():
+    # lengths below, at and above the modulus, from negative starts as well
+    for M in range(1, 8):
+        act = CyclicTranslation(M)
+        for start in range(-9, 10):
+            for n in range(1, M + 3):
+                S = integer_interval(n, start)
+                assert act.free_for(S) == _free_by_residues(M, S.elements) == (n <= M)
+
+
+@settings(max_examples=200, deadline=None)
+@given(M=st.integers(1, 30), elems=st.sets(st.integers(-60, 60), min_size=1, max_size=12))
+def test_cyclic_free_for_matches_residue_formula(M, elems):
+    S = gset(Z, elems)
+    assert CyclicTranslation(M).free_for(S) == _free_by_residues(M, S.elements)

@@ -207,3 +207,11 @@ def test_find_log_growth_constant_properties():
 def test_find_log_growth_constant_validates_a():
     with pytest.raises(CertificationError):
         find_log_growth_constant(2, integer_interval(1), "0.1", a=0.01, eps_sum="0.1")
+
+
+def test_frequency_event_domain_is_built_once():
+    S, D = gset(Z, [-1, 2]), integer_interval(40, start=3)
+    ev = FrequencyDeviationEvent(2, S, Fraction(1, 10), D)
+    assert ev.domain is ev.domain
+    assert ev.domain == set_product(S, D)
+    assert ev == FrequencyDeviationEvent(2, S, Fraction(1, 10), D)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,10 @@ def test_tape_deterministic_and_roughly_uniform():
     row1 = tape.row(20_000, 1)
     agree = int((row == row1).sum())
     assert abs(agree - 10_000) < 4 * (20_000 * 0.25) ** 0.5
+    # a row is symbol t of every tape
+    pts = np.arange(20_000)
+    assert np.array_equal(row1, tape.symbols(pts, np.ones(20_000, dtype=np.int64)))
+    assert [tape.symbol(p, 1) for p in (0, 7, 19_999)] == row1[[0, 7, 19_999]].tolist()
 
 
 def test_tape_k3_frequencies():
@@ -104,6 +110,21 @@ def test_mt_stress_resampling_converges():
     assert fr.frac_changed <= fr.frac_resampled
 
 
+def test_mt_stored_first_row_does_not_drift():
+    # the coloring is resampled in place, so a stored row 0 that aliased it
+    # would follow it and report no changed point
+    ev = FrequencyDeviationEvent(2, integer_interval(1), "0.25", integer_interval(20))
+    act = CyclicTranslation(200)
+    tape = TapeSpace(seed=77, k=2)
+    res = run_mt(act, EventFamily.of(ev), tape)
+    assert res.steps > 0
+    row0 = tape.row(200, 0)
+    assert np.array_equal(res.first_row, row0)
+    fr = resample_fraction(res)
+    assert fr.frac_changed == Fraction(int((res.coloring != row0).sum()), 200)
+    assert fr.frac_changed > 0
+
+
 def test_mt_two_member_family_ledger():
     ev1 = FrequencyDeviationEvent(2, integer_interval(1), "0.3", integer_interval(12))
     ev2 = FrequencyDeviationEvent(2, integer_interval(2), "0.3", integer_interval(9))
@@ -173,7 +194,7 @@ def test_index_report_bounds():
 def _dummy_result():
     from shiftlab.moser_tardos import MTResult
     return MTResult(np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64),
-                    {}, 0, True, (), TapeSpace(seed=0, k=2))
+                    {}, 0, True, (), TapeSpace(seed=0, k=2), np.zeros(4, dtype=np.int64))
 
 
 def test_resample_fraction_bound():
