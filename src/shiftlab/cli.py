@@ -38,7 +38,7 @@ from .lll import (CertificationError, FrequencyDeviationEvent, GLLLWitnessSpec,
                   find_slll_threshold, slll_stats)
 from .moser_tardos import (EventFamily, TapeSpace, resample_fraction, run_mt,
                            stabilization_ledger, tape_consistency)
-from .rng import derive_seed
+from .rng import _kernel_meta, derive_seed
 from .rokhlin import (bad_sequence_experiment, build_tower, plan_intervals,
                       tower_level_rows, verify_capture)
 from .shift import Pattern, as_fraction
@@ -172,6 +172,16 @@ SCHEMAS = {
     },
 }
 
+# the parameters of rokhlin-bad's "single" block
+SINGLE_PARAMS = {
+    "eps": ("decimal string", True, "tolerance of the tower"),
+    "h": ("int | list[int]", True, "requested interval lengths"),
+    "modulus": ("int", True, "cyclic space size"),
+}
+
+# keys that a value of another key makes required: kind -> (key, {value: keys})
+REQUIRED_WHEN = {"lll-check": ("mode", {"slll": ["d_size"], "glll": ["a"]})}
+
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
@@ -186,21 +196,39 @@ _TYPE_CHECKS = {
     "bool": lambda v: isinstance(v, bool),
     "int | list[int]": lambda v: _is_int(v) or (isinstance(v, list)
                                                 and all(_is_int(x) for x in v)),
+    "{eps, h, modulus}": lambda v: isinstance(v, dict),
 }
 
 
-def _validate(kind: str, params: dict) -> dict:
-    schema = SCHEMAS[kind]["params"]
+def _check_params(where: str, schema: dict, params: dict) -> None:
     unknown = set(params) - set(schema)
     if unknown:
-        raise ConfigError(f"unknown keys for {kind}: {sorted(unknown)}")
+        raise ConfigError(f"unknown keys for {where}: {sorted(unknown)}")
     missing = [p for p, (_t, req, _d) in schema.items() if req and p not in params]
     if missing:
-        raise ConfigError(f"missing required keys for {kind}: {missing}")
+        raise ConfigError(f"missing required keys for {where}: {missing}")
     for name, value in params.items():
         typ = schema[name][0]
         if typ in _TYPE_CHECKS and not _TYPE_CHECKS[typ](value):
-            raise ConfigError(f"{kind}: {name} must be {typ}, got {value!r}")
+            raise ConfigError(f"{where}: {name} must be {typ}, got {value!r}")
+
+
+def _validate(kind: str, params: dict) -> dict:
+    _check_params(kind, SCHEMAS[kind]["params"], params)
+    if kind in REQUIRED_WHEN:
+        key, needs = REQUIRED_WHEN[kind]
+        missing = [n for n in needs.get(params[key], ()) if n not in params]
+        if missing:
+            raise ConfigError(f"missing required keys for {kind} {key} "
+                              f"{params[key]!r}: {missing}")
+    if kind == "rokhlin-bad":
+        blocks = [(kind, params)]
+        if "single" in params:
+            _check_params(f"{kind} single", SINGLE_PARAMS, params["single"])
+            blocks.append((f"{kind} single", params["single"]))
+        for where, block in blocks:
+            if block["h"] == []:
+                raise ConfigError(f"{where}: h must list at least one length")
     return params
 
 
@@ -277,8 +305,6 @@ def _run_lll_check(p, out, jobs, transcript):
                    "verdict": "pass" if ok else "slll_margin >= 1"}
         return summary, EXIT_OK if ok else EXIT_VERDICT
     if p["mode"] == "glll":
-        if "a" not in p:
-            raise ConfigError("glll mode requires the witness exponent a")
         n_prefix = p.get("n_prefix", 64)
         eps_sum = _frac(p.get("eps_sum", p["eps"]))
         C = p.get("C")
@@ -420,11 +446,22 @@ def _run_approx_invariant(p, out, jobs, transcript):
     return summary, EXIT_OK if m.within else EXIT_VERDICT
 
 
+def _lengths(where: str, h):
+    """n -> the n-th requested interval length of an int or a list `h`."""
+    if isinstance(h, int):
+        return lambda n: h
+
+    def nth(n):
+        if n >= len(h):
+            raise ConfigError(f"{where}: h gives {len(h)} length(s), the schedule "
+                              f"needs at least {n + 1}")
+        return h[n]
+    return nth
+
+
 def _run_rokhlin_bad(p, out, jobs, transcript):
-    h = p["h"]
-    h_fn = (lambda n: h) if isinstance(h, int) else (lambda n: h[n])
-    rep = bad_sequence_experiment(h_fn, p["i_max"], seed=p["seed"],
-                                  k_probe=p.get("k_probe"))
+    rep = bad_sequence_experiment(_lengths("rokhlin-bad", p["h"]), p["i_max"],
+                                  seed=p["seed"], k_probe=p.get("k_probe"))
     min_capture = Fraction(str(p.get("min_capture", "0.99")))
     _write_csv(out / "rokhlin-bad-detail.csv",
                ["q", "band", "frac_full_average", "frac_null_average"],
@@ -435,8 +472,7 @@ def _run_rokhlin_bad(p, out, jobs, transcript):
     single = None
     if "single" in p:
         s = p["single"]
-        sh = s["h"]
-        plan = plan_intervals((lambda n: sh) if isinstance(sh, int) else (lambda n: sh[n]),
+        plan = plan_intervals(_lengths("rokhlin-bad single", s["h"]),
                               Fraction(str(s["eps"])))
         build = build_tower(plan, s["modulus"])
         cap = verify_capture(build)
@@ -515,9 +551,11 @@ def cmd_run(args) -> int:
                    "summary": summary}
     (out / f"{kind}-summary.json").write_text(
         json.dumps(summary_doc, indent=2, sort_keys=True, default=_json_default) + "\n")
-    (out / f"{kind}-meta.json").write_text(json.dumps(
-        {"written_at": datetime.datetime.now(datetime.timezone.utc).isoformat()},
-        indent=2) + "\n")
+    # which hash implementation served the process, and its one-time build or
+    # load cost ("none" if nothing was hashed)
+    meta = {"written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
+            **_kernel_meta()}
+    (out / f"{kind}-meta.json").write_text(json.dumps(meta, indent=2) + "\n")
     verdict = summary.get("verdict", "pass")
     print(f"{kind}: {verdict} (reports in {out})")
     if code == EXIT_VERDICT:

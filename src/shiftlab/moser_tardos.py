@@ -88,9 +88,17 @@ class MTResult:
 
 
 def _pullback_colors(action: FiniteAction, elems, g: np.ndarray) -> list[np.ndarray]:
-    pts = action.points()
+    """g pulled back along each element: out[i][x] = g[e_i . x].  The identity
+    pulls back to g itself, which callers only read."""
+    identity = action.ctx.identity()
+    pts = None
     out = []
     for e in elems:
+        if e == identity:
+            out.append(g)
+            continue
+        if pts is None:
+            pts = action.points()
         img = action.act_array(e, pts)
         if np.any(img < 0):
             raise GroupError(f"translate {e!r} is undefined somewhere; need a total action")
@@ -121,7 +129,7 @@ def frequency_counts(action: FiniteAction, ev: FrequencyDeviationEvent,
         for arr, col in zip(pulled, pat.colors):
             w &= arr == col
         if fast_cyclic:
-            counts = circular_window_sums(w.astype(np.int8), d_elems, action.modulus)
+            counts = circular_window_sums(w.view(np.int8), d_elems, action.modulus)
         else:
             counts = np.zeros(action.n_points, dtype=np.int64)
             for dm in d_maps:

@@ -6,15 +6,34 @@ order, chunking, or parallel scheduling.  The core primitive is the
 splitmix64 finalizer applied twice, which breaks the linear structure of
 the counter encoding.
 
-Values are computed in cache-sized blocks of BLOCK values: each block is
-hashed in place in two preallocated scratch buffers and reduced `% k`
-straight into the output.  Since every value depends on its own counters
-only, the blocking leaves the stream unchanged.
+Two implementations compute the same stream, bit for bit:
+
+- a C kernel, `_hash.c`.  The first call of a process that hashes more than
+  one value compiles it with the system C compiler (sysconfig's CC, `-O3
+  -shared -fPIC`) and loads it with ctypes; importing this module builds
+  nothing.  The library is cached in the package's `__pycache__`, or in a
+  private per-user cache directory (`$XDG_CACHE_HOME/shiftlab` or
+  `~/.cache/shiftlab`, mode 0700) when that is not writable, under a name
+  keyed by the sha256 of the source, the flags and the platform.  A build
+  takes a fraction of a second, once; later processes only load it.  The
+  kernel hashes a row counter's first round once per row and reduces `% k`
+  with a mask or a constant divisor.
+- numpy, in cache-sized blocks of BLOCK values: each block is hashed in
+  place in two preallocated scratch buffers and reduced `% k` straight into
+  the output.  It serves wherever the kernel cannot be built or loaded (no
+  compiler, no writable cache) and is the oracle the kernel is tested
+  against.  It also hashes single values, so deriving a seed never builds
+  or loads the kernel.
+
+`_kernel_meta()` says which one the process used and what the build or
+load cost.
 """
 
 from __future__ import annotations
 
 import threading
+import time
+from pathlib import Path
 
 import numpy as np
 
@@ -49,14 +68,14 @@ def _finalize(z: np.ndarray, t: np.ndarray) -> None:
     np.bitwise_xor(z, t, out=z)
 
 
-def _hash(seed: int, a, b, k: int | None):
+def _hash_numpy(seed: int, a, b, k: int | None):
     """finalize(finalize(seed ^ A*a) ^ B*b) over the broadcast of a and b:
     uint64 when k is None, else int64 colors `% k`.
 
     The first round runs once on a's own shape, so a row counter is hashed
     once however many columns it meets; the second round runs block by block.
     """
-    ax = np.asarray(a).astype(np.uint64)
+    ax = np.asarray(a).astype(np.uint64, order="C")  # h below must be a view of it
     bx = np.asarray(b).astype(np.uint64)
     shape = np.broadcast_shapes(ax.shape, bx.shape)
     out = np.empty(shape, dtype=np.uint64)
@@ -98,6 +117,158 @@ def _hash(seed: int, a, b, k: int | None):
     if k is not None:
         out = out.view(np.int64)  # colors are < k, so the bits are the same
     return out if out.ndim else out[()]
+
+
+_SOURCE = Path(__file__).with_name("_hash.c")
+_CFLAGS = ("-O3", "-shared", "-fPIC")  # no -march=native: the cache must stay portable
+_kernel_lock = threading.Lock()
+_kernel = None  # the loaded C function once resolved, False when numpy serves
+_kernel_info: dict = {}
+
+
+def _cache_dirs():
+    """Where the compiled kernel may live: the package's __pycache__, then a
+    per-user directory that only its owner can write (never a shared one)."""
+    import os
+    import stat
+    yield _SOURCE.parent / "__pycache__"
+    if not hasattr(os, "getuid"):
+        return
+    try:
+        user = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "shiftlab"
+        user.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = user.lstat()
+    except (OSError, RuntimeError):  # RuntimeError: no home directory
+        return
+    if stat.S_ISDIR(st.st_mode) and st.st_uid == os.getuid() and not st.st_mode & 0o077:
+        yield user
+
+
+def _build(cc: str, lib: Path) -> bool:
+    """Compile the kernel to `lib` atomically: to a temporary file in the same
+    directory, then renamed over `lib`.  False when that directory cannot be
+    written; a compiler that is missing or fails raises OSError."""
+    import os
+    import shlex
+    import subprocess
+    import tempfile
+    try:
+        lib.parent.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=lib.parent, prefix=lib.stem + "-", suffix=".tmp")
+    except OSError:
+        return False
+    os.close(fd)
+    try:
+        subprocess.run([*shlex.split(cc), *_CFLAGS, "-o", tmp, str(_SOURCE)],
+                       check=True, capture_output=True, timeout=120)
+        os.replace(tmp, lib)
+    except subprocess.SubprocessError as exc:
+        raise OSError(f"compiling {_SOURCE.name} failed: {exc}") from exc
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return True
+
+
+def _load_kernel():
+    """(the C hash function, whether this call compiled it), or (None, False)
+    where it cannot be built or loaded."""
+    import ctypes
+    import hashlib
+    import sysconfig
+    cc = sysconfig.get_config_var("CC")
+    if not cc:
+        return None, False
+    tag = "\0".join((" ".join(_CFLAGS), sysconfig.get_platform(),
+                     sysconfig.get_config_var("SOABI") or ""))
+    key = hashlib.sha256(_SOURCE.read_bytes() + tag.encode()).hexdigest()[:20]
+    for d in _cache_dirs():
+        lib = d / f"_hash-{key}.so"
+        built = not lib.exists()
+        try:
+            if built and not _build(cc, lib):
+                continue
+        except OSError:
+            return None, False  # no working compiler
+        try:
+            fn = ctypes.CDLL(str(lib)).shiftlab_hash
+        except (OSError, AttributeError):
+            continue
+        u64, ssize, ptr = ctypes.c_uint64, ctypes.c_ssize_t, ctypes.c_void_p
+        fn.argtypes = [u64, ptr, ssize, ssize, ptr, ssize, ssize, ssize, ssize, u64, ptr]
+        fn.restype = None
+        # a kernel that disagrees with numpy on a small plane is not used
+        a, b = np.arange(3, dtype=np.uint64)[:, None], np.arange(5, dtype=np.uint64)
+        ok = all(np.array_equal(_hash_c(fn, 9, a, b, k), _hash_numpy(9, a, b, k))
+                 for k in (None, 2, 3, 11))
+        return (fn, built) if ok else (None, False)
+    return None, False
+
+
+def _resolve_kernel():
+    """The C hash function, or False; resolved once per process."""
+    global _kernel
+    with _kernel_lock:
+        if _kernel is None:
+            start = time.perf_counter()
+            fn, built = _load_kernel()
+            _kernel_info.update(rng_kernel="c" if fn else "numpy", rng_kernel_built=built,
+                                rng_kernel_load_s=time.perf_counter() - start)
+            _kernel = fn or False
+    return _kernel
+
+
+def _kernel_meta() -> dict:
+    """Which implementation hashes in this process ("c" or "numpy"), whether
+    this process compiled the kernel, and the seconds the build or load took;
+    "none" before the first hash call, which nothing here forces."""
+    return dict(_kernel_info) or {"rng_kernel": "none"}
+
+
+def _u64(x) -> np.ndarray:
+    """x as a uint64 array; int64 input is viewed, not copied."""
+    x = np.asarray(x)
+    if x.dtype == np.uint64:
+        return x
+    return x.view(np.uint64) if x.dtype == np.int64 else x.astype(np.uint64)
+
+
+def _plane(x: np.ndarray):
+    """(x, its address, row stride, column stride) for an array of at most two
+    axes, strides in elements and 0 along axes of length 1; a misaligned x is
+    copied first."""
+    (r, c), (rs, cs) = (1, 1, *x.shape)[-2:], (0, 0, *x.strides)[-2:]
+    if (rs | cs) % 8 or not x.flags.aligned:
+        return _plane(np.ascontiguousarray(x))
+    return x, x.ctypes.data, rs // 8 if r > 1 else 0, cs // 8 if c > 1 else 0
+
+
+def _hash_c(fn, seed: int, a, b, k: int | None):
+    """_hash_numpy's stream from the C kernel `fn`."""
+    ax, bx = _u64(a), _u64(b)
+    shape = np.broadcast(ax, bx).shape
+    out = np.empty(shape, dtype=np.uint64)
+    if out.size:
+        cols = shape[-1] if shape else 1
+        if len(shape) > 2:  # fold the leading axes into rows
+            ax = np.broadcast_to(ax, shape).reshape(-1, cols)
+            bx = np.broadcast_to(bx, shape).reshape(-1, cols)
+        (_ak, ap, ars, acs), (_bk, bp, brs, bcs) = _plane(ax), _plane(bx)
+        fn(int(seed) & _MASK, ap, ars, acs, bp, brs, bcs, out.size // cols, cols,
+           0 if k is None else int(k), out.ctypes.data)
+    if k is not None:
+        out = out.view(np.int64)  # colors are < k, so the bits are the same
+    return out if out.ndim else out[()]
+
+
+def _hash(seed: int, a, b, k: int | None):
+    """The stream from the C kernel where it loads, else from numpy.  A single
+    value goes to numpy, so a process that only derives seeds and offsets
+    never builds or loads the kernel."""
+    if np.broadcast(a, b).size == 1:
+        return _hash_numpy(seed, a, b, k)
+    fn = _kernel if _kernel is not None else _resolve_kernel()
+    return _hash_c(fn, seed, a, b, k) if fn else _hash_numpy(seed, a, b, k)
 
 
 def mix_counters(seed: int, a, b) -> np.ndarray:

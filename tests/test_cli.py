@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from shiftlab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERDICT, SCHEMAS, main
 
 
@@ -214,3 +216,37 @@ def test_no_seeds_is_config_error(tmp_path, capsys):
 def test_empty_sweep_grid_is_config_error(tmp_path, capsys):
     for key in ("ks", "s_sizes", "eps_list", "d_sizes"):
         _assert_config_error(tmp_path, capsys, {**SWEEP, key: []}, key)
+
+
+LLL = {"experiment": "lll-check", "k": 2, "s_size": 1, "eps": "0.1"}
+ROKHLIN = {"experiment": "rokhlin-bad", "h": 1, "i_max": 2, "seed": 7}
+SINGLE = {"eps": "0.1", "h": 5, "modulus": 4200}
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({**LLL, "mode": "slll"}, "'d_size'"),
+    ({**LLL, "mode": "glll"}, "'a'"),
+    ({**ROKHLIN, "single": {"eps": "0.1", "modulus": 4200}}, "'h'"),
+    ({**ROKHLIN, "single": {"h": 5, "modulus": 4200}}, "'eps'"),
+    ({**ROKHLIN, "single": {"eps": "0.1", "h": 5}}, "'modulus'"),
+    ({**ROKHLIN, "single": {**SINGLE, "hh": 1}}, "'hh'"),
+    ({**ROKHLIN, "single": {**SINGLE, "modulus": "4200"}}, "modulus must be int"),
+    ({**ROKHLIN, "single": 5}, "single must be"),
+    ({**ROKHLIN, "h": []}, "h must list"),
+    ({**ROKHLIN, "single": {**SINGLE, "h": []}}, "single: h must list"),
+    ({**ROKHLIN, "h": [3]}, "h gives 1 length(s)"),
+    ({**ROKHLIN, "single": {**SINGLE, "h": [3, 4]}}, "single: h gives 2 length(s)"),
+])
+def test_conditional_and_nested_keys_are_config_errors(tmp_path, capsys, doc, key):
+    _assert_config_error(tmp_path, capsys, doc, key)
+
+
+def test_meta_records_the_hash_kernel(tmp_path):
+    out = tmp_path / "rep"
+    cfg = write_config(tmp_path, {**MT, "seeds": 2})
+    assert main(["run", cfg, "--out", str(out)]) == EXIT_OK
+    meta = json.loads((out / "moser-tardos-meta.json").read_text())
+    assert meta["rng_kernel"] in ("c", "numpy")
+    assert isinstance(meta["rng_kernel_built"], bool) and meta["rng_kernel_load_s"] >= 0
+    summary = json.loads((out / "moser-tardos-summary.json").read_text())
+    assert "rng_kernel" not in json.dumps(summary)

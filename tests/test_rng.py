@@ -1,8 +1,17 @@
+import contextlib
+import shlex
+import shutil
+import subprocess
+import sysconfig
+import threading
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from shiftlab import rng
 from shiftlab.rng import (BLOCK, block_rows, color_matrix, derive_seed, mix_counters,
                           uniform_colors)
 
@@ -24,6 +33,23 @@ def _reference(seed, a, b, k=None):
         h = _mix64(np.uint64(seed & U64_MAX) ^ (np.uint64(0x9E3779B97F4A7C15) * ax))
         u = _mix64(h ^ (np.uint64(0xD1B54A32D192ED03) * bx))
     return u if k is None else (u % np.uint64(k)).astype(np.int64)
+
+
+# the dispatching hash (the C kernel where it loads) and the numpy one it
+# falls back to; every oracle test below runs against both
+IMPLS = {"dispatch": rng._hash, "numpy": rng._hash_numpy}
+
+
+@contextlib.contextmanager
+def hashing_with(impl):
+    saved = rng._hash
+    rng._hash = IMPLS[impl]
+    try:
+        yield
+    except AssertionError as exc:
+        raise AssertionError(f"with the {impl} hash: {exc}") from exc
+    finally:
+        rng._hash = saved
 
 
 def _same(got, want):
@@ -64,20 +90,24 @@ def matrices(draw):
 @settings(max_examples=60, deadline=None)
 def test_color_matrix_matches_one_shot_reference(case):
     seed, rows, cols, k, row_offset = case
-    got = color_matrix(seed, rows, cols, k, row_offset=row_offset)
     r = np.arange(row_offset, row_offset + rows, dtype=np.uint64)[:, None]
     c = np.arange(cols, dtype=np.uint64)[None, :]
-    _same(got, _reference(seed, r, c, k))
+    for impl in IMPLS:
+        with hashing_with(impl):
+            _same(color_matrix(seed, rows, cols, k, row_offset=row_offset),
+                  _reference(seed, r, c, k))
 
 
 @given(st.integers(0, U64_MAX), st.integers(-(1 << 63), U64_MAX),
        st.integers(-(1 << 63), U64_MAX), st.sampled_from(KS))
 @settings(max_examples=100, deadline=None)
 def test_scalars_match_reference(seed, a, b, k):
-    _same(mix_counters(seed, a, b), _reference(seed, a, b))
-    _same(uniform_colors(seed, a, b, k), _reference(seed, a, b, k))
-    _same(uniform_colors(seed, np.array(a if a >= 0 else a + (1 << 64), dtype=np.uint64),
-                         b, k), _reference(seed, a, b, k))
+    a_u64 = np.array(a if a >= 0 else a + (1 << 64), dtype=np.uint64)
+    for impl in IMPLS:
+        with hashing_with(impl):
+            _same(mix_counters(seed, a, b), _reference(seed, a, b))
+            _same(uniform_colors(seed, a, b, k), _reference(seed, a, b, k))
+            _same(uniform_colors(seed, a_u64, b, k), _reference(seed, a, b, k))
 
 
 @given(st.integers(0, U64_MAX), st.integers(0, 3 * BLOCK + 5), st.sampled_from(KS))
@@ -88,21 +118,129 @@ def test_long_vectors_match_reference(seed, n, k):
     points = np.arange(n, dtype=np.int64)
     ts = (points % 7).astype(np.uint64)  # uint64 input is hashed without a cast
     before = (points.copy(), ts.copy())
-    _same(uniform_colors(seed, points, ts, k), _reference(seed, points, ts, k))
-    _same(mix_counters(seed, 5, points), _reference(seed, 5, points))
+    for impl in IMPLS:
+        with hashing_with(impl):
+            _same(uniform_colors(seed, points, ts, k), _reference(seed, points, ts, k))
+            _same(mix_counters(seed, 5, points), _reference(seed, 5, points))
     assert np.array_equal(points, before[0]) and np.array_equal(ts, before[1])
 
 
 def test_other_shapes_match_reference():
     a = np.arange(5, dtype=np.uint64)[:, None, None]
     b = np.arange(6)[None, :, None] * np.arange(7)
-    for k in KS:
-        _same(uniform_colors(3, a, b, k), _reference(3, a, b, k))
-    _same(mix_counters(3, a, b), _reference(3, a, b))
     empty = np.array([], dtype=np.int64)
-    _same(mix_counters(3, 4, empty), _reference(3, 4, empty))
-    _same(uniform_colors(3, empty[:, None], np.arange(4), 3),
-          _reference(3, empty[:, None], np.arange(4), 3))
+    wide = np.arange(40, dtype=np.int64).reshape(5, 8)
+    packed = np.zeros(9, dtype=[("pad", np.uint8), ("v", np.uint64)])  # misaligned
+    packed["v"] = np.arange(9) * 977
+    pairs = [
+        (a, b),
+        (wide[::-1, ::3], wide[1:, 1::3].T[:, 0]),    # negative and wide strides
+        (wide.T, np.arange(5)),                       # column-major rows
+        (np.arange(-6, 6, dtype=np.int32)[:, None], np.array([True, False])),
+        (packed["v"], packed["v"][::-1]),
+        (np.uint64(U64_MAX), np.arange(3)),
+    ]
+    for impl in IMPLS:
+        with hashing_with(impl):
+            for x, y in pairs:
+                for k in KS:
+                    _same(uniform_colors(3, x, y, k), _reference(3, x, y, k))
+                _same(mix_counters(3, x, y), _reference(3, x, y))
+            _same(mix_counters(3, 4, empty), _reference(3, 4, empty))
+            _same(uniform_colors(3, empty[:, None], np.arange(4), 3),
+                  _reference(3, empty[:, None], np.arange(4), 3))
+
+
+# -- the compiled kernel's loader ------------------------------------------------
+
+
+def _fresh_kernel(monkeypatch, cache):
+    """Forget the loaded kernel and cache it under `cache` only."""
+    monkeypatch.setattr(rng, "_kernel", None)
+    monkeypatch.setattr(rng, "_kernel_info", {})
+    monkeypatch.setattr(rng, "_cache_dirs", lambda: iter([cache]))
+
+
+def _compiler_on_path() -> bool:
+    cc = sysconfig.get_config_var("CC")
+    return bool(cc) and shutil.which(shlex.split(cc)[0]) is not None
+
+
+def test_failed_build_falls_back_to_numpy(monkeypatch, tmp_path):
+    def fail(cmd, **kwargs):
+        raise subprocess.CalledProcessError(1, cmd)
+
+    _fresh_kernel(monkeypatch, tmp_path)
+    monkeypatch.setattr(subprocess, "run", fail)
+    r = np.arange(7, 12, dtype=np.uint64)[:, None]
+    c = np.arange(300, dtype=np.uint64)[None, :]
+    _same(color_matrix(4, 5, 300, 3, row_offset=7), _reference(4, r, c, 3))
+    assert derive_seed(7, 0xC0) == 506512954913649082
+    meta = rng._kernel_meta()
+    assert meta["rng_kernel"] == "numpy" and meta["rng_kernel_built"] is False
+    assert rng._kernel is False and list(tmp_path.iterdir()) == []
+
+
+def test_unwritable_cache_directory_is_skipped(monkeypatch, tmp_path):
+    (tmp_path / "file").write_text("")
+    _fresh_kernel(monkeypatch, tmp_path)
+    monkeypatch.setattr(rng, "_cache_dirs",
+                        lambda: iter([tmp_path / "file" / "sub", tmp_path / "ok"]))
+    mix_counters(1, 2, np.arange(3))
+    meta = rng._kernel_meta()
+    if not _compiler_on_path():
+        pytest.skip("no C compiler on PATH")
+    assert meta["rng_kernel"] == "c" and meta["rng_kernel_built"] is True
+    assert [p.suffix for p in (tmp_path / "ok").iterdir()] == [".so"]
+
+
+@pytest.mark.skipif(not _compiler_on_path(), reason="no C compiler on PATH")
+def test_c_kernel_is_active_where_a_compiler_is_on_path():
+    # a silent fallback to numpy would keep every other test green
+    mix_counters(1, 2, np.arange(3))
+    assert rng._kernel_meta()["rng_kernel"] == "c"
+
+
+def test_kernel_is_resolved_by_the_first_hash_of_several_values(monkeypatch, tmp_path):
+    _fresh_kernel(monkeypatch, tmp_path)
+    assert rng._kernel_meta() == {"rng_kernel": "none"}
+    # single values are hashed by numpy and load nothing
+    assert derive_seed(7, 0xC0) == 506512954913649082
+    _same(uniform_colors(3, [[4]], 5, 3), _reference(3, [[4]], 5, 3))
+    assert rng._kernel_meta() == {"rng_kernel": "none"}
+    assert list(tmp_path.iterdir()) == []
+    _same(mix_counters(3, 4, [5, 6]), _reference(3, 4, [5, 6]))
+    assert rng._kernel_meta()["rng_kernel"] in ("c", "numpy")
+
+
+def test_first_calls_from_two_threads_build_once(monkeypatch, tmp_path):
+    builds = []
+    real_build = rng._build
+
+    def counted(cc, lib):
+        builds.append(lib)
+        time.sleep(0.05)  # hold the build open while the other thread arrives
+        return real_build(cc, lib)
+
+    _fresh_kernel(monkeypatch, tmp_path)
+    monkeypatch.setattr(rng, "_build", counted)
+    points = np.arange(5000)
+    barrier = threading.Barrier(2)
+    results = [None, None]
+
+    def first_call(i):
+        barrier.wait()
+        results[i] = uniform_colors(3, points, 7, 5)
+
+    threads = [threading.Thread(target=first_call, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=120)
+        assert not t.is_alive()
+    assert len(builds) == 1
+    _same(results[0], _reference(3, points, 7, 5))
+    _same(results[1], results[0])
 
 
 def test_block_rows():
