@@ -18,7 +18,7 @@ static inline uint64_t fin(uint64_t z)
     return z ^ (z >> 31);
 }
 
-/* Inlined with k a literal at each call below, so `% k` becomes a multiply;
+/* Inlined at each call below; with k a literal `% k` becomes a multiply, and
  * k == 0 keeps z & mask instead. */
 static inline __attribute__((always_inline)) void
 plane(uint64_t seed, const uint64_t *a, ptrdiff_t ars, ptrdiff_t acs,
@@ -52,12 +52,9 @@ void shiftlab_hash(uint64_t seed, const uint64_t *a, ptrdiff_t ars, ptrdiff_t ac
         PLANE(0, ~0ULL);
     else if ((k & (k - 1)) == 0)
         PLANE(0, k - 1);
-    else switch (k) {
-        case 3: PLANE(3, 0); break;
-        case 5: PLANE(5, 0); break;
-        case 6: PLANE(6, 0); break;
-        case 7: PLANE(7, 0); break;
-        default: PLANE(k, 0);
-    }
+    else if (k == 3)  /* the one other k the shipped configs use */
+        PLANE(3, 0);
+    else
+        PLANE(k, 0);
 #undef PLANE
 }

@@ -38,7 +38,7 @@ from .lll import (CertificationError, FrequencyDeviationEvent, GLLLWitnessSpec,
                   find_slll_threshold, slll_stats)
 from .moser_tardos import (EventFamily, TapeSpace, resample_fraction, run_mt,
                            stabilization_ledger, tape_consistency)
-from .rng import _kernel_meta, derive_seed
+from .rng import _kernel_mark, _kernel_meta, derive_seed
 from .rokhlin import (bad_sequence_experiment, build_tower, plan_intervals,
                       tower_level_rows, verify_capture)
 from .shift import Pattern, as_fraction
@@ -179,9 +179,6 @@ SINGLE_PARAMS = {
     "modulus": ("int", True, "cyclic space size"),
 }
 
-# keys that a value of another key makes required: kind -> (key, {value: keys})
-REQUIRED_WHEN = {"lll-check": ("mode", {"slll": ["d_size"], "glll": ["a"]})}
-
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
@@ -196,7 +193,6 @@ _TYPE_CHECKS = {
     "bool": lambda v: isinstance(v, bool),
     "int | list[int]": lambda v: _is_int(v) or (isinstance(v, list)
                                                 and all(_is_int(x) for x in v)),
-    "{eps, h, modulus}": lambda v: isinstance(v, dict),
 }
 
 
@@ -215,15 +211,16 @@ def _check_params(where: str, schema: dict, params: dict) -> None:
 
 def _validate(kind: str, params: dict) -> dict:
     _check_params(kind, SCHEMAS[kind]["params"], params)
-    if kind in REQUIRED_WHEN:
-        key, needs = REQUIRED_WHEN[kind]
-        missing = [n for n in needs.get(params[key], ()) if n not in params]
-        if missing:
-            raise ConfigError(f"missing required keys for {kind} {key} "
-                              f"{params[key]!r}: {missing}")
+    if kind == "lll-check":
+        for mode, key in (("slll", "d_size"), ("glll", "a")):
+            if params["mode"] == mode and key not in params:
+                raise ConfigError(f"missing required keys for {kind} mode {mode!r}: [{key!r}]")
     if kind == "rokhlin-bad":
         blocks = [(kind, params)]
         if "single" in params:
+            if not isinstance(params["single"], dict):
+                raise ConfigError(f"{kind}: single must be an object with eps, h "
+                                  f"and modulus, got {params['single']!r}")
             _check_params(f"{kind} single", SINGLE_PARAMS, params["single"])
             blocks.append((f"{kind} single", params["single"]))
         for where, block in blocks:
@@ -543,6 +540,7 @@ def cmd_run(args) -> int:
     out = Path(args.out or os.environ.get("SHIFTLAB_OUT_DIR", "reports"))
     out.mkdir(parents=True, exist_ok=True)
     try:
+        mark = _kernel_mark()
         summary, code = RUNNERS[kind](params, out, args.jobs, args.transcript)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -551,10 +549,10 @@ def cmd_run(args) -> int:
                    "summary": summary}
     (out / f"{kind}-summary.json").write_text(
         json.dumps(summary_doc, indent=2, sort_keys=True, default=_json_default) + "\n")
-    # which hash implementation served the process, and its one-time build or
-    # load cost ("none" if nothing was hashed)
+    # which hash implementation served this run, and the one-time build or
+    # load cost it paid ("none" if it hashed only single values)
     meta = {"written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            **_kernel_meta()}
+            **_kernel_meta(mark)}
     (out / f"{kind}-meta.json").write_text(json.dumps(meta, indent=2) + "\n")
     verdict = summary.get("verdict", "pass")
     print(f"{kind}: {verdict} (reports in {out})")

@@ -17,7 +17,7 @@ Two implementations compute the same stream, bit for bit:
   keyed by the sha256 of the source, the flags and the platform.  A build
   takes a fraction of a second, once; later processes only load it.  The
   kernel hashes a row counter's first round once per row and reduces `% k`
-  with a mask or a constant divisor.
+  with a mask for powers of two and with a constant divisor for k = 3.
 - numpy, in cache-sized blocks of BLOCK values: each block is hashed in
   place in two preallocated scratch buffers and reduced `% k` straight into
   the output.  It serves wherever the kernel cannot be built or loaded (no
@@ -25,8 +25,8 @@ Two implementations compute the same stream, bit for bit:
   against.  It also hashes single values, so deriving a seed never builds
   or loads the kernel.
 
-`_kernel_meta()` says which one the process used and what the build or
-load cost.
+`_kernel_meta()` says which one served the process, or the calls after a
+`_kernel_mark()`, and what the build or load cost.
 """
 
 from __future__ import annotations
@@ -124,6 +124,7 @@ _CFLAGS = ("-O3", "-shared", "-fPIC")  # no -march=native: the cache must stay p
 _kernel_lock = threading.Lock()
 _kernel = None  # the loaded C function once resolved, False when numpy serves
 _kernel_info: dict = {}
+_planes = 0  # hash calls of more than one value; the first resolves the kernel
 
 
 def _cache_dirs():
@@ -197,10 +198,11 @@ def _load_kernel():
         u64, ssize, ptr = ctypes.c_uint64, ctypes.c_ssize_t, ctypes.c_void_p
         fn.argtypes = [u64, ptr, ssize, ssize, ptr, ssize, ssize, ssize, ssize, u64, ptr]
         fn.restype = None
-        # a kernel that disagrees with numpy on a small plane is not used
+        # a kernel that disagrees with numpy on a small plane is not used; a
+        # is constant along the rows of the first plane and varies in the second
         a, b = np.arange(3, dtype=np.uint64)[:, None], np.arange(5, dtype=np.uint64)
-        ok = all(np.array_equal(_hash_c(fn, 9, a, b, k), _hash_numpy(9, a, b, k))
-                 for k in (None, 2, 3, 11))
+        ok = all(np.array_equal(_hash_c(fn, 9, x, y, k), _hash_numpy(9, x, y, k))
+                 for x, y in ((a, b), (b, a)) for k in (None, 2, 3, 11))
         return (fn, built) if ok else (None, False)
     return None, False
 
@@ -218,11 +220,22 @@ def _resolve_kernel():
     return _kernel
 
 
-def _kernel_meta() -> dict:
-    """Which implementation hashes in this process ("c" or "numpy"), whether
-    this process compiled the kernel, and the seconds the build or load took;
-    "none" before the first hash call, which nothing here forces."""
-    return dict(_kernel_info) or {"rng_kernel": "none"}
+def _kernel_mark() -> int:
+    """A mark to pass to `_kernel_meta` for the calls made after this one."""
+    return _planes
+
+
+def _kernel_meta(since: int = 0) -> dict:
+    """Which implementation hashed the calls after the mark `since` ("c" or
+    "numpy"; "none" if none hashed more than one value), whether those calls
+    compiled the kernel, and the seconds they spent building or loading it
+    (0 when an earlier call had resolved it).  The default covers the whole
+    process."""
+    if _planes <= since or not _kernel_info:
+        return {"rng_kernel": "none"}
+    if since:
+        return {**_kernel_info, "rng_kernel_built": False, "rng_kernel_load_s": 0.0}
+    return dict(_kernel_info)
 
 
 def _u64(x) -> np.ndarray:
@@ -265,8 +278,10 @@ def _hash(seed: int, a, b, k: int | None):
     """The stream from the C kernel where it loads, else from numpy.  A single
     value goes to numpy, so a process that only derives seeds and offsets
     never builds or loads the kernel."""
+    global _planes
     if np.broadcast(a, b).size == 1:
         return _hash_numpy(seed, a, b, k)
+    _planes += 1
     fn = _kernel if _kernel is not None else _resolve_kernel()
     return _hash_c(fn, seed, a, b, k) if fn else _hash_numpy(seed, a, b, k)
 

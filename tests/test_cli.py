@@ -250,3 +250,17 @@ def test_meta_records_the_hash_kernel(tmp_path):
     assert isinstance(meta["rng_kernel_built"], bool) and meta["rng_kernel_load_s"] >= 0
     summary = json.loads((out / "moser-tardos-summary.json").read_text())
     assert "rng_kernel" not in json.dumps(summary)
+
+
+def test_meta_describes_the_run_not_the_process(tmp_path):
+    # several runs in one process: only a run that hashed more than single
+    # values names a kernel, and only the first of them pays its load
+    metas = []
+    lll = {**LLL, "mode": "slll", "d_size": 1000}
+    for i, doc in enumerate([{**MT, "seeds": 2}, lll, {**MT, "seeds": 2}]):
+        out = tmp_path / f"rep{i}"
+        assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) != EXIT_USAGE
+        metas.append(json.loads((out / f"{doc['experiment']}-meta.json").read_text()))
+    assert metas[1] == {"written_at": metas[1]["written_at"], "rng_kernel": "none"}
+    assert metas[2]["rng_kernel"] == metas[0]["rng_kernel"] in ("c", "numpy")
+    assert metas[2]["rng_kernel_built"] is False and metas[2]["rng_kernel_load_s"] == 0.0

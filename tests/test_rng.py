@@ -1,4 +1,5 @@
 import contextlib
+import ctypes
 import shlex
 import shutil
 import subprocess
@@ -158,6 +159,7 @@ def _fresh_kernel(monkeypatch, cache):
     """Forget the loaded kernel and cache it under `cache` only."""
     monkeypatch.setattr(rng, "_kernel", None)
     monkeypatch.setattr(rng, "_kernel_info", {})
+    monkeypatch.setattr(rng, "_planes", 0)
     monkeypatch.setattr(rng, "_cache_dirs", lambda: iter([cache]))
 
 
@@ -211,6 +213,30 @@ def test_kernel_is_resolved_by_the_first_hash_of_several_values(monkeypatch, tmp
     assert list(tmp_path.iterdir()) == []
     _same(mix_counters(3, 4, [5, 6]), _reference(3, 4, [5, 6]))
     assert rng._kernel_meta()["rng_kernel"] in ("c", "numpy")
+
+
+@pytest.mark.skipif(not _compiler_on_path(), reason="no C compiler on PATH")
+def test_kernel_wrong_where_a_varies_along_the_row_is_not_used(monkeypatch, tmp_path):
+    # the load check must cover both loops of the kernel, not only the one
+    # that hashes a row counter's first round once
+    real_cdll = ctypes.CDLL
+
+    class Library:
+        def __init__(self, path):
+            real = real_cdll(path).shiftlab_hash
+
+            def wrong(seed, ap, ars, acs, *rest):
+                real.argtypes, real.restype = wrong.argtypes, wrong.restype
+                real(seed, ap, ars, acs, *rest)
+                if acs:
+                    ctypes.c_uint64.from_address(rest[-1]).value ^= 1
+
+            self.shiftlab_hash = wrong
+
+    _fresh_kernel(monkeypatch, tmp_path)
+    monkeypatch.setattr(ctypes, "CDLL", Library)
+    _same(uniform_colors(3, np.arange(8), 7, 5), _reference(3, np.arange(8), 7, 5))
+    assert rng._kernel_meta()["rng_kernel"] == "numpy"
 
 
 def test_first_calls_from_two_threads_build_once(monkeypatch, tmp_path):
