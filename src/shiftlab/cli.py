@@ -229,10 +229,6 @@ def _validate(kind: str, params: dict) -> dict:
     return params
 
 
-def _frac(v) -> Fraction:
-    return as_fraction(v)
-
-
 def _json_default(o):
     if isinstance(o, Fraction):
         return {"num": o.numerator, "den": o.denominator, "approx": float(o)}
@@ -249,7 +245,7 @@ def _json_default(o):
 def _run_ergodic_converge(p, out, jobs, transcript):
     S = GroupSet.from_iterable(GroupCtx("integers"), p["S"])
     rep = ergodic_convergence_experiment(
-        p["k"], S, _frac(p["eps"]), AveragingSequence.log_growth(p["C"]),
+        p["k"], S, as_fraction(p["eps"]), AveragingSequence.log_growth(p["C"]),
         p["n_max"], p["samples"], p["seed"])
     ok = rep.exceedances_within()
     _write_csv(out / "ergodic-converge-detail.csv",
@@ -264,7 +260,7 @@ def _run_concentration_sweep(p, out, jobs, transcript):
     for key in ("ks", "s_sizes", "eps_list", "d_sizes"):
         if not p[key]:
             raise ConfigError(f"concentration-sweep: {key} must be nonempty")
-    grid = [(k, integer_interval(s), _frac(e), integer_interval(d))
+    grid = [(k, integer_interval(s), as_fraction(e), integer_interval(d))
             for k in p["ks"] for s in p["s_sizes"]
             for e in p["eps_list"] for d in p["d_sizes"]]
     rows = deviation_sweep(grid, lambda k, S, e, D: CyclicTranslation(p["modulus"]),
@@ -283,7 +279,7 @@ def _run_concentration_sweep(p, out, jobs, transcript):
 
 def _run_lll_check(p, out, jobs, transcript):
     S = integer_interval(p["s_size"])
-    eps = _frac(p["eps"])
+    eps = as_fraction(p["eps"])
     if p["mode"] == "slll":
         stats = slll_stats(p["k"], S, eps, integer_interval(p["d_size"]),
                            degree_mode="auto")
@@ -303,7 +299,7 @@ def _run_lll_check(p, out, jobs, transcript):
         return summary, EXIT_OK if ok else EXIT_VERDICT
     if p["mode"] == "glll":
         n_prefix = p.get("n_prefix", 64)
-        eps_sum = _frac(p.get("eps_sum", p["eps"]))
+        eps_sum = as_fraction(p.get("eps_sum", p["eps"]))
         C = p.get("C")
         if C is None:
             C = find_log_growth_constant(p["k"], S, eps, p["a"], eps_sum)
@@ -328,7 +324,7 @@ def _run_moser_tardos(p, out, jobs, transcript):
     k = p["k"]
     S = integer_interval(p["s_size"])
     D = integer_interval(p["d_size"])
-    eps = _frac(p["eps"])
+    eps = as_fraction(p["eps"])
     action = CyclicTranslation(p["modulus"])
     ev = FrequencyDeviationEvent(k, S, eps, D)
     family = EventFamily.of(ev)
@@ -392,7 +388,7 @@ def _run_uniform_discrepancy(p, out, jobs, transcript):
     sizes = p["d_sizes"]
     seq = AveragingSequence.from_sets([integer_interval(m) for m in sizes])
     res = uniform_discrepancy_experiment(
-        p["k"], S, _frac(p["eps"]), seq, len(sizes) - 1,
+        p["k"], S, as_fraction(p["eps"]), seq, len(sizes) - 1,
         CyclicTranslation(p["modulus"]), p["seed"], a=p.get("a"))
     detail = []
     for n, stats in res.stats_per_n:
@@ -430,7 +426,7 @@ def _run_resfin(p, out, jobs, transcript):
 def _run_approx_invariant(p, out, jobs, transcript):
     S = integer_interval(p["s_size"])
     try:
-        m = near_invariant_measure(p["k"], S, _frac(p["eps"]),
+        m = near_invariant_measure(p["k"], S, as_fraction(p["eps"]),
                                    integer_interval(p["d_size"]), p["modulus"],
                                    p["seed"], p.get("shift_test_range"))
     except CertificationError as exc:

@@ -135,7 +135,7 @@ def mc_deviation_prob(inp: ConcentrationBoundInput, action: FiniteAction, x: int
         raise ValueError(f"trials must be >= 1, got {trials}")
     if chunk is not None and chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
-    if tuple(phi.domain.elements) != tuple(S.elements):
+    if phi.domain != S:
         raise ValueError("pattern domain must be exactly S")
     _check_sd_free_at(action, S, D, x)
 

@@ -4,9 +4,9 @@ Three group kinds are supported: the integers, integer lattices up to
 dimension 3, and free groups up to rank 3.  Elements are stored as
 canonical normal forms (an ``int``, a tuple of ints, or a reduced generator
 word as a tuple of nonzero signed ints), so ``==`` on elements is exactly
-group equality.  A finite set of consecutive integers reports itself as an
-interval (`GroupSet.interval`), and products of intervals are formed in
-closed form.
+group equality.  A finite set holds a nonempty run of consecutive integers
+as a ``range`` (`GroupSet.interval` reads it, and products of intervals are
+formed in closed form) and any other set as a sorted tuple.
 
 All values here are immutable after construction and safe to share across
 threads.
@@ -147,16 +147,23 @@ def group_inv(ctx: GroupCtx, a: Elem) -> Elem:
 
 @dataclass(frozen=True)
 class GroupSet:
-    """Deduplicated finite subset of a group in sorted order (free-group
-    words of different lengths compare as tuples, i.e. lexicographically)."""
+    """Deduplicated finite subset of a group, sorted (free-group words as
+    tuples): a ``range`` for a nonempty run of consecutive integers, else a
+    tuple.  `__post_init__` brings every construction to this one form."""
 
     ctx: GroupCtx
-    elements: tuple
+    elements: Union[range, tuple]
+
+    def __post_init__(self):
+        e = self.elements
+        if not isinstance(e, range) or e.step != 1:
+            e = sorted(set(e))
+        run = self.ctx.kind == INTEGERS and e and e[-1] - e[0] + 1 == len(e)
+        object.__setattr__(self, "elements", range(e[0], e[-1] + 1) if run else tuple(e))
 
     @classmethod
     def from_iterable(cls, ctx: GroupCtx, items: Iterable) -> "GroupSet":
-        elems = sorted({ctx.normalize(e) for e in items})
-        return cls(ctx, tuple(elems))
+        return cls(ctx, [ctx.normalize(e) for e in items])
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -165,16 +172,14 @@ class GroupSet:
         return iter(self.elements)
 
     def __contains__(self, e) -> bool:
-        return self.ctx.normalize(e) in set(self.elements)
+        return self.ctx.normalize(e) in self.elements
 
     @property
     def interval(self) -> Optional[tuple[int, int]]:
         """(start, length) when this is a nonempty set of consecutive
         integers {start, ..., start+length-1}, else None."""
         e = self.elements
-        if self.ctx.kind != INTEGERS or not e or e[-1] - e[0] + 1 != len(e):
-            return None
-        return e[0], len(e)
+        return (e.start, len(e)) if isinstance(e, range) else None
 
     def to_json(self):
         return [self.ctx.elem_to_json(e) for e in self.elements]
@@ -192,7 +197,7 @@ def integer_interval(n: int, start: int = 0) -> GroupSet:
     """The interval {start, ..., start+n-1} in the integers."""
     if n < 1:
         raise GroupError(f"interval length must be >= 1, got {n}")
-    return GroupSet(GroupCtx(INTEGERS), tuple(range(start, start + n)))
+    return GroupSet(GroupCtx(INTEGERS), range(start, start + n))
 
 
 def set_product(S: GroupSet, D: GroupSet) -> GroupSet:
@@ -213,9 +218,8 @@ def set_product(S: GroupSet, D: GroupSet) -> GroupSet:
             step = max(1, 4_000_000 // b.size)
             parts = [np.unique(a[i:i + step, None] + b[None, :]) for i in range(0, a.size, step)]
             vals = np.unique(np.concatenate(parts))
-        return GroupSet(ctx, tuple(int(v) for v in vals))
-    prods = {ctx.op(s, d) for s in S for d in D}
-    return GroupSet(ctx, tuple(sorted(prods)))
+        return GroupSet(ctx, vals.tolist())
+    return GroupSet(ctx, {ctx.op(s, d) for s in S for d in D})
 
 
 def set_inverse(S: GroupSet) -> GroupSet:
@@ -228,9 +232,8 @@ def ball(S: GroupSet, n: int) -> GroupSet:
         raise GroupError(f"word length must be >= 1, got {n}")
     cur = set(S.elements)
     for _ in range(n - 1):
-        step = {S.ctx.op(w, s) for w in cur for s in S.elements}
-        cur = step
-    return GroupSet(S.ctx, tuple(sorted(cur)))
+        cur = {S.ctx.op(w, s) for w in cur for s in S.elements}
+    return GroupSet(S.ctx, cur)
 
 
 def difference_set_size(S: GroupSet, D: GroupSet, cap: int = 10_000) -> Optional[int]:

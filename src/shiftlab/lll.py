@@ -49,7 +49,7 @@ class ExplicitEvent(BadEvent):
     k: int = 2
 
     def __post_init__(self):
-        doms = {tuple(p.domain.elements) for p in self.patterns}
+        doms = {p.domain for p in self.patterns}
         if len(doms) != 1:
             raise ValueError("all patterns of an event must share one domain")
 

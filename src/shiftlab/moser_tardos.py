@@ -115,7 +115,8 @@ def frequency_counts(action: FiniteAction, ev: FrequencyDeviationEvent,
     s_elems = ev.S.elements
     pulled = _pullback_colors(action, s_elems, g)
     fast_cyclic = isinstance(action, CyclicTranslation)
-    d_elems = ev.D.elements
+    # converted once here, not once per pattern by circular_window_sums
+    d_elems = np.asarray(ev.D.elements, dtype=np.int64) if fast_cyclic else ev.D.elements
     if not fast_cyclic:
         d_maps = []
         for d in d_elems:

@@ -147,8 +147,10 @@ def _cache_dirs():
 
 def _build(cc: str, lib: Path) -> bool:
     """Compile the kernel to `lib` atomically: to a temporary file in the same
-    directory, then renamed over `lib`.  False when that directory cannot be
-    written; a compiler that is missing or fails raises OSError."""
+    directory, then renamed over `lib`, and remove the other `_hash-*.so`
+    builds there (a process still using one keeps its mapping).  False when
+    that directory cannot be written; a compiler that is missing or fails
+    raises OSError."""
     import os
     import shlex
     import subprocess
@@ -168,6 +170,12 @@ def _build(cc: str, lib: Path) -> bool:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    for old in lib.parent.glob("_hash-*.so"):
+        if old != lib:
+            try:
+                old.unlink()
+            except OSError:
+                pass
     return True
 
 

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab.groups import (CyclicTranslation, FiniteAction, GroupCtx,
@@ -10,7 +10,7 @@ from shiftlab.groups import (CyclicTranslation, FiniteAction, GroupCtx,
                              difference_set_size,
                              free_group_window, group_inv, group_op,
                              growth_profile, gset, integer_interval, is_sd_free,
-                             lattice_window, set_product)
+                             lattice_window, set_inverse, set_product)
 
 Z = GroupCtx("integers")
 F2 = GroupCtx("free", 2)
@@ -266,7 +266,7 @@ def test_interval_products_match_naive_sets(s_items, d_items):
         assert X.interval == ((u[0], len(u)) if runs else None)
     sd = {s + d for s in s_items for d in d_items}
     got = set_product(S, D)
-    assert got.elements == tuple(sorted(sd))
+    assert tuple(got.elements) == tuple(sorted(sd))
     assert got == gset(Z, sd)
     assert difference_set_size(S, D) == len({b - a for a in sd for b in sd})
 
@@ -274,8 +274,49 @@ def test_interval_products_match_naive_sets(s_items, d_items):
 def test_interval_only_for_integers():
     assert gset(L2, [(0, 0), (0, 1)]).interval is None
     assert GroupSet(Z, ()).interval is None
-    assert integer_interval(3, -2).elements == (-2, -1, 0)
+    assert tuple(integer_interval(3, -2).elements) == (-2, -1, 0)
     assert integer_interval(3, -2).interval == (-2, 3)
+
+
+# what a constructor may be handed: the sets above, the empty set, and ranges
+# that are empty, stepped or reversed
+ANY_INT_SETS = st.one_of(
+    INT_SETS,
+    st.lists(st.integers(-40, 40), max_size=10),
+    st.builds(range, st.integers(-40, 40), st.integers(-40, 40),
+              st.sampled_from([1, 2, 3, -1])),
+)
+
+
+def _is_run(u):
+    return bool(u) and u[-1] - u[0] + 1 == len(u)
+
+
+@given(ANY_INT_SETS, ANY_INT_SETS)
+@example([5], [-3, -1])
+@example(range(0), range(4, -4, -2))
+@settings(max_examples=200, deadline=None)
+def test_every_constructor_gives_one_canonical_form(items, other):
+    u, v = sorted(set(items)), sorted(set(other))
+    X = gset(Z, items)
+    same = [GroupSet(Z, items), GroupSet(Z, tuple(u)), GroupSet.from_iterable(Z, items),
+            GroupSet.from_json(Z, list(items)), GroupSet.from_json(Z, X.to_json()),
+            ball(X, 1), set_inverse(set_inverse(X))]
+    if _is_run(u):
+        same += [integer_interval(len(u), u[0]), GroupSet(Z, range(u[0], u[-1] + 1))]
+    for Y in same:
+        assert Y == X and hash(Y) == hash(X)
+    # set_product takes its closed form when both are intervals, numpy otherwise
+    built = [(X, u), (set_product(X, gset(Z, other)), {a + b for a in u for b in v}),
+             (ball(X, 2), {a + b for a in u for b in u}), (set_inverse(X), {-a for a in u})]
+    for Y, want in built:
+        want = sorted(want)
+        assert Y == gset(Z, want) and hash(Y) == hash(gset(Z, want))
+        assert isinstance(Y.elements, range) is _is_run(want)
+        assert tuple(Y.elements) == tuple(want) and Y.to_json() == want
+        assert Y.interval == ((want[0], len(want)) if _is_run(want) else None)
+        probe = range(min(want, default=0) - 2, max(want, default=0) + 3)
+        assert [x in Y for x in probe] == [x in want for x in probe]
 
 
 def _free_by_residues(M, elems):

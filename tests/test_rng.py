@@ -203,6 +203,18 @@ def test_c_kernel_is_active_where_a_compiler_is_on_path():
     assert rng._kernel_meta()["rng_kernel"] == "c"
 
 
+@pytest.mark.skipif(not _compiler_on_path(), reason="no C compiler on PATH")
+def test_build_removes_stale_kernels(monkeypatch, tmp_path):
+    (tmp_path / "_hash-stale.so").write_bytes(b"old build")
+    (tmp_path / "other.so").write_bytes(b"not a kernel")
+    _fresh_kernel(monkeypatch, tmp_path)
+    mix_counters(1, 2, np.arange(3))
+    assert rng._kernel_meta()["rng_kernel_built"] is True
+    built = [p.name for p in tmp_path.glob("_hash-*.so")]
+    assert len(built) == 1 and built[0] != "_hash-stale.so"
+    assert (tmp_path / "other.so").exists()
+
+
 def test_kernel_is_resolved_by_the_first_hash_of_several_values(monkeypatch, tmp_path):
     _fresh_kernel(monkeypatch, tmp_path)
     assert rng._kernel_meta() == {"rng_kernel": "none"}
