@@ -20,7 +20,6 @@ import argparse
 import csv
 import datetime
 import json
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -209,8 +208,16 @@ def _check_params(where: str, schema: dict, params: dict) -> None:
             raise ConfigError(f"{where}: {name} must be {typ}, got {value!r}")
 
 
+# list-valued keys that must name at least one value
+_NONEMPTY = {"concentration-sweep": ("ks", "s_sizes", "eps_list", "d_sizes"),
+             "uniform-discrepancy": ("d_sizes",)}
+
+
 def _validate(kind: str, params: dict) -> dict:
     _check_params(kind, SCHEMAS[kind]["params"], params)
+    for key in _NONEMPTY.get(kind, ()):
+        if not params[key]:
+            raise ConfigError(f"{kind}: {key} must be nonempty")
     if kind == "lll-check":
         for mode, key in (("slll", "d_size"), ("glll", "a")):
             if params["mode"] == mode and key not in params:
@@ -257,9 +264,6 @@ def _run_ergodic_converge(p, out, jobs, transcript):
 
 
 def _run_concentration_sweep(p, out, jobs, transcript):
-    for key in ("ks", "s_sizes", "eps_list", "d_sizes"):
-        if not p[key]:
-            raise ConfigError(f"concentration-sweep: {key} must be nonempty")
     grid = [(k, integer_interval(s), as_fraction(e), integer_interval(d))
             for k in p["ks"] for s in p["s_sizes"]
             for e in p["eps_list"] for d in p["d_sizes"]]
@@ -299,6 +303,8 @@ def _run_lll_check(p, out, jobs, transcript):
         return summary, EXIT_OK if ok else EXIT_VERDICT
     if p["mode"] == "glll":
         n_prefix = p.get("n_prefix", 64)
+        if n_prefix < 1:
+            raise ConfigError(f"lll-check: n_prefix must be >= 1, got {n_prefix}")
         eps_sum = as_fraction(p.get("eps_sum", p["eps"]))
         C = p.get("C")
         if C is None:
@@ -329,7 +335,7 @@ def _run_moser_tardos(p, out, jobs, transcript):
     ev = FrequencyDeviationEvent(k, S, eps, D)
     family = EventFamily.of(ev)
     a = p.get("a", float(eps) ** 2 / (4.0 * len(S) ** 3))
-    omega = math.exp(-a * len(D))
+    omega = GLLLWitnessSpec(a).omega(len(D))
     seeds = list(range(p["seeds"])) if isinstance(p["seeds"], int) else list(p["seeds"])
     if not seeds:
         raise ConfigError(f"moser-tardos: seeds must be a count >= 1 or a nonempty "

@@ -60,6 +60,16 @@ def deviation_exponent(eps: float, s_size: int, d_size: int) -> float:
     return eps * eps * d_size / (2.0 * s_size ** 3)
 
 
+def deviates(counts, d_size, k: int, s_size: int, eps):
+    """Whether a pattern seen `counts` times over |D| = d_size misses
+    k^{-|S|} by eps or more, tested exactly in integers as
+    |counts k^{|S|} - |D|| den >= num |D| k^{|S|} for eps = num/den.
+    Takes ints or integer arrays that broadcast against each other."""
+    eps = as_fraction(eps)
+    scale = k ** s_size
+    return abs(counts * scale - d_size) * eps.denominator >= eps.numerator * d_size * scale
+
+
 def concentration_bound(inp: ConcentrationBoundInput) -> float:
     """2 exp(-eps^2 |D| / (2 |S|^3)); equals scb_bound(|S||D|, |S|, eps|D|)."""
     eps = float(as_fraction(inp.eps))
@@ -161,12 +171,6 @@ def mc_deviation_prob(inp: ConcentrationBoundInput, action: FiniteAction, x: int
         cols.append(c)
 
     d_sz, s_sz = len(D), len(S)
-    eps = as_fraction(inp.eps)
-    # |count * k^|S| - |D|| >= eps * |D| * k^|S|, as integers
-    lhs_scale = k ** s_sz
-    threshold_num = eps.numerator * d_sz * lhs_scale
-    threshold_den = eps.denominator
-
     # exact integer accumulators, converted to float once after the loop
     hits = occ_sum = occ_sumsq = 0
     run_seed = derive_seed(seed, 0xC0)
@@ -178,8 +182,7 @@ def mc_deviation_prob(inp: ConcentrationBoundInput, action: FiniteAction, x: int
         for sel, col in zip(cols[1:], phi.colors[1:]):
             match &= colors[:, sel] == col
         counts = np.count_nonzero(match, axis=1)
-        dev = np.abs(counts * lhs_scale - d_sz) * threshold_den
-        hits += int(np.count_nonzero(dev >= threshold_num))
+        hits += int(np.count_nonzero(deviates(counts, d_sz, k, s_sz, inp.eps)))
         occ_sum += int(counts.sum())
         occ_sumsq += int(np.dot(counts, counts))
 

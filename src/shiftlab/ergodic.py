@@ -12,7 +12,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .concentration import deviation_exponent
+from .concentration import ConcentrationBoundInput, concentration_bound, deviates
 from .groups import (CyclicTranslation, FiniteAction, GroupCtx, GroupError,
                      GroupSet, integer_interval, is_sd_free)
 from .lll import (CertificationError, FrequencyDeviationEvent, GLLLWitnessSpec,
@@ -113,18 +113,28 @@ def ergodic_convergence_experiment(k: int, S: GroupSet, eps, seq: AveragingSeque
         raise ValueError("pattern domain S must be nonempty")
     eps_fr = as_fraction(eps)
     d_sets = [seq.realize(n) for n in range(n_max + 1)]
-    d_sizes = [len(d) for d in d_sets]
+    d_sizes = np.array([len(d) for d in d_sets], dtype=np.int64)
     s_elems = [int(e) for e in S.elements]
     scale = k ** len(S)
+    bounds = [concentration_bound(ConcentrationBoundInput(k, S, eps_fr, ds)) for ds in d_sets]
+    tails = np.cumsum(bounds[::-1])[::-1]
 
-    # the sites s + d span [min S + min D_n, max S + max D_n] over all n
-    lo = s_elems[0] + min(ds.elements[0] for ds in d_sets)
-    hi = s_elems[-1] + max(ds.elements[-1] for ds in d_sets)
-    width = hi - lo + 1
-    # prefix mode: every D_n is an interval whose anchors start at column 0
-    prefix_mode = all(ds.interval == (lo, sz) for ds, sz in zip(d_sets, d_sizes))
-    if not prefix_mode:
-        d_offsets = [np.asarray(ds.elements, dtype=np.int64) - lo for ds in d_sets]
+    # occurrence column j is anchor d_lo + j, and reads site s at color
+    # column j + s - min S; the colors span [min S + d_lo, max S + d_hi]
+    d_lo = min(ds.elements[0] for ds in d_sets)
+    d_hi = max(ds.elements[-1] for ds in d_sets)
+    n_anchors = d_hi - d_lo + 1
+    width = n_anchors + s_elems[-1] - s_elems[0]
+    # each D_n as runs [lo, hi) of anchor columns: one for an interval, one
+    # per element otherwise; first_run[n] is the index of D_n's first run
+    runs, first_run = [], []
+    for ds in d_sets:
+        first_run.append(len(runs))
+        if isinstance(ds.elements, range):
+            runs.append((ds.elements.start - d_lo, ds.elements.stop - d_lo))
+        else:
+            runs.extend((e - d_lo, e - d_lo + 1) for e in ds.elements)
+    run_lo, run_hi = (np.array(r, dtype=np.int64) for r in zip(*runs))
 
     patterns = all_patterns(S, k)
     exceed = np.zeros((samples, n_max + 1), dtype=bool)
@@ -135,28 +145,16 @@ def ergodic_convergence_experiment(k: int, S: GroupSet, eps, seq: AveragingSeque
     for start in range(0, samples, chunk):
         rows = min(chunk, samples - start)
         colors = color_matrix(run_seed, rows, width, k, row_offset=start)
+        csum = np.zeros((rows, n_anchors + 1), dtype=np.int64)
         for pat in patterns:
-            occ = np.ones((rows, width), dtype=bool)
+            occ = np.ones((rows, n_anchors), dtype=bool)
             for s, col in zip(s_elems, pat.colors):
-                shift = s  # occurrence at window position j tests site j + s
-                if shift == 0:
-                    occ &= colors == col
-                else:
-                    part = np.zeros((rows, width), dtype=bool)
-                    if shift > 0:
-                        part[:, :width - shift] = colors[:, shift:] == col
-                    else:
-                        part[:, -shift:] = colors[:, :width + shift] == col
-                    occ &= part
-            if prefix_mode:
-                csum = np.cumsum(occ, axis=1, dtype=np.int64)
-                counts = np.stack([csum[:, sz - 1] for sz in d_sizes], axis=1)
-            else:
-                counts = np.stack([occ[:, off].sum(axis=1) for off in d_offsets], axis=1)
-            dev = np.abs(counts * scale - np.asarray(d_sizes))
-            exceed[start:start + rows] |= dev * eps_fr.denominator >= \
-                eps_fr.numerator * np.asarray(d_sizes) * scale
-            worst_num = np.maximum(worst_num, dev.max(axis=0))
+                c0 = s - s_elems[0]
+                occ &= colors[:, c0:c0 + n_anchors] == col
+            np.cumsum(occ, axis=1, out=csum[:, 1:])
+            counts = np.add.reduceat(csum[:, run_hi] - csum[:, run_lo], first_run, axis=1)
+            exceed[start:start + rows] |= deviates(counts, d_sizes, k, len(S), eps_fr)
+            worst_num = np.maximum(worst_num, np.abs(counts * scale - d_sizes).max(axis=0))
 
     # suffix-OR across n: any exceedance at m >= n
     any_beyond = np.zeros_like(exceed)
@@ -166,14 +164,10 @@ def ergodic_convergence_experiment(k: int, S: GroupSet, eps, seq: AveragingSeque
         any_beyond[:, n] = acc
     exceed_frac = any_beyond.mean(axis=0)
 
-    epsf = float(eps_fr)
-    bounds = [2.0 * math.exp(-deviation_exponent(epsf, len(S), sz)) for sz in d_sizes]
-    tails = np.cumsum(bounds[::-1])[::-1]
-
     rows_out = []
     for n in range(n_max + 1):
         rows_out.append(ConvergenceRow(
-            n, d_sizes[n], float(worst_num[n] / (d_sizes[n] * scale)),
+            n, int(d_sizes[n]), float(worst_num[n] / (d_sizes[n] * scale)),
             float(exceed_frac[n]), float(tails[n])))
     quiet = None
     for n in range(n_max + 1):
@@ -292,19 +286,24 @@ class PeriodicCylinderTable:
         raise KeyError("pattern not in table")
 
 
+def _residue_walk(k: int, period: int, phi: Pattern) -> tuple[int, bool, Fraction]:
+    """(residue classes mod `period` that phi meets, whether phi is constant
+    on each, the cylinder mass: k^{-residues} if it is, else 0)."""
+    if phi.domain.ctx != INTEGERS_CTX:
+        raise GroupError("periodic approximations are defined over the integers")
+    classes: dict[int, int] = {}
+    consistent = True
+    for site, col in phi.items():
+        consistent &= classes.setdefault(int(site) % period, col) == col
+    value = Fraction(1, k ** len(classes)) if consistent else Fraction(0)
+    return len(classes), consistent, value
+
+
 def periodic_cylinder_value(k: int, period: int, phi: Pattern) -> Fraction:
     """Cylinder mass of phi under the uniform measure on colorings of the
     integers that are constant on residue classes mod `period`: k^{-r} when
     phi is constant on the residues it meets (r of them), else 0."""
-    if phi.domain.ctx != INTEGERS_CTX:
-        raise GroupError("periodic approximations are defined over the integers")
-    classes: dict[int, int] = {}
-    for site, col in phi.items():
-        r = int(site) % period
-        if r in classes and classes[r] != col:
-            return Fraction(0)
-        classes[r] = col
-    return Fraction(1, k ** len(classes))
+    return _residue_walk(k, period, phi)[2]
 
 
 def periodic_cylinder_table(k: int, period: int, patterns: Sequence[Pattern],
@@ -316,15 +315,8 @@ def periodic_cylinder_table(k: int, period: int, patterns: Sequence[Pattern],
     rows = []
     invariant = True
     for phi in patterns:
-        classes: dict[int, int] = {}
-        consistent = True
-        for site, col in phi.items():
-            r = int(site) % period
-            if r in classes and classes[r] != col:
-                consistent = False
-            classes[r] = col
-        val = Fraction(1, k ** len(classes)) if consistent else Fraction(0)
-        rows.append(PeriodicCylinderRow(phi, len(classes), consistent, val))
+        residues, consistent, val = _residue_walk(k, period, phi)
+        rows.append(PeriodicCylinderRow(phi, residues, consistent, val))
         for g in shifts:
             if periodic_cylinder_value(k, period, phi.shifted(g)) != val:
                 invariant = False
@@ -350,6 +342,8 @@ def near_invariant_measure(k: int, S: GroupSet, eps, D: GroupSet, modulus: int,
     everywhere, then read off the empirical pattern distribution over D at
     anchor 0 and the worst cylinder deviation across shifted anchors.
     """
+    if shift_test_range is not None and shift_test_range < 1:
+        raise ValueError(f"shift_test_range must be >= 1, got {shift_test_range}")
     eps_fr = as_fraction(eps)
     action = CyclicTranslation(modulus)
     if is_sd_free(action, [S, D]) is not True:

@@ -10,13 +10,15 @@ omega(n) = exp(-a |D_n|).
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .concentration import deviation_exponent
+from .concentration import deviation_exponent, deviates
 from .groups import (FiniteAction, GroupError, GroupSet, difference_set_size,
                      set_product)
 from .shift import Config, all_patterns, as_fraction
@@ -89,32 +91,13 @@ class FrequencyDeviationEvent(BadEvent):
     def domain(self) -> GroupSet:
         return set_product(self.S, self.D)
 
-    def deviation_threshold(self) -> tuple[int, int]:
-        """Integer test: count c of a pattern deviates iff
-        |c * k^{|S|} - |D|| * den >= num, with (num, den) returned here."""
-        scale = self.k ** len(self.S)
-        return self.eps.numerator * len(self.D) * scale, self.eps.denominator
-
     def holds(self, c: Config) -> bool:
         _require_total(c, self.domain)
         ctx = self.S.ctx
-        counts: dict[tuple, int] = {}
-        for d in self.D:
-            word = tuple(c(ctx.op(s, d)) for s in self.S.elements)
-            counts[word] = counts.get(word, 0) + 1
-        scale = self.k ** len(self.S)
-        num, den = self.deviation_threshold()
-        d_sz = len(self.D)
-        for code_count in _iter_all_counts(counts, self.k, len(self.S)):
-            if abs(code_count * scale - d_sz) * den >= num:
-                return True
-        return False
-
-
-def _iter_all_counts(counts: dict, k: int, s_len: int):
-    import itertools
-    for word in itertools.product(range(k), repeat=s_len):
-        yield counts.get(word, 0)
+        counts = Counter(tuple(c(ctx.op(s, d)) for s in self.S.elements) for d in self.D)
+        words = itertools.product(range(self.k), repeat=len(self.S))
+        return any(deviates(counts[w], len(self.D), self.k, len(self.S), self.eps)
+                   for w in words)
 
 
 def _require_total(c: Config, F: GroupSet):
@@ -214,10 +197,22 @@ def p_bound_freq(k: int, s_size: int, eps: float, d_size: int) -> float:
     return 2.0 * (k ** s_size) * math.exp(-deviation_exponent(eps, s_size, d_size))
 
 
-def _interval_extent(S: GroupSet) -> int:
-    if S.interval is None:
+def _require_intervals(degree_mode: str, *sets: GroupSet) -> None:
+    if degree_mode == "interval" and any(X.interval is None for X in sets):
         raise CertificationError("interval degree mode needs integer intervals")
-    return len(S)
+
+
+def _neighbor_count(s_size: int, m_size: int, n_size: int, degree_mode: str) -> int:
+    """How many anchors of the event with domain S D_m can share a point with
+    one fixed event with domain S D_n, that event itself included:
+    |S D_m| + |S D_n| - 1 for integer intervals (overlapping windows), else
+    |S|^2 |D_m| |D_n|.  Every neighbor count and degree bound is this one,
+    minus 1 when the fixed event is not counted."""
+    if degree_mode == "interval":
+        return (s_size + m_size - 1) + (s_size + n_size - 1) - 1
+    if degree_mode == "generic":
+        return s_size ** 2 * m_size * n_size
+    raise ValueError(f"unknown shape {degree_mode!r}: expected 'interval' or 'generic'")
 
 
 def slll_stats(k: int, S: GroupSet, eps, D: GroupSet,
@@ -232,17 +227,13 @@ def slll_stats(k: int, S: GroupSet, eps, D: GroupSet,
     """
     epsf = float(as_fraction(eps))
     p = p_bound_freq(k, len(S), epsf, len(D))
-    cap = len(S) ** 2 * len(D) ** 2 - 1
-    if degree_mode == "generic":
-        d = cap
-    elif degree_mode == "interval":
-        sd = _interval_extent(S) + _interval_extent(D) - 1
-        d = 2 * sd - 2
-    elif degree_mode == "auto":
+    if degree_mode == "auto":
+        cap = _neighbor_count(len(S), len(D), len(D), "generic") - 1
         exact = difference_set_size(S, D, cap=exact_cap)
         d = cap if exact is None else min(exact - 1, cap)
     else:
-        raise ValueError(f"unknown degree mode {degree_mode!r}")
+        _require_intervals(degree_mode, S, D)
+        d = _neighbor_count(len(S), len(D), len(D), degree_mode) - 1
     return InstanceStats(p, d, degree_mode)
 
 
@@ -253,12 +244,13 @@ class ThresholdResult:
     stationary_point: int
     margin_at_threshold: Optional[float]
     margin_at_cap: float
-    case: str  # "crossing" | "left-of-stationary" | "not-found"
+    case: str  # "crossing" | "not-found"
 
 
 def find_slll_threshold(k: int, S: GroupSet, eps, shape: str = "interval",
                         search_cap: int = 100_000) -> ThresholdResult:
-    """Least m <= cap with margin(|D|) < 1 for every |D| in [m, cap].
+    """Least m <= search_cap with margin(|D|) < 1 for every |D| in
+    [m, search_cap], for integer intervals D of size m.
 
     The log-margin is const + log(d(m)+1) - eps^2 m / (2|S|^3); it has one
     interior maximum (at 4|S|^3/eps^2 for the generic cap) and decreases
@@ -267,36 +259,25 @@ def find_slll_threshold(k: int, S: GroupSet, eps, shape: str = "interval",
     epsf = float(as_fraction(eps))
     if not (0 < epsf < 1):
         raise CertificationError("threshold search needs 0 < eps < 1")
+    if search_cap < 1:
+        raise CertificationError(f"search_cap must be >= 1, got {search_cap}")
     s_sz = len(S)
-    s_extent = _interval_extent(S) if shape == "interval" else None
+    _require_intervals(shape, S)
 
     def margin(m: int) -> float:
-        p = p_bound_freq(k, s_sz, epsf, m)
-        if shape == "interval":
-            d1 = 2 * (s_extent + m - 1) - 1
-        elif shape == "generic":
-            d1 = s_sz ** 2 * m ** 2
-        else:
-            raise ValueError(f"unknown shape {shape!r}")
-        return E * p * d1
+        return E * p_bound_freq(k, s_sz, epsf, m) * _neighbor_count(s_sz, m, m, shape)
 
     m_star = max(1, math.ceil(4.0 * s_sz ** 3 / (epsf * epsf)))
     m_cap = margin(search_cap)
     if m_cap >= 1.0:
         return ThresholdResult(False, None, m_star, None, m_cap, "not-found")
-    peak = min(m_star, search_cap)
-    if margin(peak) < 1.0:
-        # the increasing branch may still poke above 1 before the stationary
-        # point, so it is scanned outright (for the frequency-event margins
-        # this branch is unreachable: the peak value is always >= 1)
-        last_bad = 0
-        for m in range(1, peak + 1):
-            if margin(m) >= 1.0:
-                last_bad = m
-        thr = last_bad + 1
-        case = "left-of-stationary" if last_bad == 0 else "crossing"
-        return ThresholdResult(True, thr, m_star, margin(thr), m_cap, case)
-    lo, hi = peak, search_cap  # margin(lo) >= 1 > margin(hi)
+    # No scan left of the stationary point is needed.  The log-margin is
+    # concave on [1, m_star], so its least value there is at an end.  At
+    # m = 1 the margin is at least 2e exp(-1/2) = 3.30 (k = |S| = 1, eps -> 1);
+    # at m_star >= 5 the exponent is below 5/2 and d + 1 >= 9, so it exceeds
+    # 18 exp(-3/2) = 4.0.  So margin >= 1 on [1, m_star], and a search_cap
+    # there was reported as not found above.
+    lo, hi = m_star, search_cap  # margin(lo) >= 1 > margin(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if margin(mid) < 1.0:
@@ -319,7 +300,7 @@ class GLLLWitnessSpec:
 
     def __post_init__(self):
         if self.a <= 0:
-            raise CertificationError("witness exponent a must be positive")
+            raise CertificationError(f"witness exponent a must be positive, got {self.a}")
 
     def omega(self, d_size: int) -> float:
         w = math.exp(-self.a * d_size)
@@ -393,15 +374,14 @@ class GLLLReport:
         return [r for r in self.records if not r.verdict]
 
 
-def _pair_neighbor_cap(S: GroupSet, Dm: GroupSet, Dn: GroupSet, same: bool,
-                       degree_mode: str) -> float:
-    if degree_mode == "interval":
-        sdm = _interval_extent(S) + _interval_extent(Dm) - 1
-        sdn = _interval_extent(S) + _interval_extent(Dn) - 1
-        cnt = sdm + sdn - 1
-        return cnt - 1 if same else cnt
-    cnt = len(S) ** 2 * len(Dm) * len(Dn)
-    return cnt - 1 if same else cnt
+def _tail_records(a: float, C: float) -> list:
+    """Admissibility of the analytic tail |D_n| >= C log(n+2) for the witness
+    exp(-a |D_n|): C log 2 > 1/a, so xi exp(-a xi) decreases on the range,
+    and exp(-a C log 2) < 1/2."""
+    omega_2 = math.exp(-a * C * math.log(2.0))
+    return [IneqRecord("tail-monotone", "tail", 1.0 / a, C * math.log(2.0),
+                       C * math.log(2.0) > 1.0 / a),
+            IneqRecord("tail-omega-half", "tail", omega_2, 0.5, omega_2 < 0.5)]
 
 
 def check_glll_witness(k: int, S: GroupSet, eps, d_seq: Sequence[GroupSet],
@@ -425,6 +405,7 @@ def check_glll_witness(k: int, S: GroupSet, eps, d_seq: Sequence[GroupSet],
         raise CertificationError(
             f"witness exponent a={witness.a} outside (0, eps^2/(2|S|^3)) = (0, {limit})")
     eps_sum_f = epsf if eps_sum is None else float(as_fraction(eps_sum))
+    _require_intervals(degree_mode, S, *d_seq)
 
     sizes = [len(D) for D in d_seq]
     omegas = [witness.omega(sz) for sz in sizes]
@@ -445,12 +426,7 @@ def check_glll_witness(k: int, S: GroupSet, eps, d_seq: Sequence[GroupSet],
     tail_omega_sum = 0.0
     if witness.C is not None:
         q = witness.C * witness.a
-        records.append(IneqRecord("tail-monotone", "tail",
-                                  1.0 / witness.a, witness.C * math.log(2.0),
-                                  witness.C * math.log(2.0) > 1.0 / witness.a))
-        records.append(IneqRecord("tail-omega-half", "tail",
-                                  math.exp(-witness.a * witness.C * math.log(2.0)), 0.5,
-                                  math.exp(-witness.a * witness.C * math.log(2.0)) < 0.5))
+        records += _tail_records(witness.a, witness.C)
         tail_budget = 2.0 * s_sz * witness.C * tail_log_series(q, n_pref)
         tail_neighbor_log = 2.0 * witness.C * tail_log_series(q, n_pref)
         tail_omega_sum = tail_plain_series(q, n_pref)
@@ -462,15 +438,15 @@ def check_glll_witness(k: int, S: GroupSet, eps, d_seq: Sequence[GroupSet],
 
     # witness inequality per n, in log space
     prefix_log1m = [math.log1p(-w) for w in omegas]
-    for n, (Dn, wn) in enumerate(zip(d_seq, omegas)):
+    for n, wn in enumerate(omegas):
         log_lhs = math.log(2.0 * k ** s_sz) - deviation_exponent(epsf, s_sz, sizes[n])
         log_rhs = math.log(wn)
-        for m, Dm in enumerate(d_seq):
-            cnt = _pair_neighbor_cap(S, Dm, Dn, m == n, degree_mode)
-            log_rhs += cnt * prefix_log1m[m]
+        for m, log1m in enumerate(prefix_log1m):
+            cnt = _neighbor_count(s_sz, sizes[m], sizes[n], degree_mode) - int(m == n)
+            log_rhs += cnt * log1m
         if witness.C is not None:
             if degree_mode == "interval":
-                sdn = _interval_extent(S) + _interval_extent(Dn) - 1
+                sdn = s_sz + sizes[n] - 1
                 log_rhs -= s_sz * tail_neighbor_log + sdn * 2.0 * tail_omega_sum
             else:
                 log_rhs -= s_sz ** 2 * sizes[n] * tail_neighbor_log
@@ -510,9 +486,7 @@ def find_log_growth_constant(k: int, S: GroupSet, eps, a: float, eps_sum,
         return total + tail_log_series(q, prefix_terms)
 
     def ok(C: float) -> bool:
-        if math.exp(-a * C * math.log(2.0)) >= 0.5:
-            return False
-        if C * math.log(2.0) <= 1.0 / a:
+        if not all(r.verdict for r in _tail_records(a, C)):
             return False
         series = log_series(C * a)
         if 2.0 * s_sz * C * series >= eps_sum_f:

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from .concentration import deviates
 from .groups import CyclicTranslation, FiniteAction, GroupError, is_sd_free
 from .lll import BadEvent, ExplicitEvent, FrequencyDeviationEvent
 from .rng import uniform_colors
@@ -141,12 +142,9 @@ def frequency_counts(action: FiniteAction, ev: FrequencyDeviationEvent,
 def violated_anchors(action: FiniteAction, ev: BadEvent, g: np.ndarray) -> np.ndarray:
     """Anchors x whose pulled-back coloring lies in the event."""
     if isinstance(ev, FrequencyDeviationEvent):
-        num, den = ev.deviation_threshold()
-        scale = ev.k ** len(ev.S)
-        d_sz = len(ev.D)
         bad = np.zeros(action.n_points, dtype=bool)
         for _pat, counts in frequency_counts(action, ev, g):
-            bad |= np.abs(counts * scale - d_sz) * den >= num
+            bad |= deviates(counts, len(ev.D), ev.k, len(ev.S), ev.eps)
         return np.flatnonzero(bad)
     if isinstance(ev, ExplicitEvent):
         pulled = _pullback_colors(action, ev.domain.elements, g)

@@ -247,6 +247,8 @@ def bad_sequence_experiment(h: Union[Callable[[int], int], Sequence[int]],
     """
     if i_max < 1:
         raise TowerError("need at least one stage")
+    if k_probe is not None and any(q < 0 for q in k_probe):
+        raise ValueError(f"k_probe entries must be >= 0, got {list(k_probe)}")
     plans: list[BadIntervalPlan] = []
     n_starts: list[int] = []
     n_start = 0

@@ -221,6 +221,10 @@ def test_empty_sweep_grid_is_config_error(tmp_path, capsys):
 LLL = {"experiment": "lll-check", "k": 2, "s_size": 1, "eps": "0.1"}
 ROKHLIN = {"experiment": "rokhlin-bad", "h": 1, "i_max": 2, "seed": 7}
 SINGLE = {"eps": "0.1", "h": 5, "modulus": 4200}
+AI = {"experiment": "approx-invariant", "k": 2, "s_size": 1, "eps": "0.3",
+      "d_size": 100, "modulus": 1000, "seed": 3}
+UD = {"experiment": "uniform-discrepancy", "k": 2, "s_size": 1, "eps": "0.3",
+      "d_sizes": [100], "modulus": 1000, "seed": 3}
 
 
 @pytest.mark.parametrize("doc, key", [
@@ -236,6 +240,14 @@ SINGLE = {"eps": "0.1", "h": 5, "modulus": 4200}
     ({**ROKHLIN, "single": {**SINGLE, "h": []}}, "single: h must list"),
     ({**ROKHLIN, "h": [3]}, "h gives 1 length(s)"),
     ({**ROKHLIN, "single": {**SINGLE, "h": [3, 4]}}, "single: h gives 2 length(s)"),
+    ({**AI, "shift_test_range": 0}, "shift_test_range must be >= 1"),
+    ({**AI, "shift_test_range": -3}, "shift_test_range must be >= 1"),
+    ({**UD, "d_sizes": []}, "d_sizes must be nonempty"),
+    ({**LLL, "mode": "glll", "a": 0.002, "n_prefix": 0}, "n_prefix must be >= 1"),
+    ({**ROKHLIN, "k_probe": [0, -1]}, "k_probe entries must be >= 0"),
+    ({**MT, "a": 0}, "a must be positive"),
+    ({**MT, "a": -1}, "a must be positive"),
+    ({**LLL, "mode": "slll", "d_size": 100, "search_cap": 0}, "search_cap must be >= 1"),
 ])
 def test_conditional_and_nested_keys_are_config_errors(tmp_path, capsys, doc, key):
     _assert_config_error(tmp_path, capsys, doc, key)

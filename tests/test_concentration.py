@@ -1,17 +1,39 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftlab import concentration
 from shiftlab.concentration import (ConcentrationBoundInput, McEstimate,
-                                    concentration_bound, deviation_sweep,
+                                    concentration_bound, deviates, deviation_sweep,
                                     familywise_z, mc_deviation_prob, scb_bound,
                                     wilson_interval, wilson_zero_floor)
 from shiftlab.groups import CyclicTranslation, GroupError, integer_interval
 from shiftlab.shift import all_patterns
+
+
+def _deviates_exact(c, d, k, s, eps):
+    return abs(Fraction(c, d) - Fraction(1, k ** s)) >= eps
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 60),
+       st.fractions(min_value=Fraction(1, 1000), max_value=1, max_denominator=1000),
+       st.data())
+def test_deviates_is_the_exact_rational_test(k, s, d, eps, data):
+    counts = data.draw(st.lists(st.integers(0, d), min_size=1, max_size=8))
+    for c in counts:
+        assert deviates(c, d, k, s, eps) == _deviates_exact(c, d, k, s, eps)
+    # an array of counts against one |D|, and counts broadcast against sizes
+    assert deviates(np.array(counts), d, k, s, eps).tolist() == \
+        [_deviates_exact(c, d, k, s, eps) for c in counts]
+    sizes = np.array([d, d + 1, 2 * d])
+    got = deviates(np.array(counts)[:, None], sizes, k, s, eps)
+    assert got.tolist() == [[_deviates_exact(c, int(m), k, s, eps) for m in sizes]
+                            for c in counts]
 
 
 def test_scb_examples():

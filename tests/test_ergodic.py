@@ -79,24 +79,28 @@ def test_convergence_matches_bruteforce_on_tiny_case():
     assert rep.rows[1].worst_dev == pytest.approx(worst[1])
 
 
-def test_convergence_matches_bruteforce_off_prefix():
-    # S reaches left of 0 and D_0 has gaps, so the counts go through
-    # explicit anchor offsets instead of prefix sums
-    S = gset(Z, [-1, 0])
+@pytest.mark.parametrize("s_elems", [[-1, 0], [1], [1, 3]],
+                         ids=["min_S_negative", "min_S_positive", "min_S_positive_gapped"])
+def test_convergence_matches_bruteforce_off_prefix(s_elems):
+    # D_0 has gaps, so it is read as one run per element; S starts left of,
+    # at or right of 0, so anchor columns and site columns are offset by
+    # -min S in either direction
+    S = gset(Z, s_elems)
     d_sets = [gset(Z, [0, 2, 5]), integer_interval(4)]
     rep = ergodic_convergence_experiment(2, S, "0.5", AveragingSequence.from_sets(d_sets),
                                          1, 40, seed=5)
     from shiftlab.rng import color_matrix, derive_seed
-    lo = -1  # min S + min D_n; sites run from -1 to 0 + 5
-    colors = color_matrix(derive_seed(5, 0xE6), 40, 7, 2)
+    lo = min(s_elems)  # min S + min D_n; sites run from lo to max S + 5
+    colors = color_matrix(derive_seed(5, 0xE6), 40, max(s_elems) + 5 - lo + 1, 2)
+    target = Fraction(1, 2 ** len(s_elems))
     exceeded = []
     worst = [Fraction(0), Fraction(0)]
     for row in colors:
         hits = []
         for i, D in enumerate(d_sets):
-            words = [tuple(int(row[d + s - lo]) for s in (-1, 0)) for d in D.elements]
-            devs = [abs(Fraction(words.count(w), len(words)) - Fraction(1, 4))
-                    for w in itertools.product(range(2), repeat=2)]
+            words = [tuple(int(row[d + s - lo]) for s in s_elems) for d in D.elements]
+            devs = [abs(Fraction(words.count(w), len(words)) - target)
+                    for w in itertools.product(range(2), repeat=len(s_elems))]
             worst[i] = max(worst[i], max(devs))
             hits.append(max(devs) >= Fraction(1, 2))
         exceeded.append(hits)

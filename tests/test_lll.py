@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shiftlab.groups import (CyclicTranslation, GroupCtx, gset, integer_interval,
                              set_product)
@@ -134,6 +136,25 @@ def test_threshold_monotone_in_eps():
     assert t2 < t1
     assert t2 < 200
     assert t2 == oracle_threshold(2, 1, 0.5, 1000)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 4),
+       st.fractions(min_value=0, max_value=1, max_denominator=200).filter(lambda e: 0 < e < 1),
+       st.integers(1, 200_000), st.sampled_from(["interval", "generic"]))
+def test_threshold_crosses_beyond_the_stationary_point(k, s, eps, cap, shape):
+    S = integer_interval(s)
+    res = find_slll_threshold(k, S, eps, shape=shape, search_cap=cap)
+    assert res.case in ("crossing", "not-found")
+    assert res.found == (res.case == "crossing")
+    if res.found:
+        assert res.stationary_point < res.threshold <= cap
+        stats = slll_stats(k, S, eps, integer_interval(res.threshold), degree_mode=shape)
+        assert res.margin_at_threshold == stats.slll_margin < 1
+        before = integer_interval(res.threshold - 1)
+        assert slll_stats(k, S, eps, before, degree_mode=shape).slll_margin >= 1
+    else:
+        assert res.margin_at_cap >= 1
 
 
 def test_threshold_not_found_within_cap():
