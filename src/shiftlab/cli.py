@@ -73,9 +73,9 @@ SCHEMAS = {
                "bound 2 exp(-eps^2 |D| / (2|S|^3)) on a cyclic space.",
         "params": {
             "ks": ("list[int]", True, "alphabet sizes"),
-            "s_sizes": ("list[int]", True, "interval sizes for S = {0..s-1}"),
+            "s_sizes": ("list[int >= 1]", True, "interval sizes for S = {0..s-1}"),
             "eps_list": ("list[decimal string]", True, "tolerances"),
-            "d_sizes": ("list[int]", True, "interval sizes for D"),
+            "d_sizes": ("list[int >= 1]", True, "interval sizes for D"),
             "trials": ("int", True, "Monte Carlo trials per grid point"),
             "modulus": ("int", True, "cyclic space size"),
             "seed": ("int", True, "stream seed"),
@@ -88,9 +88,9 @@ SCHEMAS = {
         "params": {
             "mode": ("'slll' | 'glll'", True, "certification flavor"),
             "k": ("int", True, "alphabet size"),
-            "s_size": ("int", True, "interval size for S = {0..s-1}"),
+            "s_size": ("int >= 1", True, "interval size for S = {0..s-1}"),
             "eps": ("decimal string", True, "deviation tolerance"),
-            "d_size": ("int", False, "slll: interval size for D"),
+            "d_size": ("int >= 1", False, "slll: interval size for D"),
             "shape": ("'interval' | 'generic'", False, "slll: degree bound mode"),
             "search_cap": ("int", False, "slll: threshold search cap (default 100000)"),
             "a": ("number", False, "glll: witness exponent"),
@@ -107,9 +107,9 @@ SCHEMAS = {
         "params": {
             "k": ("int", True, "alphabet size"),
             "modulus": ("int", True, "cyclic space size"),
-            "s_size": ("int", True, "interval size for S"),
+            "s_size": ("int >= 1", True, "interval size for S"),
             "eps": ("decimal string", True, "deviation tolerance"),
-            "d_size": ("int", True, "interval size for D"),
+            "d_size": ("int >= 1", True, "interval size for D"),
             "seeds": ("int | list[int]", True, "seed count (0..n-1) or explicit list"),
             "max_steps": ("int", False, "step budget (default 1000 per induced event)"),
             "a": ("number", False, "witness exponent (default eps^2/(4|S|^3))"),
@@ -122,9 +122,9 @@ SCHEMAS = {
                "D_n; compares the resampled fraction with the witness budget.",
         "params": {
             "k": ("int", True, "alphabet size"),
-            "s_size": ("int", True, "interval size for S"),
+            "s_size": ("int >= 1", True, "interval size for S"),
             "eps": ("decimal string", True, "deviation tolerance"),
-            "d_sizes": ("list[int]", True, "sizes of the (interval) averaging sets"),
+            "d_sizes": ("list[int >= 1]", True, "sizes of the (interval) averaging sets"),
             "modulus": ("int", True, "cyclic space size"),
             "seed": ("int", True, "tape seed"),
             "a": ("number", False, "witness exponent"),
@@ -147,9 +147,9 @@ SCHEMAS = {
                "shifted cylinder values all stay within eps of 1/k^|S|.",
         "params": {
             "k": ("int", True, "alphabet size"),
-            "s_size": ("int", True, "interval size for S"),
+            "s_size": ("int >= 1", True, "interval size for S"),
             "eps": ("decimal string", True, "deviation tolerance"),
-            "d_size": ("int", True, "interval size for D"),
+            "d_size": ("int >= 1", True, "interval size for D"),
             "modulus": ("int", True, "cyclic space size"),
             "seed": ("int", True, "tape seed"),
             "shift_test_range": ("int", False, "how many shifts to test (default all)"),
@@ -183,15 +183,36 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _is_decimal(v) -> bool:
+    """A string (or a JSON number) that `as_fraction` reads exactly."""
+    try:
+        return isinstance(v, (int, float, str)) and not isinstance(v, bool) \
+            and Fraction(str(v)) is not None
+    except (ValueError, ZeroDivisionError):
+        return False
+
+
+def _list_of(test):
+    return lambda v: isinstance(v, list) and all(test(x) for x in v)
+
+
+def _is_size(v) -> bool:
+    return _is_int(v) and v >= 1
+
+
 # JSON type tests for the schema types that name one; the others are
 # checked by their drivers
 _TYPE_CHECKS = {
     "int": _is_int,
-    "list[int]": lambda v: isinstance(v, list) and all(_is_int(x) for x in v),
+    "list[int]": _list_of(_is_int),
     "number": lambda v: _is_int(v) or isinstance(v, float),
     "bool": lambda v: isinstance(v, bool),
-    "int | list[int]": lambda v: _is_int(v) or (isinstance(v, list)
-                                                and all(_is_int(x) for x in v)),
+    "int | list[int]": lambda v: _is_int(v) or _list_of(_is_int)(v),
+    "int >= 1": _is_size,
+    "list[int >= 1]": _list_of(_is_size),
+    "decimal string": _is_decimal,
+    "list[decimal string]": _list_of(_is_decimal),
+    "list[{sites, colors}]": lambda v: isinstance(v, list),  # entries: `_validate`
 }
 
 
@@ -218,6 +239,14 @@ def _validate(kind: str, params: dict) -> dict:
     for key in _NONEMPTY.get(kind, ()):
         if not params[key]:
             raise ConfigError(f"{kind}: {key} must be nonempty")
+    if kind == "resfin":
+        for i, q in enumerate(params["patterns"]):
+            if not (isinstance(q, dict) and set(q) == {"sites", "colors"}
+                    and _list_of(_is_int)(q["sites"]) and _list_of(_is_int)(q["colors"])
+                    and 0 < len(set(q["sites"])) == len(q["sites"]) == len(q["colors"])):
+                raise ConfigError(f"{kind}: patterns[{i}] must be an object with exactly "
+                                  "sites and colors, equal-length nonempty int lists with "
+                                  f"distinct sites, got {q!r}")
     if kind == "lll-check":
         for mode, key in (("slll", "d_size"), ("glll", "a")):
             if params["mode"] == mode and key not in params:
@@ -530,6 +559,8 @@ def cmd_run(args) -> int:
         return EXIT_USAGE
     try:
         config = json.loads(path.read_text())
+        if not isinstance(config, dict):
+            raise ConfigError(f"a config must be a JSON object, got {config!r}")
         kind = config.get("experiment")
         if kind not in RUNNERS:
             raise ConfigError(f"unknown experiment kind {kind!r}; see `shiftlab list`")

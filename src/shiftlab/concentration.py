@@ -105,24 +105,18 @@ class McEstimate:
         return abs(self.expectation_zscore) <= 3.0
 
 
-def _check_sd_free_at(action: FiniteAction, S: GroupSet, D: GroupSet, x: int):
-    dx = []
-    for d in D.elements:
-        y = action.act(d, x)
-        if y is None:
-            raise GroupError(f"translate {d!r} . {x} is undefined")
-        dx.append(y)
-    if len(set(dx)) != len(dx):
+def _check_sd_free_at(action: FiniteAction, S: GroupSet, D: GroupSet, x: int) -> np.ndarray:
+    """D.x, after checking that D moves x to distinct points and that S moves
+    each point of D.x and x itself to distinct points."""
+    dx = action.translates(D.elements, x)
+    if len(set(dx.tolist())) != dx.size:
         raise GroupError("action is not D-free at the chosen point")
-    for y in set(dx) | {x}:
-        sy = []
-        for s in S.elements:
-            z = action.act(s, y)
-            if z is None:
-                raise GroupError(f"translate {s!r} . {y} is undefined")
-            sy.append(z)
-        if len(set(sy)) != len(sy):
-            raise GroupError("action is not S-free on the sampled orbit")
+    orbit = np.append(dx, x)  # x may also lie in D.x; a second check of it is harmless
+    # column j holds S.y for the orbit point y = orbit[j]
+    images = np.sort(np.stack([action.image(s, orbit) for s in S.elements]), axis=0)
+    if np.any(images[1:] == images[:-1]):
+        raise GroupError("action is not S-free on the sampled orbit")
+    return dx
 
 
 def mc_deviation_prob(inp: ConcentrationBoundInput, action: FiniteAction, x: int,
@@ -147,25 +141,16 @@ def mc_deviation_prob(inp: ConcentrationBoundInput, action: FiniteAction, x: int
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     if phi.domain != S:
         raise ValueError("pattern domain must be exactly S")
-    _check_sd_free_at(action, S, D, x)
+    dx = _check_sd_free_at(action, S, D, x)
 
-    sd = set_product(S, D)
-    sites = []
-    site_index = {}
-    for e in sd.elements:
-        y = action.act(e, x)
-        if y is None:
-            raise GroupError(f"translate {e!r} . {x} is undefined")
-        if y not in site_index:
-            site_index[y] = len(sites)
-            sites.append(y)
-    # columns of s*d . x for each s (in the order of sorted D): a slice when
+    # the sites SD.x, numbered in order of first appearance along sorted SD
+    sites = action.translates(set_product(S, D).elements, x).tolist()
+    column = {y: i for i, y in enumerate(dict.fromkeys(sites))}
+    # columns of s.(d.x) for each s (in the order of sorted D): a slice when
     # they are consecutive sites, else the index array
-    ctx = S.ctx
     cols = []
     for s in S.elements:
-        c = np.array(
-            [site_index[action.act(ctx.op(s, d), x)] for d in D.elements], dtype=np.int64)
+        c = np.array([column[y] for y in action.image(s, dx).tolist()], dtype=np.int64)
         if np.all(np.diff(c) == 1):
             c = slice(int(c[0]), int(c[-1]) + 1)
         cols.append(c)
@@ -174,10 +159,10 @@ def mc_deviation_prob(inp: ConcentrationBoundInput, action: FiniteAction, x: int
     # exact integer accumulators, converted to float once after the loop
     hits = occ_sum = occ_sumsq = 0
     run_seed = derive_seed(seed, 0xC0)
-    chunk = chunk or block_rows(len(sites))
+    chunk = chunk or block_rows(len(column))
     for start in range(0, trials, chunk):
         rows = min(chunk, trials - start)
-        colors = color_matrix(run_seed, rows, len(sites), k, row_offset=start)
+        colors = color_matrix(run_seed, rows, len(column), k, row_offset=start)
         match = colors[:, cols[0]] == phi.colors[0]
         for sel, col in zip(cols[1:], phi.colors[1:]):
             match &= colors[:, sel] == col

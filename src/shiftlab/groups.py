@@ -6,7 +6,11 @@ canonical normal forms (an ``int``, a tuple of ints, or a reduced generator
 word as a tuple of nonzero signed ints), so ``==`` on elements is exactly
 group equality.  A finite set holds a nonempty run of consecutive integers
 as a ``range`` (`GroupSet.interval` reads it, and products of intervals are
-formed in closed form) and any other set as a sorted tuple.
+formed in closed form) and any other set as a sorted tuple.  A finite
+action translates points through one pair of methods,
+`FiniteAction.translates` (the points e.x of a point x) and
+`FiniteAction.image` (gamma.p for every point p), and both raise
+`BoundaryError` where a translate is undefined.
 
 All values here are immutable after construction and safe to share across
 threads.
@@ -25,6 +29,10 @@ Elem = Union[int, tuple]
 
 class GroupError(ValueError):
     """Usage error: context mismatch or malformed normal form."""
+
+
+class BoundaryError(GroupError):
+    """A translate or statistic needs information outside the available window."""
 
 
 INTEGERS = "integers"
@@ -251,8 +259,9 @@ class FiniteAction:
     """A finite point set {0..n-1} acted on by a group context.
 
     `act` may be partial for window flavors: it returns None (scalar form)
-    or -1 (array form) where the translate leaves the window, and every
-    consumer must handle that explicitly.
+    or -1 (array form) where the translate leaves the window.  Consumers
+    translate through `translates` and `image`, which raise BoundaryError
+    there instead.
     """
 
     ctx: GroupCtx
@@ -268,6 +277,23 @@ class FiniteAction:
 
     def points(self) -> np.ndarray:
         return np.arange(self.n_points)
+
+    def translates(self, elems, x: int) -> np.ndarray:
+        """The points e.x for e in `elems`, in that order."""
+        out = np.empty(len(elems), dtype=np.int64)
+        for i, e in enumerate(elems):
+            y = self.act(e, x)
+            if y is None:
+                raise BoundaryError(f"translate {e!r} . {x} is undefined")
+            out[i] = y
+        return out
+
+    def image(self, gamma: Elem, points: Optional[np.ndarray] = None) -> np.ndarray:
+        """gamma.p for every p in `points` (by default every point)."""
+        img = self.act_array(gamma, self.points() if points is None else points)
+        if np.any(img < 0):
+            raise BoundaryError(f"translate {gamma!r} . p is undefined for some point p")
+        return img
 
     # Subclasses with translation structure can answer freeness questions
     # in O(|S|); the generic fallback compares translate arrays pairwise.
@@ -306,6 +332,11 @@ class CyclicTranslation(FiniteAction):
 
     def act_array(self, gamma, points):
         return (points + int(gamma)) % self.modulus
+
+    def translates(self, elems, x):
+        if isinstance(elems, range):  # built in C, not element by element
+            elems = np.arange(elems.start, elems.stop, elems.step)
+        return (np.asarray(elems, dtype=np.int64) + x) % self.modulus
 
     def free_for(self, S: GroupSet) -> bool:
         iv = S.interval

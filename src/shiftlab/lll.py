@@ -160,17 +160,9 @@ class InducedEvent:
 
 
 def induced_event(B: BadEvent, action: FiniteAction, x: int) -> InducedEvent:
-    F = B.domain
-    site_of = {}
-    points = []
-    for e in F:
-        y = action.act(e, x)
-        if y is None:
-            raise GroupError(f"translate {e!r} . {x} is undefined")
-        site_of[e] = y
-        if y not in points:
-            points.append(y)
-    return InducedEvent(B, x, site_of, tuple(points))
+    F = B.domain.elements
+    site_of = dict(zip(F, action.translates(F, x).tolist()))
+    return InducedEvent(B, x, site_of, tuple(dict.fromkeys(site_of.values())))
 
 
 # -- symmetric certification --------------------------------------------------

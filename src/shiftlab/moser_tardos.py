@@ -92,19 +92,7 @@ def _pullback_colors(action: FiniteAction, elems, g: np.ndarray) -> list[np.ndar
     """g pulled back along each element: out[i][x] = g[e_i . x].  The identity
     pulls back to g itself, which callers only read."""
     identity = action.ctx.identity()
-    pts = None
-    out = []
-    for e in elems:
-        if e == identity:
-            out.append(g)
-            continue
-        if pts is None:
-            pts = action.points()
-        img = action.act_array(e, pts)
-        if np.any(img < 0):
-            raise GroupError(f"translate {e!r} is undefined somewhere; need a total action")
-        out.append(g[img])
-    return out
+    return [g if e == identity else g[action.image(e)] for e in elems]
 
 
 def frequency_counts(action: FiniteAction, ev: FrequencyDeviationEvent,
@@ -119,13 +107,7 @@ def frequency_counts(action: FiniteAction, ev: FrequencyDeviationEvent,
     # converted once here, not once per pattern by circular_window_sums
     d_elems = np.asarray(ev.D.elements, dtype=np.int64) if fast_cyclic else ev.D.elements
     if not fast_cyclic:
-        d_maps = []
-        for d in d_elems:
-            dm = action.act_array(d, action.points())
-            if np.any(dm < 0):
-                raise GroupError(f"translate {d!r} is undefined somewhere; "
-                                 "need a total action")
-            d_maps.append(dm)
+        d_maps = [action.image(d) for d in d_elems]
     for pat in all_patterns(ev.S, ev.k):
         w = np.ones(action.n_points, dtype=bool)
         for arr, col in zip(pulled, pat.colors):
@@ -156,18 +138,6 @@ def violated_anchors(action: FiniteAction, ev: BadEvent, g: np.ndarray) -> np.nd
             bad |= hit
         return np.flatnonzero(bad)
     raise TypeError(f"unsupported event type {type(ev).__name__}")
-
-
-def _domain_points(action: FiniteAction, f_elems, x: int) -> np.ndarray:
-    if isinstance(action, CyclicTranslation):
-        return (np.asarray(f_elems, dtype=np.int64) + x) % action.modulus
-    out = np.empty(len(f_elems), dtype=np.int64)
-    for i, e in enumerate(f_elems):
-        y = action.act(e, x)
-        if y is None:
-            raise GroupError(f"translate {e!r} . {x} is undefined")
-        out[i] = y
-    return out
 
 
 # -- the resampling loop -------------------------------------------------------
@@ -216,7 +186,7 @@ def run_mt(action: FiniteAction, family: EventFamily, tape: TapeSpace,
         selected = []
         deferred = []
         for n, x in candidates:  # (n, anchor) order: families ascending, anchors ascending
-            dom = _domain_points(action, domains[n], x)
+            dom = action.translates(domains[n], x)
             if claimed[dom].any():
                 deferred.append(dom)
                 continue
@@ -250,7 +220,7 @@ def defect(coloring: np.ndarray, ev: BadEvent, action: FiniteAction,
         return tuple(int(a) for a in anchors)
     pts: set[int] = set()
     for x in anchors:
-        pts.update(int(p) for p in _domain_points(action, ev.domain.elements, int(x)))
+        pts.update(action.translates(ev.domain.elements, int(x)).tolist())
     return tuple(sorted(pts))
 
 
@@ -259,7 +229,7 @@ def defect_translation_identity(coloring: np.ndarray, ev: BadEvent,
     """Def(f, induced family) equals F . Def(f, event): checked exactly."""
     direct = set()
     for x in defect(coloring, ev, action):
-        direct.update(int(p) for p in _domain_points(action, ev.domain.elements, x))
+        direct.update(action.translates(ev.domain.elements, x).tolist())
     return tuple(sorted(direct)) == defect(coloring, ev, action, translated=True)
 
 
@@ -276,7 +246,7 @@ def stabilization_ledger(result: MTResult, action: FiniteAction,
     t_check = np.zeros(result.t.size, dtype=np.int64)
     domains = {n: ev.domain.elements for n, ev in family}
     for (n, x), c in result.index_counts.items():
-        t_check[_domain_points(action, domains[n], x)] += c
+        t_check[action.translates(domains[n], x)] += c
     return bool(np.array_equal(t_check, result.t))
 
 

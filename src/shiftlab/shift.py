@@ -16,7 +16,8 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .groups import Elem, FiniteAction, GroupCtx, GroupError, GroupSet, gset
+from .groups import (BoundaryError, Elem, FiniteAction, GroupCtx, GroupError,
+                     GroupSet, gset)
 from .rng import uniform_colors
 
 
@@ -30,10 +31,6 @@ def as_fraction(x) -> Fraction:
     if isinstance(x, float):
         return Fraction(str(x))
     return Fraction(x)
-
-
-class BoundaryError(ValueError):
-    """A statistic would need information outside the available window."""
 
 
 @dataclass(frozen=True)
@@ -247,27 +244,16 @@ def pointwise_average(f: Callable[[int], float], x: int, D: GroupSet,
     """(1/|D|) * sum of f over the D-translates of x, in sorted-D order."""
     if len(D) == 0:
         raise ValueError("averaging set must be nonempty")
-    total = 0.0
-    for d in D.elements:
-        y = action.act(d, x)
-        if y is None:
-            raise BoundaryError(f"translate {d!r} . {x} is undefined")
-        total += f(y)
-    return total / len(D)
+    return sum(map(f, action.translates(D.elements, x).tolist()), 0.0) / len(D)
 
 
 def empirical_measure(x: int, D: GroupSet, action: FiniteAction) -> EmpiricalMeasure:
     """Weight of y is |{d in D : d . x = y}| / |D| (multiplicity-aware)."""
     if len(D) == 0:
         raise ValueError("averaging set must be nonempty")
-    hits: dict[int, int] = {}
-    for d in D.elements:
-        y = action.act(d, x)
-        if y is None:
-            raise BoundaryError(f"translate {d!r} . {x} is undefined")
-        hits[y] = hits.get(y, 0) + 1
-    atoms = tuple(sorted((y, Fraction(n, len(D))) for y, n in hits.items()))
-    return EmpiricalMeasure(atoms)
+    ys, hits = np.unique(action.translates(D.elements, x), return_counts=True)
+    return EmpiricalMeasure(tuple((y, Fraction(n, len(D)))
+                                  for y, n in zip(ys.tolist(), hits.tolist())))
 
 
 def discrepancy(f: Union[Callable[[int], float], np.ndarray], global_mean: float,
@@ -284,7 +270,7 @@ def discrepancy(f: Union[Callable[[int], float], np.ndarray], global_mean: float
     acc = np.zeros(action.n_points)
     pts = action.points()
     for d in D.elements:
-        acc += vals[action.act_array(d, pts)]
+        acc += vals[action.image(d, pts)]
     return float(np.abs(acc / len(D) - global_mean).max())
 
 

@@ -223,6 +223,8 @@ ROKHLIN = {"experiment": "rokhlin-bad", "h": 1, "i_max": 2, "seed": 7}
 SINGLE = {"eps": "0.1", "h": 5, "modulus": 4200}
 AI = {"experiment": "approx-invariant", "k": 2, "s_size": 1, "eps": "0.3",
       "d_size": 100, "modulus": 1000, "seed": 3}
+RESFIN = {"experiment": "resfin", "k": 2, "period": 2}
+PAT = {"sites": [0], "colors": [0]}
 UD = {"experiment": "uniform-discrepancy", "k": 2, "s_size": 1, "eps": "0.3",
       "d_sizes": [100], "modulus": 1000, "seed": 3}
 
@@ -248,6 +250,24 @@ UD = {"experiment": "uniform-discrepancy", "k": 2, "s_size": 1, "eps": "0.3",
     ({**MT, "a": 0}, "a must be positive"),
     ({**MT, "a": -1}, "a must be positive"),
     ({**LLL, "mode": "slll", "d_size": 100, "search_cap": 0}, "search_cap must be >= 1"),
+    ({**RESFIN, "patterns": [{"sites": [0, 1], "colors": [1]}]}, "patterns[0]"),
+    ({**RESFIN, "patterns": [PAT, {"sites": [3, 3], "colors": [0, 1]}]}, "patterns[1]"),
+    ({**RESFIN, "patterns": [PAT, {"sites": [0], "colors": [0], "k": 2}]}, "patterns[1]"),
+    ({**RESFIN, "patterns": [{"sites": [], "colors": []}]}, "patterns[0]"),
+    ({**RESFIN, "patterns": [[0, 1]]}, "patterns[0]"),
+    ({**RESFIN, "patterns": 5}, "patterns must be"),
+    ([1, 2], "must be a JSON object"),
+    ({**MT, "eps": "abc"}, "eps must be decimal string"),
+    ({**MT, "eps": "1/0"}, "eps must be decimal string"),
+    ({**SWEEP, "eps_list": ["0.2", "x"]}, "eps_list must be"),
+    ({**LLL, "mode": "glll", "a": 0.002, "eps_sum": "abc"}, "eps_sum must be"),
+    ({**ROKHLIN, "single": {**SINGLE, "eps": "abc"}}, "single: eps must be"),
+    ({**UD, "d_sizes": [0]}, "d_sizes must be list[int >= 1]"),
+    ({**SWEEP, "d_sizes": [0]}, "d_sizes must be list[int >= 1]"),
+    ({**SWEEP, "s_sizes": [1, -2]}, "s_sizes must be list[int >= 1]"),
+    ({**MT, "s_size": 0}, "s_size must be int >= 1"),
+    ({**AI, "d_size": 0}, "d_size must be int >= 1"),
+    ({**LLL, "mode": "slll", "d_size": 0}, "d_size must be int >= 1"),
 ])
 def test_conditional_and_nested_keys_are_config_errors(tmp_path, capsys, doc, key):
     _assert_config_error(tmp_path, capsys, doc, key)

@@ -11,7 +11,8 @@ from shiftlab.concentration import (ConcentrationBoundInput, McEstimate,
                                     concentration_bound, deviates, deviation_sweep,
                                     familywise_z, mc_deviation_prob, scb_bound,
                                     wilson_interval, wilson_zero_floor)
-from shiftlab.groups import CyclicTranslation, GroupError, integer_interval
+from shiftlab.groups import (CyclicTranslation, FiniteAction, GroupCtx, GroupError,
+                             gset, integer_interval)
 from shiftlab.shift import all_patterns
 
 
@@ -129,6 +130,54 @@ def test_mc_requires_freeness():
     # D = {0..19} on a 10-point cycle collides
     with pytest.raises(GroupError):
         mc_deviation_prob(bad, CyclicTranslation(10), 0, phi, 10, seed=0)
+
+
+class _PinnedCycle(FiniteAction):
+    """Translation of Z/M except at one point, which every element fixes, so
+    S-freeness fails at that point only.  It is not a group action: the
+    orbit check has to find the one bad point, not infer it from x."""
+
+    ctx, total = GroupCtx("integers"), True
+
+    def __init__(self, modulus, pinned):
+        self.n_points, self.pinned = modulus, pinned
+
+    def act(self, gamma, point):
+        return point if point == self.pinned else (point + gamma) % self.n_points
+
+    def act_array(self, gamma, points):
+        return np.where(points == self.pinned, points, (points + gamma) % self.n_points)
+
+
+def _sd_free_verdict(action, S, D, x):
+    """The freeness check point by point: None, or the first failure."""
+    dx = [action.act(d, x) for d in D]
+    if len(set(dx)) < len(dx):
+        return "not D-free"
+    for y in set(dx) | {x}:
+        if len({action.act(s, y) for s in S}) < len(S):
+            return "not S-free"
+    return None
+
+
+@pytest.mark.parametrize("s_items, d_items", [([0, 1], [0, 2, 3]), ([-1, 4], [1, 6])])
+def test_mc_freeness_check_matches_point_by_point_loop(s_items, d_items):
+    Z = GroupCtx("integers")
+    S, D = gset(Z, s_items), gset(Z, d_items)
+    inp = ConcentrationBoundInput(2, S, Fraction(1, 4), D)
+    phi = all_patterns(S, 2)[0]
+    action = _PinnedCycle(12, pinned=5)
+    seen = set()
+    for x in range(12):
+        verdict = _sd_free_verdict(action, S, D, x)
+        seen.add(verdict)
+        if verdict is None:
+            assert mc_deviation_prob(inp, action, x, phi, 3, seed=x).trials == 3
+        else:
+            with pytest.raises(GroupError, match=verdict):
+                mc_deviation_prob(inp, action, x, phi, 3, seed=x)
+    # x = 5 collapses D.x; an x whose orbit passes 5 fails S-freeness there only
+    assert seen == {None, "not D-free", "not S-free"}
 
 
 def test_sweep_bounds_hold_small():

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shiftlab.groups import (CyclicTranslation, FiniteAction, GroupCtx,
-                             GroupError, GroupSet, TorusTranslation, ball,
+import shiftlab
+from shiftlab import shift
+from shiftlab.groups import (BoundaryError, CyclicTranslation, FiniteAction,
+                             GroupCtx, GroupError, GroupSet, TorusTranslation, ball,
                              difference_set_size,
                              free_group_window, group_inv, group_op,
                              growth_profile, gset, integer_interval, is_sd_free,
@@ -338,3 +340,51 @@ def test_cyclic_free_for_intervals_matches_residue_formula():
 def test_cyclic_free_for_matches_residue_formula(M, elems):
     S = gset(Z, elems)
     assert CyclicTranslation(M).free_for(S) == _free_by_residues(M, S.elements)
+
+
+def test_boundary_error_is_a_group_error():
+    assert issubclass(BoundaryError, GroupError)
+    assert shift.BoundaryError is shiftlab.BoundaryError is BoundaryError
+
+
+# the four action flavors, small enough that many translates leave a window
+ACTIONS = st.one_of(
+    st.integers(1, 30).map(CyclicTranslation),
+    st.tuples(st.integers(1, 6), st.integers(1, 6)).map(lambda t: TorusTranslation(*t)),
+    st.lists(st.integers(1, 6), min_size=1, max_size=2).map(lattice_window),
+    st.integers(0, 2).map(lambda r: free_group_window(2, r)),
+)
+NEAR_ELEMS = {
+    Z: st.integers(-8, 8),
+    L2: st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    F2: CTX_ELEMS[F2],
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(ACTIONS, st.data())
+def test_translates_and_image_match_act(action, data):
+    ctx = action.ctx
+    elems = [ctx.normalize(e) for e in data.draw(st.lists(NEAR_ELEMS[ctx], max_size=6))]
+    if ctx == Z and data.draw(st.booleans()):  # a run, as a GroupSet holds one
+        lo = data.draw(NEAR_ELEMS[Z])
+        elems = range(lo, lo + len(elems))
+    x = data.draw(st.integers(0, action.n_points - 1))
+    expect = [action.act(e, x) for e in elems]
+    if None in expect:
+        with pytest.raises(BoundaryError):
+            action.translates(elems, x)
+    else:
+        got = action.translates(elems, x)
+        assert got.dtype == np.int64 and got.tolist() == expect
+
+    gamma = ctx.normalize(data.draw(NEAR_ELEMS[ctx]))
+    pts = np.array(data.draw(st.lists(st.integers(0, action.n_points - 1), max_size=8)),
+                   dtype=np.int64)
+    for points in (pts, None):
+        ref = action.act_array(gamma, action.points() if points is None else points)
+        if np.any(ref < 0):
+            with pytest.raises(BoundaryError):
+                action.image(gamma, points)
+        else:
+            assert np.array_equal(action.image(gamma, points), ref)
