@@ -33,8 +33,8 @@ from .ergodic import (AveragingSequence, ergodic_convergence_experiment,
                       uniform_discrepancy_experiment)
 from .groups import CyclicTranslation, GroupCtx, GroupSet, integer_interval
 from .lll import (CertificationError, FrequencyDeviationEvent, GLLLWitnessSpec,
-                  check_glll_witness, find_log_growth_constant,
-                  find_slll_threshold, slll_stats)
+                  check_glll_witness, default_witness_exponent,
+                  find_log_growth_constant, find_slll_threshold, slll_stats)
 from .moser_tardos import (EventFamily, TapeSpace, resample_fraction, run_mt,
                            stabilization_ledger, tape_consistency)
 from .rng import _kernel_mark, _kernel_meta, derive_seed
@@ -50,6 +50,10 @@ class ConfigError(ValueError):
 
 
 # -- parameter schemas -------------------------------------------------------
+# Each parameter is (type, required, doc[, default]); `required` is True, False
+# or (key, value): required when the config sets key to value.  A type is a
+# type string (see `_conforms`), a parameter dict for a JSON object, or [dict]
+# for a list of such objects.
 
 SCHEMAS = {
     "ergodic-converge": {
@@ -58,12 +62,12 @@ SCHEMAS = {
                "misses 1/k^|S| by eps for some m >= n with the summed bound "
                "2 exp(-eps^2 |D_m| / (2|S|^3)).",
         "params": {
-            "k": ("int", True, "alphabet size"),
+            "k": ("int >= 1", True, "alphabet size"),
             "S": ("list[int]", True, "pattern domain in the integers"),
-            "eps": ("decimal string", True, "deviation tolerance"),
-            "C": ("number", True, "log-growth constant: |D_n| = ceil(C log(n+2))"),
-            "n_max": ("int", True, "largest averaging index"),
-            "samples": ("int", True, "number of sampled configurations"),
+            "eps": ("decimal string > 0", True, "deviation tolerance"),
+            "C": ("number > 0", True, "log-growth constant: |D_n| = ceil(C log(n+2))"),
+            "n_max": ("int >= 0", True, "largest averaging index"),
+            "samples": ("int >= 1", True, "number of sampled configurations"),
             "seed": ("int", True, "stream seed"),
         },
     },
@@ -72,12 +76,12 @@ SCHEMAS = {
                "frequencies under uniform coloring, against the closed-form "
                "bound 2 exp(-eps^2 |D| / (2|S|^3)) on a cyclic space.",
         "params": {
-            "ks": ("list[int]", True, "alphabet sizes"),
+            "ks": ("list[int >= 1]", True, "alphabet sizes"),
             "s_sizes": ("list[int >= 1]", True, "interval sizes for S = {0..s-1}"),
-            "eps_list": ("list[decimal string]", True, "tolerances"),
+            "eps_list": ("list[decimal string > 0]", True, "tolerances"),
             "d_sizes": ("list[int >= 1]", True, "interval sizes for D"),
-            "trials": ("int", True, "Monte Carlo trials per grid point"),
-            "modulus": ("int", True, "cyclic space size"),
+            "trials": ("int >= 1", True, "Monte Carlo trials per grid point"),
+            "modulus": ("int >= 1", True, "cyclic space size"),
             "seed": ("int", True, "stream seed"),
         },
     },
@@ -87,16 +91,16 @@ SCHEMAS = {
                "log-growth family with omega(n) = exp(-a |D_n|).",
         "params": {
             "mode": ("'slll' | 'glll'", True, "certification flavor"),
-            "k": ("int", True, "alphabet size"),
+            "k": ("int >= 1", True, "alphabet size"),
             "s_size": ("int >= 1", True, "interval size for S = {0..s-1}"),
-            "eps": ("decimal string", True, "deviation tolerance"),
-            "d_size": ("int >= 1", False, "slll: interval size for D"),
-            "shape": ("'interval' | 'generic'", False, "slll: degree bound mode"),
-            "search_cap": ("int", False, "slll: threshold search cap (default 100000)"),
-            "a": ("number", False, "glll: witness exponent"),
-            "C": ("number", False, "glll: log-growth constant (computed when omitted)"),
-            "n_prefix": ("int", False, "glll: checked prefix length (default 64)"),
-            "eps_sum": ("decimal string", False, "glll: budget target (default eps)"),
+            "eps": ("decimal string > 0", True, "deviation tolerance"),
+            "d_size": ("int >= 1", ("mode", "slll"), "slll: interval size for D"),
+            "shape": ("'interval' | 'generic'", False, "slll: degree bound mode", "interval"),
+            "search_cap": ("int >= 1", False, "slll: threshold search cap", 100_000),
+            "a": ("number > 0", ("mode", "glll"), "glll: witness exponent"),
+            "C": ("number > 0", False, "glll: log-growth constant (computed when omitted)"),
+            "n_prefix": ("int >= 1", False, "glll: checked prefix length", 64),
+            "eps_sum": ("decimal string > 0", False, "glll: budget target (default eps)"),
         },
     },
     "moser-tardos": {
@@ -105,15 +109,15 @@ SCHEMAS = {
                "resample fractions, selection counts, and the exact "
                "per-point ledger identity.",
         "params": {
-            "k": ("int", True, "alphabet size"),
-            "modulus": ("int", True, "cyclic space size"),
+            "k": ("int >= 1", True, "alphabet size"),
+            "modulus": ("int >= 1", True, "cyclic space size"),
             "s_size": ("int >= 1", True, "interval size for S"),
-            "eps": ("decimal string", True, "deviation tolerance"),
+            "eps": ("decimal string > 0", True, "deviation tolerance"),
             "d_size": ("int >= 1", True, "interval size for D"),
-            "seeds": ("int | list[int]", True, "seed count (0..n-1) or explicit list"),
-            "max_steps": ("int", False, "step budget (default 1000 per induced event)"),
-            "a": ("number", False, "witness exponent (default eps^2/(4|S|^3))"),
-            "expect_certified": ("bool", False, "fail (exit 2) unless all seeds converge"),
+            "seeds": ("int >= 1 | list[int]", True, "seed count (0..n-1) or explicit list"),
+            "max_steps": ("int >= 0", False, "step budget (default 1000 per induced event)"),
+            "a": ("number > 0", False, "witness exponent (default eps^2/(4|S|^3))"),
+            "expect_certified": ("bool", False, "exit 2 unless all seeds converge", False),
         },
     },
     "uniform-discrepancy": {
@@ -121,13 +125,13 @@ SCHEMAS = {
                "point sees every pattern with frequency within eps over every "
                "D_n; compares the resampled fraction with the witness budget.",
         "params": {
-            "k": ("int", True, "alphabet size"),
+            "k": ("int >= 1", True, "alphabet size"),
             "s_size": ("int >= 1", True, "interval size for S"),
-            "eps": ("decimal string", True, "deviation tolerance"),
+            "eps": ("decimal string > 0", True, "deviation tolerance"),
             "d_sizes": ("list[int >= 1]", True, "sizes of the (interval) averaging sets"),
-            "modulus": ("int", True, "cyclic space size"),
+            "modulus": ("int >= 1", True, "cyclic space size"),
             "seed": ("int", True, "tape seed"),
-            "a": ("number", False, "witness exponent"),
+            "a": ("number > 0", False, "witness exponent (default eps^2/(4|S|^3))"),
         },
     },
     "resfin": {
@@ -135,10 +139,13 @@ SCHEMAS = {
                "constant on residue classes mod a period, with exact "
                "shift-invariance verification.",
         "params": {
-            "k": ("int", True, "alphabet size"),
-            "period": ("int", True, "residue period"),
-            "patterns": ("list[{sites, colors}]", True, "patterns to tabulate"),
-            "shifts": ("list[int]", False, "shifts to verify (default [1, -1])"),
+            "k": ("int >= 1", True, "alphabet size"),
+            "period": ("int >= 1", True, "residue period"),
+            "patterns": ([{
+                "sites": ("list[int]", True, "distinct sites of the pattern"),
+                "colors": ("list[int >= 0]", True, "one color below k per site"),
+            }], True, "patterns to tabulate"),
+            "shifts": ("list[int]", False, "shifts to verify", [1, -1]),
         },
     },
     "approx-invariant": {
@@ -146,13 +153,13 @@ SCHEMAS = {
                "read off a finitely supported pattern distribution whose "
                "shifted cylinder values all stay within eps of 1/k^|S|.",
         "params": {
-            "k": ("int", True, "alphabet size"),
+            "k": ("int >= 1", True, "alphabet size"),
             "s_size": ("int >= 1", True, "interval size for S"),
-            "eps": ("decimal string", True, "deviation tolerance"),
+            "eps": ("decimal string > 0", True, "deviation tolerance"),
             "d_size": ("int >= 1", True, "interval size for D"),
-            "modulus": ("int", True, "cyclic space size"),
+            "modulus": ("int >= 1", True, "cyclic space size"),
             "seed": ("int", True, "tape seed"),
-            "shift_test_range": ("int", False, "how many shifts to test (default all)"),
+            "shift_test_range": ("int >= 1", False, "how many shifts to test (default all)"),
         },
     },
     "rokhlin-bad": {
@@ -161,21 +168,18 @@ SCHEMAS = {
                "and per-band capture fractions for the windowed averages "
                "(exactly 1 on the union, exactly 0 on its complement).",
         "params": {
-            "h": ("int | list[int]", True, "requested interval lengths"),
-            "i_max": ("int", True, "number of stages"),
+            "h": ("int >= 1 | list[int >= 1]", True, "requested interval lengths"),
+            "i_max": ("int >= 1", True, "number of stages"),
             "seed": ("int", True, "offset seed"),
-            "k_probe": ("list[int]", False, "union tail indices to probe"),
-            "min_capture": ("number", False, "per-band capture threshold (default 0.99)"),
-            "single": ("{eps, h, modulus}", False, "also build one explicit tower"),
+            "k_probe": ("list[int >= 0]", False, "union tail indices to probe"),
+            "min_capture": ("number", False, "per-band capture threshold", 0.99),
+            "single": ({
+                "eps": ("decimal string > 0", True, "tolerance of the tower"),
+                "h": ("int >= 1 | list[int >= 1]", True, "requested interval lengths"),
+                "modulus": ("int >= 1", True, "cyclic space size"),
+            }, False, "also build one explicit tower"),
         },
     },
-}
-
-# the parameters of rokhlin-bad's "single" block
-SINGLE_PARAMS = {
-    "eps": ("decimal string", True, "tolerance of the tower"),
-    "h": ("int | list[int]", True, "requested interval lengths"),
-    "modulus": ("int", True, "cyclic space size"),
 }
 
 
@@ -186,83 +190,91 @@ def _is_int(v) -> bool:
 def _is_decimal(v) -> bool:
     """A string (or a JSON number) that `as_fraction` reads exactly."""
     try:
-        return isinstance(v, (int, float, str)) and not isinstance(v, bool) \
-            and Fraction(str(v)) is not None
+        return (_is_int(v) or isinstance(v, (float, str))) and as_fraction(v) is not None
     except (ValueError, ZeroDivisionError):
         return False
 
 
-def _list_of(test):
-    return lambda v: isinstance(v, list) and all(test(x) for x in v)
-
-
-def _is_size(v) -> bool:
-    return _is_int(v) and v >= 1
-
-
-# JSON type tests for the schema types that name one; the others are
-# checked by their drivers
-_TYPE_CHECKS = {
+# a type string is a base type with an optional bound, a quoted choice, a
+# union "A | B", or "list[A]"
+_BASE_TYPES = {
     "int": _is_int,
-    "list[int]": _list_of(_is_int),
-    "number": lambda v: _is_int(v) or isinstance(v, float),
+    "number": lambda v: _is_int(v) or isinstance(v, float) and abs(v) < float("inf"),
     "bool": lambda v: isinstance(v, bool),
-    "int | list[int]": lambda v: _is_int(v) or _list_of(_is_int)(v),
-    "int >= 1": _is_size,
-    "list[int >= 1]": _list_of(_is_size),
     "decimal string": _is_decimal,
-    "list[decimal string]": _list_of(_is_decimal),
-    "list[{sites, colors}]": lambda v: isinstance(v, list),  # entries: `_validate`
 }
+_BOUNDS = {">= 0": lambda x: x >= 0, ">= 1": lambda x: x >= 1, "> 0": lambda x: x > 0}
 
 
-def _check_params(where: str, schema: dict, params: dict) -> None:
+def _conforms(typ: str, v) -> bool:
+    """Whether the JSON value `v` has the type string `typ`; lists must be
+    nonempty.  An unknown type string raises ValueError."""
+    if " | " in typ:
+        # every alternative is read, so an unknown one raises whatever `v` is
+        return any([_conforms(t, v) for t in typ.split(" | ")])
+    if typ.startswith("list[") and typ.endswith("]"):
+        return isinstance(v, list) and bool(v) and all(_conforms(typ[5:-1], x) for x in v)
+    if typ.startswith("'") and typ.endswith("'"):
+        return v == typ[1:-1]
+    for bound, holds in _BOUNDS.items():
+        if typ.endswith(" " + bound):
+            return _conforms(typ[:-len(bound) - 1], v) and \
+                holds(as_fraction(v) if isinstance(v, str) else v)
+    if typ not in _BASE_TYPES:
+        raise ValueError(f"unknown schema type {typ!r}")
+    return _BASE_TYPES[typ](v)
+
+
+def _type_name(typ) -> str:
+    """A schema type as `describe` prints it."""
+    if isinstance(typ, dict):
+        return "{" + ", ".join(typ) + "}"
+    if isinstance(typ, list):
+        return f"list[{_type_name(typ[0])}]"
+    return typ
+
+
+def _check(where: str, name: str, typ, v):
+    """The value `v` of key `name`, checked against the schema type `typ`,
+    with the defaults of nested objects filled in."""
+    if isinstance(typ, dict):
+        if isinstance(v, dict):
+            return _check_params(f"{where} {name}", typ, v)
+    elif isinstance(typ, list):
+        if isinstance(v, list) and v:
+            return [_check(where, f"{name}[{i}]", typ[0], x) for i, x in enumerate(v)]
+    elif _conforms(typ, v):
+        return v
+    typ = _type_name(typ)
+    note = " (a list must be nonempty)" if v == [] and "list[" in typ else ""
+    raise ConfigError(f"{where}: {name} must be {typ}{note}, got {v!r}")
+
+
+def _check_params(where: str, schema: dict, params: dict) -> dict:
+    """`params` checked against `schema`, with the defaults filled in."""
     unknown = set(params) - set(schema)
     if unknown:
         raise ConfigError(f"unknown keys for {where}: {sorted(unknown)}")
-    missing = [p for p, (_t, req, _d) in schema.items() if req and p not in params]
+    missing = [name for name, (_t, req, *_) in schema.items() if name not in params
+               and (req is True or req and params.get(req[0]) == req[1])]
     if missing:
         raise ConfigError(f"missing required keys for {where}: {missing}")
-    for name, value in params.items():
-        typ = schema[name][0]
-        if typ in _TYPE_CHECKS and not _TYPE_CHECKS[typ](value):
-            raise ConfigError(f"{where}: {name} must be {typ}, got {value!r}")
-
-
-# list-valued keys that must name at least one value
-_NONEMPTY = {"concentration-sweep": ("ks", "s_sizes", "eps_list", "d_sizes"),
-             "uniform-discrepancy": ("d_sizes",)}
+    checked = {name: entry[3] for name, entry in schema.items() if len(entry) == 4}
+    checked.update((name, _check(where, name, schema[name][0], v))
+                   for name, v in params.items())
+    return checked
 
 
 def _validate(kind: str, params: dict) -> dict:
-    _check_params(kind, SCHEMAS[kind]["params"], params)
-    for key in _NONEMPTY.get(kind, ()):
-        if not params[key]:
-            raise ConfigError(f"{kind}: {key} must be nonempty")
+    """The parameters of a `kind` config, checked, with the defaults filled in."""
+    p = _check_params(kind, SCHEMAS[kind]["params"], params)
     if kind == "resfin":
-        for i, q in enumerate(params["patterns"]):
-            if not (isinstance(q, dict) and set(q) == {"sites", "colors"}
-                    and _list_of(_is_int)(q["sites"]) and _list_of(_is_int)(q["colors"])
-                    and 0 < len(set(q["sites"])) == len(q["sites"]) == len(q["colors"])):
-                raise ConfigError(f"{kind}: patterns[{i}] must be an object with exactly "
-                                  "sites and colors, equal-length nonempty int lists with "
-                                  f"distinct sites, got {q!r}")
-    if kind == "lll-check":
-        for mode, key in (("slll", "d_size"), ("glll", "a")):
-            if params["mode"] == mode and key not in params:
-                raise ConfigError(f"missing required keys for {kind} mode {mode!r}: [{key!r}]")
-    if kind == "rokhlin-bad":
-        blocks = [(kind, params)]
-        if "single" in params:
-            if not isinstance(params["single"], dict):
-                raise ConfigError(f"{kind}: single must be an object with eps, h "
-                                  f"and modulus, got {params['single']!r}")
-            _check_params(f"{kind} single", SINGLE_PARAMS, params["single"])
-            blocks.append((f"{kind} single", params["single"]))
-        for where, block in blocks:
-            if block["h"] == []:
-                raise ConfigError(f"{where}: h must list at least one length")
-    return params
+        for i, q in enumerate(p["patterns"]):
+            if not (len(set(q["sites"])) == len(q["sites"]) == len(q["colors"])
+                    and max(q["colors"]) < p["k"]):
+                raise ConfigError(f"{kind}: patterns[{i}] must have distinct sites, one color "
+                                  f"per site and colors below k = {p['k']}, got {q!r}")
+    return p
 
 
 def _json_default(o):
@@ -283,13 +295,11 @@ def _run_ergodic_converge(p, out, jobs, transcript):
     rep = ergodic_convergence_experiment(
         p["k"], S, as_fraction(p["eps"]), AveragingSequence.log_growth(p["C"]),
         p["n_max"], p["samples"], p["seed"])
-    ok = rep.exceedances_within()
     _write_csv(out / "ergodic-converge-detail.csv",
                ["n", "d_size", "worst_dev", "exceed_frac_beyond", "bc_tail"],
                rep.csv_rows())
-    summary = {"verdict": "pass" if ok else "fail",
-               "first_quiet_n": rep.first_quiet_n, "samples": rep.samples}
-    return summary, EXIT_OK if ok else EXIT_VERDICT
+    return {"verdict": "pass" if rep.exceedances_within() else "fail",
+            "first_quiet_n": rep.first_quiet_n, "samples": rep.samples}
 
 
 def _run_concentration_sweep(p, out, jobs, transcript):
@@ -305,9 +315,8 @@ def _run_concentration_sweep(p, out, jobs, transcript):
                  r.wilson_lower, r.wilson_upper, r.expectation_zscore,
                  r.verdict) for r in rows))
     bad = [r for r in rows if r.verdict == "fail"]
-    summary = {"points": len(rows), "failed": len(bad),
-               "verdict": "pass" if not bad else "fail"}
-    return summary, EXIT_OK if not bad else EXIT_VERDICT
+    return {"points": len(rows), "failed": len(bad),
+            "verdict": "pass" if not bad else "fail"}
 
 
 def _run_lll_check(p, out, jobs, transcript):
@@ -316,43 +325,33 @@ def _run_lll_check(p, out, jobs, transcript):
     if p["mode"] == "slll":
         stats = slll_stats(p["k"], S, eps, integer_interval(p["d_size"]),
                            degree_mode="auto")
-        thr = find_slll_threshold(p["k"], S, eps, shape=p.get("shape", "interval"),
-                                  search_cap=p.get("search_cap", 100_000))
+        thr = find_slll_threshold(p["k"], S, eps, shape=p["shape"],
+                                  search_cap=p["search_cap"])
         _write_csv(out / "lll-check-detail.csv",
                    ["quantity", "value"],
                    [("p_bound", stats.p_bound), ("d_bound", stats.d_bound),
                     ("slll_margin", stats.slll_margin),
                     ("threshold", thr.threshold if thr.found else "none"),
                     ("stationary_point", thr.stationary_point), ("case", thr.case)])
-        ok = stats.certified
-        summary = {"mode": "slll", "slll_margin": stats.slll_margin,
-                   "certified": ok,
-                   "threshold": thr.threshold if thr.found else None,
-                   "verdict": "pass" if ok else "slll_margin >= 1"}
-        return summary, EXIT_OK if ok else EXIT_VERDICT
-    if p["mode"] == "glll":
-        n_prefix = p.get("n_prefix", 64)
-        if n_prefix < 1:
-            raise ConfigError(f"lll-check: n_prefix must be >= 1, got {n_prefix}")
-        eps_sum = as_fraction(p.get("eps_sum", p["eps"]))
-        C = p.get("C")
-        if C is None:
-            C = find_log_growth_constant(p["k"], S, eps, p["a"], eps_sum)
-        witness = GLLLWitnessSpec(a=p["a"], C=C)
-        d_seq = [integer_interval(AveragingSequence.log_growth(C).size(n))
-                 for n in range(n_prefix)]
-        rep = check_glll_witness(p["k"], S, eps, d_seq, witness,
-                                 eps_sum=eps_sum, degree_mode="interval")
-        _write_csv(out / "lll-check-detail.csv",
-                   ["inequality-id", "n", "lhs", "rhs", "slack", "verdict"],
-                   ((r.inequality_id, r.n, r.lhs, r.rhs, r.slack,
-                     "pass" if r.verdict else "fail") for r in rep.records))
-        summary = {"mode": "glll", "ok": rep.ok, "C": C,
-                   "budget_sum": rep.budget_sum,
-                   "failing": [r.to_json() for r in rep.failing()],
-                   "verdict": "pass" if rep.ok else "witness inequality failed"}
-        return summary, EXIT_OK if rep.ok else EXIT_VERDICT
-    raise ConfigError(f"unknown lll-check mode {p['mode']!r}")
+        return {"mode": "slll", "slll_margin": stats.slll_margin,
+                "certified": stats.certified,
+                "threshold": thr.threshold if thr.found else None,
+                "verdict": "pass" if stats.certified else "slll_margin >= 1"}
+    eps_sum = as_fraction(p.get("eps_sum", p["eps"]))
+    C = p.get("C") or find_log_growth_constant(p["k"], S, eps, p["a"], eps_sum)
+    witness = GLLLWitnessSpec(a=p["a"], C=C)
+    d_seq = [integer_interval(AveragingSequence.log_growth(C).size(n))
+             for n in range(p["n_prefix"])]
+    rep = check_glll_witness(p["k"], S, eps, d_seq, witness,
+                             eps_sum=eps_sum, degree_mode="interval")
+    _write_csv(out / "lll-check-detail.csv",
+               ["inequality-id", "n", "lhs", "rhs", "slack", "verdict"],
+               ((r.inequality_id, r.n, r.lhs, r.rhs, r.slack,
+                 "pass" if r.verdict else "fail") for r in rep.records))
+    return {"mode": "glll", "ok": rep.ok, "C": C,
+            "budget_sum": rep.budget_sum,
+            "failing": [r.to_json() for r in rep.failing()],
+            "verdict": "pass" if rep.ok else "witness inequality failed"}
 
 
 def _run_moser_tardos(p, out, jobs, transcript):
@@ -363,12 +362,9 @@ def _run_moser_tardos(p, out, jobs, transcript):
     action = CyclicTranslation(p["modulus"])
     ev = FrequencyDeviationEvent(k, S, eps, D)
     family = EventFamily.of(ev)
-    a = p.get("a", float(eps) ** 2 / (4.0 * len(S) ** 3))
+    a = p.get("a") or default_witness_exponent(eps, len(S))
     omega = GLLLWitnessSpec(a).omega(len(D))
     seeds = list(range(p["seeds"])) if isinstance(p["seeds"], int) else list(p["seeds"])
-    if not seeds:
-        raise ConfigError(f"moser-tardos: seeds must be a count >= 1 or a nonempty "
-                          f"list, got {p['seeds']!r}")
 
     def one(seed):
         # measured inside the task, so only one seed's arrays are alive at a time
@@ -412,10 +408,10 @@ def _run_moser_tardos(p, out, jobs, transcript):
     }
     ok = ledger_ok and (mean_index / n <= bound) and \
         (resampled / n <= len(ev.domain) * bound)
-    if p.get("expect_certified"):
+    if p["expect_certified"]:
         ok = ok and converged == n
     summary["verdict"] = "pass" if ok else "fail"
-    return summary, EXIT_OK if ok else EXIT_VERDICT
+    return summary
 
 
 def _run_uniform_discrepancy(p, out, jobs, transcript):
@@ -431,15 +427,14 @@ def _run_uniform_discrepancy(p, out, jobs, transcript):
             detail.append((n, pid, f, t, d))
     _write_csv(out / "uniform-discrepancy-detail.csv",
                ["n", "pattern", "freq_at_worst_point", "target", "deviation"], detail)
-    ok = bool(res.result.converged and res.all_within)
-    summary = {"converged": res.result.converged, "certified": res.certified,
-               "max_deviation": res.max_deviation, "all_within": res.all_within,
-               "violating_fraction": res.delta_report,
-               "frac_resampled": res.fractions.frac_resampled,
-               "resample_budget": res.fractions.bound,
-               "warnings": res.warnings,
-               "verdict": "pass" if ok else "fail"}
-    return summary, EXIT_OK if ok else EXIT_VERDICT
+    ok = res.result.converged and res.all_within
+    return {"converged": res.result.converged, "certified": res.certified,
+            "max_deviation": res.max_deviation, "all_within": res.all_within,
+            "violating_fraction": res.delta_report,
+            "frac_resampled": res.fractions.frac_resampled,
+            "resample_budget": res.fractions.bound,
+            "warnings": res.warnings,
+            "verdict": "pass" if ok else "fail"}
 
 
 def _run_resfin(p, out, jobs, transcript):
@@ -447,15 +442,14 @@ def _run_resfin(p, out, jobs, transcript):
     pats = [Pattern.from_map(ctx, dict(zip(q["sites"], q["colors"])), p["k"])
             for q in p["patterns"]]
     table = periodic_cylinder_table(p["k"], p["period"], pats,
-                                    shifts=tuple(p.get("shifts", (1, -1))))
+                                    shifts=tuple(p["shifts"]))
     _write_csv(out / "resfin-detail.csv",
                ["pattern", "residues", "consistent", "value"],
                ((r.pattern.pattern_id, r.residues, r.consistent, str(r.value))
                 for r in table.rows))
-    summary = {"period": table.period, "patterns": len(table.rows),
-               "shift_invariant": table.shift_invariant,
-               "verdict": "pass" if table.shift_invariant else "fail"}
-    return summary, EXIT_OK if table.shift_invariant else EXIT_VERDICT
+    return {"period": table.period, "patterns": len(table.rows),
+            "shift_invariant": table.shift_invariant,
+            "verdict": "pass" if table.shift_invariant else "fail"}
 
 
 def _run_approx_invariant(p, out, jobs, transcript):
@@ -465,13 +459,12 @@ def _run_approx_invariant(p, out, jobs, transcript):
                                    integer_interval(p["d_size"]), p["modulus"],
                                    p["seed"], p.get("shift_test_range"))
     except CertificationError as exc:
-        return {"verdict": "fail", "error": str(exc)}, EXIT_VERDICT
+        return {"verdict": "fail", "error": str(exc)}
     _write_csv(out / "approx-invariant-detail.csv",
                ["pattern", "weight"], ((pid, str(w)) for pid, w in m.atoms))
-    summary = {"support": len(m.atoms), "worst_shift_dev": m.worst_shift_dev,
-               "eps": m.eps, "within": m.within,
-               "verdict": "pass" if m.within else "fail"}
-    return summary, EXIT_OK if m.within else EXIT_VERDICT
+    return {"support": len(m.atoms), "worst_shift_dev": m.worst_shift_dev,
+            "eps": m.eps, "within": m.within,
+            "verdict": "pass" if m.within else "fail"}
 
 
 def _lengths(where: str, h):
@@ -490,7 +483,7 @@ def _lengths(where: str, h):
 def _run_rokhlin_bad(p, out, jobs, transcript):
     rep = bad_sequence_experiment(_lengths("rokhlin-bad", p["h"]), p["i_max"],
                                   seed=p["seed"], k_probe=p.get("k_probe"))
-    min_capture = Fraction(str(p.get("min_capture", "0.99")))
+    min_capture = as_fraction(p["min_capture"])
     _write_csv(out / "rokhlin-bad-detail.csv",
                ["q", "band", "frac_full_average", "frac_null_average"],
                ((b.q, b.band, str(b.frac_full), str(b.frac_null))
@@ -501,7 +494,7 @@ def _run_rokhlin_bad(p, out, jobs, transcript):
     if "single" in p:
         s = p["single"]
         plan = plan_intervals(_lengths("rokhlin-bad single", s["h"]),
-                              Fraction(str(s["eps"])))
+                              as_fraction(s["eps"]))
         build = build_tower(plan, s["modulus"])
         cap = verify_capture(build)
         single = {"N": plan.N, "ell": plan.ell, "mu_a": build.mu_a,
@@ -512,14 +505,12 @@ def _run_rokhlin_bad(p, out, jobs, transcript):
                    tower_level_rows(build))
         capture_ok = capture_ok and cap.all_b_captured and \
             cap.fraction >= 1 - plan.eps
-    ok = tail_ok and capture_ok
-    summary = {"modulus": rep.modulus,
-               "mu_tail": {str(q): mu for q, mu in rep.mu_tail.items()},
-               "all_bands_capture": {str(q): f for q, f in rep.all_bands_frac.items()},
-               "tail_measures_ok": tail_ok, "capture_ok": capture_ok,
-               "note": rep.interpretation_note, "single": single,
-               "verdict": "pass" if ok else "fail"}
-    return summary, EXIT_OK if ok else EXIT_VERDICT
+    return {"modulus": rep.modulus,
+            "mu_tail": {str(q): mu for q, mu in rep.mu_tail.items()},
+            "all_bands_capture": {str(q): f for q, f in rep.all_bands_frac.items()},
+            "tail_measures_ok": tail_ok, "capture_ok": capture_ok,
+            "note": rep.interpretation_note, "single": single,
+            "verdict": "pass" if tail_ok and capture_ok else "fail"}
 
 
 RUNNERS = {
@@ -564,8 +555,7 @@ def cmd_run(args) -> int:
         kind = config.get("experiment")
         if kind not in RUNNERS:
             raise ConfigError(f"unknown experiment kind {kind!r}; see `shiftlab list`")
-        params = {k: v for k, v in config.items() if k != "experiment"}
-        _validate(kind, params)
+        params = _validate(kind, {k: v for k, v in config.items() if k != "experiment"})
     except (json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -574,7 +564,7 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         mark = _kernel_mark()
-        summary, code = RUNNERS[kind](params, out, args.jobs, args.transcript)
+        summary = RUNNERS[kind](params, out, args.jobs, args.transcript)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -587,12 +577,13 @@ def cmd_run(args) -> int:
     meta = {"written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
             **_kernel_meta(mark)}
     (out / f"{kind}-meta.json").write_text(json.dumps(meta, indent=2) + "\n")
-    verdict = summary.get("verdict", "pass")
+    verdict = summary["verdict"]
     print(f"{kind}: {verdict} (reports in {out})")
-    if code == EXIT_VERDICT:
+    if verdict != "pass":
         failing = summary.get("failing") or summary.get("error") or verdict
         print(f"verdict failure: {failing}", file=sys.stderr)
-    return code
+        return EXIT_VERDICT
+    return EXIT_OK
 
 
 def cmd_describe(args) -> int:
@@ -602,10 +593,20 @@ def cmd_describe(args) -> int:
         return EXIT_USAGE
     meta = SCHEMAS[kind]
     print(f"{kind}\n{'=' * len(kind)}\n{meta['doc']}\n\nparameters:")
-    for name, (typ, required, doc) in meta["params"].items():
-        flag = "required" if required else "optional"
-        print(f"  {name:<18} {typ:<22} [{flag}] {doc}")
+    _print_params(meta["params"], "  ")
     return EXIT_OK
+
+
+def _print_params(schema: dict, indent: str) -> None:
+    for name, (typ, req, doc, *default) in schema.items():
+        flag = ("required" if req is True
+                else f"required if {req[0]} = {req[1]!r}" if req else "optional")
+        if default:
+            flag += f", default {json.dumps(default[0])}"
+        print(f"{indent}{name:<{20 - len(indent)}} {_type_name(typ):<26} [{flag}] {doc}")
+        obj = typ[0] if isinstance(typ, list) else typ
+        if isinstance(obj, dict):
+            _print_params(obj, indent + "  ")
 
 
 def cmd_list(_args) -> int:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .groups import FiniteAction, GroupError, GroupSet, set_product
 from .rng import block_rows, color_matrix, derive_seed
-from .shift import Pattern, as_fraction
+from .shift import Pattern, all_patterns, as_fraction
 
 WILSON_Z95 = 1.959963984540054
 # two-sided tail mass of a single 3-sigma test
@@ -227,8 +227,6 @@ def deviation_sweep(grid, action_factory, trials: int, seed: int,
     whole sweep fails by chance no more often than one 3-sigma test; a raw
     estimate above the bound is not by itself a failure.
     """
-    from .shift import all_patterns
-
     points = []
     for i, (k, S, eps, D) in enumerate(grid):
         inp = ConcentrationBoundInput(k, S, as_fraction(eps), D)

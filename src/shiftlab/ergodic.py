@@ -16,7 +16,7 @@ from .concentration import ConcentrationBoundInput, concentration_bound, deviate
 from .groups import (CyclicTranslation, FiniteAction, GroupCtx, GroupError,
                      GroupSet, integer_interval, is_sd_free)
 from .lll import (CertificationError, FrequencyDeviationEvent, GLLLWitnessSpec,
-                  check_glll_witness, slll_stats)
+                  check_glll_witness, default_witness_exponent, slll_stats)
 from .moser_tardos import (EventFamily, MTResult, TapeSpace, frequency_counts,
                            resample_fraction, run_mt)
 from .rng import block_rows, color_matrix, derive_seed
@@ -206,14 +206,13 @@ def uniform_discrepancy_experiment(k: int, S: GroupSet, eps, seq: AveragingSeque
     proceeds best-effort but the result carries a warning instead of a claim.
     """
     eps_fr = as_fraction(eps)
-    epsf = float(eps_fr)
     d_sets = [seq.realize(n) for n in range(n_max + 1)]
     for ds in d_sets:
         if is_sd_free(action, [S, ds]) is not True:
             raise GroupError("action must be (S, D_n)-free for every n")
 
     if a is None:
-        a = epsf * epsf / (4.0 * len(S) ** 3)
+        a = default_witness_exponent(eps_fr, len(S))
     witness = GLLLWitnessSpec(a=a)
     degree_mode = ("interval" if all(s.interval is not None for s in [S, *d_sets])
                    else "generic")

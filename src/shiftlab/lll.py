@@ -301,6 +301,14 @@ class GLLLWitnessSpec:
         return w
 
 
+def default_witness_exponent(eps, s_size: int) -> float:
+    """The witness exponent a = eps^2 / (4|S|^3) used when none is given: half
+    the exponent of the deviation bound 2 exp(-eps^2 |D| / (2|S|^3)), so the
+    bound falls below omega(n) = exp(-a |D_n|) once |D_n| is large."""
+    epsf = float(eps)
+    return epsf * epsf / (4.0 * s_size ** 3)
+
+
 def tail_log_series(q: float, start: int) -> float:
     """Upper bound for sum_{m >= start} log(m+2) / (m+2)^q (natural log)."""
     if q <= 1.0:

@@ -224,15 +224,6 @@ def defect(coloring: np.ndarray, ev: BadEvent, action: FiniteAction,
     return tuple(sorted(pts))
 
 
-def defect_translation_identity(coloring: np.ndarray, ev: BadEvent,
-                                action: FiniteAction) -> bool:
-    """Def(f, induced family) equals F . Def(f, event): checked exactly."""
-    direct = set()
-    for x in defect(coloring, ev, action):
-        direct.update(action.translates(ev.domain.elements, x).tolist())
-    return tuple(sorted(direct)) == defect(coloring, ev, action, translated=True)
-
-
 def tape_consistency(result: MTResult) -> bool:
     """Final coloring reads symbol t(p) of every tape, exactly."""
     expect = result.tape.symbols(np.arange(result.t.size), result.t)

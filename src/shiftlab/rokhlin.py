@@ -25,6 +25,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .rng import derive_seed, mix_counters
+from .shift import as_fraction
 from .windows import circular_window_reduce
 
 
@@ -73,7 +74,7 @@ class BadIntervalPlan:
 
 def plan_intervals(h: Union[Callable[[int], int], Sequence[int]], eps) -> BadIntervalPlan:
     """Minimal-N plan for tolerance eps with interval lengths >= h(n)."""
-    eps_fr = eps if isinstance(eps, Fraction) else Fraction(str(eps))
+    eps_fr = as_fraction(eps)
     if not (0 < eps_fr < 1):
         raise TowerError(f"eps must lie in (0, 1), got {eps_fr}")
     N = 1

@@ -1,8 +1,11 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from shiftlab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERDICT, SCHEMAS, main
+from shiftlab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERDICT, SCHEMAS, _conforms, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, doc):
@@ -41,6 +44,14 @@ def test_list_and_describe(capsys):
     assert main(["describe", "rokhlin-bad"]) == EXIT_OK
     text = capsys.readouterr().out
     assert "tower" in text
+    # the keys of the nested `single` block, one level deeper
+    assert all(f"\n    {key} " in text for key in ("eps", "h", "modulus"))
+    assert main(["describe", "lll-check"]) == EXIT_OK
+    text = capsys.readouterr().out
+    for rule in ("[required if mode = 'slll']", "[required if mode = 'glll']",
+                 '[optional, default "interval"]', "[optional, default 100000]",
+                 "[optional, default 64]"):
+        assert rule in text
     assert main(["describe", "wat"]) == EXIT_USAGE
 
 
@@ -238,18 +249,19 @@ UD = {"experiment": "uniform-discrepancy", "k": 2, "s_size": 1, "eps": "0.3",
     ({**ROKHLIN, "single": {**SINGLE, "hh": 1}}, "'hh'"),
     ({**ROKHLIN, "single": {**SINGLE, "modulus": "4200"}}, "modulus must be int"),
     ({**ROKHLIN, "single": 5}, "single must be"),
-    ({**ROKHLIN, "h": []}, "h must list"),
-    ({**ROKHLIN, "single": {**SINGLE, "h": []}}, "single: h must list"),
+    ({**ROKHLIN, "h": []}, "h must be int >= 1 | list[int >= 1] (a list must be nonempty)"),
+    ({**ROKHLIN, "single": {**SINGLE, "h": []}},
+     "single: h must be int >= 1 | list[int >= 1] (a list must be nonempty)"),
     ({**ROKHLIN, "h": [3]}, "h gives 1 length(s)"),
     ({**ROKHLIN, "single": {**SINGLE, "h": [3, 4]}}, "single: h gives 2 length(s)"),
-    ({**AI, "shift_test_range": 0}, "shift_test_range must be >= 1"),
-    ({**AI, "shift_test_range": -3}, "shift_test_range must be >= 1"),
-    ({**UD, "d_sizes": []}, "d_sizes must be nonempty"),
-    ({**LLL, "mode": "glll", "a": 0.002, "n_prefix": 0}, "n_prefix must be >= 1"),
-    ({**ROKHLIN, "k_probe": [0, -1]}, "k_probe entries must be >= 0"),
-    ({**MT, "a": 0}, "a must be positive"),
-    ({**MT, "a": -1}, "a must be positive"),
-    ({**LLL, "mode": "slll", "d_size": 100, "search_cap": 0}, "search_cap must be >= 1"),
+    ({**AI, "shift_test_range": 0}, "shift_test_range must be int >= 1"),
+    ({**AI, "shift_test_range": -3}, "shift_test_range must be int >= 1"),
+    ({**UD, "d_sizes": []}, "d_sizes must be list[int >= 1] (a list must be nonempty)"),
+    ({**LLL, "mode": "glll", "a": 0.002, "n_prefix": 0}, "n_prefix must be int >= 1"),
+    ({**ROKHLIN, "k_probe": [0, -1]}, "k_probe must be list[int >= 0]"),
+    ({**MT, "a": 0}, "a must be number > 0"),
+    ({**MT, "a": -1}, "a must be number > 0"),
+    ({**LLL, "mode": "slll", "d_size": 100, "search_cap": 0}, "search_cap must be int >= 1"),
     ({**RESFIN, "patterns": [{"sites": [0, 1], "colors": [1]}]}, "patterns[0]"),
     ({**RESFIN, "patterns": [PAT, {"sites": [3, 3], "colors": [0, 1]}]}, "patterns[1]"),
     ({**RESFIN, "patterns": [PAT, {"sites": [0], "colors": [0], "k": 2}]}, "patterns[1]"),
@@ -268,9 +280,112 @@ UD = {"experiment": "uniform-discrepancy", "k": 2, "s_size": 1, "eps": "0.3",
     ({**MT, "s_size": 0}, "s_size must be int >= 1"),
     ({**AI, "d_size": 0}, "d_size must be int >= 1"),
     ({**LLL, "mode": "slll", "d_size": 0}, "d_size must be int >= 1"),
+    # values the schema did not bound before it became the only check
+    ({**RESFIN, "patterns": [PAT], "shifts": []}, "shifts must be list[int]"),
+    ({**RESFIN, "patterns": []}, "patterns must be list[{sites, colors}]"),
+    ({**ROKHLIN, "k_probe": []}, "k_probe must be list[int >= 0]"),
+    ({**MT, "k": 0}, "k must be int >= 1"),
+    ({**MT, "modulus": 0}, "modulus must be int >= 1"),
+    ({**MT, "eps": "0"}, "eps must be decimal string > 0"),
+    ({**ERGODIC, "C": -1}, "C must be number > 0"),
+    ({**ROKHLIN, "i_max": 0}, "i_max must be int >= 1"),
+    ({**LLL, "mode": "bogus"}, "mode must be 'slll' | 'glll'"),
+    ({**LLL, "mode": "slll", "d_size": 100, "shape": "bogus"},
+     "shape must be 'interval' | 'generic'"),
+    ({**ERGODIC, "C": float("inf")}, "C must be number > 0"),
+    ({**ROKHLIN, "min_capture": float("nan")}, "min_capture must be number"),
+    ({**RESFIN, "patterns": [{"sites": [0], "colors": [5]}]},
+     "patterns[0] must have distinct sites, one color per site and colors below k = 2"),
 ])
 def test_conditional_and_nested_keys_are_config_errors(tmp_path, capsys, doc, key):
     _assert_config_error(tmp_path, capsys, doc, key)
+
+
+# a valid config of every kind, with every optional object present
+BASES = {"ergodic-converge": ERGODIC, "concentration-sweep": SWEEP,
+         "lll-check": {**LLL, "mode": "slll", "d_size": 100}, "moser-tardos": MT,
+         "uniform-discrepancy": UD, "resfin": {**RESFIN, "patterns": [PAT]},
+         "approx-invariant": AI, "rokhlin-bad": {**ROKHLIN, "single": SINGLE}}
+JUST_OUTSIDE = {">= 0": -1, ">= 1": 0, "> 0": 0}
+
+
+def outside(typ: str):
+    """Values just outside a type string: [] for each list alternative, and
+    the nearest violation of each bound (inside a one-entry list for a list
+    of bounded entries)."""
+    for alt in typ.split(" | "):
+        if alt.startswith("list["):
+            yield []
+            yield from ([x] for x in outside(alt[5:-1]))
+        for bound, x in JUST_OUTSIDE.items():
+            if alt.endswith(" " + bound):
+                yield str(x) if alt.startswith("decimal string") else x
+
+
+def set_at(doc, path, value):
+    doc = json.loads(json.dumps(doc))
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return doc
+
+
+def bad_configs(schema, doc, path=()):
+    """(config, key, test id) for every value just outside the type of a
+    bounded or list-typed key of `schema`, set at `path` in `doc`."""
+    for name, (typ, *_rest) in schema.items():
+        at = (*path, name)
+        if isinstance(typ, dict):
+            yield from bad_configs(typ, doc, at)
+            continue
+        for value in [[]] if isinstance(typ, list) else outside(typ):
+            yield set_at(doc, at, value), name, f"{'.'.join(map(str, at))}={json.dumps(value)}"
+        if isinstance(typ, list):
+            yield from bad_configs(typ[0], doc, (*at, 0))
+
+
+@pytest.mark.parametrize("doc, key", [
+    pytest.param(doc, key, id=f"{kind}:{where}") for kind, schema in SCHEMAS.items()
+    for doc, key, where in bad_configs(schema["params"], BASES[kind])])
+def test_values_outside_the_schema_are_config_errors(tmp_path, capsys, doc, key):
+    _assert_config_error(tmp_path, capsys, doc, f"{key} must be")
+
+
+def type_strings(schema):
+    for typ, *_rest in schema.values():
+        obj = typ[0] if isinstance(typ, list) else typ
+        yield from type_strings(obj) if isinstance(obj, dict) else [typ]
+
+
+def test_checker_reads_every_schema_type():
+    types = {t for s in SCHEMAS.values() for t in type_strings(s["params"])}
+    assert {"int", "bool", "'slll' | 'glll'", "int >= 1 | list[int >= 1]"} <= types
+    for typ in types:
+        # None and [None] reach every alternative and every list entry type
+        assert _conforms(typ, None) is False and _conforms(typ, [None]) is False
+    assert _conforms("int >= 1 | list[int]", [-3]) and _conforms("decimal string > 0", 0.1)
+    assert not _conforms("decimal string > 0", "-0.1") and not _conforms("list[int]", [])
+    for unknown in ("float", "int >= 2", "int | float", "list[str]"):
+        with pytest.raises(ValueError, match="unknown schema type"):
+            _conforms(unknown, [1])
+
+
+@pytest.mark.parametrize("name, defaults", [
+    ("lll-slll", {"shape": "interval", "search_cap": 100_000}),
+    ("resfin", {"shifts": [1, -1]}),
+])
+def test_spelled_out_defaults_write_the_same_reports(tmp_path, name, defaults):
+    shipped = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    omitted = {k: v for k, v in shipped.items() if k not in defaults}
+    reports = []
+    for i, doc in enumerate([omitted, {**omitted, **defaults}]):
+        out = tmp_path / str(i)
+        assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == EXIT_OK
+        kind = doc["experiment"]
+        summary = json.loads((out / f"{kind}-summary.json").read_text())["summary"]
+        reports.append((summary, (out / f"{kind}-detail.csv").read_bytes()))
+    assert reports[0] == reports[1]
 
 
 def test_meta_records_the_hash_kernel(tmp_path):

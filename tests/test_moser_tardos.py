@@ -6,8 +6,7 @@ import pytest
 from shiftlab.groups import (CyclicTranslation, GroupCtx, GroupError,
                              TorusTranslation, gset, integer_interval)
 from shiftlab.lll import ExplicitEvent, FrequencyDeviationEvent
-from shiftlab.moser_tardos import (EventFamily, TapeSpace, defect,
-                                   defect_translation_identity, index_report,
+from shiftlab.moser_tardos import (EventFamily, TapeSpace, defect, index_report,
                                    resample_fraction, run_mt,
                                    stabilization_ledger, tape_consistency,
                                    violated_anchors)
@@ -169,7 +168,6 @@ def test_defect_examples():
     g = np.array([0, 0, 1, 0])
     # anchors: (0,0) dev 1/2 >= .4 bad; (0,1) ok; (1,0) ok; (0,0) bad
     assert defect(g, ev, act) == (0, 3)
-    assert defect_translation_identity(g, ev, act)
     assert defect(g, ev, act, translated=True) == (0, 1, 3)
 
 

@@ -54,6 +54,43 @@ def test_only_groups_translates_point_by_point(path):
     assert raw_translate_calls(path.read_text()) == []
 
 
+def _is_literal(node) -> bool:
+    try:
+        ast.literal_eval(node)
+        return True
+    except ValueError:
+        return False
+
+
+def _is_driver_check(n) -> bool:
+    if isinstance(n, ast.Raise):
+        exc = n.exc.func if isinstance(n.exc, ast.Call) else n.exc
+        return isinstance(exc, ast.Name) and exc.id == "ConfigError"
+    if isinstance(n, ast.Call):
+        return (isinstance(n.func, ast.Attribute) and n.func.attr == "get"
+                and len(n.args) == 2 and _is_literal(n.args[1]))
+    return isinstance(n, ast.Name) and n.id.startswith("EXIT_")
+
+
+def driver_checks(source: str) -> list[int]:
+    """Lines of the `_run_*` experiment drivers that raise ConfigError, call
+    `.get` with a literal default or name an exit code.  Config rules and
+    defaults live in `cli.SCHEMAS`, and `cmd_run` maps verdicts to exit codes."""
+    return sorted(n.lineno for fn in ast.walk(ast.parse(source))
+                  if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_run_")
+                  for n in ast.walk(fn) if _is_driver_check(n))
+
+
+def test_driver_check_sees_checks():
+    assert driver_checks("def _run_x(p):\n    raise ConfigError('x')\n    p.get('a', -1)\n"
+                         "    p.get('b')\n    p.get('c', p['d'])\n    return EXIT_OK\n"
+                         "def _lengths(h):\n    raise ConfigError('y')\n") == [2, 3, 6]
+
+
+def test_drivers_hold_no_config_checks():
+    assert driver_checks((ROOT / "src" / "shiftlab" / "cli.py").read_text()) == []
+
+
 def test_readme_python_example_runs():
     blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
     assert blocks, "README.md has no python example"
