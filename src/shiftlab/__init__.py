@@ -5,20 +5,18 @@ __version__ = "0.1.0"
 
 from .groups import (Elem, GroupCtx, GroupError, GroupSet,
                      CyclicTranslation, TorusTranslation, WindowAction,
-                     ball, free_group_window, group_inv, group_op, gset,
-                     integer_interval, is_sd_free, growth_profile,
-                     lattice_window, set_product)
+                     ball, free_group_window, integer_interval, is_sd_free,
+                     growth_profile, lattice_window, set_product)
 from .shift import (BoundaryError, Config, EmpiricalMeasure, Pattern,
                     PatternStats, all_patterns, as_fraction, cylinder_distance,
                     discrepancy, empirical_freq, empirical_measure,
-                    occurrences, pattern_freq_table, pointwise_average,
-                    sample_uniform_config)
+                    occurrences, pointwise_average, sample_uniform_config)
 from .concentration import (ConcentrationBoundInput, McEstimate,
                             concentration_bound, mc_deviation_prob, scb_bound,
                             wilson_interval)
 from .lll import (BadEvent, CertificationError, ExplicitEvent,
                   FrequencyDeviationEvent, GLLLWitnessSpec, InstanceStats,
-                  check_glll_witness, event_holds, event_probability_exact,
+                  check_glll_witness, event_probability_exact,
                   find_log_growth_constant, find_slll_threshold, induced_event,
                   slll_stats)
 from .moser_tardos import (EventFamily, MTResult, TapeSpace, defect,

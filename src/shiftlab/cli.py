@@ -64,7 +64,7 @@ SCHEMAS = {
         "params": {
             "k": ("int >= 1", True, "alphabet size"),
             "S": ("list[int]", True, "pattern domain in the integers"),
-            "eps": ("decimal string > 0", True, "deviation tolerance"),
+            "eps": ("decimal string in (0, 1)", True, "deviation tolerance"),
             "C": ("number > 0", True, "log-growth constant: |D_n| = ceil(C log(n+2))"),
             "n_max": ("int >= 0", True, "largest averaging index"),
             "samples": ("int >= 1", True, "number of sampled configurations"),
@@ -78,7 +78,7 @@ SCHEMAS = {
         "params": {
             "ks": ("list[int >= 1]", True, "alphabet sizes"),
             "s_sizes": ("list[int >= 1]", True, "interval sizes for S = {0..s-1}"),
-            "eps_list": ("list[decimal string > 0]", True, "tolerances"),
+            "eps_list": ("list[decimal string in (0, 1)]", True, "tolerances"),
             "d_sizes": ("list[int >= 1]", True, "interval sizes for D"),
             "trials": ("int >= 1", True, "Monte Carlo trials per grid point"),
             "modulus": ("int >= 1", True, "cyclic space size"),
@@ -93,7 +93,7 @@ SCHEMAS = {
             "mode": ("'slll' | 'glll'", True, "certification flavor"),
             "k": ("int >= 1", True, "alphabet size"),
             "s_size": ("int >= 1", True, "interval size for S = {0..s-1}"),
-            "eps": ("decimal string > 0", True, "deviation tolerance"),
+            "eps": ("decimal string in (0, 1)", True, "deviation tolerance"),
             "d_size": ("int >= 1", ("mode", "slll"), "slll: interval size for D"),
             "shape": ("'interval' | 'generic'", False, "slll: degree bound mode", "interval"),
             "search_cap": ("int >= 1", False, "slll: threshold search cap", 100_000),
@@ -112,7 +112,7 @@ SCHEMAS = {
             "k": ("int >= 1", True, "alphabet size"),
             "modulus": ("int >= 1", True, "cyclic space size"),
             "s_size": ("int >= 1", True, "interval size for S"),
-            "eps": ("decimal string > 0", True, "deviation tolerance"),
+            "eps": ("decimal string in (0, 1)", True, "deviation tolerance"),
             "d_size": ("int >= 1", True, "interval size for D"),
             "seeds": ("int >= 1 | list[int]", True, "seed count (0..n-1) or explicit list"),
             "max_steps": ("int >= 0", False, "step budget (default 1000 per induced event)"),
@@ -127,7 +127,7 @@ SCHEMAS = {
         "params": {
             "k": ("int >= 1", True, "alphabet size"),
             "s_size": ("int >= 1", True, "interval size for S"),
-            "eps": ("decimal string > 0", True, "deviation tolerance"),
+            "eps": ("decimal string in (0, 1)", True, "deviation tolerance"),
             "d_sizes": ("list[int >= 1]", True, "sizes of the (interval) averaging sets"),
             "modulus": ("int >= 1", True, "cyclic space size"),
             "seed": ("int", True, "tape seed"),
@@ -155,7 +155,7 @@ SCHEMAS = {
         "params": {
             "k": ("int >= 1", True, "alphabet size"),
             "s_size": ("int >= 1", True, "interval size for S"),
-            "eps": ("decimal string > 0", True, "deviation tolerance"),
+            "eps": ("decimal string in (0, 1)", True, "deviation tolerance"),
             "d_size": ("int >= 1", True, "interval size for D"),
             "modulus": ("int >= 1", True, "cyclic space size"),
             "seed": ("int", True, "tape seed"),
@@ -174,7 +174,7 @@ SCHEMAS = {
             "k_probe": ("list[int >= 0]", False, "union tail indices to probe"),
             "min_capture": ("number", False, "per-band capture threshold", 0.99),
             "single": ({
-                "eps": ("decimal string > 0", True, "tolerance of the tower"),
+                "eps": ("decimal string in (0, 1)", True, "tolerance of the tower"),
                 "h": ("int >= 1 | list[int >= 1]", True, "requested interval lengths"),
                 "modulus": ("int >= 1", True, "cyclic space size"),
             }, False, "also build one explicit tower"),
@@ -203,7 +203,8 @@ _BASE_TYPES = {
     "bool": lambda v: isinstance(v, bool),
     "decimal string": _is_decimal,
 }
-_BOUNDS = {">= 0": lambda x: x >= 0, ">= 1": lambda x: x >= 1, "> 0": lambda x: x > 0}
+_BOUNDS = {">= 0": lambda x: x >= 0, ">= 1": lambda x: x >= 1, "> 0": lambda x: x > 0,
+           "in (0, 1)": lambda x: 0 < x < 1}
 
 
 def _conforms(typ: str, v) -> bool:
@@ -556,12 +557,12 @@ def cmd_run(args) -> int:
         if kind not in RUNNERS:
             raise ConfigError(f"unknown experiment kind {kind!r}; see `shiftlab list`")
         params = _validate(kind, {k: v for k, v in config.items() if k != "experiment"})
-    except (json.JSONDecodeError, ConfigError) as exc:
+        out = Path(args.out or os.environ.get("SHIFTLAB_OUT_DIR", "reports"))
+        out.mkdir(parents=True, exist_ok=True)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    out = Path(args.out or os.environ.get("SHIFTLAB_OUT_DIR", "reports"))
-    out.mkdir(parents=True, exist_ok=True)
     try:
         mark = _kernel_mark()
         summary = RUNNERS[kind](params, out, args.jobs, args.transcript)

@@ -195,10 +195,6 @@ class SweepRow:
     expectation_zscore: float
     verdict: str  # "pass" | "fail" | "vacuous"
 
-    @property
-    def upper_within(self) -> bool:
-        return self.wilson_upper <= self.bound
-
 
 def wilson_zero_floor(trials: int, z: float = WILSON_Z95) -> float:
     """Smallest value the Wilson upper limit can take (at zero hits); bounds

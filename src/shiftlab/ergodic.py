@@ -278,12 +278,6 @@ class PeriodicCylinderTable:
     rows: list
     shift_invariant: bool
 
-    def value_of(self, phi: Pattern) -> Fraction:
-        for r in self.rows:
-            if r.pattern == phi:
-                return r.value
-        raise KeyError("pattern not in table")
-
 
 def _residue_walk(k: int, period: int, phi: Pattern) -> tuple[int, bool, Fraction]:
     """(residue classes mod `period` that phi meets, whether phi is constant

@@ -112,46 +112,6 @@ class GroupCtx:
             return tuple(-x for x in a)
         return tuple(-v for v in reversed(a))
 
-    # -- parsing / serialization -----------------------------------------
-
-    @classmethod
-    def parse(cls, spec) -> "GroupCtx":
-        """Parse a context literal: "Z", "Z^2" or "F2"."""
-        if isinstance(spec, GroupCtx):
-            return spec
-        if isinstance(spec, str):
-            s = spec.strip()
-            if s == "Z":
-                return cls(INTEGERS)
-            if s.startswith("Z^"):
-                return cls(LATTICE, int(s[2:]))
-            if s.startswith("F"):
-                return cls(FREE, int(s[1:]))
-        raise GroupError(f"unknown group literal {spec!r}")
-
-    def to_json(self):
-        if self.kind == INTEGERS:
-            return "Z"
-        if self.kind == LATTICE:
-            return f"Z^{self.param}"
-        return f"F{self.param}"
-
-    def elem_to_json(self, a: Elem):
-        return a if isinstance(a, int) else list(a)
-
-    def elem_from_json(self, spec) -> Elem:
-        return self.normalize(spec if isinstance(spec, int) else tuple(spec))
-
-
-def group_op(ctx: GroupCtx, a: Elem, b: Elem) -> Elem:
-    """Normal-form product ab in ctx."""
-    return ctx.op(ctx.normalize(a), ctx.normalize(b))
-
-
-def group_inv(ctx: GroupCtx, a: Elem) -> Elem:
-    """Normal-form inverse of a in ctx."""
-    return ctx.inv(ctx.normalize(a))
-
 
 @dataclass(frozen=True)
 class GroupSet:
@@ -188,17 +148,6 @@ class GroupSet:
         integers {start, ..., start+length-1}, else None."""
         e = self.elements
         return (e.start, len(e)) if isinstance(e, range) else None
-
-    def to_json(self):
-        return [self.ctx.elem_to_json(e) for e in self.elements]
-
-    @classmethod
-    def from_json(cls, ctx: GroupCtx, spec) -> "GroupSet":
-        return cls.from_iterable(ctx, [ctx.elem_from_json(e) for e in spec])
-
-
-def gset(ctx: GroupCtx, items: Iterable) -> GroupSet:
-    return GroupSet.from_iterable(ctx, items)
 
 
 def integer_interval(n: int, start: int = 0) -> GroupSet:

@@ -106,11 +106,6 @@ def _require_total(c: Config, F: GroupSet):
             raise ValueError(f"coloring is not total on the event domain (missing {e!r})")
 
 
-def event_holds(B: BadEvent, c: Config) -> bool:
-    """True iff the coloring restricted to dom(B) is one of the forbidden ones."""
-    return B.holds(c)
-
-
 def event_probability_exact(B: BadEvent) -> Fraction:
     """|B| / k^{|F|} by exhaustive enumeration (test oracle; tiny domains only)."""
     F = B.domain
@@ -438,9 +433,9 @@ def check_glll_witness(k: int, S: GroupSet, eps, d_seq: Sequence[GroupSet],
 
     # witness inequality per n, in log space
     prefix_log1m = [math.log1p(-w) for w in omegas]
-    for n, wn in enumerate(omegas):
+    for n in range(len(sizes)):
         log_lhs = math.log(2.0 * k ** s_sz) - deviation_exponent(epsf, s_sz, sizes[n])
-        log_rhs = math.log(wn)
+        log_rhs = -witness.a * sizes[n]  # log omega(n), finite where omega(n) underflows
         for m, log1m in enumerate(prefix_log1m):
             cnt = _neighbor_count(s_sz, sizes[m], sizes[n], degree_mode) - int(m == n)
             log_rhs += cnt * log1m
@@ -510,10 +505,3 @@ def find_log_growth_constant(k: int, S: GroupSet, eps, a: float, eps_sum,
         if c_hi - c_lo <= 1e-6 * max(1.0, c_hi):
             break
     return c_hi
-
-
-def standard_witness_from_slll(stats: InstanceStats) -> float:
-    """The uniform witness 1/(d+1), admissible whenever e p (d+1) < 1."""
-    if not stats.certified:
-        raise CertificationError("instance is not certified for the symmetric criterion")
-    return 1.0 / (stats.d_bound + 1)

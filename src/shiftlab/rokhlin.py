@@ -112,9 +112,6 @@ class TowerSystem:
         lev[rel >= self.columns * self.height] = -1
         return lev
 
-    def level_measure(self) -> Fraction:
-        return Fraction(self.columns, self.modulus)
-
     def band_mask(self, band: range) -> np.ndarray:
         """Points whose level lies in `band`: a length-H pattern tiled over
         the columns, then the residual, rotated by the base offset."""
@@ -179,10 +176,6 @@ class CaptureReport:
     fraction: Fraction
     witnesses: np.ndarray        # witness interval index per point, -1 if uncaptured
     all_b_captured: bool
-
-    @property
-    def captured_mask(self) -> np.ndarray:
-        return self.witnesses >= 0
 
 
 def verify_capture(build: TowerBuild) -> CaptureReport:

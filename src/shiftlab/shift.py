@@ -17,7 +17,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from .groups import (BoundaryError, Elem, FiniteAction, GroupCtx, GroupError,
-                     GroupSet, gset)
+                     GroupSet)
 from .rng import uniform_colors
 
 
@@ -59,9 +59,6 @@ class Pattern:
 
     def items(self):
         return zip(self.domain.elements, self.colors)
-
-    def value_at(self, e: Elem) -> int:
-        return self.colors[self.domain.elements.index(self.domain.ctx.normalize(e))]
 
     @property
     def pattern_id(self) -> str:
@@ -121,10 +118,6 @@ class Config:
         ctx = self.domain.ctx
         ginv = ctx.inv(ctx.normalize(gamma))
         return Config.from_map(ctx, {ctx.op(d, ginv): c for d, c in self.values.items()})
-
-    def to_json(self):
-        return {"window": self.domain.to_json(),
-                "colors": [self.values[e] for e in self.domain.elements]}
 
 
 @dataclass(frozen=True)
@@ -187,7 +180,7 @@ def occurrences(phi: Pattern, c: Config) -> GroupSet:
                 break
         if ok:
             found.append(g)
-    return gset(ctx, found)
+    return GroupSet.from_iterable(ctx, found)
 
 
 def empirical_freq(phi: Pattern, c: Config, D: GroupSet) -> Fraction:
@@ -213,27 +206,6 @@ def empirical_freq(phi: Pattern, c: Config, D: GroupSet) -> Fraction:
         if hit:
             count += 1
     return Fraction(count, len(D))
-
-
-def pattern_freq_table(S: GroupSet, c: Config, D: GroupSet, k: int) -> PatternStats:
-    """Frequencies of all k^{|S|} patterns on S over D, as one pass."""
-    ctx = S.ctx
-    counts: dict[str, int] = {}
-    for d in D:
-        digits = []
-        for s in S.elements:
-            site = ctx.op(s, d)
-            v = c.get(site)
-            if v is None:
-                raise BoundaryError(
-                    f"translate {site!r} (= {s!r} * {d!r}) falls outside the window")
-            digits.append(str(v))
-        pid = "".join(digits)
-        counts[pid] = counts.get(pid, 0) + 1
-    target = Fraction(1, k ** len(S))
-    freqs = {p.pattern_id: Fraction(counts.get(p.pattern_id, 0), len(D))
-             for p in all_patterns(S, k)}
-    return PatternStats.from_freqs(freqs, target)
 
 
 # -- averages over finite actions ------------------------------------------

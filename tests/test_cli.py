@@ -286,7 +286,7 @@ UD = {"experiment": "uniform-discrepancy", "k": 2, "s_size": 1, "eps": "0.3",
     ({**ROKHLIN, "k_probe": []}, "k_probe must be list[int >= 0]"),
     ({**MT, "k": 0}, "k must be int >= 1"),
     ({**MT, "modulus": 0}, "modulus must be int >= 1"),
-    ({**MT, "eps": "0"}, "eps must be decimal string > 0"),
+    ({**MT, "eps": "0"}, "eps must be decimal string in (0, 1)"),
     ({**ERGODIC, "C": -1}, "C must be number > 0"),
     ({**ROKHLIN, "i_max": 0}, "i_max must be int >= 1"),
     ({**LLL, "mode": "bogus"}, "mode must be 'slll' | 'glll'"),
@@ -296,9 +296,31 @@ UD = {"experiment": "uniform-discrepancy", "k": 2, "s_size": 1, "eps": "0.3",
     ({**ROKHLIN, "min_capture": float("nan")}, "min_capture must be number"),
     ({**RESFIN, "patterns": [{"sites": [0], "colors": [5]}]},
      "patterns[0] must have distinct sites, one color per site and colors below k = 2"),
+    # a nested eps names its block
+    ({**ROKHLIN, "single": {**SINGLE, "eps": "3"}}, "single: eps must be decimal string in (0, 1)"),
 ])
 def test_conditional_and_nested_keys_are_config_errors(tmp_path, capsys, doc, key):
     _assert_config_error(tmp_path, capsys, doc, key)
+
+
+def test_unreadable_paths_are_config_errors(tmp_path, capsys):
+    cfg = write_config(tmp_path, MT)
+    binary = tmp_path / "latin1.json"
+    binary.write_bytes('{"experiment": "moser-tardos", "k": "\u00e9"}'.encode("latin-1"))
+    for argv, key in [(["run", str(tmp_path)], str(tmp_path)),
+                      (["run", str(binary)], "utf-8"),
+                      (["run", cfg, "--out", cfg], cfg)]:
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1
+        assert key in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("eps", ["0.5", "0.9", "0.99"])
+def test_uniform_discrepancy_ends_in_a_verdict_for_every_eps(tmp_path, eps):
+    # at eps >= 0.9 the default witness exp(-eps^2 |D| / 4) underflows to 0.0
+    cfg = write_config(tmp_path, {**UD, "eps": eps, "d_sizes": [4000], "modulus": 8000})
+    assert main(["run", cfg, "--out", str(tmp_path / "rep")]) in (EXIT_OK, EXIT_VERDICT)
 
 
 # a valid config of every kind, with every optional object present
@@ -306,20 +328,20 @@ BASES = {"ergodic-converge": ERGODIC, "concentration-sweep": SWEEP,
          "lll-check": {**LLL, "mode": "slll", "d_size": 100}, "moser-tardos": MT,
          "uniform-discrepancy": UD, "resfin": {**RESFIN, "patterns": [PAT]},
          "approx-invariant": AI, "rokhlin-bad": {**ROKHLIN, "single": SINGLE}}
-JUST_OUTSIDE = {">= 0": -1, ">= 1": 0, "> 0": 0}
+JUST_OUTSIDE = {">= 0": [-1], ">= 1": [0], "> 0": [0], "in (0, 1)": [0, 1]}
 
 
 def outside(typ: str):
     """Values just outside a type string: [] for each list alternative, and
-    the nearest violation of each bound (inside a one-entry list for a list
-    of bounded entries)."""
+    the nearest violation on each side of each bound (inside a one-entry list
+    for a list of bounded entries)."""
     for alt in typ.split(" | "):
         if alt.startswith("list["):
             yield []
             yield from ([x] for x in outside(alt[5:-1]))
-        for bound, x in JUST_OUTSIDE.items():
+        for bound, xs in JUST_OUTSIDE.items():
             if alt.endswith(" " + bound):
-                yield str(x) if alt.startswith("decimal string") else x
+                yield from (str(x) if alt.startswith("decimal string") else x for x in xs)
 
 
 def set_at(doc, path, value):

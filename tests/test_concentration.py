@@ -12,8 +12,10 @@ from shiftlab.concentration import (ConcentrationBoundInput, McEstimate,
                                     familywise_z, mc_deviation_prob, scb_bound,
                                     wilson_interval, wilson_zero_floor)
 from shiftlab.groups import (CyclicTranslation, FiniteAction, GroupCtx, GroupError,
-                             gset, integer_interval)
+                             GroupSet, integer_interval)
 from shiftlab.shift import all_patterns
+
+gset = GroupSet.from_iterable
 
 
 def _deviates_exact(c, d, k, s, eps):
@@ -228,7 +230,7 @@ def test_sweep_verdict_uses_familywise_limit(monkeypatch):
 
 
 def test_mc_on_torus_action():
-    from shiftlab.groups import GroupCtx, TorusTranslation, gset
+    from shiftlab.groups import TorusTranslation
     L2 = GroupCtx("lattice", 2)
     S = gset(L2, [(0, 0)])
     D = gset(L2, [(i, j) for i in range(10) for j in range(10)])
@@ -282,7 +284,6 @@ def test_mc_matches_per_trial_oracle(s_name, d_name, k, colors, eps, modulus, x,
                                      trials, chunk, seed):
     # interval S and D read their columns as slices, gapped sets gather them;
     # x and the modulus move the sites around the cycle
-    from shiftlab.groups import GroupCtx, gset
     from shiftlab.shift import Pattern
     Z = GroupCtx("integers")
     S, D = gset(Z, _MC_SETS[s_name]), gset(Z, _MC_SETS[d_name])
@@ -297,7 +298,7 @@ def test_mc_matches_per_trial_oracle(s_name, d_name, k, colors, eps, modulus, x,
 
 
 def test_mc_matches_per_trial_oracle_on_torus():
-    from shiftlab.groups import GroupCtx, TorusTranslation, gset
+    from shiftlab.groups import TorusTranslation
     from shiftlab.shift import Pattern
     L2 = GroupCtx("lattice", 2)
     S = gset(L2, [(0, 0), (0, 1)])

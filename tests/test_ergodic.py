@@ -8,11 +8,12 @@ from shiftlab.ergodic import (AveragingSequence, ergodic_convergence_experiment,
                               near_invariant_measure, periodic_cylinder_table,
                               periodic_cylinder_value,
                               uniform_discrepancy_experiment)
-from shiftlab.groups import (CyclicTranslation, GroupCtx, GroupError, gset,
+from shiftlab.groups import (CyclicTranslation, GroupCtx, GroupError, GroupSet,
                              integer_interval)
 from shiftlab.lll import CertificationError
 from shiftlab.shift import Pattern, all_patterns
 
+gset = GroupSet.from_iterable
 Z = GroupCtx("integers")
 
 

@@ -10,13 +10,14 @@ import pytest
 from shiftlab.cli import EXIT_OK, main
 from shiftlab.ergodic import AveragingSequence, uniform_discrepancy_experiment
 from shiftlab.groups import (CyclicTranslation, GroupCtx, GroupError,
-                             TorusTranslation, free_group_window, gset,
+                             GroupSet, TorusTranslation, free_group_window,
                              growth_profile, integer_interval)
 from shiftlab.lll import FrequencyDeviationEvent, induced_event
 from shiftlab.moser_tardos import (EventFamily, TapeSpace, frequency_counts,
                                    run_mt, stabilization_ledger)
 from shiftlab.shift import Config, Pattern, empirical_freq, occurrences
 
+gset = GroupSet.from_iterable
 Z = GroupCtx("integers")
 F2 = GroupCtx("free", 2)
 L2 = GroupCtx("lattice", 2)

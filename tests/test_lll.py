@@ -5,17 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab.groups import (CyclicTranslation, GroupCtx, gset, integer_interval,
+from shiftlab.groups import (CyclicTranslation, GroupCtx, GroupSet, integer_interval,
                              set_product)
 from shiftlab.lll import (CertificationError, ExplicitEvent,
                           FrequencyDeviationEvent, GLLLWitnessSpec,
-                          check_glll_witness, event_holds,
-                          event_probability_exact, explicit_expansion,
-                          find_log_growth_constant, find_slll_threshold,
-                          induced_event, slll_stats,
-                          standard_witness_from_slll)
+                          check_glll_witness, event_probability_exact,
+                          explicit_expansion, find_log_growth_constant,
+                          find_slll_threshold, induced_event, slll_stats)
 from shiftlab.shift import Config, Pattern, all_patterns
 
+gset = GroupSet.from_iterable
 Z = GroupCtx("integers")
 
 
@@ -25,10 +24,10 @@ Z = GroupCtx("integers")
 def test_explicit_event_holds():
     phi = Pattern.from_map(Z, {0: 1, 1: 0}, 2)
     ev = ExplicitEvent((phi,), 2)
-    assert event_holds(ev, Config.from_array(integer_interval(2), [1, 0]))
-    assert not event_holds(ev, Config.from_array(integer_interval(2), [1, 1]))
+    assert ev.holds(Config.from_array(integer_interval(2), [1, 0]))
+    assert not ev.holds(Config.from_array(integer_interval(2), [1, 1]))
     with pytest.raises(ValueError):
-        event_holds(ev, Config.from_array(gset(Z, [5]), [1]))  # not total on F
+        ev.holds(Config.from_array(gset(Z, [5]), [1]))  # not total on F
 
 
 def test_frequency_event_balanced_window_avoids():
@@ -36,9 +35,9 @@ def test_frequency_event_balanced_window_avoids():
     ev = FrequencyDeviationEvent(2, integer_interval(1), Fraction(1, 10),
                                  integer_interval(10))
     balanced = Config.from_array(integer_interval(10), [0, 1] * 5)
-    assert not event_holds(ev, balanced)
+    assert not ev.holds(balanced)
     constant = Config.from_array(integer_interval(10), [1] * 10)
-    assert event_holds(ev, constant)  # frequency 1 for one pattern
+    assert ev.holds(constant)  # frequency 1 for one pattern
 
 
 def test_frequency_event_agrees_with_expansion():
@@ -48,7 +47,7 @@ def test_frequency_event_agrees_with_expansion():
     exp = explicit_expansion(ev)
     for pat in all_patterns(ev.domain, 2):
         c = Config.from_array(ev.domain, pat.colors)
-        assert event_holds(ev, c) == event_holds(exp, c)
+        assert ev.holds(c) == exp.holds(c)
     assert event_probability_exact(ev) == Fraction(len(exp.patterns), 16)
 
 
@@ -205,10 +204,21 @@ def test_glll_single_event_interval_degrees():
     assert not rep2.witness_ok
 
 
+def test_glll_witness_reads_log_omega_where_omega_underflows():
+    # omega = exp(-a |D|) is 0.0 in floating point here; its log is -a |D|
+    a = 0.9 ** 2 / 4
+    rep = check_glll_witness(2, integer_interval(1), "0.9", [integer_interval(4000)],
+                             GLLLWitnessSpec(a=a), degree_mode="interval")
+    (row,) = [r for r in rep.records if r.inequality_id == "witness-product"]
+    assert math.exp(-a * 4000) == 0.0 and row.rhs == -a * 4000
+    assert rep.ok
+
+
 def test_slll_implies_glll_standard_witness():
     # e p (d+1) < 1 admits the uniform witness 1/(d+1): p <= w (1-w)^d
     st = slll_stats(2, integer_interval(1), "0.1", integer_interval(4000))
-    w = standard_witness_from_slll(st)
+    assert st.certified
+    w = 1.0 / (st.d_bound + 1)
     assert st.p_bound <= w * (1 - w) ** st.d_bound
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from shiftlab.groups import (CyclicTranslation, GroupCtx, GroupError,
-                             TorusTranslation, gset, integer_interval)
+                             GroupSet, TorusTranslation, integer_interval)
 from shiftlab.lll import ExplicitEvent, FrequencyDeviationEvent
 from shiftlab.moser_tardos import (EventFamily, TapeSpace, defect, index_report,
                                    resample_fraction, run_mt,
@@ -12,6 +12,7 @@ from shiftlab.moser_tardos import (EventFamily, TapeSpace, defect, index_report,
                                    violated_anchors)
 from shiftlab.shift import Config, Pattern
 
+gset = GroupSet.from_iterable
 Z = GroupCtx("integers")
 L2 = GroupCtx("lattice", 2)
 

@@ -91,8 +91,127 @@ def test_drivers_hold_no_config_checks():
     assert driver_checks((ROOT / "src" / "shiftlab" / "cli.py").read_text()) == []
 
 
+README_BLOCKS = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+
+
 def test_readme_python_example_runs():
-    blocks = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
-    assert blocks, "README.md has no python example"
-    for block in blocks:
+    assert README_BLOCKS, "README.md has no python example"
+    for block in README_BLOCKS:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def _reads(node, skip=()) -> set[str]:
+    """Names and attribute names that `node` reads or imports, outside `skip`."""
+    out, todo = set(), [node]
+    while todo:
+        n = todo.pop()
+        if any(n is s for s in skip):
+            continue
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.asname or n.name)
+        todo.extend(ast.iter_child_nodes(n))
+    return out
+
+
+def _definitions(sources) -> tuple[dict, set]:
+    """What each top-level definition reads, by name, and the names of the
+    public functions, classes and methods.  A public method is its own
+    definition, `Class.method`, and its class does not read its body."""
+    reads, public = {}, set()
+    for source in sources:
+        for node in ast.parse(source).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for t in targets:
+                    for n in ast.walk(t):
+                        if isinstance(n, ast.Name):
+                            reads.setdefault(n.id, set()).update(_reads(node))
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                methods = ([m for m in node.body if isinstance(m, ast.FunctionDef)
+                            and not m.name.startswith("_")]
+                           if isinstance(node, ast.ClassDef) else [])
+                reads.setdefault(node.name, set()).update(_reads(node, skip=methods))
+                if not node.name.startswith("_"):
+                    public.add(node.name)
+                for m in methods:
+                    key = f"{node.name}.{m.name}"
+                    reads.setdefault(key, set()).update(_reads(m))
+                    public.add(key)
+    return reads, public
+
+
+def _closure(reads: dict, seeds) -> set[str]:
+    """Definitions reached from the names in `seeds`: a top-level one when its
+    name is read, a method when its name is read and its class is reached."""
+    read, reached = set(seeds), set()
+    grew = True
+    while grew:
+        grew = False
+        for key in reads.keys() - reached:
+            cls, _, name = key.rpartition(".")
+            if key in read or (cls in reached and name in read):
+                reached.add(key)
+                read |= reads[key]
+                grew = True
+    return reached
+
+
+def unreached_names(sources, roots, allow) -> list[str]:
+    """Public functions, classes and methods in `sources` that neither the
+    names in `roots` nor the `allow` entries reach, then each `allow` entry
+    that names no such definition or that `roots` reach without it.  Names
+    match without their module or class, so a read `x.to_json` reaches the
+    `to_json` of every reached class."""
+    reads, public = _definitions(sources)
+    alone = _closure(reads, roots)
+    return (sorted(public - _closure(reads, set(roots) | set(allow)))
+            + [f"allowlisted but missing: {n}" for n in sorted(set(allow) - public)]
+            + [f"allowlisted but reached: {n}" for n in sorted(set(allow) & alone)])
+
+
+def test_reachability_check_sees_unreached_names():
+    source = ("def main():\n    return _helper().used()\n"
+              "def _helper():\n    return Box()\n"
+              "def unused():\n    return Spare()\n"
+              "class Box:\n    def used(self):\n        return 1\n"
+              "    def spare(self):\n        return 2\n"
+              "class Spare:\n    def used(self):\n        return 3\n")
+    assert unreached_names([source], {"main"}, {}) == [
+        "Box.spare", "Spare", "Spare.used", "unused"]
+    # an oracle entry reaches what it reads
+    assert unreached_names([source], {"main"}, {"unused": "", "Box.spare": ""}) == []
+    assert unreached_names([source], {"main"}, {"unused": "", "Box.spare": "", "Box": "",
+                                                "gone": ""}) == [
+        "allowlisted but missing: gone", "allowlisted but reached: Box"]
+
+
+# Public names that no experiment runs but that tests rely on, with the reason.
+REACHED_BY_TESTS = {
+    **dict.fromkeys(
+        ["occurrences", "empirical_freq", "event_probability_exact", "explicit_expansion",
+         "scb_bound", "TowerSystem.level_array", "TapeSpace.symbol"],
+        "oracle: a test compares a path the experiments run against it"),
+    **dict.fromkeys(
+        ["TorusTranslation", "lattice_window", "free_group_window", "WindowAction.element_of",
+         "WindowAction.index_of", "growth_profile", "ball"],
+        "non-cyclic action: exercises the generic paths of translates, image, "
+        "frequency_counts and mc_deviation_prob"),
+    **dict.fromkeys(
+        ["pointwise_average", "empirical_measure", "EmpiricalMeasure.mass", "discrepancy",
+         "sample_uniform_config", "cylinder_distance", "UniformCylinders", "AtomCylinders",
+         "induced_event", "InducedEvent.holds_on", "InducedEvent.collapsed", "defect",
+         "index_report", "wilson_zero_floor", "TowerSystem.check_disjoint_levels",
+         "McEstimate.expectation_within_3sigma", "PatternStats.worst_deviation"],
+        "paper quantity: checked by the tier-1 and acceptance tests"),
+}
+
+
+def test_every_public_name_is_reached():
+    # the CLI entry point, the experiment drivers and all the README example reads
+    roots = {"main", "RUNNERS"}.union(*(_reads(ast.parse(b)) for b in README_BLOCKS))
+    sources = [p.read_text() for p in MODULES]
+    assert unreached_names(sources, roots, REACHED_BY_TESTS) == []
