@@ -544,6 +544,33 @@ def _write_csv(path: Path, header, rows):
             w.writerow(list(row))
 
 
+# glibc's mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _retain_freed_memory() -> bool:
+    """Have glibc keep freed blocks below 32 MiB in the process, so that a
+    driver that frees and reallocates the same arrays (moser-tardos, once per
+    seed) does not fault them in again; larger blocks are still mapped and
+    returned on free.  32 MiB is the ceiling of glibc's dynamic mmap
+    threshold on 64-bit hosts, and the trim threshold is twice it, the ratio
+    glibc's dynamic rule keeps.  The trim threshold is set only once the
+    mmap threshold is: either call turns the dynamic threshold off, and left
+    at 128 KiB it would map every larger array and fault it in on each use.
+    Returns whether both were set; without glibc's `mallopt` nothing
+    changes.  Only `shiftlab run` calls this, so a program that imports the
+    library keeps its own allocator policy."""
+    import ctypes
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no dlopen(NULL), or not glibc
+        return False
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    return (mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1
+            and mallopt(_M_TRIM_THRESHOLD, 64 << 20) == 1)
+
+
 def cmd_run(args) -> int:
     path = Path(args.config)
     if not path.exists():
@@ -559,10 +586,14 @@ def cmd_run(args) -> int:
         params = _validate(kind, {k: v for k, v in config.items() if k != "experiment"})
         out = Path(args.out or os.environ.get("SHIFTLAB_OUT_DIR", "reports"))
         out.mkdir(parents=True, exist_ok=True)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ConfigError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        print(f"config error: {path}: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
+    malloc_retain = _retain_freed_memory()
     try:
         mark = _kernel_mark()
         summary = RUNNERS[kind](params, out, args.jobs, args.transcript)
@@ -576,7 +607,7 @@ def cmd_run(args) -> int:
     # which hash implementation served this run, and the one-time build or
     # load cost it paid ("none" if it hashed only single values)
     meta = {"written_at": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-            **_kernel_meta(mark)}
+            **_kernel_meta(mark), "malloc_retain": malloc_retain}
     (out / f"{kind}-meta.json").write_text(json.dumps(meta, indent=2) + "\n")
     verdict = summary["verdict"]
     print(f"{kind}: {verdict} (reports in {out})")

@@ -158,6 +158,8 @@ def mc_deviation_prob(inp: ConcentrationBoundInput, action: FiniteAction, x: int
     d_sz, s_sz = len(D), len(S)
     # exact integer accumulators, converted to float once after the loop
     hits = occ_sum = occ_sumsq = 0
+    # bad_at[c]: whether a trial that saw phi c times over D is a hit
+    bad_at = deviates(np.arange(d_sz + 1), d_sz, k, s_sz, inp.eps)
     run_seed = derive_seed(seed, 0xC0)
     chunk = chunk or block_rows(len(column))
     for start in range(0, trials, chunk):
@@ -167,7 +169,7 @@ def mc_deviation_prob(inp: ConcentrationBoundInput, action: FiniteAction, x: int
         for sel, col in zip(cols[1:], phi.colors[1:]):
             match &= colors[:, sel] == col
         counts = np.count_nonzero(match, axis=1)
-        hits += int(np.count_nonzero(deviates(counts, d_sz, k, s_sz, inp.eps)))
+        hits += int(np.count_nonzero(bad_at[counts]))
         occ_sum += int(counts.sum())
         occ_sumsq += int(np.dot(counts, counts))
 

@@ -124,9 +124,12 @@ def frequency_counts(action: FiniteAction, ev: FrequencyDeviationEvent,
 def violated_anchors(action: FiniteAction, ev: BadEvent, g: np.ndarray) -> np.ndarray:
     """Anchors x whose pulled-back coloring lies in the event."""
     if isinstance(ev, FrequencyDeviationEvent):
+        # bad_at[c]: whether a pattern seen c times over D deviates
+        d_size = len(ev.D)
+        bad_at = deviates(np.arange(d_size + 1), d_size, ev.k, len(ev.S), ev.eps)
         bad = np.zeros(action.n_points, dtype=bool)
         for _pat, counts in frequency_counts(action, ev, g):
-            bad |= deviates(counts, len(ev.D), ev.k, len(ev.S), ev.eps)
+            bad |= bad_at[counts]
         return np.flatnonzero(bad)
     if isinstance(ev, ExplicitEvent):
         pulled = _pullback_colors(action, ev.domain.elements, g)

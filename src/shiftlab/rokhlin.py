@@ -114,12 +114,22 @@ class TowerSystem:
 
     def band_mask(self, band: range) -> np.ndarray:
         """Points whose level lies in `band`: a length-H pattern tiled over
-        the columns, then the residual, rotated by the base offset."""
-        levels = np.arange(self.height)
+        the columns from the base offset on, wrapping past M; the residual
+        stays clear."""
+        H, o = self.height, self.offset
+        levels = np.arange(H)
         pattern = (levels >= band.start) & (levels < band.stop)
         mask = np.zeros(self.modulus, dtype=bool)
-        mask[:self.columns * self.height].reshape(self.columns, self.height)[:] = pattern
-        return np.roll(mask, self.offset)
+        head = min(self.columns * H, self.modulus - o)  # tower points in [o, M)
+        wrap = self.columns * H - head                   # tower points in [0, o)
+        rows, part = divmod(head, H)
+        mask[o:o + rows * H].reshape(rows, H)[:] = pattern
+        mask[o + rows * H:o + head] = pattern[:part]
+        # the wrapped slice finishes the row cut at M, then holds whole rows
+        rows, part = divmod(wrap, H)
+        mask[:part] = pattern[H - part:]
+        mask[part:wrap].reshape(rows, H)[:] = pattern
+        return mask
 
     def check_disjoint_levels(self) -> bool:
         """The levels partition the tower: each of 0..H-1 holds exactly

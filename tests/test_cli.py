@@ -1,8 +1,13 @@
 import json
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import shiftlab
 from shiftlab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERDICT, SCHEMAS, _conforms, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -307,13 +312,16 @@ def test_unreadable_paths_are_config_errors(tmp_path, capsys):
     cfg = write_config(tmp_path, MT)
     binary = tmp_path / "latin1.json"
     binary.write_bytes('{"experiment": "moser-tardos", "k": "\u00e9"}'.encode("latin-1"))
-    for argv, key in [(["run", str(tmp_path)], str(tmp_path)),
-                      (["run", str(binary)], "utf-8"),
-                      (["run", cfg, "--out", cfg], cfg)]:
+    broken = tmp_path / "broken.json"
+    broken.write_text('{"experiment": "moser-tardos",')
+    for argv, keys in [(["run", str(tmp_path)], [str(tmp_path)]),
+                       (["run", str(binary)], [str(binary), "utf-8"]),
+                       (["run", str(broken)], [str(broken), "Expecting"]),
+                       (["run", cfg, "--out", cfg], [cfg])]:
         assert main(argv) == EXIT_USAGE
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and err.count("\n") == 1
-        assert key in err and "Traceback" not in err
+        assert all(key in err for key in keys) and "Traceback" not in err
 
 
 @pytest.mark.parametrize("eps", ["0.5", "0.9", "0.99"])
@@ -430,6 +438,47 @@ def test_meta_describes_the_run_not_the_process(tmp_path):
         out = tmp_path / f"rep{i}"
         assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) != EXIT_USAGE
         metas.append(json.loads((out / f"{doc['experiment']}-meta.json").read_text()))
-    assert metas[1] == {"written_at": metas[1]["written_at"], "rng_kernel": "none"}
+    assert metas[1] == {"written_at": metas[1]["written_at"], "rng_kernel": "none",
+                        "malloc_retain": metas[0]["malloc_retain"]}
     assert metas[2]["rng_kernel"] == metas[0]["rng_kernel"] in ("c", "numpy")
     assert metas[2]["rng_kernel_built"] is False and metas[2]["rng_kernel_load_s"] == 0.0
+
+
+# Runs moser-tardos twice in one interpreter and prints the minor page faults
+# of the second run and that run's meta.json.
+FAULTS_CHILD = """
+import json, resource, sys
+from shiftlab.cli import main
+cfg, out = sys.argv[1:]
+main(["run", cfg, "--out", out])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+code = main(["run", cfg, "--out", out])
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+meta = json.load(open(out + "/moser-tardos-meta.json"))
+print(json.dumps({"code": code, "faults": faults, "meta": meta}))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="mallopt is glibc's")
+def test_moser_tardos_keeps_its_freed_arrays(tmp_path):
+    # each seed allocates and frees the same ~6 MB of arrays; returned to the
+    # kernel, they are faulted in again by every seed (about 1,700 faults
+    # per seed at M = 100,000), so the count would grow with the seeds
+    doc = json.loads((ROOT / "configs" / "moser-tardos.json").read_text())
+    cfg = write_config(tmp_path, {**doc, "seeds": 20})
+    env = dict(os.environ, PYTHONPATH=str(Path(shiftlab.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", FAULTS_CHILD, cfg, str(tmp_path / "rep")],
+                          env=env, capture_output=True, text=True, timeout=300, check=True)
+    got = json.loads(proc.stdout.splitlines()[-1])
+    assert got["code"] == EXIT_OK
+    assert got["faults"] < 1000, got["faults"]
+    assert got["meta"]["malloc_retain"] is True
+
+
+def test_run_without_mallopt_records_false(tmp_path, monkeypatch):
+    import ctypes
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: object())  # a libc without mallopt
+    out = tmp_path / "rep"
+    cfg = write_config(tmp_path, {**RESFIN, "patterns": [PAT]})
+    assert main(["run", cfg, "--out", str(out)]) == EXIT_OK
+    assert json.loads((out / "resfin-meta.json").read_text())["malloc_retain"] is False

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, seed, settings
+from hypothesis import strategies as st
 
 from shiftlab.groups import (CyclicTranslation, GroupCtx, GroupError,
                              GroupSet, TorusTranslation, integer_interval)
@@ -172,16 +174,31 @@ def test_defect_examples():
     assert defect(g, ev, act, translated=True) == (0, 1, 3)
 
 
-def test_frequency_counts_match_event_holds():
-    # vectorized anchor counts agree with the per-config event test
-    ev = FrequencyDeviationEvent(2, integer_interval(2), "0.3", integer_interval(5))
-    act = CyclicTranslation(40)
-    rng = np.random.default_rng(8)
-    g = rng.integers(0, 2, size=40)
-    bad = set(violated_anchors(act, ev, g).tolist())
-    F = ev.domain
-    for x in range(40):
-        vals = {e: int(g[act.act(e, x)]) for e in F}
+@st.composite
+def detection_cases(draw):
+    k = draw(st.sampled_from([2, 3]))
+    s_size = draw(st.integers(1, 2))
+    d_size = draw(st.integers(1, 12))
+    # eps |D| k^|S| is an integer at 0.5 for k = 2 and at 0.25 for k = 2,
+    # |D| even: there some counts land exactly on the threshold
+    eps = draw(st.sampled_from(["0.1", "0.25", "0.3", "0.5"]))
+    modulus = draw(st.integers(s_size + d_size, 60))
+    g = draw(st.lists(st.integers(0, k - 1), min_size=modulus, max_size=modulus))
+    return k, s_size, eps, d_size, modulus, g
+
+
+@given(detection_cases())
+@example((2, 1, "0.25", 4, 8, [1, 1, 1, 0, 0, 0, 0, 0]))  # counts 1 and 3 tie
+@seed(20_181)
+@settings(max_examples=100, deadline=None)
+def test_frequency_counts_match_event_holds(case):
+    # vectorized anchor detection agrees with the per-config event test
+    k, s_size, eps, d_size, modulus, g = case
+    ev = FrequencyDeviationEvent(k, integer_interval(s_size), eps, integer_interval(d_size))
+    act = CyclicTranslation(modulus)
+    bad = set(violated_anchors(act, ev, np.array(g)).tolist())
+    for x in range(modulus):
+        vals = {e: g[act.act(e, x)] for e in ev.domain}
         assert ev.holds(Config.from_map(Z, vals)) == (x in bad)
 
 
