@@ -19,7 +19,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .groups import FiniteAction, GroupError, GroupSet, set_product
-from .rng import block_rows, color_matrix, derive_seed
+from .rng import derive_seed, pattern_counts
 from .shift import Pattern, all_patterns, as_fraction
 
 WILSON_Z95 = 1.959963984540054
@@ -128,11 +128,13 @@ def mc_deviation_prob(inp: ConcentrationBoundInput, action: FiniteAction, x: int
     at which phi occurs in the coloring pulled back through the action.  A
     trial is a hit when the frequency misses k^{-|S|} by eps or more (exact
     rational comparison).  The occurrence-count mean is also compared with
-    |D| / k^{|S|}.  Trials run `chunk` at a time, by default as many as
-    make one RNG block of colors; every accumulator is an exact integer
-    count, so the chunk size cannot change the result.  The columns of
-    s*D.x are read as a slice when they are consecutive sites, as they are
-    for intervals S and D on a cyclic action, and gathered otherwise.
+    |D| / k^{|S|}.  Trials run `chunk` at a time through one
+    `rng.pattern_counts` call, by default up to 65,536 of them, so the
+    counts of a call take at most 512 KiB; every accumulator is an exact
+    integer count, so the chunk size cannot change the result.  The columns
+    of s*D.x are selected as a slice when they are consecutive sites, as they
+    are for intervals S and D on a cyclic action, and as an index array
+    otherwise; the C kernel counts only all-slice patterns.
     """
     S, D, k = inp.S, inp.D, inp.k
     if trials < 1:
@@ -161,14 +163,12 @@ def mc_deviation_prob(inp: ConcentrationBoundInput, action: FiniteAction, x: int
     # bad_at[c]: whether a trial that saw phi c times over D is a hit
     bad_at = deviates(np.arange(d_sz + 1), d_sz, k, s_sz, inp.eps)
     run_seed = derive_seed(seed, 0xC0)
-    chunk = chunk or block_rows(len(column))
+    # a count is at most |D|, so the default keeps chunk * |D|^2, the bound on
+    # one chunk's int64 sum of squares, below 2^63
+    chunk = chunk or min(trials, 65_536, max(1, (1 << 63) // (d_sz * d_sz + 1)))
     for start in range(0, trials, chunk):
-        rows = min(chunk, trials - start)
-        colors = color_matrix(run_seed, rows, len(column), k, row_offset=start)
-        match = colors[:, cols[0]] == phi.colors[0]
-        for sel, col in zip(cols[1:], phi.colors[1:]):
-            match &= colors[:, sel] == col
-        counts = np.count_nonzero(match, axis=1)
+        counts = pattern_counts(run_seed, min(chunk, trials - start), len(column), k, cols,
+                                phi.colors, row_offset=start)
         hits += int(np.count_nonzero(bad_at[counts]))
         occ_sum += int(counts.sum())
         occ_sumsq += int(np.dot(counts, counts))

@@ -18,15 +18,22 @@ Two implementations compute the same stream, bit for bit:
   takes a fraction of a second, once; later processes only load it.  The
   kernel hashes a row counter's first round once per row and reduces `% k`
   with a mask for powers of two and with a constant divisor for k = 3.
+  Its second entry point serves `pattern_counts` for Monte Carlo: it
+  hashes one row of a color matrix at a time into a byte buffer and counts
+  the occurrences of a pattern in it, so the rows are never stored.  It
+  takes k <= 256 and patterns whose sites are all slices of the row.
 - numpy, in cache-sized blocks of BLOCK values: each block is hashed in
   place in two preallocated scratch buffers and reduced `% k` straight into
   the output.  It serves wherever the kernel cannot be built or loaded (no
   compiler, no writable cache) and is the oracle the kernel is tested
   against.  It also hashes single values, so deriving a seed never builds
-  or loads the kernel.
+  or loads the kernel, and it counts the patterns the kernel does not take,
+  from `color_matrix` blocks.
 
-`_kernel_meta()` says which one served the process, or the calls after a
-`_kernel_mark()`, and what the build or load cost.
+The kernel is used only if both entry points agree with numpy on small
+planes when it loads.  `_kernel_meta()` says which implementation served
+the process, or the calls after a `_kernel_mark()`, and what the build or
+load cost.
 """
 
 from __future__ import annotations
@@ -122,7 +129,7 @@ def _hash_numpy(seed: int, a, b, k: int | None):
 _SOURCE = Path(__file__).with_name("_hash.c")
 _CFLAGS = ("-O3", "-shared", "-fPIC")  # no -march=native: the cache must stay portable
 _kernel_lock = threading.Lock()
-_kernel = None  # the loaded C function once resolved, False when numpy serves
+_kernel = None  # the loaded C library once resolved, False when numpy serves
 _kernel_info: dict = {}
 _planes = 0  # hash calls of more than one value; the first resolves the kernel
 
@@ -180,8 +187,9 @@ def _build(cc: str, lib: Path) -> bool:
 
 
 def _load_kernel():
-    """(the C hash function, whether this call compiled it), or (None, False)
-    where it cannot be built or loaded."""
+    """(the C library, whether this call compiled it), or (None, False) where
+    it cannot be built or loaded or where either entry point disagrees with
+    numpy."""
     import ctypes
     import hashlib
     import sysconfig
@@ -192,39 +200,49 @@ def _load_kernel():
                      sysconfig.get_config_var("SOABI") or ""))
     key = hashlib.sha256(_SOURCE.read_bytes() + tag.encode()).hexdigest()[:20]
     for d in _cache_dirs():
-        lib = d / f"_hash-{key}.so"
-        built = not lib.exists()
+        path = d / f"_hash-{key}.so"
+        built = not path.exists()
         try:
-            if built and not _build(cc, lib):
+            if built and not _build(cc, path):
                 continue
         except OSError:
             return None, False  # no working compiler
         try:
-            fn = ctypes.CDLL(str(lib)).shiftlab_hash
+            lib = ctypes.CDLL(str(path))
+            hash_fn, count_fn = lib.shiftlab_hash, lib.shiftlab_count
         except (OSError, AttributeError):
             continue
         u64, ssize, ptr = ctypes.c_uint64, ctypes.c_ssize_t, ctypes.c_void_p
-        fn.argtypes = [u64, ptr, ssize, ssize, ptr, ssize, ssize, ssize, ssize, u64, ptr]
-        fn.restype = None
+        hash_fn.argtypes = [u64, ptr, ssize, ssize, ptr, ssize, ssize, ssize, ssize, u64, ptr]
+        count_fn.argtypes = [u64, u64, ssize, ssize, u64, ptr, ptr, ssize, ssize, ptr, ptr]
+        hash_fn.restype = count_fn.restype = None
         # a kernel that disagrees with numpy on a small plane is not used; a
-        # is constant along the rows of the first plane and varies in the second
+        # is constant along the rows of the first plane and varies in the
+        # second, and the counts read one site, or two sites out of order
         a, b = np.arange(3, dtype=np.uint64)[:, None], np.arange(5, dtype=np.uint64)
-        ok = all(np.array_equal(_hash_c(fn, 9, x, y, k), _hash_numpy(9, x, y, k))
+        ok = all(np.array_equal(_hash_c(hash_fn, 9, x, y, k), _hash_numpy(9, x, y, k))
                  for x, y in ((a, b), (b, a)) for k in (None, 2, 3, 11))
-        return (fn, built) if ok else (None, False)
+        row0 = 1 << 33
+        rows = np.arange(row0, row0 + 8, dtype=np.uint64)[:, None]
+        ok = ok and all(
+            np.array_equal(_count_c(count_fn, 9, 8, 40, k, starts, phi, 30, row0),
+                           _match_counts(_hash_numpy(9, rows, np.arange(40), k),
+                                         [slice(i, i + 30) for i in starts], phi))
+            for k in (2, 3, 5) for starts, phi in (((4,), (1,)), ((9, 2), (1, k - 1))))
+        return (lib, built) if ok else (None, False)
     return None, False
 
 
 def _resolve_kernel():
-    """The C hash function, or False; resolved once per process."""
+    """The C library, or False; resolved once per process."""
     global _kernel
     with _kernel_lock:
         if _kernel is None:
             start = time.perf_counter()
-            fn, built = _load_kernel()
-            _kernel_info.update(rng_kernel="c" if fn else "numpy", rng_kernel_built=built,
+            lib, built = _load_kernel()
+            _kernel_info.update(rng_kernel="c" if lib else "numpy", rng_kernel_built=built,
                                 rng_kernel_load_s=time.perf_counter() - start)
-            _kernel = fn or False
+            _kernel = lib or False
     return _kernel
 
 
@@ -290,8 +308,8 @@ def _hash(seed: int, a, b, k: int | None):
     if np.broadcast(a, b).size == 1:
         return _hash_numpy(seed, a, b, k)
     _planes += 1
-    fn = _kernel if _kernel is not None else _resolve_kernel()
-    return _hash_c(fn, seed, a, b, k) if fn else _hash_numpy(seed, a, b, k)
+    lib = _kernel if _kernel is not None else _resolve_kernel()
+    return _hash_c(lib.shiftlab_hash, seed, a, b, k) if lib else _hash_numpy(seed, a, b, k)
 
 
 def mix_counters(seed: int, a, b) -> np.ndarray:
@@ -315,6 +333,69 @@ def color_matrix(seed: int, rows: int, cols: int, k: int, row_offset: int = 0) -
     r = np.arange(row_offset, row_offset + rows, dtype=np.uint64)[:, None]
     c = np.arange(cols, dtype=np.uint64)[None, :]
     return uniform_colors(seed, r, c, k)
+
+
+def _match_counts(colors, selectors, phi) -> np.ndarray:
+    """For each row of `colors`, how many positions j have
+    colors[:, selectors[i]][j] == phi[i] for every i."""
+    match = colors[:, selectors[0]] == phi[0]
+    for sel, c in zip(selectors[1:], phi[1:]):
+        match &= colors[:, sel] == c
+    return np.count_nonzero(match, axis=1)
+
+
+def _count_numpy(seed: int, rows: int, cols: int, k: int, selectors, phi,
+                 row_offset: int) -> np.ndarray:
+    """pattern_counts over color_matrix blocks of block_rows(cols) rows."""
+    out = np.empty(rows, dtype=np.int64)
+    step = block_rows(cols)
+    for start in range(0, rows, step):
+        n = min(step, rows - start)
+        colors = color_matrix(seed, n, cols, k, row_offset=row_offset + start)
+        out[start:start + n] = _match_counts(colors, selectors, phi)
+    return out
+
+
+def _count_c(fn, seed: int, rows: int, cols: int, k: int, starts, phi, d: int,
+             row_offset: int) -> np.ndarray:
+    """pattern_counts from the C kernel `fn`, for the selectors
+    slice(s, s + d) with s in `starts`, each within 0..cols."""
+    st = np.array(starts, dtype=np.intp)
+    ph = np.array(phi, dtype=np.uint8)
+    buf = np.empty(cols + d, dtype=np.uint8)  # one row's colors, then the match mask
+    out = np.empty(rows, dtype=np.int64)
+    fn(int(seed) & _MASK, int(row_offset) & _MASK, rows, cols, k, st.ctypes.data,
+       ph.ctypes.data, st.size, d, buf.ctypes.data, out.ctypes.data)
+    return out
+
+
+def pattern_counts(seed: int, rows: int, cols: int, k: int, selectors, phi,
+                   row_offset: int = 0) -> np.ndarray:
+    """Occurrences of a pattern in each row of
+    color_matrix(seed, rows, cols, k, row_offset), as int64 counts: row r
+    counts the positions j at which colors[r, selectors[i]][j] == phi[i] for
+    every i.  Each selector is a slice or an index array of the columns, and
+    all select the same number of them.
+
+    The C kernel hashes and counts one row at a time, without storing the
+    rows, where it is loaded, every selector is a slice of step 1 and
+    k <= 256; numpy counts everything else block by block.
+    """
+    global _planes
+    if k < 1:
+        raise ValueError(f"alphabet size must be >= 1, got {k}")
+    if not selectors or len(selectors) != len(phi):
+        raise ValueError("need one pattern color per selector, and at least one")
+    if any(not 0 <= c < k for c in phi):
+        raise ValueError(f"pattern colors must lie in 0..{k - 1}")
+    _planes += 1
+    lib = _kernel if _kernel is not None else _resolve_kernel()
+    spans = [range(*s.indices(cols)) for s in selectors if isinstance(s, slice)]
+    if (lib and k <= 256 and len(spans) == len(selectors)
+            and all(r.step == 1 and len(r) == len(spans[0]) for r in spans)):
+        return _count_c(lib.shiftlab_count, seed, rows, cols, k, [r.start for r in spans],
+                        phi, len(spans[0]), row_offset)
+    return _count_numpy(seed, rows, cols, k, selectors, phi, row_offset)
 
 
 def derive_seed(seed: int, *indices: int) -> int:

@@ -1,8 +1,11 @@
 import json
 import os
 import platform
+import shlex
+import shutil
 import subprocess
 import sys
+import sysconfig
 from pathlib import Path
 
 import pytest
@@ -159,6 +162,11 @@ def test_concentration_sweep_run(tmp_path):
         "eps_list": ["0.2"], "d_sizes": [400], "trials": 800,
         "modulus": 10_000, "seed": 6})
     assert main(["run", cfg, "--out", str(out)]) == EXIT_OK
+    # its colors are hashed inside rng.pattern_counts, which must mark the run
+    meta = json.loads((out / "concentration-sweep-meta.json").read_text())
+    cc = sysconfig.get_config_var("CC")
+    compiler = bool(cc) and shutil.which(shlex.split(cc)[0]) is not None
+    assert meta["rng_kernel"] == ("c" if compiler else "numpy")
 
 
 def test_no_command_prints_help(capsys):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab import concentration
+from shiftlab import concentration, rng
 from shiftlab.concentration import (ConcentrationBoundInput, McEstimate,
                                     concentration_bound, deviates, deviation_sweep,
                                     familywise_z, mc_deviation_prob, scb_bound,
@@ -295,6 +295,13 @@ def test_mc_matches_per_trial_oracle(s_name, d_name, k, colors, eps, modulus, x,
     assert (est.trials, est.hits) == (trials, hits)
     assert est.estimate == hits / trials
     assert est.mean_occurrences == float(mean)
+
+
+def test_mc_matches_per_trial_oracle_on_the_numpy_path(monkeypatch):
+    # the same property where rng.pattern_counts counts with numpy, as it
+    # does wherever the C kernel does not load
+    monkeypatch.setattr(rng, "_kernel", False)
+    test_mc_matches_per_trial_oracle()
 
 
 def test_mc_matches_per_trial_oracle_on_torus():

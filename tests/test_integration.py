@@ -189,7 +189,8 @@ def test_mc_chunk_invariance():
     act = CyclicTranslation(5000)
     a = mc_deviation_prob(inp, act, 0, phi, 700, seed=3, chunk=64)
     b = mc_deviation_prob(inp, act, 0, phi, 700, seed=3, chunk=700)
-    # the default chunk spans 327 rows of |SD| = 100 colors: 700 is no multiple
+    # the default chunk is min(trials, 65_536) rows: here all 700 in one call,
+    # while chunks of 64 leave a partial last one
     c = mc_deviation_prob(inp, act, 0, phi, 700, seed=3)
     assert a.hits == b.hits
     assert a.mean_occurrences == b.mean_occurrences
@@ -197,6 +198,11 @@ def test_mc_chunk_invariance():
     for bad in (0, -5):
         with pytest.raises(ValueError, match="chunk"):
             mc_deviation_prob(inp, act, 0, phi, 700, seed=3, chunk=bad)
+    # at |D| = 1, 70,000 trials cross the default chunk boundary once
+    one = ConcentrationBoundInput(2, integer_interval(1), Fraction(1, 5),
+                                  integer_interval(1))
+    d = mc_deviation_prob(one, act, 0, phi, 70_000, seed=3)
+    assert d == mc_deviation_prob(one, act, 0, phi, 70_000, seed=3, chunk=70_000)
 
 
 def test_ergodic_chunk_invariance():

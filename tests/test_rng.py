@@ -9,12 +9,12 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from shiftlab import rng
 from shiftlab.rng import (BLOCK, block_rows, color_matrix, derive_seed, mix_counters,
-                          uniform_colors)
+                          pattern_counts, uniform_colors)
 
 KS = [1, 2, 3, 5, 6, 256]  # 6: even but no power of two
 U64_MAX = (1 << 64) - 1
@@ -227,28 +227,92 @@ def test_kernel_is_resolved_by_the_first_hash_of_several_values(monkeypatch, tmp
     assert rng._kernel_meta()["rng_kernel"] in ("c", "numpy")
 
 
-@pytest.mark.skipif(not _compiler_on_path(), reason="no C compiler on PATH")
-def test_kernel_wrong_where_a_varies_along_the_row_is_not_used(monkeypatch, tmp_path):
-    # the load check must cover both loops of the kernel, not only the one
-    # that hashes a row counter's first round once
+def _library_with(name, corrupt):
+    """A ctypes.CDLL stand-in whose entry point `name` runs the real one and
+    then passes its arguments to `corrupt`; the other entry point is real."""
     real_cdll = ctypes.CDLL
 
     class Library:
         def __init__(self, path):
-            real = real_cdll(path).shiftlab_hash
+            real = real_cdll(path)
+            self.shiftlab_hash, self.shiftlab_count = real.shiftlab_hash, real.shiftlab_count
+            fn = getattr(real, name)
 
-            def wrong(seed, ap, ars, acs, *rest):
-                real.argtypes, real.restype = wrong.argtypes, wrong.restype
-                real(seed, ap, ars, acs, *rest)
-                if acs:
-                    ctypes.c_uint64.from_address(rest[-1]).value ^= 1
+            def wrong(*args):
+                fn.argtypes, fn.restype = wrong.argtypes, wrong.restype
+                fn(*args)
+                corrupt(args)
 
-            self.shiftlab_hash = wrong
+            setattr(self, name, wrong)
+
+    return Library
+
+
+@pytest.mark.skipif(not _compiler_on_path(), reason="no C compiler on PATH")
+def test_kernel_wrong_where_a_varies_along_the_row_is_not_used(monkeypatch, tmp_path):
+    # the load check must cover both loops of the kernel, not only the one
+    # that hashes a row counter's first round once
+    def flip_first_value(args):
+        if args[3]:  # a's column stride
+            ctypes.c_uint64.from_address(args[-1]).value ^= 1
 
     _fresh_kernel(monkeypatch, tmp_path)
-    monkeypatch.setattr(ctypes, "CDLL", Library)
+    monkeypatch.setattr(ctypes, "CDLL", _library_with("shiftlab_hash", flip_first_value))
     _same(uniform_colors(3, np.arange(8), 7, 5), _reference(3, np.arange(8), 7, 5))
     assert rng._kernel_meta()["rng_kernel"] == "numpy"
+
+
+def _counts_reference(seed, rows, cols, k, selectors, phi, row_offset):
+    """pattern_counts from one one-shot color matrix."""
+    r = np.arange(row_offset, row_offset + rows, dtype=np.uint64)[:, None]
+    colors = _reference(seed, r, np.arange(cols, dtype=np.uint64)[None, :], k)
+    match = [colors[:, sel] == c for sel, c in zip(selectors, phi)]
+    return np.logical_and.reduce(match).sum(axis=1).astype(np.int64)
+
+
+@pytest.mark.skipif(not _compiler_on_path(), reason="no C compiler on PATH")
+def test_kernel_with_a_wrong_count_is_not_used(monkeypatch, tmp_path):
+    # one kernel, one verdict: a wrong counting loop disables the hash too
+    def flip_first_count(args):
+        ctypes.c_int64.from_address(args[-1]).value ^= 1
+
+    _fresh_kernel(monkeypatch, tmp_path)
+    monkeypatch.setattr(ctypes, "CDLL", _library_with("shiftlab_count", flip_first_count))
+    case = (3, 50, 12, 3, [slice(4, 12), slice(0, 8)], (1, 2), 5)
+    _same(pattern_counts(*case), _counts_reference(*case))
+    assert rng._kernel_meta()["rng_kernel"] == "numpy" and rng._kernel is False
+
+
+@st.composite
+def count_cases(draw):
+    k = draw(st.sampled_from([1, 2, 3, 4, 5, 7, 256, 257]))  # 257: the numpy path
+    ns, d = draw(st.integers(1, 3)), draw(st.integers(1, 64))
+    starts = draw(st.lists(st.integers(0, 40), min_size=ns, max_size=ns))  # any order
+    cols = max(starts) + d + draw(st.integers(0, 3))
+    if draw(st.booleans()):
+        selectors = [slice(s, s + d) for s in starts]
+    else:  # index arrays are gathered by numpy
+        selectors = [np.arange(s, s + d) for s in starts]
+    phi = tuple(draw(st.lists(st.integers(0, k - 1), min_size=ns, max_size=ns)))
+    return (draw(st.integers(0, U64_MAX)), draw(st.integers(1, 40)), cols, k, selectors,
+            phi, draw(st.integers(0, 1 << 40)))
+
+
+@given(count_cases())
+@example((5, 3, 70, 2, [slice(6, 70), slice(0, 64)], (1, 1), (1 << 40) - 1))
+@seed(13_013)
+@settings(max_examples=150, deadline=None)
+def test_pattern_counts_match_numpy(case):
+    # the C loop where it loads (all slices, k <= 256) against the numpy one
+    _same(pattern_counts(*case), rng._count_numpy(*case))
+    _same(pattern_counts(*case), _counts_reference(*case))
+
+
+def test_pattern_counts_rejects_bad_patterns():
+    for k, selectors, phi in ((0, [slice(0, 2)], (0,)), (2, [], ()),
+                              (2, [slice(0, 2)], (0, 1)), (3, [slice(0, 2)], (3,))):
+        with pytest.raises(ValueError):
+            pattern_counts(1, 4, 5, k, selectors, phi)
 
 
 def test_first_calls_from_two_threads_build_once(monkeypatch, tmp_path):

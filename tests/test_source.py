@@ -100,28 +100,41 @@ def test_readme_python_example_runs():
         exec(compile(block, "README.md", "exec"), {})
 
 
-def _reads(node, skip=()) -> set[str]:
-    """Names and attribute names that `node` reads or imports, outside `skip`."""
-    out, todo = set(), [node]
+def _first_arg(fn) -> str | None:
+    args = fn.args.posonlyargs + fn.args.args
+    return args[0].arg if args else None
+
+
+def _reads(node, skip=(), cls=None) -> set[str]:
+    """What `node` reads or imports, outside `skip`: `name` for a name or an
+    import, `.attr` for an attribute, and `Cls.attr` for an attribute of the
+    first argument (`self`, `cls`) of a method of `cls`, the class `node` is
+    or the one whose method it is."""
+    out = set()
+    todo = [(node, _first_arg(node) if cls and isinstance(node, ast.FunctionDef) else None)]
     while todo:
-        n = todo.pop()
+        n, me = todo.pop()
         if any(n is s for s in skip):
             continue
         if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
             out.add(n.id)
         elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
-            out.add(n.attr)
+            mine = me and isinstance(n.value, ast.Name) and n.value.id == me
+            out.add(f"{cls}.{n.attr}" if mine else "." + n.attr)
         elif isinstance(n, ast.alias):
             out.add(n.asname or n.name)
-        todo.extend(ast.iter_child_nodes(n))
+        for child in ast.iter_child_nodes(n):
+            method = n is node and isinstance(n, ast.ClassDef) and isinstance(child, ast.FunctionDef)
+            todo.append((child, _first_arg(child) if method else me))
     return out
 
 
-def _definitions(sources) -> tuple[dict, set]:
-    """What each top-level definition reads, by name, and the names of the
-    public functions, classes and methods.  A public method is its own
+def _definitions(sources) -> tuple[dict, set, dict]:
+    """What each top-level definition reads, the names of the public
+    functions, classes and methods, and each class's family: itself, its
+    bases and its subclasses among `sources`.  A public method is its own
     definition, `Class.method`, and its class does not read its body."""
-    reads, public = {}, set()
+    reads, public, bases = {}, set(), {}
     for source in sources:
         for node in ast.parse(source).body:
             if isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -131,29 +144,49 @@ def _definitions(sources) -> tuple[dict, set]:
                         if isinstance(n, ast.Name):
                             reads.setdefault(n.id, set()).update(_reads(node))
             elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                cls = node.name if isinstance(node, ast.ClassDef) else None
                 methods = ([m for m in node.body if isinstance(m, ast.FunctionDef)
-                            and not m.name.startswith("_")]
-                           if isinstance(node, ast.ClassDef) else [])
-                reads.setdefault(node.name, set()).update(_reads(node, skip=methods))
+                            and not m.name.startswith("_")] if cls else [])
+                reads.setdefault(node.name, set()).update(_reads(node, methods, cls))
                 if not node.name.startswith("_"):
                     public.add(node.name)
                 for m in methods:
                     key = f"{node.name}.{m.name}"
-                    reads.setdefault(key, set()).update(_reads(m))
+                    reads.setdefault(key, set()).update(_reads(m, cls=cls))
                     public.add(key)
-    return reads, public
+                if cls:
+                    bases[cls] = {b.id for b in node.bases if isinstance(b, ast.Name)}
+    family = {}
+    for cls in bases:
+        up, todo = set(), [cls]
+        while todo:
+            for b in bases.get(todo.pop(), ()):
+                if b not in up:
+                    up.add(b)
+                    todo.append(b)
+        family.setdefault(cls, set()).update({cls} | up)
+        for b in up:
+            family.setdefault(b, {b}).add(cls)
+    return reads, public, family
 
 
-def _closure(reads: dict, seeds) -> set[str]:
+def _closure(reads: dict, family: dict, seeds) -> set[str]:
     """Definitions reached from the names in `seeds`: a top-level one when its
-    name is read, a method when its name is read and its class is reached."""
+    name is read, bare or as an attribute; a method when its class is reached
+    and its name is read as an attribute, or through `self` in a method of a
+    class of its family.  A plain name never reaches a method."""
     read, reached = set(seeds), set()
     grew = True
     while grew:
         grew = False
         for key in reads.keys() - reached:
             cls, _, name = key.rpartition(".")
-            if key in read or (cls in reached and name in read):
+            if cls:
+                hit = cls in reached and ("." + name in read or any(
+                    f"{c}.{name}" in read for c in family[cls]))
+            else:
+                hit = "." + key in read
+            if key in read or hit:
                 reached.add(key)
                 read |= reads[key]
                 grew = True
@@ -163,12 +196,13 @@ def _closure(reads: dict, seeds) -> set[str]:
 def unreached_names(sources, roots, allow) -> list[str]:
     """Public functions, classes and methods in `sources` that neither the
     names in `roots` nor the `allow` entries reach, then each `allow` entry
-    that names no such definition or that `roots` reach without it.  Names
-    match without their module or class, so a read `x.to_json` reaches the
-    `to_json` of every reached class."""
-    reads, public = _definitions(sources)
-    alone = _closure(reads, roots)
-    return (sorted(public - _closure(reads, set(roots) | set(allow)))
+    that names no such definition or that `roots` reach without it.  An
+    attribute read through `self` reaches only its class's family; any
+    other attribute read matches without its receiver's type, so a read
+    `x.to_json` reaches the `to_json` of every reached class."""
+    reads, public, family = _definitions(sources)
+    alone = _closure(reads, family, roots)
+    return (sorted(public - _closure(reads, family, set(roots) | set(allow)))
             + [f"allowlisted but missing: {n}" for n in sorted(set(allow) - public)]
             + [f"allowlisted but reached: {n}" for n in sorted(set(allow) & alone)])
 
@@ -187,6 +221,17 @@ def test_reachability_check_sees_unreached_names():
     assert unreached_names([source], {"main"}, {"unused": "", "Box.spare": "", "Box": "",
                                                 "gone": ""}) == [
         "allowlisted but missing: gone", "allowlisted but reached: Box"]
+    # a local variable `spare` does not reach Box.spare, and `self.inner` in
+    # Box reaches the `inner` of Box and of its subclass, not of Lone
+    source = ("def main():\n    spare = Box().used() + Sub().used() + Lone().used()\n"
+              "    return spare\n"
+              "class Box:\n    def used(self):\n        return self.inner()\n"
+              "    def inner(self):\n        return 1\n"
+              "    def spare(self):\n        return 2\n"
+              "class Sub(Box):\n    def inner(self):\n        return 3\n"
+              "class Lone:\n    def used(self):\n        return 4\n"
+              "    def inner(self):\n        return 5\n")
+    assert unreached_names([source], {"main"}, {}) == ["Box.spare", "Lone.inner"]
 
 
 # Public names that no experiment runs but that tests rely on, with the reason.
