@@ -11,9 +11,8 @@ from .shift import (BoundaryError, Config, EmpiricalMeasure, Pattern,
                     PatternStats, all_patterns, as_fraction, cylinder_distance,
                     discrepancy, empirical_freq, empirical_measure,
                     occurrences, pointwise_average, sample_uniform_config)
-from .concentration import (ConcentrationBoundInput, McEstimate,
-                            concentration_bound, mc_deviation_prob, scb_bound,
-                            wilson_interval)
+from .concentration import (McEstimate, concentration_bound, mc_deviation_prob,
+                            scb_bound, wilson_interval)
 from .lll import (BadEvent, CertificationError, ExplicitEvent,
                   FrequencyDeviationEvent, GLLLWitnessSpec, InstanceStats,
                   check_glll_witness, event_probability_exact,
@@ -22,8 +21,8 @@ from .lll import (BadEvent, CertificationError, ExplicitEvent,
 from .moser_tardos import (EventFamily, MTResult, TapeSpace, defect,
                            index_report, resample_fraction, run_mt,
                            stabilization_ledger, tape_consistency)
-from .ergodic import (AveragingSequence, ConvergenceReport,
-                      ergodic_convergence_experiment, near_invariant_measure,
+from .ergodic import (ConvergenceReport, ergodic_convergence_experiment,
+                      log_growth_size, near_invariant_measure,
                       periodic_cylinder_table, uniform_discrepancy_experiment)
 from .rokhlin import (BadIntervalPlan, TowerSystem, bad_sequence_experiment,
                       build_tower, plan_intervals, verify_capture)

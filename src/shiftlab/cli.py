@@ -28,7 +28,7 @@ from pathlib import Path
 
 from . import __version__
 from .concentration import deviation_sweep
-from .ergodic import (AveragingSequence, ergodic_convergence_experiment,
+from .ergodic import (ergodic_convergence_experiment, log_growth_size,
                       near_invariant_measure, periodic_cylinder_table,
                       uniform_discrepancy_experiment)
 from .groups import CyclicTranslation, GroupCtx, GroupSet, integer_interval
@@ -293,9 +293,9 @@ def _json_default(o):
 
 def _run_ergodic_converge(p, out, jobs, transcript):
     S = GroupSet.from_iterable(GroupCtx("integers"), p["S"])
-    rep = ergodic_convergence_experiment(
-        p["k"], S, as_fraction(p["eps"]), AveragingSequence.log_growth(p["C"]),
-        p["n_max"], p["samples"], p["seed"])
+    d_sets = [integer_interval(log_growth_size(p["C"], n)) for n in range(p["n_max"] + 1)]
+    rep = ergodic_convergence_experiment(p["k"], S, as_fraction(p["eps"]), d_sets,
+                                         p["samples"], p["seed"])
     _write_csv(out / "ergodic-converge-detail.csv",
                ["n", "d_size", "worst_dev", "exceed_frac_beyond", "bc_tail"],
                rep.csv_rows())
@@ -341,8 +341,7 @@ def _run_lll_check(p, out, jobs, transcript):
     eps_sum = as_fraction(p.get("eps_sum", p["eps"]))
     C = p.get("C") or find_log_growth_constant(p["k"], S, eps, p["a"], eps_sum)
     witness = GLLLWitnessSpec(a=p["a"], C=C)
-    d_seq = [integer_interval(AveragingSequence.log_growth(C).size(n))
-             for n in range(p["n_prefix"])]
+    d_seq = [integer_interval(log_growth_size(C, n)) for n in range(p["n_prefix"])]
     rep = check_glll_witness(p["k"], S, eps, d_seq, witness,
                              eps_sum=eps_sum, degree_mode="interval")
     _write_csv(out / "lll-check-detail.csv",
@@ -417,10 +416,8 @@ def _run_moser_tardos(p, out, jobs, transcript):
 
 def _run_uniform_discrepancy(p, out, jobs, transcript):
     S = integer_interval(p["s_size"])
-    sizes = p["d_sizes"]
-    seq = AveragingSequence.from_sets([integer_interval(m) for m in sizes])
     res = uniform_discrepancy_experiment(
-        p["k"], S, as_fraction(p["eps"]), seq, len(sizes) - 1,
+        p["k"], S, as_fraction(p["eps"]), [integer_interval(m) for m in p["d_sizes"]],
         CyclicTranslation(p["modulus"]), p["seed"], a=p.get("a"))
     detail = []
     for n, stats in res.stats_per_n:

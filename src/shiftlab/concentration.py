@@ -7,13 +7,14 @@ action; then for each pattern phi on S,
 
 obtained from the bounded-differences bound with s = |SD.x| <= |S||D|
 independent trials, per-trial influence b = |S|, and deviation t = eps|D|.
+`concentration_bound` takes eps, |S| and |D|; `mc_deviation_prob` takes the
+pattern phi, which carries S = phi.domain and k = phi.k, with eps and D.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from statistics import NormalDist
 
 import numpy as np
@@ -37,22 +38,6 @@ def scb_bound(s: int, b: float, t: float) -> float:
     return 2.0 * math.exp(-(t * t) / (2.0 * b * b * s))
 
 
-@dataclass(frozen=True)
-class ConcentrationBoundInput:
-    k: int
-    S: GroupSet
-    eps: Fraction
-    D: GroupSet
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"alphabet size must be >= 1, got {self.k}")
-        if as_fraction(self.eps) <= 0:
-            raise ValueError("deviation tolerance must be positive")
-        if len(self.S) == 0 or len(self.D) == 0:
-            raise ValueError("S and D must be nonempty")
-
-
 def deviation_exponent(eps: float, s_size: int, d_size: int) -> float:
     """eps^2 |D| / (2 |S|^3), the exponent of the frequency-deviation bound.
     Every bound, margin and witness limit in the package reads it from here,
@@ -70,10 +55,14 @@ def deviates(counts, d_size, k: int, s_size: int, eps):
     return abs(counts * scale - d_size) * eps.denominator >= eps.numerator * d_size * scale
 
 
-def concentration_bound(inp: ConcentrationBoundInput) -> float:
+def concentration_bound(eps, s_size: int, d_size: int) -> float:
     """2 exp(-eps^2 |D| / (2 |S|^3)); equals scb_bound(|S||D|, |S|, eps|D|)."""
-    eps = float(as_fraction(inp.eps))
-    return 2.0 * math.exp(-deviation_exponent(eps, len(inp.S), len(inp.D)))
+    eps = as_fraction(eps)
+    if eps <= 0:
+        raise ValueError("deviation tolerance must be positive")
+    if s_size < 1 or d_size < 1:
+        raise ValueError("S and D must be nonempty")
+    return 2.0 * math.exp(-deviation_exponent(float(eps), s_size, d_size))
 
 
 def wilson_interval(hits: int, trials: int, z: float = WILSON_Z95) -> tuple[float, float]:
@@ -119,10 +108,10 @@ def _check_sd_free_at(action: FiniteAction, S: GroupSet, D: GroupSet, x: int) ->
     return dx
 
 
-def mc_deviation_prob(inp: ConcentrationBoundInput, action: FiniteAction, x: int,
-                      phi: Pattern, trials: int, seed: int,
-                      chunk: int | None = None) -> McEstimate:
-    """Estimate the deviation probability bounded by concentration_bound.
+def mc_deviation_prob(phi: Pattern, eps, D: GroupSet, action: FiniteAction, x: int,
+                      trials: int, seed: int, chunk: int | None = None) -> McEstimate:
+    """Estimate the deviation probability bounded by concentration_bound for
+    the pattern phi on S = phi.domain over k = phi.k colors.
 
     Each trial colors SD.x uniformly at random and counts the elements of D
     at which phi occurs in the coloring pulled back through the action.  A
@@ -136,13 +125,15 @@ def mc_deviation_prob(inp: ConcentrationBoundInput, action: FiniteAction, x: int
     are for intervals S and D on a cyclic action, and as an index array
     otherwise; the C kernel counts only all-slice patterns.
     """
-    S, D, k = inp.S, inp.D, inp.k
+    S, k = phi.domain, phi.k
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if chunk is not None and chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
-    if phi.domain != S:
-        raise ValueError("pattern domain must be exactly S")
+    if as_fraction(eps) <= 0:
+        raise ValueError("deviation tolerance must be positive")
+    if len(D) == 0:
+        raise ValueError("D must be nonempty")
     dx = _check_sd_free_at(action, S, D, x)
 
     # the sites SD.x, numbered in order of first appearance along sorted SD
@@ -161,7 +152,7 @@ def mc_deviation_prob(inp: ConcentrationBoundInput, action: FiniteAction, x: int
     # exact integer accumulators, converted to float once after the loop
     hits = occ_sum = occ_sumsq = 0
     # bad_at[c]: whether a trial that saw phi c times over D is a hit
-    bad_at = deviates(np.arange(d_sz + 1), d_sz, k, s_sz, inp.eps)
+    bad_at = deviates(np.arange(d_sz + 1), d_sz, k, s_sz, eps)
     run_seed = derive_seed(seed, 0xC0)
     # a count is at most |D|, so the default keeps chunk * |D|^2, the bound on
     # one chunk's int64 sum of squares, below 2^63
@@ -227,22 +218,21 @@ def deviation_sweep(grid, action_factory, trials: int, seed: int,
     """
     points = []
     for i, (k, S, eps, D) in enumerate(grid):
-        inp = ConcentrationBoundInput(k, S, as_fraction(eps), D)
         action = action_factory(k, S, eps, D)
         phi = all_patterns(S, k)[0]  # all-zero pattern: worst positive correlation
-        est = mc_deviation_prob(inp, action, 0, phi, trials, derive_seed(seed, i))
-        points.append((inp, concentration_bound(inp), est))
-    tested = sum(bound < bound_cutoff for _, bound, _ in points)
+        est = mc_deviation_prob(phi, eps, D, action, 0, trials, derive_seed(seed, i))
+        points.append((k, len(S), float(as_fraction(eps)), len(D),
+                       concentration_bound(eps, len(S), len(D)), est))
+    tested = sum(bound < bound_cutoff for *_, bound, _est in points)
     z_limit = familywise_z(max(tested, 1))
     rows = []
-    for inp, bound, est in points:
+    for *point, bound, est in points:
         if bound >= bound_cutoff:
             verdict = "vacuous"
         elif est.wilson_95_lower <= bound and abs(est.expectation_zscore) <= z_limit:
             verdict = "pass"
         else:
             verdict = "fail"
-        rows.append(SweepRow(inp.k, len(inp.S), float(inp.eps), len(inp.D), bound,
-                             est.estimate, est.wilson_95_lower, est.wilson_95_upper,
-                             est.expectation_zscore, verdict))
+        rows.append(SweepRow(*point, bound, est.estimate, est.wilson_95_lower,
+                             est.wilson_95_upper, est.expectation_zscore, verdict))
     return rows

@@ -1,6 +1,10 @@
 """Executable experiments: almost-sure convergence of pattern frequencies,
 uniform frequency control after resampling, periodic approximations of the
 uniform measure, and near-invariant finitely supported measures.
+
+The averaging experiments take the finite sets D_0, ..., D_{n_max} they
+average over as a list of `GroupSet`s; `log_growth_size` gives the sizes
+|D_n| = ceil(C log(n+2)) of the log-growth intervals the configs use.
 """
 
 from __future__ import annotations
@@ -12,9 +16,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .concentration import ConcentrationBoundInput, concentration_bound, deviates
+from .concentration import concentration_bound, deviates
 from .groups import (CyclicTranslation, FiniteAction, GroupCtx, GroupError,
-                     GroupSet, integer_interval, is_sd_free)
+                     GroupSet, is_sd_free)
 from .lll import (CertificationError, FrequencyDeviationEvent, GLLLWitnessSpec,
                   check_glll_witness, default_witness_exponent, slll_stats)
 from .moser_tardos import (EventFamily, MTResult, TapeSpace, frequency_counts,
@@ -25,42 +29,17 @@ from .shift import Pattern, PatternStats, all_patterns, as_fraction
 INTEGERS_CTX = GroupCtx("integers")
 
 
-@dataclass(frozen=True)
-class AveragingSequence:
-    """Averaging sets D_n: either log-growth intervals {0..ceil(C log(n+2))-1}
-    or an explicit list."""
+def log_growth_size(C: float, n: int) -> int:
+    """|D_n| = max(1, ceil(C log(n+2))), the size of the n-th log-growth
+    averaging interval {0..|D_n|-1}."""
+    if C <= 0:
+        raise ValueError("growth constant must be positive")
+    return max(1, math.ceil(C * math.log(n + 2)))
 
-    rule: str                      # "log-growth" | "explicit"
-    C: Optional[float] = None
-    explicit: Optional[tuple] = None
 
-    @classmethod
-    def log_growth(cls, C: float) -> "AveragingSequence":
-        if C <= 0:
-            raise ValueError("growth constant must be positive")
-        return cls("log-growth", C=C)
-
-    @classmethod
-    def from_sets(cls, sets: Sequence[GroupSet]) -> "AveragingSequence":
-        if any(len(s) == 0 for s in sets):
-            raise ValueError("averaging sets must be nonempty")
-        return cls("explicit", explicit=tuple(sets))
-
-    def size(self, n: int) -> int:
-        if self.rule == "log-growth":
-            return max(1, math.ceil(self.C * math.log(n + 2)))
-        return len(self._explicit_at(n))
-
-    def realize(self, n: int) -> GroupSet:
-        if self.rule == "log-growth":
-            return integer_interval(self.size(n))
-        return self._explicit_at(n)
-
-    def _explicit_at(self, n: int) -> GroupSet:
-        if not (0 <= n < len(self.explicit)):
-            raise ValueError(f"explicit sequence has indices 0..{len(self.explicit) - 1},"
-                             f" asked for {n}")
-        return self.explicit[n]
+def _check_averaging_sets(d_sets: Sequence[GroupSet]) -> None:
+    if not d_sets or any(len(d) == 0 for d in d_sets):
+        raise ValueError("averaging sets D_0..D_n must be a nonempty list of nonempty sets")
 
 
 @dataclass
@@ -91,20 +70,20 @@ class ConvergenceReport:
             yield (r.n, r.d_size, r.worst_dev, r.exceed_frac_beyond, r.bc_tail)
 
 
-def ergodic_convergence_experiment(k: int, S: GroupSet, eps, seq: AveragingSequence,
-                                   n_max: int, samples: int, seed: int,
+def ergodic_convergence_experiment(k: int, S: GroupSet, eps, d_sets: Sequence[GroupSet],
+                                   samples: int, seed: int,
                                    chunk: int | None = None) -> ConvergenceReport:
-    """Sample i.i.d. uniform configurations and track, for each n, the worst
-    pattern-frequency deviation over D_n, the fraction of samples that still
-    deviate by eps somewhere at or beyond n, and the summed closed-form
-    bound 2 exp(-eps^2 |D_m| / (2|S|^3)) over m >= n.  Samples run `chunk`
+    """Sample i.i.d. uniform configurations and track, for each D_n of
+    `d_sets` = [D_0, ..., D_{n_max}], the worst pattern-frequency deviation
+    over D_n, the fraction of samples that still deviate by eps somewhere at
+    or beyond n, and the summed closed-form bound
+    2 exp(-eps^2 |D_m| / (2|S|^3)) over m >= n.  Samples run `chunk`
     at a time, by default as many as make one RNG block of colors; the
     result does not depend on the chunk size.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
-    if n_max < 0:
-        raise ValueError(f"n_max must be >= 0, got {n_max}")
+    _check_averaging_sets(d_sets)
     if chunk is not None and chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     if S.ctx != INTEGERS_CTX:
@@ -112,11 +91,11 @@ def ergodic_convergence_experiment(k: int, S: GroupSet, eps, seq: AveragingSeque
     if len(S) == 0:
         raise ValueError("pattern domain S must be nonempty")
     eps_fr = as_fraction(eps)
-    d_sets = [seq.realize(n) for n in range(n_max + 1)]
+    n_max = len(d_sets) - 1
     d_sizes = np.array([len(d) for d in d_sets], dtype=np.int64)
     s_elems = [int(e) for e in S.elements]
     scale = k ** len(S)
-    bounds = [concentration_bound(ConcentrationBoundInput(k, S, eps_fr, ds)) for ds in d_sets]
+    bounds = [concentration_bound(eps_fr, len(S), len(ds)) for ds in d_sets]
     tails = np.cumsum(bounds[::-1])[::-1]
 
     # occurrence column j is anchor d_lo + j, and reads site s at color
@@ -185,7 +164,6 @@ class UniformDiscrepancyResult:
     result: MTResult
     stats_per_n: list            # (n, PatternStats)
     certified: bool
-    certificate: object
     max_deviation: Optional[Fraction]
     all_within: Optional[bool]   # deviation <= eps at every point and n
     fractions: object            # ResampleFractions vs the budget
@@ -193,20 +171,20 @@ class UniformDiscrepancyResult:
     delta_report: Fraction = Fraction(0)   # fraction of points still violating
 
 
-def uniform_discrepancy_experiment(k: int, S: GroupSet, eps, seq: AveragingSequence,
-                                   n_max: int, action: FiniteAction, seed: int,
+def uniform_discrepancy_experiment(k: int, S: GroupSet, eps, d_sets: Sequence[GroupSet],
+                                   action: FiniteAction, seed: int,
                                    a: Optional[float] = None,
                                    max_steps: Optional[int] = None
                                    ) -> UniformDiscrepancyResult:
     """Resample until every point sees every pattern with frequency within
-    eps of k^{-|S|} over every D_n, and compare the resampled fraction with
-    the witness budget.
+    eps of k^{-|S|} over every D_n of `d_sets`, and compare the resampled
+    fraction with the witness budget.
 
     The witness certificate is checked first; if it fails, the run still
     proceeds best-effort but the result carries a warning instead of a claim.
     """
+    _check_averaging_sets(d_sets)
     eps_fr = as_fraction(eps)
-    d_sets = [seq.realize(n) for n in range(n_max + 1)]
     for ds in d_sets:
         if is_sd_free(action, [S, ds]) is not True:
             raise GroupError("action must be (S, D_n)-free for every n")
@@ -225,7 +203,6 @@ def uniform_discrepancy_experiment(k: int, S: GroupSet, eps, seq: AveragingSeque
             warnings.append("witness budget exceeds eps: the resample fraction is "
                             "only claimed below the witness bound, not below eps")
     except CertificationError as exc:
-        cert = None
         certified = False
         warnings.append(str(exc))
     if not certified and not warnings:
@@ -256,8 +233,8 @@ def uniform_discrepancy_experiment(k: int, S: GroupSet, eps, seq: AveragingSeque
             stats_per_n.append((n, PatternStats.from_freqs(freqs, Fraction(1, scale))))
         all_within = max_dev <= eps_fr
     delta = Fraction(len(result.defect_points), action.n_points)
-    return UniformDiscrepancyResult(result, stats_per_n, certified, cert,
-                                    max_dev, all_within, fracs, warnings, delta)
+    return UniformDiscrepancyResult(result, stats_per_n, certified, max_dev, all_within,
+                                    fracs, warnings, delta)
 
 
 # -- periodic approximations of the uniform measure ----------------------------
@@ -325,7 +302,6 @@ class NearInvariantMeasure:
     worst_shift_dev: Fraction
     eps: Fraction
     within: bool
-    mt_result: MTResult
 
 
 def near_invariant_measure(k: int, S: GroupSet, eps, D: GroupSet, modulus: int,
@@ -360,4 +336,4 @@ def near_invariant_measure(k: int, S: GroupSet, eps, D: GroupSet, modulus: int,
         sl = counts[:shift_cap]
         dev = Fraction(int(np.abs(sl * scale - d_sz).max()), d_sz * scale)
         worst = max(worst, dev)
-    return NearInvariantMeasure(atoms, worst, eps_fr, worst <= eps_fr, result)
+    return NearInvariantMeasure(atoms, worst, eps_fr, worst <= eps_fr)

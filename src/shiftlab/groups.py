@@ -169,13 +169,17 @@ def set_product(S: GroupSet, D: GroupSet) -> GroupSet:
     if ctx.kind == INTEGERS:
         a = np.asarray(S.elements, dtype=np.int64)
         b = np.asarray(D.elements, dtype=np.int64)
-        if a.size * b.size <= 4_000_000:
-            vals = np.unique(a[:, None] + b[None, :])
-        else:
-            step = max(1, 4_000_000 // b.size)
-            parts = [np.unique(a[i:i + step, None] + b[None, :]) for i in range(0, a.size, step)]
-            vals = np.unique(np.concatenate(parts))
-        return GroupSet(ctx, vals.tolist())
+        # chunks of at most 4,000,000 sums (or one element of S times D),
+        # each sorted and rid of equal neighbours; GroupSet sorts and
+        # deduplicates across chunks
+        step = max(1, 4_000_000 // max(b.size, 1))
+        vals = []
+        for i in range(0, a.size, step):
+            c = np.sort(a[i:i + step, None] + b, axis=None)
+            first = np.ones(c.size, dtype=bool)  # c[j] starts a run of equal sums
+            first[1:] = c[1:] != c[:-1]
+            vals.extend(c[first].tolist())
+        return GroupSet(ctx, vals)
     return GroupSet(ctx, {ctx.op(s, d) for s in S for d in D})
 
 

@@ -141,7 +141,6 @@ class InducedEvent:
     point set F.x and its test pulls a point coloring back to F."""
 
     base: BadEvent
-    anchor: int
     site_of: dict  # F element -> point
     domain_points: tuple
 
@@ -157,7 +156,7 @@ class InducedEvent:
 def induced_event(B: BadEvent, action: FiniteAction, x: int) -> InducedEvent:
     F = B.domain.elements
     site_of = dict(zip(F, action.translates(F, x).tolist()))
-    return InducedEvent(B, x, site_of, tuple(dict.fromkeys(site_of.values())))
+    return InducedEvent(B, site_of, tuple(dict.fromkeys(site_of.values())))
 
 
 # -- symmetric certification --------------------------------------------------
@@ -167,7 +166,6 @@ def induced_event(B: BadEvent, action: FiniteAction, x: int) -> InducedEvent:
 class InstanceStats:
     p_bound: float
     d_bound: int
-    degree_mode: str
 
     @property
     def slll_margin(self) -> float:
@@ -221,7 +219,7 @@ def slll_stats(k: int, S: GroupSet, eps, D: GroupSet,
     else:
         _require_intervals(degree_mode, S, D)
         d = _neighbor_count(len(S), len(D), len(D), degree_mode) - 1
-    return InstanceStats(p, d, degree_mode)
+    return InstanceStats(p, d)
 
 
 @dataclass
@@ -347,7 +345,6 @@ class IneqRecord:
 @dataclass
 class GLLLReport:
     records: list
-    eps_sum: float
     budget_sum: float
 
     @property
@@ -448,7 +445,7 @@ def check_glll_witness(k: int, S: GroupSet, eps, d_seq: Sequence[GroupSet],
         records.append(IneqRecord("witness-product", n, log_lhs, log_rhs,
                                   log_lhs <= log_rhs))
 
-    return GLLLReport(records, eps_sum_f, budget_total)
+    return GLLLReport(records, budget_total)
 
 
 class SearchError(RuntimeError):

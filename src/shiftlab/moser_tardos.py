@@ -147,8 +147,7 @@ def violated_anchors(action: FiniteAction, ev: BadEvent, g: np.ndarray) -> np.nd
 
 
 def run_mt(action: FiniteAction, family: EventFamily, tape: TapeSpace,
-           max_steps: Optional[int] = None, check_maximality: bool = False,
-           transcript: Optional[list] = None) -> MTResult:
+           max_steps: Optional[int] = None, transcript: Optional[list] = None) -> MTResult:
     """Iterate resampling until no anchored event is violated.
 
     Preconditions (checked): the action is total and F_n-free for every
@@ -187,18 +186,13 @@ def run_mt(action: FiniteAction, family: EventFamily, tape: TapeSpace,
 
         claimed = np.zeros(n_pts, dtype=bool)
         selected = []
-        deferred = []
         for n, x in candidates:  # (n, anchor) order: families ascending, anchors ascending
             dom = action.translates(domains[n], x)
             if claimed[dom].any():
-                deferred.append(dom)
                 continue
             claimed[dom] = True
             selected.append((n, x))
             index_counts[(n, x)] = index_counts.get((n, x), 0) + 1
-        if check_maximality:
-            for dom in deferred:
-                assert claimed[dom].any(), "selection was not maximal"
 
         touched = np.flatnonzero(claimed)
         t[touched] += 1

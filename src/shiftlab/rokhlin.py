@@ -208,7 +208,6 @@ def verify_capture(build: TowerBuild) -> CaptureReport:
 
 @dataclass
 class StageRecord:
-    i: int
     eps: Fraction
     n_start: int               # global index of the stage's first interval
     plan: BadIntervalPlan
@@ -284,7 +283,7 @@ def bad_sequence_experiment(h: Union[Callable[[int], int], Sequence[int]],
         offset = int(mix_counters(derive_seed(seed, 0x70, i), i, 0)[()] % modulus)
         build = build_tower(plan, modulus, offset)
         a_masks.append(build.a_mask)
-        stages.append(StageRecord(i, plan.eps, n_starts[i], plan, offset, build.mu_a))
+        stages.append(StageRecord(plan.eps, n_starts[i], plan, offset, build.mu_a))
 
     qs = list(k_probe) if k_probe is not None else list(range(i_max + 1))
     mu_tail = {}

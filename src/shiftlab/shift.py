@@ -142,13 +142,10 @@ class PatternStats:
     """Per-pattern frequencies against the Bernoulli target 1/k^{|S|}."""
 
     rows: list  # (pattern_id, Fraction freq, Fraction target, Fraction deviation)
-    worst_pattern_id: str
 
     @classmethod
     def from_freqs(cls, freqs: Mapping[str, Fraction], target: Fraction) -> "PatternStats":
-        rows = [(pid, f, target, abs(f - target)) for pid, f in sorted(freqs.items())]
-        worst = max(rows, key=lambda r: r[3])[0] if rows else ""
-        return cls(rows, worst)
+        return cls([(pid, f, target, abs(f - target)) for pid, f in sorted(freqs.items())])
 
     @property
     def worst_deviation(self) -> Fraction:

@@ -12,7 +12,7 @@ import numpy as np
 
 from shiftlab.concentration import (deviation_sweep, wilson_interval,
                                     wilson_zero_floor)
-from shiftlab.ergodic import (AveragingSequence, ergodic_convergence_experiment,
+from shiftlab.ergodic import (ergodic_convergence_experiment, log_growth_size,
                               periodic_cylinder_table, periodic_cylinder_value)
 from shiftlab.groups import (CyclicTranslation, GroupCtx, difference_set_size,
                              integer_interval, set_product)
@@ -207,8 +207,8 @@ def test_criterion_06_ledger_identity():
 def test_criterion_07_borel_cantelli_convergence():
     t0 = time.time()
     C = find_log_growth_constant(2, S1, EPS, a=A_WITNESS, eps_sum=EPS)
-    rep = ergodic_convergence_experiment(2, S1, EPS, AveragingSequence.log_growth(C),
-                                         n_max=100, samples=200, seed=1001)
+    d_sets = [integer_interval(log_growth_size(C, n)) for n in range(101)]
+    rep = ergodic_convergence_experiment(2, S1, EPS, d_sets, samples=200, seed=1001)
     ok = rep.exceedances_within(z=3.0)
     worst_exceed = max(r.exceed_frac_beyond for r in rep.rows)
     elapsed = time.time() - t0

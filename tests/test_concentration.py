@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftlab import concentration, rng
-from shiftlab.concentration import (ConcentrationBoundInput, McEstimate,
-                                    concentration_bound, deviates, deviation_sweep,
-                                    familywise_z, mc_deviation_prob, scb_bound,
-                                    wilson_interval, wilson_zero_floor)
+from shiftlab.concentration import (McEstimate, concentration_bound, deviates,
+                                    deviation_sweep, familywise_z, mc_deviation_prob,
+                                    scb_bound, wilson_interval, wilson_zero_floor)
 from shiftlab.groups import (CyclicTranslation, FiniteAction, GroupCtx, GroupError,
                              GroupSet, integer_interval)
 from shiftlab.shift import all_patterns
@@ -52,24 +51,26 @@ def test_scb_monotonicity():
 
 
 def test_concentration_examples():
-    inp = ConcentrationBoundInput(2, integer_interval(2), Fraction(1, 5),
-                                  integer_interval(2000))
-    assert concentration_bound(inp) == pytest.approx(2 * math.exp(-5), rel=1e-9)
-    inp1 = ConcentrationBoundInput(2, integer_interval(1), Fraction(1, 10),
-                                   integer_interval(1000))
-    assert concentration_bound(inp1) == pytest.approx(2 * math.exp(-5), rel=1e-9)
-    huge = ConcentrationBoundInput(2, integer_interval(1), Fraction(100),
-                                   integer_interval(1000))
-    assert concentration_bound(huge) < 1e-300  # eps -> infinity limit
+    assert concentration_bound(Fraction(1, 5), 2, 2000) == pytest.approx(2 * math.exp(-5),
+                                                                         rel=1e-9)
+    assert concentration_bound(Fraction(1, 10), 1, 1000) == pytest.approx(2 * math.exp(-5),
+                                                                          rel=1e-9)
+    assert concentration_bound(Fraction(100), 1, 1000) < 1e-300  # eps -> infinity limit
 
 
-@given(st.integers(1, 3), st.integers(1, 4), st.integers(1, 400),
+@pytest.mark.parametrize("eps, s_size, d_size, match", [
+    (Fraction(0), 1, 10, "tolerance"), ("-0.1", 1, 10, "tolerance"),
+    (Fraction(1, 10), 0, 10, "nonempty"), (Fraction(1, 10), 1, 0, "nonempty")])
+def test_concentration_bound_rejects_degenerate_inputs(eps, s_size, d_size, match):
+    with pytest.raises(ValueError, match=match):
+        concentration_bound(eps, s_size, d_size)
+
+
+@given(st.integers(1, 4), st.integers(1, 400),
        st.fractions(min_value="1/100", max_value="9/10"))
 @settings(max_examples=60, deadline=None)
-def test_bound_is_scb_substitution(k, s_sz, d_sz, eps):
-    inp = ConcentrationBoundInput(k, integer_interval(s_sz), eps,
-                                  integer_interval(d_sz))
-    direct = concentration_bound(inp)
+def test_bound_is_scb_substitution(s_sz, d_sz, eps):
+    direct = concentration_bound(eps, s_sz, d_sz)
     via_scb = scb_bound(s_sz * d_sz, s_sz, float(eps) * d_sz)
     assert direct == pytest.approx(via_scb, rel=1e-9)
 
@@ -84,28 +85,25 @@ def test_wilson_interval_basics():
 
 def test_mc_impossible_deviation_eps_ge_1():
     # frequency lives in [0,1] and the target is <= 1/2: deviation 1 never happens
-    inp = ConcentrationBoundInput(2, integer_interval(1), Fraction(1),
-                                  integer_interval(50))
     phi = all_patterns(integer_interval(1), 2)[0]
-    est = mc_deviation_prob(inp, CyclicTranslation(1000), 0, phi, 500, seed=4)
+    est = mc_deviation_prob(phi, Fraction(1), integer_interval(50), CyclicTranslation(1000),
+                            0, 500, seed=4)
     assert est.hits == 0
 
 
 def test_mc_singleton_always_deviates():
     # |D| = 1: frequency is 0 or 1, both at distance 1/2 >= 0.4 from the target
-    inp = ConcentrationBoundInput(2, integer_interval(1), Fraction(2, 5),
-                                  integer_interval(1))
     phi = all_patterns(integer_interval(1), 2)[0]
-    est = mc_deviation_prob(inp, CyclicTranslation(100), 0, phi, 400, seed=4)
+    est = mc_deviation_prob(phi, Fraction(2, 5), integer_interval(1), CyclicTranslation(100),
+                            0, 400, seed=4)
     assert est.estimate == 1.0
-    assert concentration_bound(inp) > 1.0  # vacuous, consistent
+    assert concentration_bound(Fraction(2, 5), 1, 1) > 1.0  # vacuous, consistent
 
 
 def test_mc_expectation_identity():
-    inp = ConcentrationBoundInput(2, integer_interval(2), Fraction(1, 10),
-                                  integer_interval(400))
     phi = all_patterns(integer_interval(2), 2)[0]
-    est = mc_deviation_prob(inp, CyclicTranslation(5000), 0, phi, 3000, seed=8)
+    est = mc_deviation_prob(phi, Fraction(1, 10), integer_interval(400),
+                            CyclicTranslation(5000), 0, 3000, seed=8)
     assert est.expected_occurrences == 100.0
     assert est.expectation_within_3sigma
 
@@ -115,23 +113,19 @@ def test_mc_expectation_identity():
 def test_mc_zero_variance_zscore_has_the_sign_of_the_miss(seed, mean, z):
     # one trial has zero variance: the z-score is infinite with the sign of
     # mean - expected, or 0 when the mean is exact
-    inp = ConcentrationBoundInput(2, integer_interval(1), Fraction(1, 10),
-                                  integer_interval(50))
     phi = all_patterns(integer_interval(1), 2)[0]
-    est = mc_deviation_prob(inp, CyclicTranslation(1000), 0, phi, trials=1, seed=seed)
+    est = mc_deviation_prob(phi, Fraction(1, 10), integer_interval(50),
+                            CyclicTranslation(1000), 0, trials=1, seed=seed)
     assert (est.mean_occurrences, est.expected_occurrences) == (mean, 25.0)
     assert est.expectation_zscore == z
 
 
 def test_mc_requires_freeness():
-    inp = ConcentrationBoundInput(2, integer_interval(1), Fraction(1, 10),
-                                  integer_interval(20))
     phi = all_patterns(integer_interval(1), 2)[0]
-    bad = ConcentrationBoundInput(2, integer_interval(1), Fraction(1, 10),
-                                  integer_interval(20, start=0))
     # D = {0..19} on a 10-point cycle collides
     with pytest.raises(GroupError):
-        mc_deviation_prob(bad, CyclicTranslation(10), 0, phi, 10, seed=0)
+        mc_deviation_prob(phi, Fraction(1, 10), integer_interval(20), CyclicTranslation(10),
+                          0, 10, seed=0)
 
 
 class _PinnedCycle(FiniteAction):
@@ -166,7 +160,6 @@ def _sd_free_verdict(action, S, D, x):
 def test_mc_freeness_check_matches_point_by_point_loop(s_items, d_items):
     Z = GroupCtx("integers")
     S, D = gset(Z, s_items), gset(Z, d_items)
-    inp = ConcentrationBoundInput(2, S, Fraction(1, 4), D)
     phi = all_patterns(S, 2)[0]
     action = _PinnedCycle(12, pinned=5)
     seen = set()
@@ -174,10 +167,10 @@ def test_mc_freeness_check_matches_point_by_point_loop(s_items, d_items):
         verdict = _sd_free_verdict(action, S, D, x)
         seen.add(verdict)
         if verdict is None:
-            assert mc_deviation_prob(inp, action, x, phi, 3, seed=x).trials == 3
+            assert mc_deviation_prob(phi, Fraction(1, 4), D, action, x, 3, seed=x).trials == 3
         else:
             with pytest.raises(GroupError, match=verdict):
-                mc_deviation_prob(inp, action, x, phi, 3, seed=x)
+                mc_deviation_prob(phi, Fraction(1, 4), D, action, x, 3, seed=x)
     # x = 5 collapses D.x; an x whose orbit passes 5 fails S-freeness there only
     assert seen == {None, "not D-free", "not S-free"}
 
@@ -206,7 +199,7 @@ def test_familywise_z_limits():
 
 def _sweep_with_zscores(monkeypatch, zscores):
     # one non-vacuous point per z-score; the estimate itself sits below the bound
-    def fake_mc(inp, action, x, phi, trials, seed):
+    def fake_mc(phi, eps, D, action, x, trials, seed):
         z = next(it)
         return McEstimate(trials, 0, 0.0, 1e-3, 0.0, 100.0 + z, 100.0, z)
 
@@ -234,20 +227,19 @@ def test_mc_on_torus_action():
     L2 = GroupCtx("lattice", 2)
     S = gset(L2, [(0, 0)])
     D = gset(L2, [(i, j) for i in range(10) for j in range(10)])
-    inp = ConcentrationBoundInput(2, S, Fraction(1, 4), D)
     phi = all_patterns(S, 2)[0]
-    est = mc_deviation_prob(inp, TorusTranslation(30, 30), 5, phi, 800, seed=12)
+    est = mc_deviation_prob(phi, Fraction(1, 4), D, TorusTranslation(30, 30), 5, 800, seed=12)
     assert est.expected_occurrences == 50.0
     assert est.expectation_within_3sigma
     assert est.wilson_95_upper <= 1.0
 
 
-def _mc_oracle(inp, action, x, phi, trials, seed):
+def _mc_oracle(phi, eps, D, action, x, trials, seed):
     """mc_deviation_prob one trial at a time: each trial colors the sites of
     SD.x from its own color_matrix row and counts occurrences site by site."""
     from shiftlab.groups import set_product
     from shiftlab.rng import color_matrix, derive_seed
-    S, D, k = inp.S, inp.D, inp.k
+    S, k = phi.domain, phi.k
     sites = []
     for e in set_product(S, D).elements:
         y = action.act(e, x)
@@ -262,7 +254,7 @@ def _mc_oracle(inp, action, x, phi, trials, seed):
         counts.append(sum(
             all(color[action.act(S.ctx.op(s, d), x)] == c for s, c in phi.items())
             for d in D.elements))
-    hits = sum(abs(Fraction(c, len(D)) - target) >= inp.eps for c in counts)
+    hits = sum(abs(Fraction(c, len(D)) - target) >= eps for c in counts)
     return hits, Fraction(sum(counts), trials)
 
 
@@ -288,10 +280,9 @@ def test_mc_matches_per_trial_oracle(s_name, d_name, k, colors, eps, modulus, x,
     Z = GroupCtx("integers")
     S, D = gset(Z, _MC_SETS[s_name]), gset(Z, _MC_SETS[d_name])
     phi = Pattern(S, tuple(c % k for c in colors[:len(S)]), k)
-    inp = ConcentrationBoundInput(k, S, eps, D)
     action = CyclicTranslation(modulus)
-    est = mc_deviation_prob(inp, action, x % modulus, phi, trials, seed, chunk=chunk)
-    hits, mean = _mc_oracle(inp, action, x % modulus, phi, trials, seed)
+    est = mc_deviation_prob(phi, eps, D, action, x % modulus, trials, seed, chunk=chunk)
+    hits, mean = _mc_oracle(phi, eps, D, action, x % modulus, trials, seed)
     assert (est.trials, est.hits) == (trials, hits)
     assert est.estimate == hits / trials
     assert est.mean_occurrences == float(mean)
@@ -310,18 +301,25 @@ def test_mc_matches_per_trial_oracle_on_torus():
     L2 = GroupCtx("lattice", 2)
     S = gset(L2, [(0, 0), (0, 1)])
     D = gset(L2, [(0, 0), (1, 0), (1, 1), (2, 3)])
-    inp = ConcentrationBoundInput(2, S, Fraction(1, 4), D)
     phi = Pattern(S, (1, 0), 2)
     action = TorusTranslation(5, 6)
     for chunk in (None, 1, 3):
-        est = mc_deviation_prob(inp, action, 7, phi, 30, seed=9, chunk=chunk)
-        hits, mean = _mc_oracle(inp, action, 7, phi, 30, seed=9)
+        est = mc_deviation_prob(phi, Fraction(1, 4), D, action, 7, 30, seed=9, chunk=chunk)
+        hits, mean = _mc_oracle(phi, Fraction(1, 4), D, action, 7, 30, seed=9)
         assert est.hits == hits and est.mean_occurrences == float(mean)
 
 
 def test_mc_rejects_zero_trials():
-    inp = ConcentrationBoundInput(2, integer_interval(1), Fraction(1, 10),
-                                  integer_interval(5))
     phi = all_patterns(integer_interval(1), 2)[0]
     with pytest.raises(ValueError, match="trials"):
-        mc_deviation_prob(inp, CyclicTranslation(100), 0, phi, 0, seed=0)
+        mc_deviation_prob(phi, Fraction(1, 10), integer_interval(5), CyclicTranslation(100),
+                          0, 0, seed=0)
+
+
+@pytest.mark.parametrize("eps, D, match", [
+    (Fraction(0), integer_interval(5), "tolerance"),
+    (Fraction(1, 10), GroupSet(GroupCtx("integers"), ()), "nonempty")])
+def test_mc_rejects_degenerate_eps_and_empty_d(eps, D, match):
+    phi = all_patterns(integer_interval(1), 2)[0]
+    with pytest.raises(ValueError, match=match):
+        mc_deviation_prob(phi, eps, D, CyclicTranslation(100), 0, 10, seed=0)

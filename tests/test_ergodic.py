@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from shiftlab.ergodic import (AveragingSequence, ergodic_convergence_experiment,
+from shiftlab.ergodic import (ergodic_convergence_experiment, log_growth_size,
                               near_invariant_measure, periodic_cylinder_table,
                               periodic_cylinder_value,
                               uniform_discrepancy_experiment)
@@ -17,21 +17,25 @@ gset = GroupSet.from_iterable
 Z = GroupCtx("integers")
 
 
-def test_averaging_sequence_log_growth():
-    seq = AveragingSequence.log_growth(100.0)
+def _log_growth_sets(C, n_max):
+    return [integer_interval(log_growth_size(C, n)) for n in range(n_max + 1)]
+
+
+def test_log_growth_size():
     for n in [0, 1, 10, 99]:
-        d = seq.realize(n)
-        assert len(d) == math.ceil(100.0 * math.log(n + 2))
-        assert len(d) >= 100.0 * math.log(n + 2)
-        assert d.elements[0] == 0
+        m = log_growth_size(100.0, n)
+        assert m == math.ceil(100.0 * math.log(n + 2))
+        assert m >= 100.0 * math.log(n + 2)
+    assert log_growth_size(0.01, 0) == 1  # never an empty set
+    for C in (0, -1.0):
+        with pytest.raises(ValueError, match="growth constant"):
+            log_growth_size(C, 3)
 
 
 def test_convergence_report_tail_is_partial_sum():
     S = integer_interval(1)
-    rep = ergodic_convergence_experiment(2, S, "0.2", AveragingSequence.log_growth(50),
-                                         20, 40, seed=2)
-    bounds = [2 * math.exp(-0.04 * len(AveragingSequence.log_growth(50).realize(m)) / 2)
-              for m in range(21)]
+    rep = ergodic_convergence_experiment(2, S, "0.2", _log_growth_sets(50, 20), 40, seed=2)
+    bounds = [2 * math.exp(-0.04 * log_growth_size(50, m) / 2) for m in range(21)]
     for n, row in enumerate(rep.rows):
         assert row.bc_tail == pytest.approx(sum(bounds[n:]), abs=1e-12)
     # tail column decreasing
@@ -40,8 +44,7 @@ def test_convergence_report_tail_is_partial_sum():
 
 def test_convergence_zero_exceedance_for_eps_ge_1():
     S = integer_interval(1)
-    rep = ergodic_convergence_experiment(2, S, 1, AveragingSequence.log_growth(20),
-                                         10, 30, seed=3)
+    rep = ergodic_convergence_experiment(2, S, 1, _log_growth_sets(20, 10), 30, seed=3)
     assert all(r.exceed_frac_beyond == 0 for r in rep.rows)
     assert rep.first_quiet_n == 0
 
@@ -49,16 +52,26 @@ def test_convergence_zero_exceedance_for_eps_ge_1():
 def test_convergence_large_window_binomial():
     # frequency over one large window lands within 0.005 of 1/2
     S = integer_interval(1)
-    seq = AveragingSequence.from_sets([integer_interval(1_000_000)])
-    rep = ergodic_convergence_experiment(2, S, "0.005", seq, 0, 3, seed=4)
+    rep = ergodic_convergence_experiment(2, S, "0.005", [integer_interval(1_000_000)], 3,
+                                         seed=4)
     assert rep.rows[0].worst_dev < 0.005
+
+
+@pytest.mark.parametrize("d_sets", [[], [integer_interval(4), GroupSet(Z, ())]],
+                         ids=["no_sets", "empty_set"])
+def test_experiments_reject_empty_averaging_sets(d_sets):
+    S = integer_interval(1)
+    with pytest.raises(ValueError, match="averaging sets"):
+        ergodic_convergence_experiment(2, S, "0.25", d_sets, 5, seed=0)
+    with pytest.raises(ValueError, match="averaging sets"):
+        uniform_discrepancy_experiment(2, S, "0.25", d_sets, CyclicTranslation(100), seed=0)
 
 
 def test_convergence_matches_bruteforce_on_tiny_case():
     # independent recomputation with explicit configs
     S = integer_interval(1)
-    seq = AveragingSequence.from_sets([integer_interval(4), integer_interval(8)])
-    rep = ergodic_convergence_experiment(2, S, "0.25", seq, 1, 25, seed=9)
+    d_sets = [integer_interval(4), integer_interval(8)]
+    rep = ergodic_convergence_experiment(2, S, "0.25", d_sets, 25, seed=9)
     from shiftlab.rng import color_matrix, derive_seed
     colors = color_matrix(derive_seed(9, 0xE6), 25, 8, 2)
     exceed_counts = [0, 0]
@@ -88,8 +101,7 @@ def test_convergence_matches_bruteforce_off_prefix(s_elems):
     # -min S in either direction
     S = gset(Z, s_elems)
     d_sets = [gset(Z, [0, 2, 5]), integer_interval(4)]
-    rep = ergodic_convergence_experiment(2, S, "0.5", AveragingSequence.from_sets(d_sets),
-                                         1, 40, seed=5)
+    rep = ergodic_convergence_experiment(2, S, "0.5", d_sets, 40, seed=5)
     from shiftlab.rng import color_matrix, derive_seed
     lo = min(s_elems)  # min S + min D_n; sites run from lo to max S + 5
     colors = color_matrix(derive_seed(5, 0xE6), 40, max(s_elems) + 5 - lo + 1, 2)
@@ -115,8 +127,7 @@ def test_convergence_matches_bruteforce_off_prefix(s_elems):
 
 def test_uniform_discrepancy_single_certified_event():
     S = integer_interval(1)
-    seq = AveragingSequence.from_sets([integer_interval(4000)])
-    res = uniform_discrepancy_experiment(2, S, "0.1", seq, 0,
+    res = uniform_discrepancy_experiment(2, S, "0.1", [integer_interval(4000)],
                                          CyclicTranslation(50_000), seed=6)
     assert res.certified
     assert res.result.converged
@@ -128,16 +139,14 @@ def test_uniform_discrepancy_single_certified_event():
 
 def test_uniform_discrepancy_freeness_precondition():
     S = integer_interval(1)
-    seq = AveragingSequence.from_sets([integer_interval(600)])
     with pytest.raises(GroupError):
-        uniform_discrepancy_experiment(2, S, "0.1", seq, 0, CyclicTranslation(500),
-                                       seed=1)
+        uniform_discrepancy_experiment(2, S, "0.1", [integer_interval(600)],
+                                       CyclicTranslation(500), seed=1)
 
 
 def test_uniform_discrepancy_uncertified_still_runs():
     S = integer_interval(1)
-    seq = AveragingSequence.from_sets([integer_interval(40)])
-    res = uniform_discrepancy_experiment(2, S, "0.1", seq, 0,
+    res = uniform_discrepancy_experiment(2, S, "0.1", [integer_interval(40)],
                                          CyclicTranslation(2000), seed=8,
                                          max_steps=200_000)
     assert not res.certified
@@ -211,7 +220,7 @@ def test_near_invariant_rejects_uncertified():
 def test_uniform_discrepancy_log_growth_family():
     # three log-growth events, certified, uniformly controlled
     res = uniform_discrepancy_experiment(2, integer_interval(1), "0.1",
-                                         AveragingSequence.log_growth(4500), 2,
+                                         _log_growth_sets(4500, 2),
                                          CyclicTranslation(50_000), seed=14)
     assert res.certified and res.result.converged and res.all_within
     assert len(res.stats_per_n) == 3

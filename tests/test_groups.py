@@ -1,4 +1,8 @@
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,6 +80,27 @@ def test_set_product_size_bound(s_items, d_items):
     assert len(sd) <= len(S) * len(D)
     # brute-force oracle
     assert set(sd.elements) == {s + d for s in s_items for d in d_items}
+
+
+def test_set_product_over_several_chunks_matches_python_sets():
+    # 2,101 x 2,001 sums exceed one chunk of 4,000,000, and the chunks share
+    # many sums, so the deduplication across chunks is exercised too
+    s_items, d_items = range(0, 4201, 2), range(0, 6001, 3)
+    got = set_product(gset(Z, s_items), gset(Z, d_items))
+    assert len(s_items) * len(d_items) > 4_000_000
+    assert got.elements == tuple(sorted({s + d for s in s_items for d in d_items}))
+
+
+def test_set_product_leaves_numpy_ma_unimported():
+    # np.unique imports numpy.ma on numpy 2.x, about 1 MB of resident memory
+    code = ("import sys\nfrom shiftlab.groups import GroupCtx, GroupSet, set_product\n"
+            "Z = GroupCtx('integers')\n"
+            "print(set_product(GroupSet(Z, (0, 2, 5)), GroupSet(Z, (0, 3))).elements)\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(shiftlab.__file__).parent.parent))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout.splitlines()
+    assert out == ["(0, 2, 3, 5, 8)", "False"]
 
 
 def test_set_product_ctx_mismatch():

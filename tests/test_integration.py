@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from shiftlab.cli import EXIT_OK, main
-from shiftlab.ergodic import AveragingSequence, uniform_discrepancy_experiment
+from shiftlab.ergodic import log_growth_size, uniform_discrepancy_experiment
 from shiftlab.groups import (CyclicTranslation, GroupCtx, GroupError,
                              GroupSet, TorusTranslation, free_group_window,
                              growth_profile, integer_interval)
@@ -24,9 +24,8 @@ L2 = GroupCtx("lattice", 2)
 
 
 def test_two_interval_family_certified_and_controlled():
-    sizes = [3000, 4000]
-    seq = AveragingSequence.from_sets([integer_interval(m) for m in sizes])
-    res = uniform_discrepancy_experiment(2, integer_interval(1), "0.1", seq, 1,
+    d_sets = [integer_interval(m) for m in (3000, 4000)]
+    res = uniform_discrepancy_experiment(2, integer_interval(1), "0.1", d_sets,
                                          CyclicTranslation(60_000), seed=19)
     assert res.certified            # witness-product holds for both events
     assert res.result.converged
@@ -181,38 +180,36 @@ def test_torus_pointwise_average_and_measure():
 
 
 def test_mc_chunk_invariance():
-    from shiftlab.concentration import ConcentrationBoundInput, mc_deviation_prob
+    from shiftlab.concentration import mc_deviation_prob
     from shiftlab.shift import all_patterns
-    inp = ConcentrationBoundInput(2, integer_interval(1), Fraction(1, 5),
-                                  integer_interval(100))
+    eps, D = Fraction(1, 5), integer_interval(100)
     phi = all_patterns(integer_interval(1), 2)[0]
     act = CyclicTranslation(5000)
-    a = mc_deviation_prob(inp, act, 0, phi, 700, seed=3, chunk=64)
-    b = mc_deviation_prob(inp, act, 0, phi, 700, seed=3, chunk=700)
+    a = mc_deviation_prob(phi, eps, D, act, 0, 700, seed=3, chunk=64)
+    b = mc_deviation_prob(phi, eps, D, act, 0, 700, seed=3, chunk=700)
     # the default chunk is min(trials, 65_536) rows: here all 700 in one call,
     # while chunks of 64 leave a partial last one
-    c = mc_deviation_prob(inp, act, 0, phi, 700, seed=3)
+    c = mc_deviation_prob(phi, eps, D, act, 0, 700, seed=3)
     assert a.hits == b.hits
     assert a.mean_occurrences == b.mean_occurrences
     assert c == b
     for bad in (0, -5):
         with pytest.raises(ValueError, match="chunk"):
-            mc_deviation_prob(inp, act, 0, phi, 700, seed=3, chunk=bad)
+            mc_deviation_prob(phi, eps, D, act, 0, 700, seed=3, chunk=bad)
     # at |D| = 1, 70,000 trials cross the default chunk boundary once
-    one = ConcentrationBoundInput(2, integer_interval(1), Fraction(1, 5),
-                                  integer_interval(1))
-    d = mc_deviation_prob(one, act, 0, phi, 70_000, seed=3)
-    assert d == mc_deviation_prob(one, act, 0, phi, 70_000, seed=3, chunk=70_000)
+    one = integer_interval(1)
+    d = mc_deviation_prob(phi, eps, one, act, 0, 70_000, seed=3)
+    assert d == mc_deviation_prob(phi, eps, one, act, 0, 70_000, seed=3, chunk=70_000)
 
 
 def test_ergodic_chunk_invariance():
     from shiftlab.ergodic import ergodic_convergence_experiment
-    seq = AveragingSequence.log_growth(30)
-    r1 = ergodic_convergence_experiment(2, integer_interval(1), "0.2", seq, 8, 50,
+    seq = [integer_interval(log_growth_size(30, n)) for n in range(9)]
+    r1 = ergodic_convergence_experiment(2, integer_interval(1), "0.2", seq, 50,
                                         seed=5, chunk=7)
-    r2 = ergodic_convergence_experiment(2, integer_interval(1), "0.2", seq, 8, 50,
+    r2 = ergodic_convergence_experiment(2, integer_interval(1), "0.2", seq, 50,
                                         seed=5, chunk=50)
-    r3 = ergodic_convergence_experiment(2, integer_interval(1), "0.2", seq, 8, 50,
+    r3 = ergodic_convergence_experiment(2, integer_interval(1), "0.2", seq, 50,
                                         seed=5)
     for a, b in zip(r1.rows, r2.rows):
         assert a.worst_dev == b.worst_dev
@@ -220,5 +217,5 @@ def test_ergodic_chunk_invariance():
     assert r3 == r2
     for bad in (0, -5):
         with pytest.raises(ValueError, match="chunk"):
-            ergodic_convergence_experiment(2, integer_interval(1), "0.2", seq, 8, 50,
+            ergodic_convergence_experiment(2, integer_interval(1), "0.2", seq, 50,
                                            seed=5, chunk=bad)

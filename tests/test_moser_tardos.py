@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +18,56 @@ from shiftlab.shift import Config, Pattern
 gset = GroupSet.from_iterable
 Z = GroupCtx("integers")
 L2 = GroupCtx("lattice", 2)
+
+
+def run_mt_replayed(action, family, tape, **kwargs):
+    """run_mt with a transcript, checked step by step by `replay`."""
+    lines = []
+    res = run_mt(action, family, tape, transcript=lines, **kwargs)
+    replay(action, family, tape, res, [json.loads(json.dumps(r)) for r in lines])
+    return res
+
+
+def replay(action, family, tape, res, records):
+    """Oracle for the resampling loop that reads only the public API and the
+    transcript records a run writes.  Before each step it rebuilds the
+    coloring from the running resample counts t, recomputes the violated
+    anchors of each member in (n, anchor) order, and checks that the record
+    selects exactly the greedy batch of that order, that the batch is
+    disjoint and maximal (every violated anchor left out meets a selected
+    domain), and that the tape advanced on the batch's points.  At the end
+    it checks t, the step count, the coloring and the residual anchors."""
+    events = dict(family.members)
+    points = np.arange(action.n_points)
+    t = np.zeros(action.n_points, dtype=np.int64)
+
+    def domain(n, x):
+        return set(action.translates(events[n].domain.elements, x).tolist())
+
+    def violated(g):
+        return [[n, int(x)] for n, ev in family for x in violated_anchors(action, ev, g)]
+
+    for step, rec in enumerate(records):
+        candidates = violated(tape.symbols(points, t))
+        claimed, greedy = set(), []
+        for n, x in candidates:
+            dom = domain(n, x)
+            if not dom & claimed:
+                claimed |= dom
+                greedy.append([n, x])
+        assert rec == {"step": step, "selected": greedy, "tape_advanced": len(claimed)}
+        chosen = [domain(n, x) for n, x in rec["selected"]]
+        assert sum(map(len, chosen)) == len(set().union(*chosen))  # disjoint
+        assert all(domain(n, x) & claimed for n, x in candidates
+                   if [n, x] not in rec["selected"]), "selection was not maximal"
+        t[sorted(claimed)] += 1
+    g = tape.symbols(points, t)
+    residual = violated(g)
+    assert np.array_equal(res.t, t) and res.steps == len(records)
+    assert np.array_equal(res.coloring, g)
+    assert res.converged == (not residual)
+    if not res.converged:
+        assert res.defect_points == tuple(sorted({x for _n, x in residual}))
 
 
 def test_tape_deterministic_and_roughly_uniform():
@@ -60,7 +111,7 @@ def test_single_site_event_geometric_resampling():
     ev = ExplicitEvent((phi0,), 2)
     act = CyclicTranslation(4000)
     tape = TapeSpace(seed=21, k=2)
-    res = run_mt(act, EventFamily.of(ev), tape, check_maximality=True)
+    res = run_mt_replayed(act, EventFamily.of(ev), tape)
     assert res.converged
     assert (res.coloring == 1).all()
     # oracle: first-1 index per tape
@@ -102,7 +153,7 @@ def test_mt_stress_resampling_converges():
     ev = FrequencyDeviationEvent(2, integer_interval(1), "0.25", integer_interval(20))
     act = CyclicTranslation(200)
     tape = TapeSpace(seed=77, k=2)
-    res = run_mt(act, EventFamily.of(ev), tape, check_maximality=True)
+    res = run_mt_replayed(act, EventFamily.of(ev), tape)
     assert res.converged
     assert res.steps > 0 and res.t.max() >= 1  # resampling actually happened
     assert tape_consistency(res)
@@ -132,7 +183,7 @@ def test_mt_two_member_family_ledger():
     ev2 = FrequencyDeviationEvent(2, integer_interval(2), "0.3", integer_interval(9))
     act = CyclicTranslation(150)
     fam = EventFamily.of(ev1, ev2)
-    res = run_mt(act, fam, TapeSpace(seed=5, k=2), check_maximality=True)
+    res = run_mt_replayed(act, fam, TapeSpace(seed=5, k=2))
     assert res.converged
     assert stabilization_ledger(res, act, fam)
     assert tape_consistency(res)
@@ -144,11 +195,19 @@ def test_mt_on_torus_generic_path():
     block = gset(L2, [(i, j) for i in range(2) for j in range(2)])
     ev = FrequencyDeviationEvent(2, gset(L2, [(0, 0)]), "0.3", block)
     act = TorusTranslation(12, 12)
-    res = run_mt(act, EventFamily.of(ev), TapeSpace(seed=3, k=2),
-                 check_maximality=True)
+    res = run_mt_replayed(act, EventFamily.of(ev), TapeSpace(seed=3, k=2))
     assert res.converged
     assert stabilization_ledger(res, act, EventFamily.of(ev))
     assert defect(res.coloring, ev, act) == ()
+
+
+def test_mt_contested_run_matches_replay():
+    # a contested instance: the first colorings violate at many anchors, and
+    # the run takes several batched steps before it converges
+    ev = FrequencyDeviationEvent(2, integer_interval(1), "0.08", integer_interval(100))
+    res = run_mt_replayed(CyclicTranslation(20_000), EventFamily.of(ev), TapeSpace(seed=1, k=2))
+    assert res.converged and res.steps == 13
+    assert sum(res.index_counts.values()) > 10 * res.steps  # many events per step
 
 
 def test_max_steps_exhaustion_reports_defect():

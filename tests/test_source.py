@@ -260,3 +260,40 @@ def test_every_public_name_is_reached():
     roots = {"main", "RUNNERS"}.union(*(_reads(ast.parse(b)) for b in README_BLOCKS))
     sources = [p.read_text() for p in MODULES]
     assert unreached_names(sources, roots, REACHED_BY_TESTS) == []
+
+
+def _is_dataclass(decorator) -> bool:
+    d = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+
+
+def unread_fields(sources, readers) -> list[str]:
+    """Annotated fields of the `@dataclass` classes in `sources`, as
+    `Class.field`, that no attribute load in `sources` or `readers` reads.
+    A load matches a field by name, whatever its receiver."""
+    trees = [ast.parse(s) for s in sources]
+    read = {n.attr for t in trees + [ast.parse(r) for r in readers] for n in ast.walk(t)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return sorted(f"{c.name}.{f.target.id}" for t in trees for c in ast.walk(t)
+                  if isinstance(c, ast.ClassDef) and any(map(_is_dataclass, c.decorator_list))
+                  for f in c.body if isinstance(f, ast.AnnAssign)
+                  and isinstance(f.target, ast.Name) and f.target.id not in read)
+
+
+def test_unread_field_check_sees_unread_fields():
+    source = ("@dataclass(frozen=True)\nclass Box:\n    used: int\n    spare: int\n"
+              "    mine: int\n    by_test: int\n"
+              "    def twice(self):\n        self.spare = 0\n        return 2 * self.mine\n"
+              "class Plain:\n    loose: int\n"
+              "def main(b):\n    return b.used\n")
+    # a store is not a read, and a class that is not a dataclass has no fields
+    assert unread_fields([source], []) == ["Box.by_test", "Box.spare"]
+    assert unread_fields([source], ["def test_box(b):\n    assert b.by_test\n"]) == [
+        "Box.spare"]
+
+
+def test_every_dataclass_field_is_read():
+    # the package, the tests, the benchmark harness and the README example
+    readers = [p.read_text() for d in ("tests", "perfbench")
+               for p in sorted((ROOT / d).glob("*.py"))]
+    assert unread_fields([p.read_text() for p in MODULES], readers + README_BLOCKS) == []
