@@ -15,9 +15,12 @@ Two implementations compute the same stream, bit for bit:
   private per-user cache directory (`$XDG_CACHE_HOME/shiftlab` or
   `~/.cache/shiftlab`, mode 0700) when that is not writable, under a name
   keyed by the sha256 of the source, the flags and the platform.  A build
-  takes a fraction of a second, once; later processes only load it.  The
-  kernel hashes a row counter's first round once per row and reduces `% k`
-  with a mask for powers of two and with a constant divisor for k = 3.
+  takes one to two seconds, once; later processes only load it.  The kernel
+  hashes a row counter's first round once per row and reduces `% k` with a
+  mask for powers of two and with a constant divisor for k = 3.  On x86-64
+  with GCC 12 or later each entry point is compiled twice, for the baseline
+  and for x86-64-v4 (AVX-512), and the CPU picks the copy at run time, so
+  the cached build stays portable across x86-64 hosts.
   Its second entry point serves `pattern_counts` for Monte Carlo: it
   hashes one row of a color matrix at a time into a byte buffer and counts
   the occurrences of a pattern in it, so the rows are never stored.  It
@@ -30,10 +33,11 @@ Two implementations compute the same stream, bit for bit:
   or loads the kernel, and it counts the patterns the kernel does not take,
   from `color_matrix` blocks.
 
-The kernel is used only if both entry points agree with numpy on small
-planes when it loads.  `_kernel_meta()` says which implementation served
-the process, or the calls after a `_kernel_mark()`, and what the build or
-load cost.
+The kernel is used only if both entry points agree with numpy when it
+loads, on planes and rows both narrower and wider than one AVX-512 loop
+iteration.  `_kernel_meta()` says which implementation served the process,
+or the calls after a `_kernel_mark()`, which copy of the kernel ran, and
+what the build or load cost.
 """
 
 from __future__ import annotations
@@ -127,7 +131,9 @@ def _hash_numpy(seed: int, a, b, k: int | None):
 
 
 _SOURCE = Path(__file__).with_name("_hash.c")
-_CFLAGS = ("-O3", "-shared", "-fPIC")  # no -march=native: the cache must stay portable
+# no -march: the cache must stay portable; _hash.c picks its x86-64-v4 copy
+# at run time where the CPU has it
+_CFLAGS = ("-O3", "-shared", "-fPIC")
 _kernel_lock = threading.Lock()
 _kernel = None  # the loaded C library once resolved, False when numpy serves
 _kernel_info: dict = {}
@@ -186,6 +192,19 @@ def _build(cc: str, lib: Path) -> bool:
     return True
 
 
+def _declare(lib) -> None:
+    """Give the entry points of a loaded `_hash.c` their C signatures;
+    AttributeError if one is missing."""
+    import ctypes
+    u64, ssize, ptr = ctypes.c_uint64, ctypes.c_ssize_t, ctypes.c_void_p
+    lib.shiftlab_hash.argtypes = [u64, ptr, ssize, ssize, ptr, ssize, ssize, ssize, ssize,
+                                  u64, ptr]
+    lib.shiftlab_count.argtypes = [u64, u64, ssize, ssize, u64, ptr, ptr, ssize, ssize, ptr,
+                                   ptr]
+    lib.shiftlab_hash.restype = lib.shiftlab_count.restype = None
+    lib.shiftlab_isa.argtypes, lib.shiftlab_isa.restype = [], ctypes.c_char_p
+
+
 def _load_kernel():
     """(the C library, whether this call compiled it), or (None, False) where
     it cannot be built or loaded or where either entry point disagrees with
@@ -209,26 +228,28 @@ def _load_kernel():
             return None, False  # no working compiler
         try:
             lib = ctypes.CDLL(str(path))
-            hash_fn, count_fn = lib.shiftlab_hash, lib.shiftlab_count
+            _declare(lib)
         except (OSError, AttributeError):
             continue
-        u64, ssize, ptr = ctypes.c_uint64, ctypes.c_ssize_t, ctypes.c_void_p
-        hash_fn.argtypes = [u64, ptr, ssize, ssize, ptr, ssize, ssize, ssize, ssize, u64, ptr]
-        count_fn.argtypes = [u64, u64, ssize, ssize, u64, ptr, ptr, ssize, ssize, ptr, ptr]
-        hash_fn.restype = count_fn.restype = None
-        # a kernel that disagrees with numpy on a small plane is not used; a
-        # is constant along the rows of the first plane and varies in the
-        # second, and the counts read one site, or two sites out of order
-        a, b = np.arange(3, dtype=np.uint64)[:, None], np.arange(5, dtype=np.uint64)
+        hash_fn, count_fn = lib.shiftlab_hash, lib.shiftlab_count
+        # a kernel that disagrees with numpy is not used.  a is constant
+        # along the rows of the first plane of each width and varies in the
+        # second, and the counts read one site, or two sites out of order.
+        # The wide plane and rows run a vector loop of the x86-64-v4 copy
+        # (8 values, or 64 bytes when counting) and a ragged tail.
+        a = np.arange(3, dtype=np.uint64)[:, None]
         ok = all(np.array_equal(_hash_c(hash_fn, 9, x, y, k), _hash_numpy(9, x, y, k))
-                 for x, y in ((a, b), (b, a)) for k in (None, 2, 3, 11))
+                 for b, ks in ((np.arange(5, dtype=np.uint64), (None, 2, 3, 11)),
+                               (np.arange(131, dtype=np.uint64), (2, 3)))
+                 for x, y in ((a, b), (b, a)) for k in ks)
         row0 = 1 << 33
         rows = np.arange(row0, row0 + 8, dtype=np.uint64)[:, None]
         ok = ok and all(
-            np.array_equal(_count_c(count_fn, 9, 8, 40, k, starts, phi, 30, row0),
-                           _match_counts(_hash_numpy(9, rows, np.arange(40), k),
-                                         [slice(i, i + 30) for i in starts], phi))
-            for k in (2, 3, 5) for starts, phi in (((4,), (1,)), ((9, 2), (1, k - 1))))
+            np.array_equal(_count_c(count_fn, 9, 8, cols, k, starts, phi, span, row0),
+                           _match_counts(_hash_numpy(9, rows, np.arange(cols), k),
+                                         [slice(i, i + span) for i in starts], phi))
+            for cols, span, ks in ((40, 30, (2, 3, 5)), (131, 100, (2, 3))) for k in ks
+            for starts, phi in (((4,), (1,)), ((9, 2), (1, k - 1))))
         return (lib, built) if ok else (None, False)
     return None, False
 
@@ -240,7 +261,10 @@ def _resolve_kernel():
         if _kernel is None:
             start = time.perf_counter()
             lib, built = _load_kernel()
-            _kernel_info.update(rng_kernel="c" if lib else "numpy", rng_kernel_built=built,
+            _kernel_info["rng_kernel"] = "c" if lib else "numpy"
+            if lib:
+                _kernel_info["rng_kernel_isa"] = lib.shiftlab_isa().decode()
+            _kernel_info.update(rng_kernel_built=built,
                                 rng_kernel_load_s=time.perf_counter() - start)
             _kernel = lib or False
     return _kernel
@@ -253,10 +277,10 @@ def _kernel_mark() -> int:
 
 def _kernel_meta(since: int = 0) -> dict:
     """Which implementation hashed the calls after the mark `since` ("c" or
-    "numpy"; "none" if none hashed more than one value), whether those calls
-    compiled the kernel, and the seconds they spent building or loading it
-    (0 when an earlier call had resolved it).  The default covers the whole
-    process."""
+    "numpy"; "none" if none hashed more than one value), for "c" which copy
+    of the kernel ("x86-64-v4" or "baseline"), whether those calls compiled
+    the kernel, and the seconds they spent building or loading it (0 when an
+    earlier call had resolved it).  The default covers the whole process."""
     if _planes <= since or not _kernel_info:
         return {"rng_kernel": "none"}
     if since:

@@ -50,3 +50,9 @@ def test_shipped_config_reports_match_reference(name, kernel, tmp_path, capsys, 
     else:
         assert meta["rng_kernel"] == ("numpy" if kernel == "numpy"
                                       else rng._kernel_info["rng_kernel"])
+    # the copy of the C kernel that ran, only where it ran
+    if meta["rng_kernel"] == "c":
+        assert meta["rng_kernel_isa"] == rng._kernel_info["rng_kernel_isa"]
+        assert meta["rng_kernel_isa"] in ("x86-64-v4", "baseline")
+    else:
+        assert "rng_kernel_isa" not in meta

@@ -1,11 +1,14 @@
 import contextlib
 import ctypes
+import platform
+import re
 import shlex
 import shutil
 import subprocess
 import sysconfig
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,7 +74,7 @@ def test_pinned_values():
     assert derive_seed(0, 1, 2) == 3778275988816391637
 
 
-COLS = [0, 1, 7, 1000, 2001, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
+COLS = [0, 1, 7, 63, 65, 127, 129, 1000, 2001, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
 
 
 @st.composite
@@ -229,14 +232,13 @@ def test_kernel_is_resolved_by_the_first_hash_of_several_values(monkeypatch, tmp
 
 def _library_with(name, corrupt):
     """A ctypes.CDLL stand-in whose entry point `name` runs the real one and
-    then passes its arguments to `corrupt`; the other entry point is real."""
+    then passes its arguments to `corrupt`; the other entry points are real."""
     real_cdll = ctypes.CDLL
 
     class Library:
         def __init__(self, path):
-            real = real_cdll(path)
-            self.shiftlab_hash, self.shiftlab_count = real.shiftlab_hash, real.shiftlab_count
-            fn = getattr(real, name)
+            self.real = real_cdll(path)
+            fn = getattr(self.real, name)
 
             def wrong(*args):
                 fn.argtypes, fn.restype = wrong.argtypes, wrong.restype
@@ -244,6 +246,9 @@ def _library_with(name, corrupt):
                 corrupt(args)
 
             setattr(self, name, wrong)
+
+        def __getattr__(self, attr):
+            return getattr(self.real, attr)
 
     return Library
 
@@ -270,23 +275,39 @@ def _counts_reference(seed, rows, cols, k, selectors, phi, row_offset):
     return np.logical_and.reduce(match).sum(axis=1).astype(np.int64)
 
 
-@pytest.mark.skipif(not _compiler_on_path(), reason="no C compiler on PATH")
-def test_kernel_with_a_wrong_count_is_not_used(monkeypatch, tmp_path):
-    # one kernel, one verdict: a wrong counting loop disables the hash too
-    def flip_first_count(args):
-        ctypes.c_int64.from_address(args[-1]).value ^= 1
+def _flip_first_count(args):
+    ctypes.c_int64.from_address(args[-1]).value ^= 1
 
+
+def _assert_falls_back_with_wrong_counts(monkeypatch, tmp_path, corrupt):
     _fresh_kernel(monkeypatch, tmp_path)
-    monkeypatch.setattr(ctypes, "CDLL", _library_with("shiftlab_count", flip_first_count))
+    monkeypatch.setattr(ctypes, "CDLL", _library_with("shiftlab_count", corrupt))
     case = (3, 50, 12, 3, [slice(4, 12), slice(0, 8)], (1, 2), 5)
     _same(pattern_counts(*case), _counts_reference(*case))
     assert rng._kernel_meta()["rng_kernel"] == "numpy" and rng._kernel is False
 
 
+@pytest.mark.skipif(not _compiler_on_path(), reason="no C compiler on PATH")
+def test_kernel_with_a_wrong_count_is_not_used(monkeypatch, tmp_path):
+    # one kernel, one verdict: a wrong counting loop disables the hash too
+    _assert_falls_back_with_wrong_counts(monkeypatch, tmp_path, _flip_first_count)
+
+
+@pytest.mark.skipif(not _compiler_on_path(), reason="no C compiler on PATH")
+def test_kernel_wrong_only_past_column_64_is_not_used(monkeypatch, tmp_path):
+    # a wide copy whose 64-byte vector loop is wrong and whose tail is right
+    # gets only the counts over more than 64 columns wrong
+    def flip_first_wide_count(args):
+        if args[8] > 64:  # d
+            _flip_first_count(args)
+
+    _assert_falls_back_with_wrong_counts(monkeypatch, tmp_path, flip_first_wide_count)
+
+
 @st.composite
 def count_cases(draw):
     k = draw(st.sampled_from([1, 2, 3, 4, 5, 7, 256, 257]))  # 257: the numpy path
-    ns, d = draw(st.integers(1, 3)), draw(st.integers(1, 64))
+    ns, d = draw(st.integers(1, 3)), draw(st.integers(1, 200))
     starts = draw(st.lists(st.integers(0, 40), min_size=ns, max_size=ns))  # any order
     cols = max(starts) + d + draw(st.integers(0, 3))
     if draw(st.booleans()):
@@ -355,3 +376,100 @@ def test_block_rows():
 def test_alphabet_must_be_positive():
     with pytest.raises(ValueError):
         uniform_colors(1, 0, 0, 0)
+
+
+# -- each copy of the kernel on its own ------------------------------------------
+
+# the x86-64-v4 features; /proc/cpuinfo names them where it exists
+V4_FLAGS = {"avx512f", "avx512dq", "avx512cd", "avx512bw", "avx512vl"}
+
+
+def _cpu_flags() -> set:
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    return {f for line in text.splitlines() if line.startswith("flags")
+            for f in line.partition(":")[2].split()}
+
+
+def _stripped_source(v4: bool) -> str:
+    """_hash.c without its run-time dispatch: only the x86-64-v4 copy of the
+    entry points runs, or only the baseline, compiled for the -march given."""
+    body, n = re.subn(r"^#if defined\(__x86_64__\).*?^#endif\n", "",
+                      rng._SOURCE.read_text(), flags=re.M | re.S)
+    assert n == 1 and "__builtin_cpu_supports(" not in body
+    return f"#define V4\n#define HAS_V4() {int(v4)}\n{body}"
+
+
+@pytest.fixture(scope="module", params=["x86-64", "x86-64-v4"])
+def variant(request, tmp_path_factory):
+    """A dispatch-stripped build at -march=<param>, loaded and declared."""
+    march = request.param
+    if platform.machine() != "x86_64" or not _compiler_on_path():
+        pytest.skip("needs an x86-64 host and a C compiler on PATH")
+    if march == "x86-64-v4" and not V4_FLAGS <= _cpu_flags():
+        pytest.skip("this CPU lacks AVX-512")
+    src = tmp_path_factory.mktemp(march) / "hash.c"
+    src.write_text(_stripped_source(march == "x86-64-v4"))
+    so = src.with_suffix(".so")
+    subprocess.run([*shlex.split(sysconfig.get_config_var("CC")), *rng._CFLAGS,
+                    f"-march={march}", "-o", str(so), str(src)],
+                   check=True, capture_output=True, timeout=120)
+    lib = ctypes.CDLL(str(so))
+    rng._declare(lib)
+    assert lib.shiftlab_isa().decode() == ("baseline" if march == "x86-64" else march)
+    return lib
+
+
+# every remainder mod 8 and mod 64, below and above one 64-byte vector loop
+WIDTHS = range(1, 131)
+
+
+def test_each_kernel_copy_hashes_the_reference_stream(variant):
+    a = np.arange(3, dtype=np.uint64)[:, None] + np.uint64(1 << 40)
+    for cols in WIDTHS:
+        b = np.arange(cols, dtype=np.uint64)
+        for x, y in ((a, b), (b, a)):  # a constant along the rows, then varying
+            for k in (None, *KS):
+                _same(rng._hash_c(variant.shiftlab_hash, 11, x, y, k), _reference(11, x, y, k))
+
+
+def test_each_kernel_copy_counts_the_reference_counts(variant):
+    row0 = 1 << 40
+    for d in WIDTHS:
+        cols = d + 3
+        for k in KS:
+            for starts, phi in (((2,), (k - 1,)), ((3, 0), (0, k // 2))):  # one site, two
+                got = rng._count_c(variant.shiftlab_count, 7, 5, cols, k, starts, phi, d, row0)
+                selectors = [slice(s, s + d) for s in starts]
+                _same(got, _counts_reference(7, 5, cols, k, selectors, phi, row0))
+
+
+def _fold3(z: int) -> int:
+    """z % 3 as the x86-64-v4 copy of _hash.c computes it, in uint64 arithmetic."""
+    s = (z >> 48) + (z >> 32 & 0xFFFF) + (z >> 16 & 0xFFFF) + (z & 0xFFFF)
+    assert s < 1 << 18
+    return s - 3 * ((s * 0xAAAAAAAB & U64_MAX) >> 33)
+
+
+@given(st.integers(0, U64_MAX))
+@example(0)
+@example((1 << 16) - 1)
+@example(1 << 32)
+@example(U64_MAX)
+@settings(max_examples=300, deadline=None)
+def test_mod3_fold_is_exact(z):
+    assert _fold3(z) == z % 3
+
+
+def test_mod3_fold_is_exact_near_powers_of_two():
+    for p in range(1, 65):
+        m = (1 << p) // 3 * 3  # the largest multiple of 3 at most 2^p
+        for z in (m - 3, m - 1, m, m + 1, m + 3, (1 << p) - 1):
+            if 0 <= z <= U64_MAX:
+                assert _fold3(z) == z % 3, z
+    # every folded sum: the multiply step alone is exact below 2^18
+    s = np.arange(1 << 18, dtype=np.uint64)
+    assert np.array_equal(s - np.uint64(3) * (s * np.uint64(0xAAAAAAAB) >> np.uint64(33)),
+                          s % np.uint64(3))
