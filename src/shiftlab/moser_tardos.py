@@ -22,7 +22,7 @@ from .groups import CyclicTranslation, FiniteAction, GroupError, is_sd_free
 from .lll import BadEvent, ExplicitEvent, FrequencyDeviationEvent
 from .rng import uniform_colors
 from .shift import all_patterns
-from .windows import circular_window_sums
+from .windows import SCREEN_BLOCK, circular_window_sums, interval_window_outside
 
 
 @dataclass(frozen=True)
@@ -95,23 +95,29 @@ def _pullback_colors(action: FiniteAction, elems, g: np.ndarray) -> list[np.ndar
     return [g if e == identity else g[action.image(e)] for e in elems]
 
 
+def _pattern_masks(action: FiniteAction, ev: FrequencyDeviationEvent, g: np.ndarray):
+    """Yield (pattern colors, mask) with mask[x] whether the pattern occurs in
+    the coloring pulled back at x."""
+    if ev.k ** len(ev.S) > 4096:
+        raise ValueError("pattern space too large to scan; keep k^|S| small")
+    pulled = _pullback_colors(action, ev.S.elements, g)
+    for pat in all_patterns(ev.S, ev.k):
+        w = np.ones(action.n_points, dtype=bool)
+        for arr, col in zip(pulled, pat.colors):
+            w &= arr == col
+        yield pat, w
+
+
 def frequency_counts(action: FiniteAction, ev: FrequencyDeviationEvent,
                      g: np.ndarray):
     """Yield (pattern colors, counts) with counts[x] = number of d in D at
     which the pattern occurs in the coloring pulled back at anchor x."""
-    if ev.k ** len(ev.S) > 4096:
-        raise ValueError("pattern space too large to scan; keep k^|S| small")
-    s_elems = ev.S.elements
-    pulled = _pullback_colors(action, s_elems, g)
     fast_cyclic = isinstance(action, CyclicTranslation)
     # converted once here, not once per pattern by circular_window_sums
     d_elems = np.asarray(ev.D.elements, dtype=np.int64) if fast_cyclic else ev.D.elements
     if not fast_cyclic:
         d_maps = [action.image(d) for d in d_elems]
-    for pat in all_patterns(ev.S, ev.k):
-        w = np.ones(action.n_points, dtype=bool)
-        for arr, col in zip(pulled, pat.colors):
-            w &= arr == col
+    for pat, w in _pattern_masks(action, ev, g):
         if fast_cyclic:
             counts = circular_window_sums(w.view(np.int8), d_elems, action.modulus)
         else:
@@ -127,9 +133,19 @@ def violated_anchors(action: FiniteAction, ev: BadEvent, g: np.ndarray) -> np.nd
         # bad_at[c]: whether a pattern seen c times over D deviates
         d_size = len(ev.D)
         bad_at = deviates(np.arange(d_size + 1), d_size, ev.k, len(ev.S), ev.eps)
+        band = np.flatnonzero(~bad_at)  # the counts that do not deviate
         bad = np.zeros(action.n_points, dtype=bool)
-        for _pat, counts in frequency_counts(action, ev, g):
-            bad |= bad_at[counts]
+        iv = ev.D.interval
+        # a band narrower than 2*64 - 1 counts clears no block of 64 anchors
+        if (isinstance(action, CyclicTranslation) and iv is not None
+                and band.size >= 2 * SCREEN_BLOCK - 1):
+            lo, hi = int(band[0]), int(band[-1])
+            assert band.size == hi - lo + 1, "non-deviating counts must be one interval"
+            for _pat, w in _pattern_masks(action, ev, g):
+                bad[interval_window_outside(w, *iv, lo, hi)] = True
+        else:
+            for _pat, counts in frequency_counts(action, ev, g):
+                bad |= bad_at[counts]
         return np.flatnonzero(bad)
     if isinstance(ev, ExplicitEvent):
         pulled = _pullback_colors(action, ev.domain.elements, g)

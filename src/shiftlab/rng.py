@@ -35,9 +35,11 @@ Two implementations compute the same stream, bit for bit:
 
 The kernel is used only if both entry points agree with numpy when it
 loads, on planes and rows both narrower and wider than one AVX-512 loop
-iteration.  `_kernel_meta()` says which implementation served the process,
-or the calls after a `_kernel_mark()`, which copy of the kernel ran, and
-what the build or load cost.
+iteration.  A kernel that disagrees is deleted, and a marker named by its
+key and its copy keeps later processes on CPUs that run the same copy from
+compiling or loading it again.  `_kernel_meta()` says which implementation
+served the process, or the calls after a `_kernel_mark()`, which copy of the
+kernel ran, and what the build or load cost.
 """
 
 from __future__ import annotations
@@ -205,20 +207,51 @@ def _declare(lib) -> None:
     lib.shiftlab_isa.argtypes, lib.shiftlab_isa.restype = [], ctypes.c_char_p
 
 
-def _load_kernel():
-    """(the C library, whether this call compiled it), or (None, False) where
-    it cannot be built or loaded or where either entry point disagrees with
-    numpy."""
-    import ctypes
+def _kernel_key() -> str:
+    """The cache key of the kernel: the sha256 of the source, the flags and
+    the platform."""
     import hashlib
+    import sysconfig
+    tag = "\0".join((" ".join(_CFLAGS), sysconfig.get_platform(),
+                     sysconfig.get_config_var("SOABI") or ""))
+    return hashlib.sha256(_SOURCE.read_bytes() + tag.encode()).hexdigest()[:20]
+
+
+def _cpu_copy() -> str:
+    """The copy of the kernel that `shiftlab_isa()` names on this CPU, told
+    from the AVX-512 flags of /proc/cpuinfo without loading the kernel; a
+    compiler that builds no x86-64-v4 copy makes `shiftlab_isa()` say
+    "baseline" where this says "x86-64-v4"."""
+    import platform
+    if platform.machine() not in ("x86_64", "AMD64"):
+        return "baseline"
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return "baseline"
+    flags = {f for line in text.splitlines() if line.startswith("flags")
+             for f in line.partition(":")[2].split()}
+    v4 = {"avx512f", "avx512dq", "avx512cd", "avx512bw", "avx512vl"}
+    return "x86-64-v4" if v4 <= flags else "baseline"
+
+
+def _load_kernel():
+    """(the C library or None, whether this call compiled the kernel).  None
+    where it cannot be built or loaded, or where either entry point
+    disagrees with numpy.  A kernel that disagrees is deleted and leaves a
+    marker `_hash-<key>-<copy>.rejected` naming the copy that ran; a later
+    process on a CPU that runs the same copy goes to numpy without compiling
+    or loading it."""
+    import ctypes
     import sysconfig
     cc = sysconfig.get_config_var("CC")
     if not cc:
         return None, False
-    tag = "\0".join((" ".join(_CFLAGS), sysconfig.get_platform(),
-                     sysconfig.get_config_var("SOABI") or ""))
-    key = hashlib.sha256(_SOURCE.read_bytes() + tag.encode()).hexdigest()[:20]
+    key = _kernel_key()
+    compiled = False
     for d in _cache_dirs():
+        if (d / f"_hash-{key}-{_cpu_copy()}.rejected").exists():
+            return None, False
         path = d / f"_hash-{key}.so"
         built = not path.exists()
         try:
@@ -226,6 +259,7 @@ def _load_kernel():
                 continue
         except OSError:
             return None, False  # no working compiler
+        compiled |= built
         try:
             lib = ctypes.CDLL(str(path))
             _declare(lib)
@@ -250,8 +284,16 @@ def _load_kernel():
                                          [slice(i, i + span) for i in starts], phi))
             for cols, span, ks in ((40, 30, (2, 3, 5)), (131, 100, (2, 3))) for k in ks
             for starts, phi in (((4,), (1,)), ((9, 2), (1, k - 1))))
-        return (lib, built) if ok else (None, False)
-    return None, False
+        if ok:
+            return lib, compiled
+        try:
+            path.unlink()
+            (d / f"_hash-{key}-{lib.shiftlab_isa().decode()}.rejected").touch()
+        except OSError:
+            pass
+        # not the next directory: the same source builds the same kernel there
+        return None, compiled
+    return None, compiled
 
 
 def _resolve_kernel():

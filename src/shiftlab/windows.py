@@ -3,6 +3,9 @@
 Shared numpy machinery for windowed reductions computed for every x at once.
 `circular_window_sums` compresses offsets into maximal runs of consecutive
 residues so each run costs one prefix-sum pass over contiguous slices;
+`interval_window_outside` finds the anchors whose count of a 0/1 mask over
+an interval window leaves a band, counting exactly only in the blocks of 64
+anchors that one popcount per block cannot clear;
 `circular_window_reduce` evaluates and/or over an arithmetic progression of
 offsets by doubling over bool arrays.
 """
@@ -45,6 +48,55 @@ def circular_window_sums(values: np.ndarray, offsets, modulus: int) -> np.ndarra
         out += prefix[hi + 1:hi + 1 + m]
         out -= prefix[lo:lo + m]
     return out
+
+
+# anchors per block of the screen in interval_window_outside: one uint64 word
+SCREEN_BLOCK = 64
+
+
+def interval_window_outside(mask: np.ndarray, start: int, length: int, lo: int,
+                            hi: int) -> np.ndarray:
+    """Ascending anchors x of Z/M, M = mask.size, whose count
+    c[x] = sum(mask[(x + start + j) % M] for j < length) lies outside
+    [lo, hi]; c is circular_window_sums(mask, range(start, start + length), M).
+
+    c moves by at most 1 from one anchor to the next, so an exact count at
+    every 64th anchor clears its block of 64 anchors when it lies at least 63
+    inside the band.  Those counts come from popcounts of the mask packed
+    into 64-bit words: one cumsum over the words gives every count of whole
+    words, and one masked word adds the rest.  Only the blocks that are not
+    cleared get exact counts, as the block's first count plus a cumsum of the
+    +1/-1 steps mask[x + length] - mask[x].
+    """
+    if length < 1:
+        raise ValueError(f"window length must be >= 1, got {length}")
+    m, n = mask.size, SCREEN_BLOCK
+    blocks = -(-m // n)
+    whole, rest = divmod(length, n)
+    # the mask read from `start` on, repeated until the window of every anchor
+    # of every block (the last one's past M read on around the circle) ends
+    # inside whole words
+    ext = np.resize(np.roll(np.asarray(mask, dtype=bool), -(start % m)),
+                    n * (blocks + whole + 1))
+    words = np.packbits(ext, bitorder="little").view("<u8")
+    prefix = np.zeros(words.size + 1, dtype=np.int64)
+    np.cumsum(np.bitwise_count(words), dtype=np.int64, out=prefix[1:])
+    # c at anchor n*b: the window ends `rest` bits into word b + whole
+    part = np.bitwise_count(words[whole:whole + blocks] & np.uint64((1 << rest) - 1))
+    first = prefix[whole:whole + blocks] - prefix[:blocks] + part
+    # blocks whose first count lies within n - 2 of a band edge, or outside
+    # it, are counted anchor by anchor, from +1/-1 steps as int8 differences
+    near = np.flatnonzero((first < lo + n - 1) | (first > hi - n + 1))
+    bits = ext.view(np.int8)
+    leave = bits[:n * blocks].reshape(blocks, n)[near, :n - 1]
+    enter = bits[length:length + n * blocks].reshape(blocks, n)[near, :n - 1]
+    counts = np.empty((near.size, n), dtype=np.int64)
+    counts[:, 0] = first[near]
+    np.cumsum(enter - leave, axis=1, dtype=np.int64, out=counts[:, 1:])
+    counts[:, 1:] += counts[:, :1]
+    rows, cols = np.nonzero((counts < lo) | (counts > hi))
+    anchors = n * near[rows] + cols
+    return anchors[anchors < m]
 
 
 def circular_window_reduce(mask: np.ndarray, count: int, step: int, modulus: int,

@@ -252,13 +252,43 @@ def detection_cases(draw):
 @settings(max_examples=100, deadline=None)
 def test_frequency_counts_match_event_holds(case):
     # vectorized anchor detection agrees with the per-config event test
-    k, s_size, eps, d_size, modulus, g = case
+    _assert_detection_matches_holds(*case)
+
+
+def _assert_detection_matches_holds(k, s_size, eps, d_size, modulus, g):
     ev = FrequencyDeviationEvent(k, integer_interval(s_size), eps, integer_interval(d_size))
     act = CyclicTranslation(modulus)
     bad = set(violated_anchors(act, ev, np.array(g)).tolist())
     for x in range(modulus):
         vals = {e: g[act.act(e, x)] for e in ev.domain}
-        assert ev.holds(Config.from_map(Z, vals)) == (x in bad)
+        assert ev.holds(Config.from_map(Z, vals)) == (x in bad), x
+
+
+@st.composite
+def screened_detection_cases(draw):
+    # k = 2, |S| = 1 and eps |D| >= 64 give a band of at least 2*64 - 1
+    # counts around |D|/2, where the screen clears whole blocks of 64 anchors;
+    # k = 3 or |S| = 2 shift the band and its edges.  Runs of biased colors
+    # put other anchors outside the band
+    k, s_size = draw(st.sampled_from([(2, 1), (2, 1), (3, 1), (2, 2)]))
+    d_size = draw(st.integers(160, 260))
+    eps = draw(st.sampled_from(["0.4", "0.5"]))
+    modulus = draw(st.integers(300, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cuts = np.sort(rng.integers(0, modulus, size=draw(st.integers(0, 3))))
+    g = np.concatenate([rng.choice(k, size=n, p=draw(st.sampled_from(
+        [None, [1.0] + [0.0] * (k - 1), [0.9] + [0.1 / (k - 1)] * (k - 1)])))
+        for n in np.diff(np.concatenate(([0], cuts, [modulus])))])
+    return k, s_size, eps, d_size, modulus, g.tolist()
+
+
+@given(screened_detection_cases())
+# band [1, 159]: the fair half clears blocks, windows in the zeros violate
+@example((2, 1, "0.5", 160, 400, [0, 1] * 100 + [0] * 200))
+@seed(20_182)
+@settings(max_examples=10, deadline=None)
+def test_screened_detection_matches_event_holds(case):
+    _assert_detection_matches_holds(*case)
 
 
 def test_index_report_bounds():

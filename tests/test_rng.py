@@ -1,14 +1,15 @@
 import contextlib
 import ctypes
+import json
 import platform
 import re
 import shlex
 import shutil
 import subprocess
+import sys
 import sysconfig
 import threading
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,17 +159,35 @@ def test_other_shapes_match_reference():
 # -- the compiled kernel's loader ------------------------------------------------
 
 
-def _fresh_kernel(monkeypatch, cache):
-    """Forget the loaded kernel and cache it under `cache` only."""
+def _fresh_kernel(monkeypatch, cache, built=None):
+    """Forget the loaded kernel and cache it under `cache` only.  Given
+    `built`, a compiled kernel, `_build` copies that file where the compiler
+    would write its output, instead of compiling."""
     monkeypatch.setattr(rng, "_kernel", None)
     monkeypatch.setattr(rng, "_kernel_info", {})
     monkeypatch.setattr(rng, "_planes", 0)
     monkeypatch.setattr(rng, "_cache_dirs", lambda: iter([cache]))
+    if built is not None:
+        def compile_by_copy(cmd, **kwargs):
+            shutil.copyfile(built, cmd[cmd.index("-o") + 1])
+
+        monkeypatch.setattr(subprocess, "run", compile_by_copy)
 
 
 def _compiler_on_path() -> bool:
     cc = sysconfig.get_config_var("CC")
     return bool(cc) and shutil.which(shlex.split(cc)[0]) is not None
+
+
+@pytest.fixture(scope="session")
+def built_kernel():
+    """The kernel library this test process resolved, compiled at most once
+    per session (None where numpy serves).  The loader tests below build by
+    copying it, and only test_unwritable_cache_directory_is_skipped compiles."""
+    if not rng._resolve_kernel():
+        return None
+    name = f"_hash-{rng._kernel_key()}.so"
+    return next(p for d in rng._cache_dirs() if (p := d / name).exists())
 
 
 def test_failed_build_falls_back_to_numpy(monkeypatch, tmp_path):
@@ -207,10 +226,10 @@ def test_c_kernel_is_active_where_a_compiler_is_on_path():
 
 
 @pytest.mark.skipif(not _compiler_on_path(), reason="no C compiler on PATH")
-def test_build_removes_stale_kernels(monkeypatch, tmp_path):
+def test_build_removes_stale_kernels(monkeypatch, tmp_path, built_kernel):
     (tmp_path / "_hash-stale.so").write_bytes(b"old build")
     (tmp_path / "other.so").write_bytes(b"not a kernel")
-    _fresh_kernel(monkeypatch, tmp_path)
+    _fresh_kernel(monkeypatch, tmp_path, built_kernel)
     mix_counters(1, 2, np.arange(3))
     assert rng._kernel_meta()["rng_kernel_built"] is True
     built = [p.name for p in tmp_path.glob("_hash-*.so")]
@@ -218,8 +237,9 @@ def test_build_removes_stale_kernels(monkeypatch, tmp_path):
     assert (tmp_path / "other.so").exists()
 
 
-def test_kernel_is_resolved_by_the_first_hash_of_several_values(monkeypatch, tmp_path):
-    _fresh_kernel(monkeypatch, tmp_path)
+def test_kernel_is_resolved_by_the_first_hash_of_several_values(monkeypatch, tmp_path,
+                                                               built_kernel):
+    _fresh_kernel(monkeypatch, tmp_path, built_kernel)
     assert rng._kernel_meta() == {"rng_kernel": "none"}
     # single values are hashed by numpy and load nothing
     assert derive_seed(7, 0xC0) == 506512954913649082
@@ -254,14 +274,15 @@ def _library_with(name, corrupt):
 
 
 @pytest.mark.skipif(not _compiler_on_path(), reason="no C compiler on PATH")
-def test_kernel_wrong_where_a_varies_along_the_row_is_not_used(monkeypatch, tmp_path):
+def test_kernel_wrong_where_a_varies_along_the_row_is_not_used(monkeypatch, tmp_path,
+                                                               built_kernel):
     # the load check must cover both loops of the kernel, not only the one
     # that hashes a row counter's first round once
     def flip_first_value(args):
         if args[3]:  # a's column stride
             ctypes.c_uint64.from_address(args[-1]).value ^= 1
 
-    _fresh_kernel(monkeypatch, tmp_path)
+    _fresh_kernel(monkeypatch, tmp_path, built_kernel)
     monkeypatch.setattr(ctypes, "CDLL", _library_with("shiftlab_hash", flip_first_value))
     _same(uniform_colors(3, np.arange(8), 7, 5), _reference(3, np.arange(8), 7, 5))
     assert rng._kernel_meta()["rng_kernel"] == "numpy"
@@ -279,8 +300,8 @@ def _flip_first_count(args):
     ctypes.c_int64.from_address(args[-1]).value ^= 1
 
 
-def _assert_falls_back_with_wrong_counts(monkeypatch, tmp_path, corrupt):
-    _fresh_kernel(monkeypatch, tmp_path)
+def _assert_falls_back_with_wrong_counts(monkeypatch, tmp_path, built, corrupt):
+    _fresh_kernel(monkeypatch, tmp_path, built)
     monkeypatch.setattr(ctypes, "CDLL", _library_with("shiftlab_count", corrupt))
     case = (3, 50, 12, 3, [slice(4, 12), slice(0, 8)], (1, 2), 5)
     _same(pattern_counts(*case), _counts_reference(*case))
@@ -288,20 +309,54 @@ def _assert_falls_back_with_wrong_counts(monkeypatch, tmp_path, corrupt):
 
 
 @pytest.mark.skipif(not _compiler_on_path(), reason="no C compiler on PATH")
-def test_kernel_with_a_wrong_count_is_not_used(monkeypatch, tmp_path):
+def test_kernel_with_a_wrong_count_is_not_used(monkeypatch, tmp_path, built_kernel):
     # one kernel, one verdict: a wrong counting loop disables the hash too
-    _assert_falls_back_with_wrong_counts(monkeypatch, tmp_path, _flip_first_count)
+    _assert_falls_back_with_wrong_counts(monkeypatch, tmp_path, built_kernel, _flip_first_count)
 
 
 @pytest.mark.skipif(not _compiler_on_path(), reason="no C compiler on PATH")
-def test_kernel_wrong_only_past_column_64_is_not_used(monkeypatch, tmp_path):
+def test_kernel_wrong_only_past_column_64_is_not_used(monkeypatch, tmp_path, built_kernel):
     # a wide copy whose 64-byte vector loop is wrong and whose tail is right
     # gets only the counts over more than 64 columns wrong
     def flip_first_wide_count(args):
         if args[8] > 64:  # d
             _flip_first_count(args)
 
-    _assert_falls_back_with_wrong_counts(monkeypatch, tmp_path, flip_first_wide_count)
+    _assert_falls_back_with_wrong_counts(monkeypatch, tmp_path, built_kernel,
+                                         flip_first_wide_count)
+
+
+# a later process that must not compile or load the kernel cached in argv[1]
+LATER_PROCESS = """
+import ctypes, json, sys
+from pathlib import Path
+import numpy as np
+from shiftlab import rng
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a rejected kernel was compiled or loaded")
+
+rng._cache_dirs = lambda: iter([Path(sys.argv[1])])
+rng._build = ctypes.CDLL = refuse
+rng.mix_counters(1, 2, np.arange(3))
+print(json.dumps(rng._kernel_meta()))
+"""
+
+
+@pytest.mark.skipif(not _compiler_on_path(), reason="no C compiler on PATH")
+def test_rejected_kernel_is_deleted_and_not_tried_again(monkeypatch, tmp_path, built_kernel):
+    isa = rng._kernel_info.get("rng_kernel_isa")
+    if isa != rng._cpu_copy():
+        pytest.skip("the compiler builds no copy of the kernel for this CPU's AVX-512")
+    _assert_falls_back_with_wrong_counts(monkeypatch, tmp_path, built_kernel, _flip_first_count)
+    assert rng._kernel_meta()["rng_kernel_built"] is True  # compiled, then rejected
+    assert [p.name for p in tmp_path.iterdir()] == [f"_hash-{rng._kernel_key()}-{isa}.rejected"]
+    monkeypatch.undo()
+    later = subprocess.run([sys.executable, "-c", LATER_PROCESS, str(tmp_path)],
+                           capture_output=True, text=True, timeout=120)
+    assert later.returncode == 0, later.stderr
+    meta = json.loads(later.stdout)
+    assert meta["rng_kernel"] == "numpy" and meta["rng_kernel_built"] is False
 
 
 @st.composite
@@ -336,7 +391,7 @@ def test_pattern_counts_rejects_bad_patterns():
             pattern_counts(1, 4, 5, k, selectors, phi)
 
 
-def test_first_calls_from_two_threads_build_once(monkeypatch, tmp_path):
+def test_first_calls_from_two_threads_build_once(monkeypatch, tmp_path, built_kernel):
     builds = []
     real_build = rng._build
 
@@ -345,7 +400,7 @@ def test_first_calls_from_two_threads_build_once(monkeypatch, tmp_path):
         time.sleep(0.05)  # hold the build open while the other thread arrives
         return real_build(cc, lib)
 
-    _fresh_kernel(monkeypatch, tmp_path)
+    _fresh_kernel(monkeypatch, tmp_path, built_kernel)
     monkeypatch.setattr(rng, "_build", counted)
     points = np.arange(5000)
     barrier = threading.Barrier(2)
@@ -380,19 +435,6 @@ def test_alphabet_must_be_positive():
 
 # -- each copy of the kernel on its own ------------------------------------------
 
-# the x86-64-v4 features; /proc/cpuinfo names them where it exists
-V4_FLAGS = {"avx512f", "avx512dq", "avx512cd", "avx512bw", "avx512vl"}
-
-
-def _cpu_flags() -> set:
-    try:
-        text = Path("/proc/cpuinfo").read_text()
-    except OSError:
-        return set()
-    return {f for line in text.splitlines() if line.startswith("flags")
-            for f in line.partition(":")[2].split()}
-
-
 def _stripped_source(v4: bool) -> str:
     """_hash.c without its run-time dispatch: only the x86-64-v4 copy of the
     entry points runs, or only the baseline, compiled for the -march given."""
@@ -408,7 +450,7 @@ def variant(request, tmp_path_factory):
     march = request.param
     if platform.machine() != "x86_64" or not _compiler_on_path():
         pytest.skip("needs an x86-64 host and a C compiler on PATH")
-    if march == "x86-64-v4" and not V4_FLAGS <= _cpu_flags():
+    if march == "x86-64-v4" and rng._cpu_copy() != march:
         pytest.skip("this CPU lacks AVX-512")
     src = tmp_path_factory.mktemp(march) / "hash.c"
     src.write_text(_stripped_source(march == "x86-64-v4"))

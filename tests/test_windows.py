@@ -3,7 +3,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shiftlab.windows import circular_window_reduce, circular_window_sums, offset_runs
+from shiftlab.windows import (circular_window_reduce, circular_window_sums,
+                              interval_window_outside, offset_runs)
 
 FOLDS = {"and": (np.logical_and, all), "or": (np.logical_or, any)}
 
@@ -27,6 +28,65 @@ def test_window_sums_match_direct_summation(case):
     got = circular_window_sums(values, offsets, m)
     assert got.dtype == np.int64
     assert got.tolist() == expected
+
+
+@st.composite
+def screen_cases(draw):
+    # m up to 700 spans several blocks of 64 anchors.  The mask is two runs,
+    # mostly of different densities, so counts drift from one density times
+    # the length to the other, and a band drawn around their mean clears
+    # some blocks, leaves others to be counted and puts anchors outside it
+    m = draw(st.integers(1, 700) | st.integers(400, 700))
+    length = draw(st.integers(1, m) | st.integers(max(1, m // 2), m))
+    start = draw(st.integers(-3 * m, 3 * m))
+    densities = draw(st.sampled_from([(0.0, 1.0), (0.95, 0.05), (0.0, 0.5), (0.5, 0.5),
+                                      (1.0, 1.0)]))
+    cut = draw(st.integers(m // 4, 3 * m // 4))
+    noise = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random(m)
+    mask = noise < np.where(np.arange(m) < cut, *densities)
+    mid = round(np.mean(densities) * length)
+    # edges up to 5 counts on the far side of mid give lo > hi, and edges
+    # past 0 and length a band that holds every count
+    lo = mid - draw(st.integers(-5, length // 2 + 70))
+    hi = mid + draw(st.integers(-5, length // 2 + 70))
+    return mask, start, length, lo, hi
+
+
+def _ramp(m, ones):
+    mask = np.zeros(m, dtype=bool)
+    mask[:ones] = True
+    return mask
+
+
+ALTERNATE_128 = np.arange(128) % 2 == 0
+
+
+@given(screen_cases())
+@example((ALTERNATE_128[:63], 5, 63, 20, 40))     # m = 63: one partial block, length m
+@example((ALTERNATE_128[:64], 0, 64, -31, 95))    # m = 64: one full block, length m
+@example((_ramp(65, 30), -7, 65, 0, 64))          # m = 65: a second block of one anchor
+@example((ALTERNATE_128, 0, 100, -13, 113))       # band 127 wide: count 50 clears both blocks
+@example((ALTERNATE_128, 9, 128, 1, 0))           # lo > hi: every anchor is outside
+@example((ALTERNATE_128, 3, 128, 0, 128))         # the full band: no anchor is outside
+@example((_ramp(640, 300), 0, 300, 237, 363))     # block 0 runs 300..237: just cleared
+@example((_ramp(640, 300), 0, 300, 238, 363))     # one count lower: anchor 63 is outside
+@example((~_ramp(640, 300), 0, 300, -63, 63))     # block 0 runs 0..63: just cleared
+@example((~_ramp(640, 300), 0, 300, -63, 62))     # one count higher: anchor 63 is outside
+@settings(max_examples=300, deadline=None)
+def test_interval_screen_matches_window_sums(case):
+    mask, start, length, lo, hi = case
+    m = mask.size
+    before = mask.copy()
+    counts = circular_window_sums(mask.view(np.int8), range(start, start + length), m)
+    got = interval_window_outside(mask, start, length, lo, hi)
+    assert got.dtype == np.int64
+    assert got.tolist() == np.flatnonzero((counts < lo) | (counts > hi)).tolist()
+    assert (mask == before).all()
+
+
+def test_interval_screen_rejects_empty_window():
+    with pytest.raises(ValueError, match="window length"):
+        interval_window_outside(np.ones(5, dtype=bool), 0, 0, 0, 5)
 
 
 def _runs_by_loop(offsets, modulus):
