@@ -4,9 +4,8 @@ dynamics on finite group actions."""
 __version__ = "0.1.0"
 
 from .groups import (Elem, GroupCtx, GroupError, GroupSet,
-                     CyclicTranslation, TorusTranslation, WindowAction,
-                     ball, free_group_window, integer_interval, is_sd_free,
-                     growth_profile, lattice_window, set_product)
+                     CyclicTranslation, TorusTranslation, integer_interval,
+                     is_sd_free, set_product)
 from .shift import (BoundaryError, Config, EmpiricalMeasure, Pattern,
                     PatternStats, all_patterns, as_fraction, cylinder_distance,
                     discrepancy, empirical_freq, empirical_measure,

@@ -186,7 +186,7 @@ def uniform_discrepancy_experiment(k: int, S: GroupSet, eps, d_sets: Sequence[Gr
     _check_averaging_sets(d_sets)
     eps_fr = as_fraction(eps)
     for ds in d_sets:
-        if is_sd_free(action, [S, ds]) is not True:
+        if not is_sd_free(action, [S, ds]):
             raise GroupError("action must be (S, D_n)-free for every n")
 
     if a is None:
@@ -315,7 +315,7 @@ def near_invariant_measure(k: int, S: GroupSet, eps, D: GroupSet, modulus: int,
         raise ValueError(f"shift_test_range must be >= 1, got {shift_test_range}")
     eps_fr = as_fraction(eps)
     action = CyclicTranslation(modulus)
-    if is_sd_free(action, [S, D]) is not True:
+    if not is_sd_free(action, [S, D]):
         raise GroupError("action must be (S, D)-free")
     stats = slll_stats(k, S, eps_fr, D)
     if not stats.certified:

@@ -166,14 +166,12 @@ def run_mt(action: FiniteAction, family: EventFamily, tape: TapeSpace,
            max_steps: Optional[int] = None, transcript: Optional[list] = None) -> MTResult:
     """Iterate resampling until no anchored event is violated.
 
-    Preconditions (checked): the action is total and F_n-free for every
-    member.  Exhausting max_steps is a reported outcome (converged=False
-    with the residual violated anchors), not an exception.
+    Precondition (checked): the action is F_n-free for every member.
+    Exhausting max_steps is a reported outcome (converged=False with the
+    residual violated anchors), not an exception.
     """
-    if not action.total:
-        raise GroupError("the resampling process needs a total action")
     for n, ev in family:
-        if is_sd_free(action, [ev.domain]) is not True:
+        if not is_sd_free(action, [ev.domain]):
             raise GroupError(f"action is not free for the domain of event {n}")
     if max_steps is None:
         max_steps = 1000 * max(1, len(family)) * action.n_points

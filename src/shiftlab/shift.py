@@ -16,9 +16,14 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .groups import (BoundaryError, Elem, FiniteAction, GroupCtx, GroupError,
-                     GroupSet)
+from .groups import Elem, FiniteAction, GroupCtx, GroupError, GroupSet
 from .rng import uniform_colors
+
+
+class BoundaryError(GroupError):
+    """A statistic needs data it was not given: a site outside a
+    configuration's or an atom's window, or a pattern missing from a
+    cylinder table."""
 
 
 def as_fraction(x) -> Fraction:
@@ -227,9 +232,7 @@ def empirical_measure(x: int, D: GroupSet, action: FiniteAction) -> EmpiricalMea
 
 def discrepancy(f: Union[Callable[[int], float], np.ndarray], global_mean: float,
                 D: GroupSet, action: FiniteAction) -> float:
-    """max over points x of |avg_D f(x) - global_mean| (total actions only)."""
-    if not action.total:
-        raise GroupError("discrepancy takes a supremum over all points; the action must be total")
+    """max over points x of |avg_D f(x) - global_mean|."""
     if len(D) == 0:
         raise ValueError("averaging set must be nonempty")
     if callable(f):

@@ -1,4 +1,3 @@
-import itertools
 import os
 import subprocess
 import sys
@@ -11,33 +10,29 @@ from hypothesis import strategies as st
 
 import shiftlab
 from shiftlab import shift
-from shiftlab.groups import (BoundaryError, CyclicTranslation, FiniteAction,
-                             GroupCtx, GroupError, GroupSet, TorusTranslation, ball,
-                             difference_set_size,
-                             free_group_window, growth_profile, integer_interval,
-                             is_sd_free, lattice_window, set_inverse, set_product)
+from shiftlab.groups import (CyclicTranslation, FiniteAction, GroupCtx, GroupError,
+                             GroupSet, TorusTranslation, difference_set_size,
+                             integer_interval, is_sd_free, set_inverse, set_product)
 
 gset = GroupSet.from_iterable
 
 Z = GroupCtx("integers")
-F2 = GroupCtx("free", 2)
 L2 = GroupCtx("lattice", 2)
 
 CTX_ELEMS = {
     Z: st.integers(-50, 50),
     L2: st.tuples(st.integers(-10, 10), st.integers(-10, 10)),
-    F2: st.lists(st.sampled_from([1, 2, -1, -2]), max_size=6).map(tuple),
 }
 
 
 def test_basic_examples():
     assert Z.op(3, -5) == -2
-    assert F2.op((1, 2), (-2,)) == (1,)
+    assert L2.op((1, 2), (3, -2)) == (4, 0)
     assert L2.inv((3, -1)) == (-3, 1)
-    assert Z.identity() == 0 and F2.identity() == () and L2.identity() == (0, 0)
+    assert Z.identity() == 0 and L2.identity() == (0, 0)
 
 
-@pytest.mark.parametrize("ctx", [Z, L2, F2])
+@pytest.mark.parametrize("ctx", [Z, L2])
 def test_group_laws(ctx):
     @settings(max_examples=60, deadline=None)
     @given(CTX_ELEMS[ctx], CTX_ELEMS[ctx], CTX_ELEMS[ctx])
@@ -55,20 +50,22 @@ def test_ctx_validation():
     with pytest.raises(GroupError):
         GroupCtx("lattice", 4)
     with pytest.raises(GroupError):
-        GroupCtx("free", 0)
+        GroupCtx("lattice", 1)
     with pytest.raises(GroupError):
         GroupCtx("cyclic", 7)  # not a supported kind
     with pytest.raises(GroupError):
-        F2.normalize((3,))  # letter outside rank
+        L2.normalize((1, 2, 3))  # wrong dimension
+    with pytest.raises(GroupError):
+        Z.normalize((1,))  # a tuple is not an integer
 
 
 def test_set_product_examples():
     assert set_product(gset(Z, [0, 1]), gset(Z, [0, 10])).elements == (0, 1, 10, 11)
     D = gset(Z, [3, 7, 9])
     assert set_product(gset(Z, [0]), D).elements == D.elements
-    # two free-group products, reduced by hand: a*a = aa, a^-1*a = identity
-    got = set_product(gset(F2, [(1,), (-1,)]), gset(F2, [(1,)]))
-    assert set(got.elements) == {(1, 1), ()}
+    # lattice sets take the generic path; (1, 0) + (0, 1) arises twice
+    got = set_product(gset(L2, [(0, 0), (1, 0), (0, 1)]), gset(L2, [(0, 1), (1, 0)]))
+    assert got.elements == ((0, 1), (0, 2), (1, 0), (1, 1), (2, 0))
 
 
 @given(st.sets(st.integers(-30, 30), min_size=1, max_size=8),
@@ -108,19 +105,6 @@ def test_set_product_ctx_mismatch():
         set_product(gset(Z, [0]), gset(L2, [(0, 0)]))
 
 
-def test_ball_examples():
-    assert ball(gset(Z, [-1, 1]), 2).elements == (-2, 0, 2)
-    S = gset(F2, [(1,), (2,), (-1,), (-2,)])
-    # oracle: all 16 two-letter products with explicit reduction
-    prods = set()
-    for a, b in itertools.product([(1,), (2,), (-1,), (-2,)], repeat=2):
-        prods.add(F2.normalize(a + b))
-    got = ball(S, 2)
-    assert set(got.elements) == prods
-    assert len(got) == 13
-    assert ball(S, 1).elements == S.elements
-
-
 def test_deterministic_sorted_order():
     s1 = gset(Z, [5, -2, 7, -2])
     assert s1.elements == (-2, 5, 7)
@@ -131,12 +115,6 @@ def test_is_sd_free_cyclic():
     assert is_sd_free(CyclicTranslation(10), [gset(Z, [0, 10])]) is False
     # any subset of distinct residues is free
     assert is_sd_free(CyclicTranslation(37), [gset(Z, [0, 5, 11, 36])]) is True
-
-
-def test_is_sd_free_window_indeterminate():
-    w = lattice_window([10])
-    assert is_sd_free(w, [gset(Z, [0])]) is True  # singleton: nothing to collide
-    assert is_sd_free(w, [gset(Z, [0, 3])]) is None  # boundary prevents a verdict
 
 
 def test_torus_freeness():
@@ -154,81 +132,6 @@ def test_action_axioms_cyclic_torus():
         assert t.act(L2.op(g, h), x) == t.act(g, t.act(h, x))
 
 
-def test_window_action_partiality():
-    w = lattice_window([5])
-    assert w.act(2, 1) == 3
-    assert w.act(5, 1) is None
-    arr = w.act_array(3, np.arange(5))
-    assert arr.tolist() == [3, 4, -1, -1, -1]
-
-
-def test_free_group_window_left_multiplication():
-    w = free_group_window(2, 2)
-    idx_id = w.index_of(())
-    assert w.element_of(w.act((1,), idx_id)) == (1,)
-    # composition where defined
-    p = w.act((2,), w.act((1,), idx_id))
-    assert p is not None and w.element_of(p) == F2.normalize((2, 1))
-
-
-def test_growth_profile_cyclic_formula():
-    prof = growth_profile(CyclicTranslation(1000), gset(Z, [-1, 0, 1]), 30)
-    assert prof == [min(2 * n + 1, 1000) for n in range(1, 31)]
-
-
-def test_growth_profile_identity_only():
-    prof = growth_profile(CyclicTranslation(50), gset(Z, [0]), 5)
-    assert prof == [1] * 5
-
-
-def test_growth_profile_torus_plus_shape():
-    plus = gset(L2, [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
-    prof = growth_profile(TorusTranslation(50, 50), plus, 6)
-    assert prof == [2 * n * n + 2 * n + 1 for n in range(1, 7)]  # diamond sizes
-
-
-def test_growth_profile_monotone_bounded():
-    prof = growth_profile(CyclicTranslation(64), gset(Z, [0, 1, 5]), 40)
-    assert all(a <= b for a, b in zip(prof, prof[1:]))
-    assert all(v <= 64 for v in prof)
-
-
-def test_growth_profile_generic_matches_translation_path():
-    # the generic reachability path must agree with the fast path
-    S = gset(Z, [-1, 1])
-    act = CyclicTranslation(30)
-    fast = growth_profile(act, S, 6)
-
-    class NoFast(CyclicTranslation):
-        pass
-
-    generic = []
-    n = act.n_points
-    reach = np.eye(n, dtype=bool)
-    maps = [act.act_array(e, np.arange(n)) for e in S.elements]
-    for _ in range(6):
-        nxt = np.zeros_like(reach)
-        for m in maps:
-            nxt[:, m] |= reach
-        reach = nxt
-        generic.append(int(reach.sum(axis=1).max()))
-    assert fast == generic
-
-
-def test_growth_profile_rejects_other_actions():
-    class Reversal(FiniteAction):
-        # a total action that is not a translation: x -> g - x on Z/5
-        ctx, n_points, total = Z, 5, True
-
-        def act(self, gamma, point):
-            return (gamma - point) % 5
-
-    with pytest.raises(GroupError):
-        growth_profile(Reversal(), gset(Z, [0, 1]), 3)
-    with pytest.raises(GroupError):
-        growth_profile(lattice_window([5]), gset(Z, [0, 1]), 3)
-
-
 def test_difference_set_interval_law():
     # |(SD)^-1 SD| = 2|SD| - 1 for integer intervals
     for s_sz, d_sz in [(1, 10), (2, 25), (3, 40)]:
@@ -242,19 +145,6 @@ def test_set_product_generic_equality():
     S = gset(Z, [1, 2, 4])
     D = gset(Z, [0, 8, 64])
     assert len(set_product(S, D)) == len(S) * len(D)
-
-
-def test_window_action_composition_where_defined():
-    w = free_group_window(2, 3)
-    g, h = (1,), (2, 1)
-    gh = F2.op(g, h)
-    for p in range(w.n_points):
-        via_h = w.act(h, p)
-        lhs = w.act(gh, p)
-        if via_h is not None:
-            rhs = w.act(g, via_h)
-            if rhs is not None and lhs is not None:
-                assert lhs == rhs
 
 
 @given(st.integers(2, 40), st.sets(st.integers(-100, 100), min_size=1, max_size=8))
@@ -318,14 +208,15 @@ def test_every_constructor_gives_one_canonical_form(items, other):
     u, v = sorted(set(items)), sorted(set(other))
     X = gset(Z, items)
     same = [GroupSet(Z, items), GroupSet(Z, tuple(u)), GroupSet.from_iterable(Z, items),
-            ball(X, 1), set_inverse(set_inverse(X))]
+            set_inverse(set_inverse(X))]
     if _is_run(u):
         same += [integer_interval(len(u), u[0]), GroupSet(Z, range(u[0], u[-1] + 1))]
     for Y in same:
         assert Y == X and hash(Y) == hash(X)
     # set_product takes its closed form when both are intervals, numpy otherwise
     built = [(X, u), (set_product(X, gset(Z, other)), {a + b for a in u for b in v}),
-             (ball(X, 2), {a + b for a in u for b in u}), (set_inverse(X), {-a for a in u})]
+             (set_product(X, X), {a + b for a in u for b in u}),
+             (set_inverse(X), {-a for a in u})]
     for Y, want in built:
         want = sorted(want)
         assert Y == gset(Z, want) and hash(Y) == hash(gset(Z, want))
@@ -358,21 +249,18 @@ def test_cyclic_free_for_matches_residue_formula(M, elems):
 
 
 def test_boundary_error_is_a_group_error():
-    assert issubclass(BoundaryError, GroupError)
-    assert shift.BoundaryError is shiftlab.BoundaryError is BoundaryError
+    assert issubclass(shift.BoundaryError, GroupError)
+    assert shiftlab.BoundaryError is shift.BoundaryError
 
 
-# the four action flavors, small enough that many translates leave a window
+# the two action flavors, small enough that many translates wrap around
 ACTIONS = st.one_of(
     st.integers(1, 30).map(CyclicTranslation),
     st.tuples(st.integers(1, 6), st.integers(1, 6)).map(lambda t: TorusTranslation(*t)),
-    st.lists(st.integers(1, 6), min_size=1, max_size=2).map(lattice_window),
-    st.integers(0, 2).map(lambda r: free_group_window(2, r)),
 )
 NEAR_ELEMS = {
     Z: st.integers(-8, 8),
     L2: st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
-    F2: CTX_ELEMS[F2],
 }
 
 
@@ -385,21 +273,33 @@ def test_translates_and_image_match_act(action, data):
         lo = data.draw(NEAR_ELEMS[Z])
         elems = range(lo, lo + len(elems))
     x = data.draw(st.integers(0, action.n_points - 1))
-    expect = [action.act(e, x) for e in elems]
-    if None in expect:
-        with pytest.raises(BoundaryError):
-            action.translates(elems, x)
-    else:
-        got = action.translates(elems, x)
-        assert got.dtype == np.int64 and got.tolist() == expect
+    got = action.translates(elems, x)
+    assert got.dtype == np.int64 and got.tolist() == [action.act(e, x) for e in elems]
 
     gamma = ctx.normalize(data.draw(NEAR_ELEMS[ctx]))
     pts = np.array(data.draw(st.lists(st.integers(0, action.n_points - 1), max_size=8)),
                    dtype=np.int64)
     for points in (pts, None):
         ref = action.act_array(gamma, action.points() if points is None else points)
-        if np.any(ref < 0):
-            with pytest.raises(BoundaryError):
-                action.image(gamma, points)
-        else:
-            assert np.array_equal(action.image(gamma, points), ref)
+        assert np.array_equal(action.image(gamma, points), ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_fast_freeness_matches_pairwise_and_pointwise_oracles(data):
+    if data.draw(st.booleans()):
+        M = data.draw(st.integers(1, 12))
+        action = CyclicTranslation(M)
+        start = data.draw(st.integers(-20, 20))
+        # intervals on both sides of the shortcut len(S) <= M, and sparse sets
+        # whose elements often collide mod M
+        items = data.draw(st.one_of(
+            st.integers(1, M + 3).map(lambda n: range(start, start + n)),
+            st.sets(st.integers(-30, 30), min_size=1, max_size=M + 3)))
+    else:
+        action = TorusTranslation(data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5)))
+        items = data.draw(st.sets(NEAR_ELEMS[L2], min_size=1, max_size=8))
+    S = gset(action.ctx, items)
+    pointwise = all(len({action.act(e, x) for e in S}) == len(S)
+                    for x in range(action.n_points))
+    assert action.free_for(S) is FiniteAction.free_for(action, S) is pointwise

@@ -9,17 +9,15 @@ import pytest
 
 from shiftlab.cli import EXIT_OK, main
 from shiftlab.ergodic import log_growth_size, uniform_discrepancy_experiment
-from shiftlab.groups import (CyclicTranslation, GroupCtx, GroupError,
-                             GroupSet, TorusTranslation, free_group_window,
-                             growth_profile, integer_interval)
-from shiftlab.lll import FrequencyDeviationEvent, induced_event
+from shiftlab.groups import (CyclicTranslation, GroupCtx, GroupSet, TorusTranslation,
+                             integer_interval)
+from shiftlab.lll import FrequencyDeviationEvent
 from shiftlab.moser_tardos import (EventFamily, TapeSpace, frequency_counts,
                                    run_mt, stabilization_ledger)
 from shiftlab.shift import Config, Pattern, empirical_freq, occurrences
 
 gset = GroupSet.from_iterable
 Z = GroupCtx("integers")
-F2 = GroupCtx("free", 2)
 L2 = GroupCtx("lattice", 2)
 
 
@@ -64,42 +62,6 @@ def test_transcript_structure():
         assert all(n == 0 for n, _x in ln["selected"])
     total_selected = sum(len(ln["selected"]) for ln in lines)
     assert total_selected == int(res.t.sum())
-
-
-def test_growth_profile_torus_saturates():
-    plus = gset(L2, [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)])
-    prof = growth_profile(TorusTranslation(10, 10), plus, 15)
-    assert prof[-1] == 100
-    assert all(a <= b for a, b in zip(prof, prof[1:]))
-
-
-def test_induced_event_rejects_window_boundary():
-    ev = FrequencyDeviationEvent(2, gset(Z, [0]), "0.2", gset(Z, [0, 1, 2]))
-    from shiftlab.groups import lattice_window
-    w = lattice_window([4])
-    with pytest.raises(GroupError):
-        induced_event(ev, w, 2)  # 2 + 2 = 4 leaves the window
-
-
-def test_free_group_window_statistics():
-    # colorings over a radius-2 word window; occurrence arithmetic done by hand
-    window = free_group_window(2, 2).window
-    values = {w: (len(w) % 2) for w in window.elements}  # color = word length mod 2
-    c = Config.from_map(F2, values)
-    phi = Pattern.from_map(F2, {(): 0, (1,): 1}, 2)
-    occ = set(occurrences(phi, c).elements)
-    # g is an occurrence iff g and (1,)g are in the window with lengths
-    # even/odd: true exactly when g is even-length and (1,)g stays inside
-    expected = set()
-    for g in window.elements:
-        tg = F2.op((1,), g)
-        if tg in set(window.elements) and len(g) % 2 == 0 and len(tg) % 2 == 1:
-            expected.add(g)
-    assert occ == expected
-    # frequency over a small D with full information
-    D = gset(F2, [(), (2,)])
-    freq = empirical_freq(phi, c, D)
-    assert freq == Fraction(sum(1 for d in D if d in occ), 2)
 
 
 def test_interval_shape_threshold():
@@ -147,7 +109,7 @@ def test_cli_transcript_flag(tmp_path):
     assert seen_lines > 0  # these parameters do resample
 
 
-def test_lattice_window_pattern_statistics():
+def test_lattice_box_pattern_statistics():
     # 4x4 window in Z^2, pattern on two sites, brute-force oracle
     from shiftlab.groups import GroupSet
     import itertools as it

@@ -124,13 +124,6 @@ def test_single_site_event_geometric_resampling():
     assert abs(res.t.mean() - 1.0) < 3 * (2 / 4000) ** 0.5 + 1e-9
 
 
-def test_mt_requires_total_action():
-    from shiftlab.groups import lattice_window
-    ev = ExplicitEvent((Pattern.from_map(Z, {0: 0}, 2),), 2)
-    with pytest.raises(GroupError):
-        run_mt(lattice_window([10]), EventFamily.of(ev), TapeSpace(seed=0, k=2))
-
-
 def test_mt_requires_freeness():
     ev = FrequencyDeviationEvent(2, integer_interval(1), "0.2", gset(Z, [0, 10]))
     with pytest.raises(GroupError):
@@ -316,12 +309,3 @@ def test_event_family_canonical_order():
     ev2 = ExplicitEvent((Pattern.from_map(Z, {0: 1}, 2),), 2)
     fam = EventFamily(((5, ev1), (2, ev2)))
     assert [n for n, _ in fam] == [2, 5]
-
-
-def test_frequency_counts_rejects_partial_action():
-    from shiftlab.groups import lattice_window
-    from shiftlab.moser_tardos import frequency_counts
-    ev = FrequencyDeviationEvent(2, gset(Z, [0]), "0.2", gset(Z, [0, 1]))
-    w = lattice_window([6])
-    with pytest.raises(GroupError):
-        list(frequency_counts(w, ev, np.zeros(6, dtype=np.int64)))

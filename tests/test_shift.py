@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab.groups import (CyclicTranslation, GroupCtx, GroupSet, integer_interval,
-                             lattice_window)
+from shiftlab.groups import CyclicTranslation, GroupCtx, GroupSet, integer_interval
 from shiftlab.shift import (AtomCylinders, BoundaryError, Config, EmpiricalMeasure,
                             Pattern, UniformCylinders, all_patterns, as_fraction,
                             cylinder_distance, discrepancy, empirical_freq,
@@ -117,8 +116,6 @@ def test_pointwise_average():
     assert pointwise_average(lambda p: 1.0, 0, D, act) == 1.0
     ind = lambda p: 1.0 if p == 0 else 0.0
     assert pointwise_average(ind, 0, D, act) == 0.25
-    with pytest.raises(BoundaryError):
-        pointwise_average(ind, 3, gset(Z, [4]), lattice_window([4]))
 
 
 def test_empirical_measure_multiplicity():
