@@ -21,6 +21,19 @@
  * no 64-bit multiply, and an x86-64-v3 copy measured no faster than the
  * baseline.
  *
+ * In the x86-64-v4 copy every counter plane() loads is XORed with z0, a zero
+ * the compiler cannot see through.  Without it GCC 12 folds the loads of
+ * a[c] and b[c] into the vector multiply, as `vpmullq (mem), zmm, zmm` (12 of
+ * them in hash_v4, none in count_v4, whose counters are computed), and on an
+ * AVX-512 Xeon that loop ran at about 5.5 ns per value against 1.1-1.3 ns
+ * with the loaded vector in a register (standalone C, data in L1).  With z0,
+ * at M = 100000 on a shared 2-core host (median of 41 calls): a plane whose
+ * two counters both vary along the row, as in tape_consistency and every
+ * resampling step, 0.61-0.66 -> 0.16-0.25 ms; tape row 0, 0.25-0.28 ->
+ * 0.20-0.28 ms; one row of 41400 colors, 2.3-2.7 -> 1.5-2.5 ns per color.
+ * The baseline passes a literal 0, which the compiler drops.
+ * tests/test_rng.py fails on a multiply from memory in the x86-64-v4 copy.
+ *
  * The numpy paths in rng.py compute the same results and are the test
  * oracles.
  */
@@ -62,11 +75,12 @@ reduce(uint64_t z, uint64_t k, uint64_t mask, int wide)
     return z % k;
 }
 
-/* Inlined at each call below, so k, mask and wide are literals there. */
+/* Inlined at each call below, so k, mask and wide are literals there.  z0 is
+ * 0; every loaded counter is XORed with it (see the top of this file). */
 static inline __attribute__((always_inline)) void
 plane(uint64_t seed, const uint64_t *a, ptrdiff_t ars, ptrdiff_t acs,
       const uint64_t *b, ptrdiff_t brs, ptrdiff_t bcs, ptrdiff_t rows,
-      ptrdiff_t cols, uint64_t k, uint64_t mask, int wide, uint64_t *out)
+      ptrdiff_t cols, uint64_t k, uint64_t mask, int wide, uint64_t z0, uint64_t *out)
 {
     for (ptrdiff_t r = 0; r < rows; r++) {
         const uint64_t *ar = a + r * ars, *br = b + r * brs;
@@ -74,11 +88,11 @@ plane(uint64_t seed, const uint64_t *a, ptrdiff_t ars, ptrdiff_t acs,
         if (acs == 0) {  /* a is constant along the row: one first round */
             uint64_t h = fin(seed ^ A * ar[0]);
             for (ptrdiff_t c = 0; c < cols; c++)
-                o[c] = reduce(fin(h ^ B * br[c * bcs]), k, mask, wide);
+                o[c] = reduce(fin(h ^ B * (br[c * bcs] ^ z0)), k, mask, wide);
         } else {
             for (ptrdiff_t c = 0; c < cols; c++)
-                o[c] = reduce(fin(fin(seed ^ A * ar[c * acs]) ^ B * br[c * bcs]), k, mask,
-                              wide);
+                o[c] = reduce(fin(fin(seed ^ A * (ar[c * acs] ^ z0)) ^ B * (br[c * bcs] ^ z0)),
+                              k, mask, wide);
         }
     }
 }
@@ -86,9 +100,9 @@ plane(uint64_t seed, const uint64_t *a, ptrdiff_t ars, ptrdiff_t acs,
 static inline __attribute__((always_inline)) void
 hash_k(uint64_t seed, const uint64_t *a, ptrdiff_t ars, ptrdiff_t acs, const uint64_t *b,
        ptrdiff_t brs, ptrdiff_t bcs, ptrdiff_t rows, ptrdiff_t cols, uint64_t k, int wide,
-       uint64_t *out)
+       uint64_t z0, uint64_t *out)
 {
-#define PLANE(K, MASK) plane(seed, a, ars, acs, b, brs, bcs, rows, cols, K, MASK, wide, out)
+#define PLANE(K, MASK) plane(seed, a, ars, acs, b, brs, bcs, rows, cols, K, MASK, wide, z0, out)
     if (k == 0)
         PLANE(0, ~0ULL);
     else if ((k & (k - 1)) == 0)
@@ -144,13 +158,16 @@ count_k(uint64_t seed, uint64_t row0, ptrdiff_t rows, ptrdiff_t cols, uint64_t k
 #undef COUNT
 }
 
-/* The x86-64-v4 copies; where V4 is empty they are never called. */
+/* The x86-64-v4 copies; where V4 is empty they are never called.  z0 keeps
+ * the loaded counters out of the multiplies (see the top of this file). */
 static V4 void
 hash_v4(uint64_t seed, const uint64_t *a, ptrdiff_t ars, ptrdiff_t acs, const uint64_t *b,
         ptrdiff_t brs, ptrdiff_t bcs, ptrdiff_t rows, ptrdiff_t cols, uint64_t k,
         uint64_t *out)
 {
-    hash_k(seed, a, ars, acs, b, brs, bcs, rows, cols, k, 1, out);
+    uint64_t z0 = 0;
+    __asm__("" : "+r"(z0));
+    hash_k(seed, a, ars, acs, b, brs, bcs, rows, cols, k, 1, z0, out);
 }
 
 static V4 void
@@ -168,7 +185,7 @@ void shiftlab_hash(uint64_t seed, const uint64_t *a, ptrdiff_t ars, ptrdiff_t ac
     if (HAS_V4())
         hash_v4(seed, a, ars, acs, b, brs, bcs, rows, cols, k, out);
     else
-        hash_k(seed, a, ars, acs, b, brs, bcs, rows, cols, k, 0, out);
+        hash_k(seed, a, ars, acs, b, brs, bcs, rows, cols, k, 0, 0, out);
 }
 
 void shiftlab_count(uint64_t seed, uint64_t row0, ptrdiff_t rows, ptrdiff_t cols,

@@ -25,6 +25,7 @@ from .moser_tardos import (EventFamily, MTResult, TapeSpace, frequency_counts,
                            resample_fraction, run_mt)
 from .rng import block_rows, color_matrix, derive_seed
 from .shift import Pattern, PatternStats, all_patterns, as_fraction
+from .windows import _ones_between
 
 INTEGERS_CTX = GroupCtx("integers")
 
@@ -113,7 +114,7 @@ def ergodic_convergence_experiment(k: int, S: GroupSet, eps, d_sets: Sequence[Gr
             runs.append((ds.elements.start - d_lo, ds.elements.stop - d_lo))
         else:
             runs.extend((e - d_lo, e - d_lo + 1) for e in ds.elements)
-    run_lo, run_hi = (np.array(r, dtype=np.int64) for r in zip(*runs))
+    run_lo, run_hi = (np.array(r, dtype=np.uint64) for r in zip(*runs))
 
     patterns = all_patterns(S, k)
     exceed = np.zeros((samples, n_max + 1), dtype=bool)
@@ -121,17 +122,21 @@ def ergodic_convergence_experiment(k: int, S: GroupSet, eps, d_sets: Sequence[Gr
 
     run_seed = derive_seed(seed, 0xE6)
     chunk = chunk or block_rows(width)
+    # an occurrence row, packed into uint64 words with room past its last
+    # anchor, so that every run end indexes a word
+    packed = 64 * (n_anchors // 64 + 1)
     for start in range(0, samples, chunk):
         rows = min(chunk, samples - start)
         colors = color_matrix(run_seed, rows, width, k, row_offset=start)
-        csum = np.zeros((rows, n_anchors + 1), dtype=np.int64)
+        occ = np.zeros((rows, packed), dtype=bool)
         for pat in patterns:
-            occ = np.ones((rows, n_anchors), dtype=bool)
-            for s, col in zip(s_elems, pat.colors):
+            o = occ[:, :n_anchors]
+            np.equal(colors[:, :n_anchors], pat.colors[0], out=o)
+            for s, col in zip(s_elems[1:], pat.colors[1:]):
                 c0 = s - s_elems[0]
-                occ &= colors[:, c0:c0 + n_anchors] == col
-            np.cumsum(occ, axis=1, out=csum[:, 1:])
-            counts = np.add.reduceat(csum[:, run_hi] - csum[:, run_lo], first_run, axis=1)
+                o &= colors[:, c0:c0 + n_anchors] == col
+            words = np.packbits(occ, axis=1, bitorder="little").view("<u8")
+            counts = np.add.reduceat(_ones_between(words, run_lo, run_hi), first_run, axis=1)
             exceed[start:start + rows] |= deviates(counts, d_sizes, k, len(S), eps_fr)
             worst_num = np.maximum(worst_num, np.abs(counts * scale - d_sizes).max(axis=0))
 

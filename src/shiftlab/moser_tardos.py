@@ -102,8 +102,8 @@ def _pattern_masks(action: FiniteAction, ev: FrequencyDeviationEvent, g: np.ndar
         raise ValueError("pattern space too large to scan; keep k^|S| small")
     pulled = _pullback_colors(action, ev.S.elements, g)
     for pat in all_patterns(ev.S, ev.k):
-        w = np.ones(action.n_points, dtype=bool)
-        for arr, col in zip(pulled, pat.colors):
+        w = pulled[0] == pat.colors[0]
+        for arr, col in zip(pulled[1:], pat.colors[1:]):
             w &= arr == col
         yield pat, w
 
@@ -289,8 +289,8 @@ class ResampleFractions:
 def resample_fraction(result: MTResult, family: Optional[EventFamily] = None,
                       omegas: Optional[dict] = None) -> ResampleFractions:
     n_pts = result.t.size
-    resampled = int((result.t >= 1).sum())
-    changed = int((result.coloring != result.first_row).sum())
+    resampled = int(np.count_nonzero(result.t))  # t is never negative
+    changed = int(np.count_nonzero(result.coloring != result.first_row))
     bound = None
     if family is not None and omegas is not None:
         bound = sum(len(ev.domain) * omegas[n] / (1.0 - omegas[n]) for n, ev in family)

@@ -20,7 +20,12 @@ Two implementations compute the same stream, bit for bit:
   mask for powers of two and with a constant divisor for k = 3.  On x86-64
   with GCC 12 or later each entry point is compiled twice, for the baseline
   and for x86-64-v4 (AVX-512), and the CPU picks the copy at run time, so
-  the cached build stays portable across x86-64 hosts.
+  the cached build stays portable across x86-64 hosts.  The x86-64-v4 copy
+  XORs each loaded counter with a zero the compiler cannot see through:
+  otherwise GCC 12 folds the loads into its 64-bit vector multiplies, which
+  made a plane whose two counters both vary (`tape_consistency`, every
+  resampling step) 0.61-0.66 ms at M = 100000 against 0.16-0.25 ms without
+  (`_hash.c` has the numbers).
   Its second entry point serves `pattern_counts` for Monte Carlo: it
   hashes one row of a color matrix at a time into a byte buffer and counts
   the occurrences of a pattern in it, so the rows are never stored.  It
@@ -29,9 +34,11 @@ Two implementations compute the same stream, bit for bit:
   place in two preallocated scratch buffers and reduced `% k` straight into
   the output.  It serves wherever the kernel cannot be built or loaded (no
   compiler, no writable cache) and is the oracle the kernel is tested
-  against.  It also hashes single values, so deriving a seed never builds
-  or loads the kernel, and it counts the patterns the kernel does not take,
-  from `color_matrix` blocks.
+  against.  It also hashes single values, so a process that hashes one
+  value at a time never builds or loads the kernel, and it counts the
+  patterns the kernel does not take, from `color_matrix` blocks.
+  `derive_seed` hashes its one value in Python ints, about 2-3 us a call
+  against 50-90 us through numpy; `_hash_numpy` is its test oracle.
 
 The kernel is used only if both entry points agree with numpy when it
 loads, on planes and rows both narrower and wider than one AVX-512 loop
@@ -267,15 +274,17 @@ def _load_kernel():
             continue
         hash_fn, count_fn = lib.shiftlab_hash, lib.shiftlab_count
         # a kernel that disagrees with numpy is not used.  a is constant
-        # along the rows of the first plane of each width and varies in the
-        # second, and the counts read one site, or two sites out of order.
-        # The wide plane and rows run a vector loop of the x86-64-v4 copy
-        # (8 values, or 64 bytes when counting) and a ragged tail.
+        # along the rows of the first plane of each width, varies in the
+        # second, and both counters vary along the row of the third (as in
+        # tape_consistency and every resampling step); the counts read one
+        # site, or two sites out of order.  The wide plane and rows run a
+        # vector loop of the x86-64-v4 copy (8 values, or 64 bytes when
+        # counting) and a ragged tail.
         a = np.arange(3, dtype=np.uint64)[:, None]
         ok = all(np.array_equal(_hash_c(hash_fn, 9, x, y, k), _hash_numpy(9, x, y, k))
                  for b, ks in ((np.arange(5, dtype=np.uint64), (None, 2, 3, 11)),
                                (np.arange(131, dtype=np.uint64), (2, 3)))
-                 for x, y in ((a, b), (b, a)) for k in ks)
+                 for x, y in ((a, b), (b, a), (b + (1 << 40), b % 7)) for k in ks)
         row0 = 1 << 33
         rows = np.arange(row0, row0 + 8, dtype=np.uint64)[:, None]
         ok = ok and all(
@@ -464,9 +473,22 @@ def pattern_counts(seed: int, rows: int, cols: int, k: int, selectors, phi,
     return _count_numpy(seed, rows, cols, k, selectors, phi, row_offset)
 
 
+def _fin_int(z: int) -> int:
+    """The splitmix64 finalizer of one value below 2**64, in Python ints."""
+    z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK
+    z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK
+    return z ^ z >> 31
+
+
+# derive_seed's multipliers in Python ints: A, and B times its second counter
+_SEED_A, _SEED_B = int(_A), int(_B) * 0x5EED & _MASK
+
+
 def derive_seed(seed: int, *indices: int) -> int:
-    """Derive an independent substream seed, e.g. one per Monte Carlo run."""
-    out = np.uint64(seed & _MASK)
+    """Derive an independent substream seed, e.g. one per Monte Carlo run:
+    mix_counters(seed, ix, 0x5EED) chained over the indices, hashed in Python
+    ints, which is far cheaper than numpy's per-call overhead on one value."""
+    out = seed & _MASK
     for ix in indices:
-        out = mix_counters(int(out), ix, 0x5EED)
-    return int(out)
+        out = _fin_int(_fin_int(out ^ _SEED_A * ix & _MASK) ^ _SEED_B)
+    return out

@@ -54,6 +54,30 @@ def circular_window_sums(values: np.ndarray, offsets, modulus: int) -> np.ndarra
 SCREEN_BLOCK = 64
 
 
+def _ones_between(words: np.ndarray, lo, hi) -> np.ndarray:
+    """How many bits at positions lo[i] <= p < hi[i] are set in each row of
+    `words`, bits packed little-endian into uint64 words along the last axis.
+
+    The ones below a position p are those of the words up to and including
+    word p // 64, from one popcount cumsum, less the popcount of that word
+    shifted right by p % 64.  lo and hi are uint64 arrays of positions, or
+    ranges of step 64, which read the words as slices.  Every p // 64 must
+    index a word.
+    """
+    through = np.cumsum(np.bitwise_count(words), axis=-1, dtype=np.int64)
+
+    def ones_before(pos):
+        if isinstance(pos, range):
+            assert pos.step == 64
+            first = pos.start // 64
+            q, r = slice(first, first + len(pos)), np.uint64(pos.start % 64)
+        else:
+            q, r = pos >> 6, pos & 63
+        return through[..., q] - np.bitwise_count(words[..., q] >> r)
+
+    return ones_before(hi) - ones_before(lo)
+
+
 def interval_window_outside(mask: np.ndarray, start: int, length: int, lo: int,
                             hi: int) -> np.ndarray:
     """Ascending anchors x of Z/M, M = mask.size, whose count
@@ -63,8 +87,7 @@ def interval_window_outside(mask: np.ndarray, start: int, length: int, lo: int,
     c moves by at most 1 from one anchor to the next, so an exact count at
     every 64th anchor clears its block of 64 anchors when it lies at least 63
     inside the band.  Those counts come from popcounts of the mask packed
-    into 64-bit words: one cumsum over the words gives every count of whole
-    words, and one masked word adds the rest.  Only the blocks that are not
+    into 64-bit words (`_ones_between`).  Only the blocks that are not
     cleared get exact counts, as the block's first count plus a cumsum of the
     +1/-1 steps mask[x + length] - mask[x].
     """
@@ -72,18 +95,14 @@ def interval_window_outside(mask: np.ndarray, start: int, length: int, lo: int,
         raise ValueError(f"window length must be >= 1, got {length}")
     m, n = mask.size, SCREEN_BLOCK
     blocks = -(-m // n)
-    whole, rest = divmod(length, n)
     # the mask read from `start` on, repeated until the window of every anchor
     # of every block (the last one's past M read on around the circle) ends
-    # inside whole words
+    # inside a word
     ext = np.resize(np.roll(np.asarray(mask, dtype=bool), -(start % m)),
-                    n * (blocks + whole + 1))
+                    n * (blocks + length // n + 1))
     words = np.packbits(ext, bitorder="little").view("<u8")
-    prefix = np.zeros(words.size + 1, dtype=np.int64)
-    np.cumsum(np.bitwise_count(words), dtype=np.int64, out=prefix[1:])
-    # c at anchor n*b: the window ends `rest` bits into word b + whole
-    part = np.bitwise_count(words[whole:whole + blocks] & np.uint64((1 << rest) - 1))
-    first = prefix[whole:whole + blocks] - prefix[:blocks] + part
+    # c at anchor n*b: the ones from n*b up to n*b + length
+    first = _ones_between(words, range(0, n * blocks, n), range(length, length + n * blocks, n))
     # blocks whose first count lies within n - 2 of a band edge, or outside
     # it, are counted anchor by anchor, from +1/-1 steps as int8 differences
     near = np.flatnonzero((first < lo + n - 1) | (first > hi - n + 1))

@@ -2,6 +2,7 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from shiftlab.ergodic import (ergodic_convergence_experiment, log_growth_size,
@@ -225,3 +226,32 @@ def test_uniform_discrepancy_log_growth_family():
     assert res.certified and res.result.converged and res.all_within
     assert len(res.stats_per_n) == 3
     assert res.delta_report == 0
+
+
+@pytest.mark.parametrize("chunk", [1, None], ids=["chunk_1", "default_chunk"])
+def test_convergence_matches_bruteforce_across_words(chunk):
+    # more than 128 anchors, so the popcount prefix crosses words; D_0 has
+    # gaps around the word edges 64 and 128, D_2 starts off anchor 0, and
+    # |S| = 2 with a gap reads two color columns per anchor
+    S = gset(Z, [0, 2])
+    d_sets = [gset(Z, [0, 1, 5, 62, 63, 64, 65, 127, 128, 129, 190, 200]),
+              integer_interval(150), gset(Z, range(60, 258))]
+    samples, eps = 30, Fraction(2, 25)
+    rep = ergodic_convergence_experiment(2, S, "0.08", d_sets, samples, seed=4, chunk=chunk)
+    from shiftlab.rng import color_matrix, derive_seed
+    colors = color_matrix(derive_seed(4, 0xE6), samples, 257 + 2 + 1, 2)
+    exceeded = np.zeros((samples, 3), dtype=bool)
+    worst = [Fraction(0)] * 3
+    for r, row in enumerate(colors):
+        for i, D in enumerate(d_sets):
+            d = np.array(list(D.elements))
+            for pat in itertools.product(range(2), repeat=2):
+                hits = int(((row[d] == pat[0]) & (row[d + 2] == pat[1])).sum())
+                dev = abs(Fraction(hits, len(d)) - Fraction(1, 4))
+                worst[i] = max(worst[i], dev)
+                exceeded[r, i] |= dev >= eps
+    beyond = np.logical_or.accumulate(exceeded[:, ::-1], axis=1)[:, ::-1]
+    assert 0 < beyond[:, 1].sum() < samples  # some samples exceed past D_0, not all
+    for n in range(3):
+        assert rep.rows[n].exceed_frac_beyond == pytest.approx(beyond[:, n].mean())
+        assert rep.rows[n].worst_dev == float(worst[n])

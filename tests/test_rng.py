@@ -115,6 +115,20 @@ def test_scalars_match_reference(seed, a, b, k):
             _same(uniform_colors(seed, a_u64, b, k), _reference(seed, a, b, k))
 
 
+@given(st.integers(0, U64_MAX),
+       st.lists(st.integers(-(1 << 63), U64_MAX) | st.integers(-3, 300), max_size=4))
+@example(0, [])
+@example(U64_MAX, [-1, -(1 << 63), 1 << 63, U64_MAX])
+@settings(max_examples=300, deadline=None)
+def test_derive_seed_matches_the_numpy_chain(seed, indices):
+    # derive_seed hashes in Python ints; the numpy hash is its oracle
+    want = seed
+    for ix in indices:
+        want = int(rng._hash_numpy(want, ix, 0x5EED, None))
+    got = derive_seed(seed, *indices)
+    assert type(got) is int and got == want
+
+
 @given(st.integers(0, U64_MAX), st.integers(0, 3 * BLOCK + 5), st.sampled_from(KS))
 @example(3, 3 * BLOCK + 5, 3)
 @settings(max_examples=25, deadline=None)
@@ -285,6 +299,23 @@ def test_kernel_wrong_where_a_varies_along_the_row_is_not_used(monkeypatch, tmp_
     _fresh_kernel(monkeypatch, tmp_path, built_kernel)
     monkeypatch.setattr(ctypes, "CDLL", _library_with("shiftlab_hash", flip_first_value))
     _same(uniform_colors(3, np.arange(8), 7, 5), _reference(3, np.arange(8), 7, 5))
+    assert rng._kernel_meta()["rng_kernel"] == "numpy"
+
+
+@pytest.mark.skipif(not _compiler_on_path(), reason="no C compiler on PATH")
+def test_kernel_wrong_where_both_counters_vary_along_the_row_is_not_used(monkeypatch,
+                                                                        tmp_path,
+                                                                        built_kernel):
+    # the plane of tape_consistency and of every resampling step: points and
+    # their resample counts, both read along the row
+    def flip_first_value(args):
+        if args[3] and args[6]:  # a's and b's column strides
+            ctypes.c_uint64.from_address(args[-1]).value ^= 1
+
+    _fresh_kernel(monkeypatch, tmp_path, built_kernel)
+    monkeypatch.setattr(ctypes, "CDLL", _library_with("shiftlab_hash", flip_first_value))
+    points, ts = np.arange(8), np.arange(8) % 3
+    _same(uniform_colors(3, points, ts, 5), _reference(3, points, ts, 5))
     assert rng._kernel_meta()["rng_kernel"] == "numpy"
 
 
@@ -472,7 +503,8 @@ def test_each_kernel_copy_hashes_the_reference_stream(variant):
     a = np.arange(3, dtype=np.uint64)[:, None] + np.uint64(1 << 40)
     for cols in WIDTHS:
         b = np.arange(cols, dtype=np.uint64)
-        for x, y in ((a, b), (b, a)):  # a constant along the rows, then varying
+        # a constant along the rows, then varying, then both counters varying
+        for x, y in ((a, b), (b, a), (b + np.uint64(1 << 40), b % np.uint64(7))):
             for k in (None, *KS):
                 _same(rng._hash_c(variant.shiftlab_hash, 11, x, y, k), _reference(11, x, y, k))
 
@@ -486,6 +518,23 @@ def test_each_kernel_copy_counts_the_reference_counts(variant):
                 got = rng._count_c(variant.shiftlab_count, 7, 5, cols, k, starts, phi, d, row0)
                 selectors = [slice(s, s + d) for s in starts]
                 _same(got, _counts_reference(7, 5, cols, k, selectors, phi, row0))
+
+
+@pytest.mark.skipif(platform.machine() != "x86_64" or shutil.which("gcc") is None,
+                    reason="needs an x86-64 host and gcc on PATH")
+def test_no_counter_is_multiplied_from_memory_in_the_v4_copy(tmp_path):
+    # GCC 12 folded the loads of a[c] and b[c] into `vpmullq (mem), zmm, zmm`,
+    # which ran the hash loop about 4x slower than with the loaded vector in
+    # a register
+    src = tmp_path / "hash.c"
+    src.write_text(_stripped_source(True))
+    asm = tmp_path / "hash.s"
+    subprocess.run(["gcc", *rng._CFLAGS, "-march=x86-64-v4", "-masm=att", "-S",
+                    "-o", str(asm), str(src)], check=True, capture_output=True, timeout=120)
+    text = asm.read_text()
+    assert re.search(r"^\s*vpmullq\s", text, re.M), "the v4 copy has no vector multiply"
+    folded = re.findall(r"^\s*vpmullq\s+[^,\s]*\(.*$", text, re.M)
+    assert folded == []
 
 
 def _fold3(z: int) -> int:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from shiftlab.windows import (circular_window_reduce, circular_window_sums,
+from shiftlab.windows import (_ones_between, circular_window_reduce, circular_window_sums,
                               interval_window_outside, offset_runs)
 
 FOLDS = {"and": (np.logical_and, all), "or": (np.logical_or, any)}
@@ -82,6 +82,44 @@ def test_interval_screen_matches_window_sums(case):
     assert got.dtype == np.int64
     assert got.tolist() == np.flatnonzero((counts < lo) | (counts > hi)).tolist()
     assert (mask == before).all()
+
+
+@st.composite
+def bit_rows(draw):
+    n = draw(st.integers(1, 300) | st.sampled_from([63, 64, 65, 127, 128, 129, 192]))
+    rows = draw(st.integers(1, 3))
+    density = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]))
+    return np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((rows, n)) < density
+
+
+@given(bit_rows())
+@example(np.ones((1, 64), dtype=bool))           # the last position starts a new word
+@example(np.arange(130)[None, :] % 3 == 0)       # 64j - 1, 64j and 64j + 1 for j = 1, 2
+@example(np.zeros((2, 1), dtype=bool))
+@settings(max_examples=200, deadline=None)
+def test_ones_between_matches_cumsum(mask):
+    # the bits past n, which no position may count, are ones
+    rows, n = mask.shape
+    padded = np.ones((rows, 64 * (n // 64 + 1)), dtype=bool)
+    padded[:, :n] = mask
+    words = np.packbits(padded, axis=1, bitorder="little").view("<u8")
+    before = np.zeros((rows, n + 1), dtype=np.int64)
+    np.cumsum(mask, axis=1, out=before[:, 1:])
+    # from 0 to every position 0..n
+    pos = np.arange(n + 1, dtype=np.uint64)
+    assert _ones_between(words, np.zeros_like(pos), pos).tolist() == before.tolist()
+    # between shuffled positions, of each row and of one row on its own
+    a, b = np.random.default_rng(n).permuted(np.stack((pos, pos)), axis=1)
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    assert _ones_between(words, lo, hi).tolist() == (before[:, hi] - before[:, lo]).tolist()
+    assert _ones_between(words[-1], lo, hi).tolist() == (before[-1, hi] - before[-1, lo]).tolist()
+    # ranges of step 64, read as word slices, from each offset into a word
+    for start in {0, 1, 63, 64, 65} & set(range(n + 1)):
+        for length in {0, 1, 63, 64, 70} & set(range(n + 1 - start)):
+            lo = range(start, n + 1 - length, 64)
+            hi = range(start + length, start + length + 64 * len(lo), 64)
+            want = before[:, list(hi)] - before[:, list(lo)]
+            assert _ones_between(words, lo, hi).tolist() == want.tolist()
 
 
 def test_interval_screen_rejects_empty_window():
