@@ -307,8 +307,7 @@ def _run_concentration_sweep(p, out, jobs, transcript):
     grid = [(k, integer_interval(s), as_fraction(e), integer_interval(d))
             for k in p["ks"] for s in p["s_sizes"]
             for e in p["eps_list"] for d in p["d_sizes"]]
-    rows = deviation_sweep(grid, lambda k, S, e, D: CyclicTranslation(p["modulus"]),
-                           p["trials"], p["seed"])
+    rows = deviation_sweep(grid, CyclicTranslation(p["modulus"]), p["trials"], p["seed"])
     _write_csv(out / "concentration-sweep-detail.csv",
                ["k", "s_size", "eps", "d_size", "bound", "estimate",
                 "wilson_lower", "wilson_upper", "expectation_z", "verdict"],

@@ -204,9 +204,9 @@ def familywise_z(m: int) -> float:
     return NormalDist().inv_cdf(1 - SWEEP_ALPHA / (2 * m))
 
 
-def deviation_sweep(grid, action_factory, trials: int, seed: int,
+def deviation_sweep(grid, action: FiniteAction, trials: int, seed: int,
                     bound_cutoff: float = 0.9) -> list[SweepRow]:
-    """Run mc_deviation_prob over a parameter grid.
+    """Run mc_deviation_prob over a parameter grid, every point on `action`.
 
     `grid` yields (k, S, eps, D); points whose closed-form bound is above
     `bound_cutoff` are reported as vacuous rather than compared.  A point
@@ -218,7 +218,6 @@ def deviation_sweep(grid, action_factory, trials: int, seed: int,
     """
     points = []
     for i, (k, S, eps, D) in enumerate(grid):
-        action = action_factory(k, S, eps, D)
         phi = all_patterns(S, k)[0]  # all-zero pattern: worst positive correlation
         est = mc_deviation_prob(phi, eps, D, action, 0, trials, derive_seed(seed, i))
         points.append((k, len(S), float(as_fraction(eps)), len(D),

@@ -141,11 +141,7 @@ def ergodic_convergence_experiment(k: int, S: GroupSet, eps, d_sets: Sequence[Gr
             worst_num = np.maximum(worst_num, np.abs(counts * scale - d_sizes).max(axis=0))
 
     # suffix-OR across n: any exceedance at m >= n
-    any_beyond = np.zeros_like(exceed)
-    acc = np.zeros(samples, dtype=bool)
-    for n in range(n_max, -1, -1):
-        acc |= exceed[:, n]
-        any_beyond[:, n] = acc
+    any_beyond = np.logical_or.accumulate(exceed[:, ::-1], axis=1)[:, ::-1]
     exceed_frac = any_beyond.mean(axis=0)
 
     rows_out = []
@@ -153,12 +149,8 @@ def ergodic_convergence_experiment(k: int, S: GroupSet, eps, d_sets: Sequence[Gr
         rows_out.append(ConvergenceRow(
             n, int(d_sizes[n]), float(worst_num[n] / (d_sizes[n] * scale)),
             float(exceed_frac[n]), float(tails[n])))
-    quiet = None
-    for n in range(n_max + 1):
-        if exceed_frac[n] == 0:
-            quiet = n
-            break
-    return ConvergenceReport(rows_out, samples, quiet)
+    quiet = np.flatnonzero(exceed_frac == 0)
+    return ConvergenceReport(rows_out, samples, int(quiet[0]) if quiet.size else None)
 
 
 # -- uniform frequency control through resampling ------------------------------
@@ -231,10 +223,10 @@ def uniform_discrepancy_experiment(k: int, S: GroupSet, eps, d_sets: Sequence[Gr
             freqs = {}
             d_sz = len(ev.D)
             for pat, counts in frequency_counts(action, ev, result.coloring):
-                worst_ix = int(np.abs(counts * scale - d_sz).argmax())
+                gap = np.abs(counts * scale - d_sz)
+                worst_ix = int(gap.argmax())
                 freqs[pat.pattern_id] = Fraction(int(counts[worst_ix]), d_sz)
-                dev = Fraction(int(np.abs(counts * scale - d_sz).max()), d_sz * scale)
-                max_dev = max(max_dev, dev)
+                max_dev = max(max_dev, Fraction(int(gap[worst_ix]), d_sz * scale))
             stats_per_n.append((n, PatternStats.from_freqs(freqs, Fraction(1, scale))))
         all_within = max_dev <= eps_fr
     delta = Fraction(len(result.defect_points), action.n_points)

@@ -30,15 +30,15 @@ Two implementations compute the same stream, bit for bit:
   hashes one row of a color matrix at a time into a byte buffer and counts
   the occurrences of a pattern in it, so the rows are never stored.  It
   takes k <= 256 and patterns whose sites are all slices of the row.
-- numpy, in cache-sized blocks of BLOCK values: each block is hashed in
-  place in two preallocated scratch buffers and reduced `% k` straight into
-  the output.  It serves wherever the kernel cannot be built or loaded (no
-  compiler, no writable cache) and is the oracle the kernel is tested
-  against.  It also hashes single values, so a process that hashes one
-  value at a time never builds or loads the kernel, and it counts the
-  patterns the kernel does not take, from `color_matrix` blocks.
-  `derive_seed` hashes its one value in Python ints, about 2-3 us a call
-  against 50-90 us through numpy; `_hash_numpy` is its test oracle.
+- numpy, as the formula itself over the broadcast of the two counters,
+  with no blocks and no state kept between calls.  It serves wherever the
+  kernel cannot be built or loaded (no compiler, no writable cache) and is
+  the oracle the kernel is tested against.  It also hashes single values,
+  so a process that hashes one value at a time never builds or loads the
+  kernel, and it counts the patterns the kernel does not take, from
+  `color_matrix` blocks.  `derive_seed` hashes its one value in Python
+  ints, about 2-3 us a call against 7-12 us through numpy; `_hash_numpy`
+  is its test oracle.
 
 The kernel is used only if both entry points agree with numpy when it
 loads, on planes and rows both narrower and wider than one AVX-512 loop
@@ -65,12 +65,9 @@ _B = np.uint64(0xD1B54A32D192ED03)
 _U64 = np.uint64
 _MASK = (1 << 64) - 1
 
-# values hashed per block; two uint64 scratch blocks take 512 KiB, so a
-# block and the consumer's arrays of the same size stay in L2
+# values per block of `ergodic` and `_count_numpy`, which hash and scan a color
+# matrix in row blocks: a block and the consumer's arrays stay in L2
 BLOCK = 1 << 15
-# the scratch blocks live as long as their thread: freshly allocated ones
-# are returned to the OS on free and fault their pages in on every call
-_scratch = threading.local()
 
 
 def block_rows(width: int) -> int:
@@ -78,65 +75,36 @@ def block_rows(width: int) -> int:
     return max(1, BLOCK // max(width, 1))
 
 
-def _finalize(z: np.ndarray, t: np.ndarray) -> None:
-    """splitmix64 finalizer of z, in place; t is scratch of z's shape."""
-    for shift, mult in ((_U64(30), _M1), (_U64(27), _M2)):
-        np.right_shift(z, shift, out=t)
-        np.bitwise_xor(z, t, out=z)
-        np.multiply(z, mult, out=z)
-    np.right_shift(z, _U64(31), out=t)
-    np.bitwise_xor(z, t, out=z)
+def _finalize(z):
+    """splitmix64 finalizer, in place on an array: the caller's fresh temporary."""
+    z ^= z >> _U64(30)
+    z *= _M1
+    z ^= z >> _U64(27)
+    z *= _M2
+    z ^= z >> _U64(31)
+    return z
 
 
 def _hash_numpy(seed: int, a, b, k: int | None):
     """finalize(finalize(seed ^ A*a) ^ B*b) over the broadcast of a and b:
-    uint64 when k is None, else int64 colors `% k`.
+    uint64 when k is None, else int64 colors `% k`; numpy scalars for 0-d.
 
-    The first round runs once on a's own shape, so a row counter is hashed
-    once however many columns it meets; the second round runs block by block.
+    The first round runs on a's own shape, so a row counter is hashed once
+    however many columns it meets.  One expression with an array left of
+    each operator lets numpy reuse large temporaries in place, so a call
+    holds at most two arrays of the output's size.
     """
-    ax = np.asarray(a).astype(np.uint64, order="C")  # h below must be a view of it
-    bx = np.asarray(b).astype(np.uint64)
-    shape = np.broadcast_shapes(ax.shape, bx.shape)
-    out = np.empty(shape, dtype=np.uint64)
-    if out.size == 0:
-        return out if k is None else out.view(np.int64)
-    if not hasattr(_scratch, "zt"):
-        _scratch.zt = np.empty((2, BLOCK), dtype=np.uint64)
-    z, t = _scratch.zt
-
-    h = ax.reshape(-1)
-    np.multiply(h, _A, out=h)
-    np.bitwise_xor(h, _U64(seed & _MASK), out=h)
-    for i in range(0, h.size, BLOCK):
-        n = min(BLOCK, h.size - i)
-        _finalize(h[i:i + n], t[:n])
-    np.multiply(bx, _B, out=bx)
-
-    cols = shape[-1] if shape else 1
-    hv = np.broadcast_to(ax, shape).reshape(-1, cols)
-    bv = np.broadcast_to(bx, shape).reshape(-1, cols)
-    ov = out.reshape(-1, cols)
-    step_r, step_c = max(1, BLOCK // cols), min(cols, BLOCK)
-    for r in range(0, ov.shape[0], step_r):
-        for c in range(0, cols, step_c):
-            o = ov[r:r + step_r, c:c + step_c]
-            zb = z[:o.size].reshape(o.shape)
-            tb = t[:o.size].reshape(o.shape)
-            np.bitwise_xor(hv[r:r + step_r, c:c + step_c],
-                           bv[r:r + step_r, c:c + step_c], out=zb)
-            _finalize(zb, tb)
-            if k is None:
-                o[...] = zb
-            elif k & (k - 1) == 0:
-                np.bitwise_and(zb, _U64(k - 1), out=o)
-            else:  # z - (z // k) * k: a divide by a constant beats np.remainder
-                np.floor_divide(zb, _U64(k), out=tb)
-                np.multiply(tb, _U64(k), out=tb)
-                np.subtract(zb, tb, out=o)
-    if k is not None:
-        out = out.view(np.int64)  # colors are < k, so the bits are the same
-    return out if out.ndim else out[()]
+    # 0-d inputs are hashed in numpy scalars, whose multiplies warn on wrapping
+    with np.errstate(over="ignore"):
+        z = _finalize(_finalize(np.asarray(a).astype(np.uint64) * _A ^ _U64(seed & _MASK))
+                      ^ np.asarray(b).astype(np.uint64) * _B)
+        if k is None:
+            return z
+        if k & (k - 1) == 0:
+            z &= _U64(k - 1)
+        else:  # z - (z // k) * k: a divide by a constant beats np.remainder
+            z -= z // _U64(k) * _U64(k)
+    return z.view(np.int64)  # colors are < k, so the bits are the same
 
 
 _SOURCE = Path(__file__).with_name("_hash.c")

@@ -77,8 +77,7 @@ def test_criterion_02_concentration_sweep():
     grid = [(k, integer_interval(s), eps, integer_interval(d))
             for k in (2, 3) for s in (1, 2)
             for eps in (Fraction(1, 10), Fraction(1, 5)) for d in (500, 2000)]
-    rows = deviation_sweep(grid, lambda k, S, e, D: CyclicTranslation(100_000),
-                           trials, seed=7)
+    rows = deviation_sweep(grid, CyclicTranslation(100_000), trials, seed=7)
     floor = wilson_zero_floor(trials)
     ok = True
     checked = upper_checked = 0

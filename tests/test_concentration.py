@@ -179,8 +179,7 @@ def test_sweep_bounds_hold_small():
     # reduced version of the randomized sweep invariant
     grid = [(k, integer_interval(s), Fraction(1, 5), integer_interval(d))
             for k in (2, 3) for s in (1, 2, 3) for d in (500, 1500)]
-    rows = deviation_sweep(grid, lambda k, S, e, D: CyclicTranslation(20_000),
-                           trials=2000, seed=13)
+    rows = deviation_sweep(grid, CyclicTranslation(20_000), trials=2000, seed=13)
     floor = wilson_zero_floor(2000)
     for r in rows:
         assert r.verdict != "fail"
@@ -206,8 +205,7 @@ def _sweep_with_zscores(monkeypatch, zscores):
     it = iter(zscores)
     monkeypatch.setattr(concentration, "mc_deviation_prob", fake_mc)
     grid = [(2, integer_interval(1), Fraction(1, 5), integer_interval(2000))] * len(zscores)
-    return deviation_sweep(grid, lambda k, S, e, D: CyclicTranslation(10_000),
-                           trials=100, seed=0)
+    return deviation_sweep(grid, CyclicTranslation(10_000), trials=100, seed=0)
 
 
 def test_sweep_verdict_uses_familywise_limit(monkeypatch):

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from shiftlab import rng
 from shiftlab.cli import EXIT_OK, main
 from shiftlab.ergodic import log_growth_size, uniform_discrepancy_experiment
 from shiftlab.groups import (CyclicTranslation, GroupCtx, GroupSet, TorusTranslation,
@@ -77,7 +78,14 @@ def test_interval_shape_threshold():
     assert res.found and res.threshold == last_bad + 1
 
 
-def test_cli_jobs_deterministic(tmp_path):
+@pytest.mark.parametrize("kernel", ["resolved", "numpy"])
+def test_cli_jobs_deterministic(kernel, tmp_path, monkeypatch):
+    # the seeds' threads hash concurrently, in C or in the numpy fallback
+    if kernel == "numpy":
+        monkeypatch.setattr(rng, "_kernel", False)
+        monkeypatch.setattr(rng, "_kernel_info", {"rng_kernel": "numpy",
+                                                  "rng_kernel_built": False,
+                                                  "rng_kernel_load_s": 0.0})
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({
         "experiment": "moser-tardos", "k": 2, "modulus": 3000, "s_size": 1,
@@ -89,6 +97,9 @@ def test_cli_jobs_deterministic(tmp_path):
         (out2 / "moser-tardos-summary.json").read_bytes()
     assert (out1 / "moser-tardos-detail.csv").read_bytes() == \
         (out2 / "moser-tardos-detail.csv").read_bytes()
+    meta = json.loads((out2 / "moser-tardos-meta.json").read_text())
+    assert meta["rng_kernel"] == ("numpy" if kernel == "numpy"
+                                  else rng._kernel_info["rng_kernel"])
 
 
 def test_cli_transcript_flag(tmp_path):

@@ -31,7 +31,7 @@ def _mix64(z):
 
 
 def _reference(seed, a, b, k=None):
-    """The stream in one shot over full-size arrays: the oracle for the blocked kernel."""
+    """The stream written out apart from rng: the oracle for the C kernel and the numpy hash."""
     with np.errstate(over="ignore"):
         ax = np.asarray(a).astype(np.uint64)
         bx = np.asarray(b).astype(np.uint64)
@@ -75,22 +75,24 @@ def test_pinned_values():
     assert derive_seed(0, 1, 2) == 3778275988816391637
 
 
+# widths on both sides of the kernel's vector loops (8 values, 64 bytes when
+# counting), the golden configs' 2001, and on both sides of BLOCK
 COLS = [0, 1, 7, 63, 65, 127, 129, 1000, 2001, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]
 
 
 @st.composite
 def matrices(draw):
     cols = draw(st.sampled_from(COLS))
-    # wide rows cost a block each, so keep their count small; narrow ones
-    # reach past one block of rows and end in a partial block
+    # rows of BLOCK values or more are costly, so keep their count small;
+    # narrow ones reach past block_rows(cols), the rows of one consumer block
     rows = draw(st.integers(0, 3 if cols >= BLOCK - 1 else 3 * block_rows(cols) // 2 + 2))
     return (draw(st.integers(0, U64_MAX)), rows, cols, draw(st.sampled_from(KS)),
             draw(st.integers(0, 1 << 40)))
 
 
 @given(matrices())
-@example((0, 33, 1000, 3, 5))            # 33 rows: one block of 32 and one of 1
-@example((9, 2, 2 * BLOCK + 3, 5, 0))    # three column blocks per row
+@example((0, 33, 1000, 3, 5))            # 33 rows: one more than block_rows(1000)
+@example((9, 2, 2 * BLOCK + 3, 5, 0))    # rows wider than two BLOCKs
 @example((1, 4, 0, 2, 0))                # no columns
 @settings(max_examples=60, deadline=None)
 def test_color_matrix_matches_one_shot_reference(case):
@@ -133,7 +135,8 @@ def test_derive_seed_matches_the_numpy_chain(seed, indices):
 @example(3, 3 * BLOCK + 5, 3)
 @settings(max_examples=25, deadline=None)
 def test_long_vectors_match_reference(seed, n, k):
-    # both counters full length, as in tape rows: the first round is blocked too
+    # both counters full length, as in tape rows: the first round runs on the
+    # whole vector, not once per row
     points = np.arange(n, dtype=np.int64)
     ts = (points % 7).astype(np.uint64)  # uint64 input is hashed without a cast
     before = (points.copy(), ts.copy())
