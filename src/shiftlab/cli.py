@@ -38,7 +38,7 @@ from .lll import (CertificationError, FrequencyDeviationEvent, GLLLWitnessSpec,
 from .moser_tardos import (EventFamily, TapeSpace, resample_fraction, run_mt,
                            stabilization_ledger, tape_consistency)
 from .rng import _kernel_mark, _kernel_meta, derive_seed
-from .rokhlin import (bad_sequence_experiment, build_tower, plan_intervals,
+from .rokhlin import (TowerError, bad_sequence_experiment, build_tower, plan_intervals,
                       tower_level_rows, verify_capture)
 from .shift import Pattern, as_fraction
 
@@ -477,6 +477,13 @@ def _lengths(where: str, h):
     return nth
 
 
+def _single_tower(plan, modulus):
+    try:
+        return build_tower(plan, modulus)
+    except TowerError as exc:  # the only precondition a config can break
+        raise ConfigError(f"rokhlin-bad single.modulus: {exc}") from exc
+
+
 def _run_rokhlin_bad(p, out, jobs, transcript):
     rep = bad_sequence_experiment(_lengths("rokhlin-bad", p["h"]), p["i_max"],
                                   seed=p["seed"], k_probe=p.get("k_probe"))
@@ -492,7 +499,7 @@ def _run_rokhlin_bad(p, out, jobs, transcript):
         s = p["single"]
         plan = plan_intervals(_lengths("rokhlin-bad single", s["h"]),
                               as_fraction(s["eps"]))
-        build = build_tower(plan, s["modulus"])
+        build = _single_tower(plan, s["modulus"])
         cap = verify_capture(build)
         single = {"N": plan.N, "ell": plan.ell, "mu_a": build.mu_a,
                   "mu_b": build.mu_b, "capture_fraction": cap.fraction,

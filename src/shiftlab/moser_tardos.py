@@ -38,9 +38,6 @@ class TapeSpace:
     def symbols(self, points: np.ndarray, ts: np.ndarray) -> np.ndarray:
         return uniform_colors(self.seed, points, ts, self.k)
 
-    def row(self, n_points: int, t: int = 0) -> np.ndarray:
-        return self.symbols(np.arange(n_points), t)
-
 
 @dataclass(frozen=True)
 class EventFamily:
@@ -80,6 +77,7 @@ class MTResult:
     defect_points: tuple          # violated anchors remaining (empty iff converged)
     tape: TapeSpace
     first_row: np.ndarray         # tape row 0, the starting coloring (not aliased)
+    points: np.ndarray            # 0..n-1: the counters of row 0 and of tape_consistency
 
     def index_total(self, n: int) -> int:
         return sum(c for (m, _x), c in self.index_counts.items() if m == n)
@@ -178,7 +176,8 @@ def run_mt(action: FiniteAction, family: EventFamily, tape: TapeSpace,
 
     n_pts = action.n_points
     t = np.zeros(n_pts, dtype=np.int64)
-    g = tape.row(n_pts, 0)
+    points = np.arange(n_pts)
+    g = tape.symbols(points, 0)
     first_row = g.copy()  # g is resampled in place below
     domains = {n: ev.domain.elements for n, ev in family}
     index_counts: dict = {}
@@ -216,7 +215,7 @@ def run_mt(action: FiniteAction, family: EventFamily, tape: TapeSpace,
                                "tape_advanced": int(touched.size)})
         steps += 1
 
-    return MTResult(g, t, index_counts, steps, converged, residual, tape, first_row)
+    return MTResult(g, t, index_counts, steps, converged, residual, tape, first_row, points)
 
 
 # -- post-run measurements -----------------------------------------------------
@@ -237,7 +236,7 @@ def defect(coloring: np.ndarray, ev: BadEvent, action: FiniteAction,
 
 def tape_consistency(result: MTResult) -> bool:
     """Final coloring reads symbol t(p) of every tape, exactly."""
-    expect = result.tape.symbols(np.arange(result.t.size), result.t)
+    expect = result.tape.symbols(result.points, result.t)
     return bool(np.array_equal(expect, result.coloring))
 
 

@@ -12,7 +12,9 @@ indicator is exactly 0.
 Iterating the construction with shrinking budgets eps_i = 2^{-i-1} yields
 union sets A_{>=q} of measure at most 2^{-q} for which the windowed
 averages keep returning to 1 (and, on the complement, to 0) in every band
-of the concatenated interval sequence.
+of the concatenated interval sequence.  Every set on Z/M is a packed mask
+of M/64 words (see `windows`), so unions, intersections and window
+reductions run on words and every measure is a popcount.
 """
 
 from __future__ import annotations
@@ -26,11 +28,16 @@ import numpy as np
 
 from .rng import derive_seed, mix_counters
 from .shift import as_fraction
-from .windows import circular_window_reduce
+from .windows import _bits_from, _tile_bits, circular_window_reduce
 
 
 class TowerError(ValueError):
     pass
+
+
+def _measure(mask: np.ndarray, modulus: int) -> Fraction:
+    """Exact measure of a packed mask on Z/M: its popcount over M."""
+    return Fraction(int(np.bitwise_count(mask).sum()), modulus)
 
 
 @dataclass(frozen=True)
@@ -113,39 +120,22 @@ class TowerSystem:
         return lev
 
     def band_mask(self, band: range) -> np.ndarray:
-        """Points whose level lies in `band`: a length-H pattern tiled over
-        the columns from the base offset on, wrapping past M; the residual
-        stays clear."""
-        H, o = self.height, self.offset
-        levels = np.arange(H)
-        pattern = (levels >= band.start) & (levels < band.stop)
-        mask = np.zeros(self.modulus, dtype=bool)
-        head = min(self.columns * H, self.modulus - o)  # tower points in [o, M)
-        wrap = self.columns * H - head                   # tower points in [0, o)
-        rows, part = divmod(head, H)
-        mask[o:o + rows * H].reshape(rows, H)[:] = pattern
-        mask[o + rows * H:o + head] = pattern[:part]
-        # the wrapped slice finishes the row cut at M, then holds whole rows
-        rows, part = divmod(wrap, H)
-        mask[:part] = pattern[H - part:]
-        mask[part:wrap].reshape(rows, H)[:] = pattern
-        return mask
-
-    def check_disjoint_levels(self) -> bool:
-        """The levels partition the tower: each of 0..H-1 holds exactly
-        `columns` points and exactly `residual` points lie outside; exact
-        enumeration."""
-        lev = self.level_array()
-        counts = np.bincount(lev[lev >= 0], minlength=self.height)
-        return bool((counts == self.columns).all()
-                    and int((lev == -1).sum()) == self.residual)
+        """Packed mask of the points whose level lies in `band`: one period
+        of H bits tiled over the columns, the residual left clear, then
+        turned around the circle so that bit p reads tower point p - o."""
+        H, M, o = self.height, self.modulus, self.offset
+        levels = np.arange(-(-H // 64) * 64)
+        period = np.packbits((levels >= band.start) & (levels < band.stop),
+                             bitorder="little").view("<u8")
+        tower = _tile_bits(period, H, self.columns * H)
+        return _bits_from(_tile_bits(tower, M, 2 * M - o), M - o, -(-M // 64))
 
 
 @dataclass
 class TowerBuild:
     plan: BadIntervalPlan
     tower: TowerSystem
-    a_mask: np.ndarray
+    a_mask: np.ndarray         # packed, like every mask below
     b_mask: np.ndarray
     mu_a: Fraction
     mu_b: Fraction
@@ -165,8 +155,8 @@ def build_tower(plan: BadIntervalPlan, modulus: int, offset: int = 0) -> TowerBu
     tower = TowerSystem.build(modulus, H, offset)
     a_mask = tower.band_mask(plan.a_band)
     b_mask = tower.band_mask(plan.b_band)
-    mu_a = Fraction(int(np.count_nonzero(a_mask)), modulus)
-    mu_b = Fraction(int(np.count_nonzero(b_mask)), modulus)
+    mu_a = _measure(a_mask, modulus)
+    mu_b = _measure(b_mask, modulus)
     if not mu_a < plan.eps:
         raise TowerError("capture slab unexpectedly large")
     if not mu_b > 1 - plan.eps:
@@ -192,15 +182,15 @@ def verify_capture(build: TowerBuild) -> CaptureReport:
     """For each x, the least n with the n-th interval translate of x wholly
     inside A; exact enumeration over the cyclic space."""
     plan, M = build.plan, build.tower.modulus
-    witnesses = np.full(M, -1, dtype=np.int64)
     # interval n is interval 0 shifted by n*ell, so one windowed-all pass
-    # plus rolls covers all of them
-    base = circular_window_reduce(build.a_mask, plan.ell, 1, M, np.logical_and)
+    # plus shifts covers all of them
+    base = circular_window_reduce(build.a_mask, plan.ell, 1, M, np.bitwise_and)
+    captured = circular_window_reduce(base, plan.N, plan.ell, M, np.bitwise_or)
+    start = np.unpackbits(base.view(np.uint8), count=M, bitorder="little").view(bool)
+    witnesses = np.full(M, -1, dtype=np.int64)
     for n in range(plan.N - 1, -1, -1):
-        witnesses[np.roll(base, -n * plan.ell)] = n
-    frac = Fraction(int(np.count_nonzero(witnesses >= 0)), M)
-    all_b = bool((witnesses[build.b_mask] >= 0).all())
-    return CaptureReport(frac, witnesses, all_b)
+        witnesses[np.roll(start, -n * plan.ell)] = n
+    return CaptureReport(_measure(captured, M), witnesses, not (build.b_mask & ~captured).any())
 
 
 # -- iterated escape stages -----------------------------------------------------
@@ -254,18 +244,11 @@ def bad_sequence_experiment(h: Union[Callable[[int], int], Sequence[int]],
         raise ValueError(f"k_probe entries must be >= 0, got {list(k_probe)}")
     plans: list[BadIntervalPlan] = []
     n_starts: list[int] = []
-    n_start = 0
+    h_at = h if callable(h) else h.__getitem__
     for i in range(i_max):
-        eps_i = Fraction(1, 2 ** (i + 1))
-        base = n_start
-
-        def h_local(n, _base=base):
-            return h(_base + n) if callable(h) else h[_base + n]
-
-        plan = plan_intervals(h_local, eps_i)
-        plans.append(plan)
+        n_start = sum(p.N for p in plans)  # global index of the stage's first interval
+        plans.append(plan_intervals(lambda n: h_at(n_start + n), Fraction(1, 2 ** (i + 1))))
         n_starts.append(n_start)
-        n_start += plan.N
 
     heights = [p.height for p in plans]
     modulus = math.lcm(*heights)
@@ -290,21 +273,21 @@ def bad_sequence_experiment(h: Union[Callable[[int], int], Sequence[int]],
     band_rows = []
     all_bands = {}
     for q in qs:
-        union = np.zeros(modulus, dtype=bool)
+        union = np.zeros(-(-modulus // 64), dtype=np.uint64)
         for i in range(q, i_max):
             union |= a_masks[i]
-        mu_tail[q] = Fraction(int(np.count_nonzero(union)), modulus)
-        everywhere = np.ones(modulus, dtype=bool)
+        mu_tail[q] = _measure(union, modulus)
+        everywhere = ~np.zeros_like(union)  # the first band clears the bits past M
         for i in range(q, i_max):
             plan = plans[i]
-            # base[x]: interval 0 translated by x lies inside the union;
+            # bit x of base: interval 0 translated by x lies inside the union;
             # interval n is interval 0 shifted by n*ell
-            base = circular_window_reduce(union, plan.ell, 1, modulus, np.logical_and)
+            base = circular_window_reduce(union, plan.ell, 1, modulus, np.bitwise_and)
             captured = circular_window_reduce(base, plan.N, plan.ell, modulus,
-                                              np.logical_or)
-            frac = Fraction(int(np.count_nonzero(captured)), modulus)
+                                              np.bitwise_or)
+            frac = _measure(captured, modulus)
             band_rows.append(BandCapture(q, i, frac, frac))
             everywhere &= captured
         if q < i_max:
-            all_bands[q] = Fraction(int(np.count_nonzero(everywhere)), modulus)
+            all_bands[q] = _measure(everywhere, modulus)
     return BadSequenceReport(modulus, stages, mu_tail, band_rows, all_bands)

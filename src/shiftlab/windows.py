@@ -7,7 +7,8 @@ residues so each run costs one prefix-sum pass over contiguous slices;
 an interval window leaves a band, counting exactly only in the blocks of 64
 anchors that one popcount per block cannot clear;
 `circular_window_reduce` evaluates and/or over an arithmetic progression of
-offsets by doubling over bool arrays.
+offsets by doubling over packed masks: point p of Z/M in bit p % 64 of word
+p // 64 of ceil(M/64) uint64 words, every bit from M on clear.
 """
 
 from __future__ import annotations
@@ -118,29 +119,59 @@ def interval_window_outside(mask: np.ndarray, start: int, length: int, lo: int,
     return anchors[anchors < m]
 
 
+def _bits_from(words: np.ndarray, s: int, n: int) -> np.ndarray:
+    """Up to n packed words read from bit s of `words` on: a word slice shifted
+    right by s % 64, ORed with the next word slice shifted left by 64 - s % 64."""
+    q, r = divmod(s, 64)
+    out = words[q:q + n] >> r
+    if r:
+        after = words[q + 1:q + 1 + n]
+        out[:after.size] |= after << (64 - r)
+    return out
+
+
+def _tile_bits(words: np.ndarray, period: int, nbits: int) -> np.ndarray:
+    """Packed words of bit p % period of `words` for p < nbits, the bits of
+    `words` from `period` on clear: the filled prefix is copied onto its own
+    end, doubling, one pass over the nbits in all."""
+    n, have = -(-nbits // 64), period
+    out = np.zeros(n + 1, dtype=np.uint64)
+    out[:words.size] = words
+    while have < nbits:
+        src = out[:-(-min(have, nbits - have) // 64)]
+        q, r = divmod(have, 64)
+        carry = src >> (64 - r) if r else 0
+        out[q:q + src.size] |= src << r
+        out[q + 1:q + 1 + src.size] |= carry
+        have *= 2
+    out = out[:n]
+    if nbits % 64:
+        out[-1] &= np.uint64((1 << nbits % 64) - 1)
+    return out
+
+
 def circular_window_reduce(mask: np.ndarray, count: int, step: int, modulus: int,
                            op) -> np.ndarray:
-    """out[x] = op over n < count of mask[(x + n*step) % M], for all x.
+    """out[x] = op over n < count of mask[(x + n*step) % M], for all x, on packed masks.
 
-    `op` must be an idempotent binary ufunc (np.logical_and, np.logical_or).
-    After the pass with shift k*step the array holds windows of 2k terms;
-    doubling stops at the largest power of two k <= count, and one final
-    pass shifted by count - k <= k overlaps the two halves, which
-    idempotence makes harmless.  That is ceil(log2 count) passes in total.
+    `op` must be an idempotent bitwise ufunc (np.bitwise_and, np.bitwise_or).
+    The mask is first read around the circle into M + (count-1)*(step % M)
+    bits, so no pass wraps.  After the pass with shift k*step the array holds
+    windows of 2k terms; doubling stops at the largest power of two k <= count,
+    and one final pass shifted by count - k <= k overlaps the two halves,
+    which idempotence makes harmless.  That is ceil(log2 count) passes in total.
     """
     if count < 1:
         raise ValueError(f"window needs count >= 1, got {count}")
-    m = modulus
-    w = np.asarray(mask, dtype=bool)
-    spare = np.empty_like(w)
+    m, s = modulus, step % modulus
+    w = _tile_bits(mask, m, m + (count - 1) * s)
     k = 1
     while k < count:
         shift = min(k, count - k)
-        s = (shift * step) % m
-        # spare[x] = op(w[x], w[(x + s) % M]), written as two contiguous slices
-        op(w[:m - s], w[s:], out=spare[:m - s])
-        op(w[m - s:], w[:s], out=spare[m - s:])
-        # the first pass reads the caller's mask, which is never written
-        w, spare = spare, (np.empty_like(w) if k == 1 else w)
+        ahead = _bits_from(w, shift * s, w.size)
+        op(w[:ahead.size], ahead, out=w[:ahead.size])
         k += shift
-    return w if count > 1 else w.copy()
+    w = w[:-(-m // 64)]
+    if m % 64:
+        w[-1] &= np.uint64((1 << m % 64) - 1)
+    return w

@@ -316,6 +316,14 @@ def test_conditional_and_nested_keys_are_config_errors(tmp_path, capsys, doc, ke
     _assert_config_error(tmp_path, capsys, doc, key)
 
 
+def test_too_small_single_modulus_names_its_key(tmp_path, capsys):
+    doc = {**ROKHLIN, "single": {"eps": "0.1", "h": 50, "modulus": 1000}}
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", cfg, "--out", str(tmp_path / "rep")]) == EXIT_USAGE
+    assert capsys.readouterr().err == ("config error: rokhlin-bad single.modulus: modulus "
+                                       "too small: need >= 21000, got 1000\n")
+
+
 def test_unreadable_paths_are_config_errors(tmp_path, capsys):
     cfg = write_config(tmp_path, MT)
     binary = tmp_path / "latin1.json"

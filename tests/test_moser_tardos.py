@@ -73,11 +73,11 @@ def replay(action, family, tape, res, records):
 def test_tape_deterministic_and_roughly_uniform():
     tape = TapeSpace(seed=123, k=2)
     assert tape.symbol(17, 4) == tape.symbol(17, 4)
-    row = tape.row(20_000, 0)
+    row = tape.symbols(np.arange(20_000), 0)
     ones = int(row.sum())
     assert abs(ones - 10_000) < 4 * (20_000 * 0.25) ** 0.5
     # distinct t give fresh draws
-    row1 = tape.row(20_000, 1)
+    row1 = tape.symbols(np.arange(20_000), 1)
     agree = int((row == row1).sum())
     assert abs(agree - 10_000) < 4 * (20_000 * 0.25) ** 0.5
     # a row is symbol t of every tape
@@ -88,7 +88,7 @@ def test_tape_deterministic_and_roughly_uniform():
 
 def test_tape_k3_frequencies():
     tape = TapeSpace(seed=5, k=3)
-    row = tape.row(30_000, 0)
+    row = tape.symbols(np.arange(30_000), 0)
     for c in range(3):
         frac = (row == c).mean()
         assert abs(frac - 1 / 3) < 4 * (1 / 3 * 2 / 3 / 30_000) ** 0.5
@@ -99,7 +99,7 @@ def test_empty_family_converges_immediately():
     tape = TapeSpace(seed=9, k=2)
     res = run_mt(act, EventFamily(()), tape)
     assert res.converged and res.steps == 0
-    assert np.array_equal(res.coloring, tape.row(100, 0))
+    assert np.array_equal(res.coloring, tape.symbols(np.arange(100), 0))
     assert (res.t == 0).all()
     fr = resample_fraction(res)
     assert fr.frac_resampled == 0 and fr.frac_changed == 0
@@ -164,7 +164,7 @@ def test_mt_stored_first_row_does_not_drift():
     tape = TapeSpace(seed=77, k=2)
     res = run_mt(act, EventFamily.of(ev), tape)
     assert res.steps > 0
-    row0 = tape.row(200, 0)
+    row0 = tape.symbols(np.arange(200), 0)
     assert np.array_equal(res.first_row, row0)
     fr = resample_fraction(res)
     assert fr.frac_changed == Fraction(int((res.coloring != row0).sum()), 200)
@@ -292,7 +292,8 @@ def test_index_report_bounds():
 def _dummy_result():
     from shiftlab.moser_tardos import MTResult
     return MTResult(np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64),
-                    {}, 0, True, (), TapeSpace(seed=0, k=2), np.zeros(4, dtype=np.int64))
+                    {}, 0, True, (), TapeSpace(seed=0, k=2), np.zeros(4, dtype=np.int64),
+                    np.arange(4))
 
 
 def test_resample_fraction_bound():

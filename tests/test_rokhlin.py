@@ -1,4 +1,4 @@
-import dataclasses
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from shiftlab.rokhlin import (TowerError, TowerSystem, bad_sequence_experiment,
                               build_tower, plan_intervals, verify_capture)
+
+from test_windows import unpack
 
 
 def oracle_minimal_n(eps: Fraction) -> int:
@@ -53,7 +55,6 @@ def test_build_tower_exact_measures():
     assert build.mu_a <= Fraction(2, plan.N + 1) < Fraction(1, 10)
     assert build.mu_b == Fraction(20, 21)
     assert build.mu_b >= (1 - Fraction(1, 20)) * Fraction(plan.N, plan.N + 1)
-    assert build.tower.check_disjoint_levels()
     assert build.tower.residual == 0
 
 
@@ -79,9 +80,8 @@ def test_capture_bulk_and_fraction():
     assert cap.fraction >= 1 - plan.eps
     assert cap.all_b_captured
     # re-verify each witness by direct containment
-    a_set = np.flatnonzero(build.a_mask)
-    a_lookup = np.zeros(420_000, dtype=bool)
-    a_lookup[a_set] = True
+    a_lookup = unpack(build.a_mask, 420_000)
+    b = unpack(build.b_mask, 420_000)
     rng = np.random.default_rng(0)
     for x in rng.integers(0, 420_000, size=200):
         n = cap.witnesses[x]
@@ -89,7 +89,7 @@ def test_capture_bulk_and_fraction():
             pts = (np.asarray(plan.interval(int(n))) + int(x)) % 420_000
             assert a_lookup[pts].all()
         else:
-            assert not build.b_mask[x]  # uncaptured points sit outside the bulk
+            assert not b[x]  # uncaptured points sit outside the bulk
 
 
 def test_capture_with_offset():
@@ -100,7 +100,7 @@ def test_capture_with_offset():
     assert cap.fraction >= 1 - plan.eps
     assert cap.all_b_captured
     # witnesses are the least interval index, by per-point enumeration
-    a = build.a_mask
+    a = unpack(build.a_mask, M)
     least = [next((n for n in range(plan.N)
                    if all(a[(x + j) % M] for j in plan.interval(n))), -1)
              for x in range(M)]
@@ -150,6 +150,16 @@ def test_tower_level_rows():
 
 
 @st.composite
+def wide_towers_and_bands(draw):
+    # heights and moduli across several 64-bit words
+    height = draw(st.integers(1, 150))
+    modulus = height * draw(st.integers(1, 6)) + draw(st.integers(0, height - 1))
+    start = draw(st.integers(0, height))
+    return (modulus, height, draw(st.integers(-2 * modulus, 2 * modulus)),
+            range(start, draw(st.integers(start, height))))
+
+
+@st.composite
 def towers_and_bands(draw):
     height = draw(st.integers(1, 12))
     modulus = height * draw(st.integers(1, 8)) + draw(st.integers(0, height - 1))
@@ -158,25 +168,22 @@ def towers_and_bands(draw):
             range(start, draw(st.integers(start, height))))
 
 
-@given(towers_and_bands())
+@given(towers_and_bands() | wide_towers_and_bands())
 @example((19, 5, 40, range(1, 4)))   # residual 4, offset past M
 @example((23, 4, -7, range(0, 4)))   # residual 3, the whole tower
+@example((1000, 70, 5, range(3, 68)))    # residual 20 split by the cut at M, H > 64
 @settings(max_examples=150, deadline=None)
 def test_band_mask_matches_level_oracle(case):
     modulus, height, offset, band = case
     tower = TowerSystem.build(modulus, height, offset)
     lev = tower.level_array()
     expected = (lev >= band.start) & (lev < band.stop)
-    assert tower.band_mask(band).tolist() == expected.tolist()
-    assert tower.check_disjoint_levels()
-
-
-def test_check_disjoint_levels_rejects_miscounted_tower():
-    tower = TowerSystem.build(10, 3, offset=4)
-    assert tower.check_disjoint_levels()
-    assert not dataclasses.replace(tower, residual=2).check_disjoint_levels()
-    assert not dataclasses.replace(tower, columns=4, residual=0).check_disjoint_levels()
-    assert not dataclasses.replace(tower, height=2).check_disjoint_levels()
+    got = tower.band_mask(band)
+    assert got.dtype == np.uint64
+    assert unpack(got, modulus).tolist() == expected.tolist()
+    # the levels partition the tower: `columns` points each, `residual` outside
+    counts = np.bincount(lev + 1, minlength=height + 1)
+    assert counts[0] == tower.residual and (counts[1:] == tower.columns).all()
 
 
 def brute_force_bands(rep):
@@ -213,3 +220,16 @@ def test_bad_sequence_matches_enumeration(seed):
     assert [(b.q, b.band, b.frac_full) for b in rep.band_rows] == rows
     assert all(b.frac_null == b.frac_full for b in rep.band_rows)
     assert rep.all_bands_frac == everywhere
+
+
+def test_bad_sequence_memory_stays_below_3_bytes_per_point():
+    # five stages of unit intervals share M = 109,395; packed masks keep the
+    # traced peak at about 1.9 bytes per point, where bool masks took 12.1
+    tracemalloc.start()
+    try:
+        rep = bad_sequence_experiment(lambda n: 1, 5, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rep.modulus == 109_395
+    assert peak < 3 * rep.modulus

@@ -247,8 +247,8 @@ REACHED_BY_TESTS = {
         ["pointwise_average", "empirical_measure", "EmpiricalMeasure.mass", "discrepancy",
          "sample_uniform_config", "cylinder_distance", "UniformCylinders", "AtomCylinders",
          "induced_event", "InducedEvent.holds_on", "InducedEvent.collapsed", "defect",
-         "index_report", "wilson_zero_floor", "TowerSystem.check_disjoint_levels",
-         "McEstimate.expectation_within_3sigma", "PatternStats.worst_deviation"],
+         "index_report", "wilson_zero_floor", "McEstimate.expectation_within_3sigma",
+         "PatternStats.worst_deviation"],
         "paper quantity: checked by the tier-1 and acceptance tests"),
 }
 

@@ -6,7 +6,21 @@ from hypothesis import strategies as st
 from shiftlab.windows import (_ones_between, circular_window_reduce, circular_window_sums,
                               interval_window_outside, offset_runs)
 
-FOLDS = {"and": (np.logical_and, all), "or": (np.logical_or, any)}
+FOLDS = {"and": (np.bitwise_and, all), "or": (np.bitwise_or, any)}
+
+
+def pack(mask: np.ndarray) -> np.ndarray:
+    """A bool mask as packed little-endian uint64 words, bits past its end clear."""
+    padded = np.zeros(-(-mask.size // 64) * 64, dtype=bool)
+    padded[:mask.size] = mask
+    return np.packbits(padded, bitorder="little").view("<u8")
+
+
+def unpack(words: np.ndarray, m: int) -> np.ndarray:
+    """The first m bits of packed words, after checking that no later bit is set."""
+    bits = np.unpackbits(words.view(np.uint8), bitorder="little").view(bool)
+    assert bits.size == -(-m // 64) * 64 and not bits[m:].any()
+    return bits[:m]
 
 
 @st.composite
@@ -160,7 +174,8 @@ def test_window_sums_reject_empty_offsets():
 
 @st.composite
 def reduce_cases(draw):
-    m = draw(st.integers(1, 40))
+    # sizes on both sides of one and two 64-bit words
+    m = draw(st.integers(1, 40) | st.integers(60, 200))
     mask = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
     return (mask, draw(st.integers(1, 50)), draw(st.integers(1, 50)),
             draw(st.sampled_from(sorted(FOLDS))))
@@ -178,21 +193,25 @@ def _only(m, *true_at):
 @example((_only(11, 2, 7), 12, 5, "or"))       # wraps the circle several times
 @example((~_only(8, 0), 3, 8, "and"))          # step a multiple of M
 @example((_only(9, 3), 1, 2, "or"))            # count 1 is a copy
+@example((~_only(64, 63), 5, 13, "and"))       # M one word exactly
+@example((_only(100, 0, 99), 9, 37, "or"))     # M not a multiple of 64
+@example((~_only(130, 64, 129), 40, 129, "and"))  # step M - 1 across three words
 @settings(max_examples=300, deadline=None)
 def test_window_reduce_matches_brute_force(case):
     mask, count, step, name = case
     m = mask.size
     ufunc, fold = FOLDS[name]
-    before = mask.copy()
-    got = circular_window_reduce(mask, count, step, m, ufunc)
+    words = pack(mask)
+    before = words.copy()
+    got = circular_window_reduce(words, count, step, m, ufunc)
     expected = [fold(bool(mask[(x + n * step) % m]) for n in range(count))
                 for x in range(m)]
-    assert got.dtype == bool
-    assert got.tolist() == expected
-    assert not np.shares_memory(got, mask)
-    assert (mask == before).all()
+    assert got.dtype == np.uint64
+    assert unpack(got, m).tolist() == expected
+    assert not np.shares_memory(got, words)
+    assert (words == before).all()
 
 
 def test_window_reduce_rejects_empty_window():
     with pytest.raises(ValueError):
-        circular_window_reduce(np.ones(4, dtype=bool), 0, 1, 4, np.logical_and)
+        circular_window_reduce(pack(np.ones(4, dtype=bool)), 0, 1, 4, np.bitwise_and)
