@@ -6,20 +6,16 @@ __version__ = "0.1.0"
 from .groups import (Elem, GroupCtx, GroupError, GroupSet,
                      CyclicTranslation, TorusTranslation, integer_interval,
                      is_sd_free, set_product)
-from .shift import (BoundaryError, Config, EmpiricalMeasure, Pattern,
-                    PatternStats, all_patterns, as_fraction, cylinder_distance,
-                    discrepancy, empirical_freq, empirical_measure,
-                    occurrences, pointwise_average, sample_uniform_config)
+from .shift import (BoundaryError, Config, Pattern, PatternStats, all_patterns,
+                    as_fraction, empirical_freq, occurrences)
 from .concentration import (McEstimate, concentration_bound, mc_deviation_prob,
                             scb_bound, wilson_interval)
 from .lll import (BadEvent, CertificationError, ExplicitEvent,
                   FrequencyDeviationEvent, GLLLWitnessSpec, InstanceStats,
                   check_glll_witness, event_probability_exact,
-                  find_log_growth_constant, find_slll_threshold, induced_event,
-                  slll_stats)
-from .moser_tardos import (EventFamily, MTResult, TapeSpace, defect,
-                           index_report, resample_fraction, run_mt,
-                           stabilization_ledger, tape_consistency)
+                  find_log_growth_constant, find_slll_threshold, slll_stats)
+from .moser_tardos import (EventFamily, MTResult, TapeSpace, resample_fraction,
+                           run_mt, stabilization_ledger, tape_consistency)
 from .ergodic import (ConvergenceReport, ergodic_convergence_experiment,
                       log_growth_size, near_invariant_measure,
                       periodic_cylinder_table, uniform_discrepancy_experiment)

@@ -89,10 +89,6 @@ class McEstimate:
     expected_occurrences: float
     expectation_zscore: float
 
-    @property
-    def expectation_within_3sigma(self) -> bool:
-        return abs(self.expectation_zscore) <= 3.0
-
 
 def _check_sd_free_at(action: FiniteAction, S: GroupSet, D: GroupSet, x: int) -> np.ndarray:
     """D.x, after checking that D moves x to distinct points and that S moves
@@ -187,13 +183,6 @@ class SweepRow:
     wilson_upper: float
     expectation_zscore: float
     verdict: str  # "pass" | "fail" | "vacuous"
-
-
-def wilson_zero_floor(trials: int, z: float = WILSON_Z95) -> float:
-    """Smallest value the Wilson upper limit can take (at zero hits); bounds
-    below this cannot be confirmed in the upper-limit sense at this sample
-    size, only via the point estimate / lower limit."""
-    return wilson_interval(0, trials, z)[1]
 
 
 def familywise_z(m: int) -> float:

@@ -19,8 +19,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .concentration import deviation_exponent, deviates
-from .groups import (FiniteAction, GroupError, GroupSet, difference_set_size,
-                     set_product)
+from .groups import GroupError, GroupSet, difference_set_size, set_product
 from .shift import Config, all_patterns, as_fraction
 
 E = math.e
@@ -130,33 +129,6 @@ def explicit_expansion(ev: FrequencyDeviationEvent) -> ExplicitEvent:
         if ev.holds(Config.from_array(F, p.colors)):
             pats.append(p)
     return ExplicitEvent(tuple(pats), ev.k)
-
-
-# -- events induced on an action ---------------------------------------------
-
-
-@dataclass
-class InducedEvent:
-    """The copy of a group event anchored at a point: its domain is the
-    point set F.x and its test pulls a point coloring back to F."""
-
-    base: BadEvent
-    site_of: dict  # F element -> point
-    domain_points: tuple
-
-    def holds_on(self, coloring) -> bool:
-        values = {e: int(coloring[pt]) for e, pt in self.site_of.items()}
-        return self.base.holds(Config.from_map(self.base.domain.ctx, values))
-
-    @property
-    def collapsed(self) -> bool:
-        return len(self.domain_points) < len(self.base.domain)
-
-
-def induced_event(B: BadEvent, action: FiniteAction, x: int) -> InducedEvent:
-    F = B.domain.elements
-    site_of = dict(zip(F, action.translates(F, x).tolist()))
-    return InducedEvent(B, site_of, tuple(dict.fromkeys(site_of.values())))
 
 
 # -- symmetric certification --------------------------------------------------

@@ -221,19 +221,6 @@ def run_mt(action: FiniteAction, family: EventFamily, tape: TapeSpace,
 # -- post-run measurements -----------------------------------------------------
 
 
-def defect(coloring: np.ndarray, ev: BadEvent, action: FiniteAction,
-           translated: bool = False) -> tuple:
-    """Anchors whose pulled-back coloring lies in the event; with
-    translated=True, the union of their event-domain translates instead."""
-    anchors = violated_anchors(action, ev, coloring)
-    if not translated:
-        return tuple(int(a) for a in anchors)
-    pts: set[int] = set()
-    for x in anchors:
-        pts.update(action.translates(ev.domain.elements, int(x)).tolist())
-    return tuple(sorted(pts))
-
-
 def tape_consistency(result: MTResult) -> bool:
     """Final coloring reads symbol t(p) of every tape, exactly."""
     expect = result.tape.symbols(result.points, result.t)
@@ -249,29 +236,6 @@ def stabilization_ledger(result: MTResult, action: FiniteAction,
     for (n, x), c in result.index_counts.items():
         t_check[action.translates(domains[n], x)] += c
     return bool(np.array_equal(t_check, result.t))
-
-
-@dataclass
-class IndexReportRow:
-    n: int
-    mean_index: float
-    bound: float
-
-    @property
-    def within(self) -> bool:
-        return self.mean_index <= self.bound
-
-
-def index_report(result: MTResult, omegas: dict) -> list[IndexReportRow]:
-    """Mean selection count per anchor for each family index, against the
-    witness bound omega/(1-omega)."""
-    n_pts = result.t.size
-    rows = []
-    for n, w in sorted(omegas.items()):
-        if not (0 <= w < 1):
-            raise ValueError(f"witness weight must be in [0,1), got {w}")
-        rows.append(IndexReportRow(n, result.index_total(n) / n_pts, w / (1.0 - w)))
-    return rows
 
 
 @dataclass

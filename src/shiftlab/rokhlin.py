@@ -63,6 +63,12 @@ class BadIntervalPlan:
     def height(self) -> int:
         return (self.N + 1) * self.ell
 
+    @property
+    def min_modulus(self) -> int:
+        """H * ceil(2/eps), in exact arithmetic.  On a modulus at least this
+        large the residual, fewer than H points, has measure below eps/2."""
+        return self.height * math.ceil(2 / self.eps)
+
     def interval(self, n: int) -> range:
         if not (0 <= n < self.N):
             raise IndexError(f"stage has intervals 0..{self.N - 1}")
@@ -148,11 +154,9 @@ def build_tower(plan: BadIntervalPlan, modulus: int, offset: int = 0) -> TowerBu
     the returned measures are exact rationals and satisfy mu(A) < eps and
     mu(B) > 1 - eps by construction.
     """
-    H = plan.height
-    need = H * math.ceil(2 / float(plan.eps))
-    if modulus < need:
-        raise TowerError(f"modulus too small: need >= {need}, got {modulus}")
-    tower = TowerSystem.build(modulus, H, offset)
+    if modulus < plan.min_modulus:
+        raise TowerError(f"modulus too small: need >= {plan.min_modulus}, got {modulus}")
+    tower = TowerSystem.build(modulus, plan.height, offset)
     a_mask = tower.band_mask(plan.a_band)
     b_mask = tower.band_mask(plan.b_band)
     mu_a = _measure(a_mask, modulus)
@@ -253,8 +257,7 @@ def bad_sequence_experiment(h: Union[Callable[[int], int], Sequence[int]],
     heights = [p.height for p in plans]
     modulus = math.lcm(*heights)
     for p in plans:
-        need = p.height * math.ceil(2 / float(p.eps))
-        while modulus < need:
+        while modulus < p.min_modulus:
             modulus *= 2
     if modulus > m_cap:
         raise TowerError(

@@ -1,29 +1,25 @@
-"""Configurations, patterns, occurrence sets, and empirical statistics.
+"""Configurations, patterns, occurrence sets, and pattern frequencies.
 
 The shift convention throughout is (g . c)(d) = c(d g), so g is an
 occurrence of a pattern phi in a configuration c exactly when
 c(s g) = phi(s) for every s in dom(phi).
 
-Frequencies and measures are exact rationals; floating point appears only
-in bounds and distances.
+Frequencies are exact rationals; floating point appears only in the
+rows `PatternStats.csv_rows` writes out.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
-import numpy as np
-
-from .groups import Elem, FiniteAction, GroupCtx, GroupError, GroupSet
-from .rng import uniform_colors
+from .groups import Elem, GroupCtx, GroupError, GroupSet
 
 
 class BoundaryError(GroupError):
-    """A statistic needs data it was not given: a site outside a
-    configuration's or an atom's window, or a pattern missing from a
-    cylinder table."""
+    """A frequency needs a site outside the configuration: `empirical_freq`
+    raises it instead of dropping the translate."""
 
 
 def as_fraction(x) -> Fraction:
@@ -125,23 +121,6 @@ class Config:
         return Config.from_map(ctx, {ctx.op(d, ginv): c for d, c in self.values.items()})
 
 
-@dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Finitely supported measure with positive rational weights summing to 1."""
-
-    atoms: tuple  # ((atom_id, Fraction), ...) sorted by atom_id
-
-    def __post_init__(self):
-        if any(w <= 0 for _, w in self.atoms):
-            raise ValueError("weights must be positive")
-        if sum((w for _, w in self.atoms), Fraction(0)) != 1:
-            raise ValueError("weights must sum to exactly 1")
-
-    def mass(self, atom_ids: Iterable) -> Fraction:
-        wanted = set(atom_ids)
-        return sum((w for a, w in self.atoms if a in wanted), Fraction(0))
-
-
 @dataclass
 class PatternStats:
     """Per-pattern frequencies against the Bernoulli target 1/k^{|S|}."""
@@ -151,10 +130,6 @@ class PatternStats:
     @classmethod
     def from_freqs(cls, freqs: Mapping[str, Fraction], target: Fraction) -> "PatternStats":
         return cls([(pid, f, target, abs(f - target)) for pid, f in sorted(freqs.items())])
-
-    @property
-    def worst_deviation(self) -> Fraction:
-        return max((r[3] for r in self.rows), default=Fraction(0))
 
     def csv_rows(self):
         for pid, f, t, d in self.rows:
@@ -208,102 +183,3 @@ def empirical_freq(phi: Pattern, c: Config, D: GroupSet) -> Fraction:
         if hit:
             count += 1
     return Fraction(count, len(D))
-
-
-# -- averages over finite actions ------------------------------------------
-
-
-def pointwise_average(f: Callable[[int], float], x: int, D: GroupSet,
-                      action: FiniteAction) -> float:
-    """(1/|D|) * sum of f over the D-translates of x, in sorted-D order."""
-    if len(D) == 0:
-        raise ValueError("averaging set must be nonempty")
-    return sum(map(f, action.translates(D.elements, x).tolist()), 0.0) / len(D)
-
-
-def empirical_measure(x: int, D: GroupSet, action: FiniteAction) -> EmpiricalMeasure:
-    """Weight of y is |{d in D : d . x = y}| / |D| (multiplicity-aware)."""
-    if len(D) == 0:
-        raise ValueError("averaging set must be nonempty")
-    ys, hits = np.unique(action.translates(D.elements, x), return_counts=True)
-    return EmpiricalMeasure(tuple((y, Fraction(n, len(D)))
-                                  for y, n in zip(ys.tolist(), hits.tolist())))
-
-
-def discrepancy(f: Union[Callable[[int], float], np.ndarray], global_mean: float,
-                D: GroupSet, action: FiniteAction) -> float:
-    """max over points x of |avg_D f(x) - global_mean|."""
-    if len(D) == 0:
-        raise ValueError("averaging set must be nonempty")
-    if callable(f):
-        vals = np.array([f(p) for p in range(action.n_points)], dtype=float)
-    else:
-        vals = np.asarray(f, dtype=float)
-    acc = np.zeros(action.n_points)
-    pts = action.points()
-    for d in D.elements:
-        acc += vals[action.image(d, pts)]
-    return float(np.abs(acc / len(D) - global_mean).max())
-
-
-# -- sampling and cylinder statistics ---------------------------------------
-
-
-def sample_uniform_config(W: GroupSet, k: int, seed: int, sample_index: int = 0) -> Config:
-    """I.i.d. uniform colors on the window W, reproducible from the seed."""
-    if len(W) == 0:
-        raise ValueError("window must be nonempty")
-    colors = uniform_colors(seed, sample_index, np.arange(len(W)), k)
-    return Config.from_array(W, colors.tolist())
-
-
-class UniformCylinders:
-    """Cylinder table of the i.i.d. uniform measure: mass k^{-|phi|}."""
-
-    def __init__(self, k: int):
-        self.k = k
-
-    def cylinder_prob(self, phi: Pattern) -> Fraction:
-        return Fraction(1, self.k ** len(phi.domain))
-
-
-class AtomCylinders:
-    """Cylinder table of a finitely supported measure on configurations."""
-
-    def __init__(self, atoms: Sequence[tuple]):
-        # atoms: (Config, weight) pairs
-        self.atoms = [(c, as_fraction(w)) for c, w in atoms]
-
-    def cylinder_prob(self, phi: Pattern) -> Fraction:
-        total = Fraction(0)
-        for c, w in self.atoms:
-            vals = []
-            for s, col in phi.items():
-                v = c.get(s)
-                if v is None:
-                    raise BoundaryError(
-                        f"pattern site {s!r} is outside an atom's resolvable window")
-                vals.append(v == col)
-            if all(vals):
-                total += w
-        return total
-
-
-def _cyl_value(nu, phi: Pattern) -> Fraction:
-    if hasattr(nu, "cylinder_prob"):
-        return as_fraction(nu.cylinder_prob(phi))
-    if isinstance(nu, Mapping):
-        try:
-            return as_fraction(nu[phi])
-        except KeyError:
-            raise BoundaryError(f"pattern {phi.pattern_id} missing from the cylinder table")
-    raise TypeError("cylinder source must be a mapping or expose cylinder_prob()")
-
-
-def cylinder_distance(nu1, nu2, patterns: Sequence[Pattern]) -> Fraction:
-    """max over the supplied patterns of |nu1(cyl) - nu2(cyl)|."""
-    worst = Fraction(0)
-    for phi in patterns:
-        diff = abs(_cyl_value(nu1, phi) - _cyl_value(nu2, phi))
-        worst = max(worst, diff)
-    return worst

@@ -10,8 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from shiftlab.concentration import (deviation_sweep, wilson_interval,
-                                    wilson_zero_floor)
+from shiftlab.concentration import deviation_sweep, wilson_interval
 from shiftlab.ergodic import (ergodic_convergence_experiment, log_growth_size,
                               periodic_cylinder_table, periodic_cylinder_value)
 from shiftlab.groups import (CyclicTranslation, GroupCtx, difference_set_size,
@@ -20,10 +19,10 @@ from shiftlab.lll import FrequencyDeviationEvent, find_log_growth_constant, \
     find_slll_threshold, slll_stats
 from shiftlab.moser_tardos import (EventFamily, TapeSpace, frequency_counts,
                                    run_mt, stabilization_ledger, tape_consistency)
-from shiftlab.rng import color_matrix, derive_seed
+from shiftlab.rng import color_matrix, derive_seed, uniform_colors
 from shiftlab.rokhlin import bad_sequence_experiment, build_tower, plan_intervals, \
     verify_capture
-from shiftlab.shift import Pattern, all_patterns, sample_uniform_config
+from shiftlab.shift import Pattern, all_patterns
 
 Z = GroupCtx("integers")
 EPS = Fraction(1, 10)
@@ -59,9 +58,8 @@ def test_criterion_01_cylinder_law():
             worst = max(worst, abs(freq - target) / sigma)
             ok &= abs(freq - target) <= 4 * sigma
     # the matrix rows are exactly the library's sampled configurations
-    w = integer_interval(3)
-    c0 = sample_uniform_config(w, 2, seed + 3, sample_index=17)
-    assert [c0.values[e] for e in w.elements] == color_matrix(seed + 3, 18, 3, 2)[17].tolist()
+    assert (uniform_colors(seed + 3, 17, np.arange(3), 2).tolist()
+            == color_matrix(seed + 3, 18, 3, 2)[17].tolist())
     elapsed = time.time() - t0
     ok &= elapsed < 10
     report(1, ok, f"all pattern frequencies within 4 sigma of 2^-|phi| "
@@ -78,7 +76,7 @@ def test_criterion_02_concentration_sweep():
             for k in (2, 3) for s in (1, 2)
             for eps in (Fraction(1, 10), Fraction(1, 5)) for d in (500, 2000)]
     rows = deviation_sweep(grid, CyclicTranslation(100_000), trials, seed=7)
-    floor = wilson_zero_floor(trials)
+    floor = wilson_interval(0, trials)[1]
     ok = True
     checked = upper_checked = 0
     for r in rows:

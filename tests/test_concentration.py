@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftlab import concentration, rng
-from shiftlab.concentration import (McEstimate, concentration_bound, deviates,
+from shiftlab.concentration import (WILSON_Z95, McEstimate, concentration_bound, deviates,
                                     deviation_sweep, familywise_z, mc_deviation_prob,
-                                    scb_bound, wilson_interval, wilson_zero_floor)
+                                    scb_bound, wilson_interval)
 from shiftlab.groups import (CyclicTranslation, FiniteAction, GroupCtx, GroupError,
                              GroupSet, integer_interval)
 from shiftlab.shift import all_patterns
@@ -78,9 +78,10 @@ def test_bound_is_scb_substitution(s_sz, d_sz, eps):
 def test_wilson_interval_basics():
     lo, hi = wilson_interval(0, 10_000)
     assert lo == 0.0 and 0 < hi < 5e-4
+    # zero hits: the upper limit is z^2 / (n + z^2)
+    assert hi == pytest.approx(WILSON_Z95 ** 2 / (10_000 + WILSON_Z95 ** 2))
     lo, hi = wilson_interval(5000, 10_000)
     assert lo < 0.5 < hi
-    assert wilson_zero_floor(10_000) == hi if False else wilson_zero_floor(10_000) > 0
 
 
 def test_mc_impossible_deviation_eps_ge_1():
@@ -105,7 +106,7 @@ def test_mc_expectation_identity():
     est = mc_deviation_prob(phi, Fraction(1, 10), integer_interval(400),
                             CyclicTranslation(5000), 0, 3000, seed=8)
     assert est.expected_occurrences == 100.0
-    assert est.expectation_within_3sigma
+    assert abs(est.expectation_zscore) <= 3.0
 
 
 @pytest.mark.parametrize("seed, mean, z", [(4, 20.0, -math.inf), (3, 33.0, math.inf),
@@ -180,7 +181,7 @@ def test_sweep_bounds_hold_small():
     grid = [(k, integer_interval(s), Fraction(1, 5), integer_interval(d))
             for k in (2, 3) for s in (1, 2, 3) for d in (500, 1500)]
     rows = deviation_sweep(grid, CyclicTranslation(20_000), trials=2000, seed=13)
-    floor = wilson_zero_floor(2000)
+    floor = wilson_interval(0, 2000)[1]
     for r in rows:
         assert r.verdict != "fail"
         if r.verdict == "pass" and r.bound >= floor:
@@ -228,7 +229,7 @@ def test_mc_on_torus_action():
     phi = all_patterns(S, 2)[0]
     est = mc_deviation_prob(phi, Fraction(1, 4), D, TorusTranslation(30, 30), 5, 800, seed=12)
     assert est.expected_occurrences == 50.0
-    assert est.expectation_within_3sigma
+    assert abs(est.expectation_zscore) <= 3.0
     assert est.wilson_95_upper <= 1.0
 
 

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab.groups import (CyclicTranslation, GroupCtx, GroupSet, integer_interval,
-                             set_product)
+from shiftlab.groups import GroupCtx, GroupSet, integer_interval, set_product
 from shiftlab.lll import (CertificationError, ExplicitEvent,
                           FrequencyDeviationEvent, GLLLWitnessSpec,
                           check_glll_witness, event_probability_exact,
                           explicit_expansion, find_log_growth_constant,
-                          find_slll_threshold, induced_event, slll_stats)
+                          find_slll_threshold, slll_stats)
 from shiftlab.shift import Config, Pattern, all_patterns
 
 gset = GroupSet.from_iterable
@@ -56,32 +55,6 @@ def test_event_probability_exact_is_count_ratio():
     phi2 = Pattern.from_map(Z, {0: 1, 1: 1}, 2)
     ev = ExplicitEvent((phi1, phi2), 2)
     assert event_probability_exact(ev) == Fraction(2, 4)
-
-
-# -- induced copies -----------------------------------------------------------
-
-
-def test_induced_event_translation():
-    ev = FrequencyDeviationEvent(2, integer_interval(1), Fraction(1, 4),
-                                 integer_interval(2))
-    ind = induced_event(ev, CyclicTranslation(30), 5)
-    assert ind.domain_points == (5, 6)
-    assert not ind.collapsed
-
-
-def test_induced_event_collapse():
-    # F = {0, 10} on a 10-cycle collapses to a single point
-    phi_mixed = Pattern.from_map(Z, {0: 0, 10: 1}, 2)
-    phi_const = Pattern.from_map(Z, {0: 0, 10: 0}, 2)
-    act = CyclicTranslation(10)
-    ind_mixed = induced_event(ExplicitEvent((phi_mixed,), 2), act, 3)
-    ind_const = induced_event(ExplicitEvent((phi_const,), 2), act, 3)
-    assert ind_mixed.domain_points == (3,) and ind_mixed.collapsed
-    coloring = [0] * 10
-    assert not ind_mixed.holds_on(coloring)   # incompatible after collapse
-    assert ind_const.holds_on(coloring)
-    coloring[3] = 1
-    assert not ind_const.holds_on(coloring)
 
 
 # -- symmetric certification ---------------------------------------------------

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 from shiftlab.groups import (CyclicTranslation, GroupCtx, GroupError,
                              GroupSet, TorusTranslation, integer_interval)
 from shiftlab.lll import ExplicitEvent, FrequencyDeviationEvent
-from shiftlab.moser_tardos import (EventFamily, TapeSpace, defect, index_report,
-                                   resample_fraction, run_mt,
+from shiftlab.moser_tardos import (EventFamily, TapeSpace, resample_fraction, run_mt,
                                    stabilization_ledger, tape_consistency,
                                    violated_anchors)
 from shiftlab.shift import Config, Pattern
@@ -181,7 +180,7 @@ def test_mt_two_member_family_ledger():
     assert stabilization_ledger(res, act, fam)
     assert tape_consistency(res)
     for _n, ev in fam:
-        assert defect(res.coloring, ev, act) == ()
+        assert violated_anchors(act, ev, res.coloring).size == 0
 
 
 def test_mt_on_torus_generic_path():
@@ -191,7 +190,7 @@ def test_mt_on_torus_generic_path():
     res = run_mt_replayed(act, EventFamily.of(ev), TapeSpace(seed=3, k=2))
     assert res.converged
     assert stabilization_ledger(res, act, EventFamily.of(ev))
-    assert defect(res.coloring, ev, act) == ()
+    assert violated_anchors(act, ev, res.coloring).size == 0
 
 
 def test_mt_contested_run_matches_replay():
@@ -218,12 +217,11 @@ def test_defect_examples():
     act = CyclicTranslation(4)
     ev = FrequencyDeviationEvent(2, integer_interval(1), "0.4", integer_interval(2))
     constant = np.zeros(4, dtype=np.int64)
-    assert defect(constant, ev, act) == (0, 1, 2, 3)
+    assert violated_anchors(act, ev, constant).tolist() == [0, 1, 2, 3]
     # one violating anchor by hand: window pairs (g[x], g[x+1])
     g = np.array([0, 0, 1, 0])
     # anchors: (0,0) dev 1/2 >= .4 bad; (0,1) ok; (1,0) ok; (0,0) bad
-    assert defect(g, ev, act) == (0, 3)
-    assert defect(g, ev, act, translated=True) == (0, 1, 3)
+    assert violated_anchors(act, ev, g).tolist() == [0, 3]
 
 
 @st.composite
@@ -282,18 +280,6 @@ def screened_detection_cases(draw):
 @settings(max_examples=10, deadline=None)
 def test_screened_detection_matches_event_holds(case):
     _assert_detection_matches_holds(*case)
-
-
-def test_index_report_bounds():
-    assert index_report(
-        _dummy_result(), {0: 0.5})[0].bound == pytest.approx(1.0)
-
-
-def _dummy_result():
-    from shiftlab.moser_tardos import MTResult
-    return MTResult(np.zeros(4, dtype=np.int64), np.zeros(4, dtype=np.int64),
-                    {}, 0, True, (), TapeSpace(seed=0, k=2), np.zeros(4, dtype=np.int64),
-                    np.arange(4))
 
 
 def test_resample_fraction_bound():

@@ -73,6 +73,15 @@ def test_build_tower_rejects_small_modulus():
         build_tower(plan, plan.height * 5)
 
 
+def test_modulus_bound_is_exact():
+    # 2 / float(1/49) lies just above 98, so a float ceiling would ask for 99 H
+    plan = plan_intervals(lambda n: 1, Fraction(1, 49))
+    assert plan.height == 99 and plan.min_modulus == 98 * 99
+    assert build_tower(plan, 9702).tower.modulus == 9702
+    with pytest.raises(TowerError, match="need >= 9702, got 9701"):
+        build_tower(plan, 9701)
+
+
 def test_capture_bulk_and_fraction():
     plan = plan_intervals(lambda n: 50, "0.1")
     build = build_tower(plan, 420_000)

@@ -5,12 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab.groups import CyclicTranslation, GroupCtx, GroupSet, integer_interval
-from shiftlab.shift import (AtomCylinders, BoundaryError, Config, EmpiricalMeasure,
-                            Pattern, UniformCylinders, all_patterns, as_fraction,
-                            cylinder_distance, discrepancy, empirical_freq,
-                            empirical_measure, occurrences, pointwise_average,
-                            sample_uniform_config)
+from shiftlab.groups import GroupCtx, GroupSet, integer_interval
+from shiftlab.shift import (BoundaryError, Config, Pattern, all_patterns, empirical_freq,
+                            occurrences)
 
 gset = GroupSet.from_iterable
 Z = GroupCtx("integers")
@@ -108,80 +105,3 @@ def test_equivariance():
         lhs = set(occurrences(phi, shifted).elements)
         rhs = {o - g for o in occurrences(phi, c).elements}
         assert lhs == rhs
-
-
-def test_pointwise_average():
-    act = CyclicTranslation(4)
-    D = integer_interval(4)
-    assert pointwise_average(lambda p: 1.0, 0, D, act) == 1.0
-    ind = lambda p: 1.0 if p == 0 else 0.0
-    assert pointwise_average(ind, 0, D, act) == 0.25
-
-
-def test_empirical_measure_multiplicity():
-    act = CyclicTranslation(5)
-    m = empirical_measure(0, gset(Z, [0, 5, 1]), act)
-    assert dict(m.atoms) == {0: Fraction(2, 3), 1: Fraction(1, 3)}
-    point = empirical_measure(2, gset(Z, [7]), act)
-    assert point.atoms == ((4, Fraction(1)),)
-
-
-def test_empirical_measure_free_case_uniform():
-    act = CyclicTranslation(100)
-    D = gset(Z, [0, 3, 17, 42])
-    m = empirical_measure(5, D, act)
-    assert all(w == Fraction(1, 4) for _a, w in m.atoms)
-
-
-def test_measure_mass_equals_indicator_average():
-    act = CyclicTranslation(30)
-    D = gset(Z, [0, 2, 5, 9, 14])
-    A = {1, 4, 7, 11, 16, 19}
-    for x in [0, 3, 28]:
-        m = empirical_measure(x, D, act)
-        avg = pointwise_average(lambda p: 1.0 if p in A else 0.0, x, D, act)
-        assert m.mass(A) == as_fraction(avg)
-
-
-def test_measure_weights_validated():
-    with pytest.raises(ValueError):
-        EmpiricalMeasure(((0, Fraction(1, 2)),))
-
-
-def test_discrepancy_constant_and_full_orbit():
-    act = CyclicTranslation(24)
-    assert discrepancy(lambda p: 3.0, 3.0, integer_interval(7), act) == 0.0
-    rng = np.random.default_rng(0)
-    vals = rng.random(24)
-    full = integer_interval(24)
-    assert discrepancy(vals, float(vals.mean()), full, act) < 1e-12
-
-
-def test_discrepancy_single_site_half_coloring():
-    # half the points colored 1, f = -1 + 2*color, singleton averaging set
-    act = CyclicTranslation(10)
-    colors = np.array([1, 0, 1, 0, 1, 0, 1, 0, 1, 0])
-    f = -1.0 + 2.0 * colors
-    assert discrepancy(f, 0.0, gset(Z, [0]), act) == 1.0
-
-
-def test_sample_uniform_config_reproducible_and_uniform():
-    W = integer_interval(10_000)
-    c1 = sample_uniform_config(W, 2, seed=9)
-    c2 = sample_uniform_config(W, 2, seed=9)
-    assert c1.values == c2.values
-    ones = sum(c1.values.values())
-    # 4 sigma binomial window
-    assert abs(ones - 5000) < 4 * (10_000 * 0.25) ** 0.5
-
-
-def test_cylinder_distance():
-    u2 = UniformCylinders(2)
-    phi = Pattern.from_map(Z, {0: 0}, 2)
-    assert cylinder_distance(u2, u2, [phi]) == 0
-    const0 = Config.from_array(integer_interval(3), [0, 0, 0])
-    point_mass = AtomCylinders([(const0, 1)])
-    assert cylinder_distance(point_mass, u2, [phi]) == Fraction(1, 2)
-    outside = Pattern.from_map(Z, {7: 0}, 2)
-    with pytest.raises(BoundaryError):
-        cylinder_distance(point_mass, u2, [outside])
