@@ -331,11 +331,11 @@ def _run_lll_check(p, out, jobs, transcript):
                    ["quantity", "value"],
                    [("p_bound", stats.p_bound), ("d_bound", stats.d_bound),
                     ("slll_margin", stats.slll_margin),
-                    ("threshold", thr.threshold if thr.found else "none"),
+                    ("threshold", "none" if thr.threshold is None else thr.threshold),
                     ("stationary_point", thr.stationary_point), ("case", thr.case)])
         return {"mode": "slll", "slll_margin": stats.slll_margin,
                 "certified": stats.certified,
-                "threshold": thr.threshold if thr.found else None,
+                "threshold": thr.threshold,
                 "verdict": "pass" if stats.certified else "slll_margin >= 1"}
     eps_sum = as_fraction(p.get("eps_sum", p["eps"]))
     C = p.get("C") or find_log_growth_constant(p["k"], S, eps, p["a"], eps_sum)

@@ -24,6 +24,8 @@ from .rng import derive_seed, pattern_counts
 from .shift import Pattern, all_patterns, as_fraction
 
 WILSON_Z95 = 1.959963984540054
+# a sweep point whose closed-form bound is at least this is vacuous
+VACUOUS_BOUND = 0.9
 # two-sided tail mass of a single 3-sigma test
 SWEEP_ALPHA = 2 * (1 - NormalDist().cdf(3.0))
 
@@ -65,10 +67,11 @@ def concentration_bound(eps, s_size: int, d_size: int) -> float:
     return 2.0 * math.exp(-deviation_exponent(float(eps), s_size, d_size))
 
 
-def wilson_interval(hits: int, trials: int, z: float = WILSON_Z95) -> tuple[float, float]:
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(hits: int, trials: int) -> tuple[float, float]:
+    """Wilson score interval for a binomial proportion at 95% (z = WILSON_Z95)."""
     if trials <= 0:
         raise ValueError("trials must be positive")
+    z = WILSON_Z95
     p = hits / trials
     denom = 1.0 + z * z / trials
     center = (p + z * z / (2 * trials)) / denom
@@ -80,14 +83,12 @@ def wilson_interval(hits: int, trials: int, z: float = WILSON_Z95) -> tuple[floa
 
 @dataclass
 class McEstimate:
-    trials: int
     hits: int
     estimate: float
     wilson_95_upper: float
     wilson_95_lower: float
     mean_occurrences: float
-    expected_occurrences: float
-    expectation_zscore: float
+    expectation_zscore: float      # of mean_occurrences against |D| / k^{|S|}
 
 
 def _check_sd_free_at(action: FiniteAction, S: GroupSet, D: GroupSet, x: int) -> np.ndarray:
@@ -168,7 +169,7 @@ def mc_deviation_prob(phi: Pattern, eps, D: GroupSet, action: FiniteAction, x: i
     else:  # every trial saw the same count: any miss is infinitely many sigma
         z = 0.0 if mean_occ == expected else math.copysign(math.inf, mean_occ - expected)
     lo, hi = wilson_interval(hits, trials)
-    return McEstimate(trials, hits, hits / trials, hi, lo, mean_occ, expected, z)
+    return McEstimate(hits, hits / trials, hi, lo, mean_occ, z)
 
 
 @dataclass
@@ -193,12 +194,11 @@ def familywise_z(m: int) -> float:
     return NormalDist().inv_cdf(1 - SWEEP_ALPHA / (2 * m))
 
 
-def deviation_sweep(grid, action: FiniteAction, trials: int, seed: int,
-                    bound_cutoff: float = 0.9) -> list[SweepRow]:
+def deviation_sweep(grid, action: FiniteAction, trials: int, seed: int) -> list[SweepRow]:
     """Run mc_deviation_prob over a parameter grid, every point on `action`.
 
-    `grid` yields (k, S, eps, D); points whose closed-form bound is above
-    `bound_cutoff` are reported as vacuous rather than compared.  A point
+    `grid` yields (k, S, eps, D); points whose closed-form bound is at least
+    VACUOUS_BOUND = 0.9 are reported as vacuous rather than compared.  A point
     fails only when the Wilson lower limit exceeds the bound or the
     occurrence-count mean misses its target by more than
     familywise_z(m) sigma, m being the number of non-vacuous points, so the
@@ -211,11 +211,11 @@ def deviation_sweep(grid, action: FiniteAction, trials: int, seed: int,
         est = mc_deviation_prob(phi, eps, D, action, 0, trials, derive_seed(seed, i))
         points.append((k, len(S), float(as_fraction(eps)), len(D),
                        concentration_bound(eps, len(S), len(D)), est))
-    tested = sum(bound < bound_cutoff for *_, bound, _est in points)
+    tested = sum(bound < VACUOUS_BOUND for *_, bound, _est in points)
     z_limit = familywise_z(max(tested, 1))
     rows = []
     for *point, bound, est in points:
-        if bound >= bound_cutoff:
+        if bound >= VACUOUS_BOUND:
             verdict = "vacuous"
         elif est.wilson_95_lower <= bound and abs(est.expectation_zscore) <= z_limit:
             verdict = "pass"

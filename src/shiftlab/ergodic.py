@@ -58,11 +58,13 @@ class ConvergenceReport:
     samples: int
     first_quiet_n: Optional[int]   # least n with no exceedance at any m >= n
 
-    def exceedances_within(self, z: float = 3.0) -> bool:
+    def exceedances_within(self) -> bool:
+        """Whether every row's exceedance fraction is within 3 sigma of its
+        closed-form tail, read as a binomial rate over the samples."""
         for r in self.rows:
             p = min(r.bc_tail, 1.0)
             sigma = math.sqrt(p * (1.0 - p) / self.samples)
-            if r.exceed_frac_beyond > p + z * sigma:
+            if r.exceed_frac_beyond > p + 3.0 * sigma:
                 return False
         return True
 
@@ -170,9 +172,7 @@ class UniformDiscrepancyResult:
 
 def uniform_discrepancy_experiment(k: int, S: GroupSet, eps, d_sets: Sequence[GroupSet],
                                    action: FiniteAction, seed: int,
-                                   a: Optional[float] = None,
-                                   max_steps: Optional[int] = None
-                                   ) -> UniformDiscrepancyResult:
+                                   a: Optional[float] = None) -> UniformDiscrepancyResult:
     """Resample until every point sees every pattern with frequency within
     eps of k^{-|S|} over every D_n of `d_sets`, and compare the resampled
     fraction with the witness budget.
@@ -208,7 +208,7 @@ def uniform_discrepancy_experiment(k: int, S: GroupSet, eps, d_sets: Sequence[Gr
     events = [FrequencyDeviationEvent(k, S, eps_fr, ds) for ds in d_sets]
     family = EventFamily(tuple(enumerate(events)))
     tape = TapeSpace(seed=seed, k=k)
-    result = run_mt(action, family, tape, max_steps=max_steps)
+    result = run_mt(action, family, tape)
 
     omegas = {n: witness.omega(len(ds)) for n, ds in enumerate(d_sets)}
     fracs = resample_fraction(result, family, omegas)

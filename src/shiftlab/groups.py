@@ -37,22 +37,22 @@ LATTICE = "lattice"
 class GroupCtx:
     """A supported group.
 
-    kind/param combinations:
+    kind/param combinations, the only ones accepted:
       - ("integers", 0)           the group of integers under addition
-      - ("lattice", d)            integer d-tuples, 2 <= d <= 3
+      - ("lattice", d)            integer d-tuples, d an int 2 or 3
     """
 
     kind: str
-    param: Union[int, tuple] = 0
+    param: int = 0
 
     def __post_init__(self):
-        if self.kind == INTEGERS:
-            pass
-        elif self.kind == LATTICE:
-            if not (2 <= self.param <= 3):
-                raise GroupError(f"lattice dimension must be 2 or 3, got {self.param}")
-        else:
+        allowed = {INTEGERS: (0,), LATTICE: (2, 3)}.get(self.kind)
+        if allowed is None:
             raise GroupError(f"unknown group kind {self.kind!r}")
+        # by type, so that a bool or a float equal to an allowed int is refused
+        if type(self.param) is not int or self.param not in allowed:
+            raise GroupError(f"{self.kind} parameter must be one of {allowed}, "
+                             f"got {self.param!r}")
 
     # -- algebra ---------------------------------------------------------
 
@@ -155,10 +155,10 @@ def set_inverse(S: GroupSet) -> GroupSet:
     return GroupSet.from_iterable(S.ctx, (S.ctx.inv(s) for s in S))
 
 
-def difference_set_size(S: GroupSet, D: GroupSet, cap: int = 10_000) -> Optional[int]:
-    """|(SD)^-1 SD| computed exactly, or None when |SD| exceeds `cap`."""
+def difference_set_size(S: GroupSet, D: GroupSet) -> Optional[int]:
+    """|(SD)^-1 SD| computed exactly, or None when |SD| exceeds 10000."""
     sd = set_product(S, D)
-    if len(sd) > cap:
+    if len(sd) > 10_000:
         return None
     return len(set_product(set_inverse(sd), sd))
 

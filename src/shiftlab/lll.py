@@ -173,12 +173,12 @@ def _neighbor_count(s_size: int, m_size: int, n_size: int, degree_mode: str) -> 
 
 
 def slll_stats(k: int, S: GroupSet, eps, D: GroupSet,
-               degree_mode: str = "auto", exact_cap: int = 10_000) -> InstanceStats:
+               degree_mode: str = "auto") -> InstanceStats:
     """Probability/degree bounds for the frequency event with domain SD.
 
     degree mode:
-      - "auto": |(SD)^-1 SD| - 1 exactly when |SD| <= exact_cap, else the
-        generic cap |S|^2 |D|^2 - 1;
+      - "auto": |(SD)^-1 SD| - 1 exactly when |SD| <= 10000 (see
+        `difference_set_size`), else the generic cap |S|^2 |D|^2 - 1;
       - "generic": always the cap;
       - "interval": closed form 2|SD| - 2 for integer intervals S, D.
     """
@@ -186,7 +186,7 @@ def slll_stats(k: int, S: GroupSet, eps, D: GroupSet,
     p = p_bound_freq(k, len(S), epsf, len(D))
     if degree_mode == "auto":
         cap = _neighbor_count(len(S), len(D), len(D), "generic") - 1
-        exact = difference_set_size(S, D, cap=exact_cap)
+        exact = difference_set_size(S, D)
         d = cap if exact is None else min(exact - 1, cap)
     else:
         _require_intervals(degree_mode, S, D)
@@ -196,11 +196,8 @@ def slll_stats(k: int, S: GroupSet, eps, D: GroupSet,
 
 @dataclass
 class ThresholdResult:
-    found: bool
-    threshold: Optional[int]
+    threshold: Optional[int]   # None when the margin at search_cap is >= 1
     stationary_point: int
-    margin_at_threshold: Optional[float]
-    margin_at_cap: float
     case: str  # "crossing" | "not-found"
 
 
@@ -225,9 +222,8 @@ def find_slll_threshold(k: int, S: GroupSet, eps, shape: str = "interval",
         return E * p_bound_freq(k, s_sz, epsf, m) * _neighbor_count(s_sz, m, m, shape)
 
     m_star = max(1, math.ceil(4.0 * s_sz ** 3 / (epsf * epsf)))
-    m_cap = margin(search_cap)
-    if m_cap >= 1.0:
-        return ThresholdResult(False, None, m_star, None, m_cap, "not-found")
+    if margin(search_cap) >= 1.0:
+        return ThresholdResult(None, m_star, "not-found")
     # No scan left of the stationary point is needed.  The log-margin is
     # concave on [1, m_star], so its least value there is at an end.  At
     # m = 1 the margin is at least 2e exp(-1/2) = 3.30 (k = |S| = 1, eps -> 1);
@@ -241,7 +237,7 @@ def find_slll_threshold(k: int, S: GroupSet, eps, shape: str = "interval",
             hi = mid
         else:
             lo = mid
-    return ThresholdResult(True, hi, m_star, margin(hi), m_cap, "crossing")
+    return ThresholdResult(hi, m_star, "crossing")
 
 
 # -- general (witnessed) certification ----------------------------------------
@@ -424,9 +420,7 @@ class SearchError(RuntimeError):
     pass
 
 
-def find_log_growth_constant(k: int, S: GroupSet, eps, a: float, eps_sum,
-                             prefix_terms: int = 512,
-                             cap: float = 1e12) -> float:
+def find_log_growth_constant(k: int, S: GroupSet, eps, a: float, eps_sum) -> float:
     """Smallest C (doubling then bisection) such that every sequence with
     |D_n| >= C log(n+2) admits the witness omega(n) = exp(-a |D_n|):
 
@@ -435,6 +429,9 @@ def find_log_growth_constant(k: int, S: GroupSet, eps, a: float, eps_sum,
       (3) 2 |S| C sum_n log(n+2)/(n+2)^{Ca} < eps_sum;
       (4) -log(2 k^{|S|})/(C log 2) + eps^2/(2|S|^3)
               >= a + 2 |S|^2 C sum_m log(m+2)/(m+2)^{Ca}.
+
+    Each series sums its first 512 terms and bounds the rest with
+    `tail_log_series`; no C above 1e12 is tried (SearchError).
     """
     epsf = float(as_fraction(eps))
     s_sz = len(S)
@@ -446,8 +443,8 @@ def find_log_growth_constant(k: int, S: GroupSet, eps, a: float, eps_sum,
     def log_series(q: float) -> float:
         if q <= 1.0:
             return math.inf
-        total = sum(math.log(n + 2) / (n + 2) ** q for n in range(prefix_terms))
-        return total + tail_log_series(q, prefix_terms)
+        total = sum(math.log(n + 2) / (n + 2) ** q for n in range(512))
+        return total + tail_log_series(q, 512)
 
     def ok(C: float) -> bool:
         if not all(r.verdict for r in _tail_records(a, C)):
@@ -462,8 +459,8 @@ def find_log_growth_constant(k: int, S: GroupSet, eps, a: float, eps_sum,
     c_hi = max(2.0, 2.0 / (a * math.log(2.0)))
     while not ok(c_hi):
         c_hi *= 2.0
-        if c_hi > cap:
-            raise SearchError(f"no admissible constant below the cap {cap}")
+        if c_hi > 1e12:
+            raise SearchError("no admissible constant below the cap 1e12")
     c_lo = c_hi / 2.0
     for _ in range(200):
         mid = 0.5 * (c_lo + c_hi)

@@ -244,10 +244,6 @@ class ResampleFractions:
     frac_changed: Fraction        # points whose final color differs from tape row 0
     bound: Optional[float]        # sum |F_n| omega(n)/(1-omega(n)), when given
 
-    @property
-    def within(self) -> Optional[bool]:
-        return None if self.bound is None else float(self.frac_resampled) <= self.bound
-
 
 def resample_fraction(result: MTResult, family: Optional[EventFamily] = None,
                       omegas: Optional[dict] = None) -> ResampleFractions:

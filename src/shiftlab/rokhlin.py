@@ -102,20 +102,19 @@ def plan_intervals(h: Union[Callable[[int], int], Sequence[int]], eps) -> BadInt
 
 @dataclass
 class TowerSystem:
-    """An explicit tower on Z/M with base offset o."""
+    """An explicit tower on Z/M with base offset o; the M mod H points
+    past its columns lie outside all levels."""
 
     modulus: int
     height: int
     offset: int
     columns: int           # |R|
-    residual: int          # M mod H points outside all levels
 
     @classmethod
     def build(cls, modulus: int, height: int, offset: int = 0) -> "TowerSystem":
         if height < 1 or modulus < height:
             raise TowerError(f"need M >= H >= 1, got M={modulus}, H={height}")
-        cols, res = divmod(modulus, height)
-        return cls(modulus, height, offset % modulus, cols, res)
+        return cls(modulus, height, offset % modulus, modulus // height)
 
     def level_array(self) -> np.ndarray:
         """level[p] in 0..H-1, or -1 for residual points outside the tower."""
@@ -175,29 +174,31 @@ def tower_level_rows(build: TowerBuild):
         yield (level, int(a.start <= level < a.stop), int(b.start <= level < b.stop))
 
 
+def _captured(a_mask: np.ndarray, plan: BadIntervalPlan, modulus: int) -> np.ndarray:
+    """Packed mask of the x with some interval translate of x wholly inside
+    the set `a_mask`.  Interval n is interval 0 shifted by n*ell, so this is
+    an and-window over ell followed by an or-window over the N starts."""
+    base = circular_window_reduce(a_mask, plan.ell, 1, modulus, np.bitwise_and)
+    return circular_window_reduce(base, plan.N, plan.ell, modulus, np.bitwise_or)
+
+
 @dataclass
 class CaptureReport:
-    fraction: Fraction
-    witnesses: np.ndarray        # witness interval index per point, -1 if uncaptured
+    fraction: Fraction           # exact measure of the captured points
     all_b_captured: bool
 
 
 def verify_capture(build: TowerBuild) -> CaptureReport:
-    """For each x, the least n with the n-th interval translate of x wholly
-    inside A; exact enumeration over the cyclic space."""
-    plan, M = build.plan, build.tower.modulus
-    # interval n is interval 0 shifted by n*ell, so one windowed-all pass
-    # plus shifts covers all of them
-    base = circular_window_reduce(build.a_mask, plan.ell, 1, M, np.bitwise_and)
-    captured = circular_window_reduce(base, plan.N, plan.ell, M, np.bitwise_or)
-    start = np.unpackbits(base.view(np.uint8), count=M, bitorder="little").view(bool)
-    witnesses = np.full(M, -1, dtype=np.int64)
-    for n in range(plan.N - 1, -1, -1):
-        witnesses[np.roll(start, -n * plan.ell)] = n
-    return CaptureReport(_measure(captured, M), witnesses, not (build.b_mask & ~captured).any())
+    """Which x have some interval translate wholly inside A, exactly over
+    the cyclic space: their measure, and whether every point of B is one."""
+    M = build.tower.modulus
+    captured = _captured(build.a_mask, build.plan, M)
+    return CaptureReport(_measure(captured, M), not (build.b_mask & ~captured).any())
 
 
 # -- iterated escape stages -----------------------------------------------------
+
+MODULUS_CAP = 50_000_000    # largest shared modulus bad_sequence_experiment builds
 
 
 @dataclass
@@ -235,12 +236,12 @@ class BadSequenceReport:
 
 def bad_sequence_experiment(h: Union[Callable[[int], int], Sequence[int]],
                             i_max: int, seed: int = 0,
-                            k_probe: Optional[Sequence[int]] = None,
-                            m_cap: int = 50_000_000) -> BadSequenceReport:
+                            k_probe: Optional[Sequence[int]] = None) -> BadSequenceReport:
     """Concatenate escape stages with eps_i = 2^{-i-1} on one shared cyclic
     space (a common multiple of all tower heights, so every tower is exact),
     with independently seeded base offsets, and measure per-band capture
-    against the union tails A_{>=q}.
+    against the union tails A_{>=q}.  A schedule whose shared modulus exceeds
+    MODULUS_CAP = 50,000,000 points raises TowerError.
     """
     if i_max < 1:
         raise TowerError("need at least one stage")
@@ -259,9 +260,9 @@ def bad_sequence_experiment(h: Union[Callable[[int], int], Sequence[int]],
     for p in plans:
         while modulus < p.min_modulus:
             modulus *= 2
-    if modulus > m_cap:
+    if modulus > MODULUS_CAP:
         raise TowerError(
-            f"infeasible schedule: shared modulus {modulus} exceeds the cap {m_cap}")
+            f"infeasible schedule: shared modulus {modulus} exceeds the cap {MODULUS_CAP}")
 
     stages = []
     a_masks = []
@@ -282,12 +283,7 @@ def bad_sequence_experiment(h: Union[Callable[[int], int], Sequence[int]],
         mu_tail[q] = _measure(union, modulus)
         everywhere = ~np.zeros_like(union)  # the first band clears the bits past M
         for i in range(q, i_max):
-            plan = plans[i]
-            # bit x of base: interval 0 translated by x lies inside the union;
-            # interval n is interval 0 shifted by n*ell
-            base = circular_window_reduce(union, plan.ell, 1, modulus, np.bitwise_and)
-            captured = circular_window_reduce(base, plan.N, plan.ell, modulus,
-                                              np.bitwise_or)
+            captured = _captured(union, plans[i], modulus)
             frac = _measure(captured, modulus)
             band_rows.append(BandCapture(q, i, frac, frac))
             everywhere &= captured

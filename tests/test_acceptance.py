@@ -105,7 +105,7 @@ def test_criterion_02_concentration_sweep():
 def test_criterion_03_slll_threshold():
     t0 = time.time()
     thr = find_slll_threshold(2, S1, EPS, shape="generic", search_cap=10_000)
-    ok = thr.found and 3000 < thr.threshold <= 4000
+    ok = thr.threshold is not None and 3000 < thr.threshold <= 4000
 
     # margin at |D| = 4000, generic degree cap: agrees with direct arithmetic
     st_generic = slll_stats(2, S1, EPS, D4000, degree_mode="generic")
@@ -206,7 +206,7 @@ def test_criterion_07_borel_cantelli_convergence():
     C = find_log_growth_constant(2, S1, EPS, a=A_WITNESS, eps_sum=EPS)
     d_sets = [integer_interval(log_growth_size(C, n)) for n in range(101)]
     rep = ergodic_convergence_experiment(2, S1, EPS, d_sets, samples=200, seed=1001)
-    ok = rep.exceedances_within(z=3.0)
+    ok = rep.exceedances_within()
     worst_exceed = max(r.exceed_frac_beyond for r in rep.rows)
     elapsed = time.time() - t0
     ok &= elapsed < 300
@@ -258,15 +258,15 @@ def test_criterion_09_tower_capture():
     cap = verify_capture(build)
     ok &= cap.fraction >= Fraction(9, 10)
     ok &= cap.all_b_captured
-    # witnesses re-verified by direct containment
+    # each sampled bulk point's interval inside A, found by direct search
     rng = np.random.default_rng(0)
     m = build.tower.modulus
     a = np.unpackbits(build.a_mask.view(np.uint8), count=m, bitorder="little")
+    b = np.unpackbits(build.b_mask.view(np.uint8), count=m, bitorder="little")
     for x in rng.integers(0, m, size=500):
-        n = int(cap.witnesses[x])
-        if n >= 0:
-            pts = (np.asarray(plan.interval(n)) + int(x)) % m
-            ok &= bool(a[pts].all())
+        if b[x]:
+            ok &= any(bool(a[(np.asarray(plan.interval(n)) + int(x)) % m].all())
+                      for n in range(plan.N))
     elapsed = time.time() - t0
     ok &= elapsed < 30
     report(9, ok, f"N=20, ell=50, mu(A)=2/21 < 1/10 exact, capture "

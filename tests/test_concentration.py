@@ -105,8 +105,12 @@ def test_mc_expectation_identity():
     phi = all_patterns(integer_interval(2), 2)[0]
     est = mc_deviation_prob(phi, Fraction(1, 10), integer_interval(400),
                             CyclicTranslation(5000), 0, 3000, seed=8)
-    assert est.expected_occurrences == 100.0
+    # the z-score measures the mean count against |D| / k^{|S|} = 400 / 4; the
+    # count of 00 over 400 sites has variance 400 (3/16) + 2 * 399 (1/8 - 1/16)
+    sigma = math.sqrt((400 * 3 / 16 + 2 * 399 / 16) / 3000)
     assert abs(est.expectation_zscore) <= 3.0
+    assert est.expectation_zscore == pytest.approx((est.mean_occurrences - 100) / sigma,
+                                                   rel=0.1)
 
 
 @pytest.mark.parametrize("seed, mean, z", [(4, 20.0, -math.inf), (3, 33.0, math.inf),
@@ -117,8 +121,10 @@ def test_mc_zero_variance_zscore_has_the_sign_of_the_miss(seed, mean, z):
     phi = all_patterns(integer_interval(1), 2)[0]
     est = mc_deviation_prob(phi, Fraction(1, 10), integer_interval(50),
                             CyclicTranslation(1000), 0, trials=1, seed=seed)
-    assert (est.mean_occurrences, est.expected_occurrences) == (mean, 25.0)
-    assert est.expectation_zscore == z
+    expected = 50 / 2  # |D| / k^{|S|}
+    assert est.mean_occurrences == mean
+    assert est.expectation_zscore == z == (
+        0.0 if mean == expected else math.copysign(math.inf, mean - expected))
 
 
 def test_mc_requires_freeness():
@@ -168,7 +174,7 @@ def test_mc_freeness_check_matches_point_by_point_loop(s_items, d_items):
         verdict = _sd_free_verdict(action, S, D, x)
         seen.add(verdict)
         if verdict is None:
-            assert mc_deviation_prob(phi, Fraction(1, 4), D, action, x, 3, seed=x).trials == 3
+            assert 0 <= mc_deviation_prob(phi, Fraction(1, 4), D, action, x, 3, seed=x).hits <= 3
         else:
             with pytest.raises(GroupError, match=verdict):
                 mc_deviation_prob(phi, Fraction(1, 4), D, action, x, 3, seed=x)
@@ -201,7 +207,7 @@ def _sweep_with_zscores(monkeypatch, zscores):
     # one non-vacuous point per z-score; the estimate itself sits below the bound
     def fake_mc(phi, eps, D, action, x, trials, seed):
         z = next(it)
-        return McEstimate(trials, 0, 0.0, 1e-3, 0.0, 100.0 + z, 100.0, z)
+        return McEstimate(0, 0.0, 1e-3, 0.0, 100.0 + z, z)
 
     it = iter(zscores)
     monkeypatch.setattr(concentration, "mc_deviation_prob", fake_mc)
@@ -228,8 +234,11 @@ def test_mc_on_torus_action():
     D = gset(L2, [(i, j) for i in range(10) for j in range(10)])
     phi = all_patterns(S, 2)[0]
     est = mc_deviation_prob(phi, Fraction(1, 4), D, TorusTranslation(30, 30), 5, 800, seed=12)
-    assert est.expected_occurrences == 50.0
+    # the z-score measures the mean count against |D| / k^{|S|} = 100 / 2; the
+    # count is binomial(100, 1/2), of variance 25
     assert abs(est.expectation_zscore) <= 3.0
+    assert est.expectation_zscore == pytest.approx(
+        (est.mean_occurrences - 50) / math.sqrt(25 / 800), rel=0.1)
     assert est.wilson_95_upper <= 1.0
 
 
@@ -282,7 +291,7 @@ def test_mc_matches_per_trial_oracle(s_name, d_name, k, colors, eps, modulus, x,
     action = CyclicTranslation(modulus)
     est = mc_deviation_prob(phi, eps, D, action, x % modulus, trials, seed, chunk=chunk)
     hits, mean = _mc_oracle(phi, eps, D, action, x % modulus, trials, seed)
-    assert (est.trials, est.hits) == (trials, hits)
+    assert est.hits == hits
     assert est.estimate == hits / trials
     assert est.mean_occurrences == float(mean)
 

@@ -53,6 +53,12 @@ def test_ctx_validation():
         GroupCtx("lattice", 1)
     with pytest.raises(GroupError):
         GroupCtx("cyclic", 7)  # not a supported kind
+    # the integers take param 0 only, a lattice an int 2 or 3
+    for kind, param in [("integers", 5), ("integers", False), ("lattice", 2.5),
+                        ("lattice", (2,)), ("lattice", True), ("lattice", 3.0)]:
+        with pytest.raises(GroupError):
+            GroupCtx(kind, param)
+    assert GroupCtx("integers", 0) == Z and GroupCtx("lattice", 3).identity() == (0, 0, 0)
     with pytest.raises(GroupError):
         L2.normalize((1, 2, 3))  # wrong dimension
     with pytest.raises(GroupError):

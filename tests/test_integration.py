@@ -75,7 +75,7 @@ def test_interval_shape_threshold():
         margin = math.e * 4 * math.exp(-0.005 * m) * (2 * m - 1)
         if margin >= 1:
             last_bad = m
-    assert res.found and res.threshold == last_bad + 1
+    assert res.threshold == last_bad + 1
 
 
 @pytest.mark.parametrize("kernel", ["resolved", "numpy"])

@@ -96,7 +96,7 @@ def oracle_threshold(k, s_sz, eps, cap):
 def test_threshold_bracketing_example():
     res = find_slll_threshold(2, integer_interval(1), "0.1", shape="generic",
                               search_cap=10_000)
-    assert res.found and 3000 < res.threshold <= 4000
+    assert res.threshold is not None and 3000 < res.threshold <= 4000
     assert res.threshold == oracle_threshold(2, 1, 0.1, 5000) == 3772
     assert res.case == "crossing"
     assert res.stationary_point == 400
@@ -117,22 +117,23 @@ def test_threshold_monotone_in_eps():
 def test_threshold_crosses_beyond_the_stationary_point(k, s, eps, cap, shape):
     S = integer_interval(s)
     res = find_slll_threshold(k, S, eps, shape=shape, search_cap=cap)
-    assert res.case in ("crossing", "not-found")
-    assert res.found == (res.case == "crossing")
-    if res.found:
+    assert res.case == ("not-found" if res.threshold is None else "crossing")
+    if res.threshold is not None:
         assert res.stationary_point < res.threshold <= cap
         stats = slll_stats(k, S, eps, integer_interval(res.threshold), degree_mode=shape)
-        assert res.margin_at_threshold == stats.slll_margin < 1
+        assert stats.slll_margin < 1
         before = integer_interval(res.threshold - 1)
         assert slll_stats(k, S, eps, before, degree_mode=shape).slll_margin >= 1
     else:
-        assert res.margin_at_cap >= 1
+        assert slll_stats(k, S, eps, integer_interval(cap), degree_mode=shape).slll_margin >= 1
 
 
 def test_threshold_not_found_within_cap():
     res = find_slll_threshold(2, integer_interval(1), "0.01", shape="generic",
                               search_cap=1000)
-    assert not res.found and res.threshold is None
+    assert res.threshold is None and res.case == "not-found"
+    assert slll_stats(2, integer_interval(1), "0.01", integer_interval(1000),
+                      degree_mode="generic").slll_margin >= 1
 
 
 # -- witnessed certification ----------------------------------------------------

@@ -276,17 +276,22 @@ def _is_dataclass(decorator) -> bool:
     return getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
 
 
-def unread_fields(sources, readers) -> list[str]:
+def unread_fields(sources, readers, allow=()) -> list[str]:
     """Annotated fields of the `@dataclass` classes in `sources`, as
-    `Class.field`, that no attribute load in `sources` or `readers` reads.
-    A load matches a field by name, whatever its receiver."""
+    `Class.field`, that no attribute load in `sources` or `readers` reads
+    and that `allow` does not list, then each `allow` entry that names no
+    such field or that a load reads.  A load matches a field by name,
+    whatever its receiver."""
     trees = [ast.parse(s) for s in sources]
     read = {n.attr for t in trees + [ast.parse(r) for r in readers] for n in ast.walk(t)
             if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
-    return sorted(f"{c.name}.{f.target.id}" for t in trees for c in ast.walk(t)
-                  if isinstance(c, ast.ClassDef) and any(map(_is_dataclass, c.decorator_list))
-                  for f in c.body if isinstance(f, ast.AnnAssign)
-                  and isinstance(f.target, ast.Name) and f.target.id not in read)
+    fields = {f"{c.name}.{f.target.id}" for t in trees for c in ast.walk(t)
+              if isinstance(c, ast.ClassDef) and any(map(_is_dataclass, c.decorator_list))
+              for f in c.body if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)}
+    unread = {f for f in fields if f.rpartition(".")[2] not in read}
+    return (sorted(unread - set(allow))
+            + [f"allowlisted but missing: {n}" for n in sorted(set(allow) - fields)]
+            + [f"allowlisted but read: {n}" for n in sorted(set(allow) & fields - unread)])
 
 
 def test_unread_field_check_sees_unread_fields():
@@ -299,10 +304,119 @@ def test_unread_field_check_sees_unread_fields():
     assert unread_fields([source], []) == ["Box.by_test", "Box.spare"]
     assert unread_fields([source], ["def test_box(b):\n    assert b.by_test\n"]) == [
         "Box.spare"]
+    assert unread_fields([source], [], {"Box.by_test": ""}) == ["Box.spare"]
+    assert unread_fields([source], [], {"Box.by_test": "", "Box.used": "", "Plain.loose": "",
+                                        "Box.spare": ""}) == [
+        "allowlisted but missing: Plain.loose", "allowlisted but read: Box.used"]
+
+
+# Result fields that nothing but tests reads, with the reason.
+READ_BY_TESTS = {
+    **dict.fromkeys(["McEstimate.hits", "McEstimate.mean_occurrences"],
+                    "exact Monte Carlo statistics that oracle tests compare"),
+    **dict.fromkeys(["BadSequenceReport.stages", "StageRecord.n_start"],
+                    "the stage schedule that tests check the global interval indexing against"),
+}
 
 
 def test_every_dataclass_field_is_read():
-    # the package, the tests, the benchmark harness and the README example
-    readers = [p.read_text() for d in ("tests", "perfbench")
-               for p in sorted((ROOT / d).glob("*.py"))]
-    assert unread_fields([p.read_text() for p in MODULES], readers + README_BLOCKS) == []
+    # the package, the benchmark harness and the README example; a field
+    # that only tests read is listed in READ_BY_TESTS
+    readers = [p.read_text() for p in sorted((ROOT / "perfbench").glob("*.py"))]
+    assert unread_fields([p.read_text() for p in MODULES], readers + README_BLOCKS,
+                         READ_BY_TESTS) == []
+    tests = [p.read_text() for p in TESTS if p.name != "test_source.py"]
+    assert untested_entries(READ_BY_TESTS, tests) == []
+
+
+def _defaults(node, prefix=""):
+    """(`function.param`, positional index or None) for each parameter
+    default of the function `node`, a method's first argument not counted
+    unless it is a staticmethod."""
+    a = node.args
+    positional = a.posonlyargs + a.args
+    skip = int(bool(prefix) and not any(getattr(d, "id", None) == "staticmethod"
+                                        for d in node.decorator_list))
+    out = [(f"{prefix}{node.name}.{p.arg}", i - skip)
+           for i, p in enumerate(positional) if i >= len(positional) - len(a.defaults)]
+    return out + [(f"{prefix}{node.name}.{p.arg}", None)
+                  for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+
+
+def _sets(call, param: str, index) -> bool:
+    """Whether `call` sets `param`, at positional `index` (None for keyword
+    only): by keyword, by position, or through `*` or `**`."""
+    words = {k.arg for k in call.keywords}
+    by_position = index is not None and (
+        index < len(call.args) or any(isinstance(x, ast.Starred) for x in call.args))
+    return param in words or None in words or by_position
+
+
+def unset_defaults(sources, callers, allow=()) -> list[str]:
+    """Parameter defaults of the module-level functions and of the methods of
+    module-level classes in `sources`, as `function.param` or
+    `Class.method.param`, that no call in `callers` sets and that `allow`
+    does not list, then each `allow` entry that names no such default or
+    that a call sets.  A call matches a function by the name it calls, bare
+    or as an attribute, whatever the receiver; a class name calls the
+    class's `__init__`."""
+    calls = {}
+    for source in callers:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Call):
+                calls.setdefault(getattr(n.func, "id", getattr(n.func, "attr", None)),
+                                 []).append(n)
+    defaults, unset = set(), set()
+    for source in sources:
+        for node in ast.parse(source).body:
+            if isinstance(node, ast.FunctionDef):
+                found = [(node.name, d) for d in _defaults(node)]
+            elif isinstance(node, ast.ClassDef):
+                found = [(node.name if m.name == "__init__" else m.name, d)
+                         for m in node.body if isinstance(m, ast.FunctionDef)
+                         for d in _defaults(m, node.name + ".")]
+            else:
+                continue
+            for called, (key, index) in found:
+                defaults.add(key)
+                if not any(_sets(c, key.rpartition(".")[2], index)
+                           for c in calls.get(called, ())):
+                    unset.add(key)
+    return (sorted(unset - set(allow))
+            + [f"allowlisted but missing: {n}" for n in sorted(set(allow) - defaults)]
+            + [f"allowlisted but set: {n}" for n in sorted(set(allow) & defaults - unset)])
+
+
+def test_unset_default_check_sees_unset_defaults():
+    source = ("def main(argv=None):\n    return f(1, c=2) + g(*argv) + Box(**{}).m(4)\n"
+              "def f(a, b=0, *, c=1, d=2):\n    return a\n"
+              "def g(a=0, b=1):\n    return a\n"
+              "class Box:\n    def __init__(self, size=1):\n        self.size = size\n"
+              "    def m(self, x=0, y=1):\n        return x\n"
+              "    @staticmethod\n    def s(x=0):\n        return x\n")
+    # by keyword, by position and through * or **; a method's first
+    # argument is not counted, and a static method has none
+    assert unset_defaults([source], [source]) == [
+        "Box.m.y", "Box.s.x", "f.b", "f.d", "main.argv"]
+    assert unset_defaults([source], [source, "Box.s(0)\nh(d=3)\n"],
+                          {"main.argv": "", "f.b": ""}) == ["Box.m.y", "f.d"]
+    assert unset_defaults([source], [source], {"main.argv": "", "f.c": "", "f.e": "",
+                                                "Box.m.y": "", "Box.s.x": "",
+                                                "f.b": "", "f.d": ""}) == [
+        "allowlisted but missing: f.e", "allowlisted but set: f.c"]
+
+
+# Parameter defaults that no library caller sets, with the reason.
+DEFAULTS_SET_BY_TESTS = {
+    "main.argv": "the CLI entry point reads sys.argv by default",
+    **dict.fromkeys(["mc_deviation_prob.chunk", "ergodic_convergence_experiment.chunk"],
+                    "tests show that results do not depend on the chunk size"),
+}
+
+
+def test_every_default_is_set_by_a_caller():
+    sources = [p.read_text() for p in MODULES]
+    assert unset_defaults(sources, sources + README_BLOCKS, DEFAULTS_SET_BY_TESTS) == []
+    # and a test still sets every allowlisted default
+    tests = [p.read_text() for p in TESTS if p.name != "test_source.py"]
+    assert set(DEFAULTS_SET_BY_TESTS) & set(unset_defaults(sources, tests)) == set()
