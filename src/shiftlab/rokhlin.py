@@ -14,7 +14,10 @@ union sets A_{>=q} of measure at most 2^{-q} for which the windowed
 averages keep returning to 1 (and, on the complement, to 0) in every band
 of the concatenated interval sequence.  Every set on Z/M is a packed mask
 of M/64 words (see `windows`), so unions, intersections and window
-reductions run on words and every measure is a popcount.
+reductions run on words and every measure is a popcount.  The stages are
+built one at a time, last first, into one running union, and the bands of
+a union that share an interval length share one doubling chain, so the
+masks alive at once do not grow with the number of stages.
 """
 
 from __future__ import annotations
@@ -44,7 +47,9 @@ def _measure(mask: np.ndarray, modulus: int) -> Fraction:
 class BadIntervalPlan:
     """Interval layout for one escape stage.
 
-    N is minimal with 2/(N+1) < eps and (1-eps/2) N/(N+1) > 1-eps;
+    N is minimal with 2/(N+1) < eps and (1-eps/2) N/(N+1) > 1-eps, which
+    is N = floor(2/eps): the first inequality asks N + 1 > 2/eps, and then
+    N/(N+1) > 1 - eps/2 with (1 - eps/2)^2 > 1 - eps gives the second;
     ell = max of the requested interval lengths h(0..N-1);
     the n-th interval is {n ell, ..., n ell + ell - 1}.
     """
@@ -90,10 +95,7 @@ def plan_intervals(h: Union[Callable[[int], int], Sequence[int]], eps) -> BadInt
     eps_fr = as_fraction(eps)
     if not (0 < eps_fr < 1):
         raise TowerError(f"eps must lie in (0, 1), got {eps_fr}")
-    N = 1
-    while not (Fraction(2, N + 1) < eps_fr
-               and (1 - eps_fr / 2) * Fraction(N, N + 1) > 1 - eps_fr):
-        N += 1
+    N = 2 * eps_fr.denominator // eps_fr.numerator
     hs = [int(h(n)) if callable(h) else int(h[n]) for n in range(N)]
     if any(v < 1 for v in hs):
         raise TowerError("requested interval lengths must be >= 1")
@@ -135,13 +137,17 @@ class TowerSystem:
         tower = _tile_bits(period, H, self.columns * H)
         return _bits_from(_tile_bits(tower, M, 2 * M - o), M - o, -(-M // 64))
 
+    def band_measure(self, band: range) -> Fraction:
+        """Exact measure of the points whose level lies in `band`, a range
+        within 0..H: `columns` points per level."""
+        return Fraction(self.columns * len(band), self.modulus)
+
 
 @dataclass
 class TowerBuild:
     plan: BadIntervalPlan
     tower: TowerSystem
     a_mask: np.ndarray         # packed, like every mask below
-    b_mask: np.ndarray
     mu_a: Fraction
     mu_b: Fraction
 
@@ -156,15 +162,13 @@ def build_tower(plan: BadIntervalPlan, modulus: int, offset: int = 0) -> TowerBu
     if modulus < plan.min_modulus:
         raise TowerError(f"modulus too small: need >= {plan.min_modulus}, got {modulus}")
     tower = TowerSystem.build(modulus, plan.height, offset)
-    a_mask = tower.band_mask(plan.a_band)
-    b_mask = tower.band_mask(plan.b_band)
-    mu_a = _measure(a_mask, modulus)
-    mu_b = _measure(b_mask, modulus)
+    mu_a = tower.band_measure(plan.a_band)
+    mu_b = tower.band_measure(plan.b_band)
     if not mu_a < plan.eps:
         raise TowerError("capture slab unexpectedly large")
     if not mu_b > 1 - plan.eps:
         raise TowerError("bulk unexpectedly small")
-    return TowerBuild(plan, tower, a_mask, b_mask, mu_a, mu_b)
+    return TowerBuild(plan, tower, tower.band_mask(plan.a_band), mu_a, mu_b)
 
 
 def tower_level_rows(build: TowerBuild):
@@ -174,12 +178,22 @@ def tower_level_rows(build: TowerBuild):
         yield (level, int(a.start <= level < a.stop), int(b.start <= level < b.stop))
 
 
-def _captured(a_mask: np.ndarray, plan: BadIntervalPlan, modulus: int) -> np.ndarray:
-    """Packed mask of the x with some interval translate of x wholly inside
-    the set `a_mask`.  Interval n is interval 0 shifted by n*ell, so this is
-    an and-window over ell followed by an or-window over the N starts."""
-    base = circular_window_reduce(a_mask, plan.ell, 1, modulus, np.bitwise_and)
-    return circular_window_reduce(base, plan.N, plan.ell, modulus, np.bitwise_or)
+def _captured(a_mask: np.ndarray, plans: Sequence[BadIntervalPlan], modulus: int):
+    """Yield (j, mask) for each plans[j]: the packed mask of the x with some
+    interval translate of x wholly inside the set `a_mask`.  Interval n is
+    interval 0 shifted by n*ell, so this is an and-window over ell followed
+    by an or-window over the N starts; the plans that share ell share the
+    and-window and one or-chain for all their N.  Each mask is a fresh
+    array, produced only once the caller has taken the one before."""
+    by_ell: dict = {}
+    for j, plan in enumerate(plans):
+        by_ell.setdefault(plan.ell, {}).setdefault(plan.N, []).append(j)
+    for ell, by_n in by_ell.items():
+        [(_, base)] = circular_window_reduce(a_mask, [ell], 1, modulus, np.bitwise_and)
+        for count, captured in circular_window_reduce(base, by_n, ell, modulus,
+                                                      np.bitwise_or):
+            for j in by_n[count]:
+                yield j, captured
 
 
 @dataclass
@@ -192,8 +206,9 @@ def verify_capture(build: TowerBuild) -> CaptureReport:
     """Which x have some interval translate wholly inside A, exactly over
     the cyclic space: their measure, and whether every point of B is one."""
     M = build.tower.modulus
-    captured = _captured(build.a_mask, build.plan, M)
-    return CaptureReport(_measure(captured, M), not (build.b_mask & ~captured).any())
+    [(_, captured)] = _captured(build.a_mask, [build.plan], M)
+    b_mask = build.tower.band_mask(build.plan.b_band)
+    return CaptureReport(_measure(captured, M), not (b_mask & ~captured).any())
 
 
 # -- iterated escape stages -----------------------------------------------------
@@ -264,29 +279,29 @@ def bad_sequence_experiment(h: Union[Callable[[int], int], Sequence[int]],
         raise TowerError(
             f"infeasible schedule: shared modulus {modulus} exceeds the cap {MODULUS_CAP}")
 
-    stages = []
-    a_masks = []
-    for i, plan in enumerate(plans):
-        offset = int(mix_counters(derive_seed(seed, 0x70, i), i, 0)[()] % modulus)
-        build = build_tower(plan, modulus, offset)
-        a_masks.append(build.a_mask)
-        stages.append(StageRecord(plan.eps, n_starts[i], plan, offset, build.mu_a))
-
+    # stages last first into one running union A_{>=q}, each stage's tower
+    # dropped once its slab is in; the unions come back in k_probe order
     qs = list(k_probe) if k_probe is not None else list(range(i_max + 1))
-    mu_tail = {}
-    band_rows = []
-    all_bands = {}
-    for q in qs:
-        union = np.zeros(-(-modulus // 64), dtype=np.uint64)
-        for i in range(q, i_max):
-            union |= a_masks[i]
-        mu_tail[q] = _measure(union, modulus)
+    union = np.zeros(-(-modulus // 64), dtype=np.uint64)
+    stages = []
+    mu, rows, everywhere_frac = {}, {}, {}
+    for q in range(i_max - 1, -1, -1):
+        offset = int(mix_counters(derive_seed(seed, 0x70, q), q, 0)[()] % modulus)
+        build = build_tower(plans[q], modulus, offset)
+        union |= build.a_mask
+        stages.append(StageRecord(plans[q].eps, n_starts[q], plans[q], offset, build.mu_a))
+        del build
+        if q not in qs:
+            continue
+        fracs = {}
         everywhere = ~np.zeros_like(union)  # the first band clears the bits past M
-        for i in range(q, i_max):
-            captured = _captured(union, plans[i], modulus)
-            frac = _measure(captured, modulus)
-            band_rows.append(BandCapture(q, i, frac, frac))
+        for j, captured in _captured(union, plans[q:], modulus):
+            fracs[q + j] = _measure(captured, modulus)
             everywhere &= captured
-        if q < i_max:
-            all_bands[q] = _measure(everywhere, modulus)
-    return BadSequenceReport(modulus, stages, mu_tail, band_rows, all_bands)
+        mu[q] = _measure(union, modulus)
+        rows[q] = [BandCapture(q, i, fracs[i], fracs[i]) for i in range(q, i_max)]
+        everywhere_frac[q] = _measure(everywhere, modulus)
+    return BadSequenceReport(modulus, stages[::-1],
+                             {q: mu.get(q, Fraction(0)) for q in qs},
+                             [row for q in qs for row in rows.get(q, ())],
+                             {q: everywhere_frac[q] for q in qs if q < i_max})

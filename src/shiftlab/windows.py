@@ -6,9 +6,10 @@ residues so each run costs one prefix-sum pass over contiguous slices;
 `interval_window_outside` finds the anchors whose count of a 0/1 mask over
 an interval window leaves a band, counting exactly only in the blocks of 64
 anchors that one popcount per block cannot clear;
-`circular_window_reduce` evaluates and/or over an arithmetic progression of
-offsets by doubling over packed masks: point p of Z/M in bit p % 64 of word
-p // 64 of ceil(M/64) uint64 words, every bit from M on clear.
+`circular_window_reduce` evaluates and/or over arithmetic progressions of
+offsets by doubling over packed masks (point p of Z/M in bit p % 64 of word
+p // 64 of ceil(M/64) uint64 words, every bit from M on clear), one doubling
+chain serving every requested count of terms.
 """
 
 from __future__ import annotations
@@ -59,22 +60,27 @@ def _ones_between(words: np.ndarray, lo, hi) -> np.ndarray:
     """How many bits at positions lo[i] <= p < hi[i] are set in each row of
     `words`, bits packed little-endian into uint64 words along the last axis.
 
-    The ones below a position p are those of the words up to and including
-    word p // 64, from one popcount cumsum, less the popcount of that word
-    shifted right by p % 64.  lo and hi are uint64 arrays of positions, or
-    ranges of step 64, which read the words as slices.  Every p // 64 must
+    The ones below a position p are those of the words below word p // 64,
+    from an exclusive popcount prefix that starts with 0, plus the popcount
+    of the low p % 64 bits of word p // 64.  lo and hi are uint64 arrays of
+    positions, or ranges of step 64, which read the prefix as a slice (and
+    the words as one more slice unless the range starts on a word).  Every
+    p // 64 of an array, and of a range that does not start on a word, must
     index a word.
     """
-    through = np.cumsum(np.bitwise_count(words), axis=-1, dtype=np.int64)
+    before = np.zeros(words.shape[:-1] + (words.shape[-1] + 1,), dtype=np.int64)
+    np.cumsum(np.bitwise_count(words), axis=-1, dtype=np.int64, out=before[..., 1:])
 
     def ones_before(pos):
         if isinstance(pos, range):
             assert pos.step == 64
-            first = pos.start // 64
-            q, r = slice(first, first + len(pos)), np.uint64(pos.start % 64)
+            first, r = divmod(pos.start, 64)
+            q = slice(first, first + len(pos))
+            if not r:
+                return before[..., q]
         else:
             q, r = pos >> 6, pos & 63
-        return through[..., q] - np.bitwise_count(words[..., q] >> r)
+        return before[..., q] + np.bitwise_count(words[..., q] & ((np.uint64(1) << r) - 1))
 
     return ones_before(hi) - ones_before(lo)
 
@@ -150,28 +156,39 @@ def _tile_bits(words: np.ndarray, period: int, nbits: int) -> np.ndarray:
     return out
 
 
-def circular_window_reduce(mask: np.ndarray, count: int, step: int, modulus: int,
-                           op) -> np.ndarray:
-    """out[x] = op over n < count of mask[(x + n*step) % M], for all x, on packed masks.
+def circular_window_reduce(mask: np.ndarray, counts, step: int, modulus: int, op):
+    """Yield (count, out) in ascending count, one pair for each distinct count
+    in `counts`, where out[x] = op over n < count of mask[(x + n*step) % M]
+    for all x, on packed masks.
 
     `op` must be an idempotent bitwise ufunc (np.bitwise_and, np.bitwise_or).
-    The mask is first read around the circle into M + (count-1)*(step % M)
-    bits, so no pass wraps.  After the pass with shift k*step the array holds
-    windows of 2k terms; doubling stops at the largest power of two k <= count,
-    and one final pass shifted by count - k <= k overlaps the two halves,
-    which idempotence makes harmless.  That is ceil(log2 count) passes in total.
+    The mask is first read around the circle into M + (c-1)*(step % M) bits,
+    c the largest count, so no pass wraps.  After the pass with shift k*step
+    the array holds windows of 2k terms.  One doubling chain serves every
+    count: it doubles while 2k <= count, so a power of two is read off the
+    chain as it stands, and any other count costs one more pass, shifted by
+    count - k < k, whose two halves overlap harmlessly by idempotence.  That
+    is floor(log2 c) doubling passes plus one per count that is not a power
+    of two.  Each yielded mask is a fresh array, so the caller may keep or
+    change it while the chain goes on.
     """
-    if count < 1:
-        raise ValueError(f"window needs count >= 1, got {count}")
+    counts = sorted(set(counts))
+    if not counts or counts[0] < 1:
+        raise ValueError(f"window needs counts >= 1, got {counts}")
     m, s = modulus, step % modulus
-    w = _tile_bits(mask, m, m + (count - 1) * s)
+    n = -(-m // 64)
+    w = _tile_bits(mask, m, m + (counts[-1] - 1) * s)
     k = 1
-    while k < count:
-        shift = min(k, count - k)
-        ahead = _bits_from(w, shift * s, w.size)
-        op(w[:ahead.size], ahead, out=w[:ahead.size])
-        k += shift
-    w = w[:-(-m // 64)]
-    if m % 64:
-        w[-1] &= np.uint64((1 << m % 64) - 1)
-    return w
+    for count in counts:
+        while 2 * k <= count:
+            ahead = _bits_from(w, k * s, w.size)
+            op(w[:ahead.size], ahead, out=w[:ahead.size])
+            k *= 2
+        if count == k:
+            out = w[:n].copy()
+        else:
+            out = _bits_from(w, (count - k) * s, n)
+            op(out, w[:n], out=out)
+        if m % 64:
+            out[-1] &= np.uint64((1 << m % 64) - 1)
+        yield count, out

@@ -262,7 +262,8 @@ def test_criterion_09_tower_capture():
     rng = np.random.default_rng(0)
     m = build.tower.modulus
     a = np.unpackbits(build.a_mask.view(np.uint8), count=m, bitorder="little")
-    b = np.unpackbits(build.b_mask.view(np.uint8), count=m, bitorder="little")
+    b = np.unpackbits(build.tower.band_mask(build.plan.b_band).view(np.uint8), count=m,
+                      bitorder="little")
     for x in rng.integers(0, m, size=500):
         if b[x]:
             ok &= any(bool(a[(np.asarray(plan.interval(n)) + int(x)) % m].all())

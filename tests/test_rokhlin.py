@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from shiftlab import rokhlin
 from shiftlab.rokhlin import (TowerError, TowerSystem, bad_sequence_experiment,
                               build_tower, plan_intervals, verify_capture)
 
@@ -42,10 +43,20 @@ def test_plan_interval_lengths_cover_h():
         assert len(plan.interval(n)) == plan.ell >= h[n]
 
 
-def test_plan_minimal_n_across_eps():
-    for eps in ["0.5", "0.25", "0.125", "0.3"]:
-        plan = plan_intervals(lambda n: 2, eps)
-        assert plan.N == oracle_minimal_n(Fraction(eps))
+@given(st.fractions(min_value=0, max_value=1, max_denominator=400))
+@example(Fraction(1, 2))
+@example(Fraction(1, 10))    # 2/eps an integer: N = 20, as 2/20 < eps fails
+@example(Fraction(1, 49))
+@example(Fraction(3, 10))
+@example(Fraction(119, 120))
+@settings(max_examples=200, deadline=None)
+def test_plan_minimal_n_across_eps(eps):
+    if not 0 < eps < 1:
+        with pytest.raises(TowerError):
+            plan_intervals(lambda n: 2, eps)
+        return
+    plan = plan_intervals(lambda n: 2, eps)
+    assert plan.N == oracle_minimal_n(eps)
 
 
 def test_build_tower_exact_measures():
@@ -93,7 +104,7 @@ def test_capture_bulk_and_fraction():
     assert cap.fraction == Fraction(plan.N * plan.ell + 1, plan.height)
     # each sampled bulk point has an interval translate inside A, found by search
     a_lookup = unpack(build.a_mask, 420_000)
-    b = unpack(build.b_mask, 420_000)
+    b = unpack(build.tower.band_mask(plan.b_band), 420_000)
     rng = np.random.default_rng(0)
     for x in rng.integers(0, 420_000, size=200):
         if b[x]:
@@ -193,6 +204,7 @@ def test_band_mask_matches_level_oracle(case):
     got = tower.band_mask(band)
     assert got.dtype == np.uint64
     assert unpack(got, modulus).tolist() == expected.tolist()
+    assert tower.band_measure(band) == Fraction(int(np.bitwise_count(got).sum()), modulus)
     # the levels partition the tower: `columns` points each, M mod H outside
     counts = np.bincount(lev + 1, minlength=height + 1)
     assert counts[0] == modulus % height and (counts[1:] == tower.columns).all()
@@ -234,9 +246,47 @@ def test_bad_sequence_matches_enumeration(seed):
     assert rep.all_bands_frac == everywhere
 
 
-def test_bad_sequence_memory_stays_below_3_bytes_per_point():
-    # five stages of unit intervals share M = 109,395; packed masks keep the
-    # traced peak at about 1.9 bytes per point, where bool masks took 12.1
+def test_bad_sequence_probes_in_caller_order():
+    # unsorted, with a duplicate, the empty union at q = i_max and one past it
+    probe = [2, 0, 2, 3, 5, 1]
+    rep = bad_sequence_experiment(lambda n: 2 + (n % 3), 3, seed=4, k_probe=probe)
+    full = bad_sequence_experiment(lambda n: 2 + (n % 3), 3, seed=4)
+    assert rep.stages == full.stages
+    assert full.mu_tail[3] == 0
+    assert list(rep.mu_tail.items()) == [(q, full.mu_tail.get(q, 0)) for q in [2, 0, 3, 5, 1]]
+    assert list(rep.all_bands_frac.items()) == [(q, full.all_bands_frac[q]) for q in [2, 0, 1]]
+    rows = {q: [b for b in full.band_rows if b.q == q] for q in range(4)}
+    assert rows[3] == [] and rep.band_rows == rows[2] + rows[0] + rows[2] + rows[1]
+    want_rows, everywhere = brute_force_bands(full)
+    assert [(b.q, b.band, b.frac_full) for b in full.band_rows] == want_rows
+    assert full.all_bands_frac == everywhere
+
+
+def test_bad_sequence_shares_one_or_chain_per_union(monkeypatch):
+    # h = 1: every band of a union has ell = 1 and N = 4, 8, ..., 128, so the
+    # six unions take 7 doubling passes each, where a chain per band took 112
+    passes = []
+
+    def counted_or(*args, **kwargs):
+        passes.append(1)
+        return np.bitwise_or(*args, **kwargs)
+
+    real = rokhlin.circular_window_reduce
+
+    def reduce(mask, counts, step, modulus, op):
+        return real(mask, counts, step, modulus,
+                    counted_or if op is np.bitwise_or else op)
+
+    monkeypatch.setattr(rokhlin, "circular_window_reduce", reduce)
+    rep = bad_sequence_experiment(lambda n: 1, 6, seed=0)
+    assert [s.plan.N for s in rep.stages] == [4, 8, 16, 32, 64, 128]
+    assert len(passes) == 42
+
+
+def test_bad_sequence_memory_stays_below_1_5_bytes_per_point():
+    # five stages of unit intervals share M = 109,395; packed masks, built
+    # one stage at a time, keep the traced peak at about 1.2 bytes per point,
+    # where all stages held at once took 1.9 and bool masks 12.1
     tracemalloc.start()
     try:
         rep = bad_sequence_experiment(lambda n: 1, 5, seed=0)
@@ -244,4 +294,4 @@ def test_bad_sequence_memory_stays_below_3_bytes_per_point():
     finally:
         tracemalloc.stop()
     assert rep.modulus == 109_395
-    assert peak < 3 * rep.modulus
+    assert peak < 1.5 * rep.modulus

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -177,8 +179,8 @@ def reduce_cases(draw):
     # sizes on both sides of one and two 64-bit words
     m = draw(st.integers(1, 40) | st.integers(60, 200))
     mask = np.array(draw(st.lists(st.booleans(), min_size=m, max_size=m)), dtype=bool)
-    return (mask, draw(st.integers(1, 50)), draw(st.integers(1, 50)),
-            draw(st.sampled_from(sorted(FOLDS))))
+    return (mask, draw(st.lists(st.integers(1, 50), min_size=1, max_size=4)),
+            draw(st.integers(1, 50)), draw(st.sampled_from(sorted(FOLDS))))
 
 
 def _only(m, *true_at):
@@ -188,30 +190,55 @@ def _only(m, *true_at):
 
 
 @given(reduce_cases())
-@example((~_only(13, 4), 5, 3, "and"))         # count not a power of two, step > 1
-@example((~_only(10, 9), 7, 4, "and"))         # count*step > M, M not a multiple of step
-@example((_only(11, 2, 7), 12, 5, "or"))       # wraps the circle several times
-@example((~_only(8, 0), 3, 8, "and"))          # step a multiple of M
-@example((_only(9, 3), 1, 2, "or"))            # count 1 is a copy
-@example((~_only(64, 63), 5, 13, "and"))       # M one word exactly
-@example((_only(100, 0, 99), 9, 37, "or"))     # M not a multiple of 64
-@example((~_only(130, 64, 129), 40, 129, "and"))  # step M - 1 across three words
+@example((~_only(13, 4), [5], 3, "and"))         # count not a power of two, step > 1
+@example((~_only(10, 9), [7, 2], 4, "and"))      # count*step > M, M not a multiple of step
+@example((_only(11, 2, 7), [12], 5, "or"))       # wraps the circle several times
+@example((~_only(8, 0), [3], 8, "and"))          # step a multiple of M
+@example((_only(9, 3), [1], 2, "or"))            # count 1 is a copy
+@example((~_only(64, 63), [5, 5, 4], 13, "and"))  # M one word exactly, a repeated count
+@example((_only(100, 0, 99), [9, 1, 16, 3], 37, "or"))   # M not a multiple of 64
+@example((~_only(130, 64, 129), [40], 129, "and"))  # step M - 1 across three words
+@example((_only(70, 5), [6, 7, 8], 2, "or"))     # the overlaps for 6 and 7 leave 8's chain intact
 @settings(max_examples=300, deadline=None)
 def test_window_reduce_matches_brute_force(case):
-    mask, count, step, name = case
+    mask, counts, step, name = case
     m = mask.size
     ufunc, fold = FOLDS[name]
     words = pack(mask)
     before = words.copy()
-    got = circular_window_reduce(words, count, step, m, ufunc)
-    expected = [fold(bool(mask[(x + n * step) % m]) for n in range(count))
-                for x in range(m)]
-    assert got.dtype == np.uint64
-    assert unpack(got, m).tolist() == expected
-    assert not np.shares_memory(got, words)
+    got = list(circular_window_reduce(words, counts, step, m, ufunc))
+    assert [count for count, _ in got] == sorted(set(counts))
+    for count, out in got:
+        expected = [fold(bool(mask[(x + n * step) % m]) for n in range(count))
+                    for x in range(m)]
+        assert out.dtype == np.uint64
+        assert unpack(out, m).tolist() == expected
+        assert not np.shares_memory(out, words)
+    for (_, a), (_, b) in itertools.combinations(got, 2):
+        assert not np.shares_memory(a, b)
     assert (words == before).all()
 
 
+def test_window_reduce_shares_one_doubling_chain():
+    # floor(log2 max count) doubling passes, plus one for each count that is
+    # not a power of two
+    m = 1000
+    mask = pack(np.random.default_rng(0).random(m) < 0.9)
+    for counts, passes in [([4, 8, 16, 32, 64, 128], 7), ([1], 0), ([2], 1),
+                           ([3], 2), ([5, 6, 7, 8], 6), ([100], 7), ([3, 100, 128], 9)]:
+        calls = []
+
+        def counted_and(*args, **kwargs):
+            calls.append(1)
+            return np.bitwise_and(*args, **kwargs)
+
+        for _ in circular_window_reduce(mask, counts, 3, m, counted_and):
+            pass
+        assert len(calls) == passes
+
+
 def test_window_reduce_rejects_empty_window():
-    with pytest.raises(ValueError):
-        circular_window_reduce(pack(np.ones(4, dtype=bool)), 0, 1, 4, np.bitwise_and)
+    ones = pack(np.ones(4, dtype=bool))
+    for counts in ([0], [3, 0, 2], []):
+        with pytest.raises(ValueError, match="counts >= 1"):
+            list(circular_window_reduce(ones, counts, 1, 4, np.bitwise_and))
