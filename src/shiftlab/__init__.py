@@ -14,8 +14,8 @@ from .lll import (BadEvent, CertificationError, ExplicitEvent,
                   FrequencyDeviationEvent, GLLLWitnessSpec, InstanceStats,
                   check_glll_witness, event_probability_exact,
                   find_log_growth_constant, find_slll_threshold, slll_stats)
-from .moser_tardos import (EventFamily, MTResult, TapeSpace, resample_fraction,
-                           run_mt, stabilization_ledger, tape_consistency)
+from .moser_tardos import (MTResult, TapeSpace, resample_fraction, run_mt,
+                           stabilization_ledger, tape_consistency)
 from .ergodic import (ConvergenceReport, ergodic_convergence_experiment,
                       log_growth_size, near_invariant_measure,
                       periodic_cylinder_table, uniform_discrepancy_experiment)

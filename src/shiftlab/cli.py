@@ -35,8 +35,8 @@ from .groups import CyclicTranslation, GroupCtx, GroupSet, integer_interval
 from .lll import (CertificationError, FrequencyDeviationEvent, GLLLWitnessSpec,
                   check_glll_witness, default_witness_exponent,
                   find_log_growth_constant, find_slll_threshold, slll_stats)
-from .moser_tardos import (EventFamily, TapeSpace, resample_fraction, run_mt,
-                           stabilization_ledger, tape_consistency)
+from .moser_tardos import (TapeSpace, resample_fraction, run_mt, stabilization_ledger,
+                           tape_consistency)
 from .rng import _kernel_mark, _kernel_meta, derive_seed
 from .rokhlin import (TowerError, bad_sequence_experiment, build_tower, plan_intervals,
                       tower_level_rows, verify_capture)
@@ -323,8 +323,7 @@ def _run_lll_check(p, out, jobs, transcript):
     S = integer_interval(p["s_size"])
     eps = as_fraction(p["eps"])
     if p["mode"] == "slll":
-        stats = slll_stats(p["k"], S, eps, integer_interval(p["d_size"]),
-                           degree_mode="auto")
+        stats = slll_stats(p["k"], S, eps, integer_interval(p["d_size"]))
         thr = find_slll_threshold(p["k"], S, eps, shape=p["shape"],
                                   search_cap=p["search_cap"])
         _write_csv(out / "lll-check-detail.csv",
@@ -332,7 +331,8 @@ def _run_lll_check(p, out, jobs, transcript):
                    [("p_bound", stats.p_bound), ("d_bound", stats.d_bound),
                     ("slll_margin", stats.slll_margin),
                     ("threshold", "none" if thr.threshold is None else thr.threshold),
-                    ("stationary_point", thr.stationary_point), ("case", thr.case)])
+                    ("stationary_point", thr.stationary_point),
+                    ("case", "not-found" if thr.threshold is None else "crossing")])
         return {"mode": "slll", "slll_margin": stats.slll_margin,
                 "certified": stats.certified,
                 "threshold": thr.threshold,
@@ -360,7 +360,6 @@ def _run_moser_tardos(p, out, jobs, transcript):
     eps = as_fraction(p["eps"])
     action = CyclicTranslation(p["modulus"])
     ev = FrequencyDeviationEvent(k, S, eps, D)
-    family = EventFamily.of(ev)
     a = p.get("a") or default_witness_exponent(eps, len(S))
     omega = GLLLWitnessSpec(a).omega(len(D))
     seeds = list(range(p["seeds"])) if isinstance(p["seeds"], int) else list(p["seeds"])
@@ -368,10 +367,10 @@ def _run_moser_tardos(p, out, jobs, transcript):
     def one(seed):
         # measured inside the task, so only one seed's arrays are alive at a time
         tr = [] if transcript else None
-        res = run_mt(action, family, TapeSpace(seed=derive_seed(seed, 0xA0), k=k),
+        res = run_mt(action, [ev], TapeSpace(seed=derive_seed(seed, 0xA0), k=k),
                      max_steps=p.get("max_steps"), transcript=tr)
-        fr = resample_fraction(res, family, {0: omega})
-        led = stabilization_ledger(res, action, family)
+        fr = resample_fraction(res)
+        led = stabilization_ledger(res)
         tap = tape_consistency(res)
         return (seed, res.converged, res.steps, float(fr.frac_resampled),
                 float(fr.frac_changed), res.index_total(0), led, tap), tr
@@ -429,7 +428,7 @@ def _run_uniform_discrepancy(p, out, jobs, transcript):
             "max_deviation": res.max_deviation, "all_within": res.all_within,
             "violating_fraction": res.delta_report,
             "frac_resampled": res.fractions.frac_resampled,
-            "resample_budget": res.fractions.bound,
+            "resample_budget": res.resample_budget,
             "warnings": res.warnings,
             "verdict": "pass" if ok else "fail"}
 

@@ -19,7 +19,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .groups import FiniteAction, GroupError, GroupSet, set_product
+from .groups import FiniteAction, GroupError, GroupSet, is_sd_free, set_product
 from .rng import derive_seed, pattern_counts
 from .shift import Pattern, all_patterns, as_fraction
 
@@ -91,34 +91,22 @@ class McEstimate:
     expectation_zscore: float      # of mean_occurrences against |D| / k^{|S|}
 
 
-def _check_sd_free_at(action: FiniteAction, S: GroupSet, D: GroupSet, x: int) -> np.ndarray:
-    """D.x, after checking that D moves x to distinct points and that S moves
-    each point of D.x and x itself to distinct points."""
-    dx = action.translates(D.elements, x)
-    if len(set(dx.tolist())) != dx.size:
-        raise GroupError("action is not D-free at the chosen point")
-    orbit = np.append(dx, x)  # x may also lie in D.x; a second check of it is harmless
-    # column j holds S.y for the orbit point y = orbit[j]
-    images = np.sort(np.stack([action.image(s, orbit) for s in S.elements]), axis=0)
-    if np.any(images[1:] == images[:-1]):
-        raise GroupError("action is not S-free on the sampled orbit")
-    return dx
-
-
-def mc_deviation_prob(phi: Pattern, eps, D: GroupSet, action: FiniteAction, x: int,
+def mc_deviation_prob(phi: Pattern, eps, D: GroupSet, action: FiniteAction,
                       trials: int, seed: int, chunk: int | None = None) -> McEstimate:
     """Estimate the deviation probability bounded by concentration_bound for
     the pattern phi on S = phi.domain over k = phi.k colors.
 
-    Each trial colors SD.x uniformly at random and counts the elements of D
-    at which phi occurs in the coloring pulled back through the action.  A
+    The action must be (S, D)-free (`is_sd_free`); the estimate is then the
+    same from every anchor, so the orbit is sampled from point 0.  Each
+    trial colors SD.0 uniformly at random and counts the elements of D at
+    which phi occurs in the coloring pulled back through the action.  A
     trial is a hit when the frequency misses k^{-|S|} by eps or more (exact
     rational comparison).  The occurrence-count mean is also compared with
     |D| / k^{|S|}.  Trials run `chunk` at a time through one
     `rng.pattern_counts` call, by default up to 65,536 of them, so the
     counts of a call take at most 512 KiB; every accumulator is an exact
     integer count, so the chunk size cannot change the result.  The columns
-    of s*D.x are selected as a slice when they are consecutive sites, as they
+    of s*D.0 are selected as a slice when they are consecutive sites, as they
     are for intervals S and D on a cyclic action, and as an index array
     otherwise; the C kernel counts only all-slice patterns.
     """
@@ -131,12 +119,14 @@ def mc_deviation_prob(phi: Pattern, eps, D: GroupSet, action: FiniteAction, x: i
         raise ValueError("deviation tolerance must be positive")
     if len(D) == 0:
         raise ValueError("D must be nonempty")
-    dx = _check_sd_free_at(action, S, D, x)
+    if not is_sd_free(action, [S, D]):
+        raise GroupError("action is not (S, D)-free")
+    dx = action.translates(D.elements, 0)
 
-    # the sites SD.x, numbered in order of first appearance along sorted SD
-    sites = action.translates(set_product(S, D).elements, x).tolist()
+    # the sites SD.0, numbered in order of first appearance along sorted SD
+    sites = action.translates(set_product(S, D).elements, 0).tolist()
     column = {y: i for i, y in enumerate(dict.fromkeys(sites))}
-    # columns of s.(d.x) for each s (in the order of sorted D): a slice when
+    # columns of s.(d.0) for each s (in the order of sorted D): a slice when
     # they are consecutive sites, else the index array
     cols = []
     for s in S.elements:
@@ -208,7 +198,7 @@ def deviation_sweep(grid, action: FiniteAction, trials: int, seed: int) -> list[
     points = []
     for i, (k, S, eps, D) in enumerate(grid):
         phi = all_patterns(S, k)[0]  # all-zero pattern: worst positive correlation
-        est = mc_deviation_prob(phi, eps, D, action, 0, trials, derive_seed(seed, i))
+        est = mc_deviation_prob(phi, eps, D, action, trials, derive_seed(seed, i))
         points.append((k, len(S), float(as_fraction(eps)), len(D),
                        concentration_bound(eps, len(S), len(D)), est))
     tested = sum(bound < VACUOUS_BOUND for *_, bound, _est in points)

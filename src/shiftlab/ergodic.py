@@ -21,8 +21,8 @@ from .groups import (CyclicTranslation, FiniteAction, GroupCtx, GroupError,
                      GroupSet, is_sd_free)
 from .lll import (CertificationError, FrequencyDeviationEvent, GLLLWitnessSpec,
                   check_glll_witness, default_witness_exponent, slll_stats)
-from .moser_tardos import (EventFamily, MTResult, TapeSpace, frequency_counts,
-                           resample_fraction, run_mt)
+from .moser_tardos import (MTResult, TapeSpace, frequency_counts, resample_fraction,
+                           run_mt)
 from .rng import block_rows, color_matrix, derive_seed
 from .shift import Pattern, PatternStats, all_patterns, as_fraction
 from .windows import _ones_between
@@ -165,7 +165,8 @@ class UniformDiscrepancyResult:
     certified: bool
     max_deviation: Optional[Fraction]
     all_within: Optional[bool]   # deviation <= eps at every point and n
-    fractions: object            # ResampleFractions vs the budget
+    fractions: object            # ResampleFractions
+    resample_budget: float       # sum_n |S D_n| omega(n) / (1 - omega(n)), the witness budget
     warnings: list
     delta_report: Fraction = Fraction(0)   # fraction of points still violating
 
@@ -206,12 +207,10 @@ def uniform_discrepancy_experiment(k: int, S: GroupSet, eps, d_sets: Sequence[Gr
         warnings.append("witness certificate failed; no uniform-control claim is made")
 
     events = [FrequencyDeviationEvent(k, S, eps_fr, ds) for ds in d_sets]
-    family = EventFamily(tuple(enumerate(events)))
-    tape = TapeSpace(seed=seed, k=k)
-    result = run_mt(action, family, tape)
-
-    omegas = {n: witness.omega(len(ds)) for n, ds in enumerate(d_sets)}
-    fracs = resample_fraction(result, family, omegas)
+    result = run_mt(action, events, TapeSpace(seed=seed, k=k))
+    fracs = resample_fraction(result)
+    omegas = [witness.omega(len(ds)) for ds in d_sets]
+    budget = sum(len(ev.domain) * w / (1.0 - w) for ev, w in zip(events, omegas))
 
     stats_per_n = []
     max_dev: Optional[Fraction] = None
@@ -231,7 +230,7 @@ def uniform_discrepancy_experiment(k: int, S: GroupSet, eps, d_sets: Sequence[Gr
         all_within = max_dev <= eps_fr
     delta = Fraction(len(result.defect_points), action.n_points)
     return UniformDiscrepancyResult(result, stats_per_n, certified, max_dev, all_within,
-                                    fracs, warnings, delta)
+                                    fracs, budget, warnings, delta)
 
 
 # -- periodic approximations of the uniform measure ----------------------------
@@ -319,7 +318,7 @@ def near_invariant_measure(k: int, S: GroupSet, eps, D: GroupSet, modulus: int,
         raise CertificationError(
             f"instance not certified: margin {stats.slll_margin:.3g} >= 1")
     ev = FrequencyDeviationEvent(k, S, eps_fr, D)
-    result = run_mt(action, EventFamily.of(ev), TapeSpace(seed=seed, k=k))
+    result = run_mt(action, [ev], TapeSpace(seed=seed, k=k))
     if not result.converged:
         raise RuntimeError("resampling did not converge within the step budget")
 

@@ -177,13 +177,17 @@ def slll_stats(k: int, S: GroupSet, eps, D: GroupSet,
     """Probability/degree bounds for the frequency event with domain SD.
 
     degree mode:
-      - "auto": |(SD)^-1 SD| - 1 exactly when |SD| <= 10000 (see
-        `difference_set_size`), else the generic cap |S|^2 |D|^2 - 1;
+      - "auto": the interval closed form when S and D are integer
+        intervals, at every size; else |(SD)^-1 SD| - 1 exactly when
+        |SD| <= 10000 (see `difference_set_size`), else the generic cap
+        |S|^2 |D|^2 - 1;
       - "generic": always the cap;
       - "interval": closed form 2|SD| - 2 for integer intervals S, D.
     """
     epsf = float(as_fraction(eps))
     p = p_bound_freq(k, len(S), epsf, len(D))
+    if degree_mode == "auto" and S.interval is not None and D.interval is not None:
+        degree_mode = "interval"
     if degree_mode == "auto":
         cap = _neighbor_count(len(S), len(D), len(D), "generic") - 1
         exact = difference_set_size(S, D)
@@ -198,7 +202,6 @@ def slll_stats(k: int, S: GroupSet, eps, D: GroupSet,
 class ThresholdResult:
     threshold: Optional[int]   # None when the margin at search_cap is >= 1
     stationary_point: int
-    case: str  # "crossing" | "not-found"
 
 
 def find_slll_threshold(k: int, S: GroupSet, eps, shape: str = "interval",
@@ -223,7 +226,7 @@ def find_slll_threshold(k: int, S: GroupSet, eps, shape: str = "interval",
 
     m_star = max(1, math.ceil(4.0 * s_sz ** 3 / (epsf * epsf)))
     if margin(search_cap) >= 1.0:
-        return ThresholdResult(None, m_star, "not-found")
+        return ThresholdResult(None, m_star)
     # No scan left of the stationary point is needed.  The log-margin is
     # concave on [1, m_star], so its least value there is at an end.  At
     # m = 1 the margin is at least 2e exp(-1/2) = 3.30 (k = |S| = 1, eps -> 1);
@@ -237,7 +240,7 @@ def find_slll_threshold(k: int, S: GroupSet, eps, shape: str = "interval",
             hi = mid
         else:
             lo = mid
-    return ThresholdResult(hi, m_star, "crossing")
+    return ThresholdResult(hi, m_star)
 
 
 # -- general (witnessed) certification ----------------------------------------
@@ -372,12 +375,7 @@ def check_glll_witness(k: int, S: GroupSet, eps, d_seq: Sequence[GroupSet],
     records: list[IneqRecord] = []
 
     # budget sum over the prefix
-    sd_sizes = []
-    for D in d_seq:
-        if s_sz * len(D) <= 1_000_000:
-            sd_sizes.append(len(set_product(S, D)))
-        else:
-            sd_sizes.append(s_sz * len(D))
+    sd_sizes = [len(set_product(S, D)) for D in d_seq]
     budget = sum(sd * w / (1.0 - w) for sd, w in zip(sd_sizes, omegas))
 
     n_pref = len(d_seq)

@@ -1,19 +1,20 @@
 """Resampling dynamics with per-point randomness tapes.
 
 Every point owns a virtual infinite tape of i.i.d. uniform colors; the
-current coloring reads symbol t(x) of each tape.  While some anchored bad
-event is violated, a maximal disjoint batch of violated events is selected
-(greedily, in (family index, anchor) order) and every point in their
-domains advances its tape by one.  Tapes are recomputed from the
-counter-based derivation, never stored, so memory scales with the point
-count and not with resample depth.
+current coloring reads symbol t(x) of each tape.  The bad events come as a
+plain sequence, member n at position n.  While some anchored bad event is
+violated, a maximal disjoint batch of violated events is selected
+(greedily, in (position, anchor) order) and every point in their domains
+advances its tape by one.  Tapes are recomputed from the counter-based
+derivation, never stored, so memory scales with the point count and not
+with resample depth.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -39,34 +40,6 @@ class TapeSpace:
         return uniform_colors(self.seed, points, ts, self.k)
 
 
-@dataclass(frozen=True)
-class EventFamily:
-    """Indexed family of bad events; indices must be distinct."""
-
-    members: tuple  # ((n, BadEvent), ...)
-
-    def __post_init__(self):
-        ns = [n for n, _ in self.members]
-        if len(set(ns)) != len(ns):
-            raise ValueError("family indices must be distinct")
-        for _, ev in self.members:
-            if len(ev.domain) == 0:
-                raise ValueError("event domains must be nonempty")
-        # canonical order: selection below walks members index-major
-        object.__setattr__(self, "members", tuple(sorted(self.members,
-                                                         key=lambda m: m[0])))
-
-    @classmethod
-    def of(cls, *events: BadEvent) -> "EventFamily":
-        return cls(tuple(enumerate(events)))
-
-    def __iter__(self):
-        return iter(self.members)
-
-    def __len__(self):
-        return len(self.members)
-
-
 @dataclass
 class MTResult:
     coloring: np.ndarray          # g(p) = symbol(p, t(p))
@@ -78,6 +51,8 @@ class MTResult:
     tape: TapeSpace
     first_row: np.ndarray         # tape row 0, the starting coloring (not aliased)
     points: np.ndarray            # 0..n-1: the counters of row 0 and of tape_consistency
+    action: FiniteAction          # the action the run resampled on
+    events: tuple                 # the bad events it ran, member n at position n
 
     def index_total(self, n: int) -> int:
         return sum(c for (m, _x), c in self.index_counts.items() if m == n)
@@ -160,26 +135,28 @@ def violated_anchors(action: FiniteAction, ev: BadEvent, g: np.ndarray) -> np.nd
 # -- the resampling loop -------------------------------------------------------
 
 
-def run_mt(action: FiniteAction, family: EventFamily, tape: TapeSpace,
+def run_mt(action: FiniteAction, events: Sequence[BadEvent], tape: TapeSpace,
            max_steps: Optional[int] = None, transcript: Optional[list] = None) -> MTResult:
     """Iterate resampling until no anchored event is violated.
 
-    Precondition (checked): the action is F_n-free for every member.
-    Exhausting max_steps is a reported outcome (converged=False with the
-    residual violated anchors), not an exception.
+    `events` is a plain sequence: member n is `events[n]`, and selection and
+    `index_counts` key it by n.  Precondition (checked): the action is
+    F_n-free for every member.  Exhausting max_steps is a reported outcome
+    (converged=False with the residual violated anchors), not an exception.
     """
-    for n, ev in family:
+    events = tuple(events)
+    for n, ev in enumerate(events):
         if not is_sd_free(action, [ev.domain]):
             raise GroupError(f"action is not free for the domain of event {n}")
     if max_steps is None:
-        max_steps = 1000 * max(1, len(family)) * action.n_points
+        max_steps = 1000 * max(1, len(events)) * action.n_points
 
     n_pts = action.n_points
     t = np.zeros(n_pts, dtype=np.int64)
     points = np.arange(n_pts)
     g = tape.symbols(points, 0)
     first_row = g.copy()  # g is resampled in place below
-    domains = {n: ev.domain.elements for n, ev in family}
+    domains = [ev.domain.elements for ev in events]
     index_counts: dict = {}
     steps = 0
     converged = False
@@ -187,7 +164,7 @@ def run_mt(action: FiniteAction, family: EventFamily, tape: TapeSpace,
 
     while True:
         candidates = []
-        for n, ev in family:
+        for n, ev in enumerate(events):
             for x in violated_anchors(action, ev, g):
                 candidates.append((n, int(x)))
         if not candidates:
@@ -199,7 +176,7 @@ def run_mt(action: FiniteAction, family: EventFamily, tape: TapeSpace,
 
         claimed = np.zeros(n_pts, dtype=bool)
         selected = []
-        for n, x in candidates:  # (n, anchor) order: families ascending, anchors ascending
+        for n, x in candidates:  # (n, anchor) order: members ascending, anchors ascending
             dom = action.translates(domains[n], x)
             if claimed[dom].any():
                 continue
@@ -215,7 +192,8 @@ def run_mt(action: FiniteAction, family: EventFamily, tape: TapeSpace,
                                "tape_advanced": int(touched.size)})
         steps += 1
 
-    return MTResult(g, t, index_counts, steps, converged, residual, tape, first_row, points)
+    return MTResult(g, t, index_counts, steps, converged, residual, tape, first_row, points,
+                    action, events)
 
 
 # -- post-run measurements -----------------------------------------------------
@@ -227,14 +205,13 @@ def tape_consistency(result: MTResult) -> bool:
     return bool(np.array_equal(expect, result.coloring))
 
 
-def stabilization_ledger(result: MTResult, action: FiniteAction,
-                         family: EventFamily) -> bool:
+def stabilization_ledger(result: MTResult) -> bool:
     """Exact integer identity: each point's resample count equals the sum of
     selection counts of the events whose domains cover it."""
     t_check = np.zeros(result.t.size, dtype=np.int64)
-    domains = {n: ev.domain.elements for n, ev in family}
+    domains = [ev.domain.elements for ev in result.events]
     for (n, x), c in result.index_counts.items():
-        t_check[action.translates(domains[n], x)] += c
+        t_check[result.action.translates(domains[n], x)] += c
     return bool(np.array_equal(t_check, result.t))
 
 
@@ -242,15 +219,10 @@ def stabilization_ledger(result: MTResult, action: FiniteAction,
 class ResampleFractions:
     frac_resampled: Fraction      # points with t >= 1
     frac_changed: Fraction        # points whose final color differs from tape row 0
-    bound: Optional[float]        # sum |F_n| omega(n)/(1-omega(n)), when given
 
 
-def resample_fraction(result: MTResult, family: Optional[EventFamily] = None,
-                      omegas: Optional[dict] = None) -> ResampleFractions:
+def resample_fraction(result: MTResult) -> ResampleFractions:
     n_pts = result.t.size
     resampled = int(np.count_nonzero(result.t))  # t is never negative
     changed = int(np.count_nonzero(result.coloring != result.first_row))
-    bound = None
-    if family is not None and omegas is not None:
-        bound = sum(len(ev.domain) * omegas[n] / (1.0 - omegas[n]) for n, ev in family)
-    return ResampleFractions(Fraction(resampled, n_pts), Fraction(changed, n_pts), bound)
+    return ResampleFractions(Fraction(resampled, n_pts), Fraction(changed, n_pts))

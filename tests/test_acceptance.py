@@ -17,8 +17,8 @@ from shiftlab.groups import (CyclicTranslation, GroupCtx, difference_set_size,
                              integer_interval, set_product)
 from shiftlab.lll import FrequencyDeviationEvent, find_log_growth_constant, \
     find_slll_threshold, slll_stats
-from shiftlab.moser_tardos import (EventFamily, TapeSpace, frequency_counts,
-                                   run_mt, stabilization_ledger, tape_consistency)
+from shiftlab.moser_tardos import (TapeSpace, frequency_counts, run_mt,
+                                   stabilization_ledger, tape_consistency)
 from shiftlab.rng import color_matrix, derive_seed, uniform_colors
 from shiftlab.rokhlin import bad_sequence_experiment, build_tower, plan_intervals, \
     verify_capture
@@ -137,12 +137,11 @@ def _ensemble():
     t0 = time.time()
     action = CyclicTranslation(100_000)
     ev = FrequencyDeviationEvent(2, S1, EPS, D4000)
-    family = EventFamily.of(ev)
     runs = []
     for sd in range(100):
         tape = TapeSpace(seed=derive_seed(404, sd), k=2)
-        runs.append(run_mt(action, family, tape))
-    _ENSEMBLE.update(action=action, ev=ev, family=family, runs=runs,
+        runs.append(run_mt(action, [ev], tape))
+    _ENSEMBLE.update(action=action, ev=ev, runs=runs,
                      elapsed=time.time() - t0)
     return _ENSEMBLE
 
@@ -193,7 +192,7 @@ def test_criterion_06_ledger_identity():
     ok = True
     for r in ens["runs"]:
         if r.converged:
-            ok &= stabilization_ledger(r, ens["action"], ens["family"])
+            ok &= stabilization_ledger(r)
     report(6, ok, "t(p) equals the summed selection counts over covering events, "
                   "exact integers, on every converged run")
 

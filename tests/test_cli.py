@@ -85,6 +85,20 @@ def test_eps_too_small_lll_check_exits_2(tmp_path):
     assert summary["summary"]["verdict"] == "slll_margin >= 1"
 
 
+def test_large_interval_lll_check_certifies_by_the_closed_form(tmp_path):
+    # |SD| = 15946 > 10000: the degree is still the interval closed form, so
+    # the margin certifies at the threshold the same run reports
+    out = tmp_path / "rep"
+    cfg = write_config(tmp_path, {
+        "experiment": "lll-check", "mode": "slll", "k": 2, "s_size": 1,
+        "eps": "0.04", "d_size": 15946})
+    assert main(["run", cfg, "--out", str(out)]) == EXIT_OK
+    rows = dict(line.split(",") for line in
+                (out / "lll-check-detail.csv").read_text().splitlines()[1:])
+    assert rows["d_bound"] == "31890" and rows["threshold"] == "15946"
+    assert float(rows["slll_margin"]) < 1 and rows["case"] == "crossing"
+
+
 def test_resfin_run(tmp_path):
     out = tmp_path / "rep"
     cfg = write_config(tmp_path, {

@@ -10,7 +10,7 @@ from shiftlab import concentration, rng
 from shiftlab.concentration import (WILSON_Z95, McEstimate, concentration_bound, deviates,
                                     deviation_sweep, familywise_z, mc_deviation_prob,
                                     scb_bound, wilson_interval)
-from shiftlab.groups import (CyclicTranslation, FiniteAction, GroupCtx, GroupError,
+from shiftlab.groups import (CyclicTranslation, GroupCtx, GroupError,
                              GroupSet, integer_interval)
 from shiftlab.shift import all_patterns
 
@@ -88,7 +88,7 @@ def test_mc_impossible_deviation_eps_ge_1():
     # frequency lives in [0,1] and the target is <= 1/2: deviation 1 never happens
     phi = all_patterns(integer_interval(1), 2)[0]
     est = mc_deviation_prob(phi, Fraction(1), integer_interval(50), CyclicTranslation(1000),
-                            0, 500, seed=4)
+                            500, seed=4)
     assert est.hits == 0
 
 
@@ -96,7 +96,7 @@ def test_mc_singleton_always_deviates():
     # |D| = 1: frequency is 0 or 1, both at distance 1/2 >= 0.4 from the target
     phi = all_patterns(integer_interval(1), 2)[0]
     est = mc_deviation_prob(phi, Fraction(2, 5), integer_interval(1), CyclicTranslation(100),
-                            0, 400, seed=4)
+                            400, seed=4)
     assert est.estimate == 1.0
     assert concentration_bound(Fraction(2, 5), 1, 1) > 1.0  # vacuous, consistent
 
@@ -104,7 +104,7 @@ def test_mc_singleton_always_deviates():
 def test_mc_expectation_identity():
     phi = all_patterns(integer_interval(2), 2)[0]
     est = mc_deviation_prob(phi, Fraction(1, 10), integer_interval(400),
-                            CyclicTranslation(5000), 0, 3000, seed=8)
+                            CyclicTranslation(5000), 3000, seed=8)
     # the z-score measures the mean count against |D| / k^{|S|} = 400 / 4; the
     # count of 00 over 400 sites has variance 400 (3/16) + 2 * 399 (1/8 - 1/16)
     sigma = math.sqrt((400 * 3 / 16 + 2 * 399 / 16) / 3000)
@@ -120,7 +120,7 @@ def test_mc_zero_variance_zscore_has_the_sign_of_the_miss(seed, mean, z):
     # mean - expected, or 0 when the mean is exact
     phi = all_patterns(integer_interval(1), 2)[0]
     est = mc_deviation_prob(phi, Fraction(1, 10), integer_interval(50),
-                            CyclicTranslation(1000), 0, trials=1, seed=seed)
+                            CyclicTranslation(1000), trials=1, seed=seed)
     expected = 50 / 2  # |D| / k^{|S|}
     assert est.mean_occurrences == mean
     assert est.expectation_zscore == z == (
@@ -132,54 +132,12 @@ def test_mc_requires_freeness():
     # D = {0..19} on a 10-point cycle collides
     with pytest.raises(GroupError):
         mc_deviation_prob(phi, Fraction(1, 10), integer_interval(20), CyclicTranslation(10),
-                          0, 10, seed=0)
-
-
-class _PinnedCycle(FiniteAction):
-    """Translation of Z/M except at one point, which every element fixes, so
-    S-freeness fails at that point only.  It is not a group action: the
-    orbit check has to find the one bad point, not infer it from x."""
-
-    ctx, total = GroupCtx("integers"), True
-
-    def __init__(self, modulus, pinned):
-        self.n_points, self.pinned = modulus, pinned
-
-    def act(self, gamma, point):
-        return point if point == self.pinned else (point + gamma) % self.n_points
-
-    def act_array(self, gamma, points):
-        return np.where(points == self.pinned, points, (points + gamma) % self.n_points)
-
-
-def _sd_free_verdict(action, S, D, x):
-    """The freeness check point by point: None, or the first failure."""
-    dx = [action.act(d, x) for d in D]
-    if len(set(dx)) < len(dx):
-        return "not D-free"
-    for y in set(dx) | {x}:
-        if len({action.act(s, y) for s in S}) < len(S):
-            return "not S-free"
-    return None
-
-
-@pytest.mark.parametrize("s_items, d_items", [([0, 1], [0, 2, 3]), ([-1, 4], [1, 6])])
-def test_mc_freeness_check_matches_point_by_point_loop(s_items, d_items):
-    Z = GroupCtx("integers")
-    S, D = gset(Z, s_items), gset(Z, d_items)
-    phi = all_patterns(S, 2)[0]
-    action = _PinnedCycle(12, pinned=5)
-    seen = set()
-    for x in range(12):
-        verdict = _sd_free_verdict(action, S, D, x)
-        seen.add(verdict)
-        if verdict is None:
-            assert 0 <= mc_deviation_prob(phi, Fraction(1, 4), D, action, x, 3, seed=x).hits <= 3
-        else:
-            with pytest.raises(GroupError, match=verdict):
-                mc_deviation_prob(phi, Fraction(1, 4), D, action, x, 3, seed=x)
-    # x = 5 collapses D.x; an x whose orbit passes 5 fails S-freeness there only
-    assert seen == {None, "not D-free", "not S-free"}
+                          10, seed=0)
+    # S = {0, 10} collides on the same cycle, wherever it is anchored
+    phi = all_patterns(gset(GroupCtx("integers"), [0, 10]), 2)[0]
+    with pytest.raises(GroupError):
+        mc_deviation_prob(phi, Fraction(1, 10), integer_interval(3), CyclicTranslation(10),
+                          10, seed=0)
 
 
 def test_sweep_bounds_hold_small():
@@ -205,7 +163,7 @@ def test_familywise_z_limits():
 
 def _sweep_with_zscores(monkeypatch, zscores):
     # one non-vacuous point per z-score; the estimate itself sits below the bound
-    def fake_mc(phi, eps, D, action, x, trials, seed):
+    def fake_mc(phi, eps, D, action, trials, seed):
         z = next(it)
         return McEstimate(0, 0.0, 1e-3, 0.0, 100.0 + z, z)
 
@@ -233,7 +191,7 @@ def test_mc_on_torus_action():
     S = gset(L2, [(0, 0)])
     D = gset(L2, [(i, j) for i in range(10) for j in range(10)])
     phi = all_patterns(S, 2)[0]
-    est = mc_deviation_prob(phi, Fraction(1, 4), D, TorusTranslation(30, 30), 5, 800, seed=12)
+    est = mc_deviation_prob(phi, Fraction(1, 4), D, TorusTranslation(30, 30), 800, seed=12)
     # the z-score measures the mean count against |D| / k^{|S|} = 100 / 2; the
     # count is binomial(100, 1/2), of variance 25
     assert abs(est.expectation_zscore) <= 3.0
@@ -243,8 +201,10 @@ def test_mc_on_torus_action():
 
 
 def _mc_oracle(phi, eps, D, action, x, trials, seed):
-    """mc_deviation_prob one trial at a time: each trial colors the sites of
-    SD.x from its own color_matrix row and counts occurrences site by site."""
+    """mc_deviation_prob one trial at a time, from the anchor x: each trial
+    colors the sites of SD.x from its own color_matrix row and counts
+    occurrences site by site.  On an (S, D)-free action every anchor gives
+    the estimate that mc_deviation_prob samples from point 0."""
     from shiftlab.groups import set_product
     from shiftlab.rng import color_matrix, derive_seed
     S, k = phi.domain, phi.k
@@ -283,13 +243,14 @@ _MC_SETS = {  # name -> elements in the integers; intervals and gapped sets
 def test_mc_matches_per_trial_oracle(s_name, d_name, k, colors, eps, modulus, x,
                                      trials, chunk, seed):
     # interval S and D read their columns as slices, gapped sets gather them;
-    # x and the modulus move the sites around the cycle
+    # the oracle's anchor x and the modulus move the sites around the cycle,
+    # where they may wrap onto each other
     from shiftlab.shift import Pattern
     Z = GroupCtx("integers")
     S, D = gset(Z, _MC_SETS[s_name]), gset(Z, _MC_SETS[d_name])
     phi = Pattern(S, tuple(c % k for c in colors[:len(S)]), k)
     action = CyclicTranslation(modulus)
-    est = mc_deviation_prob(phi, eps, D, action, x % modulus, trials, seed, chunk=chunk)
+    est = mc_deviation_prob(phi, eps, D, action, trials, seed, chunk=chunk)
     hits, mean = _mc_oracle(phi, eps, D, action, x % modulus, trials, seed)
     assert est.hits == hits
     assert est.estimate == hits / trials
@@ -312,7 +273,7 @@ def test_mc_matches_per_trial_oracle_on_torus():
     phi = Pattern(S, (1, 0), 2)
     action = TorusTranslation(5, 6)
     for chunk in (None, 1, 3):
-        est = mc_deviation_prob(phi, Fraction(1, 4), D, action, 7, 30, seed=9, chunk=chunk)
+        est = mc_deviation_prob(phi, Fraction(1, 4), D, action, 30, seed=9, chunk=chunk)
         hits, mean = _mc_oracle(phi, Fraction(1, 4), D, action, 7, 30, seed=9)
         assert est.hits == hits and est.mean_occurrences == float(mean)
 
@@ -321,7 +282,7 @@ def test_mc_rejects_zero_trials():
     phi = all_patterns(integer_interval(1), 2)[0]
     with pytest.raises(ValueError, match="trials"):
         mc_deviation_prob(phi, Fraction(1, 10), integer_interval(5), CyclicTranslation(100),
-                          0, 0, seed=0)
+                          0, seed=0)
 
 
 @pytest.mark.parametrize("eps, D, match", [
@@ -330,4 +291,4 @@ def test_mc_rejects_zero_trials():
 def test_mc_rejects_degenerate_eps_and_empty_d(eps, D, match):
     phi = all_patterns(integer_interval(1), 2)[0]
     with pytest.raises(ValueError, match=match):
-        mc_deviation_prob(phi, eps, D, CyclicTranslation(100), 0, 10, seed=0)
+        mc_deviation_prob(phi, eps, D, CyclicTranslation(100), 10, seed=0)

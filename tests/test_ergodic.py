@@ -11,7 +11,7 @@ from shiftlab.ergodic import (ergodic_convergence_experiment, log_growth_size,
                               uniform_discrepancy_experiment)
 from shiftlab.groups import (CyclicTranslation, GroupCtx, GroupError, GroupSet,
                              integer_interval)
-from shiftlab.lll import CertificationError
+from shiftlab.lll import CertificationError, GLLLWitnessSpec, default_witness_exponent
 from shiftlab.shift import Pattern, all_patterns
 
 gset = GroupSet.from_iterable
@@ -134,7 +134,9 @@ def test_uniform_discrepancy_single_certified_event():
     assert res.result.converged
     assert res.all_within and res.max_deviation <= Fraction(1, 10)
     # resampled fraction below the witness bound
-    assert float(res.fractions.frac_resampled) <= res.fractions.bound
+    assert float(res.fractions.frac_resampled) <= res.resample_budget
+    omega = GLLLWitnessSpec(default_witness_exponent(Fraction(1, 10), 1)).omega(4000)
+    assert res.resample_budget == 4000 * omega / (1.0 - omega)
     (n0, stats0), = res.stats_per_n
     assert n0 == 0 and max(r[3] for r in stats0.rows) == res.max_deviation
 

@@ -13,8 +13,7 @@ from shiftlab.ergodic import log_growth_size, uniform_discrepancy_experiment
 from shiftlab.groups import (CyclicTranslation, GroupCtx, GroupSet, TorusTranslation,
                              integer_interval)
 from shiftlab.lll import FrequencyDeviationEvent
-from shiftlab.moser_tardos import (EventFamily, TapeSpace, frequency_counts,
-                                   run_mt, stabilization_ledger)
+from shiftlab.moser_tardos import TapeSpace, frequency_counts, run_mt, stabilization_ledger
 from shiftlab.shift import Config, Pattern, empirical_freq, occurrences
 
 gset = GroupSet.from_iterable
@@ -38,10 +37,9 @@ def test_two_interval_family_certified_and_controlled():
 def test_mt_with_three_colors():
     ev = FrequencyDeviationEvent(3, integer_interval(1), "0.15", integer_interval(2000))
     act = CyclicTranslation(30_000)
-    fam = EventFamily.of(ev)
-    res = run_mt(act, fam, TapeSpace(seed=2, k=3))
+    res = run_mt(act, [ev], TapeSpace(seed=2, k=3))
     assert res.converged
-    assert stabilization_ledger(res, act, fam)
+    assert stabilization_ledger(res)
     assert set(np.unique(res.coloring)) <= {0, 1, 2}
     for _pat, counts in frequency_counts(act, ev, res.coloring):
         dev = np.abs(counts * 3 - 2000).max()
@@ -52,10 +50,9 @@ def test_transcript_structure():
     # unit-length domains resample in visible batches
     from shiftlab.lll import ExplicitEvent
     phi0 = Pattern.from_map(Z, {0: 0}, 2)
-    fam = EventFamily.of(ExplicitEvent((phi0,), 2))
     act = CyclicTranslation(64)
     lines = []
-    res = run_mt(act, fam, TapeSpace(seed=6, k=2), transcript=lines)
+    res = run_mt(act, [ExplicitEvent((phi0,), 2)], TapeSpace(seed=6, k=2), transcript=lines)
     assert res.converged
     assert [ln["step"] for ln in lines] == list(range(res.steps))
     for ln in lines:
@@ -155,21 +152,21 @@ def test_mc_chunk_invariance():
     eps, D = Fraction(1, 5), integer_interval(100)
     phi = all_patterns(integer_interval(1), 2)[0]
     act = CyclicTranslation(5000)
-    a = mc_deviation_prob(phi, eps, D, act, 0, 700, seed=3, chunk=64)
-    b = mc_deviation_prob(phi, eps, D, act, 0, 700, seed=3, chunk=700)
+    a = mc_deviation_prob(phi, eps, D, act, 700, seed=3, chunk=64)
+    b = mc_deviation_prob(phi, eps, D, act, 700, seed=3, chunk=700)
     # the default chunk is min(trials, 65_536) rows: here all 700 in one call,
     # while chunks of 64 leave a partial last one
-    c = mc_deviation_prob(phi, eps, D, act, 0, 700, seed=3)
+    c = mc_deviation_prob(phi, eps, D, act, 700, seed=3)
     assert a.hits == b.hits
     assert a.mean_occurrences == b.mean_occurrences
     assert c == b
     for bad in (0, -5):
         with pytest.raises(ValueError, match="chunk"):
-            mc_deviation_prob(phi, eps, D, act, 0, 700, seed=3, chunk=bad)
+            mc_deviation_prob(phi, eps, D, act, 700, seed=3, chunk=bad)
     # at |D| = 1, 70,000 trials cross the default chunk boundary once
     one = integer_interval(1)
-    d = mc_deviation_prob(phi, eps, one, act, 0, 70_000, seed=3)
-    assert d == mc_deviation_prob(phi, eps, one, act, 0, 70_000, seed=3, chunk=70_000)
+    d = mc_deviation_prob(phi, eps, one, act, 70_000, seed=3)
+    assert d == mc_deviation_prob(phi, eps, one, act, 70_000, seed=3, chunk=70_000)
 
 
 def test_ergodic_chunk_invariance():

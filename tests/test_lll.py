@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab.groups import GroupCtx, GroupSet, integer_interval, set_product
+from shiftlab.groups import (GroupCtx, GroupSet, difference_set_size, integer_interval,
+                             set_product)
 from shiftlab.lll import (CertificationError, ExplicitEvent,
                           FrequencyDeviationEvent, GLLLWitnessSpec,
                           check_glll_witness, event_probability_exact,
@@ -62,7 +63,7 @@ def test_event_probability_exact_is_count_ratio():
 
 def test_slll_stats_interval_example():
     S, D = integer_interval(1), integer_interval(4000)
-    st = slll_stats(2, S, Fraction(1, 10), D, degree_mode="auto")
+    st = slll_stats(2, S, Fraction(1, 10), D)
     assert st.p_bound == pytest.approx(4 * math.exp(-20), rel=1e-12)
     sd = set_product(S, D)
     assert st.d_bound == 2 * len(sd) - 2    # exact difference-set law
@@ -77,9 +78,32 @@ def test_slll_margin_vacuous_at_eps_zeroish():
 
 def test_generic_cap_dominates_exact():
     S, D = integer_interval(2), gset(Z, [0, 3, 11, 20, 45])
-    st_auto = slll_stats(2, S, "0.2", D, degree_mode="auto")
+    st_auto = slll_stats(2, S, "0.2", D)
     st_cap = slll_stats(2, S, "0.2", D, degree_mode="generic")
     assert st_auto.d_bound <= st_cap.d_bound == len(S) ** 2 * len(D) ** 2 - 1
+
+
+@pytest.mark.parametrize("d_size", [10_001, 15_946])
+def test_auto_degree_of_a_large_interval_is_the_closed_form(d_size):
+    # |SD| > 10000 leaves the exact difference set uncomputed; intervals
+    # still take the closed form 2|SD| - 2, not the generic cap
+    S, D = integer_interval(1), integer_interval(d_size)
+    st = slll_stats(2, S, "0.04", D)
+    assert difference_set_size(S, D) is None
+    assert st.d_bound == 2 * len(set_product(S, D)) - 2 == 2 * d_size - 2
+    assert st == slll_stats(2, S, "0.04", D, degree_mode="interval")
+    # at the threshold the margin certifies, as find_slll_threshold says
+    thr = find_slll_threshold(2, S, "0.04", shape="interval")
+    assert st.certified == (d_size >= thr.threshold) and thr.threshold == 15_946
+
+
+def test_auto_degree_of_a_large_gapped_set_is_the_generic_cap():
+    # |SD| = 10001 even integers: not an interval and past the exact limit
+    S, D = integer_interval(1), gset(Z, range(0, 20_002, 2))
+    assert D.interval is None and difference_set_size(S, D) is None
+    st = slll_stats(2, S, "0.04", D)
+    assert st.d_bound == len(D) ** 2 - 1
+    assert st == slll_stats(2, S, "0.04", D, degree_mode="generic")
 
 
 def oracle_threshold(k, s_sz, eps, cap):
@@ -98,7 +122,6 @@ def test_threshold_bracketing_example():
                               search_cap=10_000)
     assert res.threshold is not None and 3000 < res.threshold <= 4000
     assert res.threshold == oracle_threshold(2, 1, 0.1, 5000) == 3772
-    assert res.case == "crossing"
     assert res.stationary_point == 400
 
 
@@ -117,7 +140,6 @@ def test_threshold_monotone_in_eps():
 def test_threshold_crosses_beyond_the_stationary_point(k, s, eps, cap, shape):
     S = integer_interval(s)
     res = find_slll_threshold(k, S, eps, shape=shape, search_cap=cap)
-    assert res.case == ("not-found" if res.threshold is None else "crossing")
     if res.threshold is not None:
         assert res.stationary_point < res.threshold <= cap
         stats = slll_stats(k, S, eps, integer_interval(res.threshold), degree_mode=shape)
@@ -131,7 +153,7 @@ def test_threshold_crosses_beyond_the_stationary_point(k, s, eps, cap, shape):
 def test_threshold_not_found_within_cap():
     res = find_slll_threshold(2, integer_interval(1), "0.01", shape="generic",
                               search_cap=1000)
-    assert res.threshold is None and res.case == "not-found"
+    assert res.threshold is None
     assert slll_stats(2, integer_interval(1), "0.01", integer_interval(1000),
                       degree_mode="generic").slll_margin >= 1
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from shiftlab.groups import (CyclicTranslation, GroupCtx, GroupError,
                              GroupSet, TorusTranslation, integer_interval)
 from shiftlab.lll import ExplicitEvent, FrequencyDeviationEvent
-from shiftlab.moser_tardos import (EventFamily, TapeSpace, resample_fraction, run_mt,
+from shiftlab.moser_tardos import (TapeSpace, resample_fraction, run_mt,
                                    stabilization_ledger, tape_consistency,
                                    violated_anchors)
 from shiftlab.shift import Config, Pattern
@@ -19,15 +19,15 @@ Z = GroupCtx("integers")
 L2 = GroupCtx("lattice", 2)
 
 
-def run_mt_replayed(action, family, tape, **kwargs):
+def run_mt_replayed(action, events, tape, **kwargs):
     """run_mt with a transcript, checked step by step by `replay`."""
     lines = []
-    res = run_mt(action, family, tape, transcript=lines, **kwargs)
-    replay(action, family, tape, res, [json.loads(json.dumps(r)) for r in lines])
+    res = run_mt(action, events, tape, transcript=lines, **kwargs)
+    replay(action, events, tape, res, [json.loads(json.dumps(r)) for r in lines])
     return res
 
 
-def replay(action, family, tape, res, records):
+def replay(action, events, tape, res, records):
     """Oracle for the resampling loop that reads only the public API and the
     transcript records a run writes.  Before each step it rebuilds the
     coloring from the running resample counts t, recomputes the violated
@@ -36,7 +36,6 @@ def replay(action, family, tape, res, records):
     disjoint and maximal (every violated anchor left out meets a selected
     domain), and that the tape advanced on the batch's points.  At the end
     it checks t, the step count, the coloring and the residual anchors."""
-    events = dict(family.members)
     points = np.arange(action.n_points)
     t = np.zeros(action.n_points, dtype=np.int64)
 
@@ -44,7 +43,8 @@ def replay(action, family, tape, res, records):
         return set(action.translates(events[n].domain.elements, x).tolist())
 
     def violated(g):
-        return [[n, int(x)] for n, ev in family for x in violated_anchors(action, ev, g)]
+        return [[n, int(x)] for n, ev in enumerate(events)
+                for x in violated_anchors(action, ev, g)]
 
     for step, rec in enumerate(records):
         candidates = violated(tape.symbols(points, t))
@@ -96,7 +96,7 @@ def test_tape_k3_frequencies():
 def test_empty_family_converges_immediately():
     act = CyclicTranslation(100)
     tape = TapeSpace(seed=9, k=2)
-    res = run_mt(act, EventFamily(()), tape)
+    res = run_mt(act, [], tape)
     assert res.converged and res.steps == 0
     assert np.array_equal(res.coloring, tape.symbols(np.arange(100), 0))
     assert (res.t == 0).all()
@@ -110,7 +110,7 @@ def test_single_site_event_geometric_resampling():
     ev = ExplicitEvent((phi0,), 2)
     act = CyclicTranslation(4000)
     tape = TapeSpace(seed=21, k=2)
-    res = run_mt_replayed(act, EventFamily.of(ev), tape)
+    res = run_mt_replayed(act, [ev], tape)
     assert res.converged
     assert (res.coloring == 1).all()
     # oracle: first-1 index per tape
@@ -126,14 +126,14 @@ def test_single_site_event_geometric_resampling():
 def test_mt_requires_freeness():
     ev = FrequencyDeviationEvent(2, integer_interval(1), "0.2", gset(Z, [0, 10]))
     with pytest.raises(GroupError):
-        run_mt(CyclicTranslation(10), EventFamily.of(ev), TapeSpace(seed=0, k=2))
+        run_mt(CyclicTranslation(10), [ev], TapeSpace(seed=0, k=2))
 
 
 def test_mt_determinism():
     ev = FrequencyDeviationEvent(2, integer_interval(1), "0.25", integer_interval(20))
     act = CyclicTranslation(200)
-    r1 = run_mt(act, EventFamily.of(ev), TapeSpace(seed=77, k=2))
-    r2 = run_mt(act, EventFamily.of(ev), TapeSpace(seed=77, k=2))
+    r1 = run_mt(act, [ev], TapeSpace(seed=77, k=2))
+    r2 = run_mt(act, [ev], TapeSpace(seed=77, k=2))
     assert np.array_equal(r1.coloring, r2.coloring)
     assert np.array_equal(r1.t, r2.t)
     assert r1.index_counts == r2.index_counts
@@ -145,11 +145,11 @@ def test_mt_stress_resampling_converges():
     ev = FrequencyDeviationEvent(2, integer_interval(1), "0.25", integer_interval(20))
     act = CyclicTranslation(200)
     tape = TapeSpace(seed=77, k=2)
-    res = run_mt_replayed(act, EventFamily.of(ev), tape)
+    res = run_mt_replayed(act, [ev], tape)
     assert res.converged
     assert res.steps > 0 and res.t.max() >= 1  # resampling actually happened
     assert tape_consistency(res)
-    assert stabilization_ledger(res, act, EventFamily.of(ev))
+    assert stabilization_ledger(res)
     assert violated_anchors(act, ev, res.coloring).size == 0
     fr = resample_fraction(res)
     assert fr.frac_changed <= fr.frac_resampled
@@ -161,7 +161,7 @@ def test_mt_stored_first_row_does_not_drift():
     ev = FrequencyDeviationEvent(2, integer_interval(1), "0.25", integer_interval(20))
     act = CyclicTranslation(200)
     tape = TapeSpace(seed=77, k=2)
-    res = run_mt(act, EventFamily.of(ev), tape)
+    res = run_mt(act, [ev], tape)
     assert res.steps > 0
     row0 = tape.symbols(np.arange(200), 0)
     assert np.array_equal(res.first_row, row0)
@@ -174,12 +174,11 @@ def test_mt_two_member_family_ledger():
     ev1 = FrequencyDeviationEvent(2, integer_interval(1), "0.3", integer_interval(12))
     ev2 = FrequencyDeviationEvent(2, integer_interval(2), "0.3", integer_interval(9))
     act = CyclicTranslation(150)
-    fam = EventFamily.of(ev1, ev2)
-    res = run_mt_replayed(act, fam, TapeSpace(seed=5, k=2))
-    assert res.converged
-    assert stabilization_ledger(res, act, fam)
+    res = run_mt_replayed(act, (ev1, ev2), TapeSpace(seed=5, k=2))
+    assert res.converged and res.action is act and res.events == (ev1, ev2)
+    assert stabilization_ledger(res)
     assert tape_consistency(res)
-    for _n, ev in fam:
+    for ev in (ev1, ev2):
         assert violated_anchors(act, ev, res.coloring).size == 0
 
 
@@ -187,9 +186,9 @@ def test_mt_on_torus_generic_path():
     block = gset(L2, [(i, j) for i in range(2) for j in range(2)])
     ev = FrequencyDeviationEvent(2, gset(L2, [(0, 0)]), "0.3", block)
     act = TorusTranslation(12, 12)
-    res = run_mt_replayed(act, EventFamily.of(ev), TapeSpace(seed=3, k=2))
+    res = run_mt_replayed(act, [ev], TapeSpace(seed=3, k=2))
     assert res.converged
-    assert stabilization_ledger(res, act, EventFamily.of(ev))
+    assert stabilization_ledger(res)
     assert violated_anchors(act, ev, res.coloring).size == 0
 
 
@@ -197,7 +196,7 @@ def test_mt_contested_run_matches_replay():
     # a contested instance: the first colorings violate at many anchors, and
     # the run takes several batched steps before it converges
     ev = FrequencyDeviationEvent(2, integer_interval(1), "0.08", integer_interval(100))
-    res = run_mt_replayed(CyclicTranslation(20_000), EventFamily.of(ev), TapeSpace(seed=1, k=2))
+    res = run_mt_replayed(CyclicTranslation(20_000), [ev], TapeSpace(seed=1, k=2))
     assert res.converged and res.steps == 13
     assert sum(res.index_counts.values()) > 10 * res.steps  # many events per step
 
@@ -207,7 +206,7 @@ def test_max_steps_exhaustion_reports_defect():
     phis = (Pattern.from_map(Z, {0: 0}, 2), Pattern.from_map(Z, {0: 1}, 2))
     ev = ExplicitEvent(phis, 2)
     act = CyclicTranslation(16)
-    res = run_mt(act, EventFamily.of(ev), TapeSpace(seed=1, k=2), max_steps=5)
+    res = run_mt(act, [ev], TapeSpace(seed=1, k=2), max_steps=5)
     assert not res.converged
     assert res.steps == 5
     assert res.defect_points == tuple(range(16))
@@ -280,19 +279,3 @@ def screened_detection_cases(draw):
 @settings(max_examples=10, deadline=None)
 def test_screened_detection_matches_event_holds(case):
     _assert_detection_matches_holds(*case)
-
-
-def test_resample_fraction_bound():
-    ev = FrequencyDeviationEvent(2, integer_interval(1), "0.25", integer_interval(20))
-    act = CyclicTranslation(200)
-    fam = EventFamily.of(ev)
-    res = run_mt(act, fam, TapeSpace(seed=77, k=2))
-    fr = resample_fraction(res, fam, {0: 0.5})
-    assert fr.bound == pytest.approx(len(ev.domain) * 1.0)
-
-
-def test_event_family_canonical_order():
-    ev1 = ExplicitEvent((Pattern.from_map(Z, {0: 0}, 2),), 2)
-    ev2 = ExplicitEvent((Pattern.from_map(Z, {0: 1}, 2),), 2)
-    fam = EventFamily(((5, ev1), (2, ev2)))
-    assert [n for n, _ in fam] == [2, 5]

@@ -262,6 +262,17 @@ def test_bad_sequence_probes_in_caller_order():
     assert full.all_bands_frac == everywhere
 
 
+def test_bad_sequence_skips_the_stages_it_does_not_probe():
+    # k_probe = [1] of i_max = 3: stages 2 and 0 are built into the union but
+    # measured by no one, and what q = 1 reports is the full run's
+    rep = bad_sequence_experiment(lambda n: 2 + (n % 3), 3, seed=4, k_probe=[1])
+    full = bad_sequence_experiment(lambda n: 2 + (n % 3), 3, seed=4)
+    assert rep.stages == full.stages and rep.modulus == full.modulus
+    assert rep.mu_tail == {1: full.mu_tail[1]}
+    assert rep.all_bands_frac == {1: full.all_bands_frac[1]}
+    assert rep.band_rows == [b for b in full.band_rows if b.q == 1] != []
+
+
 def test_bad_sequence_shares_one_or_chain_per_union(monkeypatch):
     # h = 1: every band of a union has ell = 1 and N = 4, 8, ..., 128, so the
     # six unions take 7 doubling passes each, where a chain per band took 112

@@ -330,26 +330,44 @@ def test_every_dataclass_field_is_read():
 
 
 def _defaults(node, prefix=""):
-    """(`function.param`, positional index or None) for each parameter
-    default of the function `node`, a method's first argument not counted
-    unless it is a staticmethod."""
+    """(`function.param`, positional index or None, default expression) for
+    each parameter default of the function `node`, a method's first argument
+    not counted unless it is a staticmethod."""
     a = node.args
     positional = a.posonlyargs + a.args
     skip = int(bool(prefix) and not any(getattr(d, "id", None) == "staticmethod"
                                         for d in node.decorator_list))
-    out = [(f"{prefix}{node.name}.{p.arg}", i - skip)
-           for i, p in enumerate(positional) if i >= len(positional) - len(a.defaults)]
-    return out + [(f"{prefix}{node.name}.{p.arg}", None)
+    first = len(positional) - len(a.defaults)
+    out = [(f"{prefix}{node.name}.{p.arg}", i - skip, a.defaults[i - first])
+           for i, p in enumerate(positional) if i >= first]
+    return out + [(f"{prefix}{node.name}.{p.arg}", None, d)
                   for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
 
 
-def _sets(call, param: str, index) -> bool:
+def _restates(arg, default) -> bool:
+    """Whether the argument `arg` is a literal equal to the literal `default`."""
+    try:
+        a, d = ast.literal_eval(arg), ast.literal_eval(default)
+    except (ValueError, TypeError):
+        return False
+    return type(a) is type(d) and a == d
+
+
+def _sets(call, param: str, index, default) -> bool:
     """Whether `call` sets `param`, at positional `index` (None for keyword
-    only): by keyword, by position, or through `*` or `**`."""
-    words = {k.arg for k in call.keywords}
-    by_position = index is not None and (
-        index < len(call.args) or any(isinstance(x, ast.Starred) for x in call.args))
-    return param in words or None in words or by_position
+    only), to anything but a literal equal to its `default`: by keyword, by
+    position, or through `*` or `**`."""
+    words = {k.arg: k.value for k in call.keywords}
+    if None in words:
+        return True
+    if param in words:
+        return not _restates(words[param], default)
+    for i, x in enumerate(call.args if index is not None else ()):
+        if isinstance(x, ast.Starred):
+            return True
+        if i == index:
+            return not _restates(x, default)
+    return False
 
 
 def unset_defaults(sources, callers, allow=()) -> list[str]:
@@ -359,7 +377,8 @@ def unset_defaults(sources, callers, allow=()) -> list[str]:
     does not list, then each `allow` entry that names no such default or
     that a call sets.  A call matches a function by the name it calls, bare
     or as an attribute, whatever the receiver; a class name calls the
-    class's `__init__`."""
+    class's `__init__`.  A literal argument equal to the default does not
+    set it."""
     calls = {}
     for source in callers:
         for n in ast.walk(ast.parse(source)):
@@ -377,9 +396,9 @@ def unset_defaults(sources, callers, allow=()) -> list[str]:
                          for d in _defaults(m, node.name + ".")]
             else:
                 continue
-            for called, (key, index) in found:
+            for called, (key, index, default) in found:
                 defaults.add(key)
-                if not any(_sets(c, key.rpartition(".")[2], index)
+                if not any(_sets(c, key.rpartition(".")[2], index, default)
                            for c in calls.get(called, ())):
                     unset.add(key)
     return (sorted(unset - set(allow))
@@ -398,8 +417,13 @@ def test_unset_default_check_sees_unset_defaults():
     # argument is not counted, and a static method has none
     assert unset_defaults([source], [source]) == [
         "Box.m.y", "Box.s.x", "f.b", "f.d", "main.argv"]
-    assert unset_defaults([source], [source, "Box.s(0)\nh(d=3)\n"],
+    assert unset_defaults([source], [source, "Box.s(1)\nh(d=3)\n"],
                           {"main.argv": "", "f.b": ""}) == ["Box.m.y", "f.d"]
+    # a literal equal to the default restates it and sets nothing
+    assert unset_defaults([source], [source, "Box.s(0)\nf(0, 0, d=2)\nBox().m(0, y=1)\n"]) == [
+        "Box.m.y", "Box.s.x", "f.b", "f.d", "main.argv"]
+    assert unset_defaults([source], [source, "f(0, 0.0, d=x)\nBox().m(0, y=True)\n"]) == [
+        "Box.s.x", "main.argv"]
     assert unset_defaults([source], [source], {"main.argv": "", "f.c": "", "f.e": "",
                                                 "Box.m.y": "", "Box.s.x": "",
                                                 "f.b": "", "f.d": ""}) == [
@@ -409,6 +433,7 @@ def test_unset_default_check_sees_unset_defaults():
 # Parameter defaults that no library caller sets, with the reason.
 DEFAULTS_SET_BY_TESTS = {
     "main.argv": "the CLI entry point reads sys.argv by default",
+    "slll_stats.degree_mode": "tests compare the generic and interval bounds",
     **dict.fromkeys(["mc_deviation_prob.chunk", "ergodic_convergence_experiment.chunk"],
                     "tests show that results do not depend on the chunk size"),
 }
