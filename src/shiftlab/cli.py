@@ -32,7 +32,7 @@ from .ergodic import (ergodic_convergence_experiment, log_growth_size,
                       near_invariant_measure, periodic_cylinder_table,
                       uniform_discrepancy_experiment)
 from .groups import CyclicTranslation, GroupCtx, GroupSet, integer_interval
-from .lll import (CertificationError, FrequencyDeviationEvent, GLLLWitnessSpec,
+from .lll import (CertificationError, FrequencyDeviationEvent, GLLLWitnessSpec, SearchError,
                   check_glll_witness, default_witness_exponent,
                   find_log_growth_constant, find_slll_threshold, slll_stats)
 from .moser_tardos import (TapeSpace, resample_fraction, run_mt, stabilization_ledger,
@@ -95,7 +95,8 @@ SCHEMAS = {
             "s_size": ("int >= 1", True, "interval size for S = {0..s-1}"),
             "eps": ("decimal string in (0, 1)", True, "deviation tolerance"),
             "d_size": ("int >= 1", ("mode", "slll"), "slll: interval size for D"),
-            "shape": ("'interval' | 'generic'", False, "slll: degree bound mode", "interval"),
+            "shape": ("'interval' | 'generic'", False, "slll: threshold search degree "
+                      "bound only; d_bound comes from the sets", "interval"),
             "search_cap": ("int >= 1", False, "slll: threshold search cap", 100_000),
             "a": ("number > 0", ("mode", "glll"), "glll: witness exponent"),
             "C": ("number > 0", False, "glll: log-growth constant (computed when omitted)"),
@@ -266,9 +267,25 @@ def _check_params(where: str, schema: dict, params: dict) -> dict:
     return checked
 
 
+# The least modulus at which the cyclic action of a kind's driver is free for
+# every set the driver checks (an interval of length n is free on Z/M iff n <= M).
+_LEAST_MODULUS = {
+    "moser-tardos": lambda p: (p["s_size"] + p["d_size"] - 1, "s_size + d_size - 1"),
+    "approx-invariant": lambda p: (p["s_size"] + p["d_size"] - 1, "s_size + d_size - 1"),
+    "uniform-discrepancy": lambda p: (p["s_size"] + max(p["d_sizes"]) - 1,
+                                      "s_size + max(d_sizes) - 1"),
+    "concentration-sweep": lambda p: (max(p["s_sizes"] + p["d_sizes"]), "max(s_sizes + d_sizes)"),
+}
+
+
 def _validate(kind: str, params: dict) -> dict:
     """The parameters of a `kind` config, checked, with the defaults filled in."""
     p = _check_params(kind, SCHEMAS[kind]["params"], params)
+    if kind in _LEAST_MODULUS:
+        need, keys = _LEAST_MODULUS[kind](p)
+        if p["modulus"] < need:
+            raise ConfigError(f"{kind}: modulus must be >= {keys} = {need} for a free "
+                              f"action, got {p['modulus']}")
     if kind == "resfin":
         for i, q in enumerate(p["patterns"]):
             if not (len(set(q["sites"])) == len(q["sites"]) == len(q["colors"])
@@ -338,11 +355,13 @@ def _run_lll_check(p, out, jobs, transcript):
                 "threshold": thr.threshold,
                 "verdict": "pass" if stats.certified else "slll_margin >= 1"}
     eps_sum = as_fraction(p.get("eps_sum", p["eps"]))
-    C = p.get("C") or find_log_growth_constant(p["k"], S, eps, p["a"], eps_sum)
+    try:
+        C = p.get("C") or find_log_growth_constant(p["k"], S, eps, p["a"], eps_sum)
+    except SearchError as exc:
+        return {"mode": "glll", "verdict": "fail", "error": str(exc)}
     witness = GLLLWitnessSpec(a=p["a"], C=C)
     d_seq = [integer_interval(log_growth_size(C, n)) for n in range(p["n_prefix"])]
-    rep = check_glll_witness(p["k"], S, eps, d_seq, witness,
-                             eps_sum=eps_sum, degree_mode="interval")
+    rep = check_glll_witness(p["k"], S, eps, d_seq, witness, eps_sum=eps_sum)
     _write_csv(out / "lll-check-detail.csv",
                ["inequality-id", "n", "lhs", "rhs", "slack", "verdict"],
                ((r.inequality_id, r.n, r.lhs, r.rhs, r.slack,

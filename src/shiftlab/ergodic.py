@@ -190,12 +190,9 @@ def uniform_discrepancy_experiment(k: int, S: GroupSet, eps, d_sets: Sequence[Gr
     if a is None:
         a = default_witness_exponent(eps_fr, len(S))
     witness = GLLLWitnessSpec(a=a)
-    degree_mode = ("interval" if all(s.interval is not None for s in [S, *d_sets])
-                   else "generic")
     warnings = []
     try:
-        cert = check_glll_witness(k, S, eps_fr, d_sets, witness, eps_sum=eps_fr,
-                                  degree_mode=degree_mode)
+        cert = check_glll_witness(k, S, eps_fr, d_sets, witness, eps_sum=eps_fr)
         certified = cert.witness_ok
         if certified and not cert.budget_ok:
             warnings.append("witness budget exceeds eps: the resample fraction is "

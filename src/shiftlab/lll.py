@@ -154,48 +154,31 @@ def p_bound_freq(k: int, s_size: int, eps: float, d_size: int) -> float:
     return 2.0 * (k ** s_size) * math.exp(-deviation_exponent(eps, s_size, d_size))
 
 
-def _require_intervals(degree_mode: str, *sets: GroupSet) -> None:
-    if degree_mode == "interval" and any(X.interval is None for X in sets):
-        raise CertificationError("interval degree mode needs integer intervals")
-
-
-def _neighbor_count(s_size: int, m_size: int, n_size: int, degree_mode: str) -> int:
+def _neighbor_count(s_size: int, m_size: int, n_size: int, intervals: bool) -> int:
     """How many anchors of the event with domain S D_m can share a point with
     one fixed event with domain S D_n, that event itself included:
-    |S D_m| + |S D_n| - 1 for integer intervals (overlapping windows), else
-    |S|^2 |D_m| |D_n|.  Every neighbor count and degree bound is this one,
-    minus 1 when the fixed event is not counted."""
-    if degree_mode == "interval":
+    |S D_m| + |S D_n| - 1 when S and the D's are integer intervals
+    (overlapping windows), else |S|^2 |D_m| |D_n|.  Every neighbor count and
+    degree bound is this one, minus 1 when the fixed event is not counted."""
+    if intervals:
         return (s_size + m_size - 1) + (s_size + n_size - 1) - 1
-    if degree_mode == "generic":
-        return s_size ** 2 * m_size * n_size
-    raise ValueError(f"unknown shape {degree_mode!r}: expected 'interval' or 'generic'")
+    return s_size ** 2 * m_size * n_size
 
 
-def slll_stats(k: int, S: GroupSet, eps, D: GroupSet,
-               degree_mode: str = "auto") -> InstanceStats:
+def slll_stats(k: int, S: GroupSet, eps, D: GroupSet) -> InstanceStats:
     """Probability/degree bounds for the frequency event with domain SD.
 
-    degree mode:
-      - "auto": the interval closed form when S and D are integer
-        intervals, at every size; else |(SD)^-1 SD| - 1 exactly when
-        |SD| <= 10000 (see `difference_set_size`), else the generic cap
-        |S|^2 |D|^2 - 1;
-      - "generic": always the cap;
-      - "interval": closed form 2|SD| - 2 for integer intervals S, D.
+    The degree bound comes from the sets: the closed form 2|SD| - 2 when S
+    and D are integer intervals, at every size; else |(SD)^-1 SD| - 1
+    exactly when |SD| <= 10000 (see `difference_set_size`), else the generic
+    cap |S|^2 |D|^2 - 1.
     """
     epsf = float(as_fraction(eps))
     p = p_bound_freq(k, len(S), epsf, len(D))
-    if degree_mode == "auto" and S.interval is not None and D.interval is not None:
-        degree_mode = "interval"
-    if degree_mode == "auto":
-        cap = _neighbor_count(len(S), len(D), len(D), "generic") - 1
-        exact = difference_set_size(S, D)
-        d = cap if exact is None else min(exact - 1, cap)
-    else:
-        _require_intervals(degree_mode, S, D)
-        d = _neighbor_count(len(S), len(D), len(D), degree_mode) - 1
-    return InstanceStats(p, d)
+    intervals = S.interval is not None and D.interval is not None
+    d = _neighbor_count(len(S), len(D), len(D), intervals) - 1
+    exact = None if intervals else difference_set_size(S, D)
+    return InstanceStats(p, d if exact is None else min(exact - 1, d))
 
 
 @dataclass
@@ -219,10 +202,13 @@ def find_slll_threshold(k: int, S: GroupSet, eps, shape: str = "interval",
     if search_cap < 1:
         raise CertificationError(f"search_cap must be >= 1, got {search_cap}")
     s_sz = len(S)
-    _require_intervals(shape, S)
+    if shape not in ("interval", "generic") or shape == "interval" and S.interval is None:
+        raise ValueError(f"shape must be 'generic' or, for an integer interval S, "
+                         f"'interval', got {shape!r}")
 
     def margin(m: int) -> float:
-        return E * p_bound_freq(k, s_sz, epsf, m) * _neighbor_count(s_sz, m, m, shape)
+        count = _neighbor_count(s_sz, m, m, shape == "interval")
+        return InstanceStats(p_bound_freq(k, s_sz, epsf, m), count - 1).slll_margin
 
     m_star = max(1, math.ceil(4.0 * s_sz ** 3 / (epsf * epsf)))
     if margin(search_cap) >= 1.0:
@@ -281,7 +267,7 @@ def tail_log_series(q: float, start: int) -> float:
     # peel explicit terms until the remaining sum starts at u >= 3 > e
     extra = 0.0
     while start + 2 < 3:
-        extra += math.log(start + 2) / (start + 2) ** q
+        extra += math.log(start + 2) * (start + 2.0) ** -q
         start += 1
     u = start + 1
     return extra + u ** (1.0 - q) * (math.log(u) / (q - 1.0) + 1.0 / (q - 1.0) ** 2)
@@ -348,8 +334,7 @@ def _tail_records(a: float, C: float) -> list:
 
 
 def check_glll_witness(k: int, S: GroupSet, eps, d_seq: Sequence[GroupSet],
-                       witness: GLLLWitnessSpec, eps_sum=None,
-                       degree_mode: str = "generic") -> GLLLReport:
+                       witness: GLLLWitnessSpec, eps_sum=None) -> GLLLReport:
     """Verify the witness inequalities for the family of frequency events
     with domains S D_n.
 
@@ -357,7 +342,9 @@ def check_glll_witness(k: int, S: GroupSet, eps, d_seq: Sequence[GroupSet],
       - budget:   sum_n |S D_n| omega(n)/(1-omega(n)) < eps_sum;
       - witness:  2 k^{|S|} exp(-eps^2 |D_n|/(2|S|^3))
                       <= omega(n) prod_m (1-omega(m))^{cnt(m,n)},
-        evaluated in log space with cnt the chosen neighbor-count cap.
+        evaluated in log space, with cnt the neighbor count of
+        `_neighbor_count`: the interval form when S and every D_n are
+        integer intervals, else the generic cap.
     A log-growth constant C extends both sums over the unseen tail via the
     comparison series sum log(m+2)/(m+2)^{Ca}.  Natural logs throughout.
     """
@@ -368,7 +355,7 @@ def check_glll_witness(k: int, S: GroupSet, eps, d_seq: Sequence[GroupSet],
         raise CertificationError(
             f"witness exponent a={witness.a} outside (0, eps^2/(2|S|^3)) = (0, {limit})")
     eps_sum_f = epsf if eps_sum is None else float(as_fraction(eps_sum))
-    _require_intervals(degree_mode, S, *d_seq)
+    intervals = all(X.interval is not None for X in (S, *d_seq))
 
     sizes = [len(D) for D in d_seq]
     omegas = [witness.omega(sz) for sz in sizes]
@@ -388,9 +375,7 @@ def check_glll_witness(k: int, S: GroupSet, eps, d_seq: Sequence[GroupSet],
         tail_budget = 2.0 * s_sz * witness.C * tail_log_series(q, n_pref)
         tail_neighbor_log = 2.0 * witness.C * tail_log_series(q, n_pref)
         tail_omega_sum = tail_plain_series(q, n_pref)
-        budget_total = budget + tail_budget
-    else:
-        budget_total = budget
+    budget_total = budget + tail_budget
     records.append(IneqRecord("budget-sum", "all", budget_total, eps_sum_f,
                               budget_total < eps_sum_f))
 
@@ -400,14 +385,13 @@ def check_glll_witness(k: int, S: GroupSet, eps, d_seq: Sequence[GroupSet],
         log_lhs = math.log(2.0 * k ** s_sz) - deviation_exponent(epsf, s_sz, sizes[n])
         log_rhs = -witness.a * sizes[n]  # log omega(n), finite where omega(n) underflows
         for m, log1m in enumerate(prefix_log1m):
-            cnt = _neighbor_count(s_sz, sizes[m], sizes[n], degree_mode) - int(m == n)
+            cnt = _neighbor_count(s_sz, sizes[m], sizes[n], intervals) - int(m == n)
             log_rhs += cnt * log1m
-        if witness.C is not None:
-            if degree_mode == "interval":
-                sdn = s_sz + sizes[n] - 1
-                log_rhs -= s_sz * tail_neighbor_log + sdn * 2.0 * tail_omega_sum
-            else:
-                log_rhs -= s_sz ** 2 * sizes[n] * tail_neighbor_log
+        if intervals:  # the tail terms are 0 without a growth constant
+            sdn = s_sz + sizes[n] - 1
+            log_rhs -= s_sz * tail_neighbor_log + sdn * 2.0 * tail_omega_sum
+        else:
+            log_rhs -= s_sz ** 2 * sizes[n] * tail_neighbor_log
         records.append(IneqRecord("witness-product", n, log_lhs, log_rhs,
                                   log_lhs <= log_rhs))
 
@@ -441,7 +425,8 @@ def find_log_growth_constant(k: int, S: GroupSet, eps, a: float, eps_sum) -> flo
     def log_series(q: float) -> float:
         if q <= 1.0:
             return math.inf
-        total = sum(math.log(n + 2) / (n + 2) ** q for n in range(512))
+        # a power past the float range underflows to 0 instead of raising
+        total = sum(math.log(n + 2) * (n + 2.0) ** -q for n in range(512))
         return total + tail_log_series(q, 512)
 
     def ok(C: float) -> bool:

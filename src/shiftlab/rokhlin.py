@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -90,13 +90,13 @@ class BadIntervalPlan:
         return range(0, self.N * self.ell)
 
 
-def plan_intervals(h: Union[Callable[[int], int], Sequence[int]], eps) -> BadIntervalPlan:
+def plan_intervals(h: Callable[[int], int], eps) -> BadIntervalPlan:
     """Minimal-N plan for tolerance eps with interval lengths >= h(n)."""
     eps_fr = as_fraction(eps)
     if not (0 < eps_fr < 1):
         raise TowerError(f"eps must lie in (0, 1), got {eps_fr}")
     N = 2 * eps_fr.denominator // eps_fr.numerator
-    hs = [int(h(n)) if callable(h) else int(h[n]) for n in range(N)]
+    hs = [int(h(n)) for n in range(N)]
     if any(v < 1 for v in hs):
         raise TowerError("requested interval lengths must be >= 1")
     return BadIntervalPlan(eps_fr, N, max(hs))
@@ -249,8 +249,7 @@ class BadSequenceReport:
         return all(mu <= Fraction(1, 2 ** q) for q, mu in self.mu_tail.items())
 
 
-def bad_sequence_experiment(h: Union[Callable[[int], int], Sequence[int]],
-                            i_max: int, seed: int = 0,
+def bad_sequence_experiment(h: Callable[[int], int], i_max: int, seed: int = 0,
                             k_probe: Optional[Sequence[int]] = None) -> BadSequenceReport:
     """Concatenate escape stages with eps_i = 2^{-i-1} on one shared cyclic
     space (a common multiple of all tower heights, so every tower is exact),
@@ -264,10 +263,9 @@ def bad_sequence_experiment(h: Union[Callable[[int], int], Sequence[int]],
         raise ValueError(f"k_probe entries must be >= 0, got {list(k_probe)}")
     plans: list[BadIntervalPlan] = []
     n_starts: list[int] = []
-    h_at = h if callable(h) else h.__getitem__
     for i in range(i_max):
         n_start = sum(p.N for p in plans)  # global index of the stage's first interval
-        plans.append(plan_intervals(lambda n: h_at(n_start + n), Fraction(1, 2 ** (i + 1))))
+        plans.append(plan_intervals(lambda n: h(n_start + n), Fraction(1, 2 ** (i + 1))))
         n_starts.append(n_start)
 
     heights = [p.height for p in plans]

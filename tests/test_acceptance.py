@@ -15,8 +15,8 @@ from shiftlab.ergodic import (ergodic_convergence_experiment, log_growth_size,
                               periodic_cylinder_table, periodic_cylinder_value)
 from shiftlab.groups import (CyclicTranslation, GroupCtx, difference_set_size,
                              integer_interval, set_product)
-from shiftlab.lll import FrequencyDeviationEvent, find_log_growth_constant, \
-    find_slll_threshold, slll_stats
+from shiftlab.lll import FrequencyDeviationEvent, InstanceStats, _neighbor_count, \
+    find_log_growth_constant, find_slll_threshold, slll_stats
 from shiftlab.moser_tardos import (TapeSpace, frequency_counts, run_mt,
                                    stabilization_ledger, tape_consistency)
 from shiftlab.rng import color_matrix, derive_seed, uniform_colors
@@ -108,7 +108,8 @@ def test_criterion_03_slll_threshold():
     ok = thr.threshold is not None and 3000 < thr.threshold <= 4000
 
     # margin at |D| = 4000, generic degree cap: agrees with direct arithmetic
-    st_generic = slll_stats(2, S1, EPS, D4000, degree_mode="generic")
+    st_interval = slll_stats(2, S1, EPS, D4000)
+    st_generic = InstanceStats(st_interval.p_bound, _neighbor_count(1, 4000, 4000, False) - 1)
     closed_form = math.e * 4 * math.exp(-20) * 4000 ** 2
     ok &= abs(st_generic.slll_margin - closed_form) < 1e-4
     ok &= st_generic.slll_margin < 1
@@ -116,7 +117,6 @@ def test_criterion_03_slll_threshold():
     # exact-interval degree variant
     sd = set_product(S1, D4000)
     ok &= difference_set_size(S1, D4000) == 2 * len(sd) - 1
-    st_interval = slll_stats(2, S1, EPS, D4000, degree_mode="interval")
     ok &= st_interval.d_bound == 2 * len(sd) - 2
     ok &= st_interval.slll_margin < 1e-3
     elapsed = time.time() - t0

@@ -325,6 +325,10 @@ UD = {"experiment": "uniform-discrepancy", "k": 2, "s_size": 1, "eps": "0.3",
      "patterns[0] must have distinct sites, one color per site and colors below k = 2"),
     # a nested eps names its block
     ({**ROKHLIN, "single": {**SINGLE, "eps": "3"}}, "single: eps must be decimal string in (0, 1)"),
+    # eps = 0.3, |S| = 1: a must lie in (0, eps^2/2) = (0, 0.045), with or without C
+    ({**LLL, "mode": "glll", "eps": "0.3", "a": 0.045}, "a must lie in (0, 0.045"),
+    ({**LLL, "mode": "glll", "eps": "0.3", "a": 0.05}, "a must lie in (0, 0.045"),
+    ({**LLL, "mode": "glll", "eps": "0.3", "a": 0.05, "C": 600.0}, "a=0.05 outside (0, "),
 ])
 def test_conditional_and_nested_keys_are_config_errors(tmp_path, capsys, doc, key):
     _assert_config_error(tmp_path, capsys, doc, key)
@@ -336,6 +340,61 @@ def test_too_small_single_modulus_names_its_key(tmp_path, capsys):
     assert main(["run", cfg, "--out", str(tmp_path / "rep")]) == EXIT_USAGE
     assert capsys.readouterr().err == ("config error: rokhlin-bad single.modulus: modulus "
                                        "too small: need >= 21000, got 1000\n")
+
+
+@pytest.mark.parametrize("doc, keys, need", [
+    ({**MT, "modulus": 10}, "s_size + d_size - 1", 20),
+    ({**UD, "modulus": 100, "d_sizes": [4000]}, "s_size + max(d_sizes) - 1", 4000),
+    ({**AI, "modulus": 100, "d_size": 4000}, "s_size + d_size - 1", 4000),
+    ({**SWEEP, "modulus": 100, "d_sizes": [500]}, "max(s_sizes + d_sizes)", 500),
+])
+def test_too_small_modulus_names_its_keys(tmp_path, capsys, doc, keys, need):
+    kind = doc["experiment"]
+    cfg = write_config(tmp_path, doc)
+    assert main(["run", cfg, "--out", str(tmp_path / "rep")]) == EXIT_USAGE
+    assert capsys.readouterr().err == (f"config error: {kind}: modulus must be >= {keys} = "
+                                       f"{need} for a free action, got {doc['modulus']}\n")
+    # the least modulus is enough: the run gets past every freeness check
+    cfg = write_config(tmp_path, {**doc, "modulus": need})
+    assert main(["run", cfg, "--out", str(tmp_path / "rep")]) in (EXIT_OK, EXIT_VERDICT)
+
+
+def test_slll_shape_sets_only_the_threshold(tmp_path):
+    rows = {}
+    for shape in ("interval", "generic"):
+        out = tmp_path / shape
+        cfg = write_config(tmp_path, {**LLL, "mode": "slll", "d_size": 3000, "shape": shape})
+        main(["run", cfg, "--out", str(out)])
+        rows[shape] = dict(line.split(",") for line in
+                           (out / "lll-check-detail.csv").read_text().splitlines()[1:])
+    for quantity in ("p_bound", "d_bound", "slll_margin"):
+        assert rows["interval"][quantity] == rows["generic"][quantity]
+    assert rows["generic"]["d_bound"] == "5998"
+    assert rows["interval"]["threshold"] != rows["generic"]["threshold"] == "3772"
+
+
+GLLL = {**LLL, "mode": "glll", "eps": "0.3"}
+
+
+def test_glll_constant_search_past_the_float_range_of_a_power(tmp_path):
+    # the doubling search reaches C near 32,900, where (n+2)^(C a) exceeds
+    # the float range; those series terms are 0, not an OverflowError
+    out = tmp_path / "rep"
+    cfg = write_config(tmp_path, {**GLLL, "a": 0.0449})
+    assert main(["run", cfg, "--out", str(out)]) == EXIT_OK
+    summary = json.loads((out / "lll-check-summary.json").read_text())["summary"]
+    assert summary["ok"] is True and 20_000 < summary["C"] < 20_001
+
+
+def test_glll_constant_search_at_its_cap_is_a_verdict_failure(tmp_path, capsys):
+    out = tmp_path / "rep"
+    cfg = write_config(tmp_path, {**GLLL, "a": 0.04499999999999})
+    assert main(["run", cfg, "--out", str(out)]) == EXIT_VERDICT
+    summary = json.loads((out / "lll-check-summary.json").read_text())["summary"]
+    assert summary == {"mode": "glll", "verdict": "fail",
+                       "error": "no admissible constant below the cap 1e12"}
+    err = capsys.readouterr().err
+    assert "cap 1e12" in err and "Traceback" not in err
 
 
 def test_unreadable_paths_are_config_errors(tmp_path, capsys):

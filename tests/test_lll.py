@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from shiftlab.groups import (GroupCtx, GroupSet, difference_set_size, integer_interval,
                              set_product)
 from shiftlab.lll import (CertificationError, ExplicitEvent,
-                          FrequencyDeviationEvent, GLLLWitnessSpec,
-                          check_glll_witness, event_probability_exact,
+                          FrequencyDeviationEvent, GLLLWitnessSpec, InstanceStats,
+                          _neighbor_count, check_glll_witness, event_probability_exact,
                           explicit_expansion, find_log_growth_constant,
                           find_slll_threshold, slll_stats)
 from shiftlab.shift import Config, Pattern, all_patterns
@@ -78,9 +78,10 @@ def test_slll_margin_vacuous_at_eps_zeroish():
 
 def test_generic_cap_dominates_exact():
     S, D = integer_interval(2), gset(Z, [0, 3, 11, 20, 45])
-    st_auto = slll_stats(2, S, "0.2", D)
-    st_cap = slll_stats(2, S, "0.2", D, degree_mode="generic")
-    assert st_auto.d_bound <= st_cap.d_bound == len(S) ** 2 * len(D) ** 2 - 1
+    st = slll_stats(2, S, "0.2", D)
+    assert st.d_bound == difference_set_size(S, D) - 1
+    cap = _neighbor_count(len(S), len(D), len(D), intervals=False) - 1
+    assert st.d_bound <= cap == len(S) ** 2 * len(D) ** 2 - 1
 
 
 @pytest.mark.parametrize("d_size", [10_001, 15_946])
@@ -91,7 +92,7 @@ def test_auto_degree_of_a_large_interval_is_the_closed_form(d_size):
     st = slll_stats(2, S, "0.04", D)
     assert difference_set_size(S, D) is None
     assert st.d_bound == 2 * len(set_product(S, D)) - 2 == 2 * d_size - 2
-    assert st == slll_stats(2, S, "0.04", D, degree_mode="interval")
+    assert st.d_bound == _neighbor_count(1, d_size, d_size, intervals=True) - 1
     # at the threshold the margin certifies, as find_slll_threshold says
     thr = find_slll_threshold(2, S, "0.04", shape="interval")
     assert st.certified == (d_size >= thr.threshold) and thr.threshold == 15_946
@@ -103,7 +104,7 @@ def test_auto_degree_of_a_large_gapped_set_is_the_generic_cap():
     assert D.interval is None and difference_set_size(S, D) is None
     st = slll_stats(2, S, "0.04", D)
     assert st.d_bound == len(D) ** 2 - 1
-    assert st == slll_stats(2, S, "0.04", D, degree_mode="generic")
+    assert st.d_bound == _neighbor_count(1, len(D), len(D), intervals=False) - 1
 
 
 def oracle_threshold(k, s_sz, eps, cap):
@@ -115,6 +116,15 @@ def oracle_threshold(k, s_sz, eps, cap):
         if margin >= 1:
             last_bad = m
     return last_bad + 1
+
+
+def shape_margin(k, S, eps, m, shape):
+    """The margin at an interval D of size m with the degree bound of `shape`:
+    slll_stats' own for "interval", the generic cap for "generic"."""
+    st = slll_stats(k, S, eps, integer_interval(m))
+    if shape == "generic":
+        st = InstanceStats(st.p_bound, _neighbor_count(len(S), m, m, intervals=False) - 1)
+    return st.slll_margin
 
 
 def test_threshold_bracketing_example():
@@ -142,20 +152,17 @@ def test_threshold_crosses_beyond_the_stationary_point(k, s, eps, cap, shape):
     res = find_slll_threshold(k, S, eps, shape=shape, search_cap=cap)
     if res.threshold is not None:
         assert res.stationary_point < res.threshold <= cap
-        stats = slll_stats(k, S, eps, integer_interval(res.threshold), degree_mode=shape)
-        assert stats.slll_margin < 1
-        before = integer_interval(res.threshold - 1)
-        assert slll_stats(k, S, eps, before, degree_mode=shape).slll_margin >= 1
+        assert shape_margin(k, S, eps, res.threshold, shape) < 1
+        assert shape_margin(k, S, eps, res.threshold - 1, shape) >= 1
     else:
-        assert slll_stats(k, S, eps, integer_interval(cap), degree_mode=shape).slll_margin >= 1
+        assert shape_margin(k, S, eps, cap, shape) >= 1
 
 
 def test_threshold_not_found_within_cap():
     res = find_slll_threshold(2, integer_interval(1), "0.01", shape="generic",
                               search_cap=1000)
     assert res.threshold is None
-    assert slll_stats(2, integer_interval(1), "0.01", integer_interval(1000),
-                      degree_mode="generic").slll_margin >= 1
+    assert shape_margin(2, integer_interval(1), "0.01", 1000, "generic") >= 1
 
 
 # -- witnessed certification ----------------------------------------------------
@@ -191,20 +198,29 @@ def test_glll_rejects_a_out_of_range():
 def test_glll_single_event_interval_degrees():
     # the single 4000-interval instance passes with exact interval degrees
     S = integer_interval(1)
-    d_seq = [integer_interval(4000)]
     spec = GLLLWitnessSpec(a=0.0025)
-    rep = check_glll_witness(2, S, "0.1", d_seq, spec, degree_mode="interval")
+    rep = check_glll_witness(2, S, "0.1", [integer_interval(4000)], spec)
     assert rep.witness_ok
-    # and fails with the generic cap (the cap is too lossy here)
-    rep2 = check_glll_witness(2, S, "0.1", d_seq, spec, degree_mode="generic")
+    # and fails on the 4000 even integers, which take the generic cap (the
+    # cap is too lossy here)
+    evens = gset(Z, range(0, 8000, 2))
+    assert evens.interval is None
+    rep2 = check_glll_witness(2, S, "0.1", [evens], spec)
     assert not rep2.witness_ok
+    # the two differ only in the neighbor count
+    (row,), (row2,) = [[r for r in x.records if r.inequality_id == "witness-product"]
+                       for x in (rep, rep2)]
+    assert row.lhs == row2.lhs
+    assert row2.rhs - row.rhs == pytest.approx(
+        (_neighbor_count(1, 4000, 4000, False) - _neighbor_count(1, 4000, 4000, True))
+        * math.log1p(-math.exp(-10)), rel=1e-9)
 
 
 def test_glll_witness_reads_log_omega_where_omega_underflows():
     # omega = exp(-a |D|) is 0.0 in floating point here; its log is -a |D|
     a = 0.9 ** 2 / 4
     rep = check_glll_witness(2, integer_interval(1), "0.9", [integer_interval(4000)],
-                             GLLLWitnessSpec(a=a), degree_mode="interval")
+                             GLLLWitnessSpec(a=a))
     (row,) = [r for r in rep.records if r.inequality_id == "witness-product"]
     assert math.exp(-a * 4000) == 0.0 and row.rhs == -a * 4000
     assert rep.ok
@@ -224,10 +240,11 @@ def test_find_log_growth_constant_properties():
     assert C * 0.02 > 1.0  # series convergence necessity
     C_relaxed = find_log_growth_constant(2, S, "0.3", a=0.02, eps_sum="0.5")
     assert C_relaxed <= C + 1e-6
-    # the checker accepts the sequence D_n = {0..ceil(C log(n+2))-1}
-    d_seq = [integer_interval(math.ceil(C * math.log(n + 2))) for n in range(50)]
+    # the checker accepts D_n = the first ceil(C log(n+2)) even integers,
+    # gapped sets that take the generic neighbor cap
+    d_seq = [gset(Z, range(0, 2 * math.ceil(C * math.log(n + 2)), 2)) for n in range(50)]
     rep = check_glll_witness(2, S, "0.3", d_seq, GLLLWitnessSpec(a=0.02, C=C),
-                             eps_sum="0.1", degree_mode="generic")
+                             eps_sum="0.1")
     assert rep.ok
 
 

@@ -37,7 +37,7 @@ def test_plan_unit_lengths():
 
 def test_plan_interval_lengths_cover_h():
     h = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4, 6, 2]
-    plan = plan_intervals(h, "0.1")
+    plan = plan_intervals(h.__getitem__, "0.1")
     assert plan.ell == max(h[:plan.N])
     for n in range(plan.N):
         assert len(plan.interval(n)) == plan.ell >= h[n]

@@ -433,7 +433,6 @@ def test_unset_default_check_sees_unset_defaults():
 # Parameter defaults that no library caller sets, with the reason.
 DEFAULTS_SET_BY_TESTS = {
     "main.argv": "the CLI entry point reads sys.argv by default",
-    "slll_stats.degree_mode": "tests compare the generic and interval bounds",
     **dict.fromkeys(["mc_deviation_prob.chunk", "ergodic_convergence_experiment.chunk"],
                     "tests show that results do not depend on the chunk size"),
 }
