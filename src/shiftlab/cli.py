@@ -5,13 +5,16 @@
     shiftlab list
 
 Configs are JSON with a mandatory "experiment" key naming the kind and a
-kind-specific parameter block (unknown keys are rejected).  Each run emits
-<kind>-summary.json plus CSV detail next to it; summaries embed the
+kind-specific parameter block (unknown keys are rejected).  Every key's
+type and every rule across keys (`describe` lists both) is checked before
+the output directory is made and before the experiment starts.  Each run
+emits <kind>-summary.json plus CSV detail next to it; summaries embed the
 resolved config and the tool version and are byte-identical for identical
 config+seed (wall-clock data goes to a separate -meta.json).
 
 Exit codes: 0 success, 1 usage or config error, 2 verdict failure (an
-asserted bound was violated empirically).
+asserted bound was violated empirically), 3 internal fault (the experiment
+raised an exception; its traceback goes to stderr).
 """
 
 from __future__ import annotations
@@ -20,29 +23,33 @@ import argparse
 import csv
 import datetime
 import json
+import math
 import os
+import re
 import sys
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
-from .concentration import deviation_sweep
+from .concentration import deviation_exponent, deviation_sweep
 from .ergodic import (ergodic_convergence_experiment, log_growth_size,
                       near_invariant_measure, periodic_cylinder_table,
                       uniform_discrepancy_experiment)
-from .groups import CyclicTranslation, GroupCtx, GroupSet, integer_interval
+from .groups import CyclicTranslation, GroupCtx, GroupSet, integer_interval, set_product
 from .lll import (CertificationError, FrequencyDeviationEvent, GLLLWitnessSpec, SearchError,
                   check_glll_witness, default_witness_exponent,
                   find_log_growth_constant, find_slll_threshold, slll_stats)
-from .moser_tardos import (TapeSpace, resample_fraction, run_mt, stabilization_ledger,
-                           tape_consistency)
+from .moser_tardos import (PATTERN_CAP, TapeSpace, resample_fraction, run_mt,
+                           scans_patterns, stabilization_ledger, tape_consistency)
 from .rng import _kernel_mark, _kernel_meta, derive_seed
-from .rokhlin import (TowerError, bad_sequence_experiment, build_tower, plan_intervals,
-                      tower_level_rows, verify_capture)
+from .rokhlin import (MODULUS_CAP, bad_sequence_experiment, build_tower, plan_intervals,
+                      plan_stages, tower_level_rows, verify_capture)
 from .shift import Pattern, as_fraction
 
-EXIT_OK, EXIT_USAGE, EXIT_VERDICT = 0, 1, 2
+EXIT_OK, EXIT_USAGE, EXIT_VERDICT, EXIT_FAULT = 0, 1, 2, 3
 
 
 class ConfigError(ValueError):
@@ -54,6 +61,23 @@ class ConfigError(ValueError):
 # or (key, value): required when the config sets key to value.  A type is a
 # type string (see `_conforms`), a parameter dict for a JSON object, or [dict]
 # for a list of such objects.
+#
+# Each rule is (keys, predicate, message).  A kind's rules run in order once
+# every parameter has its type; a rule applies when each of its keys is set
+# (a dotted key names a key of a nested object), and then `predicate` must
+# hold on the `_Facts` of the parameters, or the config is rejected with
+# `message` formatted from the same facts (which name the kind `kind`);
+# `describe` prints each message with its values left out.  A rule states a precondition of
+# what the driver calls, and reads any quantity it derives from the library
+# function the driver uses for it.
+
+# an interval of length n is free on Z/M iff n <= M
+_FREE_FOR_SD = (("s_size", "d_size", "modulus"), lambda f: f["modulus"] >= f["sd_size"],
+                "{kind}: modulus must be >= s_size + d_size - 1 = {sd_size} for a free "
+                "action, got {modulus}")
+_SCANNABLE = (("k", "s_size"), lambda f: scans_patterns(f["k"], f["s_size"]),
+              f"{{kind}}: k^s_size must be <= {PATTERN_CAP}, the patterns a scan "
+              f"enumerates, got {{k}}^{{s_size}}")
 
 SCHEMAS = {
     "ergodic-converge": {
@@ -70,6 +94,7 @@ SCHEMAS = {
             "samples": ("int >= 1", True, "number of sampled configurations"),
             "seed": ("int", True, "stream seed"),
         },
+        "rules": [],
     },
     "concentration-sweep": {
         "doc": "Monte Carlo estimate of the deviation probability of pattern "
@@ -84,6 +109,11 @@ SCHEMAS = {
             "modulus": ("int >= 1", True, "cyclic space size"),
             "seed": ("int", True, "stream seed"),
         },
+        "rules": [
+            (("s_sizes", "d_sizes", "modulus"), lambda f: f["modulus"] >= f["largest_set"],
+             "{kind}: modulus must be >= max(s_sizes + d_sizes) = {largest_set} for a free "
+             "action, got {modulus}"),
+        ],
     },
     "lll-check": {
         "doc": "Certify an instance: symmetric margin e*p*(d+1) < 1 with the "
@@ -103,6 +133,14 @@ SCHEMAS = {
             "n_prefix": ("int >= 1", False, "glll: checked prefix length", 64),
             "eps_sum": ("decimal string > 0", False, "glll: budget target (default eps)"),
         },
+        "rules": [
+            (("mode", "a", "eps", "s_size"), lambda f: f["mode"] != "glll" or f["a"] < f["a_limit"],
+             "{kind}: a must lie in (0, {a_limit}) = (0, eps^2/(2 s_size^3)), got {a}"),
+            (("mode", "a", "C"),
+             lambda f: f["mode"] != "glll" or _weight_below_one(f["a"], log_growth_size(f["C"], 0)),
+             "{kind}: a must keep the witness weight exp(-a |D_0|) below 1 as a float at "
+             "C = {C}, got {a}"),
+        ],
     },
     "moser-tardos": {
         "doc": "Run the resampling process on a cyclic space for a family of "
@@ -120,6 +158,13 @@ SCHEMAS = {
             "a": ("number > 0", False, "witness exponent (default eps^2/(4|S|^3))"),
             "expect_certified": ("bool", False, "exit 2 unless all seeds converge", False),
         },
+        "rules": [
+            _FREE_FOR_SD,
+            _SCANNABLE,
+            (("eps", "s_size", "d_size"), lambda f: _weight_below_one(f["witness_a"], f["d_size"]),
+             "{kind}: a must keep the witness weight exp(-a d_size) below 1 as a float, "
+             "got {witness_a}"),
+        ],
     },
     "uniform-discrepancy": {
         "doc": "Resample a log-growth family of frequency events until every "
@@ -134,6 +179,16 @@ SCHEMAS = {
             "seed": ("int", True, "tape seed"),
             "a": ("number > 0", False, "witness exponent (default eps^2/(4|S|^3))"),
         },
+        "rules": [
+            (("s_size", "d_sizes", "modulus"), lambda f: f["modulus"] >= f["sd_max"],
+             "{kind}: modulus must be >= s_size + max(d_sizes) - 1 = {sd_max} for a free "
+             "action, got {modulus}"),
+            _SCANNABLE,
+            (("eps", "s_size", "d_sizes"),
+             lambda f: _weight_below_one(f["witness_a"], min(f["d_sizes"])),
+             "{kind}: a must keep the witness weight exp(-a min(d_sizes)) below 1 as a "
+             "float, got {witness_a}"),
+        ],
     },
     "resfin": {
         "doc": "Exact cylinder table of the uniform measure on colorings "
@@ -148,6 +203,11 @@ SCHEMAS = {
             }], True, "patterns to tabulate"),
             "shifts": ("list[int]", False, "shifts to verify", [1, -1]),
         },
+        "rules": [
+            (("k", "patterns"), lambda f: f["bad_pattern"] is None,
+             "{kind}: patterns[{bad_pattern[0]}] must have distinct sites, one color per site "
+             "and colors below k = {k}, got {bad_pattern[1]}"),
+        ],
     },
     "approx-invariant": {
         "doc": "Resample one certified frequency event on a cyclic space and "
@@ -162,6 +222,7 @@ SCHEMAS = {
             "seed": ("int", True, "tape seed"),
             "shift_test_range": ("int >= 1", False, "how many shifts to test (default all)"),
         },
+        "rules": [_FREE_FOR_SD, _SCANNABLE],
     },
     "rokhlin-bad": {
         "doc": "Iterated tower construction: stages with eps_i = 2^{-i-1} on a "
@@ -180,6 +241,20 @@ SCHEMAS = {
                 "modulus": ("int >= 1", True, "cyclic space size"),
             }, False, "also build one explicit tower"),
         },
+        "rules": [
+            (("h", "i_max"), lambda f: f["stages"].needed <= f["stages"].given,
+             "{kind}: h gives {stages.given} length(s), the schedule needs {stages.needed}"),
+            (("h", "i_max"), lambda f: f["stages"].result[1] <= MODULUS_CAP,
+             f"{{kind}}: infeasible schedule: shared modulus of at least {{stages.result[1]}} "
+             f"exceeds the cap {MODULUS_CAP}"),
+            (("single.h", "single.eps"), lambda f: f["single_plan"].needed <= f["single_plan"].given,
+             "{kind} single: h gives {single_plan.given} length(s), the plan needs "
+             "{single_plan.needed}"),
+            (("single.h", "single.eps", "single.modulus"),
+             lambda f: f["single"]["modulus"] >= f["single_plan"].result.min_modulus,
+             "{kind} single.modulus: modulus too small: need >= "
+             "{single_plan.result.min_modulus}, got {single[modulus]}"),
+        ],
     },
 }
 
@@ -267,32 +342,101 @@ def _check_params(where: str, schema: dict, params: dict) -> dict:
     return checked
 
 
-# The least modulus at which the cyclic action of a kind's driver is free for
-# every set the driver checks (an interval of length n is free on Z/M iff n <= M).
-_LEAST_MODULUS = {
-    "moser-tardos": lambda p: (p["s_size"] + p["d_size"] - 1, "s_size + d_size - 1"),
-    "approx-invariant": lambda p: (p["s_size"] + p["d_size"] - 1, "s_size + d_size - 1"),
-    "uniform-discrepancy": lambda p: (p["s_size"] + max(p["d_sizes"]) - 1,
-                                      "s_size + max(d_sizes) - 1"),
-    "concentration-sweep": lambda p: (max(p["s_sizes"] + p["d_sizes"]), "max(s_sizes + d_sizes)"),
+def _is_set(params: dict, key: str) -> bool:
+    """Whether `params` sets `key`, a name or a dotted path into nested objects."""
+    name, _, rest = key.partition(".")
+    return name in params and (not rest or _is_set(params[name], rest))
+
+
+def _validate(config) -> tuple[str, dict]:
+    """The kind of a config and its parameters, checked against the kind's
+    schema and then its rules, with the defaults filled in."""
+    if not isinstance(config, dict):
+        raise ConfigError(f"a config must be a JSON object, got {config!r}")
+    kind = config.get("experiment")
+    if kind not in SCHEMAS:
+        raise ConfigError(f"unknown experiment kind {kind!r}; see `shiftlab list`")
+    p = _check_params(kind, SCHEMAS[kind]["params"],
+                      {k: v for k, v in config.items() if k != "experiment"})
+    facts = _Facts(p, kind=kind)
+    for keys, holds, message in SCHEMAS[kind]["rules"]:
+        if all(_is_set(p, key) for key in keys) and not holds(facts):
+            raise ConfigError(message.format_map(facts))
+    return kind, p
+
+
+# -- quantities the rules derive ----------------------------------------------
+
+
+class _Facts(dict):
+    """A config's kind and parameters, and the quantities `_DERIVED` derives
+    from them, each computed on first use and kept."""
+
+    def __missing__(self, name):
+        self[name] = value = _DERIVED[name](self)
+        return value
+
+
+class _Reading(NamedTuple):
+    result: object    # what the planner returned
+    given: float      # the lengths the config gives: len(h), or inf for an int
+    needed: int       # the lengths the planner read
+
+
+def _read_lengths(h, plan) -> _Reading:
+    """`plan(lengths)` for the interval lengths `h`, an int or a list, with
+    the count of lengths `h` gives and of lengths the plan reads.  Past the
+    end of a list it reads 1, the least length, so the count is what the
+    plan needs however short the list; only a list that covers the count
+    gives the plan of the config."""
+    lengths = _lengths(h)
+    given = math.inf if isinstance(h, int) else len(h)
+    needed = 0
+
+    def length(n):
+        nonlocal needed
+        needed = max(needed, n + 1)
+        return lengths(n) if n < given else 1
+    return _Reading(plan(length), given, needed)
+
+
+def _sd_size(s_size: int, d_size: int) -> int:
+    return len(set_product(integer_interval(s_size), integer_interval(d_size)))
+
+
+def _weight_below_one(a: float, d_size: int) -> bool:
+    """Whether the witness weight exp(-a |D|) stays below 1 as a float."""
+    try:
+        GLLLWitnessSpec(a).omega(d_size)
+    except CertificationError:
+        return False
+    return True
+
+
+def _bad_pattern(k: int, patterns: list):
+    """(index, pattern) of the first resfin pattern whose sites repeat, whose
+    colors are not one per site or whose colors reach k; None if none."""
+    for i, q in enumerate(patterns):
+        if not (len(set(q["sites"])) == len(q["sites"]) == len(q["colors"])
+                and max(q["colors"]) < k):
+            return i, q
+    return None
+
+
+_DERIVED = {
+    "sd_size": lambda f: _sd_size(f["s_size"], f["d_size"]),
+    "sd_max": lambda f: _sd_size(f["s_size"], max(f["d_sizes"])),
+    "largest_set": lambda f: max(f["s_sizes"] + f["d_sizes"]),
+    # the witness exponent the drivers use: the config's, else the default
+    "witness_a": lambda f: f["a"] if "a" in f else default_witness_exponent(
+        as_fraction(f["eps"]), f["s_size"]),
+    # the bound check_glll_witness and find_log_growth_constant hold a to
+    "a_limit": lambda f: deviation_exponent(float(as_fraction(f["eps"])), f["s_size"], 1),
+    "bad_pattern": lambda f: _bad_pattern(f["k"], f["patterns"]),
+    "stages": lambda f: _read_lengths(f["h"], lambda h: plan_stages(h, f["i_max"])),
+    "single_plan": lambda f: _read_lengths(f["single"]["h"], lambda h: plan_intervals(
+        h, as_fraction(f["single"]["eps"]))),
 }
-
-
-def _validate(kind: str, params: dict) -> dict:
-    """The parameters of a `kind` config, checked, with the defaults filled in."""
-    p = _check_params(kind, SCHEMAS[kind]["params"], params)
-    if kind in _LEAST_MODULUS:
-        need, keys = _LEAST_MODULUS[kind](p)
-        if p["modulus"] < need:
-            raise ConfigError(f"{kind}: modulus must be >= {keys} = {need} for a free "
-                              f"action, got {p['modulus']}")
-    if kind == "resfin":
-        for i, q in enumerate(p["patterns"]):
-            if not (len(set(q["sites"])) == len(q["sites"]) == len(q["colors"])
-                    and max(q["colors"]) < p["k"]):
-                raise ConfigError(f"{kind}: patterns[{i}] must have distinct sites, one color "
-                                  f"per site and colors below k = {p['k']}, got {q!r}")
-    return p
 
 
 def _json_default(o):
@@ -482,28 +626,13 @@ def _run_approx_invariant(p, out, jobs, transcript):
             "verdict": "pass" if m.within else "fail"}
 
 
-def _lengths(where: str, h):
+def _lengths(h):
     """n -> the n-th requested interval length of an int or a list `h`."""
-    if isinstance(h, int):
-        return lambda n: h
-
-    def nth(n):
-        if n >= len(h):
-            raise ConfigError(f"{where}: h gives {len(h)} length(s), the schedule "
-                              f"needs at least {n + 1}")
-        return h[n]
-    return nth
-
-
-def _single_tower(plan, modulus):
-    try:
-        return build_tower(plan, modulus)
-    except TowerError as exc:  # the only precondition a config can break
-        raise ConfigError(f"rokhlin-bad single.modulus: {exc}") from exc
+    return (lambda n: h) if isinstance(h, int) else h.__getitem__
 
 
 def _run_rokhlin_bad(p, out, jobs, transcript):
-    rep = bad_sequence_experiment(_lengths("rokhlin-bad", p["h"]), p["i_max"],
+    rep = bad_sequence_experiment(_lengths(p["h"]), p["i_max"],
                                   seed=p["seed"], k_probe=p.get("k_probe"))
     min_capture = as_fraction(p["min_capture"])
     _write_csv(out / "rokhlin-bad-detail.csv",
@@ -515,9 +644,8 @@ def _run_rokhlin_bad(p, out, jobs, transcript):
     single = None
     if "single" in p:
         s = p["single"]
-        plan = plan_intervals(_lengths("rokhlin-bad single", s["h"]),
-                              as_fraction(s["eps"]))
-        build = _single_tower(plan, s["modulus"])
+        plan = plan_intervals(_lengths(s["h"]), as_fraction(s["eps"]))
+        build = build_tower(plan, s["modulus"])
         cap = verify_capture(build)
         single = {"N": plan.N, "ell": plan.ell, "mu_a": build.mu_a,
                   "mu_b": build.mu_b, "capture_fraction": cap.fraction,
@@ -599,12 +727,7 @@ def cmd_run(args) -> int:
         return EXIT_USAGE
     try:
         config = json.loads(path.read_text())
-        if not isinstance(config, dict):
-            raise ConfigError(f"a config must be a JSON object, got {config!r}")
-        kind = config.get("experiment")
-        if kind not in RUNNERS:
-            raise ConfigError(f"unknown experiment kind {kind!r}; see `shiftlab list`")
-        params = _validate(kind, {k: v for k, v in config.items() if k != "experiment"})
+        kind, params = _validate(config)
         out = Path(args.out or os.environ.get("SHIFTLAB_OUT_DIR", "reports"))
         out.mkdir(parents=True, exist_ok=True)
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -615,12 +738,13 @@ def cmd_run(args) -> int:
         return EXIT_USAGE
 
     malloc_retain = _retain_freed_memory()
+    mark = _kernel_mark()
     try:
-        mark = _kernel_mark()
         summary = RUNNERS[kind](params, out, args.jobs, args.transcript)
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except Exception:  # the config passed every check, so this is a fault of the program
+        traceback.print_exc()
+        print(f"internal fault: the {kind} experiment raised an exception", file=sys.stderr)
+        return EXIT_FAULT
     summary_doc = {"experiment": kind, "config": config, "version": __version__,
                    "summary": summary}
     (out / f"{kind}-summary.json").write_text(
@@ -647,6 +771,12 @@ def cmd_describe(args) -> int:
     meta = SCHEMAS[kind]
     print(f"{kind}\n{'=' * len(kind)}\n{meta['doc']}\n\nparameters:")
     _print_params(meta["params"], "  ")
+    if meta["rules"]:
+        print("\nrules (checked before the run starts):")
+    for keys, _holds, message in meta["rules"]:
+        # the message without its kind, each value it would quote shown as "..."
+        rule = re.sub(r"\{[^}]*\}", "...", re.sub(r"^\{kind\}:? ", "", message))
+        print(f"  {rule} [keys: {', '.join(keys)}]")
     return EXIT_OK
 
 

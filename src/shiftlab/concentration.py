@@ -21,7 +21,7 @@ import numpy as np
 
 from .groups import FiniteAction, GroupError, GroupSet, is_sd_free, set_product
 from .rng import derive_seed, pattern_counts
-from .shift import Pattern, all_patterns, as_fraction
+from .shift import Pattern, as_fraction
 
 WILSON_Z95 = 1.959963984540054
 # a sweep point whose closed-form bound is at least this is vacuous
@@ -197,7 +197,7 @@ def deviation_sweep(grid, action: FiniteAction, trials: int, seed: int) -> list[
     """
     points = []
     for i, (k, S, eps, D) in enumerate(grid):
-        phi = all_patterns(S, k)[0]  # all-zero pattern: worst positive correlation
+        phi = Pattern(S, (0,) * len(S), k)  # all-zero pattern: worst positive correlation
         est = mc_deviation_prob(phi, eps, D, action, trials, derive_seed(seed, i))
         points.append((k, len(S), float(as_fraction(eps)), len(D),
                        concentration_bound(eps, len(S), len(D)), est))

@@ -183,9 +183,10 @@ def uniform_discrepancy_experiment(k: int, S: GroupSet, eps, d_sets: Sequence[Gr
     """
     _check_averaging_sets(d_sets)
     eps_fr = as_fraction(eps)
-    for ds in d_sets:
-        if not is_sd_free(action, [S, ds]):
-            raise GroupError("action must be (S, D_n)-free for every n")
+    events = [FrequencyDeviationEvent(k, S, eps_fr, ds) for ds in d_sets]
+    # free for S D_n, the domain the resampling run needs, is free for S and D_n
+    if not is_sd_free(action, [ev.domain for ev in events]):
+        raise GroupError("action must be free for S D_n for every n")
 
     if a is None:
         a = default_witness_exponent(eps_fr, len(S))
@@ -203,7 +204,6 @@ def uniform_discrepancy_experiment(k: int, S: GroupSet, eps, d_sets: Sequence[Gr
     if not certified and not warnings:
         warnings.append("witness certificate failed; no uniform-control claim is made")
 
-    events = [FrequencyDeviationEvent(k, S, eps_fr, ds) for ds in d_sets]
     result = run_mt(action, events, TapeSpace(seed=seed, k=k))
     fracs = resample_fraction(result)
     omegas = [witness.omega(len(ds)) for ds in d_sets]
@@ -308,13 +308,14 @@ def near_invariant_measure(k: int, S: GroupSet, eps, D: GroupSet, modulus: int,
         raise ValueError(f"shift_test_range must be >= 1, got {shift_test_range}")
     eps_fr = as_fraction(eps)
     action = CyclicTranslation(modulus)
-    if not is_sd_free(action, [S, D]):
-        raise GroupError("action must be (S, D)-free")
+    ev = FrequencyDeviationEvent(k, S, eps_fr, D)
+    # free for SD, the domain the resampling run needs, is free for S and D
+    if not is_sd_free(action, [ev.domain]):
+        raise GroupError("action must be free for SD")
     stats = slll_stats(k, S, eps_fr, D)
     if not stats.certified:
         raise CertificationError(
             f"instance not certified: margin {stats.slll_margin:.3g} >= 1")
-    ev = FrequencyDeviationEvent(k, S, eps_fr, D)
     result = run_mt(action, [ev], TapeSpace(seed=seed, k=k))
     if not result.converged:
         raise RuntimeError("resampling did not converge within the step budget")

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -150,8 +151,15 @@ class InstanceStats:
 
 def p_bound_freq(k: int, s_size: int, eps: float, d_size: int) -> float:
     """2 k^{|S|} exp(-eps^2 |D| / (2|S|^3)): union of the per-pattern
-    concentration bounds over all k^{|S|} patterns."""
-    return 2.0 * (k ** s_size) * math.exp(-deviation_exponent(eps, s_size, d_size))
+    concentration bounds over all k^{|S|} patterns.  When 2 k^{|S|} is past
+    the float range the bound is taken from its logarithm, and is inf when
+    it is past the float range itself."""
+    exponent = deviation_exponent(eps, s_size, d_size)
+    try:
+        return 2.0 * (k ** s_size) * math.exp(-exponent)
+    except OverflowError:
+        log_p = math.log(2 * k ** s_size) - exponent
+        return math.exp(log_p) if log_p < math.log(sys.float_info.max) else math.inf
 
 
 def _neighbor_count(s_size: int, m_size: int, n_size: int, intervals: bool) -> int:
@@ -382,7 +390,7 @@ def check_glll_witness(k: int, S: GroupSet, eps, d_seq: Sequence[GroupSet],
     # witness inequality per n, in log space
     prefix_log1m = [math.log1p(-w) for w in omegas]
     for n in range(len(sizes)):
-        log_lhs = math.log(2.0 * k ** s_sz) - deviation_exponent(epsf, s_sz, sizes[n])
+        log_lhs = math.log(2 * k ** s_sz) - deviation_exponent(epsf, s_sz, sizes[n])
         log_rhs = -witness.a * sizes[n]  # log omega(n), finite where omega(n) underflows
         for m, log1m in enumerate(prefix_log1m):
             cnt = _neighbor_count(s_sz, sizes[m], sizes[n], intervals) - int(m == n)
@@ -435,7 +443,7 @@ def find_log_growth_constant(k: int, S: GroupSet, eps, a: float, eps_sum) -> flo
         series = log_series(C * a)
         if 2.0 * s_sz * C * series >= eps_sum_f:
             return False
-        lhs = -math.log(2.0 * k ** s_sz) / (C * math.log(2.0)) + limit
+        lhs = -math.log(2 * k ** s_sz) / (C * math.log(2.0)) + limit
         rhs = a + 2.0 * s_sz ** 2 * C * series
         return lhs >= rhs
 

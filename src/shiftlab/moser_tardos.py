@@ -68,11 +68,20 @@ def _pullback_colors(action: FiniteAction, elems, g: np.ndarray) -> list[np.ndar
     return [g if e == identity else g[action.image(e)] for e in elems]
 
 
+PATTERN_CAP = 4096  # most patterns on S that the scans below enumerate
+
+
+def scans_patterns(k: int, s_size: int) -> bool:
+    """Whether the k^|S| patterns on S are at most PATTERN_CAP, decided
+    without forming k^|S| for a large |S|: for k >= 2, k^|S| >= 2^|S|."""
+    return k == 1 or s_size < PATTERN_CAP.bit_length() and k ** s_size <= PATTERN_CAP
+
+
 def _pattern_masks(action: FiniteAction, ev: FrequencyDeviationEvent, g: np.ndarray):
     """Yield (pattern colors, mask) with mask[x] whether the pattern occurs in
     the coloring pulled back at x."""
-    if ev.k ** len(ev.S) > 4096:
-        raise ValueError("pattern space too large to scan; keep k^|S| small")
+    if not scans_patterns(ev.k, len(ev.S)):
+        raise ValueError(f"pattern space too large to scan; keep k^|S| <= {PATTERN_CAP}")
     pulled = _pullback_colors(action, ev.S.elements, g)
     for pat in all_patterns(ev.S, ev.k):
         w = pulled[0] == pat.colors[0]

@@ -249,33 +249,46 @@ class BadSequenceReport:
         return all(mu <= Fraction(1, 2 ** q) for q, mu in self.mu_tail.items())
 
 
-def bad_sequence_experiment(h: Callable[[int], int], i_max: int, seed: int = 0,
-                            k_probe: Optional[Sequence[int]] = None) -> BadSequenceReport:
-    """Concatenate escape stages with eps_i = 2^{-i-1} on one shared cyclic
-    space (a common multiple of all tower heights, so every tower is exact),
-    with independently seeded base offsets, and measure per-band capture
-    against the union tails A_{>=q}.  A schedule whose shared modulus exceeds
-    MODULUS_CAP = 50,000,000 points raises TowerError.
+def plan_stages(h: Callable[[int], int], i_max: int) -> tuple[list[BadIntervalPlan], int]:
+    """The plans of the escape stages eps_i = 2^{-i-1}, i < i_max, stage i
+    reading h from the global index of its first interval on, and their
+    shared modulus: the lcm of the tower heights, doubled until every tower
+    fits, so that every tower is exact.  That modulus is at least the lcm
+    and every min_modulus of the stages planned so far, so planning stops
+    at the first stage that takes this bound past MODULUS_CAP and returns
+    the plans so far with the bound: a modulus past the cap marks the
+    schedule infeasible.
     """
     if i_max < 1:
         raise TowerError("need at least one stage")
-    if k_probe is not None and any(q < 0 for q in k_probe):
-        raise ValueError(f"k_probe entries must be >= 0, got {list(k_probe)}")
     plans: list[BadIntervalPlan] = []
-    n_starts: list[int] = []
+    lcm = least = 1
     for i in range(i_max):
         n_start = sum(p.N for p in plans)  # global index of the stage's first interval
-        plans.append(plan_intervals(lambda n: h(n_start + n), Fraction(1, 2 ** (i + 1))))
-        n_starts.append(n_start)
+        plan = plan_intervals(lambda n: h(n_start + n), Fraction(1, 2 ** (i + 1)))
+        plans.append(plan)
+        lcm, least = math.lcm(lcm, plan.height), max(least, plan.min_modulus)
+        if max(lcm, least) > MODULUS_CAP:
+            return plans, max(lcm, least)
+    modulus = lcm
+    while modulus < least:
+        modulus *= 2
+    return plans, modulus
 
-    heights = [p.height for p in plans]
-    modulus = math.lcm(*heights)
-    for p in plans:
-        while modulus < p.min_modulus:
-            modulus *= 2
+
+def bad_sequence_experiment(h: Callable[[int], int], i_max: int, seed: int = 0,
+                            k_probe: Optional[Sequence[int]] = None) -> BadSequenceReport:
+    """Concatenate the escape stages of `plan_stages` on their shared cyclic
+    space, with independently seeded base offsets, and measure per-band
+    capture against the union tails A_{>=q}.  A schedule whose shared
+    modulus exceeds MODULUS_CAP = 50,000,000 points raises TowerError.
+    """
+    if k_probe is not None and any(q < 0 for q in k_probe):
+        raise ValueError(f"k_probe entries must be >= 0, got {list(k_probe)}")
+    plans, modulus = plan_stages(h, i_max)
     if modulus > MODULUS_CAP:
-        raise TowerError(
-            f"infeasible schedule: shared modulus {modulus} exceeds the cap {MODULUS_CAP}")
+        raise TowerError(f"infeasible schedule: shared modulus of at least {modulus} "
+                         f"exceeds the cap {MODULUS_CAP}")
 
     # stages last first into one running union A_{>=q}, each stage's tower
     # dropped once its slab is in; the unions come back in k_probe order
@@ -287,7 +300,8 @@ def bad_sequence_experiment(h: Callable[[int], int], i_max: int, seed: int = 0,
         offset = int(mix_counters(derive_seed(seed, 0x70, q), q, 0)[()] % modulus)
         build = build_tower(plans[q], modulus, offset)
         union |= build.a_mask
-        stages.append(StageRecord(plans[q].eps, n_starts[q], plans[q], offset, build.mu_a))
+        n_start = sum(p.N for p in plans[:q])
+        stages.append(StageRecord(plans[q].eps, n_start, plans[q], offset, build.mu_a))
         del build
         if q not in qs:
             continue

@@ -6,12 +6,14 @@ import shutil
 import subprocess
 import sys
 import sysconfig
+import time
 from pathlib import Path
 
 import pytest
 
 import shiftlab
-from shiftlab.cli import EXIT_OK, EXIT_USAGE, EXIT_VERDICT, SCHEMAS, _conforms, main
+from shiftlab import cli
+from shiftlab.cli import EXIT_FAULT, EXIT_OK, EXIT_USAGE, EXIT_VERDICT, SCHEMAS, _conforms, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -61,6 +63,13 @@ def test_list_and_describe(capsys):
                  "[optional, default 64]"):
         assert rule in text
     assert main(["describe", "wat"]) == EXIT_USAGE
+    # each kind's rules, without the values a message quotes
+    assert main(["describe", "moser-tardos"]) == EXIT_OK
+    assert ("rules (checked before the run starts):\n  modulus must be >= s_size + d_size - 1 "
+            "= ... for a free action, got ... [keys: s_size, d_size, modulus]\n"
+            in capsys.readouterr().out)
+    assert main(["describe", "rokhlin-bad"]) == EXIT_OK
+    assert "  single.modulus: modulus too small: need >= ..., got ..." in capsys.readouterr().out
 
 
 def test_certified_mt_run_exits_0(tmp_path):
@@ -328,10 +337,72 @@ UD = {"experiment": "uniform-discrepancy", "k": 2, "s_size": 1, "eps": "0.3",
     # eps = 0.3, |S| = 1: a must lie in (0, eps^2/2) = (0, 0.045), with or without C
     ({**LLL, "mode": "glll", "eps": "0.3", "a": 0.045}, "a must lie in (0, 0.045"),
     ({**LLL, "mode": "glll", "eps": "0.3", "a": 0.05}, "a must lie in (0, 0.045"),
-    ({**LLL, "mode": "glll", "eps": "0.3", "a": 0.05, "C": 600.0}, "a=0.05 outside (0, "),
+    ({**LLL, "mode": "glll", "eps": "0.3", "a": 0.05, "C": 600.0},
+     "a must lie in (0, 0.045) = (0, eps^2/(2 s_size^3)), got 0.05"),
+    # rules that the drivers used to meet only after work had started
+    ({**ROKHLIN, "h": [3]}, "rokhlin-bad: h gives 1 length(s), the schedule needs 12"),
+    ({**ROKHLIN, "single": {**SINGLE, "h": [3, 4]}},
+     "rokhlin-bad single: h gives 2 length(s), the plan needs 20"),
+    ({**ROKHLIN, "i_max": 7},
+     "infeasible schedule: shared modulus of at least 1208924145 exceeds the cap 50000000"),
+    ({**MT, "s_size": 13}, "moser-tardos: k^s_size must be <= 4096, the patterns a scan "
+                           "enumerates, got 2^13"),
+    ({**AI, "k": 3, "s_size": 8}, "approx-invariant: k^s_size must be <= 4096"),
+    ({**UD, "k": 4097}, "uniform-discrepancy: k^s_size must be <= 4096"),
+    ({**MT, "a": 1e-20}, "a must keep the witness weight exp(-a d_size) below 1"),
+    # the default a = eps^2/(4|S|^3) rounds the weight to 1 as well
+    ({**MT, "eps": "1e-9"}, "a must keep the witness weight exp(-a d_size) below 1"),
+    ({**UD, "a": 1e-20}, "a must keep the witness weight exp(-a min(d_sizes)) below 1"),
+    ({**LLL, "mode": "glll", "eps": "0.3", "a": 1e-20, "C": 2},
+     "a must keep the witness weight exp(-a |D_0|) below 1 as a float at C = 2, got 1e-20"),
 ])
 def test_conditional_and_nested_keys_are_config_errors(tmp_path, capsys, doc, key):
     _assert_config_error(tmp_path, capsys, doc, key)
+
+
+def test_config_error_writes_no_report(tmp_path, capsys):
+    # the rules run before the output directory is made
+    doc = {**ROKHLIN, "single": {"eps": "0.1", "h": 50, "modulus": 1000}}
+    out = tmp_path / "rep"
+    assert main(["run", write_config(tmp_path, doc), "--out", str(out)]) == EXIT_USAGE
+    assert not out.exists()
+
+
+def test_driver_exception_is_an_internal_fault(tmp_path, capsys, monkeypatch):
+    def broken(p, out, jobs, transcript):
+        raise ValueError("a driver bug")
+    monkeypatch.setitem(cli.RUNNERS, "resfin", broken)
+    cfg = write_config(tmp_path, {**RESFIN, "patterns": [PAT]})
+    assert main(["run", cfg, "--out", str(tmp_path / "rep")]) == EXIT_FAULT == 3
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "ValueError: a driver bug" in err
+    assert "internal fault" in err and "config error" not in err
+
+
+def test_infeasible_schedule_is_rejected_at_once(tmp_path, capsys):
+    # planning stops at the first stage past the shared-modulus cap
+    start = time.perf_counter()
+    _assert_config_error(tmp_path, capsys, {**ROKHLIN, "i_max": 40}, "exceeds the cap")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_wide_pattern_sweep_builds_one_pattern(tmp_path):
+    # k^|S| = 16^6 = 16,777,216 patterns on S; the sweep uses only the all-zero one
+    start = time.perf_counter()
+    cfg = write_config(tmp_path, {**SWEEP, "ks": [16], "s_sizes": [6]})
+    assert main(["run", cfg, "--out", str(tmp_path / "rep")]) in (EXIT_OK, EXIT_VERDICT)
+    assert time.perf_counter() - start < 2.0
+
+
+@pytest.mark.parametrize("doc", [
+    {**LLL, "mode": "slll", "k": 256, "s_size": 200, "d_size": 1000},
+    {**LLL, "mode": "glll", "k": 256, "s_size": 200, "a": 1e-10},
+    {**LLL, "mode": "glll", "k": 256, "s_size": 200, "a": 1e-10, "C": 1e12, "n_prefix": 2},
+])
+def test_patterns_past_the_float_range_end_in_a_verdict(tmp_path, capsys, doc):
+    # 2 * 256^200 is past the float range
+    assert main(["run", write_config(tmp_path, doc), "--out", str(tmp_path / "rep")]) == EXIT_VERDICT
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_too_small_single_modulus_names_its_key(tmp_path, capsys):

@@ -146,6 +146,10 @@ def test_uniform_discrepancy_freeness_precondition():
     with pytest.raises(GroupError):
         uniform_discrepancy_experiment(2, S, "0.1", [integer_interval(600)],
                                        CyclicTranslation(500), seed=1)
+    # free for S and for D_n but not for S D_n: refused before the certificate
+    with pytest.raises(GroupError, match="free for S D_n"):
+        uniform_discrepancy_experiment(2, integer_interval(2), "0.3", [integer_interval(4000)],
+                                       CyclicTranslation(4000), seed=1)
 
 
 def test_uniform_discrepancy_uncertified_still_runs():
@@ -219,6 +223,12 @@ def test_near_invariant_rejects_uncertified():
     S = integer_interval(1)
     with pytest.raises(CertificationError):
         near_invariant_measure(2, S, "0.1", integer_interval(50), 5000, seed=2)
+
+
+def test_near_invariant_needs_an_action_free_for_sd():
+    # free for S and for D but not for SD, the domain the resampling run needs
+    with pytest.raises(GroupError, match="free for SD"):
+        near_invariant_measure(2, integer_interval(2), "0.3", integer_interval(4000), 4000, 1)
 
 
 def test_uniform_discrepancy_log_growth_family():

@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from shiftlab.concentration import deviation_exponent
 from shiftlab.groups import (GroupCtx, GroupSet, difference_set_size, integer_interval,
                              set_product)
 from shiftlab.lll import (CertificationError, ExplicitEvent,
                           FrequencyDeviationEvent, GLLLWitnessSpec, InstanceStats,
                           _neighbor_count, check_glll_witness, event_probability_exact,
                           explicit_expansion, find_log_growth_constant,
-                          find_slll_threshold, slll_stats)
+                          find_slll_threshold, p_bound_freq, slll_stats)
 from shiftlab.shift import Config, Pattern, all_patterns
 
 gset = GroupSet.from_iterable
@@ -246,6 +247,21 @@ def test_find_log_growth_constant_properties():
     rep = check_glll_witness(2, S, "0.3", d_seq, GLLLWitnessSpec(a=0.02, C=C),
                              eps_sum="0.1")
     assert rep.ok
+
+
+def test_probability_bound_past_the_float_range_of_k_to_the_s():
+    # 2 * 256^200 is past the float range: the bound is read from its logarithm
+    log_patterns = math.log(2) + 200 * math.log(256)
+    assert p_bound_freq(256, 200, 0.1, 1000) == math.inf
+    p = p_bound_freq(256, 200, 0.1, 2 * 10 ** 12)
+    assert 0 < p < 1e-60
+    assert math.isclose(p, math.exp(log_patterns - deviation_exponent(0.1, 200, 2 * 10 ** 12)))
+    # inside the range, the same float as the direct product
+    assert p_bound_freq(2, 3, 0.1, 100) == 2.0 * 8 * math.exp(-deviation_exponent(0.1, 3, 100))
+    # and the witness check reads log(2 k^|S|) from the int
+    rep = check_glll_witness(256, integer_interval(200), "0.1", [integer_interval(10)],
+                             GLLLWitnessSpec(a=1e-10))
+    assert not rep.ok and rep.records[-1].lhs == pytest.approx(log_patterns)
 
 
 def test_find_log_growth_constant_validates_a():

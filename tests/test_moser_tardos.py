@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from shiftlab.groups import (CyclicTranslation, GroupCtx, GroupError,
                              GroupSet, TorusTranslation, integer_interval)
 from shiftlab.lll import ExplicitEvent, FrequencyDeviationEvent
-from shiftlab.moser_tardos import (TapeSpace, resample_fraction, run_mt,
+from shiftlab.moser_tardos import (TapeSpace, resample_fraction, run_mt, scans_patterns,
                                    stabilization_ledger, tape_consistency,
                                    violated_anchors)
 from shiftlab.shift import Config, Pattern
@@ -279,3 +279,11 @@ def screened_detection_cases(draw):
 @settings(max_examples=10, deadline=None)
 def test_screened_detection_matches_event_holds(case):
     _assert_detection_matches_holds(*case)
+
+
+@pytest.mark.parametrize("k, s_size, scans", [
+    (2, 12, True), (2, 13, False), (4096, 1, True), (4097, 1, False), (16, 3, True),
+    (16, 4, False), (1, 10 ** 9, True), (3, 10 ** 9, False)])
+def test_pattern_scan_cap(k, s_size, scans):
+    # k^|S| <= 4096, decided without forming 3^(10^9)
+    assert scans_patterns(k, s_size) is scans

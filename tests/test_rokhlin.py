@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from fractions import Fraction
 
@@ -7,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from shiftlab import rokhlin
-from shiftlab.rokhlin import (TowerError, TowerSystem, bad_sequence_experiment,
-                              build_tower, plan_intervals, verify_capture)
+from shiftlab.rokhlin import (MODULUS_CAP, TowerError, TowerSystem, bad_sequence_experiment,
+                              build_tower, plan_intervals, plan_stages, verify_capture)
 
 from test_windows import unpack
 
@@ -158,8 +159,24 @@ def test_bad_sequence_respects_h():
 
 
 def test_bad_sequence_infeasible_schedule():
-    with pytest.raises(TowerError, match="shared modulus 417262285440000 exceeds the cap"):
-        bad_sequence_experiment(lambda n: 997 + n, 6, seed=0)
+    # stage 2 takes the lcm of the heights to 6,168,960,000, past the cap, so
+    # planning reads no length of stages 3..5 (the full modulus would be
+    # 417,262,285,440,000)
+    read = []
+    with pytest.raises(TowerError, match="shared modulus of at least 6168960000 exceeds the cap"):
+        bad_sequence_experiment(lambda n: read.append(n) or 997 + n, 6, seed=0)
+    assert max(read) == 4 + 8 + 16 - 1
+
+
+@pytest.mark.parametrize("h, i_max", [(lambda n: 1, 6), (lambda n: 2 + (n % 3), 3),
+                                      (lambda n: 997 + n, 1), (lambda n: 7 - n % 5, 4)])
+def test_stage_planning_keeps_the_all_stages_modulus(h, i_max):
+    # the lcm of every height, doubled until every tower fits
+    plans, modulus = plan_stages(h, i_max)
+    expect = math.lcm(*(p.height for p in plans))
+    while expect < max(p.min_modulus for p in plans):
+        expect *= 2
+    assert len(plans) == i_max and modulus == expect <= MODULUS_CAP
 
 
 def test_tower_level_rows():

@@ -73,19 +73,31 @@ def _is_driver_check(n) -> bool:
     return isinstance(n, ast.Name) and n.id.startswith("EXIT_")
 
 
+# The functions of `cli` that check a config against `cli.SCHEMAS`.
+VALIDATORS = ("_check", "_check_params", "_validate")
+
+
 def driver_checks(source: str) -> list[int]:
-    """Lines of the `_run_*` experiment drivers that raise ConfigError, call
-    `.get` with a literal default or name an exit code.  Config rules and
-    defaults live in `cli.SCHEMAS`, and `cmd_run` maps verdicts to exit codes."""
-    return sorted(n.lineno for fn in ast.walk(ast.parse(source))
-                  if isinstance(fn, ast.FunctionDef) and fn.name.startswith("_run_")
-                  for n in ast.walk(fn) if _is_driver_check(n))
+    """Lines of the functions outside VALIDATORS that raise ConfigError, and
+    of those that are not commands (`cmd_*`, `main`) that call `.get` with a
+    literal default or name an exit code.  Config rules and defaults live in
+    `cli.SCHEMAS`, and the commands map outcomes to exit codes."""
+    lines = set()
+    for fn in ast.walk(ast.parse(source)):
+        if isinstance(fn, ast.FunctionDef) and fn.name not in VALIDATORS:
+            command = fn.name.startswith("cmd_") or fn.name == "main"
+            lines.update(n.lineno for n in ast.walk(fn) if _is_driver_check(n)
+                         and (not command or isinstance(n, ast.Raise)))
+    return sorted(lines)
 
 
 def test_driver_check_sees_checks():
     assert driver_checks("def _run_x(p):\n    raise ConfigError('x')\n    p.get('a', -1)\n"
                          "    p.get('b')\n    p.get('c', p['d'])\n    return EXIT_OK\n"
-                         "def _lengths(h):\n    raise ConfigError('y')\n") == [2, 3, 6]
+                         "def _lengths(h):\n    raise ConfigError('y')\n"
+                         "def _validate(p):\n    raise ConfigError('z')\n    return p.get('a', 1)\n"
+                         "def cmd_run(a):\n    x = a.get('out', 'reports')\n"
+                         "    raise ConfigError(x)\n    return EXIT_OK\n") == [2, 3, 6, 8, 14]
 
 
 def test_drivers_hold_no_config_checks():
