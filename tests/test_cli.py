@@ -337,8 +337,9 @@ UD = {"experiment": "uniform-discrepancy", "k": 2, "s_size": 1, "eps": "0.3",
     # eps = 0.3, |S| = 1: a must lie in (0, eps^2/2) = (0, 0.045), with or without C
     ({**LLL, "mode": "glll", "eps": "0.3", "a": 0.045}, "a must lie in (0, 0.045"),
     ({**LLL, "mode": "glll", "eps": "0.3", "a": 0.05}, "a must lie in (0, 0.045"),
-    ({**LLL, "mode": "glll", "eps": "0.3", "a": 0.05, "C": 600.0},
-     "a must lie in (0, 0.045) = (0, eps^2/(2 s_size^3)), got 0.05"),
+    pytest.param({**LLL, "mode": "glll", "eps": "0.3", "a": 0.05, "C": 600.0},
+                 "a must lie in (0, 0.045) = (0, eps^2/(2 s_size^3)), got 0.05",
+                 id="doc54-a=0.05 outside (0, "),
     # rules that the drivers used to meet only after work had started
     ({**ROKHLIN, "h": [3]}, "rokhlin-bad: h gives 1 length(s), the schedule needs 12"),
     ({**ROKHLIN, "single": {**SINGLE, "h": [3, 4]}},
