@@ -34,6 +34,18 @@
  * The baseline passes a literal 0, which the compiler drops.
  * tests/test_rng.py fails on a multiply from memory in the x86-64-v4 copy.
  *
+ * The x86-64-v4 copy of shiftlab_count hashes and counts its rows with
+ * AVX-512 intrinsics (count_v4_k, matches_v4) for k = 3 and every power of
+ * two, with fewer port-0 uops than GCC's vectorisation of count() (see
+ * count_v4_k) and byte compare masks in place of the byte mask buffer.
+ * They are compiled only where the compiler may emit AVX-512 (ROW_V4), so
+ * the baseline copy builds on every target.  Rows of 501-2001 colors,
+ * 10,000 of them, best of 7 calls (standalone C, the AVX-512 Xeon above):
+ * hashing alone 0.47-0.62 -> 0.33-0.35 ns per color at k = 2 and
+ * 0.84-1.11 -> 0.55-0.57 ns at k = 3; with counting one or two sites
+ * 0.60-0.88 -> 0.35-0.42 ns and 0.96-1.33 -> 0.57-0.71 ns.
+ * tests/test_rng.py fails where its vpsadbw or vpmuludq is missing.
+ *
  * The numpy paths in rng.py compute the same results and are the test
  * oracles.
  */
@@ -42,26 +54,37 @@
 
 #define A 0x9E3779B97F4A7C15ULL
 #define B 0xD1B54A32D192ED03ULL
+#define M1 0xBF58476D1CE4E5B9ULL  /* the finalizer's multipliers */
+#define M2 0x94D049BB133111EBULL
 
 #if defined(__x86_64__) && !defined(__clang__) && __GNUC__ >= 12
 #define V4 __attribute__((target("arch=x86-64-v4")))
 #define HAS_V4() (__builtin_cpu_init(), __builtin_cpu_supports("x86-64-v4"))
+#define V4_DISPATCH
 #else
 #define V4
 #define HAS_V4() 0
 #endif
 
+/* AVX-512 intrinsics serve the x86-64-v4 copy of count() where it is built
+ * for AVX-512: by the dispatch above, or by -march=x86-64-v4 or later. */
+#if defined(V4_DISPATCH) || (defined(__AVX512BW__) && defined(__AVX512DQ__))
+#include <immintrin.h>
+#define ROW_V4
+#endif
+
 static inline uint64_t fin(uint64_t z)
 {
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
+    z = (z ^ (z >> 30)) * M1;
+    z = (z ^ (z >> 27)) * M2;
     return z ^ (z >> 31);
 }
 
 /* z % k, or z & mask when k == 0.  With k a literal `% k` becomes a high
- * multiply, which AVX-512 lacks, so the x86-64-v4 copy reduces k = 3 exactly
- * without one: since 2^16 == 1 (mod 3), z folds to a sum of its four 16-bit
- * digits s < 2^18, and s * 0xAAAAAAAB >> 33 is s / 3 for every s < 2^32.
+ * multiply, which AVX-512 lacks, so the x86-64-v4 copy of plane() reduces
+ * k = 3 exactly without one: since 2^16 == 1 (mod 3), z folds to a sum of
+ * its four 16-bit digits s < 2^18, and s * 0xAAAAAAAB >> 33 is s / 3 for
+ * every s < 2^32.
  * In scalar code the fold is slower than `% 3`, so the baseline keeps it. */
 static inline __attribute__((always_inline)) uint64_t
 reduce(uint64_t z, uint64_t k, uint64_t mask, int wide)
@@ -114,41 +137,50 @@ hash_k(uint64_t seed, const uint64_t *a, ptrdiff_t ars, ptrdiff_t acs, const uin
 #undef PLANE
 }
 
-/* Colors of one row into buf[0..cols), then occurrences of phi counted in a
+/* How many j < d have buf[starts[i] + j] == phi[i] for every i < ns, from a
  * byte mask at buf[cols..cols+d); byte colors keep the compare loops
- * vectorised.  Inlined per k like plane(). */
-static inline __attribute__((always_inline)) void
-count(uint64_t seed, uint64_t row0, ptrdiff_t rows, ptrdiff_t cols, uint64_t k,
-      uint64_t mask, int wide, const ptrdiff_t *starts, const uint8_t *phi, ptrdiff_t ns,
-      ptrdiff_t d, uint8_t *buf, int64_t *counts)
+ * vectorised. */
+static inline __attribute__((always_inline)) int64_t
+matches(uint8_t *buf, ptrdiff_t cols, const ptrdiff_t *starts, const uint8_t *phi,
+        ptrdiff_t ns, ptrdiff_t d)
 {
     uint8_t *m = buf + cols;
+    const uint8_t *s = buf + starts[0];
+    for (ptrdiff_t j = 0; j < d; j++)
+        m[j] = s[j] == phi[0];
+    for (ptrdiff_t i = 1; i < ns; i++) {
+        const uint8_t *t = buf + starts[i];
+        uint8_t p = phi[i];
+        for (ptrdiff_t j = 0; j < d; j++)
+            m[j] &= t[j] == p;
+    }
+    int64_t n = 0;
+    for (ptrdiff_t j = 0; j < d; j++)
+        n += m[j];
+    return n;
+}
+
+/* Colors of one row into buf[0..cols), then its matches.  Inlined per k
+ * like plane(). */
+static inline __attribute__((always_inline)) void
+count(uint64_t seed, uint64_t row0, ptrdiff_t rows, ptrdiff_t cols, uint64_t k,
+      uint64_t mask, const ptrdiff_t *starts, const uint8_t *phi, ptrdiff_t ns,
+      ptrdiff_t d, uint8_t *buf, int64_t *counts)
+{
     for (ptrdiff_t r = 0; r < rows; r++) {
         uint64_t h = fin(seed ^ A * (row0 + (uint64_t)r));
         for (ptrdiff_t c = 0; c < cols; c++)
-            buf[c] = (uint8_t)reduce(fin(h ^ B * (uint64_t)c), k, mask, wide);
-        const uint8_t *s = buf + starts[0];
-        for (ptrdiff_t j = 0; j < d; j++)
-            m[j] = s[j] == phi[0];
-        for (ptrdiff_t i = 1; i < ns; i++) {
-            const uint8_t *t = buf + starts[i];
-            uint8_t p = phi[i];
-            for (ptrdiff_t j = 0; j < d; j++)
-                m[j] &= t[j] == p;
-        }
-        int64_t n = 0;
-        for (ptrdiff_t j = 0; j < d; j++)
-            n += m[j];
-        counts[r] = n;
+            buf[c] = (uint8_t)reduce(fin(h ^ B * (uint64_t)c), k, mask, 0);
+        counts[r] = matches(buf, cols, starts, phi, ns, d);
     }
 }
 
 static inline __attribute__((always_inline)) void
 count_k(uint64_t seed, uint64_t row0, ptrdiff_t rows, ptrdiff_t cols, uint64_t k,
-        const ptrdiff_t *starts, const uint8_t *phi, ptrdiff_t ns, ptrdiff_t d, int wide,
+        const ptrdiff_t *starts, const uint8_t *phi, ptrdiff_t ns, ptrdiff_t d,
         uint8_t *buf, int64_t *counts)
 {
-#define COUNT(K, MASK) count(seed, row0, rows, cols, K, MASK, wide, starts, phi, ns, d, buf, counts)
+#define COUNT(K, MASK) count(seed, row0, rows, cols, K, MASK, starts, phi, ns, d, buf, counts)
     if ((k & (k - 1)) == 0)
         COUNT(0, k - 1);
     else if (k == 3)
@@ -157,6 +189,71 @@ count_k(uint64_t seed, uint64_t row0, ptrdiff_t rows, ptrdiff_t cols, uint64_t k
         COUNT(k, 0);
 #undef COUNT
 }
+
+#ifdef ROW_V4
+/* matches() from compare masks and a popcount, 64 bytes per step; the loads
+ * are masked to the d bytes of each site. */
+static inline V4 __attribute__((always_inline)) int64_t
+matches_v4(const uint8_t *buf, const ptrdiff_t *starts, const uint8_t *phi, ptrdiff_t ns,
+           ptrdiff_t d)
+{
+    int64_t n = 0;
+    for (ptrdiff_t j = 0; j < d; j += 64) {
+        __mmask64 hit = d - j >= 64 ? ~0ULL : (1ULL << (d - j)) - 1;
+        for (ptrdiff_t i = 0; i < ns; i++)
+            hit = _mm512_mask_cmpeq_epi8_mask(
+                hit, _mm512_maskz_loadu_epi8(hit, buf + starts[i] + j),
+                _mm512_set1_epi8((char)phi[i]));
+        n += _mm_popcnt_u64(hit);
+    }
+    return n;
+}
+
+/* count() for k = 3 or a power of two k, hashing 8 columns per step (the
+ * last step stores only the colors left of cols) and counting with
+ * matches_v4.  The hash is bound by port 0 of the AVX-512 core, where a
+ * vpmullq costs 3 uops and a vpmuludq or a 512-bit shift 1, so it does the
+ * same arithmetic with fewer of them:
+ * - B*c is a running sum, bc += 8*B, not a multiply;
+ * - for k = 2 the color is bit 0 of z ^ z >> 31, which reads bits 0 and 31
+ *   of the last product only; both depend only on the low 32 bits of its
+ *   factors, so a 32-bit vpmuludq by the low word of M2 serves;
+ * - for k = 3, since 2^8 == 1 (mod 3), one vpsadbw against zero sums the
+ *   eight bytes of z to s <= 2040 with s == z (mod 3), and
+ *   s * 0xAAAB >> 17 is s / 3 for every s < 2^17, through vpmuludq. */
+static inline V4 __attribute__((always_inline)) void
+count_v4_k(uint64_t seed, uint64_t row0, ptrdiff_t rows, ptrdiff_t cols, uint64_t k,
+           uint64_t mask, const ptrdiff_t *starts, const uint8_t *phi, ptrdiff_t ns,
+           ptrdiff_t d, uint8_t *buf, int64_t *counts)
+{
+    const __m512i m1 = _mm512_set1_epi64(M1), m2 = _mm512_set1_epi64(M2);
+    const __m512i m2lo = _mm512_set1_epi64(M2 & 0xFFFFFFFF), third = _mm512_set1_epi64(0xAAAB);
+    const __m512i three = _mm512_set1_epi64(3), maskv = _mm512_set1_epi64(mask);
+    const __m512i bc0 = _mm512_set_epi64(7 * B, 6 * B, 5 * B, 4 * B, 3 * B, 2 * B, B, 0);
+    const __m512i step = _mm512_set1_epi64(8 * B), zero = _mm512_setzero_si512();
+    for (ptrdiff_t r = 0; r < rows; r++) {
+        const __m512i hv = _mm512_set1_epi64(fin(seed ^ A * (row0 + (uint64_t)r)));
+        __m512i bc = bc0;
+        for (ptrdiff_t c = 0; c < cols; c += 8, bc = _mm512_add_epi64(bc, step)) {
+            __m512i z = _mm512_xor_si512(hv, bc), color;
+            z = _mm512_mullo_epi64(_mm512_xor_si512(z, _mm512_srli_epi64(z, 30)), m1);
+            z = _mm512_xor_si512(z, _mm512_srli_epi64(z, 27));
+            z = k == 2 ? _mm512_mul_epu32(z, m2lo) : _mm512_mullo_epi64(z, m2);
+            z = _mm512_xor_si512(z, _mm512_srli_epi64(z, 31));
+            if (k == 3) {
+                __m512i s = _mm512_sad_epu8(z, zero);
+                __m512i q = _mm512_srli_epi64(_mm512_mul_epu32(s, third), 17);
+                color = _mm512_sub_epi64(s, _mm512_mul_epu32(q, three));
+            } else {
+                color = _mm512_and_si512(z, maskv);
+            }
+            __mmask8 live = cols - c >= 8 ? 0xFF : (__mmask8)((1u << (cols - c)) - 1);
+            _mm512_mask_cvtepi64_storeu_epi8(buf + c, live, color);
+        }
+        counts[r] = matches_v4(buf, starts, phi, ns, d);
+    }
+}
+#endif
 
 /* The x86-64-v4 copies; where V4 is empty they are never called.  z0 keeps
  * the loaded counters out of the multiplies (see the top of this file). */
@@ -175,7 +272,21 @@ count_v4(uint64_t seed, uint64_t row0, ptrdiff_t rows, ptrdiff_t cols, uint64_t 
          const ptrdiff_t *starts, const uint8_t *phi, ptrdiff_t ns, ptrdiff_t d,
          uint8_t *buf, int64_t *counts)
 {
-    count_k(seed, row0, rows, cols, k, starts, phi, ns, d, 1, buf, counts);
+#ifdef ROW_V4
+#define COUNT(K, MASK) \
+    count_v4_k(seed, row0, rows, cols, K, MASK, starts, phi, ns, d, buf, counts)
+    if (k == 2)
+        COUNT(2, 1);
+    else if (k == 3)
+        COUNT(3, 0);
+    else if ((k & (k - 1)) == 0)
+        COUNT(0, k - 1);
+    else  /* AVX-512 has no 64-bit divide */
+        count(seed, row0, rows, cols, k, 0, starts, phi, ns, d, buf, counts);
+#undef COUNT
+#else
+    count_k(seed, row0, rows, cols, k, starts, phi, ns, d, buf, counts);
+#endif
 }
 
 void shiftlab_hash(uint64_t seed, const uint64_t *a, ptrdiff_t ars, ptrdiff_t acs,
@@ -195,7 +306,7 @@ void shiftlab_count(uint64_t seed, uint64_t row0, ptrdiff_t rows, ptrdiff_t cols
     if (HAS_V4())
         count_v4(seed, row0, rows, cols, k, starts, phi, ns, d, buf, counts);
     else
-        count_k(seed, row0, rows, cols, k, starts, phi, ns, d, 0, buf, counts);
+        count_k(seed, row0, rows, cols, k, starts, phi, ns, d, buf, counts);
 }
 
 const char *shiftlab_isa(void)

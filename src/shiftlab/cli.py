@@ -78,6 +78,8 @@ _FREE_FOR_SD = (("s_size", "d_size", "modulus"), lambda f: f["modulus"] >= f["sd
 _SCANNABLE = (("k", "s_size"), lambda f: scans_patterns(f["k"], f["s_size"]),
               f"{{kind}}: k^s_size must be <= {PATTERN_CAP}, the patterns a scan "
               f"enumerates, got {{k}}^{{s_size}}")
+# a set of integers is a range, and len() counts a range only up to sys.maxsize
+_LARGEST_SET = f"<= {sys.maxsize}, the largest set size"
 
 SCHEMAS = {
     "ergodic-converge": {
@@ -94,7 +96,11 @@ SCHEMAS = {
             "samples": ("int >= 1", True, "number of sampled configurations"),
             "seed": ("int", True, "stream seed"),
         },
-        "rules": [],
+        "rules": [
+            (("C", "n_max"), lambda f: log_growth_size(f["C"], f["n_max"]) <= sys.maxsize,
+             f"{{kind}}: C must keep |D_n| = ceil(C log(n+2)) for n <= n_max "
+             f"{_LARGEST_SET}, got {{C}}"),
+        ],
     },
     "concentration-sweep": {
         "doc": "Monte Carlo estimate of the deviation probability of pattern "
@@ -134,6 +140,14 @@ SCHEMAS = {
             "eps_sum": ("decimal string > 0", False, "glll: budget target (default eps)"),
         },
         "rules": [
+            (("s_size",), lambda f: f["s_size"] <= sys.maxsize,
+             f"{{kind}}: s_size must be {_LARGEST_SET}, got {{s_size}}"),
+            (("d_size",), lambda f: f["d_size"] <= sys.maxsize,
+             f"{{kind}}: d_size must be {_LARGEST_SET}, got {{d_size}}"),
+            (("mode", "C", "n_prefix"), lambda f: f["mode"] != "glll"
+             or log_growth_size(f["C"], f["n_prefix"] - 1) <= sys.maxsize,
+             f"{{kind}}: C must keep |D_n| = ceil(C log(n+2)) for n < n_prefix "
+             f"{_LARGEST_SET}, got {{C}}"),
             (("mode", "a", "eps", "s_size"), lambda f: f["mode"] != "glll" or f["a"] < f["a_limit"],
              "{kind}: a must lie in (0, {a_limit}) = (0, eps^2/(2 s_size^3)), got {a}"),
             (("mode", "a", "C"),

@@ -50,11 +50,21 @@ def deviation_exponent(eps: float, s_size: int, d_size: int) -> float:
 def deviates(counts, d_size, k: int, s_size: int, eps):
     """Whether a pattern seen `counts` times over |D| = d_size misses
     k^{-|S|} by eps or more, tested exactly in integers as
-    |counts k^{|S|} - |D|| den >= num |D| k^{|S|} for eps = num/den.
-    Takes ints or integer arrays that broadcast against each other."""
+    |counts k^{|S|} - |D|| >= ceil(num |D| k^{|S|} / den) for eps = num/den.
+    The threshold is computed in Python ints, so a denominator past int64
+    multiplies no count.  Takes ints or integer arrays that broadcast against
+    each other."""
     eps = as_fraction(eps)
     scale = k ** s_size
-    return abs(counts * scale - d_size) * eps.denominator >= eps.numerator * d_size * scale
+
+    def threshold(d: int) -> int:
+        return -(-eps.numerator * d * scale // eps.denominator)
+
+    if np.ndim(d_size):
+        least = np.array([threshold(int(d)) for d in np.ravel(d_size)]).reshape(np.shape(d_size))
+    else:
+        least = threshold(int(d_size))
+    return abs(counts * scale - d_size) >= least
 
 
 def concentration_bound(eps, s_size: int, d_size: int) -> float:

@@ -406,6 +406,28 @@ def test_patterns_past_the_float_range_end_in_a_verdict(tmp_path, capsys, doc):
     assert "Traceback" not in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("doc", [
+    {**ERGODIC, "eps": "1e-30", "C": 6},
+    {**SWEEP, "eps_list": ["1e-30"]},
+])
+def test_eps_past_int64_ends_in_a_verdict(tmp_path, capsys, doc):
+    # eps = 1/10^30, whose denominator is past int64
+    assert main(["run", write_config(tmp_path, doc), "--out", str(tmp_path / "rep")]) in (
+        EXIT_OK, EXIT_VERDICT)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc, key", [
+    ({**LLL, "mode": "glll", "a": 0.002, "C": 1e300}, "C must keep |D_n|"),
+    ({**LLL, "mode": "slll", "d_size": 10 ** 30}, "d_size must be <= "),
+    ({**LLL, "mode": "slll", "s_size": 10 ** 30, "d_size": 100}, "s_size must be <= "),
+    ({**ERGODIC, "C": 1e300}, "C must keep |D_n|"),
+])
+def test_sizes_past_ssize_t_are_config_errors(tmp_path, capsys, doc, key):
+    # a set is a range, whose len() stops at sys.maxsize
+    _assert_config_error(tmp_path, capsys, doc, key)
+
+
 def test_too_small_single_modulus_names_its_key(tmp_path, capsys):
     doc = {**ROKHLIN, "single": {"eps": "0.1", "h": 50, "modulus": 1000}}
     cfg = write_config(tmp_path, doc)

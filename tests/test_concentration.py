@@ -38,6 +38,15 @@ def test_deviates_is_the_exact_rational_test(k, s, d, eps, data):
                             for c in counts]
 
 
+@pytest.mark.parametrize("eps", [Fraction(1, 10 ** 30), Fraction(10 ** 30 + 7, 3 * 10 ** 30)])
+def test_deviates_takes_a_denominator_past_int64(eps):
+    # the threshold is taken in Python ints: no int64 count meets the denominator
+    counts, sizes = np.arange(81), np.array([40, 41, 80])
+    got = deviates(counts[:, None], sizes, 2, 1, eps)
+    assert got.tolist() == [[_deviates_exact(int(c), int(m), 2, 1, eps) for m in sizes]
+                            for c in counts]
+
+
 def test_scb_examples():
     assert scb_bound(1, 1.0, 0.0) == 2.0  # vacuous limit
     assert scb_bound(2000, 2.0, 0.2 * 2000) == pytest.approx(2 * math.exp(-10), rel=1e-12)

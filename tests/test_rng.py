@@ -404,12 +404,14 @@ def count_cases(draw):
     else:  # index arrays are gathered by numpy
         selectors = [np.arange(s, s + d) for s in starts]
     phi = tuple(draw(st.lists(st.integers(0, k - 1), min_size=ns, max_size=ns)))
+    # any row offset: row_offset + r wraps past 2^64 - 1 to 0
     return (draw(st.integers(0, U64_MAX)), draw(st.integers(1, 40)), cols, k, selectors,
-            phi, draw(st.integers(0, 1 << 40)))
+            phi, draw(st.integers(0, U64_MAX)))
 
 
 @given(count_cases())
 @example((5, 3, 70, 2, [slice(6, 70), slice(0, 64)], (1, 1), (1 << 40) - 1))
+@example((5, 3, 70, 3, [slice(6, 70), slice(0, 64)], (1, 2), U64_MAX - 1))
 @seed(13_013)
 @settings(max_examples=150, deadline=None)
 def test_pattern_counts_match_numpy(case):
@@ -523,21 +525,37 @@ def test_each_kernel_copy_counts_the_reference_counts(variant):
                 _same(got, _counts_reference(7, 5, cols, k, selectors, phi, row0))
 
 
-@pytest.mark.skipif(platform.machine() != "x86_64" or shutil.which("gcc") is None,
-                    reason="needs an x86-64 host and gcc on PATH")
-def test_no_counter_is_multiplied_from_memory_in_the_v4_copy(tmp_path):
-    # GCC 12 folded the loads of a[c] and b[c] into `vpmullq (mem), zmm, zmm`,
-    # which ran the hash loop about 4x slower than with the loaded vector in
-    # a register
+def _v4_assembly(tmp_path) -> str:
+    """The assembly of the dispatch-stripped x86-64-v4 copy, from gcc."""
+    if platform.machine() != "x86_64" or shutil.which("gcc") is None:
+        pytest.skip("needs an x86-64 host and gcc on PATH")
     src = tmp_path / "hash.c"
     src.write_text(_stripped_source(True))
     asm = tmp_path / "hash.s"
     subprocess.run(["gcc", *rng._CFLAGS, "-march=x86-64-v4", "-masm=att", "-S",
                     "-o", str(asm), str(src)], check=True, capture_output=True, timeout=120)
-    text = asm.read_text()
+    return asm.read_text()
+
+
+def test_no_counter_is_multiplied_from_memory_in_the_v4_copy(tmp_path):
+    # GCC 12 folded the loads of a[c] and b[c] into `vpmullq (mem), zmm, zmm`,
+    # which ran the hash loop about 4x slower than with the loaded vector in
+    # a register
+    text = _v4_assembly(tmp_path)
     assert re.search(r"^\s*vpmullq\s", text, re.M), "the v4 copy has no vector multiply"
     folded = re.findall(r"^\s*vpmullq\s+[^,\s]*\(.*$", text, re.M)
     assert folded == []
+
+
+def test_the_v4_copy_of_count_sums_bytes_and_multiplies_at_32_bits(tmp_path):
+    # the k = 3 byte-sum fold (vpsadbw) and the 32-bit multiplies (vpmuludq)
+    # of count_v4_k; without them a row costs the 64-bit multiplies it saves
+    functions = re.findall(r"^([\w.]+):\n(.*?)^\s*\.size\s+\1,", _v4_assembly(tmp_path),
+                           re.M | re.S)
+    count = "".join(body for name, body in functions if "count" in name)
+    assert count, "no count function in the assembly"
+    for op in ("vpsadbw", "vpmuludq"):
+        assert re.search(rf"^\s*{op}\s", count, re.M), f"the v4 copy of count has no {op}"
 
 
 def _fold3(z: int) -> int:
@@ -567,3 +585,47 @@ def test_mod3_fold_is_exact_near_powers_of_two():
     s = np.arange(1 << 18, dtype=np.uint64)
     assert np.array_equal(s - np.uint64(3) * (s * np.uint64(0xAAAAAAAB) >> np.uint64(33)),
                           s % np.uint64(3))
+
+
+def _fold3_bytes(z: int) -> int:
+    """z % 3 as the x86-64-v4 copy of count() computes it: vpsadbw sums the
+    eight bytes of z, which 2^8 == 1 (mod 3) keeps congruent, and vpmuludq
+    multiplies the low 32 bits of its operands into 64."""
+    s = sum(z.to_bytes(8, "little"))
+    assert s <= 2040
+    q = (s & 0xFFFFFFFF) * 0xAAAB >> 17
+    return s - (q & 0xFFFFFFFF) * 3 & U64_MAX
+
+
+@given(st.integers(0, U64_MAX))
+@example(0)
+@example(U64_MAX)  # the largest byte sum, 2040
+@example(0xFEFEFEFEFEFEFEFE)
+@settings(max_examples=300, deadline=None)
+def test_byte_sum_fold_is_exact(z):
+    assert _fold3_bytes(z) == z % 3
+
+
+def test_byte_sum_divide_is_exact_for_every_sum():
+    s = np.arange(2041, dtype=np.uint64)  # every sum of eight bytes
+    q = s * np.uint64(0xAAAB) >> np.uint64(17)
+    assert np.array_equal(q, s // np.uint64(3))
+    assert int(s.max() * np.uint64(0xAAAB)) < 1 << 32  # no product leaves vpmuludq's 32 bits
+
+
+def _color2(x: int) -> int:
+    """The k = 2 color of the finalizer input x as the x86-64-v4 copy of
+    count() computes it: the last product at 32 bits, by the low word of M2."""
+    x ^= x >> 30
+    x = x * 0xBF58476D1CE4E5B9 & U64_MAX
+    x ^= x >> 27
+    p = (x & 0xFFFFFFFF) * (0x94D049BB133111EB & 0xFFFFFFFF)
+    return (p ^ p >> 31) & 1
+
+
+@given(st.integers(0, U64_MAX))
+@example(0)
+@example(U64_MAX)
+@settings(max_examples=300, deadline=None)
+def test_low_word_product_gives_the_k2_color(x):
+    assert _color2(x) == rng._fin_int(x) & 1
