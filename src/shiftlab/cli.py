@@ -38,7 +38,7 @@ from .concentration import deviation_exponent, deviation_sweep
 from .ergodic import (ergodic_convergence_experiment, log_growth_size,
                       near_invariant_measure, periodic_cylinder_table,
                       uniform_discrepancy_experiment)
-from .groups import CyclicTranslation, GroupCtx, GroupSet, integer_interval, set_product
+from .groups import CyclicTranslation, GroupCtx, GroupSet, integer_interval
 from .lll import (CertificationError, FrequencyDeviationEvent, GLLLWitnessSpec, SearchError,
                   check_glll_witness, default_witness_exponent,
                   find_log_growth_constant, find_slll_threshold, slll_stats)
@@ -80,6 +80,8 @@ _SCANNABLE = (("k", "s_size"), lambda f: scans_patterns(f["k"], f["s_size"]),
               f"enumerates, got {{k}}^{{s_size}}")
 # a set of integers is a range, and len() counts a range only up to sys.maxsize
 _LARGEST_SET = f"<= {sys.maxsize}, the largest set size"
+_D_SIZE_FITS = (("d_size",), lambda f: f["d_size"] <= sys.maxsize,
+                f"{{kind}}: d_size must be {_LARGEST_SET}, got {{d_size}}")
 
 SCHEMAS = {
     "ergodic-converge": {
@@ -142,8 +144,7 @@ SCHEMAS = {
         "rules": [
             (("s_size",), lambda f: f["s_size"] <= sys.maxsize,
              f"{{kind}}: s_size must be {_LARGEST_SET}, got {{s_size}}"),
-            (("d_size",), lambda f: f["d_size"] <= sys.maxsize,
-             f"{{kind}}: d_size must be {_LARGEST_SET}, got {{d_size}}"),
+            _D_SIZE_FITS,
             (("mode", "C", "n_prefix"), lambda f: f["mode"] != "glll"
              or log_growth_size(f["C"], f["n_prefix"] - 1) <= sys.maxsize,
              f"{{kind}}: C must keep |D_n| = ceil(C log(n+2)) for n < n_prefix "
@@ -174,6 +175,7 @@ SCHEMAS = {
         },
         "rules": [
             _FREE_FOR_SD,
+            _D_SIZE_FITS,
             _SCANNABLE,
             (("eps", "s_size", "d_size"), lambda f: _weight_below_one(f["witness_a"], f["d_size"]),
              "{kind}: a must keep the witness weight exp(-a d_size) below 1 as a float, "
@@ -197,6 +199,8 @@ SCHEMAS = {
             (("s_size", "d_sizes", "modulus"), lambda f: f["modulus"] >= f["sd_max"],
              "{kind}: modulus must be >= s_size + max(d_sizes) - 1 = {sd_max} for a free "
              "action, got {modulus}"),
+            (("d_sizes",), lambda f: max(f["d_sizes"]) <= sys.maxsize,
+             f"{{kind}}: d_sizes must each be {_LARGEST_SET}, got {{d_sizes}}"),
             _SCANNABLE,
             (("eps", "s_size", "d_sizes"),
              lambda f: _weight_below_one(f["witness_a"], min(f["d_sizes"])),
@@ -236,7 +240,7 @@ SCHEMAS = {
             "seed": ("int", True, "tape seed"),
             "shift_test_range": ("int >= 1", False, "how many shifts to test (default all)"),
         },
-        "rules": [_FREE_FOR_SD, _SCANNABLE],
+        "rules": [_FREE_FOR_SD, _D_SIZE_FITS, _SCANNABLE],
     },
     "rokhlin-bad": {
         "doc": "Iterated tower construction: stages with eps_i = 2^{-i-1} on a "
@@ -414,10 +418,6 @@ def _read_lengths(h, plan) -> _Reading:
     return _Reading(plan(length), given, needed)
 
 
-def _sd_size(s_size: int, d_size: int) -> int:
-    return len(set_product(integer_interval(s_size), integer_interval(d_size)))
-
-
 def _weight_below_one(a: float, d_size: int) -> bool:
     """Whether the witness weight exp(-a |D|) stays below 1 as a float."""
     try:
@@ -438,8 +438,9 @@ def _bad_pattern(k: int, patterns: list):
 
 
 _DERIVED = {
-    "sd_size": lambda f: _sd_size(f["s_size"], f["d_size"]),
-    "sd_max": lambda f: _sd_size(f["s_size"], max(f["d_sizes"])),
+    # |{0..s-1} + {0..d-1}| = |{0..s+d-2}|, in Python ints whatever the sizes
+    "sd_size": lambda f: f["s_size"] + f["d_size"] - 1,
+    "sd_max": lambda f: f["s_size"] + max(f["d_sizes"]) - 1,
     "largest_set": lambda f: max(f["s_sizes"] + f["d_sizes"]),
     # the witness exponent the drivers use: the config's, else the default
     "witness_a": lambda f: f["a"] if "a" in f else default_witness_exponent(

@@ -47,13 +47,11 @@ def deviation_exponent(eps: float, s_size: int, d_size: int) -> float:
     return eps * eps * d_size / (2.0 * s_size ** 3)
 
 
-def deviates(counts, d_size, k: int, s_size: int, eps):
-    """Whether a pattern seen `counts` times over |D| = d_size misses
-    k^{-|S|} by eps or more, tested exactly in integers as
-    |counts k^{|S|} - |D|| >= ceil(num |D| k^{|S|} / den) for eps = num/den.
-    The threshold is computed in Python ints, so a denominator past int64
-    multiplies no count.  Takes ints or integer arrays that broadcast against
-    each other."""
+def deviation_thresholds(d_size, k: int, s_size: int, eps):
+    """The least gap |counts k^{|S|} - |D|| at which a pattern over |D| =
+    d_size deviates by eps = num/den: ceil(num |D| k^{|S|} / den), computed in
+    Python ints, so a denominator past int64 multiplies no count.  An int for
+    an int `d_size`, else an array of d_size's shape."""
     eps = as_fraction(eps)
     scale = k ** s_size
 
@@ -61,10 +59,16 @@ def deviates(counts, d_size, k: int, s_size: int, eps):
         return -(-eps.numerator * d * scale // eps.denominator)
 
     if np.ndim(d_size):
-        least = np.array([threshold(int(d)) for d in np.ravel(d_size)]).reshape(np.shape(d_size))
-    else:
-        least = threshold(int(d_size))
-    return abs(counts * scale - d_size) >= least
+        return np.array([threshold(int(d)) for d in np.ravel(d_size)]).reshape(np.shape(d_size))
+    return threshold(int(d_size))
+
+
+def deviates(counts, d_size, k: int, s_size: int, eps):
+    """Whether a pattern seen `counts` times over |D| = d_size misses
+    k^{-|S|} by eps or more, tested exactly in integers as
+    |counts k^{|S|} - |D|| >= deviation_thresholds(d_size, k, s_size, eps).
+    Takes ints or integer arrays that broadcast against each other."""
+    return abs(counts * k ** s_size - d_size) >= deviation_thresholds(d_size, k, s_size, eps)
 
 
 def concentration_bound(eps, s_size: int, d_size: int) -> float:

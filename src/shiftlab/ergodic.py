@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .concentration import concentration_bound, deviates
+from .concentration import concentration_bound, deviation_thresholds
 from .groups import (CyclicTranslation, FiniteAction, GroupCtx, GroupError,
                      GroupSet, is_sd_free)
 from .lll import (CertificationError, FrequencyDeviationEvent, GLLLWitnessSpec,
@@ -28,6 +28,11 @@ from .shift import Pattern, PatternStats, all_patterns, as_fraction
 from .windows import _ones_between
 
 INTEGERS_CTX = GroupCtx("integers")
+# colors per chunk of samples in ergodic_convergence_experiment: 3 samples of
+# the shipped config's 41,399 colors, which pay the per-chunk calls a third as
+# often as one sample at a time and leave the peak RSS of a run of every
+# shipped config where it was (docs/experiments.md has the chunk sweep)
+SAMPLE_BLOCK = 1 << 17
 
 
 def log_growth_size(C: float, n: int) -> int:
@@ -81,8 +86,10 @@ def ergodic_convergence_experiment(k: int, S: GroupSet, eps, d_sets: Sequence[Gr
     over D_n, the fraction of samples that still deviate by eps somewhere at
     or beyond n, and the summed closed-form bound
     2 exp(-eps^2 |D_m| / (2|S|^3)) over m >= n.  Samples run `chunk`
-    at a time, by default as many as make one RNG block of colors; the
-    result does not depend on the chunk size.
+    at a time, by default as many as make SAMPLE_BLOCK colors (at least
+    one); the result does not depend on the chunk size.  The exact
+    deviation thresholds of every D_n are computed once per run, and each
+    chunk compares against them the gaps that also give the worst deviation.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -99,6 +106,8 @@ def ergodic_convergence_experiment(k: int, S: GroupSet, eps, d_sets: Sequence[Gr
     s_elems = [int(e) for e in S.elements]
     scale = k ** len(S)
     bounds = [concentration_bound(eps_fr, len(S), len(ds)) for ds in d_sets]
+    # the least gap |count*scale - |D_n|| that deviates, once per run
+    least = deviation_thresholds(d_sizes, k, len(S), eps_fr)
     tails = np.cumsum(bounds[::-1])[::-1]
 
     # occurrence column j is anchor d_lo + j, and reads site s at color
@@ -123,7 +132,7 @@ def ergodic_convergence_experiment(k: int, S: GroupSet, eps, d_sets: Sequence[Gr
     worst_num = np.zeros(n_max + 1, dtype=np.int64)  # max |count*scale - |D||
 
     run_seed = derive_seed(seed, 0xE6)
-    chunk = chunk or block_rows(width)
+    chunk = chunk or block_rows(width, SAMPLE_BLOCK)
     # an occurrence row, packed into uint64 words with room past its last
     # anchor, so that every run end indexes a word
     packed = 64 * (n_anchors // 64 + 1)
@@ -139,8 +148,9 @@ def ergodic_convergence_experiment(k: int, S: GroupSet, eps, d_sets: Sequence[Gr
                 o &= colors[:, c0:c0 + n_anchors] == col
             words = np.packbits(occ, axis=1, bitorder="little").view("<u8")
             counts = np.add.reduceat(_ones_between(words, run_lo, run_hi), first_run, axis=1)
-            exceed[start:start + rows] |= deviates(counts, d_sizes, k, len(S), eps_fr)
-            worst_num = np.maximum(worst_num, np.abs(counts * scale - d_sizes).max(axis=0))
+            gap = np.abs(counts * scale - d_sizes)
+            exceed[start:start + rows] |= gap >= least
+            worst_num = np.maximum(worst_num, gap.max(axis=0))
 
     # suffix-OR across n: any exceedance at m >= n
     any_beyond = np.logical_or.accumulate(exceed[:, ::-1], axis=1)[:, ::-1]

@@ -16,16 +16,17 @@ Two implementations compute the same stream, bit for bit:
   `~/.cache/shiftlab`, mode 0700) when that is not writable, under a name
   keyed by the sha256 of the source, the flags and the platform.  A build
   takes one to two seconds, once; later processes only load it.  The kernel
-  hashes a row counter's first round once per row and reduces `% k` with a
-  mask for powers of two and with a constant divisor for k = 3.  On x86-64
-  with GCC 12 or later each entry point is compiled twice, for the baseline
-  and for x86-64-v4 (AVX-512), and the CPU picks the copy at run time, so
-  the cached build stays portable across x86-64 hosts.  The x86-64-v4 copy
-  XORs each loaded counter with a zero the compiler cannot see through:
-  otherwise GCC 12 folds the loads into its 64-bit vector multiplies, which
-  made a plane whose two counters both vary (`tape_consistency`, every
-  resampling step) 0.61-0.66 ms at M = 100000 against 0.16-0.25 ms without
-  (`_hash.c` has the numbers).
+  hashes a row counter's first round once per row, multiplies a column
+  counter that is constant along the row once per row, and reduces `% k`
+  with a mask for powers of two and with a constant divisor for k = 3.  On
+  x86-64 with GCC 12 or later each entry point is compiled twice, for the
+  baseline and for x86-64-v4 (AVX-512), and the CPU picks the copy at run
+  time, so the cached build stays portable across x86-64 hosts.  The
+  x86-64-v4 copy XORs each loaded counter with a zero the compiler cannot
+  see through: otherwise GCC 12 folds the loads into its 64-bit vector
+  multiplies, which made a plane whose two counters both vary
+  (`tape_consistency`, every resampling step) 0.61-0.66 ms at M = 100000
+  against 0.16-0.25 ms without (`_hash.c` has the numbers).
   Its second entry point serves `pattern_counts` for Monte Carlo: it
   hashes one row of a color matrix at a time into a byte buffer and counts
   the occurrences of a pattern in it, so the rows are never stored.  It
@@ -69,14 +70,17 @@ _B = np.uint64(0xD1B54A32D192ED03)
 _U64 = np.uint64
 _MASK = (1 << 64) - 1
 
-# values per block of `ergodic` and `_count_numpy`, which hash and scan a color
-# matrix in row blocks: a block and the consumer's arrays stay in L2
+# values per block of `_count_numpy`, which hashes and scans a color matrix in
+# row blocks: a block and its compare masks stay in L2.  With the kernel off,
+# concentration-sweep ran 1.18-1.20 s at 2^15 and 1.26-1.30 s at 2^17 (2-core
+# AVX-512 Xeon, 7 alternating runs).  ergodic sizes its chunks of samples
+# with its own, larger block.
 BLOCK = 1 << 15
 
 
-def block_rows(width: int) -> int:
-    """Rows of `width` values that make up about one BLOCK (at least one)."""
-    return max(1, BLOCK // max(width, 1))
+def block_rows(width: int, block: int = BLOCK) -> int:
+    """Rows of `width` values that make up about one `block` (at least one)."""
+    return max(1, block // max(width, 1))
 
 
 def _finalize(z):
@@ -376,8 +380,9 @@ def uniform_colors(seed: int, a, b, k: int) -> np.ndarray:
 
 
 def color_matrix(seed: int, rows: int, cols: int, k: int, row_offset: int = 0) -> np.ndarray:
-    """(rows x cols) matrix of uniform colors; row r uses counter row_offset+r."""
-    r = np.arange(row_offset, row_offset + rows, dtype=np.uint64)[:, None]
+    """(rows x cols) matrix of uniform colors; row r uses counter
+    row_offset + r, wrapped mod 2^64 as the C kernel wraps it."""
+    r = (np.arange(rows, dtype=np.uint64) + _U64(row_offset & _MASK))[:, None]
     c = np.arange(cols, dtype=np.uint64)[None, :]
     return uniform_colors(seed, r, c, k)
 

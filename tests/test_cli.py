@@ -428,6 +428,21 @@ def test_sizes_past_ssize_t_are_config_errors(tmp_path, capsys, doc, key):
     _assert_config_error(tmp_path, capsys, doc, key)
 
 
+@pytest.mark.parametrize("doc, key", [
+    ({**MT, "d_size": 10 ** 30}, "modulus must be >= s_size + d_size - 1"),
+    ({**MT, "d_size": 10 ** 30, "modulus": 10 ** 31}, "d_size must be <= "),
+    ({**MT, "s_size": 10 ** 30}, "modulus must be >= s_size + d_size - 1"),
+    ({**AI, "d_size": 10 ** 30}, "modulus must be >= s_size + d_size - 1"),
+    ({**AI, "d_size": 10 ** 30, "modulus": 10 ** 31}, "d_size must be <= "),
+    ({**UD, "d_sizes": [100, 10 ** 30]}, "modulus must be >= s_size + max(d_sizes) - 1"),
+    ({**UD, "d_sizes": [10 ** 30], "modulus": 10 ** 31}, "d_sizes must each be <= "),
+], ids=["mt", "mt-wide-modulus", "mt-s_size", "ai", "ai-wide-modulus", "ud",
+        "ud-wide-modulus"])
+def test_free_action_sizes_past_ssize_t_are_config_errors(tmp_path, capsys, doc, key):
+    # |SD| is derived in Python ints, so the freeness rule builds no set
+    _assert_config_error(tmp_path, capsys, doc, key)
+
+
 def test_too_small_single_modulus_names_its_key(tmp_path, capsys):
     doc = {**ROKHLIN, "single": {"eps": "0.1", "h": 50, "modulus": 1000}}
     cfg = write_config(tmp_path, doc)

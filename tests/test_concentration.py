@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from shiftlab import concentration, rng
 from shiftlab.concentration import (WILSON_Z95, McEstimate, concentration_bound, deviates,
-                                    deviation_sweep, familywise_z, mc_deviation_prob,
-                                    scb_bound, wilson_interval)
+                                    deviation_sweep, deviation_thresholds, familywise_z,
+                                    mc_deviation_prob, scb_bound, wilson_interval)
 from shiftlab.groups import (CyclicTranslation, GroupCtx, GroupError,
                              GroupSet, integer_interval)
 from shiftlab.shift import all_patterns
@@ -45,6 +45,21 @@ def test_deviates_takes_a_denominator_past_int64(eps):
     got = deviates(counts[:, None], sizes, 2, 1, eps)
     assert got.tolist() == [[_deviates_exact(int(c), int(m), 2, 1, eps) for m in sizes]
                             for c in counts]
+
+
+@pytest.mark.parametrize("eps", ["1e-30", Fraction(1, 2 ** 70), "0.3"],
+                         ids=["1e-30", "2^-70", "0.3"])
+def test_deviation_thresholds_are_the_least_deviating_gaps(eps):
+    # the thresholds of several sizes at once are each size's own, and each is
+    # the least gap |c k^|S| - |D|| at which deviates holds
+    sizes = np.array([1, 40, 41, 80])
+    least = deviation_thresholds(sizes, 3, 2, eps)
+    assert least.shape == sizes.shape
+    for d, t in zip(sizes.tolist(), least.tolist()):
+        assert t == deviation_thresholds(d, 3, 2, eps)
+        counts = np.arange(d + 1)
+        assert deviates(counts, d, 3, 2, eps).tolist() == (np.abs(counts * 9 - d) >= t).tolist()
+        assert Fraction(t, 9 * d) >= Fraction(eps) > Fraction(t - 1, 9 * d)
 
 
 def test_scb_examples():

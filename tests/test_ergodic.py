@@ -5,13 +5,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from shiftlab.ergodic import (ergodic_convergence_experiment, log_growth_size,
+from shiftlab.concentration import deviates
+from shiftlab.ergodic import (SAMPLE_BLOCK, ergodic_convergence_experiment, log_growth_size,
                               near_invariant_measure, periodic_cylinder_table,
                               periodic_cylinder_value,
                               uniform_discrepancy_experiment)
 from shiftlab.groups import (CyclicTranslation, GroupCtx, GroupError, GroupSet,
                              integer_interval)
 from shiftlab.lll import CertificationError, GLLLWitnessSpec, default_witness_exponent
+from shiftlab.rng import BLOCK, block_rows, color_matrix, derive_seed
 from shiftlab.shift import Pattern, all_patterns
 
 gset = GroupSet.from_iterable
@@ -124,6 +126,35 @@ def test_convergence_matches_bruteforce_off_prefix(s_elems):
         sum(b for _a, b in exceeded) / 40)
     assert rep.rows[0].worst_dev == pytest.approx(float(worst[0]))
     assert rep.rows[1].worst_dev == pytest.approx(float(worst[1]))
+
+
+def test_convergence_chunks_of_wide_samples_agree():
+    # W = 40,001 colors per sample, past rng.BLOCK: the default chunk takes 3
+    # samples, and neither it nor a chunk of 4 divides the 7 samples
+    S = integer_interval(2)
+    d_sets = [integer_interval(m) for m in (10, 300, 5000, 40_000)]
+    assert 40_001 > BLOCK and block_rows(40_001, SAMPLE_BLOCK) == 3
+    reps = [ergodic_convergence_experiment(2, S, "0.01", d_sets, 7, seed=12, chunk=c)
+            for c in (1, None, 4)]
+    assert reps[0] == reps[1] == reps[2]
+    # some samples deviate over D_2 and some do not
+    assert 0 < reps[0].rows[2].exceed_frac_beyond < 1
+
+
+@pytest.mark.parametrize("eps", ["1e-30", Fraction(1, 2 ** 70)], ids=["1e-30", "2^-70"])
+def test_convergence_thresholds_once_agree_with_deviates(eps):
+    # denominators past int64: the thresholds computed once per run decide
+    # every sample as a call of deviates per sample does
+    S = integer_interval(1)
+    sizes = np.array([2, 4, 6, 8])
+    rep = ergodic_convergence_experiment(2, S, eps, [integer_interval(m) for m in sizes], 50,
+                                         seed=8)
+    colors = color_matrix(derive_seed(8, 0xE6), 50, 8, 2)
+    ones = np.cumsum(colors, axis=1)[:, sizes - 1]
+    exceed = deviates(ones, sizes, 2, 1, eps) | deviates(sizes - ones, sizes, 2, 1, eps)
+    beyond = np.logical_or.accumulate(exceed[:, ::-1], axis=1)[:, ::-1]
+    assert 0 < beyond[:, -1].sum() < 50
+    assert [r.exceed_frac_beyond for r in rep.rows] == beyond.mean(axis=0).tolist()
 
 
 def test_uniform_discrepancy_single_certified_event():

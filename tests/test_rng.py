@@ -173,6 +173,28 @@ def test_other_shapes_match_reference():
                   _reference(3, empty[:, None], np.arange(4), 3))
 
 
+@pytest.mark.parametrize("k", [None, 2, 3, 11])
+def test_column_counter_constant_along_the_row_matches_numpy(k):
+    # b constant along each row, 0-d as in tape row 0 or a column: the kernel
+    # multiplies B*b once per row; rows of 1003 values run its vector loop
+    # and a ragged tail
+    a = np.arange(1003, dtype=np.uint64) + np.uint64(1 << 40)
+    column = np.arange(3, dtype=np.uint64)[:, None] * np.uint64(977)
+    for x, y in ((a, np.uint64(0)), (a, U64_MAX), (a, column), (a[None, :], column)):
+        _same(rng._hash(5, x, y, k), rng._hash_numpy(5, x, y, k))
+
+
+def test_row_counters_wrap_past_2_64():
+    # 300 rows of 200 colors are two numpy blocks, the second starting past
+    # 2^64 - 1; numpy wraps the row counter as the C kernel does
+    case = (5, 300, 200, 2, [slice(0, 5)], (1,), U64_MAX - 10)
+    assert 10 < block_rows(200) < 300
+    _same(rng._count_numpy(*case), pattern_counts(*case))
+    wrapped = color_matrix(3, 4, 9, 3, row_offset=U64_MAX - 1)
+    _same(wrapped[:2], color_matrix(3, 2, 9, 3, row_offset=U64_MAX - 1))
+    _same(wrapped[2:], color_matrix(3, 2, 9, 3))
+
+
 # -- the compiled kernel's loader ------------------------------------------------
 
 
