@@ -1,10 +1,9 @@
 """shiftlab: pattern statistics, local-lemma certification, and resampling
-dynamics on finite group actions."""
+dynamics for the integers acting on Z/M by translation."""
 
 __version__ = "0.1.0"
 
-from .groups import (Elem, GroupCtx, GroupError, GroupSet,
-                     CyclicTranslation, TorusTranslation, integer_interval,
+from .groups import (GroupError, GroupSet, CyclicTranslation, integer_interval,
                      is_sd_free, set_product)
 from .shift import (BoundaryError, Config, Pattern, PatternStats, all_patterns,
                     as_fraction, empirical_freq, occurrences)

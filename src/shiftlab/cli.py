@@ -38,7 +38,7 @@ from .concentration import deviation_exponent, deviation_sweep
 from .ergodic import (ergodic_convergence_experiment, log_growth_size,
                       near_invariant_measure, periodic_cylinder_table,
                       uniform_discrepancy_experiment)
-from .groups import CyclicTranslation, GroupCtx, GroupSet, integer_interval
+from .groups import CyclicTranslation, GroupSet, integer_interval
 from .lll import (CertificationError, FrequencyDeviationEvent, GLLLWitnessSpec, SearchError,
                   check_glll_witness, default_witness_exponent,
                   find_log_growth_constant, find_slll_threshold, slll_stats)
@@ -102,6 +102,11 @@ SCHEMAS = {
             (("C", "n_max"), lambda f: log_growth_size(f["C"], f["n_max"]) <= sys.maxsize,
              f"{{kind}}: C must keep |D_n| = ceil(C log(n+2)) for n <= n_max "
              f"{_LARGEST_SET}, got {{C}}"),
+            (("S",), lambda f: len(set(f["S"])) == len(f["S"]),
+             "{kind}: S must hold distinct sites, got {S}"),
+            (("S", "C", "n_max"), lambda f: f["row_width"] <= sys.maxsize,
+             f"{{kind}}: S must keep a sample's color row of max(S) - min(S) + |D_n_max| = "
+             f"{{row_width}} colors <= {sys.maxsize}, the longest array, got {{S}}"),
         ],
     },
     "concentration-sweep": {
@@ -442,6 +447,7 @@ _DERIVED = {
     "sd_size": lambda f: f["s_size"] + f["d_size"] - 1,
     "sd_max": lambda f: f["s_size"] + max(f["d_sizes"]) - 1,
     "largest_set": lambda f: max(f["s_sizes"] + f["d_sizes"]),
+    "row_width": lambda f: max(f["S"]) - min(f["S"]) + log_growth_size(f["C"], f["n_max"]),
     # the witness exponent the drivers use: the config's, else the default
     "witness_a": lambda f: f["a"] if "a" in f else default_witness_exponent(
         as_fraction(f["eps"]), f["s_size"]),
@@ -468,7 +474,7 @@ def _json_default(o):
 
 
 def _run_ergodic_converge(p, out, jobs, transcript):
-    S = GroupSet.from_iterable(GroupCtx("integers"), p["S"])
+    S = GroupSet(p["S"])
     d_sets = [integer_interval(log_growth_size(p["C"], n)) for n in range(p["n_max"] + 1)]
     rep = ergodic_convergence_experiment(p["k"], S, as_fraction(p["eps"]), d_sets,
                                          p["samples"], p["seed"])
@@ -612,8 +618,7 @@ def _run_uniform_discrepancy(p, out, jobs, transcript):
 
 
 def _run_resfin(p, out, jobs, transcript):
-    ctx = GroupCtx("integers")
-    pats = [Pattern.from_map(ctx, dict(zip(q["sites"], q["colors"])), p["k"])
+    pats = [Pattern.from_map(dict(zip(q["sites"], q["colors"])), p["k"])
             for q in p["patterns"]]
     table = periodic_cylinder_table(p["k"], p["period"], pats,
                                     shifts=tuple(p["shifts"]))

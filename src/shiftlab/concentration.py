@@ -19,7 +19,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .groups import FiniteAction, GroupError, GroupSet, is_sd_free, set_product
+from .groups import CyclicTranslation, GroupError, GroupSet, is_sd_free, set_product
 from .rng import derive_seed, pattern_counts
 from .shift import Pattern, as_fraction
 
@@ -105,7 +105,7 @@ class McEstimate:
     expectation_zscore: float      # of mean_occurrences against |D| / k^{|S|}
 
 
-def mc_deviation_prob(phi: Pattern, eps, D: GroupSet, action: FiniteAction,
+def mc_deviation_prob(phi: Pattern, eps, D: GroupSet, action: CyclicTranslation,
                       trials: int, seed: int, chunk: int | None = None) -> McEstimate:
     """Estimate the deviation probability bounded by concentration_bound for
     the pattern phi on S = phi.domain over k = phi.k colors.
@@ -120,9 +120,9 @@ def mc_deviation_prob(phi: Pattern, eps, D: GroupSet, action: FiniteAction,
     `rng.pattern_counts` call, by default up to 65,536 of them, so the
     counts of a call take at most 512 KiB; every accumulator is an exact
     integer count, so the chunk size cannot change the result.  The columns
-    of s*D.0 are selected as a slice when they are consecutive sites, as they
-    are for intervals S and D on a cyclic action, and as an index array
-    otherwise; the C kernel counts only all-slice patterns.
+    of s+D.0 are selected as a slice when they are consecutive sites, as they
+    are for intervals S and D, and as an index array otherwise; the C kernel
+    counts only all-slice patterns.
     """
     S, k = phi.domain, phi.k
     if trials < 1:
@@ -198,7 +198,7 @@ def familywise_z(m: int) -> float:
     return NormalDist().inv_cdf(1 - SWEEP_ALPHA / (2 * m))
 
 
-def deviation_sweep(grid, action: FiniteAction, trials: int, seed: int) -> list[SweepRow]:
+def deviation_sweep(grid, action: CyclicTranslation, trials: int, seed: int) -> list[SweepRow]:
     """Run mc_deviation_prob over a parameter grid, every point on `action`.
 
     `grid` yields (k, S, eps, D); points whose closed-form bound is at least

@@ -17,8 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .concentration import concentration_bound, deviation_thresholds
-from .groups import (CyclicTranslation, FiniteAction, GroupCtx, GroupError,
-                     GroupSet, is_sd_free)
+from .groups import CyclicTranslation, GroupError, GroupSet, is_sd_free
 from .lll import (CertificationError, FrequencyDeviationEvent, GLLLWitnessSpec,
                   check_glll_witness, default_witness_exponent, slll_stats)
 from .moser_tardos import (MTResult, TapeSpace, frequency_counts, resample_fraction,
@@ -27,7 +26,6 @@ from .rng import block_rows, color_matrix, derive_seed
 from .shift import Pattern, PatternStats, all_patterns, as_fraction
 from .windows import _ones_between
 
-INTEGERS_CTX = GroupCtx("integers")
 # colors per chunk of samples in ergodic_convergence_experiment: 3 samples of
 # the shipped config's 41,399 colors, which pay the per-chunk calls a third as
 # often as one sample at a time and leave the peak RSS of a run of every
@@ -96,8 +94,6 @@ def ergodic_convergence_experiment(k: int, S: GroupSet, eps, d_sets: Sequence[Gr
     _check_averaging_sets(d_sets)
     if chunk is not None and chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
-    if S.ctx != INTEGERS_CTX:
-        raise GroupError("this experiment runs over integer windows")
     if len(S) == 0:
         raise ValueError("pattern domain S must be nonempty")
     eps_fr = as_fraction(eps)
@@ -182,7 +178,7 @@ class UniformDiscrepancyResult:
 
 
 def uniform_discrepancy_experiment(k: int, S: GroupSet, eps, d_sets: Sequence[GroupSet],
-                                   action: FiniteAction, seed: int,
+                                   action: CyclicTranslation, seed: int,
                                    a: Optional[float] = None) -> UniformDiscrepancyResult:
     """Resample until every point sees every pattern with frequency within
     eps of k^{-|S|} over every D_n of `d_sets`, and compare the resampled
@@ -262,8 +258,6 @@ class PeriodicCylinderTable:
 def _residue_walk(k: int, period: int, phi: Pattern) -> tuple[int, bool, Fraction]:
     """(residue classes mod `period` that phi meets, whether phi is constant
     on each, the cylinder mass: k^{-residues} if it is, else 0)."""
-    if phi.domain.ctx != INTEGERS_CTX:
-        raise GroupError("periodic approximations are defined over the integers")
     classes: dict[int, int] = {}
     consistent = True
     for site, col in phi.items():

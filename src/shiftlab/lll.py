@@ -1,7 +1,7 @@
-"""Bad events over groups and local-lemma certification.
+"""Bad events over the integers and local-lemma certification.
 
 A bad event is a set of forbidden colorings of a common finite domain
-F inside the group.  Placing one copy at every point of an action induces
+F of integers.  Placing one copy at every point of an action induces
 an instance whose probability and dependency degree obey closed-form
 bounds; the symmetric criterion e * p * (d + 1) < 1 certifies solvability,
 and unbounded families are certified through an explicit witness function
@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from .concentration import deviation_exponent, deviates
-from .groups import GroupError, GroupSet, difference_set_size, set_product
+from .groups import GroupSet, difference_set_size, set_product
 from .shift import Config, all_patterns, as_fraction
 
 E = math.e
@@ -84,8 +84,6 @@ class FrequencyDeviationEvent(BadEvent):
             raise ValueError("eps must be positive")
         if len(self.S) == 0 or len(self.D) == 0:
             raise ValueError("S and D must be nonempty")
-        if self.S.ctx != self.D.ctx:
-            raise GroupError("S and D must share a context")
 
     @cached_property
     def domain(self) -> GroupSet:
@@ -93,8 +91,7 @@ class FrequencyDeviationEvent(BadEvent):
 
     def holds(self, c: Config) -> bool:
         _require_total(c, self.domain)
-        ctx = self.S.ctx
-        counts = Counter(tuple(c(ctx.op(s, d)) for s in self.S.elements) for d in self.D)
+        counts = Counter(tuple(c(s + d) for s in self.S.elements) for d in self.D)
         words = itertools.product(range(self.k), repeat=len(self.S))
         return any(deviates(counts[w], len(self.D), self.k, len(self.S), self.eps)
                    for w in words)
@@ -177,7 +174,7 @@ def slll_stats(k: int, S: GroupSet, eps, D: GroupSet) -> InstanceStats:
     """Probability/degree bounds for the frequency event with domain SD.
 
     The degree bound comes from the sets: the closed form 2|SD| - 2 when S
-    and D are integer intervals, at every size; else |(SD)^-1 SD| - 1
+    and D are integer intervals, at every size; else |SD - SD| - 1
     exactly when |SD| <= 10000 (see `difference_set_size`), else the generic
     cap |S|^2 |D|^2 - 1.
     """

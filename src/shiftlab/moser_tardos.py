@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .concentration import deviates
-from .groups import CyclicTranslation, FiniteAction, GroupError, is_sd_free
+from .groups import CyclicTranslation, GroupError, is_sd_free
 from .lll import BadEvent, ExplicitEvent, FrequencyDeviationEvent
 from .rng import uniform_colors
 from .shift import all_patterns
@@ -51,7 +51,7 @@ class MTResult:
     tape: TapeSpace
     first_row: np.ndarray         # tape row 0, the starting coloring (not aliased)
     points: np.ndarray            # 0..n-1: the counters of row 0 and of tape_consistency
-    action: FiniteAction          # the action the run resampled on
+    action: CyclicTranslation     # the action the run resampled on
     events: tuple                 # the bad events it ran, member n at position n
 
     def index_total(self, n: int) -> int:
@@ -61,11 +61,10 @@ class MTResult:
 # -- violated-anchor detection ------------------------------------------------
 
 
-def _pullback_colors(action: FiniteAction, elems, g: np.ndarray) -> list[np.ndarray]:
+def _pullback_colors(action: CyclicTranslation, elems, g: np.ndarray) -> list[np.ndarray]:
     """g pulled back along each element: out[i][x] = g[e_i . x].  The identity
-    pulls back to g itself, which callers only read."""
-    identity = action.ctx.identity()
-    return [g if e == identity else g[action.image(e)] for e in elems]
+    0 pulls back to g itself, which callers only read."""
+    return [g if e == 0 else g[action.image(e)] for e in elems]
 
 
 PATTERN_CAP = 4096  # most patterns on S that the scans below enumerate
@@ -77,7 +76,7 @@ def scans_patterns(k: int, s_size: int) -> bool:
     return k == 1 or s_size < PATTERN_CAP.bit_length() and k ** s_size <= PATTERN_CAP
 
 
-def _pattern_masks(action: FiniteAction, ev: FrequencyDeviationEvent, g: np.ndarray):
+def _pattern_masks(action: CyclicTranslation, ev: FrequencyDeviationEvent, g: np.ndarray):
     """Yield (pattern colors, mask) with mask[x] whether the pattern occurs in
     the coloring pulled back at x."""
     if not scans_patterns(ev.k, len(ev.S)):
@@ -90,26 +89,17 @@ def _pattern_masks(action: FiniteAction, ev: FrequencyDeviationEvent, g: np.ndar
         yield pat, w
 
 
-def frequency_counts(action: FiniteAction, ev: FrequencyDeviationEvent,
+def frequency_counts(action: CyclicTranslation, ev: FrequencyDeviationEvent,
                      g: np.ndarray):
     """Yield (pattern colors, counts) with counts[x] = number of d in D at
     which the pattern occurs in the coloring pulled back at anchor x."""
-    fast_cyclic = isinstance(action, CyclicTranslation)
     # converted once here, not once per pattern by circular_window_sums
-    d_elems = np.asarray(ev.D.elements, dtype=np.int64) if fast_cyclic else ev.D.elements
-    if not fast_cyclic:
-        d_maps = [action.image(d) for d in d_elems]
+    d_elems = np.asarray(ev.D.elements, dtype=np.int64)
     for pat, w in _pattern_masks(action, ev, g):
-        if fast_cyclic:
-            counts = circular_window_sums(w.view(np.int8), d_elems, action.modulus)
-        else:
-            counts = np.zeros(action.n_points, dtype=np.int64)
-            for dm in d_maps:
-                counts += w[dm]
-        yield pat, counts
+        yield pat, circular_window_sums(w.view(np.int8), d_elems, action.modulus)
 
 
-def violated_anchors(action: FiniteAction, ev: BadEvent, g: np.ndarray) -> np.ndarray:
+def violated_anchors(action: CyclicTranslation, ev: BadEvent, g: np.ndarray) -> np.ndarray:
     """Anchors x whose pulled-back coloring lies in the event."""
     if isinstance(ev, FrequencyDeviationEvent):
         # bad_at[c]: whether a pattern seen c times over D deviates
@@ -119,8 +109,7 @@ def violated_anchors(action: FiniteAction, ev: BadEvent, g: np.ndarray) -> np.nd
         bad = np.zeros(action.n_points, dtype=bool)
         iv = ev.D.interval
         # a band narrower than 2*64 - 1 counts clears no block of 64 anchors
-        if (isinstance(action, CyclicTranslation) and iv is not None
-                and band.size >= 2 * SCREEN_BLOCK - 1):
+        if iv is not None and band.size >= 2 * SCREEN_BLOCK - 1:
             lo, hi = int(band[0]), int(band[-1])
             assert band.size == hi - lo + 1, "non-deviating counts must be one interval"
             for _pat, w in _pattern_masks(action, ev, g):
@@ -144,7 +133,7 @@ def violated_anchors(action: FiniteAction, ev: BadEvent, g: np.ndarray) -> np.nd
 # -- the resampling loop -------------------------------------------------------
 
 
-def run_mt(action: FiniteAction, events: Sequence[BadEvent], tape: TapeSpace,
+def run_mt(action: CyclicTranslation, events: Sequence[BadEvent], tape: TapeSpace,
            max_steps: Optional[int] = None, transcript: Optional[list] = None) -> MTResult:
     """Iterate resampling until no anchored event is violated.
 

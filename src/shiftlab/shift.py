@@ -1,8 +1,8 @@
 """Configurations, patterns, occurrence sets, and pattern frequencies.
 
-The shift convention throughout is (g . c)(d) = c(d g), so g is an
-occurrence of a pattern phi in a configuration c exactly when
-c(s g) = phi(s) for every s in dom(phi).
+Sites are integers.  The shift convention throughout is
+(g . c)(d) = c(d + g), so g is an occurrence of a pattern phi in a
+configuration c exactly when c(s + g) = phi(s) for every s in dom(phi).
 
 Frequencies are exact rationals; floating point appears only in the
 rows `PatternStats.csv_rows` writes out.
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from .groups import Elem, GroupCtx, GroupError, GroupSet
+from .groups import GroupError, GroupSet
 
 
 class BoundaryError(GroupError):
@@ -36,7 +36,7 @@ def as_fraction(x) -> Fraction:
 
 @dataclass(frozen=True)
 class Pattern:
-    """A total coloring of a nonempty finite group subset by {0..k-1}."""
+    """A total coloring of a nonempty finite set of integers by {0..k-1}."""
 
     domain: GroupSet
     colors: tuple  # aligned with domain.elements
@@ -51,12 +51,9 @@ class Pattern:
             raise ValueError(f"pattern colors must lie in 0..{self.k - 1}")
 
     @classmethod
-    def from_map(cls, ctx: GroupCtx, values: Mapping, k: int) -> "Pattern":
-        dom = GroupSet.from_iterable(ctx, values.keys())
-        if len(dom) != len(values):
-            raise ValueError("pattern sites collide after normalization")
-        norm = {ctx.normalize(e): v for e, v in values.items()}
-        return cls(dom, tuple(int(norm[e]) for e in dom.elements), k)
+    def from_map(cls, values: Mapping, k: int) -> "Pattern":
+        dom = GroupSet(values.keys())
+        return cls(dom, tuple(int(values[e]) for e in dom.elements), k)
 
     def items(self):
         return zip(self.domain.elements, self.colors)
@@ -66,13 +63,10 @@ class Pattern:
         return "".join(str(c) for c in self.colors) if self.k <= 10 else \
             "-".join(str(c) for c in self.colors)
 
-    def shifted(self, gamma: Elem) -> "Pattern":
-        """The pattern g . phi with (g . phi)(d) = phi(d g); its domain is
-        dom(phi) g^-1."""
-        ctx = self.domain.ctx
-        ginv = ctx.inv(ctx.normalize(gamma))
-        moved = {ctx.op(d, ginv): c for d, c in self.items()}
-        return Pattern.from_map(ctx, moved, self.k)
+    def shifted(self, gamma: int) -> "Pattern":
+        """The pattern g . phi with (g . phi)(d) = phi(d + g); its domain is
+        dom(phi) - g."""
+        return Pattern.from_map({d - gamma: c for d, c in self.items()}, self.k)
 
 
 def all_patterns(S: GroupSet, k: int) -> list[Pattern]:
@@ -92,16 +86,15 @@ def all_patterns(S: GroupSet, k: int) -> list[Pattern]:
 
 @dataclass(frozen=True)
 class Config:
-    """A total coloring of a finite window of group elements."""
+    """A total coloring of a finite window of integers."""
 
     domain: GroupSet
-    values: Mapping  # normalized elem -> color
+    values: Mapping  # site -> color
 
     @classmethod
-    def from_map(cls, ctx: GroupCtx, values: Mapping) -> "Config":
-        dom = GroupSet.from_iterable(ctx, values.keys())
-        norm = {ctx.normalize(e): int(v) for e, v in values.items()}
-        return cls(dom, norm)
+    def from_map(cls, values: Mapping) -> "Config":
+        dom = GroupSet(values.keys())
+        return cls(dom, {int(e): int(v) for e, v in values.items()})
 
     @classmethod
     def from_array(cls, window: GroupSet, colors: Sequence[int]) -> "Config":
@@ -109,16 +102,14 @@ class Config:
             raise ValueError("color array must match the window size")
         return cls(window, dict(zip(window.elements, (int(c) for c in colors))))
 
-    def __call__(self, e: Elem) -> int:
-        return self.values[self.domain.ctx.normalize(e)]
+    def __call__(self, e: int) -> int:
+        return self.values[e]
 
-    def get(self, e: Elem) -> Optional[int]:
-        return self.values.get(self.domain.ctx.normalize(e))
+    def get(self, e: int) -> Optional[int]:
+        return self.values.get(e)
 
-    def shifted(self, gamma: Elem) -> "Config":
-        ctx = self.domain.ctx
-        ginv = ctx.inv(ctx.normalize(gamma))
-        return Config.from_map(ctx, {ctx.op(d, ginv): c for d, c in self.values.items()})
+    def shifted(self, gamma: int) -> "Config":
+        return Config.from_map({d - gamma: c for d, c in self.values.items()})
 
 
 @dataclass
@@ -140,44 +131,33 @@ class PatternStats:
 
 
 def occurrences(phi: Pattern, c: Config) -> GroupSet:
-    """{g : s g in dom(c) and c(s g) = phi(s) for all s in dom(phi)}."""
-    ctx = phi.domain.ctx
-    if ctx != c.domain.ctx:
-        raise GroupError("pattern and configuration live over different groups")
+    """{g : s + g in dom(c) and c(s + g) = phi(s) for all s in dom(phi)}."""
     s0 = phi.domain.elements[0]
-    s0_inv = ctx.inv(s0)
     found = []
     for w in c.domain.elements:
-        g = ctx.op(s0_inv, w)  # candidate with s0 * g = w
-        ok = True
-        for s, col in phi.items():
-            v = c.get(ctx.op(s, g))
-            if v != col:
-                ok = False
-                break
-        if ok:
+        g = w - s0  # candidate with s0 + g = w
+        if all(c.get(s + g) == col for s, col in phi.items()):
             found.append(g)
-    return GroupSet.from_iterable(ctx, found)
+    return GroupSet(found)
 
 
 def empirical_freq(phi: Pattern, c: Config, D: GroupSet) -> Fraction:
     """|D ∩ occurrences(phi, c)| / |D|, exactly.
 
-    Requires full information: every translate s d must lie inside dom(c),
+    Requires full information: every translate s + d must lie inside dom(c),
     otherwise the offending translate is reported instead of being dropped.
     """
-    ctx = phi.domain.ctx
     if len(D) == 0:
         raise ValueError("averaging set must be nonempty")
     count = 0
     for d in D:
         hit = True
         for s, col in phi.items():
-            site = ctx.op(s, d)
+            site = s + d
             v = c.get(site)
             if v is None:
                 raise BoundaryError(
-                    f"translate {site!r} (= {s!r} * {d!r}) falls outside the window")
+                    f"translate {site!r} (= {s!r} + {d!r}) falls outside the window")
             if v != col:
                 hit = False
         if hit:

@@ -13,8 +13,7 @@ import numpy as np
 from shiftlab.concentration import deviation_sweep, wilson_interval
 from shiftlab.ergodic import (ergodic_convergence_experiment, log_growth_size,
                               periodic_cylinder_table, periodic_cylinder_value)
-from shiftlab.groups import (CyclicTranslation, GroupCtx, difference_set_size,
-                             integer_interval, set_product)
+from shiftlab.groups import CyclicTranslation, difference_set_size, integer_interval, set_product
 from shiftlab.lll import FrequencyDeviationEvent, InstanceStats, _neighbor_count, \
     find_log_growth_constant, find_slll_threshold, slll_stats
 from shiftlab.moser_tardos import (TapeSpace, frequency_counts, run_mt,
@@ -24,7 +23,6 @@ from shiftlab.rokhlin import bad_sequence_experiment, build_tower, plan_interval
     verify_capture
 from shiftlab.shift import Pattern, all_patterns
 
-Z = GroupCtx("integers")
 EPS = Fraction(1, 10)
 S1 = integer_interval(1)
 D4000 = integer_interval(4000)
@@ -220,10 +218,10 @@ def test_criterion_07_borel_cantelli_convergence():
 def test_criterion_08_periodic_measure():
     t0 = time.time()
     # k = 2, period 2: exact table against the 4-atom enumeration
-    pats = [Pattern.from_map(Z, {0: 0}, 2),
-            Pattern.from_map(Z, {0: 0, 2: 1}, 2),
-            Pattern.from_map(Z, {0: 0, 1: 1}, 2),
-            Pattern.from_map(Z, {0: 1, 2: 1}, 2)]
+    pats = [Pattern.from_map({0: 0}, 2),
+            Pattern.from_map({0: 0, 2: 1}, 2),
+            Pattern.from_map({0: 0, 1: 1}, 2),
+            Pattern.from_map({0: 1, 2: 1}, 2)]
     table = periodic_cylinder_table(2, 2, pats)
     ok = table.shift_invariant
     for row, phi in zip(table.rows, pats):
@@ -234,7 +232,7 @@ def test_criterion_08_periodic_measure():
     # period 12, patterns on <= 3 sites meeting distinct residues
     for sites in [(0,), (3, 7), (0, 5, 22)]:
         for colors in itertools.product(range(2), repeat=len(sites)):
-            phi = Pattern.from_map(Z, dict(zip(sites, colors)), 2)
+            phi = Pattern.from_map(dict(zip(sites, colors)), 2)
             ok &= periodic_cylinder_value(2, 12, phi) == Fraction(1, 2 ** len(sites))
             for g in (1, -1, 5):
                 ok &= periodic_cylinder_value(2, 12, phi.shifted(g)) == \

@@ -422,10 +422,25 @@ def test_eps_past_int64_ends_in_a_verdict(tmp_path, capsys, doc):
     ({**LLL, "mode": "slll", "d_size": 10 ** 30}, "d_size must be <= "),
     ({**LLL, "mode": "slll", "s_size": 10 ** 30, "d_size": 100}, "s_size must be <= "),
     ({**ERGODIC, "C": 1e300}, "C must keep |D_n|"),
+    ({**ERGODIC, "S": [0, 2 ** 63]}, "S must keep a sample's color row"),
 ])
 def test_sizes_past_ssize_t_are_config_errors(tmp_path, capsys, doc, key):
-    # a set is a range, whose len() stops at sys.maxsize
+    # a set is a range, whose len() stops at sys.maxsize, and so does an array
     _assert_config_error(tmp_path, capsys, doc, key)
+
+
+def test_repeated_ergodic_site_is_a_config_error(tmp_path, capsys):
+    _assert_config_error(tmp_path, capsys, {**ERGODIC, "S": [0, 3, 0]},
+                         "ergodic-converge: S must hold distinct sites, got [0, 3, 0]")
+
+
+def test_ergodic_color_row_rule_is_exact():
+    # a sample's colors span max(S) - min(S) + |D_n_max| columns, and
+    # |D_3| = ceil(60 log 5) = 97 here
+    widest = sys.maxsize - 97
+    assert cli._validate({**ERGODIC, "S": [-1, widest - 1]})[1]["S"] == [-1, widest - 1]
+    with pytest.raises(cli.ConfigError, match=f"= {sys.maxsize + 1} colors <= "):
+        cli._validate({**ERGODIC, "S": [-1, widest]})
 
 
 @pytest.mark.parametrize("doc, key", [

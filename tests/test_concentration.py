@@ -10,11 +10,8 @@ from shiftlab import concentration, rng
 from shiftlab.concentration import (WILSON_Z95, McEstimate, concentration_bound, deviates,
                                     deviation_sweep, deviation_thresholds, familywise_z,
                                     mc_deviation_prob, scb_bound, wilson_interval)
-from shiftlab.groups import (CyclicTranslation, GroupCtx, GroupError,
-                             GroupSet, integer_interval)
+from shiftlab.groups import CyclicTranslation, GroupError, GroupSet, integer_interval
 from shiftlab.shift import all_patterns
-
-gset = GroupSet.from_iterable
 
 
 def _deviates_exact(c, d, k, s, eps):
@@ -158,7 +155,7 @@ def test_mc_requires_freeness():
         mc_deviation_prob(phi, Fraction(1, 10), integer_interval(20), CyclicTranslation(10),
                           10, seed=0)
     # S = {0, 10} collides on the same cycle, wherever it is anchored
-    phi = all_patterns(gset(GroupCtx("integers"), [0, 10]), 2)[0]
+    phi = all_patterns(GroupSet([0, 10]), 2)[0]
     with pytest.raises(GroupError):
         mc_deviation_prob(phi, Fraction(1, 10), integer_interval(3), CyclicTranslation(10),
                           10, seed=0)
@@ -209,32 +206,18 @@ def test_sweep_verdict_uses_familywise_limit(monkeypatch):
     assert _sweep_with_zscores(monkeypatch, [3.5])[0].verdict == "fail"
 
 
-def test_mc_on_torus_action():
-    from shiftlab.groups import TorusTranslation
-    L2 = GroupCtx("lattice", 2)
-    S = gset(L2, [(0, 0)])
-    D = gset(L2, [(i, j) for i in range(10) for j in range(10)])
-    phi = all_patterns(S, 2)[0]
-    est = mc_deviation_prob(phi, Fraction(1, 4), D, TorusTranslation(30, 30), 800, seed=12)
-    # the z-score measures the mean count against |D| / k^{|S|} = 100 / 2; the
-    # count is binomial(100, 1/2), of variance 25
-    assert abs(est.expectation_zscore) <= 3.0
-    assert est.expectation_zscore == pytest.approx(
-        (est.mean_occurrences - 50) / math.sqrt(25 / 800), rel=0.1)
-    assert est.wilson_95_upper <= 1.0
-
-
 def _mc_oracle(phi, eps, D, action, x, trials, seed):
     """mc_deviation_prob one trial at a time, from the anchor x: each trial
     colors the sites of SD.x from its own color_matrix row and counts
-    occurrences site by site.  On an (S, D)-free action every anchor gives
-    the estimate that mc_deviation_prob samples from point 0."""
+    occurrences site by site, translating each site s + d to
+    (x + s + d) mod M.  On an (S, D)-free action every anchor gives the
+    estimate that mc_deviation_prob samples from point 0."""
     from shiftlab.groups import set_product
     from shiftlab.rng import color_matrix, derive_seed
-    S, k = phi.domain, phi.k
+    S, k, M = phi.domain, phi.k, action.modulus
     sites = []
     for e in set_product(S, D).elements:
-        y = action.act(e, x)
+        y = (x + e) % M
         if y not in sites:
             sites.append(y)
     target = Fraction(1, k ** len(S))
@@ -244,7 +227,7 @@ def _mc_oracle(phi, eps, D, action, x, trials, seed):
         row = color_matrix(run_seed, 1, len(sites), k, row_offset=r)[0]
         color = dict(zip(sites, row.tolist()))
         counts.append(sum(
-            all(color[action.act(S.ctx.op(s, d), x)] == c for s, c in phi.items())
+            all(color[(x + s + d) % M] == c for s, c in phi.items())
             for d in D.elements))
     hits = sum(abs(Fraction(c, len(D)) - target) >= eps for c in counts)
     return hits, Fraction(sum(counts), trials)
@@ -270,8 +253,7 @@ def test_mc_matches_per_trial_oracle(s_name, d_name, k, colors, eps, modulus, x,
     # the oracle's anchor x and the modulus move the sites around the cycle,
     # where they may wrap onto each other
     from shiftlab.shift import Pattern
-    Z = GroupCtx("integers")
-    S, D = gset(Z, _MC_SETS[s_name]), gset(Z, _MC_SETS[d_name])
+    S, D = GroupSet(_MC_SETS[s_name]), GroupSet(_MC_SETS[d_name])
     phi = Pattern(S, tuple(c % k for c in colors[:len(S)]), k)
     action = CyclicTranslation(modulus)
     est = mc_deviation_prob(phi, eps, D, action, trials, seed, chunk=chunk)
@@ -288,20 +270,6 @@ def test_mc_matches_per_trial_oracle_on_the_numpy_path(monkeypatch):
     test_mc_matches_per_trial_oracle()
 
 
-def test_mc_matches_per_trial_oracle_on_torus():
-    from shiftlab.groups import TorusTranslation
-    from shiftlab.shift import Pattern
-    L2 = GroupCtx("lattice", 2)
-    S = gset(L2, [(0, 0), (0, 1)])
-    D = gset(L2, [(0, 0), (1, 0), (1, 1), (2, 3)])
-    phi = Pattern(S, (1, 0), 2)
-    action = TorusTranslation(5, 6)
-    for chunk in (None, 1, 3):
-        est = mc_deviation_prob(phi, Fraction(1, 4), D, action, 30, seed=9, chunk=chunk)
-        hits, mean = _mc_oracle(phi, Fraction(1, 4), D, action, 7, 30, seed=9)
-        assert est.hits == hits and est.mean_occurrences == float(mean)
-
-
 def test_mc_rejects_zero_trials():
     phi = all_patterns(integer_interval(1), 2)[0]
     with pytest.raises(ValueError, match="trials"):
@@ -311,7 +279,7 @@ def test_mc_rejects_zero_trials():
 
 @pytest.mark.parametrize("eps, D, match", [
     (Fraction(0), integer_interval(5), "tolerance"),
-    (Fraction(1, 10), GroupSet(GroupCtx("integers"), ()), "nonempty")])
+    (Fraction(1, 10), GroupSet(()), "nonempty")])
 def test_mc_rejects_degenerate_eps_and_empty_d(eps, D, match):
     phi = all_patterns(integer_interval(1), 2)[0]
     with pytest.raises(ValueError, match=match):

@@ -10,14 +10,11 @@ from shiftlab.ergodic import (SAMPLE_BLOCK, ergodic_convergence_experiment, log_
                               near_invariant_measure, periodic_cylinder_table,
                               periodic_cylinder_value,
                               uniform_discrepancy_experiment)
-from shiftlab.groups import (CyclicTranslation, GroupCtx, GroupError, GroupSet,
+from shiftlab.groups import (CyclicTranslation, GroupError, GroupSet,
                              integer_interval)
 from shiftlab.lll import CertificationError, GLLLWitnessSpec, default_witness_exponent
 from shiftlab.rng import BLOCK, block_rows, color_matrix, derive_seed
 from shiftlab.shift import Pattern, all_patterns
-
-gset = GroupSet.from_iterable
-Z = GroupCtx("integers")
 
 
 def _log_growth_sets(C, n_max):
@@ -60,7 +57,7 @@ def test_convergence_large_window_binomial():
     assert rep.rows[0].worst_dev < 0.005
 
 
-@pytest.mark.parametrize("d_sets", [[], [integer_interval(4), GroupSet(Z, ())]],
+@pytest.mark.parametrize("d_sets", [[], [integer_interval(4), GroupSet(())]],
                          ids=["no_sets", "empty_set"])
 def test_experiments_reject_empty_averaging_sets(d_sets):
     S = integer_interval(1)
@@ -102,8 +99,8 @@ def test_convergence_matches_bruteforce_off_prefix(s_elems):
     # D_0 has gaps, so it is read as one run per element; S starts left of,
     # at or right of 0, so anchor columns and site columns are offset by
     # -min S in either direction
-    S = gset(Z, s_elems)
-    d_sets = [gset(Z, [0, 2, 5]), integer_interval(4)]
+    S = GroupSet(s_elems)
+    d_sets = [GroupSet([0, 2, 5]), integer_interval(4)]
     rep = ergodic_convergence_experiment(2, S, "0.5", d_sets, 40, seed=5)
     from shiftlab.rng import color_matrix, derive_seed
     lo = min(s_elems)  # min S + min D_n; sites run from lo to max S + 5
@@ -205,9 +202,9 @@ def atom_oracle(k, period, phi, window):
 
 
 def test_periodic_table_k2_n2_exact():
-    phi_a = Pattern.from_map(Z, {0: 0}, 2)
-    phi_b = Pattern.from_map(Z, {0: 0, 2: 1}, 2)
-    phi_c = Pattern.from_map(Z, {0: 1, 1: 0}, 2)
+    phi_a = Pattern.from_map({0: 0}, 2)
+    phi_b = Pattern.from_map({0: 0, 2: 1}, 2)
+    phi_c = Pattern.from_map({0: 1, 1: 0}, 2)
     table = periodic_cylinder_table(2, 2, [phi_a, phi_b, phi_c])
     assert table.rows[0].value == Fraction(1, 2)
     assert table.rows[1].value == 0          # same residue class, clashing colors
@@ -220,7 +217,7 @@ def test_periodic_table_k2_n2_exact():
 def test_periodic_value_distinct_residues():
     # when the pattern meets |phi| distinct residues the value is k^{-|phi|}
     for sites in [(0,), (0, 1), (0, 5, 7)]:
-        phi = Pattern.from_map(Z, {s: (s % 2) for s in sites}, 2)
+        phi = Pattern.from_map({s: (s % 2) for s in sites}, 2)
         assert periodic_cylinder_value(2, 12, phi) == Fraction(1, 2 ** len(sites))
         assert periodic_cylinder_value(2, 12, phi) == atom_oracle(2, 12, phi, 24)
 
@@ -234,9 +231,9 @@ def test_periodic_partition_identity():
 
 
 def test_periodic_rejects_non_integer_group():
-    phi = Pattern.from_map(GroupCtx("lattice", 2), {(0, 0): 0}, 2)
+    # a site of Z^2 is not an integer, so no pattern can be built on it
     with pytest.raises(GroupError):
-        periodic_cylinder_value(2, 2, phi)
+        periodic_cylinder_value(2, 2, Pattern.from_map({(0, 0): 0}, 2))
 
 
 # -- near-invariant measures -----------------------------------------------------
@@ -277,9 +274,9 @@ def test_convergence_matches_bruteforce_across_words(chunk):
     # more than 128 anchors, so the popcount prefix crosses words; D_0 has
     # gaps around the word edges 64 and 128, D_2 starts off anchor 0, and
     # |S| = 2 with a gap reads two color columns per anchor
-    S = gset(Z, [0, 2])
-    d_sets = [gset(Z, [0, 1, 5, 62, 63, 64, 65, 127, 128, 129, 190, 200]),
-              integer_interval(150), gset(Z, range(60, 258))]
+    S = GroupSet([0, 2])
+    d_sets = [GroupSet([0, 1, 5, 62, 63, 64, 65, 127, 128, 129, 190, 200]),
+              integer_interval(150), GroupSet(range(60, 258))]
     samples, eps = 30, Fraction(2, 25)
     rep = ergodic_convergence_experiment(2, S, "0.08", d_sets, samples, seed=4, chunk=chunk)
     from shiftlab.rng import color_matrix, derive_seed

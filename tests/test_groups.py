@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -10,75 +11,65 @@ from hypothesis import strategies as st
 
 import shiftlab
 from shiftlab import shift
-from shiftlab.groups import (CyclicTranslation, FiniteAction, GroupCtx, GroupError,
-                             GroupSet, TorusTranslation, difference_set_size,
-                             integer_interval, is_sd_free, set_inverse, set_product)
+from shiftlab.groups import (CyclicTranslation, GroupError, GroupSet, difference_set_size,
+                             integer_interval, is_sd_free, set_product)
 
-gset = GroupSet.from_iterable
 
-Z = GroupCtx("integers")
-L2 = GroupCtx("lattice", 2)
+def translates_oracle(M, elems, x):
+    """The per-element translate loop: e.x = (x + e) mod M for each e."""
+    return [(x + e) % M for e in elems]
 
-CTX_ELEMS = {
-    Z: st.integers(-50, 50),
-    L2: st.tuples(st.integers(-10, 10), st.integers(-10, 10)),
-}
+
+def free_for_pairwise(M, S):
+    """Whether no two elements of S move any point of Z/M to the same point,
+    by comparing the images of every pair of elements at every point."""
+    images = [[(p + e) % M for p in range(M)] for e in S]
+    return not any(a == b for u, v in itertools.combinations(images, 2) for a, b in zip(u, v))
 
 
 def test_basic_examples():
-    assert Z.op(3, -5) == -2
-    assert L2.op((1, 2), (3, -2)) == (4, 0)
-    assert L2.inv((3, -1)) == (-3, 1)
-    assert Z.identity() == 0 and L2.identity() == (0, 0)
+    act = CyclicTranslation(12)
+    assert act.n_points == 12
+    assert act.translates([3, -5, 24], 7).tolist() == [10, 2, 7]
+    assert act.translates(range(-1, 2), 11).tolist() == [10, 11, 0]
+    assert act.image(5, np.array([0, 7, 11])).tolist() == [5, 0, 4]
+    assert act.image(-1).tolist() == [11] + list(range(11))
 
 
-@pytest.mark.parametrize("ctx", [Z, L2])
-def test_group_laws(ctx):
-    @settings(max_examples=60, deadline=None)
-    @given(CTX_ELEMS[ctx], CTX_ELEMS[ctx], CTX_ELEMS[ctx])
-    def laws(a, b, c):
-        a, b, c = ctx.normalize(a), ctx.normalize(b), ctx.normalize(c)
-        assert ctx.op(ctx.op(a, b), c) == ctx.op(a, ctx.op(b, c))
-        assert ctx.op(a, ctx.inv(a)) == ctx.identity()
-        assert ctx.op(ctx.identity(), a) == a
-        assert ctx.normalize(a) == a  # idempotent normal form
-
-    laws()
+def test_groupset_refuses_non_integers():
+    for bad in [(0, 1), 1.0, "1"]:
+        with pytest.raises(GroupError, match="integer element expected"):
+            GroupSet([0, bad])
+    # numpy integers are integers, and are held as Python ints
+    X = GroupSet([np.int64(5), np.int32(-2)])
+    assert X.elements == (-2, 5) and all(type(e) is int for e in X)
 
 
-def test_ctx_validation():
-    with pytest.raises(GroupError):
-        GroupCtx("lattice", 4)
-    with pytest.raises(GroupError):
-        GroupCtx("lattice", 1)
-    with pytest.raises(GroupError):
-        GroupCtx("cyclic", 7)  # not a supported kind
-    # the integers take param 0 only, a lattice an int 2 or 3
-    for kind, param in [("integers", 5), ("integers", False), ("lattice", 2.5),
-                        ("lattice", (2,)), ("lattice", True), ("lattice", 3.0)]:
-        with pytest.raises(GroupError):
-            GroupCtx(kind, param)
-    assert GroupCtx("integers", 0) == Z and GroupCtx("lattice", 3).identity() == (0, 0, 0)
-    with pytest.raises(GroupError):
-        L2.normalize((1, 2, 3))  # wrong dimension
-    with pytest.raises(GroupError):
-        Z.normalize((1,))  # a tuple is not an integer
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 30), st.integers(-50, 50), st.integers(-50, 50),
+       st.lists(st.integers(0, 29), max_size=8))
+def test_action_laws(M, g, h, pts):
+    # the identity fixes every point, and acting by h then g is acting by g + h
+    act = CyclicTranslation(M)
+    points = np.array([p % M for p in pts], dtype=np.int64)
+    assert np.array_equal(act.image(0, points), points)
+    assert np.array_equal(act.image(g + h, points), act.image(g, act.image(h, points)))
+    assert np.array_equal(act.image(-g, act.image(g)), np.arange(M))
 
 
 def test_set_product_examples():
-    assert set_product(gset(Z, [0, 1]), gset(Z, [0, 10])).elements == (0, 1, 10, 11)
-    D = gset(Z, [3, 7, 9])
-    assert set_product(gset(Z, [0]), D).elements == D.elements
-    # lattice sets take the generic path; (1, 0) + (0, 1) arises twice
-    got = set_product(gset(L2, [(0, 0), (1, 0), (0, 1)]), gset(L2, [(0, 1), (1, 0)]))
-    assert got.elements == ((0, 1), (0, 2), (1, 0), (1, 1), (2, 0))
+    assert set_product(GroupSet([0, 1]), GroupSet([0, 10])).elements == (0, 1, 10, 11)
+    D = GroupSet([3, 7, 9])
+    assert set_product(GroupSet([0]), D).elements == D.elements
+    # 1 + 1 and 0 + 2 are one element of the product
+    assert set_product(GroupSet([0, 1]), GroupSet([1, 2, 5])).elements == (1, 2, 3, 5, 6)
 
 
 @given(st.sets(st.integers(-30, 30), min_size=1, max_size=8),
        st.sets(st.integers(-30, 30), min_size=1, max_size=8))
 @settings(max_examples=60, deadline=None)
 def test_set_product_size_bound(s_items, d_items):
-    S, D = gset(Z, s_items), gset(Z, d_items)
+    S, D = GroupSet(s_items), GroupSet(d_items)
     sd = set_product(S, D)
     assert len(sd) <= len(S) * len(D)
     # brute-force oracle
@@ -89,16 +80,15 @@ def test_set_product_over_several_chunks_matches_python_sets():
     # 2,101 x 2,001 sums exceed one chunk of 4,000,000, and the chunks share
     # many sums, so the deduplication across chunks is exercised too
     s_items, d_items = range(0, 4201, 2), range(0, 6001, 3)
-    got = set_product(gset(Z, s_items), gset(Z, d_items))
+    got = set_product(GroupSet(s_items), GroupSet(d_items))
     assert len(s_items) * len(d_items) > 4_000_000
     assert got.elements == tuple(sorted({s + d for s in s_items for d in d_items}))
 
 
 def test_set_product_leaves_numpy_ma_unimported():
     # np.unique imports numpy.ma on numpy 2.x, about 1 MB of resident memory
-    code = ("import sys\nfrom shiftlab.groups import GroupCtx, GroupSet, set_product\n"
-            "Z = GroupCtx('integers')\n"
-            "print(set_product(GroupSet(Z, (0, 2, 5)), GroupSet(Z, (0, 3))).elements)\n"
+    code = ("import sys\nfrom shiftlab.groups import GroupSet, set_product\n"
+            "print(set_product(GroupSet((0, 2, 5)), GroupSet((0, 3))).elements)\n"
             "print('numpy.ma' in sys.modules)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(shiftlab.__file__).parent.parent))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
@@ -106,40 +96,22 @@ def test_set_product_leaves_numpy_ma_unimported():
     assert out == ["(0, 2, 3, 5, 8)", "False"]
 
 
-def test_set_product_ctx_mismatch():
-    with pytest.raises(GroupError):
-        set_product(gset(Z, [0]), gset(L2, [(0, 0)]))
-
-
 def test_deterministic_sorted_order():
-    s1 = gset(Z, [5, -2, 7, -2])
+    s1 = GroupSet([5, -2, 7, -2])
     assert s1.elements == (-2, 5, 7)
 
 
 def test_is_sd_free_cyclic():
-    assert is_sd_free(CyclicTranslation(100), [gset(Z, range(10))]) is True
-    assert is_sd_free(CyclicTranslation(10), [gset(Z, [0, 10])]) is False
+    assert is_sd_free(CyclicTranslation(100), [GroupSet(range(10))]) is True
+    assert is_sd_free(CyclicTranslation(10), [GroupSet([0, 10])]) is False
     # any subset of distinct residues is free
-    assert is_sd_free(CyclicTranslation(37), [gset(Z, [0, 5, 11, 36])]) is True
-
-
-def test_torus_freeness():
-    t = TorusTranslation(4, 6)
-    assert is_sd_free(t, [gset(L2, [(0, 0), (1, 1)])]) is True
-    assert is_sd_free(t, [gset(L2, [(0, 0), (4, 6)])]) is False
-
-
-def test_action_axioms_cyclic_torus():
-    act = CyclicTranslation(12)
-    for g, h, x in [(3, 4, 7), (-5, 2, 0), (11, 11, 11)]:
-        assert act.act(Z.op(g, h), x) == act.act(g, act.act(h, x))
-    t = TorusTranslation(3, 5)
-    for g, h, x in [((1, 2), (2, 4), 7), ((-1, 0), (0, -1), 14)]:
-        assert t.act(L2.op(g, h), x) == t.act(g, t.act(h, x))
+    assert is_sd_free(CyclicTranslation(37), [GroupSet([0, 5, 11, 36])]) is True
+    # every set must be free
+    assert is_sd_free(CyclicTranslation(10), [GroupSet([0, 1]), GroupSet([0, 10])]) is False
 
 
 def test_difference_set_interval_law():
-    # |(SD)^-1 SD| = 2|SD| - 1 for integer intervals
+    # |SD - SD| = 2|SD| - 1 for integer intervals
     for s_sz, d_sz in [(1, 10), (2, 25), (3, 40)]:
         S, D = integer_interval(s_sz), integer_interval(d_sz)
         sd = set_product(S, D)
@@ -148,15 +120,15 @@ def test_difference_set_interval_law():
 
 def test_set_product_generic_equality():
     # sparse sets with pairwise-distinct sums reach the |S||D| upper bound
-    S = gset(Z, [1, 2, 4])
-    D = gset(Z, [0, 8, 64])
+    S = GroupSet([1, 2, 4])
+    D = GroupSet([0, 8, 64])
     assert len(set_product(S, D)) == len(S) * len(D)
 
 
 @given(st.integers(2, 40), st.sets(st.integers(-100, 100), min_size=1, max_size=8))
 @settings(max_examples=50, deadline=None)
 def test_sd_free_iff_distinct_residues(modulus, items):
-    D = gset(Z, items)
+    D = GroupSet(items)
     distinct = len({d % modulus for d in items}) == len(D)
     assert is_sd_free(CyclicTranslation(modulus), [D]) is distinct
 
@@ -173,7 +145,7 @@ INT_SETS = st.one_of(
 @given(INT_SETS, INT_SETS)
 @settings(max_examples=200, deadline=None)
 def test_interval_products_match_naive_sets(s_items, d_items):
-    S, D = gset(Z, s_items), gset(Z, d_items)
+    S, D = GroupSet(s_items), GroupSet(d_items)
     for X, items in ((S, s_items), (D, d_items)):
         u = sorted(set(items))
         runs = u == list(range(u[0], u[0] + len(u)))
@@ -181,13 +153,13 @@ def test_interval_products_match_naive_sets(s_items, d_items):
     sd = {s + d for s in s_items for d in d_items}
     got = set_product(S, D)
     assert tuple(got.elements) == tuple(sorted(sd))
-    assert got == gset(Z, sd)
+    assert got == GroupSet(sd)
     assert difference_set_size(S, D) == len({b - a for a in sd for b in sd})
 
 
 def test_interval_only_for_integers():
-    assert gset(L2, [(0, 0), (0, 1)]).interval is None
-    assert GroupSet(Z, ()).interval is None
+    assert GroupSet([0, 2]).interval is None
+    assert GroupSet(()).interval is None
     assert tuple(integer_interval(3, -2).elements) == (-2, -1, 0)
     assert integer_interval(3, -2).interval == (-2, 3)
 
@@ -212,20 +184,18 @@ def _is_run(u):
 @settings(max_examples=200, deadline=None)
 def test_every_constructor_gives_one_canonical_form(items, other):
     u, v = sorted(set(items)), sorted(set(other))
-    X = gset(Z, items)
-    same = [GroupSet(Z, items), GroupSet(Z, tuple(u)), GroupSet.from_iterable(Z, items),
-            set_inverse(set_inverse(X))]
+    X = GroupSet(items)
+    same = [GroupSet(tuple(u)), GroupSet(iter(items)), GroupSet(np.array(u, dtype=np.int64))]
     if _is_run(u):
-        same += [integer_interval(len(u), u[0]), GroupSet(Z, range(u[0], u[-1] + 1))]
+        same += [integer_interval(len(u), u[0]), GroupSet(range(u[0], u[-1] + 1))]
     for Y in same:
         assert Y == X and hash(Y) == hash(X)
     # set_product takes its closed form when both are intervals, numpy otherwise
-    built = [(X, u), (set_product(X, gset(Z, other)), {a + b for a in u for b in v}),
-             (set_product(X, X), {a + b for a in u for b in u}),
-             (set_inverse(X), {-a for a in u})]
+    built = [(X, u), (set_product(X, GroupSet(other)), {a + b for a in u for b in v}),
+             (set_product(X, X), {a + b for a in u for b in u})]
     for Y, want in built:
         want = sorted(want)
-        assert Y == gset(Z, want) and hash(Y) == hash(gset(Z, want))
+        assert Y == GroupSet(want) and hash(Y) == hash(GroupSet(want))
         assert isinstance(Y.elements, range) is _is_run(want)
         assert tuple(Y.elements) == tuple(want)
         assert Y.interval == ((want[0], len(want)) if _is_run(want) else None)
@@ -250,7 +220,7 @@ def test_cyclic_free_for_intervals_matches_residue_formula():
 @settings(max_examples=200, deadline=None)
 @given(M=st.integers(1, 30), elems=st.sets(st.integers(-60, 60), min_size=1, max_size=12))
 def test_cyclic_free_for_matches_residue_formula(M, elems):
-    S = gset(Z, elems)
+    S = GroupSet(elems)
     assert CyclicTranslation(M).free_for(S) == _free_by_residues(M, S.elements)
 
 
@@ -259,53 +229,36 @@ def test_boundary_error_is_a_group_error():
     assert shiftlab.BoundaryError is shift.BoundaryError
 
 
-# the two action flavors, small enough that many translates wrap around
-ACTIONS = st.one_of(
-    st.integers(1, 30).map(CyclicTranslation),
-    st.tuples(st.integers(1, 6), st.integers(1, 6)).map(lambda t: TorusTranslation(*t)),
-)
-NEAR_ELEMS = {
-    Z: st.integers(-8, 8),
-    L2: st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
-}
-
-
 @settings(max_examples=300, deadline=None)
-@given(ACTIONS, st.data())
-def test_translates_and_image_match_act(action, data):
-    ctx = action.ctx
-    elems = [ctx.normalize(e) for e in data.draw(st.lists(NEAR_ELEMS[ctx], max_size=6))]
-    if ctx == Z and data.draw(st.booleans()):  # a run, as a GroupSet holds one
-        lo = data.draw(NEAR_ELEMS[Z])
+@given(st.integers(1, 30), st.data())
+def test_translates_and_image_match_act(M, data):
+    action = CyclicTranslation(M)
+    elems = data.draw(st.lists(st.integers(-8, 8), max_size=6))
+    if data.draw(st.booleans()):  # a run, as a GroupSet holds one
+        lo = data.draw(st.integers(-8, 8))
         elems = range(lo, lo + len(elems))
-    x = data.draw(st.integers(0, action.n_points - 1))
+    x = data.draw(st.integers(0, M - 1))
     got = action.translates(elems, x)
-    assert got.dtype == np.int64 and got.tolist() == [action.act(e, x) for e in elems]
+    assert got.dtype == np.int64 and got.tolist() == translates_oracle(M, elems, x)
 
-    gamma = ctx.normalize(data.draw(NEAR_ELEMS[ctx]))
-    pts = np.array(data.draw(st.lists(st.integers(0, action.n_points - 1), max_size=8)),
-                   dtype=np.int64)
-    for points in (pts, None):
-        ref = action.act_array(gamma, action.points() if points is None else points)
-        assert np.array_equal(action.image(gamma, points), ref)
+    gamma = data.draw(st.integers(-8, 8))
+    pts = data.draw(st.lists(st.integers(0, M - 1), max_size=8))
+    assert action.image(gamma, np.array(pts, dtype=np.int64)).tolist() == \
+        [(p + gamma) % M for p in pts]
+    assert action.image(gamma).tolist() == [(p + gamma) % M for p in range(M)]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
 def test_fast_freeness_matches_pairwise_and_pointwise_oracles(data):
-    if data.draw(st.booleans()):
-        M = data.draw(st.integers(1, 12))
-        action = CyclicTranslation(M)
-        start = data.draw(st.integers(-20, 20))
-        # intervals on both sides of the shortcut len(S) <= M, and sparse sets
-        # whose elements often collide mod M
-        items = data.draw(st.one_of(
-            st.integers(1, M + 3).map(lambda n: range(start, start + n)),
-            st.sets(st.integers(-30, 30), min_size=1, max_size=M + 3)))
-    else:
-        action = TorusTranslation(data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5)))
-        items = data.draw(st.sets(NEAR_ELEMS[L2], min_size=1, max_size=8))
-    S = gset(action.ctx, items)
-    pointwise = all(len({action.act(e, x) for e in S}) == len(S)
-                    for x in range(action.n_points))
-    assert action.free_for(S) is FiniteAction.free_for(action, S) is pointwise
+    M = data.draw(st.integers(1, 12))
+    action = CyclicTranslation(M)
+    start = data.draw(st.integers(-20, 20))
+    # intervals on both sides of the shortcut len(S) <= M, and sparse sets
+    # whose elements often collide mod M
+    items = data.draw(st.one_of(
+        st.integers(1, M + 3).map(lambda n: range(start, start + n)),
+        st.sets(st.integers(-30, 30), min_size=1, max_size=M + 3)))
+    S = GroupSet(items)
+    pointwise = all(len(set(translates_oracle(M, S, x))) == len(S) for x in range(M))
+    assert action.free_for(S) is free_for_pairwise(M, S) is pointwise

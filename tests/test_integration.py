@@ -10,15 +10,10 @@ import pytest
 from shiftlab import rng
 from shiftlab.cli import EXIT_OK, main
 from shiftlab.ergodic import log_growth_size, uniform_discrepancy_experiment
-from shiftlab.groups import (CyclicTranslation, GroupCtx, GroupSet, TorusTranslation,
-                             integer_interval)
+from shiftlab.groups import CyclicTranslation, integer_interval
 from shiftlab.lll import FrequencyDeviationEvent
 from shiftlab.moser_tardos import TapeSpace, frequency_counts, run_mt, stabilization_ledger
-from shiftlab.shift import Config, Pattern, empirical_freq, occurrences
-
-gset = GroupSet.from_iterable
-Z = GroupCtx("integers")
-L2 = GroupCtx("lattice", 2)
+from shiftlab.shift import Pattern
 
 
 def test_two_interval_family_certified_and_controlled():
@@ -49,7 +44,7 @@ def test_mt_with_three_colors():
 def test_transcript_structure():
     # unit-length domains resample in visible batches
     from shiftlab.lll import ExplicitEvent
-    phi0 = Pattern.from_map(Z, {0: 0}, 2)
+    phi0 = Pattern.from_map({0: 0}, 2)
     act = CyclicTranslation(64)
     lines = []
     res = run_mt(act, [ExplicitEvent((phi0,), 2)], TapeSpace(seed=6, k=2), transcript=lines)
@@ -115,35 +110,6 @@ def test_cli_transcript_flag(tmp_path):
             assert set(doc) == {"step", "selected", "tape_advanced"}
             seen_lines += 1
     assert seen_lines > 0  # these parameters do resample
-
-
-def test_lattice_box_pattern_statistics():
-    # 4x4 window in Z^2, pattern on two sites, brute-force oracle
-    from shiftlab.groups import GroupSet
-    import itertools as it
-    window = GroupSet.from_iterable(L2, it.product(range(4), range(4)))
-    colors = {(x, y): (x + 2 * y) % 2 for x, y in window.elements}
-    c = Config.from_map(L2, colors)
-    phi = Pattern.from_map(L2, {(0, 0): 0, (1, 1): 1}, 2)
-    occ = set(occurrences(phi, c).elements)
-    expected = set()
-    for g in it.product(range(-2, 6), repeat=2):
-        sites = [(0 + g[0], 0 + g[1]), (1 + g[0], 1 + g[1])]
-        if all(s in colors for s in sites):
-            if colors[sites[0]] == 0 and colors[sites[1]] == 1:
-                expected.add(g)
-    assert occ == expected
-    D = gset(L2, [(0, 0), (1, 0), (0, 1)])
-    freq = empirical_freq(phi, c, D)
-    assert freq == Fraction(len(occ & set(D.elements)), 3)
-
-
-def test_torus_translates_of_a_point():
-    act = TorusTranslation(5, 5)
-    D = gset(L2, [(0, 0), (1, 0), (0, 1), (2, 3)])
-    ys = act.translates(D.elements, 7).tolist()
-    assert len(set(ys)) == 4  # free translates
-    assert [d for d, y in zip(D.elements, ys) if y == 7] == [(0, 0)]  # only the identity
 
 
 def test_mc_chunk_invariance():

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftlab.concentration import deviation_exponent
-from shiftlab.groups import (GroupCtx, GroupSet, difference_set_size, integer_interval,
-                             set_product)
+from shiftlab.groups import GroupSet, difference_set_size, integer_interval, set_product
 from shiftlab.lll import (CertificationError, ExplicitEvent,
                           FrequencyDeviationEvent, GLLLWitnessSpec, InstanceStats,
                           _neighbor_count, check_glll_witness, event_probability_exact,
@@ -15,20 +14,17 @@ from shiftlab.lll import (CertificationError, ExplicitEvent,
                           find_slll_threshold, p_bound_freq, slll_stats)
 from shiftlab.shift import Config, Pattern, all_patterns
 
-gset = GroupSet.from_iterable
-Z = GroupCtx("integers")
-
 
 # -- events -----------------------------------------------------------------
 
 
 def test_explicit_event_holds():
-    phi = Pattern.from_map(Z, {0: 1, 1: 0}, 2)
+    phi = Pattern.from_map({0: 1, 1: 0}, 2)
     ev = ExplicitEvent((phi,), 2)
     assert ev.holds(Config.from_array(integer_interval(2), [1, 0]))
     assert not ev.holds(Config.from_array(integer_interval(2), [1, 1]))
     with pytest.raises(ValueError):
-        ev.holds(Config.from_array(gset(Z, [5]), [1]))  # not total on F
+        ev.holds(Config.from_array(GroupSet([5]), [1]))  # not total on F
 
 
 def test_frequency_event_balanced_window_avoids():
@@ -53,8 +49,8 @@ def test_frequency_event_agrees_with_expansion():
 
 
 def test_event_probability_exact_is_count_ratio():
-    phi1 = Pattern.from_map(Z, {0: 0, 1: 0}, 2)
-    phi2 = Pattern.from_map(Z, {0: 1, 1: 1}, 2)
+    phi1 = Pattern.from_map({0: 0, 1: 0}, 2)
+    phi2 = Pattern.from_map({0: 1, 1: 1}, 2)
     ev = ExplicitEvent((phi1, phi2), 2)
     assert event_probability_exact(ev) == Fraction(2, 4)
 
@@ -78,7 +74,7 @@ def test_slll_margin_vacuous_at_eps_zeroish():
 
 
 def test_generic_cap_dominates_exact():
-    S, D = integer_interval(2), gset(Z, [0, 3, 11, 20, 45])
+    S, D = integer_interval(2), GroupSet([0, 3, 11, 20, 45])
     st = slll_stats(2, S, "0.2", D)
     assert st.d_bound == difference_set_size(S, D) - 1
     cap = _neighbor_count(len(S), len(D), len(D), intervals=False) - 1
@@ -101,7 +97,7 @@ def test_auto_degree_of_a_large_interval_is_the_closed_form(d_size):
 
 def test_auto_degree_of_a_large_gapped_set_is_the_generic_cap():
     # |SD| = 10001 even integers: not an interval and past the exact limit
-    S, D = integer_interval(1), gset(Z, range(0, 20_002, 2))
+    S, D = integer_interval(1), GroupSet(range(0, 20_002, 2))
     assert D.interval is None and difference_set_size(S, D) is None
     st = slll_stats(2, S, "0.04", D)
     assert st.d_bound == len(D) ** 2 - 1
@@ -204,7 +200,7 @@ def test_glll_single_event_interval_degrees():
     assert rep.witness_ok
     # and fails on the 4000 even integers, which take the generic cap (the
     # cap is too lossy here)
-    evens = gset(Z, range(0, 8000, 2))
+    evens = GroupSet(range(0, 8000, 2))
     assert evens.interval is None
     rep2 = check_glll_witness(2, S, "0.1", [evens], spec)
     assert not rep2.witness_ok
@@ -243,7 +239,7 @@ def test_find_log_growth_constant_properties():
     assert C_relaxed <= C + 1e-6
     # the checker accepts D_n = the first ceil(C log(n+2)) even integers,
     # gapped sets that take the generic neighbor cap
-    d_seq = [gset(Z, range(0, 2 * math.ceil(C * math.log(n + 2)), 2)) for n in range(50)]
+    d_seq = [GroupSet(range(0, 2 * math.ceil(C * math.log(n + 2)), 2)) for n in range(50)]
     rep = check_glll_witness(2, S, "0.3", d_seq, GLLLWitnessSpec(a=0.02, C=C),
                              eps_sum="0.1")
     assert rep.ok
@@ -270,7 +266,7 @@ def test_find_log_growth_constant_validates_a():
 
 
 def test_frequency_event_domain_is_built_once():
-    S, D = gset(Z, [-1, 2]), integer_interval(40, start=3)
+    S, D = GroupSet([-1, 2]), integer_interval(40, start=3)
     ev = FrequencyDeviationEvent(2, S, Fraction(1, 10), D)
     assert ev.domain is ev.domain
     assert ev.domain == set_product(S, D)

@@ -6,17 +6,13 @@ import pytest
 from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from shiftlab.groups import (CyclicTranslation, GroupCtx, GroupError,
-                             GroupSet, TorusTranslation, integer_interval)
+from shiftlab.groups import (CyclicTranslation, GroupError, GroupSet, integer_interval,
+                             set_product)
 from shiftlab.lll import ExplicitEvent, FrequencyDeviationEvent
 from shiftlab.moser_tardos import (TapeSpace, resample_fraction, run_mt, scans_patterns,
                                    stabilization_ledger, tape_consistency,
                                    violated_anchors)
 from shiftlab.shift import Config, Pattern
-
-gset = GroupSet.from_iterable
-Z = GroupCtx("integers")
-L2 = GroupCtx("lattice", 2)
 
 
 def run_mt_replayed(action, events, tape, **kwargs):
@@ -35,12 +31,13 @@ def replay(action, events, tape, res, records):
     selects exactly the greedy batch of that order, that the batch is
     disjoint and maximal (every violated anchor left out meets a selected
     domain), and that the tape advanced on the batch's points.  At the end
-    it checks t, the step count, the coloring and the residual anchors."""
+    it checks t, the step count, the coloring and the residual anchors.
+    Domains are translated point by point, as (x + e) mod M."""
     points = np.arange(action.n_points)
     t = np.zeros(action.n_points, dtype=np.int64)
 
     def domain(n, x):
-        return set(action.translates(events[n].domain.elements, x).tolist())
+        return {(x + e) % action.modulus for e in events[n].domain}
 
     def violated(g):
         return [[n, int(x)] for n, ev in enumerate(events)
@@ -106,7 +103,7 @@ def test_empty_family_converges_immediately():
 
 def test_single_site_event_geometric_resampling():
     # forbid color 0 at every point: t(p) = first index with a 1 on p's tape
-    phi0 = Pattern.from_map(Z, {0: 0}, 2)
+    phi0 = Pattern.from_map({0: 0}, 2)
     ev = ExplicitEvent((phi0,), 2)
     act = CyclicTranslation(4000)
     tape = TapeSpace(seed=21, k=2)
@@ -124,7 +121,7 @@ def test_single_site_event_geometric_resampling():
 
 
 def test_mt_requires_freeness():
-    ev = FrequencyDeviationEvent(2, integer_interval(1), "0.2", gset(Z, [0, 10]))
+    ev = FrequencyDeviationEvent(2, integer_interval(1), "0.2", GroupSet([0, 10]))
     with pytest.raises(GroupError):
         run_mt(CyclicTranslation(10), [ev], TapeSpace(seed=0, k=2))
 
@@ -182,12 +179,13 @@ def test_mt_two_member_family_ledger():
         assert violated_anchors(act, ev, res.coloring).size == 0
 
 
-def test_mt_on_torus_generic_path():
-    block = gset(L2, [(i, j) for i in range(2) for j in range(2)])
-    ev = FrequencyDeviationEvent(2, gset(L2, [(0, 0)]), "0.3", block)
-    act = TorusTranslation(12, 12)
+def test_mt_on_gapped_sets():
+    # S and D that are not intervals: detection counts windows over the
+    # offsets of D, and the domains SD.x have gaps
+    ev = FrequencyDeviationEvent(2, GroupSet([0, 3]), "0.4", GroupSet([0, 1, 5, 6, 11]))
+    act = CyclicTranslation(60)
     res = run_mt_replayed(act, [ev], TapeSpace(seed=3, k=2))
-    assert res.converged
+    assert res.converged and res.steps > 0
     assert stabilization_ledger(res)
     assert violated_anchors(act, ev, res.coloring).size == 0
 
@@ -203,7 +201,7 @@ def test_mt_contested_run_matches_replay():
 
 def test_max_steps_exhaustion_reports_defect():
     # an unsatisfiable single-site family: both colors forbidden
-    phis = (Pattern.from_map(Z, {0: 0}, 2), Pattern.from_map(Z, {0: 1}, 2))
+    phis = (Pattern.from_map({0: 0}, 2), Pattern.from_map({0: 1}, 2))
     ev = ExplicitEvent(phis, 2)
     act = CyclicTranslation(16)
     res = run_mt(act, [ev], TapeSpace(seed=1, k=2), max_steps=5)
@@ -223,17 +221,27 @@ def test_defect_examples():
     assert violated_anchors(act, ev, g).tolist() == [0, 3]
 
 
+def _int_set(n_max):
+    """An interval's length, or the elements of a set that may have gaps."""
+    return st.one_of(st.integers(1, n_max),
+                     st.sets(st.integers(-10, 10), min_size=1, max_size=n_max).map(sorted))
+
+
+def _as_set(spec):
+    return integer_interval(spec) if isinstance(spec, int) else GroupSet(spec)
+
+
 @st.composite
 def detection_cases(draw):
     k = draw(st.sampled_from([2, 3]))
-    s_size = draw(st.integers(1, 2))
-    d_size = draw(st.integers(1, 12))
+    s_spec, d_spec = draw(_int_set(2)), draw(_int_set(12))
     # eps |D| k^|S| is an integer at 0.5 for k = 2 and at 0.25 for k = 2,
     # |D| even: there some counts land exactly on the threshold
     eps = draw(st.sampled_from(["0.1", "0.25", "0.3", "0.5"]))
-    modulus = draw(st.integers(s_size + d_size, 60))
+    sd = set_product(_as_set(s_spec), _as_set(d_spec)).elements
+    modulus = draw(st.integers(sd[-1] - sd[0] + 1, 60))  # SD is free
     g = draw(st.lists(st.integers(0, k - 1), min_size=modulus, max_size=modulus))
-    return k, s_size, eps, d_size, modulus, g
+    return k, s_spec, eps, d_spec, modulus, g
 
 
 @given(detection_cases())
@@ -241,17 +249,19 @@ def detection_cases(draw):
 @seed(20_181)
 @settings(max_examples=100, deadline=None)
 def test_frequency_counts_match_event_holds(case):
-    # vectorized anchor detection agrees with the per-config event test
+    # vectorized anchor detection agrees with the per-config event test, on
+    # intervals and on sets with gaps
     _assert_detection_matches_holds(*case)
 
 
-def _assert_detection_matches_holds(k, s_size, eps, d_size, modulus, g):
-    ev = FrequencyDeviationEvent(k, integer_interval(s_size), eps, integer_interval(d_size))
+def _assert_detection_matches_holds(k, s_spec, eps, d_spec, modulus, g):
+    """Each of S and D is an interval's length or a set's elements."""
+    ev = FrequencyDeviationEvent(k, _as_set(s_spec), eps, _as_set(d_spec))
     act = CyclicTranslation(modulus)
     bad = set(violated_anchors(act, ev, np.array(g)).tolist())
     for x in range(modulus):
-        vals = {e: g[act.act(e, x)] for e in ev.domain}
-        assert ev.holds(Config.from_map(Z, vals)) == (x in bad), x
+        vals = {e: g[(x + e) % modulus] for e in ev.domain}
+        assert ev.holds(Config.from_map(vals)) == (x in bad), x
 
 
 @st.composite

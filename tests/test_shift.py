@@ -5,12 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shiftlab.groups import GroupCtx, GroupSet, integer_interval
+from shiftlab.groups import GroupSet, integer_interval
 from shiftlab.shift import (BoundaryError, Config, Pattern, all_patterns, empirical_freq,
                             occurrences)
-
-gset = GroupSet.from_iterable
-Z = GroupCtx("integers")
 
 
 def brute_occurrences(phi: Pattern, c: Config):
@@ -32,20 +29,20 @@ def brute_occurrences(phi: Pattern, c: Config):
 
 def test_occurrences_example():
     c = Config.from_array(integer_interval(5), [0, 1, 0, 1, 0])
-    phi = Pattern.from_map(Z, {0: 0, 1: 1}, 2)
+    phi = Pattern.from_map({0: 0, 1: 1}, 2)
     assert set(occurrences(phi, c).elements) == {0, 2}
     assert set(occurrences(phi, c).elements) == brute_occurrences(phi, c)
 
 
 def test_occurrences_constant():
     c = Config.from_array(integer_interval(10), [0] * 10)
-    phi = Pattern.from_map(Z, {0: 0, 1: 0}, 2)
+    phi = Pattern.from_map({0: 0, 1: 0}, 2)
     assert set(occurrences(phi, c).elements) == set(range(9))
 
 
 def test_empty_domain_pattern_rejected():
     with pytest.raises(ValueError):
-        Pattern(gset(Z, []), (), 2)
+        Pattern(GroupSet([]), (), 2)
 
 
 @given(st.integers(0, 2 ** 12 - 1), st.integers(0, 3))
@@ -53,31 +50,31 @@ def test_empty_domain_pattern_rejected():
 def test_occurrences_match_oracle(code, width):
     colors = [(code >> i) & 1 for i in range(12)]
     c = Config.from_array(integer_interval(12), colors)
-    phi = Pattern.from_map(Z, {i: (code >> (i + width)) & 1 for i in range(width + 1)}, 2)
+    phi = Pattern.from_map({i: (code >> (i + width)) & 1 for i in range(width + 1)}, 2)
     assert set(occurrences(phi, c).elements) == brute_occurrences(phi, c)
 
 
 def test_empirical_freq_examples():
     c = Config.from_array(integer_interval(5), [0, 1, 0, 1, 0])
-    phi = Pattern.from_map(Z, {0: 0, 1: 1}, 2)
+    phi = Pattern.from_map({0: 0, 1: 1}, 2)
     assert empirical_freq(phi, c, integer_interval(4)) == Fraction(2, 4)
     const = Config.from_array(integer_interval(6), [1] * 6)
-    assert empirical_freq(Pattern.from_map(Z, {0: 1, 1: 1}, 2), const,
+    assert empirical_freq(Pattern.from_map({0: 1, 1: 1}, 2), const,
                           integer_interval(5)) == 1
-    assert empirical_freq(Pattern.from_map(Z, {0: 0, 1: 1}, 2), const,
+    assert empirical_freq(Pattern.from_map({0: 0, 1: 1}, 2), const,
                           integer_interval(5)) == 0
 
 
 def test_empirical_freq_boundary_error_names_translate():
     c = Config.from_array(integer_interval(5), [0, 1, 0, 1, 0])
-    phi = Pattern.from_map(Z, {0: 0, 1: 1}, 2)
+    phi = Pattern.from_map({0: 0, 1: 1}, 2)
     with pytest.raises(BoundaryError, match="5"):
         empirical_freq(phi, c, integer_interval(5))
 
 
 def test_freq_count_consistency():
     c = Config.from_array(integer_interval(9), [0, 1, 1, 0, 1, 0, 0, 1, 1])
-    phi = Pattern.from_map(Z, {0: 1, 1: 0}, 2)
+    phi = Pattern.from_map({0: 1, 1: 0}, 2)
     D = integer_interval(8)
     f = empirical_freq(phi, c, D)
     occ = set(occurrences(phi, c).elements)
@@ -99,7 +96,7 @@ def test_partition_identity_exhaustive(s_size):
 def test_equivariance():
     rng = np.random.default_rng(3)
     c = Config.from_array(integer_interval(14), rng.integers(0, 2, 14).tolist())
-    phi = Pattern.from_map(Z, {0: 1, 2: 0}, 2)
+    phi = Pattern.from_map({0: 1, 2: 0}, 2)
     for g in [-3, -1, 1, 4]:
         shifted = c.shifted(g)
         lhs = set(occurrences(phi, shifted).elements)

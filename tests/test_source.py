@@ -37,8 +37,8 @@ def test_module_imports_only_what_it_uses(path):
 
 def raw_translate_calls(source: str) -> list[int]:
     """Lines that call `.act(` or `.act_array(`.  Outside `groups`, points
-    are translated only through `FiniteAction.translates` and `.image`, so
-    each action's fast path serves every consumer."""
+    are translated only through `CyclicTranslation.translates` and `.image`,
+    so the action's fast path serves every consumer."""
     return sorted(n.lineno for n in ast.walk(ast.parse(source))
                   if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
                   and n.func.attr in ("act", "act_array"))
@@ -253,8 +253,6 @@ REACHED_BY_TESTS = {
         ["occurrences", "empirical_freq", "event_probability_exact", "explicit_expansion",
          "scb_bound", "TowerSystem.level_array", "TapeSpace.symbol"],
         "oracle: a test compares a path the experiments run against it"),
-    "TorusTranslation": "non-cyclic action: exercises the generic paths of translates, "
-                        "image, frequency_counts and mc_deviation_prob",
 }
 
 
