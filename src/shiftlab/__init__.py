@@ -4,7 +4,7 @@ dynamics for the integers acting on Z/M by translation."""
 __version__ = "0.1.0"
 
 from .groups import (GroupError, GroupSet, CyclicTranslation, integer_interval,
-                     is_sd_free, set_product)
+                     set_product)
 from .shift import (BoundaryError, Config, Pattern, PatternStats, all_patterns,
                     as_fraction, empirical_freq, occurrences)
 from .concentration import (McEstimate, concentration_bound, mc_deviation_prob,

@@ -6,9 +6,10 @@
  * C-contiguous.
  *
  * shiftlab_count: for each row r of the color matrix with row counters
- * row0 + r and column counters 0..cols-1 (1 <= k <= 256), how many j < d
- * have color[starts[i] + j] == phi[i] for every i < ns.  The row is hashed
- * into a byte buffer and never stored.
+ * row0 + r and column counters 0..cols-1 (1 <= k <= 256), and for each of
+ * the ne ascending window ends ends[q] in 1..d, d = ends[ne - 1], how many
+ * j < ends[q] have color[starts[i] + j] == phi[i] for every i < ns, into
+ * counts[r * ne + q].  The row is hashed into a byte buffer and never stored.
  *
  * shiftlab_isa: which copy of the two entry points runs on this CPU,
  * "x86-64-v4" or "baseline".
@@ -147,14 +148,15 @@ hash_k(uint64_t seed, const uint64_t *a, ptrdiff_t ars, ptrdiff_t acs, const uin
 #undef PLANE
 }
 
-/* How many j < d have buf[starts[i] + j] == phi[i] for every i < ns, from a
- * byte mask at buf[cols..cols+d); byte colors keep the compare loops
- * vectorised. */
-static inline __attribute__((always_inline)) int64_t
+/* For each end e, how many j < e have buf[starts[i] + j] == phi[i] for every
+ * i < ns, from a byte mask at buf[cols..cols+d); byte colors keep the compare
+ * loops vectorised. */
+static inline __attribute__((always_inline)) void
 matches(uint8_t *buf, ptrdiff_t cols, const ptrdiff_t *starts, const uint8_t *phi,
-        ptrdiff_t ns, ptrdiff_t d)
+        ptrdiff_t ns, const ptrdiff_t *ends, ptrdiff_t ne, int64_t *counts)
 {
     uint8_t *m = buf + cols;
+    ptrdiff_t d = ends[ne - 1];
     const uint8_t *s = buf + starts[0];
     for (ptrdiff_t j = 0; j < d; j++)
         m[j] = s[j] == phi[0];
@@ -165,9 +167,12 @@ matches(uint8_t *buf, ptrdiff_t cols, const ptrdiff_t *starts, const uint8_t *ph
             m[j] &= t[j] == p;
     }
     int64_t n = 0;
-    for (ptrdiff_t j = 0; j < d; j++)
-        n += m[j];
-    return n;
+    ptrdiff_t j = 0;
+    for (ptrdiff_t e = 0; e < ne; e++) {
+        for (; j < ends[e]; j++)
+            n += m[j];
+        counts[e] = n;
+    }
 }
 
 /* Colors of one row into buf[0..cols), then its matches.  Inlined per k
@@ -175,22 +180,23 @@ matches(uint8_t *buf, ptrdiff_t cols, const ptrdiff_t *starts, const uint8_t *ph
 static inline __attribute__((always_inline)) void
 count(uint64_t seed, uint64_t row0, ptrdiff_t rows, ptrdiff_t cols, uint64_t k,
       uint64_t mask, const ptrdiff_t *starts, const uint8_t *phi, ptrdiff_t ns,
-      ptrdiff_t d, uint8_t *buf, int64_t *counts)
+      const ptrdiff_t *ends, ptrdiff_t ne, uint8_t *buf, int64_t *counts)
 {
     for (ptrdiff_t r = 0; r < rows; r++) {
         uint64_t h = fin(seed ^ A * (row0 + (uint64_t)r));
         for (ptrdiff_t c = 0; c < cols; c++)
             buf[c] = (uint8_t)reduce(fin(h ^ B * (uint64_t)c), k, mask, 0);
-        counts[r] = matches(buf, cols, starts, phi, ns, d);
+        matches(buf, cols, starts, phi, ns, ends, ne, counts + r * ne);
     }
 }
 
 static inline __attribute__((always_inline)) void
 count_k(uint64_t seed, uint64_t row0, ptrdiff_t rows, ptrdiff_t cols, uint64_t k,
-        const ptrdiff_t *starts, const uint8_t *phi, ptrdiff_t ns, ptrdiff_t d,
-        uint8_t *buf, int64_t *counts)
+        const ptrdiff_t *starts, const uint8_t *phi, ptrdiff_t ns, const ptrdiff_t *ends,
+        ptrdiff_t ne, uint8_t *buf, int64_t *counts)
 {
-#define COUNT(K, MASK) count(seed, row0, rows, cols, K, MASK, starts, phi, ns, d, buf, counts)
+#define COUNT(K, MASK) \
+    count(seed, row0, rows, cols, K, MASK, starts, phi, ns, ends, ne, buf, counts)
     if ((k & (k - 1)) == 0)
         COUNT(0, k - 1);
     else if (k == 3)
@@ -201,22 +207,32 @@ count_k(uint64_t seed, uint64_t row0, ptrdiff_t rows, ptrdiff_t cols, uint64_t k
 }
 
 #ifdef ROW_V4
-/* matches() from compare masks and a popcount, 64 bytes per step; the loads
- * are masked to the d bytes of each site. */
-static inline V4 __attribute__((always_inline)) int64_t
-matches_v4(const uint8_t *buf, const ptrdiff_t *starts, const uint8_t *phi, ptrdiff_t ns,
-           ptrdiff_t d)
+/* The low min(n, 64) bits set. */
+static inline __attribute__((always_inline)) uint64_t
+low_bits(ptrdiff_t n)
 {
+    return n >= 64 ? ~0ULL : (1ULL << n) - 1;
+}
+
+/* matches() from compare masks and a popcount, 64 bytes per step; the loads
+ * are masked to the d bytes of each site, and an end inside a step counts
+ * the hits below it. */
+static inline V4 __attribute__((always_inline)) void
+matches_v4(const uint8_t *buf, const ptrdiff_t *starts, const uint8_t *phi, ptrdiff_t ns,
+           const ptrdiff_t *ends, ptrdiff_t ne, int64_t *counts)
+{
+    ptrdiff_t d = ends[ne - 1], e = 0;
     int64_t n = 0;
     for (ptrdiff_t j = 0; j < d; j += 64) {
-        __mmask64 hit = d - j >= 64 ? ~0ULL : (1ULL << (d - j)) - 1;
+        __mmask64 hit = low_bits(d - j);
         for (ptrdiff_t i = 0; i < ns; i++)
             hit = _mm512_mask_cmpeq_epi8_mask(
                 hit, _mm512_maskz_loadu_epi8(hit, buf + starts[i] + j),
                 _mm512_set1_epi8((char)phi[i]));
+        for (; e < ne && ends[e] - j <= 64; e++)  /* the ends in (j, j + 64] */
+            counts[e] = n + (int64_t)_mm_popcnt_u64(hit & low_bits(ends[e] - j));
         n += _mm_popcnt_u64(hit);
     }
-    return n;
 }
 
 /* count() for k = 3 or a power of two k, hashing 8 columns per step (the
@@ -234,7 +250,7 @@ matches_v4(const uint8_t *buf, const ptrdiff_t *starts, const uint8_t *phi, ptrd
 static inline V4 __attribute__((always_inline)) void
 count_v4_k(uint64_t seed, uint64_t row0, ptrdiff_t rows, ptrdiff_t cols, uint64_t k,
            uint64_t mask, const ptrdiff_t *starts, const uint8_t *phi, ptrdiff_t ns,
-           ptrdiff_t d, uint8_t *buf, int64_t *counts)
+           const ptrdiff_t *ends, ptrdiff_t ne, uint8_t *buf, int64_t *counts)
 {
     const __m512i m1 = _mm512_set1_epi64(M1), m2 = _mm512_set1_epi64(M2);
     const __m512i m2lo = _mm512_set1_epi64(M2 & 0xFFFFFFFF), third = _mm512_set1_epi64(0xAAAB);
@@ -260,7 +276,7 @@ count_v4_k(uint64_t seed, uint64_t row0, ptrdiff_t rows, ptrdiff_t cols, uint64_
             __mmask8 live = cols - c >= 8 ? 0xFF : (__mmask8)((1u << (cols - c)) - 1);
             _mm512_mask_cvtepi64_storeu_epi8(buf + c, live, color);
         }
-        counts[r] = matches_v4(buf, starts, phi, ns, d);
+        matches_v4(buf, starts, phi, ns, ends, ne, counts + r * ne);
     }
 }
 #endif
@@ -279,12 +295,12 @@ hash_v4(uint64_t seed, const uint64_t *a, ptrdiff_t ars, ptrdiff_t acs, const ui
 
 static V4 void
 count_v4(uint64_t seed, uint64_t row0, ptrdiff_t rows, ptrdiff_t cols, uint64_t k,
-         const ptrdiff_t *starts, const uint8_t *phi, ptrdiff_t ns, ptrdiff_t d,
-         uint8_t *buf, int64_t *counts)
+         const ptrdiff_t *starts, const uint8_t *phi, ptrdiff_t ns, const ptrdiff_t *ends,
+         ptrdiff_t ne, uint8_t *buf, int64_t *counts)
 {
 #ifdef ROW_V4
 #define COUNT(K, MASK) \
-    count_v4_k(seed, row0, rows, cols, K, MASK, starts, phi, ns, d, buf, counts)
+    count_v4_k(seed, row0, rows, cols, K, MASK, starts, phi, ns, ends, ne, buf, counts)
     if (k == 2)
         COUNT(2, 1);
     else if (k == 3)
@@ -292,10 +308,10 @@ count_v4(uint64_t seed, uint64_t row0, ptrdiff_t rows, ptrdiff_t cols, uint64_t 
     else if ((k & (k - 1)) == 0)
         COUNT(0, k - 1);
     else  /* AVX-512 has no 64-bit divide */
-        count(seed, row0, rows, cols, k, 0, starts, phi, ns, d, buf, counts);
+        count(seed, row0, rows, cols, k, 0, starts, phi, ns, ends, ne, buf, counts);
 #undef COUNT
 #else
-    count_k(seed, row0, rows, cols, k, starts, phi, ns, d, buf, counts);
+    count_k(seed, row0, rows, cols, k, starts, phi, ns, ends, ne, buf, counts);
 #endif
 }
 
@@ -311,12 +327,13 @@ void shiftlab_hash(uint64_t seed, const uint64_t *a, ptrdiff_t ars, ptrdiff_t ac
 
 void shiftlab_count(uint64_t seed, uint64_t row0, ptrdiff_t rows, ptrdiff_t cols,
                     uint64_t k, const ptrdiff_t *starts, const uint8_t *phi,
-                    ptrdiff_t ns, ptrdiff_t d, uint8_t *buf, int64_t *counts)
+                    ptrdiff_t ns, const ptrdiff_t *ends, ptrdiff_t ne, uint8_t *buf,
+                    int64_t *counts)
 {
     if (HAS_V4())
-        count_v4(seed, row0, rows, cols, k, starts, phi, ns, d, buf, counts);
+        count_v4(seed, row0, rows, cols, k, starts, phi, ns, ends, ne, buf, counts);
     else
-        count_k(seed, row0, rows, cols, k, starts, phi, ns, d, buf, counts);
+        count_k(seed, row0, rows, cols, k, starts, phi, ns, ends, ne, buf, counts);
 }
 
 const char *shiftlab_isa(void)

@@ -568,7 +568,7 @@ def _run_moser_tardos(p, out, jobs, transcript):
         seed, conv, _steps, frac_resampled, _changed, index_total, led, tap = row
         ledger_ok &= led and tap
         converged += int(conv)
-        mean_index += index_total / action.n_points
+        mean_index += index_total / action.modulus
         resampled += frac_resampled
         rows.append(row)
         if tr is not None:

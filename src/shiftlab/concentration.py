@@ -19,7 +19,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .groups import CyclicTranslation, GroupError, GroupSet, is_sd_free, set_product
+from .groups import CyclicTranslation, GroupError, GroupSet, set_product
 from .rng import derive_seed, pattern_counts
 from .shift import Pattern, as_fraction
 
@@ -110,7 +110,7 @@ def mc_deviation_prob(phi: Pattern, eps, D: GroupSet, action: CyclicTranslation,
     """Estimate the deviation probability bounded by concentration_bound for
     the pattern phi on S = phi.domain over k = phi.k colors.
 
-    The action must be (S, D)-free (`is_sd_free`); the estimate is then the
+    The action must be free for S and for D; the estimate is then the
     same from every anchor, so the orbit is sampled from point 0.  Each
     trial colors SD.0 uniformly at random and counts the elements of D at
     which phi occurs in the coloring pulled back through the action.  A
@@ -133,7 +133,7 @@ def mc_deviation_prob(phi: Pattern, eps, D: GroupSet, action: CyclicTranslation,
         raise ValueError("deviation tolerance must be positive")
     if len(D) == 0:
         raise ValueError("D must be nonempty")
-    if not is_sd_free(action, [S, D]):
+    if not (action.free_for(S) and action.free_for(D)):
         raise GroupError("action is not (S, D)-free")
     dx = action.translates(D.elements, 0)
 
@@ -160,7 +160,7 @@ def mc_deviation_prob(phi: Pattern, eps, D: GroupSet, action: CyclicTranslation,
     chunk = chunk or min(trials, 65_536, max(1, (1 << 63) // (d_sz * d_sz + 1)))
     for start in range(0, trials, chunk):
         counts = pattern_counts(run_seed, min(chunk, trials - start), len(column), k, cols,
-                                phi.colors, row_offset=start)
+                                phi.colors, (d_sz,), row_offset=start)[:, 0]
         hits += int(np.count_nonzero(bad_at[counts]))
         occ_sum += int(counts.sum())
         occ_sumsq += int(np.dot(counts, counts))

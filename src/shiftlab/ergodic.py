@@ -17,20 +17,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .concentration import concentration_bound, deviation_thresholds
-from .groups import CyclicTranslation, GroupError, GroupSet, is_sd_free
+from .groups import CyclicTranslation, GroupError, GroupSet
 from .lll import (CertificationError, FrequencyDeviationEvent, GLLLWitnessSpec,
                   check_glll_witness, default_witness_exponent, slll_stats)
 from .moser_tardos import (MTResult, TapeSpace, frequency_counts, resample_fraction,
                            run_mt)
-from .rng import block_rows, color_matrix, derive_seed
+from .rng import block_rows, derive_seed, pattern_counts
 from .shift import Pattern, PatternStats, all_patterns, as_fraction
-from .windows import _ones_between
-
-# colors per chunk of samples in ergodic_convergence_experiment: 3 samples of
-# the shipped config's 41,399 colors, which pay the per-chunk calls a third as
-# often as one sample at a time and leave the peak RSS of a run of every
-# shipped config where it was (docs/experiments.md has the chunk sweep)
-SAMPLE_BLOCK = 1 << 17
 
 
 def log_growth_size(C: float, n: int) -> int:
@@ -83,11 +76,14 @@ def ergodic_convergence_experiment(k: int, S: GroupSet, eps, d_sets: Sequence[Gr
     `d_sets` = [D_0, ..., D_{n_max}], the worst pattern-frequency deviation
     over D_n, the fraction of samples that still deviate by eps somewhere at
     or beyond n, and the summed closed-form bound
-    2 exp(-eps^2 |D_m| / (2|S|^3)) over m >= n.  Samples run `chunk`
-    at a time, by default as many as make SAMPLE_BLOCK colors (at least
-    one); the result does not depend on the chunk size.  The exact
-    deviation thresholds of every D_n are computed once per run, and each
-    chunk compares against them the gaps that also give the worst deviation.
+    2 exp(-eps^2 |D_m| / (2|S|^3)) over m >= n.  Each D_n is read as runs
+    of consecutive anchors, and one `rng.pattern_counts` call per pattern
+    counts a chunk of samples at every run boundary at once.  Samples run
+    `chunk` at a time, by default block_rows(E) of them for E boundaries,
+    which bounds the count block; the result does not depend on the chunk
+    size.  The exact deviation thresholds of every D_n are computed once per
+    run, and each chunk compares against them the gaps that also give the
+    worst deviation.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
@@ -112,6 +108,7 @@ def ergodic_convergence_experiment(k: int, S: GroupSet, eps, d_sets: Sequence[Gr
     d_hi = max(ds.elements[-1] for ds in d_sets)
     n_anchors = d_hi - d_lo + 1
     width = n_anchors + s_elems[-1] - s_elems[0]
+    selectors = [slice(s - s_elems[0], s - s_elems[0] + n_anchors) for s in s_elems]
     # each D_n as runs [lo, hi) of anchor columns: one for an interval, one
     # per element otherwise; first_run[n] is the index of D_n's first run
     runs, first_run = [], []
@@ -121,29 +118,25 @@ def ergodic_convergence_experiment(k: int, S: GroupSet, eps, d_sets: Sequence[Gr
             runs.append((ds.elements.start - d_lo, ds.elements.stop - d_lo))
         else:
             runs.extend((e - d_lo, e - d_lo + 1) for e in ds.elements)
-    run_lo, run_hi = (np.array(r, dtype=np.uint64) for r in zip(*runs))
+    # pattern_counts counts at every nonzero run boundary, `ends`; in the
+    # prefix P that puts P(0) = 0 before those counts, boundary b is column
+    # searchsorted(ends, b, "right"), and a run's count is P(hi) - P(lo)
+    ends = np.unique(runs)
+    ends = ends[ends > 0]
+    run_lo, run_hi = (np.searchsorted(ends, r, side="right") for r in zip(*runs))
 
     patterns = all_patterns(S, k)
     exceed = np.zeros((samples, n_max + 1), dtype=bool)
     worst_num = np.zeros(n_max + 1, dtype=np.int64)  # max |count*scale - |D||
 
     run_seed = derive_seed(seed, 0xE6)
-    chunk = chunk or block_rows(width, SAMPLE_BLOCK)
-    # an occurrence row, packed into uint64 words with room past its last
-    # anchor, so that every run end indexes a word
-    packed = 64 * (n_anchors // 64 + 1)
+    chunk = chunk or block_rows(ends.size)
     for start in range(0, samples, chunk):
         rows = min(chunk, samples - start)
-        colors = color_matrix(run_seed, rows, width, k, row_offset=start)
-        occ = np.zeros((rows, packed), dtype=bool)
         for pat in patterns:
-            o = occ[:, :n_anchors]
-            np.equal(colors[:, :n_anchors], pat.colors[0], out=o)
-            for s, col in zip(s_elems[1:], pat.colors[1:]):
-                c0 = s - s_elems[0]
-                o &= colors[:, c0:c0 + n_anchors] == col
-            words = np.packbits(occ, axis=1, bitorder="little").view("<u8")
-            counts = np.add.reduceat(_ones_between(words, run_lo, run_hi), first_run, axis=1)
+            prefix = np.pad(pattern_counts(run_seed, rows, width, k, selectors, pat.colors,
+                                           ends, row_offset=start), ((0, 0), (1, 0)))
+            counts = np.add.reduceat(prefix[:, run_hi] - prefix[:, run_lo], first_run, axis=1)
             gap = np.abs(counts * scale - d_sizes)
             exceed[start:start + rows] |= gap >= least
             worst_num = np.maximum(worst_num, gap.max(axis=0))
@@ -191,7 +184,7 @@ def uniform_discrepancy_experiment(k: int, S: GroupSet, eps, d_sets: Sequence[Gr
     eps_fr = as_fraction(eps)
     events = [FrequencyDeviationEvent(k, S, eps_fr, ds) for ds in d_sets]
     # free for S D_n, the domain the resampling run needs, is free for S and D_n
-    if not is_sd_free(action, [ev.domain for ev in events]):
+    if not all(action.free_for(ev.domain) for ev in events):
         raise GroupError("action must be free for S D_n for every n")
 
     if a is None:
@@ -231,7 +224,7 @@ def uniform_discrepancy_experiment(k: int, S: GroupSet, eps, d_sets: Sequence[Gr
                 max_dev = max(max_dev, Fraction(int(gap[worst_ix]), d_sz * scale))
             stats_per_n.append((n, PatternStats.from_freqs(freqs, Fraction(1, scale))))
         all_within = max_dev <= eps_fr
-    delta = Fraction(len(result.defect_points), action.n_points)
+    delta = Fraction(len(result.defect_points), action.modulus)
     return UniformDiscrepancyResult(result, stats_per_n, certified, max_dev, all_within,
                                     fracs, budget, warnings, delta)
 
@@ -314,7 +307,7 @@ def near_invariant_measure(k: int, S: GroupSet, eps, D: GroupSet, modulus: int,
     action = CyclicTranslation(modulus)
     ev = FrequencyDeviationEvent(k, S, eps_fr, D)
     # free for SD, the domain the resampling run needs, is free for S and D
-    if not is_sd_free(action, [ev.domain]):
+    if not action.free_for(ev.domain):
         raise GroupError("action must be free for SD")
     stats = slll_stats(k, S, eps_fr, D)
     if not stats.certified:

@@ -16,7 +16,7 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -112,10 +112,6 @@ class CyclicTranslation:
             raise GroupError(f"modulus must be >= 1, got {modulus}")
         self.modulus = modulus
 
-    @property
-    def n_points(self) -> int:
-        return self.modulus
-
     def translates(self, elems, x: int) -> np.ndarray:
         """The points e.x for e in `elems`, in that order."""
         if isinstance(elems, range):  # built in C, not element by element
@@ -135,8 +131,3 @@ class CyclicTranslation:
         if iv is not None:  # consecutive integers have distinct residues iff they fit
             return iv[1] <= self.modulus
         return len({e % self.modulus for e in S}) == len(S)
-
-
-def is_sd_free(action: CyclicTranslation, sets: Sequence[GroupSet]) -> bool:
-    """True iff distinct elements of each set move every point differently."""
-    return all(action.free_for(S) for S in sets)

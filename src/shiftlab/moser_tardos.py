@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .concentration import deviates
-from .groups import CyclicTranslation, GroupError, is_sd_free
+from .groups import CyclicTranslation, GroupError
 from .lll import BadEvent, ExplicitEvent, FrequencyDeviationEvent
 from .rng import uniform_colors
 from .shift import all_patterns
@@ -106,7 +106,7 @@ def violated_anchors(action: CyclicTranslation, ev: BadEvent, g: np.ndarray) -> 
         d_size = len(ev.D)
         bad_at = deviates(np.arange(d_size + 1), d_size, ev.k, len(ev.S), ev.eps)
         band = np.flatnonzero(~bad_at)  # the counts that do not deviate
-        bad = np.zeros(action.n_points, dtype=bool)
+        bad = np.zeros(action.modulus, dtype=bool)
         iv = ev.D.interval
         # a band narrower than 2*64 - 1 counts clears no block of 64 anchors
         if iv is not None and band.size >= 2 * SCREEN_BLOCK - 1:
@@ -120,9 +120,9 @@ def violated_anchors(action: CyclicTranslation, ev: BadEvent, g: np.ndarray) -> 
         return np.flatnonzero(bad)
     if isinstance(ev, ExplicitEvent):
         pulled = _pullback_colors(action, ev.domain.elements, g)
-        bad = np.zeros(action.n_points, dtype=bool)
+        bad = np.zeros(action.modulus, dtype=bool)
         for pat in ev.patterns:
-            hit = np.ones(action.n_points, dtype=bool)
+            hit = np.ones(action.modulus, dtype=bool)
             for arr, col in zip(pulled, pat.colors):
                 hit &= arr == col
             bad |= hit
@@ -144,12 +144,12 @@ def run_mt(action: CyclicTranslation, events: Sequence[BadEvent], tape: TapeSpac
     """
     events = tuple(events)
     for n, ev in enumerate(events):
-        if not is_sd_free(action, [ev.domain]):
+        if not action.free_for(ev.domain):
             raise GroupError(f"action is not free for the domain of event {n}")
     if max_steps is None:
-        max_steps = 1000 * max(1, len(events)) * action.n_points
+        max_steps = 1000 * max(1, len(events)) * action.modulus
 
-    n_pts = action.n_points
+    n_pts = action.modulus
     t = np.zeros(n_pts, dtype=np.int64)
     points = np.arange(n_pts)
     g = tape.symbols(points, 0)

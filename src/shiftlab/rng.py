@@ -30,28 +30,32 @@ Two implementations compute the same stream, bit for bit:
   Its second entry point serves `pattern_counts` for Monte Carlo: it
   hashes one row of a color matrix at a time into a byte buffer and counts
   the occurrences of a pattern in it, so the rows are never stored.  It
-  takes k <= 256 and patterns whose sites are all slices of the row.  Its
-  x86-64-v4 copy hashes and counts rows of k = 3 or a power of two k with
-  AVX-512 intrinsics, at about 0.35-0.42 ns per color for k = 2 and
-  0.57-0.71 ns for k = 3 (rows of 501-2001 colors; `_hash.c` has the
-  numbers).
+  counts at ascending window ends: for each end e, the occurrences at the
+  positions j < e, so one pass over a row gives the count over every
+  prefix window a caller asks for.  It takes k <= 256 and patterns whose
+  sites are all slices of the row.  Its x86-64-v4 copy hashes and counts
+  rows of k = 3 or a power of two k with AVX-512 intrinsics, at about
+  0.35-0.42 ns per color for k = 2 and 0.57-0.71 ns for k = 3 (rows of
+  501-2001 colors; `_hash.c` has the numbers).
 - numpy, as the formula itself over the broadcast of the two counters,
   with no blocks and no state kept between calls.  It serves wherever the
   kernel cannot be built or loaded (no compiler, no writable cache) and is
   the oracle the kernel is tested against.  It also hashes single values,
   so a process that hashes one value at a time never builds or loads the
   kernel, and it counts the patterns the kernel does not take, from
-  `color_matrix` blocks.  `derive_seed` hashes its one value in Python
-  ints, about 2-3 us a call against 7-12 us through numpy; `_hash_numpy`
-  is its test oracle.
+  `color_matrix` blocks, at the same ends.  `derive_seed` hashes its one
+  value in Python ints, about 2-3 us a call against 7-12 us through numpy;
+  `_hash_numpy` is its test oracle.
 
 The kernel is used only if both entry points agree with numpy when it
 loads, on planes and rows both narrower and wider than one AVX-512 loop
-iteration.  A kernel that disagrees is deleted, and a marker named by its
-key and its copy keeps later processes on CPUs that run the same copy from
-compiling or loading it again.  `_kernel_meta()` says which implementation
-served the process, or the calls after a `_kernel_mark()`, which copy of the
-kernel ran, and what the build or load cost.
+iteration, and on counts at one end and at several: inside a 64-byte
+block, on a block edge and at the last position.  A kernel that disagrees
+is deleted, and a marker named by its key and its copy keeps later
+processes on CPUs that run the same copy from compiling or loading it
+again.  `_kernel_meta()` says which implementation served the process, or
+the calls after a `_kernel_mark()`, which copy of the kernel ran, and what
+the build or load cost.
 """
 
 from __future__ import annotations
@@ -73,14 +77,13 @@ _MASK = (1 << 64) - 1
 # values per block of `_count_numpy`, which hashes and scans a color matrix in
 # row blocks: a block and its compare masks stay in L2.  With the kernel off,
 # concentration-sweep ran 1.18-1.20 s at 2^15 and 1.26-1.30 s at 2^17 (2-core
-# AVX-512 Xeon, 7 alternating runs).  ergodic sizes its chunks of samples
-# with its own, larger block.
+# AVX-512 Xeon, 7 alternating runs).
 BLOCK = 1 << 15
 
 
-def block_rows(width: int, block: int = BLOCK) -> int:
-    """Rows of `width` values that make up about one `block` (at least one)."""
-    return max(1, block // max(width, 1))
+def block_rows(width: int) -> int:
+    """Rows of `width` values that make up about one BLOCK (at least one)."""
+    return max(1, BLOCK // max(width, 1))
 
 
 def _finalize(z):
@@ -184,8 +187,8 @@ def _declare(lib) -> None:
     u64, ssize, ptr = ctypes.c_uint64, ctypes.c_ssize_t, ctypes.c_void_p
     lib.shiftlab_hash.argtypes = [u64, ptr, ssize, ssize, ptr, ssize, ssize, ssize, ssize,
                                   u64, ptr]
-    lib.shiftlab_count.argtypes = [u64, u64, ssize, ssize, u64, ptr, ptr, ssize, ssize, ptr,
-                                   ptr]
+    lib.shiftlab_count.argtypes = [u64, u64, ssize, ssize, u64, ptr, ptr, ssize, ptr, ssize,
+                                   ptr, ptr]
     lib.shiftlab_hash.restype = lib.shiftlab_count.restype = None
     lib.shiftlab_isa.argtypes, lib.shiftlab_isa.restype = [], ctypes.c_char_p
 
@@ -253,9 +256,11 @@ def _load_kernel():
         # along the rows of the first plane of each width, varies in the
         # second, and both counters vary along the row of the third (as in
         # tape_consistency and every resampling step); the counts read one
-        # site, or two sites out of order.  The wide plane and rows run a
-        # vector loop of the x86-64-v4 copy (8 values, or 64 bytes when
-        # counting) and a ragged tail.
+        # site, or two sites out of order, at the last position alone and at
+        # several ends.  The wide plane and rows run a vector loop of the
+        # x86-64-v4 copy (8 values, or 64 bytes when counting) and a ragged
+        # tail, and the ends of the wide rows fall inside a 64-byte block,
+        # on a block edge and at the last position.
         a = np.arange(3, dtype=np.uint64)[:, None]
         ok = all(np.array_equal(_hash_c(hash_fn, 9, x, y, k), _hash_numpy(9, x, y, k))
                  for b, ks in ((np.arange(5, dtype=np.uint64), (None, 2, 3, 11)),
@@ -264,10 +269,11 @@ def _load_kernel():
         row0 = 1 << 33
         rows = np.arange(row0, row0 + 8, dtype=np.uint64)[:, None]
         ok = ok and all(
-            np.array_equal(_count_c(count_fn, 9, 8, cols, k, starts, phi, span, row0),
+            np.array_equal(_count_c(count_fn, 9, 8, cols, k, starts, phi, ends, row0),
                            _match_counts(_hash_numpy(9, rows, np.arange(cols), k),
-                                         [slice(i, i + span) for i in starts], phi))
-            for cols, span, ks in ((40, 30, (2, 3, 5)), (131, 100, (2, 3))) for k in ks
+                                         [slice(i, i + ends[-1]) for i in starts], phi, ends))
+            for cols, many, ks in ((40, (7, 30), (2, 3, 5)), (131, (5, 64, 70, 100), (2, 3)))
+            for ends in (many[-1:], many) for k in ks
             for starts, phi in (((4,), (1,)), ((9, 2), (1, k - 1))))
         if ok:
             return lib, compiled
@@ -387,47 +393,53 @@ def color_matrix(seed: int, rows: int, cols: int, k: int, row_offset: int = 0) -
     return uniform_colors(seed, r, c, k)
 
 
-def _match_counts(colors, selectors, phi) -> np.ndarray:
-    """For each row of `colors`, how many positions j have
-    colors[:, selectors[i]][j] == phi[i] for every i."""
+def _match_counts(colors, selectors, phi, ends) -> np.ndarray:
+    """For each row of `colors` and each of the ascending `ends`, how many
+    positions j < end have colors[:, selectors[i]][j] == phi[i] for every i."""
+    ends = np.asarray(ends)
     match = colors[:, selectors[0]] == phi[0]
     for sel, c in zip(selectors[1:], phi[1:]):
         match &= colors[:, sel] == c
-    return np.count_nonzero(match, axis=1)
+    # the matches between consecutive ends, summed into the counts below each
+    between = np.add.reduceat(match[:, :ends[-1]], np.r_[0, ends[:-1]], axis=1, dtype=np.int64)
+    return np.cumsum(between, axis=1, out=between)
 
 
-def _count_numpy(seed: int, rows: int, cols: int, k: int, selectors, phi,
+def _count_numpy(seed: int, rows: int, cols: int, k: int, selectors, phi, ends,
                  row_offset: int) -> np.ndarray:
     """pattern_counts over color_matrix blocks of block_rows(cols) rows."""
-    out = np.empty(rows, dtype=np.int64)
+    out = np.empty((rows, len(ends)), dtype=np.int64)
     step = block_rows(cols)
     for start in range(0, rows, step):
         n = min(step, rows - start)
         colors = color_matrix(seed, n, cols, k, row_offset=row_offset + start)
-        out[start:start + n] = _match_counts(colors, selectors, phi)
+        out[start:start + n] = _match_counts(colors, selectors, phi, ends)
     return out
 
 
-def _count_c(fn, seed: int, rows: int, cols: int, k: int, starts, phi, d: int,
+def _count_c(fn, seed: int, rows: int, cols: int, k: int, starts, phi, ends,
              row_offset: int) -> np.ndarray:
     """pattern_counts from the C kernel `fn`, for the selectors
-    slice(s, s + d) with s in `starts`, each within 0..cols."""
+    slice(s, s + ends[-1]) with s in `starts`, each within 0..cols."""
     st = np.array(starts, dtype=np.intp)
     ph = np.array(phi, dtype=np.uint8)
-    buf = np.empty(cols + d, dtype=np.uint8)  # one row's colors, then the match mask
-    out = np.empty(rows, dtype=np.int64)
+    en = np.array(ends, dtype=np.intp)
+    buf = np.empty(cols + en[-1], dtype=np.uint8)  # one row's colors, then the match mask
+    out = np.empty((rows, en.size), dtype=np.int64)
     fn(int(seed) & _MASK, int(row_offset) & _MASK, rows, cols, k, st.ctypes.data,
-       ph.ctypes.data, st.size, d, buf.ctypes.data, out.ctypes.data)
+       ph.ctypes.data, st.size, en.ctypes.data, en.size, buf.ctypes.data, out.ctypes.data)
     return out
 
 
-def pattern_counts(seed: int, rows: int, cols: int, k: int, selectors, phi,
+def pattern_counts(seed: int, rows: int, cols: int, k: int, selectors, phi, ends,
                    row_offset: int = 0) -> np.ndarray:
     """Occurrences of a pattern in each row of
-    color_matrix(seed, rows, cols, k, row_offset), as int64 counts: row r
-    counts the positions j at which colors[r, selectors[i]][j] == phi[i] for
-    every i.  Each selector is a slice or an index array of the columns, and
-    all select the same number of them.
+    color_matrix(seed, rows, cols, k, row_offset) below each of the ascending
+    window `ends`, as a rows x len(ends) int64 array: entry [r, e] counts the
+    positions j < ends[e] at which colors[r, selectors[i]][j] == phi[i] for
+    every i.  Each selector is a slice or an index array of the columns, all
+    select the same number d of them, and the ends ascend strictly within
+    1..d; ends=(d,) counts over the whole selection.
 
     The C kernel hashes and counts one row at a time, without storing the
     rows, where it is loaded, every selector is a slice of step 1 and
@@ -440,14 +452,18 @@ def pattern_counts(seed: int, rows: int, cols: int, k: int, selectors, phi,
         raise ValueError("need one pattern color per selector, and at least one")
     if any(not 0 <= c < k for c in phi):
         raise ValueError(f"pattern colors must lie in 0..{k - 1}")
+    spans = [range(cols)[s] for s in selectors if isinstance(s, slice)]
+    d = len(spans[0]) if spans else len(selectors[0])
+    en = np.asarray(ends, dtype=np.int64)
+    if en.ndim != 1 or not en.size or en[0] < 1 or en[-1] > d or np.any(en[1:] <= en[:-1]):
+        raise ValueError(f"window ends must ascend strictly within 1..{d}, got {ends!r}")
     _planes += 1
     lib = _kernel if _kernel is not None else _resolve_kernel()
-    spans = [range(*s.indices(cols)) for s in selectors if isinstance(s, slice)]
     if (lib and k <= 256 and len(spans) == len(selectors)
-            and all(r.step == 1 and len(r) == len(spans[0]) for r in spans)):
+            and all(r.step == 1 and len(r) == d for r in spans)):
         return _count_c(lib.shiftlab_count, seed, rows, cols, k, [r.start for r in spans],
-                        phi, len(spans[0]), row_offset)
-    return _count_numpy(seed, rows, cols, k, selectors, phi, row_offset)
+                        phi, en, row_offset)
+    return _count_numpy(seed, rows, cols, k, selectors, phi, en, row_offset)
 
 
 def _fin_int(z: int) -> int:

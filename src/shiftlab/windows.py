@@ -56,30 +56,25 @@ def circular_window_sums(values: np.ndarray, offsets, modulus: int) -> np.ndarra
 SCREEN_BLOCK = 64
 
 
-def _ones_between(words: np.ndarray, lo, hi) -> np.ndarray:
+def _ones_between(words: np.ndarray, lo: range, hi: range) -> np.ndarray:
     """How many bits at positions lo[i] <= p < hi[i] are set in each row of
     `words`, bits packed little-endian into uint64 words along the last axis.
 
     The ones below a position p are those of the words below word p // 64,
     from an exclusive popcount prefix that starts with 0, plus the popcount
-    of the low p % 64 bits of word p // 64.  lo and hi are uint64 arrays of
-    positions, or ranges of step 64, which read the prefix as a slice (and
-    the words as one more slice unless the range starts on a word).  Every
-    p // 64 of an array, and of a range that does not start on a word, must
-    index a word.
+    of the low p % 64 bits of word p // 64.  lo and hi are ranges of step
+    64, which read the prefix as a slice, and the words as one more slice
+    unless the range starts on a word; then every p // 64 must index a word.
     """
     before = np.zeros(words.shape[:-1] + (words.shape[-1] + 1,), dtype=np.int64)
     np.cumsum(np.bitwise_count(words), axis=-1, dtype=np.int64, out=before[..., 1:])
 
-    def ones_before(pos):
-        if isinstance(pos, range):
-            assert pos.step == 64
-            first, r = divmod(pos.start, 64)
-            q = slice(first, first + len(pos))
-            if not r:
-                return before[..., q]
-        else:
-            q, r = pos >> 6, pos & 63
+    def ones_before(pos: range):
+        assert pos.step == 64
+        first, r = divmod(pos.start, 64)
+        q = slice(first, first + len(pos))
+        if not r:
+            return before[..., q]
         return before[..., q] + np.bitwise_count(words[..., q] & ((np.uint64(1) << r) - 1))
 
     return ones_before(hi) - ones_before(lo)

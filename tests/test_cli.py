@@ -192,6 +192,25 @@ def test_concentration_sweep_run(tmp_path):
     assert meta["rng_kernel"] == ("c" if compiler else "numpy")
 
 
+@pytest.mark.parametrize("name", ["ergodic-converge", "concentration-sweep"])
+def test_shipped_monte_carlo_configs_count_in_the_kernel(name, tmp_path, capsys, monkeypatch):
+    # both kinds count through rng.pattern_counts; a silent fallback to the
+    # numpy counts would write the same reports, only slower
+    from shiftlab import rng
+    if not rng._resolve_kernel():
+        pytest.skip("the C kernel does not load here")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("counted with numpy where the kernel is loaded")
+
+    monkeypatch.setattr(rng, "_count_numpy", refuse)
+    out = tmp_path / name
+    assert main(["run", str(ROOT / "configs" / f"{name}.json"), "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    meta = json.loads((out / f"{name}-meta.json").read_text())
+    assert meta["rng_kernel"] == "c"
+
+
 def test_no_command_prints_help(capsys):
     assert main([]) == EXIT_USAGE
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from shiftlab.concentration import deviates
-from shiftlab.ergodic import (SAMPLE_BLOCK, ergodic_convergence_experiment, log_growth_size,
+from shiftlab.ergodic import (ergodic_convergence_experiment, log_growth_size,
                               near_invariant_measure, periodic_cylinder_table,
                               periodic_cylinder_value,
                               uniform_discrepancy_experiment)
@@ -126,11 +126,12 @@ def test_convergence_matches_bruteforce_off_prefix(s_elems):
 
 
 def test_convergence_chunks_of_wide_samples_agree():
-    # W = 40,001 colors per sample, past rng.BLOCK: the default chunk takes 3
-    # samples, and neither it nor a chunk of 4 divides the 7 samples
+    # W = 40,001 colors per sample, past rng.BLOCK, which the numpy counts
+    # take one row at a time: the default chunk, block_rows of the 4 run
+    # ends, takes all 7 samples, and a chunk of 4 does not divide them
     S = integer_interval(2)
     d_sets = [integer_interval(m) for m in (10, 300, 5000, 40_000)]
-    assert 40_001 > BLOCK and block_rows(40_001, SAMPLE_BLOCK) == 3
+    assert 40_001 > BLOCK and block_rows(40_001) == 1 and block_rows(4) >= 7
     reps = [ergodic_convergence_experiment(2, S, "0.01", d_sets, 7, seed=12, chunk=c)
             for c in (1, None, 4)]
     assert reps[0] == reps[1] == reps[2]

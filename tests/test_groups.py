@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import shiftlab
 from shiftlab import shift
 from shiftlab.groups import (CyclicTranslation, GroupError, GroupSet, difference_set_size,
-                             integer_interval, is_sd_free, set_product)
+                             integer_interval, set_product)
 
 
 def translates_oracle(M, elems, x):
@@ -29,7 +29,7 @@ def free_for_pairwise(M, S):
 
 def test_basic_examples():
     act = CyclicTranslation(12)
-    assert act.n_points == 12
+    assert act.modulus == 12
     assert act.translates([3, -5, 24], 7).tolist() == [10, 2, 7]
     assert act.translates(range(-1, 2), 11).tolist() == [10, 11, 0]
     assert act.image(5, np.array([0, 7, 11])).tolist() == [5, 0, 4]
@@ -102,12 +102,10 @@ def test_deterministic_sorted_order():
 
 
 def test_is_sd_free_cyclic():
-    assert is_sd_free(CyclicTranslation(100), [GroupSet(range(10))]) is True
-    assert is_sd_free(CyclicTranslation(10), [GroupSet([0, 10])]) is False
+    assert CyclicTranslation(100).free_for(GroupSet(range(10))) is True
+    assert CyclicTranslation(10).free_for(GroupSet([0, 10])) is False
     # any subset of distinct residues is free
-    assert is_sd_free(CyclicTranslation(37), [GroupSet([0, 5, 11, 36])]) is True
-    # every set must be free
-    assert is_sd_free(CyclicTranslation(10), [GroupSet([0, 1]), GroupSet([0, 10])]) is False
+    assert CyclicTranslation(37).free_for(GroupSet([0, 5, 11, 36])) is True
 
 
 def test_difference_set_interval_law():
@@ -130,7 +128,7 @@ def test_set_product_generic_equality():
 def test_sd_free_iff_distinct_residues(modulus, items):
     D = GroupSet(items)
     distinct = len({d % modulus for d in items}) == len(D)
-    assert is_sd_free(CyclicTranslation(modulus), [D]) is distinct
+    assert CyclicTranslation(modulus).free_for(D) is distinct
 
 
 # integer sets of every shape: runs with negative starts, single points,

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 from shiftlab.groups import (CyclicTranslation, GroupError, GroupSet, integer_interval,
                              set_product)
 from shiftlab.lll import ExplicitEvent, FrequencyDeviationEvent
-from shiftlab.moser_tardos import (TapeSpace, resample_fraction, run_mt, scans_patterns,
-                                   stabilization_ledger, tape_consistency,
+from shiftlab.moser_tardos import (TapeSpace, frequency_counts, resample_fraction, run_mt,
+                                   scans_patterns, stabilization_ledger, tape_consistency,
                                    violated_anchors)
-from shiftlab.shift import Config, Pattern
+from shiftlab.shift import Config, Pattern, empirical_freq, occurrences
 
 
 def run_mt_replayed(action, events, tape, **kwargs):
@@ -33,8 +33,8 @@ def replay(action, events, tape, res, records):
     domain), and that the tape advanced on the batch's points.  At the end
     it checks t, the step count, the coloring and the residual anchors.
     Domains are translated point by point, as (x + e) mod M."""
-    points = np.arange(action.n_points)
-    t = np.zeros(action.n_points, dtype=np.int64)
+    points = np.arange(action.modulus)
+    t = np.zeros(action.modulus, dtype=np.int64)
 
     def domain(n, x):
         return {(x + e) % action.modulus for e in events[n].domain}
@@ -262,6 +262,21 @@ def _assert_detection_matches_holds(k, s_spec, eps, d_spec, modulus, g):
     for x in range(modulus):
         vals = {e: g[(x + e) % modulus] for e in ev.domain}
         assert ev.holds(Config.from_map(vals)) == (x in bad), x
+
+
+@given(detection_cases())
+@seed(20_183)
+@settings(max_examples=30, deadline=None)
+def test_frequency_counts_match_occurrences_and_empirical_freq(case):
+    # the window counts that approx-invariant and uniform-discrepancy read,
+    # against the exact per-config definitions at every anchor
+    k, s_spec, eps, d_spec, modulus, g = case
+    ev = FrequencyDeviationEvent(k, _as_set(s_spec), eps, _as_set(d_spec))
+    for pat, counts in frequency_counts(CyclicTranslation(modulus), ev, np.array(g)):
+        for x in range(modulus):
+            c = Config.from_map({e: g[(x + e) % modulus] for e in ev.domain})
+            assert empirical_freq(pat, c, ev.D) == Fraction(int(counts[x]), len(ev.D)), x
+            assert len(set(occurrences(pat, c).elements) & set(ev.D.elements)) == counts[x]
 
 
 @st.composite

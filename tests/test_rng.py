@@ -187,7 +187,7 @@ def test_column_counter_constant_along_the_row_matches_numpy(k):
 def test_row_counters_wrap_past_2_64():
     # 300 rows of 200 colors are two numpy blocks, the second starting past
     # 2^64 - 1; numpy wraps the row counter as the C kernel does
-    case = (5, 300, 200, 2, [slice(0, 5)], (1,), U64_MAX - 10)
+    case = (5, 300, 200, 2, [slice(0, 5)], (1,), (2, 5), U64_MAX - 10)
     assert 10 < block_rows(200) < 300
     _same(rng._count_numpy(*case), pattern_counts(*case))
     wrapped = color_matrix(3, 4, 9, 3, row_offset=U64_MAX - 1)
@@ -344,12 +344,13 @@ def test_kernel_wrong_where_both_counters_vary_along_the_row_is_not_used(monkeyp
     assert rng._kernel_meta()["rng_kernel"] == "numpy"
 
 
-def _counts_reference(seed, rows, cols, k, selectors, phi, row_offset):
-    """pattern_counts from one one-shot color matrix."""
-    r = np.arange(row_offset, row_offset + rows, dtype=np.uint64)[:, None]
+def _counts_reference(seed, rows, cols, k, selectors, phi, ends, row_offset):
+    """pattern_counts from one one-shot color matrix, an end at a time."""
+    # row_offset + r wraps past 2^64 - 1 as the kernel's row counter does
+    r = (np.arange(rows, dtype=np.uint64) + np.uint64(row_offset))[:, None]
     colors = _reference(seed, r, np.arange(cols, dtype=np.uint64)[None, :], k)
-    match = [colors[:, sel] == c for sel, c in zip(selectors, phi)]
-    return np.logical_and.reduce(match).sum(axis=1).astype(np.int64)
+    match = np.logical_and.reduce([colors[:, sel] == c for sel, c in zip(selectors, phi)])
+    return np.stack([match[:, :e].sum(axis=1) for e in ends], axis=1).astype(np.int64)
 
 
 def _flip_first_count(args):
@@ -359,7 +360,7 @@ def _flip_first_count(args):
 def _assert_falls_back_with_wrong_counts(monkeypatch, tmp_path, built, corrupt):
     _fresh_kernel(monkeypatch, tmp_path, built)
     monkeypatch.setattr(ctypes, "CDLL", _library_with("shiftlab_count", corrupt))
-    case = (3, 50, 12, 3, [slice(4, 12), slice(0, 8)], (1, 2), 5)
+    case = (3, 50, 12, 3, [slice(4, 12), slice(0, 8)], (1, 2), (3, 8), 5)
     _same(pattern_counts(*case), _counts_reference(*case))
     assert rng._kernel_meta()["rng_kernel"] == "numpy" and rng._kernel is False
 
@@ -371,11 +372,30 @@ def test_kernel_with_a_wrong_count_is_not_used(monkeypatch, tmp_path, built_kern
 
 
 @pytest.mark.skipif(not _compiler_on_path(), reason="no C compiler on PATH")
+def test_kernel_off_by_one_at_an_end_inside_a_block_is_not_used(monkeypatch, tmp_path,
+                                                                built_kernel):
+    # a prefix that also counts the position at its first end that lies
+    # inside a 64-byte block and short of the last end: every count at the
+    # last end, and so every call with one end, stays right
+    def count_one_more_inside_a_block(args):
+        rows, ends, ne = args[2], args[8], args[9]
+        at = np.ctypeslib.as_array((ctypes.c_ssize_t * ne).from_address(ends))
+        inside = np.flatnonzero(at[:-1] % 64)
+        if inside.size:
+            counts = (ctypes.c_int64 * (rows * ne)).from_address(args[-1])
+            np.ctypeslib.as_array(counts).reshape(rows, ne)[:, inside[0]] += 1
+
+    _assert_falls_back_with_wrong_counts(monkeypatch, tmp_path, built_kernel,
+                                         count_one_more_inside_a_block)
+
+
+@pytest.mark.skipif(not _compiler_on_path(), reason="no C compiler on PATH")
 def test_kernel_wrong_only_past_column_64_is_not_used(monkeypatch, tmp_path, built_kernel):
     # a wide copy whose 64-byte vector loop is wrong and whose tail is right
     # gets only the counts over more than 64 columns wrong
     def flip_first_wide_count(args):
-        if args[8] > 64:  # d
+        ends, ne = args[8], args[9]
+        if ctypes.c_ssize_t.from_address(ends + 8 * (ne - 1)).value > 64:  # d, the last end
             _flip_first_count(args)
 
     _assert_falls_back_with_wrong_counts(monkeypatch, tmp_path, built_kernel,
@@ -426,14 +446,15 @@ def count_cases(draw):
     else:  # index arrays are gathered by numpy
         selectors = [np.arange(s, s + d) for s in starts]
     phi = tuple(draw(st.lists(st.integers(0, k - 1), min_size=ns, max_size=ns)))
+    ends = sorted(set(draw(st.lists(st.integers(1, d), min_size=1, max_size=4))))
     # any row offset: row_offset + r wraps past 2^64 - 1 to 0
     return (draw(st.integers(0, U64_MAX)), draw(st.integers(1, 40)), cols, k, selectors,
-            phi, draw(st.integers(0, U64_MAX)))
+            phi, ends, draw(st.integers(0, U64_MAX)))
 
 
 @given(count_cases())
-@example((5, 3, 70, 2, [slice(6, 70), slice(0, 64)], (1, 1), (1 << 40) - 1))
-@example((5, 3, 70, 3, [slice(6, 70), slice(0, 64)], (1, 2), U64_MAX - 1))
+@example((5, 3, 70, 2, [slice(6, 70), slice(0, 64)], (1, 1), (64,), (1 << 40) - 1))
+@example((5, 3, 70, 3, [slice(6, 70), slice(0, 64)], (1, 2), (1, 63, 64), U64_MAX - 1))
 @seed(13_013)
 @settings(max_examples=150, deadline=None)
 def test_pattern_counts_match_numpy(case):
@@ -442,11 +463,51 @@ def test_pattern_counts_match_numpy(case):
     _same(pattern_counts(*case), _counts_reference(*case))
 
 
+@st.composite
+def ends_cases(draw):
+    """pattern_counts cases for the kernel: one or two slice sites, and one,
+    two or many ends at, just before and just after 64-byte edges or
+    anywhere in 1..d, on rows whose counters wrap past 2^64 - 1."""
+    k = draw(st.sampled_from([1, 2, 3, 5, 256]))
+    ns, d = draw(st.integers(1, 2)), draw(st.integers(1, 260))
+    starts = draw(st.lists(st.integers(0, 70), min_size=ns, max_size=ns))
+    phi = tuple(draw(st.lists(st.integers(0, k - 1), min_size=ns, max_size=ns)))
+    edges = sorted({e for m in range(64, d + 2, 64) for e in (m - 1, m, m + 1) if e <= d})
+    end = st.sampled_from(edges) | st.integers(1, d) if edges else st.integers(1, d)
+    many = draw(st.sampled_from([1, 2, 40]))
+    ends = sorted(set(draw(st.lists(end, min_size=1, max_size=many))))
+    return (draw(st.integers(0, U64_MAX)), draw(st.integers(1, 12)),
+            max(starts) + d + draw(st.integers(0, 3)), k, [slice(s, s + d) for s in starts],
+            phi, ends, draw(st.integers(U64_MAX - 12, U64_MAX)))
+
+
+@pytest.mark.skipif(not _compiler_on_path(), reason="no C compiler on PATH")
+@given(ends_cases())
+@example((7, 3, 200, 3, [slice(3, 195), slice(0, 192)], (2, 0), list(range(1, 193)),
+          U64_MAX - 1))  # every end, from 1 to 3 blocks of 64
+@example((7, 2, 130, 2, [slice(1, 129)], (1,), [63, 64, 65, 127, 128], U64_MAX))
+@example((7, 2, 66, 5, [slice(0, 65)], (4,), [1, 65], U64_MAX - 2))
+@seed(32_032)
+@settings(max_examples=150, deadline=None)
+def test_kernel_counts_at_window_ends_match_numpy(case):
+    # every case takes the kernel's path: all slices, k <= 256
+    assert rng._resolve_kernel()
+    _same(pattern_counts(*case), rng._count_numpy(*case))
+
+
 def test_pattern_counts_rejects_bad_patterns():
     for k, selectors, phi in ((0, [slice(0, 2)], (0,)), (2, [], ()),
                               (2, [slice(0, 2)], (0, 1)), (3, [slice(0, 2)], (3,))):
         with pytest.raises(ValueError):
-            pattern_counts(1, 4, 5, k, selectors, phi)
+            pattern_counts(1, 4, 5, k, selectors, phi, (2,))
+
+
+def test_pattern_counts_rejects_bad_ends():
+    # ends must ascend strictly within 1..d, d = 3 selected columns
+    for ends in ((), (0,), (4,), (2, 2), (3, 1), ((1, 2),)):
+        for selectors in ([slice(1, 4)], [np.arange(1, 4)]):
+            with pytest.raises(ValueError, match="window ends"):
+                pattern_counts(1, 4, 5, 2, selectors, (0,), ends)
 
 
 def test_first_calls_from_two_threads_build_once(monkeypatch, tmp_path, built_kernel):
@@ -540,11 +601,14 @@ def test_each_kernel_copy_counts_the_reference_counts(variant):
     row0 = 1 << 40
     for d in WIDTHS:
         cols = d + 3
-        for k in KS:
-            for starts, phi in (((2,), (k - 1,)), ((3, 0), (0, k // 2))):  # one site, two
-                got = rng._count_c(variant.shiftlab_count, 7, 5, cols, k, starts, phi, d, row0)
-                selectors = [slice(s, s + d) for s in starts]
-                _same(got, _counts_reference(7, 5, cols, k, selectors, phi, row0))
+        # the last position alone, a middle end with it, and every end
+        for ends in ((d,), sorted({(d + 1) // 2, d}), range(1, d + 1)):
+            for k in KS:
+                for starts, phi in (((2,), (k - 1,)), ((3, 0), (0, k // 2))):  # one site, two
+                    got = rng._count_c(variant.shiftlab_count, 7, 5, cols, k, starts, phi,
+                                       ends, row0)
+                    selectors = [slice(s, s + d) for s in starts]
+                    _same(got, _counts_reference(7, 5, cols, k, selectors, phi, ends, row0))
 
 
 def _v4_assembly(tmp_path) -> str:

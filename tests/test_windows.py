@@ -121,21 +121,15 @@ def test_ones_between_matches_cumsum(mask):
     words = np.packbits(padded, axis=1, bitorder="little").view("<u8")
     before = np.zeros((rows, n + 1), dtype=np.int64)
     np.cumsum(mask, axis=1, out=before[:, 1:])
-    # from 0 to every position 0..n
-    pos = np.arange(n + 1, dtype=np.uint64)
-    assert _ones_between(words, np.zeros_like(pos), pos).tolist() == before.tolist()
-    # between shuffled positions, of each row and of one row on its own
-    a, b = np.random.default_rng(n).permuted(np.stack((pos, pos)), axis=1)
-    lo, hi = np.minimum(a, b), np.maximum(a, b)
-    assert _ones_between(words, lo, hi).tolist() == (before[:, hi] - before[:, lo]).tolist()
-    assert _ones_between(words[-1], lo, hi).tolist() == (before[-1, hi] - before[-1, lo]).tolist()
-    # ranges of step 64, read as word slices, from each offset into a word
-    for start in {0, 1, 63, 64, 65} & set(range(n + 1)):
-        for length in {0, 1, 63, 64, 70} & set(range(n + 1 - start)):
+    # ranges of step 64, read as word slices, from each offset into a word,
+    # of each row and of one row on its own
+    for start in {0, 1, 31, 63, 64, 65, 127, 128} & set(range(n + 1)):
+        for length in {0, 1, 31, 63, 64, 65, 70, 128} & set(range(n + 1 - start)):
             lo = range(start, n + 1 - length, 64)
             hi = range(start + length, start + length + 64 * len(lo), 64)
             want = before[:, list(hi)] - before[:, list(lo)]
             assert _ones_between(words, lo, hi).tolist() == want.tolist()
+            assert _ones_between(words[-1], lo, hi).tolist() == want[-1].tolist()
 
 
 def test_interval_screen_rejects_empty_window():
