@@ -1,9 +1,9 @@
 /* Counter hash of shiftlab.rng, compiled and loaded lazily by rng.py.
  *
- * shiftlab_hash: out[r][c] = fin(fin(seed ^ A*a[r][c]) ^ B*b[r][c]), reduced
- * % k when k > 0, over a 2-D plane of rows x cols (>= 1 each).  a and b are
- * read through element strides, so a stride of 0 broadcasts; out is
- * C-contiguous.
+ * shiftlab_hash: out[r][c] = fin(fin(seed ^ A*a[r][c]) ^ B*b[r][c]) % k, one
+ * byte per color (1 <= k <= 256), over a 2-D plane of rows x cols (>= 1
+ * each).  a and b are read through element strides, so a stride of 0
+ * broadcasts; out is C-contiguous.
  *
  * shiftlab_count: for each row r of the color matrix with row counters
  * row0 + r and column counters 0..cols-1 (1 <= k <= 256), and for each of
@@ -24,22 +24,24 @@
  *
  * In the x86-64-v4 copy every counter plane() loads is XORed with z0, a zero
  * the compiler cannot see through.  Without it GCC 12 folds the loads of
- * a[c] and b[c] into the vector multiply, as `vpmullq (mem), zmm, zmm` (12 of
+ * a[c] and b[c] into the vector multiply, as `vpmullq (mem), zmm, zmm` (64 of
  * them in hash_v4, none in count_v4, whose counters are computed), and on an
  * AVX-512 Xeon that loop ran at about 5.5 ns per value against 1.1-1.3 ns
- * with the loaded vector in a register (standalone C, data in L1).  With z0,
- * at M = 100000 on a shared 2-core host (median of 41 calls): a plane whose
- * two counters both vary along the row, as in tape_consistency and every
- * resampling step, 0.61-0.66 -> 0.16-0.25 ms; tape row 0, 0.25-0.28 ->
- * 0.20-0.28 ms; one row of 41400 colors, 2.3-2.7 -> 1.5-2.5 ns per color.
+ * with the loaded vector in a register (standalone C, data in L1).
  * The baseline passes a literal 0, which the compiler drops.
  * tests/test_rng.py fails on a multiply from memory in the x86-64-v4 copy.
  *
  * plane() hoists the work of a counter that is constant along the row: the
- * first round when a is, B*b when b is.  The second serves tape row 0
- * (`TapeSpace.symbols(points, 0)`); at M = 100000 on the host above, median
- * of 41 calls in five alternating processes, it took that row from 152-226
- * to 120-130 us at k = 2 and from 219-300 to 196-205 us at k = 3.
+ * first round when a is, B*b when b is, as in tape row 0
+ * (`TapeSpace.symbols(points, 0)`).  It stores one byte per color, as
+ * count() does, so GCC's vectorisation of its loop packs the 64-bit lanes
+ * into bytes and stores an eighth of the data.  Against the 8-byte colors
+ * it wrote before, at M = 100000 on a shared 2-core AVX-512 Xeon
+ * (standalone C, best of 41 calls, in alternating processes): tape row 0
+ * 1.01-1.05 -> 0.78-0.82 ns per color at k = 2 and 1.69-1.87 -> 1.09-1.12
+ * ns at k = 3; a plane whose two counters both vary along the row, as in
+ * tape_consistency and every resampling step, 1.00-1.10 -> 0.85-0.88 ns at
+ * k = 2 and 1.69-1.75 -> 1.21-1.25 ns at k = 3.
  *
  * The x86-64-v4 copy of shiftlab_count hashes and counts its rows with
  * AVX-512 intrinsics (count_v4_k, matches_v4) for k = 3 and every power of
@@ -110,23 +112,25 @@ reduce(uint64_t z, uint64_t k, uint64_t mask, int wide)
 static inline __attribute__((always_inline)) void
 plane(uint64_t seed, const uint64_t *a, ptrdiff_t ars, ptrdiff_t acs,
       const uint64_t *b, ptrdiff_t brs, ptrdiff_t bcs, ptrdiff_t rows,
-      ptrdiff_t cols, uint64_t k, uint64_t mask, int wide, uint64_t z0, uint64_t *out)
+      ptrdiff_t cols, uint64_t k, uint64_t mask, int wide, uint64_t z0, uint8_t *out)
 {
     for (ptrdiff_t r = 0; r < rows; r++) {
         const uint64_t *ar = a + r * ars, *br = b + r * brs;
-        uint64_t *o = out + r * cols;
+        uint8_t *o = out + r * cols;
         if (acs == 0) {  /* a is constant along the row: one first round */
             uint64_t h = fin(seed ^ A * ar[0]);
             for (ptrdiff_t c = 0; c < cols; c++)
-                o[c] = reduce(fin(h ^ B * (br[c * bcs] ^ z0)), k, mask, wide);
+                o[c] = (uint8_t)reduce(fin(h ^ B * (br[c * bcs] ^ z0)), k, mask, wide);
         } else if (bcs == 0) {  /* b is constant along the row: one B*b */
             uint64_t bb = B * (br[0] ^ z0);
             for (ptrdiff_t c = 0; c < cols; c++)
-                o[c] = reduce(fin(fin(seed ^ A * (ar[c * acs] ^ z0)) ^ bb), k, mask, wide);
+                o[c] = (uint8_t)reduce(fin(fin(seed ^ A * (ar[c * acs] ^ z0)) ^ bb), k, mask,
+                                       wide);
         } else {
             for (ptrdiff_t c = 0; c < cols; c++)
-                o[c] = reduce(fin(fin(seed ^ A * (ar[c * acs] ^ z0)) ^ B * (br[c * bcs] ^ z0)),
-                              k, mask, wide);
+                o[c] = (uint8_t)reduce(
+                    fin(fin(seed ^ A * (ar[c * acs] ^ z0)) ^ B * (br[c * bcs] ^ z0)), k, mask,
+                    wide);
         }
     }
 }
@@ -134,12 +138,10 @@ plane(uint64_t seed, const uint64_t *a, ptrdiff_t ars, ptrdiff_t acs,
 static inline __attribute__((always_inline)) void
 hash_k(uint64_t seed, const uint64_t *a, ptrdiff_t ars, ptrdiff_t acs, const uint64_t *b,
        ptrdiff_t brs, ptrdiff_t bcs, ptrdiff_t rows, ptrdiff_t cols, uint64_t k, int wide,
-       uint64_t z0, uint64_t *out)
+       uint64_t z0, uint8_t *out)
 {
 #define PLANE(K, MASK) plane(seed, a, ars, acs, b, brs, bcs, rows, cols, K, MASK, wide, z0, out)
-    if (k == 0)
-        PLANE(0, ~0ULL);
-    else if ((k & (k - 1)) == 0)
+    if ((k & (k - 1)) == 0)
         PLANE(0, k - 1);
     else if (k == 3)  /* the one other k the shipped configs use */
         PLANE(3, 0);
@@ -286,7 +288,7 @@ count_v4_k(uint64_t seed, uint64_t row0, ptrdiff_t rows, ptrdiff_t cols, uint64_
 static V4 void
 hash_v4(uint64_t seed, const uint64_t *a, ptrdiff_t ars, ptrdiff_t acs, const uint64_t *b,
         ptrdiff_t brs, ptrdiff_t bcs, ptrdiff_t rows, ptrdiff_t cols, uint64_t k,
-        uint64_t *out)
+        uint8_t *out)
 {
     uint64_t z0 = 0;
     __asm__("" : "+r"(z0));
@@ -317,7 +319,7 @@ count_v4(uint64_t seed, uint64_t row0, ptrdiff_t rows, ptrdiff_t cols, uint64_t 
 
 void shiftlab_hash(uint64_t seed, const uint64_t *a, ptrdiff_t ars, ptrdiff_t acs,
                    const uint64_t *b, ptrdiff_t brs, ptrdiff_t bcs, ptrdiff_t rows,
-                   ptrdiff_t cols, uint64_t k, uint64_t *out)
+                   ptrdiff_t cols, uint64_t k, uint8_t *out)
 {
     if (HAS_V4())
         hash_v4(seed, a, ars, acs, b, brs, bcs, rows, cols, k, out);

@@ -120,9 +120,9 @@ def ergodic_convergence_experiment(k: int, S: GroupSet, eps, d_sets: Sequence[Gr
             runs.extend((e - d_lo, e - d_lo + 1) for e in ds.elements)
     # pattern_counts counts at every nonzero run boundary, `ends`; in the
     # prefix P that puts P(0) = 0 before those counts, boundary b is column
-    # searchsorted(ends, b, "right"), and a run's count is P(hi) - P(lo)
-    ends = np.unique(runs)
-    ends = ends[ends > 0]
+    # searchsorted(ends, b, "right"), and a run's count is P(hi) - P(lo).
+    # A set dedups them: np.unique imports numpy.ma on numpy 2.x
+    ends = np.array(sorted({b for run in runs for b in run} - {0}))
     run_lo, run_hi = (np.searchsorted(ends, r, side="right") for r in zip(*runs))
 
     patterns = all_patterns(S, k)

@@ -28,7 +28,8 @@ from .windows import SCREEN_BLOCK, circular_window_sums, interval_window_outside
 
 @dataclass(frozen=True)
 class TapeSpace:
-    """symbol(point, t) is a pure function of (seed, point, t)."""
+    """symbol(point, t) is a pure function of (seed, point, t).  `symbols`
+    returns uniform_colors' dtype: uint8 for k <= rng.BYTE_K, int64 above."""
 
     seed: int
     k: int
@@ -42,7 +43,7 @@ class TapeSpace:
 
 @dataclass
 class MTResult:
-    coloring: np.ndarray          # g(p) = symbol(p, t(p))
+    coloring: np.ndarray          # g(p) = symbol(p, t(p)), in uniform_colors' dtype
     t: np.ndarray                 # per-point resample counts
     index_counts: dict            # (n, anchor) -> how many steps selected it
     steps: int

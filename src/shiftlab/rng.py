@@ -9,34 +9,38 @@ the counter encoding.
 Two implementations compute the same stream, bit for bit:
 
 - a C kernel, `_hash.c`.  The first call of a process that hashes more than
-  one value compiles it with the system C compiler (sysconfig's CC, `-O3
-  -shared -fPIC`) and loads it with ctypes; importing this module builds
-  nothing.  The library is cached in the package's `__pycache__`, or in a
-  private per-user cache directory (`$XDG_CACHE_HOME/shiftlab` or
-  `~/.cache/shiftlab`, mode 0700) when that is not writable, under a name
-  keyed by the sha256 of the source, the flags and the platform.  A build
-  takes one to two seconds, once; later processes only load it.  The kernel
-  hashes a row counter's first round once per row, multiplies a column
-  counter that is constant along the row once per row, and reduces `% k`
-  with a mask for powers of two and with a constant divisor for k = 3.  On
-  x86-64 with GCC 12 or later each entry point is compiled twice, for the
-  baseline and for x86-64-v4 (AVX-512), and the CPU picks the copy at run
-  time, so the cached build stays portable across x86-64 hosts.  The
-  x86-64-v4 copy XORs each loaded counter with a zero the compiler cannot
-  see through: otherwise GCC 12 folds the loads into its 64-bit vector
-  multiplies, which made a plane whose two counters both vary
-  (`tape_consistency`, every resampling step) 0.61-0.66 ms at M = 100000
-  against 0.16-0.25 ms without (`_hash.c` has the numbers).
+  one color of k <= BYTE_K, or counts patterns, compiles it with the system
+  C compiler (sysconfig's CC, `-O3 -shared -fPIC`) and loads it with
+  ctypes; importing this module builds nothing.  The library is cached in
+  the package's `__pycache__`, or in a private per-user cache directory
+  (`$XDG_CACHE_HOME/shiftlab` or `~/.cache/shiftlab`, mode 0700) when that
+  is not writable, under a name keyed by the sha256 of the source, the
+  flags and the platform.  A build takes one to two seconds, once; later
+  processes only load it.  The kernel writes colors only, one byte each,
+  so it serves 1 <= k <= BYTE_K (256).  It hashes a row counter's first
+  round once per row, multiplies a column counter that is constant along
+  the row once per row, and reduces `% k` with a mask for powers of two and
+  with a constant divisor for k = 3.  On x86-64 with GCC 12 or later each
+  entry point is compiled twice, for the baseline and for x86-64-v4
+  (AVX-512), and the CPU picks the copy at run time, so the cached build
+  stays portable across x86-64 hosts.  The x86-64-v4 copy XORs each loaded
+  counter with a zero the compiler cannot see through: otherwise GCC 12
+  folds the loads into its 64-bit vector multiplies, which made a plane
+  whose two counters both vary (`tape_consistency`, every resampling step)
+  0.61-0.66 ms at M = 100000 against 0.16-0.25 ms without, when the kernel
+  wrote 8-byte colors.  Byte output took tape row 0 from about 1.0 to 0.8
+  ns per color at k = 2 and from 1.7-1.9 to 1.1 ns at k = 3 (`_hash.c` has
+  the numbers).
   Its second entry point serves `pattern_counts` for Monte Carlo: it
   hashes one row of a color matrix at a time into a byte buffer and counts
   the occurrences of a pattern in it, so the rows are never stored.  It
   counts at ascending window ends: for each end e, the occurrences at the
   positions j < e, so one pass over a row gives the count over every
-  prefix window a caller asks for.  It takes k <= 256 and patterns whose
-  sites are all slices of the row.  Its x86-64-v4 copy hashes and counts
-  rows of k = 3 or a power of two k with AVX-512 intrinsics, at about
-  0.35-0.42 ns per color for k = 2 and 0.57-0.71 ns for k = 3 (rows of
-  501-2001 colors; `_hash.c` has the numbers).
+  prefix window a caller asks for.  It takes patterns whose sites are all
+  slices of the row.  Its x86-64-v4 copy hashes and counts rows of k = 3 or
+  a power of two k with AVX-512 intrinsics, at about 0.35-0.42 ns per color
+  for k = 2 and 0.57-0.71 ns for k = 3 (rows of 501-2001 colors; `_hash.c`
+  has the numbers).
 - numpy, as the formula itself over the broadcast of the two counters,
   with no blocks and no state kept between calls.  It serves wherever the
   kernel cannot be built or loaded (no compiler, no writable cache) and is
@@ -45,7 +49,11 @@ Two implementations compute the same stream, bit for bit:
   kernel, and it counts the patterns the kernel does not take, from
   `color_matrix` blocks, at the same ends.  `derive_seed` hashes its one
   value in Python ints, about 2-3 us a call against 7-12 us through numpy;
-  `_hash_numpy` is its test oracle.
+  `_hash_numpy` is its test oracle.  Raw 64-bit words (`mix_counters`) and
+  colors of k > BYTE_K are hashed by numpy only.
+
+Colors have one dtype rule on both paths: uint8 for k <= BYTE_K, int64
+above, so a coloring of M points at k <= 256 takes M bytes.
 
 The kernel is used only if both entry points agree with numpy when it
 loads, on planes and rows both narrower and wider than one AVX-512 loop
@@ -74,6 +82,11 @@ _B = np.uint64(0xD1B54A32D192ED03)
 _U64 = np.uint64
 _MASK = (1 << 64) - 1
 
+# the largest k whose colors are bytes: `uniform_colors` returns uint8 colors
+# for k <= BYTE_K and int64 above it, and both kernel entry points serve only
+# k <= BYTE_K (the numpy paths serve every k)
+BYTE_K = 256
+
 # values per block of `_count_numpy`, which hashes and scans a color matrix in
 # row blocks: a block and its compare masks stay in L2.  With the kernel off,
 # concentration-sweep ran 1.18-1.20 s at 2^15 and 1.26-1.30 s at 2^17 (2-core
@@ -98,7 +111,8 @@ def _finalize(z):
 
 def _hash_numpy(seed: int, a, b, k: int | None):
     """finalize(finalize(seed ^ A*a) ^ B*b) over the broadcast of a and b:
-    uint64 when k is None, else int64 colors `% k`; numpy scalars for 0-d.
+    uint64 when k is None, else colors `% k`, uint8 for k <= BYTE_K and int64
+    above; numpy scalars for 0-d.
 
     The first round runs on a's own shape, so a row counter is hashed once
     however many columns it meets.  One expression with an array left of
@@ -115,6 +129,8 @@ def _hash_numpy(seed: int, a, b, k: int | None):
             z &= _U64(k - 1)
         else:  # z - (z // k) * k: a divide by a constant beats np.remainder
             z -= z // _U64(k) * _U64(k)
+    if k <= BYTE_K:
+        return z.astype(np.uint8)
     return z.view(np.int64)  # colors are < k, so the bits are the same
 
 
@@ -125,7 +141,8 @@ _CFLAGS = ("-O3", "-shared", "-fPIC")
 _kernel_lock = threading.Lock()
 _kernel = None  # the loaded C library once resolved, False when numpy serves
 _kernel_info: dict = {}
-_planes = 0  # hash calls of more than one value; the first resolves the kernel
+# hashes of several byte colors, and pattern counts; the first resolves the kernel
+_planes = 0
 
 
 def _cache_dirs():
@@ -263,7 +280,7 @@ def _load_kernel():
         # on a block edge and at the last position.
         a = np.arange(3, dtype=np.uint64)[:, None]
         ok = all(np.array_equal(_hash_c(hash_fn, 9, x, y, k), _hash_numpy(9, x, y, k))
-                 for b, ks in ((np.arange(5, dtype=np.uint64), (None, 2, 3, 11)),
+                 for b, ks in ((np.arange(5, dtype=np.uint64), (2, 3, 11)),
                                (np.arange(131, dtype=np.uint64), (2, 3)))
                  for x, y in ((a, b), (b, a), (b + (1 << 40), b % 7)) for k in ks)
         row0 = 1 << 33
@@ -310,10 +327,11 @@ def _kernel_mark() -> int:
 
 def _kernel_meta(since: int = 0) -> dict:
     """Which implementation hashed the calls after the mark `since` ("c" or
-    "numpy"; "none" if none hashed more than one value), for "c" which copy
-    of the kernel ("x86-64-v4" or "baseline"), whether those calls compiled
-    the kernel, and the seconds they spent building or loading it (0 when an
-    earlier call had resolved it).  The default covers the whole process."""
+    "numpy"; "none" if none hashed a plane of byte colors or counted), for
+    "c" which copy of the kernel ("x86-64-v4" or "baseline"), whether those
+    calls compiled the kernel, and the seconds they spent building or loading
+    it (0 when an earlier call had resolved it).  The default covers the
+    whole process."""
     if _planes <= since or not _kernel_info:
         return {"rng_kernel": "none"}
     if since:
@@ -339,30 +357,28 @@ def _plane(x: np.ndarray):
     return x, x.ctypes.data, rs // 8 if r > 1 else 0, cs // 8 if c > 1 else 0
 
 
-def _hash_c(fn, seed: int, a, b, k: int | None):
-    """_hash_numpy's stream from the C kernel `fn`."""
+def _hash_c(fn, seed: int, a, b, k: int):
+    """_hash_numpy's uint8 colors from the C kernel `fn`, for 1 <= k <= BYTE_K."""
     ax, bx = _u64(a), _u64(b)
     shape = np.broadcast(ax, bx).shape
-    out = np.empty(shape, dtype=np.uint64)
+    out = np.empty(shape, dtype=np.uint8)
     if out.size:
         cols = shape[-1] if shape else 1
         if len(shape) > 2:  # fold the leading axes into rows
             ax = np.broadcast_to(ax, shape).reshape(-1, cols)
             bx = np.broadcast_to(bx, shape).reshape(-1, cols)
         (_ak, ap, ars, acs), (_bk, bp, brs, bcs) = _plane(ax), _plane(bx)
-        fn(int(seed) & _MASK, ap, ars, acs, bp, brs, bcs, out.size // cols, cols,
-           0 if k is None else int(k), out.ctypes.data)
-    if k is not None:
-        out = out.view(np.int64)  # colors are < k, so the bits are the same
+        fn(int(seed) & _MASK, ap, ars, acs, bp, brs, bcs, out.size // cols, cols, int(k),
+           out.ctypes.data)
     return out if out.ndim else out[()]
 
 
 def _hash(seed: int, a, b, k: int | None):
     """The stream from the C kernel where it loads, else from numpy.  A single
-    value goes to numpy, so a process that only derives seeds and offsets
-    never builds or loads the kernel."""
+    value, raw words (k None) and k > BYTE_K go to numpy, so a process that
+    only derives seeds and offsets never builds or loads the kernel."""
     global _planes
-    if np.broadcast(a, b).size == 1:
+    if k is None or k > BYTE_K or np.broadcast(a, b).size == 1:
         return _hash_numpy(seed, a, b, k)
     _planes += 1
     lib = _kernel if _kernel is not None else _resolve_kernel()
@@ -375,7 +391,8 @@ def mix_counters(seed: int, a, b) -> np.ndarray:
 
 
 def uniform_colors(seed: int, a, b, k: int) -> np.ndarray:
-    """Uniform colors in {0..k-1} indexed by counters (a, b).
+    """Uniform colors in {0..k-1} indexed by counters (a, b): uint8 for
+    k <= BYTE_K, int64 above.
 
     The modulo step has bias k / 2**64, far below anything the statistical
     tests here can resolve.
@@ -443,7 +460,7 @@ def pattern_counts(seed: int, rows: int, cols: int, k: int, selectors, phi, ends
 
     The C kernel hashes and counts one row at a time, without storing the
     rows, where it is loaded, every selector is a slice of step 1 and
-    k <= 256; numpy counts everything else block by block.
+    k <= BYTE_K; numpy counts everything else block by block.
     """
     global _planes
     if k < 1:
@@ -459,7 +476,7 @@ def pattern_counts(seed: int, rows: int, cols: int, k: int, selectors, phi, ends
         raise ValueError(f"window ends must ascend strictly within 1..{d}, got {ends!r}")
     _planes += 1
     lib = _kernel if _kernel is not None else _resolve_kernel()
-    if (lib and k <= 256 and len(spans) == len(selectors)
+    if (lib and k <= BYTE_K and len(spans) == len(selectors)
             and all(r.step == 1 and len(r) == d for r in spans)):
         return _count_c(lib.shiftlab_count, seed, rows, cols, k, [r.start for r in spans],
                         phi, en, row_offset)

@@ -9,6 +9,7 @@ import sysconfig
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import shiftlab
@@ -209,6 +210,55 @@ def test_shipped_monte_carlo_configs_count_in_the_kernel(name, tmp_path, capsys,
     capsys.readouterr()
     meta = json.loads((out / f"{name}-meta.json").read_text())
     assert meta["rng_kernel"] == "c"
+
+
+@pytest.mark.parametrize("name", ["moser-tardos", "moser-tardos-small", "uniform-discrepancy",
+                                  "approx-invariant"])
+def test_shipped_tape_configs_hash_in_the_kernel(name, tmp_path, capsys, monkeypatch):
+    # every tape plane of these kinds holds byte colors, which the kernel
+    # writes; a kernel rejected at load, or a plane routed past it, would
+    # write the same reports, only slower
+    from shiftlab import rng
+    cc = sysconfig.get_config_var("CC")
+    if not (cc and shutil.which(shlex.split(cc)[0])):
+        pytest.skip("no C compiler on PATH")
+    assert rng._resolve_kernel(), "the kernel was rejected at load"
+    numpy_hash = rng._hash_numpy
+
+    def single_values_only(seed, a, b, k):
+        if np.broadcast(a, b).size > 1:
+            raise AssertionError("hashed a plane with numpy where the kernel is loaded")
+        return numpy_hash(seed, a, b, k)
+
+    monkeypatch.setattr(rng, "_hash_numpy", single_values_only)
+    out = tmp_path / name
+    assert main(["run", str(ROOT / "configs" / f"{name}.json"), "--out", str(out)]) == EXIT_OK
+    capsys.readouterr()
+    kind = json.loads((ROOT / "configs" / f"{name}.json").read_text())["experiment"]
+    assert json.loads((out / f"{kind}-meta.json").read_text())["rng_kernel"] == "c"
+
+
+# Runs every shipped config through cli.main in one interpreter and prints
+# their exit codes and whether numpy.ma was imported.
+SHIPPED_CHILD = """
+import sys
+from pathlib import Path
+from shiftlab.cli import main
+configs, out = map(Path, sys.argv[1:])
+codes = [main(["run", str(cfg), "--out", str(out / cfg.stem)])
+         for cfg in sorted(configs.glob("*.json"))]
+print(codes, "numpy.ma" in sys.modules)
+"""
+
+
+def test_shipped_configs_leave_numpy_ma_unimported(tmp_path):
+    # np.unique imports numpy.ma on numpy 2.x: about 10 ms of the first call
+    # and 1.7 MB of peak resident memory in every fresh process
+    env = dict(os.environ, PYTHONPATH=str(Path(shiftlab.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", SHIPPED_CHILD, str(ROOT / "configs"),
+                           str(tmp_path)], env=env, capture_output=True, text=True,
+                          timeout=300, check=True)
+    assert proc.stdout.splitlines()[-1] == f"{[EXIT_OK] * 10} False"
 
 
 def test_no_command_prints_help(capsys):

@@ -199,6 +199,24 @@ def test_mt_contested_run_matches_replay():
     assert sum(res.index_counts.values()) > 10 * res.steps  # many events per step
 
 
+@pytest.mark.parametrize("k, dtype", [(256, np.uint8), (257, np.int64)])
+def test_replay_holds_for_byte_and_int64_colors(k, dtype):
+    # the largest alphabet of byte colors and the smallest of int64 ones,
+    # which only numpy hashes, through detection, resampling, the ledger and
+    # the tape check; an anchor is violated where a color repeats among its
+    # 12 points
+    ev = FrequencyDeviationEvent(k, integer_interval(1), "0.12", integer_interval(12))
+    tape = TapeSpace(seed=0, k=k)
+    res = run_mt_replayed(CyclicTranslation(400), [ev], tape)
+    assert res.converged and res.steps > 3
+    assert res.coloring.dtype == res.first_row.dtype == dtype
+    assert stabilization_ledger(res) and tape_consistency(res)
+    fr = resample_fraction(res)
+    row0 = tape.symbols(np.arange(400), 0)
+    assert fr.frac_resampled == Fraction(int(np.count_nonzero(res.t)), 400)
+    assert fr.frac_changed == Fraction(int(np.count_nonzero(res.coloring != row0)), 400)
+
+
 def test_max_steps_exhaustion_reports_defect():
     # an unsatisfiable single-site family: both colors forbidden
     phis = (Pattern.from_map({0: 0}, 2), Pattern.from_map({0: 1}, 2))

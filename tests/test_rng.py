@@ -20,7 +20,8 @@ from shiftlab import rng
 from shiftlab.rng import (BLOCK, block_rows, color_matrix, derive_seed, mix_counters,
                           pattern_counts, uniform_colors)
 
-KS = [1, 2, 3, 5, 6, 256]  # 6: even but no power of two
+KS = [1, 2, 3, 5, 6, 256, 257]  # 6: even but no power of two; 257: int64 colors
+KERNEL_KS = [k for k in KS if k <= 256]  # the colors the kernel writes, one byte each
 U64_MAX = (1 << 64) - 1
 
 
@@ -31,13 +32,16 @@ def _mix64(z):
 
 
 def _reference(seed, a, b, k=None):
-    """The stream written out apart from rng: the oracle for the C kernel and the numpy hash."""
+    """The stream written out apart from rng: the oracle for the C kernel and
+    the numpy hash.  Colors are bytes for k <= 256, int64 above."""
     with np.errstate(over="ignore"):
         ax = np.asarray(a).astype(np.uint64)
         bx = np.asarray(b).astype(np.uint64)
         h = _mix64(np.uint64(seed & U64_MAX) ^ (np.uint64(0x9E3779B97F4A7C15) * ax))
         u = _mix64(h ^ (np.uint64(0xD1B54A32D192ED03) * bx))
-    return u if k is None else (u % np.uint64(k)).astype(np.int64)
+    if k is None:
+        return u
+    return (u % np.uint64(k)).astype(np.uint8 if k <= 256 else np.int64)
 
 
 # the dispatching hash (the C kernel where it loads) and the numpy one it
@@ -173,15 +177,17 @@ def test_other_shapes_match_reference():
                   _reference(3, empty[:, None], np.arange(4), 3))
 
 
-@pytest.mark.parametrize("k", [None, 2, 3, 11])
+@pytest.mark.parametrize("k", [None, 2, 3, 11, 256, 257])
 def test_column_counter_constant_along_the_row_matches_numpy(k):
     # b constant along each row, 0-d as in tape row 0 or a column: the kernel
     # multiplies B*b once per row; rows of 1003 values run its vector loop
-    # and a ragged tail
+    # and a ragged tail.  Raw words and k > 256 are numpy's alone.
     a = np.arange(1003, dtype=np.uint64) + np.uint64(1 << 40)
     column = np.arange(3, dtype=np.uint64)[:, None] * np.uint64(977)
     for x, y in ((a, np.uint64(0)), (a, U64_MAX), (a, column), (a[None, :], column)):
-        _same(rng._hash(5, x, y, k), rng._hash_numpy(5, x, y, k))
+        want = rng._hash_numpy(5, x, y, k)
+        _same(want, _reference(5, x, y, k))
+        _same(rng._hash(5, x, y, k), want)  # the kernel where it loads and k <= 256
 
 
 def test_row_counters_wrap_past_2_64():
@@ -249,7 +255,7 @@ def test_unwritable_cache_directory_is_skipped(monkeypatch, tmp_path):
     _fresh_kernel(monkeypatch, tmp_path)
     monkeypatch.setattr(rng, "_cache_dirs",
                         lambda: iter([tmp_path / "file" / "sub", tmp_path / "ok"]))
-    mix_counters(1, 2, np.arange(3))
+    uniform_colors(1, 2, np.arange(3), 2)
     meta = rng._kernel_meta()
     if not _compiler_on_path():
         pytest.skip("no C compiler on PATH")
@@ -260,7 +266,7 @@ def test_unwritable_cache_directory_is_skipped(monkeypatch, tmp_path):
 @pytest.mark.skipif(not _compiler_on_path(), reason="no C compiler on PATH")
 def test_c_kernel_is_active_where_a_compiler_is_on_path():
     # a silent fallback to numpy would keep every other test green
-    mix_counters(1, 2, np.arange(3))
+    uniform_colors(1, 2, np.arange(3), 2)
     assert rng._kernel_meta()["rng_kernel"] == "c"
 
 
@@ -269,7 +275,7 @@ def test_build_removes_stale_kernels(monkeypatch, tmp_path, built_kernel):
     (tmp_path / "_hash-stale.so").write_bytes(b"old build")
     (tmp_path / "other.so").write_bytes(b"not a kernel")
     _fresh_kernel(monkeypatch, tmp_path, built_kernel)
-    mix_counters(1, 2, np.arange(3))
+    uniform_colors(1, 2, np.arange(3), 2)
     assert rng._kernel_meta()["rng_kernel_built"] is True
     built = [p.name for p in tmp_path.glob("_hash-*.so")]
     assert len(built) == 1 and built[0] != "_hash-stale.so"
@@ -280,12 +286,14 @@ def test_kernel_is_resolved_by_the_first_hash_of_several_values(monkeypatch, tmp
                                                                built_kernel):
     _fresh_kernel(monkeypatch, tmp_path, built_kernel)
     assert rng._kernel_meta() == {"rng_kernel": "none"}
-    # single values are hashed by numpy and load nothing
+    # single values, raw words and k > 256 are hashed by numpy and load nothing
     assert derive_seed(7, 0xC0) == 506512954913649082
     _same(uniform_colors(3, [[4]], 5, 3), _reference(3, [[4]], 5, 3))
+    _same(mix_counters(3, 4, [5, 6]), _reference(3, 4, [5, 6]))
+    _same(uniform_colors(3, 4, [5, 6], 257), _reference(3, 4, [5, 6], 257))
     assert rng._kernel_meta() == {"rng_kernel": "none"}
     assert list(tmp_path.iterdir()) == []
-    _same(mix_counters(3, 4, [5, 6]), _reference(3, 4, [5, 6]))
+    _same(uniform_colors(3, 4, [5, 6], 256), _reference(3, 4, [5, 6], 256))
     assert rng._kernel_meta()["rng_kernel"] in ("c", "numpy")
 
 
@@ -319,7 +327,7 @@ def test_kernel_wrong_where_a_varies_along_the_row_is_not_used(monkeypatch, tmp_
     # that hashes a row counter's first round once
     def flip_first_value(args):
         if args[3]:  # a's column stride
-            ctypes.c_uint64.from_address(args[-1]).value ^= 1
+            ctypes.c_uint8.from_address(args[-1]).value ^= 1
 
     _fresh_kernel(monkeypatch, tmp_path, built_kernel)
     monkeypatch.setattr(ctypes, "CDLL", _library_with("shiftlab_hash", flip_first_value))
@@ -335,7 +343,7 @@ def test_kernel_wrong_where_both_counters_vary_along_the_row_is_not_used(monkeyp
     # their resample counts, both read along the row
     def flip_first_value(args):
         if args[3] and args[6]:  # a's and b's column strides
-            ctypes.c_uint64.from_address(args[-1]).value ^= 1
+            ctypes.c_uint8.from_address(args[-1]).value ^= 1
 
     _fresh_kernel(monkeypatch, tmp_path, built_kernel)
     monkeypatch.setattr(ctypes, "CDLL", _library_with("shiftlab_hash", flip_first_value))
@@ -414,7 +422,7 @@ def refuse(*args, **kwargs):
 
 rng._cache_dirs = lambda: iter([Path(sys.argv[1])])
 rng._build = ctypes.CDLL = refuse
-rng.mix_counters(1, 2, np.arange(3))
+rng.uniform_colors(1, 2, np.arange(3), 2)
 print(json.dumps(rng._kernel_meta()))
 """
 
@@ -593,7 +601,7 @@ def test_each_kernel_copy_hashes_the_reference_stream(variant):
         b = np.arange(cols, dtype=np.uint64)
         # a constant along the rows, then varying, then both counters varying
         for x, y in ((a, b), (b, a), (b + np.uint64(1 << 40), b % np.uint64(7))):
-            for k in (None, *KS):
+            for k in KERNEL_KS:
                 _same(rng._hash_c(variant.shiftlab_hash, 11, x, y, k), _reference(11, x, y, k))
 
 
@@ -603,7 +611,7 @@ def test_each_kernel_copy_counts_the_reference_counts(variant):
         cols = d + 3
         # the last position alone, a middle end with it, and every end
         for ends in ((d,), sorted({(d + 1) // 2, d}), range(1, d + 1)):
-            for k in KS:
+            for k in KERNEL_KS:
                 for starts, phi in (((2,), (k - 1,)), ((3, 0), (0, k // 2))):  # one site, two
                     got = rng._count_c(variant.shiftlab_count, 7, 5, cols, k, starts, phi,
                                        ends, row0)
