@@ -9,9 +9,8 @@ from .shift import (BoundaryError, Config, Pattern, PatternStats, all_patterns,
                     as_fraction, empirical_freq, occurrences)
 from .concentration import (McEstimate, concentration_bound, mc_deviation_prob,
                             scb_bound, wilson_interval)
-from .lll import (BadEvent, CertificationError, ExplicitEvent,
-                  FrequencyDeviationEvent, GLLLWitnessSpec, InstanceStats,
-                  check_glll_witness, event_probability_exact,
+from .lll import (CertificationError, FrequencyDeviationEvent, GLLLWitnessSpec,
+                  InstanceStats, check_glll_witness, event_probability_exact,
                   find_log_growth_constant, find_slll_threshold, slll_stats)
 from .moser_tardos import (MTResult, TapeSpace, resample_fraction, run_mt,
                            stabilization_ledger, tape_consistency)

@@ -104,6 +104,9 @@ SCHEMAS = {
              f"{_LARGEST_SET}, got {{C}}"),
             (("S",), lambda f: len(set(f["S"])) == len(f["S"]),
              "{kind}: S must hold distinct sites, got {S}"),
+            (("k", "S"), lambda f: scans_patterns(f["k"], len(f["S"])),
+             f"{{kind}}: k^|S| must be <= {PATTERN_CAP}, the patterns a run enumerates, "
+             f"got k = {{k}} and S = {{S}}"),
             (("S", "C", "n_max"), lambda f: f["row_width"] <= sys.maxsize,
              f"{{kind}}: S must keep a sample's color row of max(S) - min(S) + |D_n_max| = "
              f"{{row_width}} colors <= {sys.maxsize}, the longest array, got {{S}}"),

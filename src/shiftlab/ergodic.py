@@ -20,8 +20,8 @@ from .concentration import concentration_bound, deviation_thresholds
 from .groups import CyclicTranslation, GroupError, GroupSet
 from .lll import (CertificationError, FrequencyDeviationEvent, GLLLWitnessSpec,
                   check_glll_witness, default_witness_exponent, slll_stats)
-from .moser_tardos import (MTResult, TapeSpace, frequency_counts, resample_fraction,
-                           run_mt)
+from .moser_tardos import (PATTERN_CAP, MTResult, TapeSpace, frequency_counts,
+                           resample_fraction, run_mt, scans_patterns)
 from .rng import block_rows, derive_seed, pattern_counts
 from .shift import Pattern, PatternStats, all_patterns, as_fraction
 
@@ -92,6 +92,8 @@ def ergodic_convergence_experiment(k: int, S: GroupSet, eps, d_sets: Sequence[Gr
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     if len(S) == 0:
         raise ValueError("pattern domain S must be nonempty")
+    if not scans_patterns(k, len(S)):
+        raise ValueError(f"pattern space too large to scan; keep k^|S| <= {PATTERN_CAP}")
     eps_fr = as_fraction(eps)
     n_max = len(d_sets) - 1
     d_sizes = np.array([len(d) for d in d_sets], dtype=np.int64)

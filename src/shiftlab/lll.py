@@ -1,11 +1,12 @@
-"""Bad events over the integers and local-lemma certification.
+"""Frequency-deviation events over the integers and local-lemma certification.
 
-A bad event is a set of forbidden colorings of a common finite domain
-F of integers.  Placing one copy at every point of an action induces
-an instance whose probability and dependency degree obey closed-form
-bounds; the symmetric criterion e * p * (d + 1) < 1 certifies solvability,
-and unbounded families are certified through an explicit witness function
-omega(n) = exp(-a |D_n|).
+The one kind of bad event is the frequency-deviation event: the colorings
+of the finite domain F = SD of integers in which some pattern on S has
+frequency over D at least eps away from k^{-|S|}.  Placing one copy at
+every point of an action induces an instance whose probability and
+dependency degree obey closed-form bounds; the symmetric criterion
+e * p * (d + 1) < 1 certifies solvability, and unbounded families are
+certified through an explicit witness function omega(n) = exp(-a |D_n|).
 """
 
 from __future__ import annotations
@@ -33,42 +34,8 @@ class CertificationError(ValueError):
 # -- bad events -------------------------------------------------------------
 
 
-class BadEvent:
-    """Common interface: a domain F and a membership test on colorings of F."""
-
-    domain: GroupSet
-    k: int
-
-    def holds(self, c: Config) -> bool:
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class ExplicitEvent(BadEvent):
-    """Event given by an explicit list of forbidden patterns on F."""
-
-    patterns: tuple
-    k: int = 2
-
-    def __post_init__(self):
-        doms = {p.domain for p in self.patterns}
-        if len(doms) != 1:
-            raise ValueError("all patterns of an event must share one domain")
-
-    @property
-    def domain(self) -> GroupSet:
-        return self.patterns[0].domain
-
-    def holds(self, c: Config) -> bool:
-        _require_total(c, self.domain)
-        for p in self.patterns:
-            if all(c(e) == v for e, v in p.items()):
-                return True
-        return False
-
-
-@dataclass(frozen=True)
-class FrequencyDeviationEvent(BadEvent):
+class FrequencyDeviationEvent:
     """Colorings of SD in which some pattern on S has frequency over D at
     least eps away from k^{-|S|}.  Always evaluated by predicate; the
     pattern list of the event itself is never materialized."""
@@ -90,20 +57,16 @@ class FrequencyDeviationEvent(BadEvent):
         return set_product(self.S, self.D)
 
     def holds(self, c: Config) -> bool:
-        _require_total(c, self.domain)
+        for e in self.domain:
+            if c.get(e) is None:
+                raise ValueError(f"coloring is not total on the event domain (missing {e!r})")
         counts = Counter(tuple(c(s + d) for s in self.S.elements) for d in self.D)
         words = itertools.product(range(self.k), repeat=len(self.S))
         return any(deviates(counts[w], len(self.D), self.k, len(self.S), self.eps)
                    for w in words)
 
 
-def _require_total(c: Config, F: GroupSet):
-    for e in F:
-        if c.get(e) is None:
-            raise ValueError(f"coloring is not total on the event domain (missing {e!r})")
-
-
-def event_probability_exact(B: BadEvent) -> Fraction:
+def event_probability_exact(B: FrequencyDeviationEvent) -> Fraction:
     """|B| / k^{|F|} by exhaustive enumeration (test oracle; tiny domains only)."""
     F = B.domain
     total = B.k ** len(F)
@@ -115,18 +78,6 @@ def event_probability_exact(B: BadEvent) -> Fraction:
         if B.holds(c):
             hits += 1
     return Fraction(hits, total)
-
-
-def explicit_expansion(ev: FrequencyDeviationEvent) -> ExplicitEvent:
-    """Expand a frequency event into its pattern list (tiny domains only)."""
-    F = ev.domain
-    if ev.k ** len(F) > 1 << 20:
-        raise ValueError("expansion allowed only for tiny domains")
-    pats = []
-    for p in all_patterns(F, ev.k):
-        if ev.holds(Config.from_array(F, p.colors)):
-            pats.append(p)
-    return ExplicitEvent(tuple(pats), ev.k)
 
 
 # -- symmetric certification --------------------------------------------------

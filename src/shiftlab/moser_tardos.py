@@ -20,7 +20,7 @@ import numpy as np
 
 from .concentration import deviates
 from .groups import CyclicTranslation, GroupError
-from .lll import BadEvent, ExplicitEvent, FrequencyDeviationEvent
+from .lll import FrequencyDeviationEvent
 from .rng import uniform_colors
 from .shift import all_patterns
 from .windows import SCREEN_BLOCK, circular_window_sums, interval_window_outside
@@ -100,42 +100,33 @@ def frequency_counts(action: CyclicTranslation, ev: FrequencyDeviationEvent,
         yield pat, circular_window_sums(w.view(np.int8), d_elems, action.modulus)
 
 
-def violated_anchors(action: CyclicTranslation, ev: BadEvent, g: np.ndarray) -> np.ndarray:
+def violated_anchors(action: CyclicTranslation, ev: FrequencyDeviationEvent,
+                     g: np.ndarray) -> np.ndarray:
     """Anchors x whose pulled-back coloring lies in the event."""
-    if isinstance(ev, FrequencyDeviationEvent):
-        # bad_at[c]: whether a pattern seen c times over D deviates
-        d_size = len(ev.D)
-        bad_at = deviates(np.arange(d_size + 1), d_size, ev.k, len(ev.S), ev.eps)
-        band = np.flatnonzero(~bad_at)  # the counts that do not deviate
-        bad = np.zeros(action.modulus, dtype=bool)
-        iv = ev.D.interval
-        # a band narrower than 2*64 - 1 counts clears no block of 64 anchors
-        if iv is not None and band.size >= 2 * SCREEN_BLOCK - 1:
-            lo, hi = int(band[0]), int(band[-1])
-            assert band.size == hi - lo + 1, "non-deviating counts must be one interval"
-            for _pat, w in _pattern_masks(action, ev, g):
-                bad[interval_window_outside(w, *iv, lo, hi)] = True
-        else:
-            for _pat, counts in frequency_counts(action, ev, g):
-                bad |= bad_at[counts]
-        return np.flatnonzero(bad)
-    if isinstance(ev, ExplicitEvent):
-        pulled = _pullback_colors(action, ev.domain.elements, g)
-        bad = np.zeros(action.modulus, dtype=bool)
-        for pat in ev.patterns:
-            hit = np.ones(action.modulus, dtype=bool)
-            for arr, col in zip(pulled, pat.colors):
-                hit &= arr == col
-            bad |= hit
-        return np.flatnonzero(bad)
-    raise TypeError(f"unsupported event type {type(ev).__name__}")
+    # bad_at[c]: whether a pattern seen c times over D deviates
+    d_size = len(ev.D)
+    bad_at = deviates(np.arange(d_size + 1), d_size, ev.k, len(ev.S), ev.eps)
+    band = np.flatnonzero(~bad_at)  # the counts that do not deviate
+    bad = np.zeros(action.modulus, dtype=bool)
+    iv = ev.D.interval
+    # a band narrower than 2*64 - 1 counts clears no block of 64 anchors
+    if iv is not None and band.size >= 2 * SCREEN_BLOCK - 1:
+        lo, hi = int(band[0]), int(band[-1])
+        assert band.size == hi - lo + 1, "non-deviating counts must be one interval"
+        for _pat, w in _pattern_masks(action, ev, g):
+            bad[interval_window_outside(w, *iv, lo, hi)] = True
+    else:
+        for _pat, counts in frequency_counts(action, ev, g):
+            bad |= bad_at[counts]
+    return np.flatnonzero(bad)
 
 
 # -- the resampling loop -------------------------------------------------------
 
 
-def run_mt(action: CyclicTranslation, events: Sequence[BadEvent], tape: TapeSpace,
-           max_steps: Optional[int] = None, transcript: Optional[list] = None) -> MTResult:
+def run_mt(action: CyclicTranslation, events: Sequence[FrequencyDeviationEvent],
+           tape: TapeSpace, max_steps: Optional[int] = None,
+           transcript: Optional[list] = None) -> MTResult:
     """Iterate resampling until no anchored event is violated.
 
     `events` is a plain sequence: member n is `events[n]`, and selection and

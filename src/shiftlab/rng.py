@@ -9,9 +9,9 @@ the counter encoding.
 Two implementations compute the same stream, bit for bit:
 
 - a C kernel, `_hash.c`.  The first call of a process that hashes more than
-  one color of k <= BYTE_K, or counts patterns, compiles it with the system
-  C compiler (sysconfig's CC, `-O3 -shared -fPIC`) and loads it with
-  ctypes; importing this module builds nothing.  The library is cached in
+  one color of k <= BYTE_K, or counts patterns it can take, compiles it with
+  the system C compiler (sysconfig's CC, `-O3 -shared -fPIC`) and loads it
+  with ctypes; importing this module builds nothing.  The library is cached in
   the package's `__pycache__`, or in a private per-user cache directory
   (`$XDG_CACHE_HOME/shiftlab` or `~/.cache/shiftlab`, mode 0700) when that
   is not writable, under a name keyed by the sha256 of the source, the
@@ -141,7 +141,8 @@ _CFLAGS = ("-O3", "-shared", "-fPIC")
 _kernel_lock = threading.Lock()
 _kernel = None  # the loaded C library once resolved, False when numpy serves
 _kernel_info: dict = {}
-# hashes of several byte colors, and pattern counts; the first resolves the kernel
+# hashes of several byte colors, and pattern counts the kernel can take; the
+# first resolves the kernel
 _planes = 0
 
 
@@ -327,11 +328,11 @@ def _kernel_mark() -> int:
 
 def _kernel_meta(since: int = 0) -> dict:
     """Which implementation hashed the calls after the mark `since` ("c" or
-    "numpy"; "none" if none hashed a plane of byte colors or counted), for
-    "c" which copy of the kernel ("x86-64-v4" or "baseline"), whether those
-    calls compiled the kernel, and the seconds they spent building or loading
-    it (0 when an earlier call had resolved it).  The default covers the
-    whole process."""
+    "numpy"; "none" if none hashed a plane of byte colors or made a count
+    the kernel can take), for "c" which copy of the kernel ("x86-64-v4" or
+    "baseline"), whether those calls compiled the kernel, and the seconds
+    they spent building or loading it (0 when an earlier call had resolved
+    it).  The default covers the whole process."""
     if _planes <= since or not _kernel_info:
         return {"rng_kernel": "none"}
     if since:
@@ -474,12 +475,13 @@ def pattern_counts(seed: int, rows: int, cols: int, k: int, selectors, phi, ends
     en = np.asarray(ends, dtype=np.int64)
     if en.ndim != 1 or not en.size or en[0] < 1 or en[-1] > d or np.any(en[1:] <= en[:-1]):
         raise ValueError(f"window ends must ascend strictly within 1..{d}, got {ends!r}")
-    _planes += 1
-    lib = _kernel if _kernel is not None else _resolve_kernel()
-    if (lib and k <= BYTE_K and len(spans) == len(selectors)
-            and all(r.step == 1 and len(r) == d for r in spans)):
-        return _count_c(lib.shiftlab_count, seed, rows, cols, k, [r.start for r in spans],
-                        phi, en, row_offset)
+    if k <= BYTE_K and len(spans) == len(selectors) and all(
+            r.step == 1 and len(r) == d for r in spans):
+        _planes += 1
+        lib = _kernel if _kernel is not None else _resolve_kernel()
+        if lib:
+            return _count_c(lib.shiftlab_count, seed, rows, cols, k, [r.start for r in spans],
+                            phi, en, row_offset)
     return _count_numpy(seed, rows, cols, k, selectors, phi, en, row_offset)
 
 

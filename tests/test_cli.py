@@ -425,6 +425,9 @@ UD = {"experiment": "uniform-discrepancy", "k": 2, "s_size": 1, "eps": "0.3",
     ({**UD, "a": 1e-20}, "a must keep the witness weight exp(-a min(d_sizes)) below 1"),
     ({**LLL, "mode": "glll", "eps": "0.3", "a": 1e-20, "C": 2},
      "a must keep the witness weight exp(-a |D_0|) below 1 as a float at C = 2, got 1e-20"),
+    ({**ERGODIC, "S": list(range(30))},
+     "ergodic-converge: k^|S| must be <= 4096, the patterns a run enumerates, got k = 2 "
+     "and S = [0, 1, "),
 ])
 def test_conditional_and_nested_keys_are_config_errors(tmp_path, capsys, doc, key):
     _assert_config_error(tmp_path, capsys, doc, key)
@@ -454,6 +457,21 @@ def test_infeasible_schedule_is_rejected_at_once(tmp_path, capsys):
     start = time.perf_counter()
     _assert_config_error(tmp_path, capsys, {**ROKHLIN, "i_max": 40}, "exceeds the cap")
     assert time.perf_counter() - start < 1.0
+
+
+def test_wide_ergodic_pattern_space_is_refused_at_once(tmp_path, capsys):
+    # the 2^30 patterns on S are refused before any is built
+    start = time.perf_counter()
+    _assert_config_error(tmp_path, capsys, {**ERGODIC, "S": list(range(30))},
+                         "k^|S| must be <= 4096")
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sweep_past_int64_patterns_runs(tmp_path):
+    # k^|S| = 2^64: the deviation test takes no count times k^|S| in int64
+    cfg = write_config(tmp_path, {**SWEEP, "s_sizes": [64], "eps_list": ["0.1"],
+                                  "d_sizes": [100], "trials": 10, "seed": 7})
+    assert main(["run", cfg, "--out", str(tmp_path / "rep")]) in (EXIT_OK, EXIT_VERDICT)
 
 
 def test_wide_pattern_sweep_builds_one_pattern(tmp_path):
@@ -709,6 +727,14 @@ def test_meta_records_the_hash_kernel(tmp_path):
     assert isinstance(meta["rng_kernel_built"], bool) and meta["rng_kernel_load_s"] >= 0
     summary = json.loads((out / "moser-tardos-summary.json").read_text())
     assert "rng_kernel" not in json.dumps(summary)
+
+
+def test_meta_names_no_kernel_for_numpy_counts(tmp_path):
+    # colors of k = 257 are int64, which only numpy hashes and counts
+    out = tmp_path / "rep"
+    cfg = write_config(tmp_path, {**ERGODIC, "k": 257, "n_max": 5})
+    assert main(["run", cfg, "--out", str(out)]) in (EXIT_OK, EXIT_VERDICT)
+    assert json.loads((out / "ergodic-converge-meta.json").read_text())["rng_kernel"] == "none"
 
 
 def test_meta_describes_the_run_not_the_process(tmp_path):

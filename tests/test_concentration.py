@@ -19,10 +19,12 @@ def _deviates_exact(c, d, k, s, eps):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 60),
+@given(st.integers(1, 4), st.one_of(st.integers(1, 4), st.integers(30, 70)),
+       st.integers(1, 60),
        st.fractions(min_value=Fraction(1, 1000), max_value=1, max_denominator=1000),
        st.data())
 def test_deviates_is_the_exact_rational_test(k, s, d, eps, data):
+    # |S| from 30 on puts k^|S| past int64 for k >= 3, and from 63 on for k = 2
     counts = data.draw(st.lists(st.integers(0, d), min_size=1, max_size=8))
     for c in counts:
         assert deviates(c, d, k, s, eps) == _deviates_exact(c, d, k, s, eps)

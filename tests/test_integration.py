@@ -13,7 +13,6 @@ from shiftlab.ergodic import log_growth_size, uniform_discrepancy_experiment
 from shiftlab.groups import CyclicTranslation, integer_interval
 from shiftlab.lll import FrequencyDeviationEvent
 from shiftlab.moser_tardos import TapeSpace, frequency_counts, run_mt, stabilization_ledger
-from shiftlab.shift import Pattern
 
 
 def test_two_interval_family_certified_and_controlled():
@@ -42,19 +41,19 @@ def test_mt_with_three_colors():
 
 
 def test_transcript_structure():
-    # unit-length domains resample in visible batches
-    from shiftlab.lll import ExplicitEvent
-    phi0 = Pattern.from_map({0: 0}, 2)
+    # short windows resample in visible batches of disjoint domains
+    ev = FrequencyDeviationEvent(2, integer_interval(1), "0.4", integer_interval(4))
     act = CyclicTranslation(64)
     lines = []
-    res = run_mt(act, [ExplicitEvent((phi0,), 2)], TapeSpace(seed=6, k=2), transcript=lines)
-    assert res.converged
+    res = run_mt(act, [ev], TapeSpace(seed=6, k=2), transcript=lines)
+    assert res.converged and res.steps > 1
     assert [ln["step"] for ln in lines] == list(range(res.steps))
+    F = len(ev.domain)
     for ln in lines:
-        assert ln["tape_advanced"] == len(ln["selected"])  # unit domains
+        assert ln["tape_advanced"] == F * len(ln["selected"])  # disjoint domains
         assert all(n == 0 for n, _x in ln["selected"])
     total_selected = sum(len(ln["selected"]) for ln in lines)
-    assert total_selected == int(res.t.sum())
+    assert F * total_selected == int(res.t.sum())
 
 
 def test_interval_shape_threshold():

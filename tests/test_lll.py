@@ -7,24 +7,14 @@ from hypothesis import strategies as st
 
 from shiftlab.concentration import deviation_exponent
 from shiftlab.groups import GroupSet, difference_set_size, integer_interval, set_product
-from shiftlab.lll import (CertificationError, ExplicitEvent,
-                          FrequencyDeviationEvent, GLLLWitnessSpec, InstanceStats,
-                          _neighbor_count, check_glll_witness, event_probability_exact,
-                          explicit_expansion, find_log_growth_constant,
+from shiftlab.lll import (CertificationError, FrequencyDeviationEvent, GLLLWitnessSpec,
+                          InstanceStats, _neighbor_count, check_glll_witness,
+                          event_probability_exact, find_log_growth_constant,
                           find_slll_threshold, p_bound_freq, slll_stats)
-from shiftlab.shift import Config, Pattern, all_patterns
+from shiftlab.shift import Config, all_patterns
 
 
 # -- events -----------------------------------------------------------------
-
-
-def test_explicit_event_holds():
-    phi = Pattern.from_map({0: 1, 1: 0}, 2)
-    ev = ExplicitEvent((phi,), 2)
-    assert ev.holds(Config.from_array(integer_interval(2), [1, 0]))
-    assert not ev.holds(Config.from_array(integer_interval(2), [1, 1]))
-    with pytest.raises(ValueError):
-        ev.holds(Config.from_array(GroupSet([5]), [1]))  # not total on F
 
 
 def test_frequency_event_balanced_window_avoids():
@@ -38,21 +28,22 @@ def test_frequency_event_balanced_window_avoids():
 
 
 def test_frequency_event_agrees_with_expansion():
-    # tiny domains: the predicate equals the explicit pattern list
+    # a color seen c times over |D| = 4 misses 1/2 by eps = 2/5 or more only
+    # at c = 0 and c = 4, so the event, expanded by hand, is the two
+    # constant colorings
     ev = FrequencyDeviationEvent(2, integer_interval(1), Fraction(2, 5),
                                  integer_interval(4))
-    exp = explicit_expansion(ev)
     for pat in all_patterns(ev.domain, 2):
         c = Config.from_array(ev.domain, pat.colors)
-        assert ev.holds(c) == exp.holds(c)
-    assert event_probability_exact(ev) == Fraction(len(exp.patterns), 16)
+        assert ev.holds(c) == (len(set(pat.colors)) == 1)
+    with pytest.raises(ValueError):
+        ev.holds(Config.from_array(integer_interval(3), [1, 1, 1]))  # not total on F
 
 
 def test_event_probability_exact_is_count_ratio():
-    phi1 = Pattern.from_map({0: 0, 1: 0}, 2)
-    phi2 = Pattern.from_map({0: 1, 1: 1}, 2)
-    ev = ExplicitEvent((phi1, phi2), 2)
-    assert event_probability_exact(ev) == Fraction(2, 4)
+    ev = FrequencyDeviationEvent(2, integer_interval(1), Fraction(2, 5),
+                                 integer_interval(4))
+    assert event_probability_exact(ev) == Fraction(2, 16)
 
 
 # -- symmetric certification ---------------------------------------------------

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from shiftlab.groups import (CyclicTranslation, GroupError, GroupSet, integer_interval,
                              set_product)
-from shiftlab.lll import ExplicitEvent, FrequencyDeviationEvent
+from shiftlab.lll import FrequencyDeviationEvent
 from shiftlab.moser_tardos import (TapeSpace, frequency_counts, resample_fraction, run_mt,
                                    scans_patterns, stabilization_ledger, tape_consistency,
                                    violated_anchors)
-from shiftlab.shift import Config, Pattern, empirical_freq, occurrences
+from shiftlab.shift import Config, empirical_freq, occurrences
 
 
 def run_mt_replayed(action, events, tape, **kwargs):
@@ -99,25 +99,6 @@ def test_empty_family_converges_immediately():
     assert (res.t == 0).all()
     fr = resample_fraction(res)
     assert fr.frac_resampled == 0 and fr.frac_changed == 0
-
-
-def test_single_site_event_geometric_resampling():
-    # forbid color 0 at every point: t(p) = first index with a 1 on p's tape
-    phi0 = Pattern.from_map({0: 0}, 2)
-    ev = ExplicitEvent((phi0,), 2)
-    act = CyclicTranslation(4000)
-    tape = TapeSpace(seed=21, k=2)
-    res = run_mt_replayed(act, [ev], tape)
-    assert res.converged
-    assert (res.coloring == 1).all()
-    # oracle: first-1 index per tape
-    for p in [0, 17, 555, 3999]:
-        t_expect = 0
-        while tape.symbol(p, t_expect) == 0:
-            t_expect += 1
-        assert res.t[p] == t_expect
-    # geometric with mean 1; 4000 independent points, sigma = sqrt(2/4000)
-    assert abs(res.t.mean() - 1.0) < 3 * (2 / 4000) ** 0.5 + 1e-9
 
 
 def test_mt_requires_freeness():
@@ -218,9 +199,9 @@ def test_replay_holds_for_byte_and_int64_colors(k, dtype):
 
 
 def test_max_steps_exhaustion_reports_defect():
-    # an unsatisfiable single-site family: both colors forbidden
-    phis = (Pattern.from_map({0: 0}, 2), Pattern.from_map({0: 1}, 2))
-    ev = ExplicitEvent(phis, 2)
+    # an unsatisfiable single-site family: every color is seen at frequency 0
+    # or 1 over D = {0}, exactly 1/2 away from 1/2
+    ev = FrequencyDeviationEvent(2, integer_interval(1), "0.5", integer_interval(1))
     act = CyclicTranslation(16)
     res = run_mt(act, [ev], TapeSpace(seed=1, k=2), max_steps=5)
     assert not res.converged
