@@ -129,6 +129,9 @@ SCHEMAS = {
             (("s_sizes", "d_sizes", "modulus"), lambda f: f["modulus"] >= f["largest_set"],
              "{kind}: modulus must be >= max(s_sizes + d_sizes) = {largest_set} for a free "
              "action, got {modulus}"),
+            (("modulus",), lambda f: f["modulus"] <= sys.maxsize,
+             f"{{kind}}: modulus must be <= {sys.maxsize}, the largest cyclic space whose "
+             f"points fit int64, got {{modulus}}"),
         ],
     },
     "lll-check": {
@@ -143,7 +146,6 @@ SCHEMAS = {
             "d_size": ("int >= 1", ("mode", "slll"), "slll: interval size for D"),
             "shape": ("'interval' | 'generic'", False, "slll: threshold search degree "
                       "bound only; d_bound comes from the sets", "interval"),
-            "search_cap": ("int >= 1", False, "slll: threshold search cap", 100_000),
             "a": ("number > 0", ("mode", "glll"), "glll: witness exponent"),
             "C": ("number > 0", False, "glll: log-growth constant (computed when omitted)"),
             "n_prefix": ("int >= 1", False, "glll: checked prefix length", 64),
@@ -227,7 +229,6 @@ SCHEMAS = {
                 "sites": ("list[int]", True, "distinct sites of the pattern"),
                 "colors": ("list[int >= 0]", True, "one color below k per site"),
             }], True, "patterns to tabulate"),
-            "shifts": ("list[int]", False, "shifts to verify", [1, -1]),
         },
         "rules": [
             (("k", "patterns"), lambda f: f["bad_pattern"] is None,
@@ -246,7 +247,7 @@ SCHEMAS = {
             "d_size": ("int >= 1", True, "interval size for D"),
             "modulus": ("int >= 1", True, "cyclic space size"),
             "seed": ("int", True, "tape seed"),
-            "shift_test_range": ("int >= 1", False, "how many shifts to test (default all)"),
+            "shift_test_range": ("int >= 1", False, "number of shift amounts to test (default all)"),
         },
         "rules": [_FREE_FOR_SD, _D_SIZE_FITS, _SCANNABLE],
     },
@@ -259,8 +260,6 @@ SCHEMAS = {
             "h": ("int >= 1 | list[int >= 1]", True, "requested interval lengths"),
             "i_max": ("int >= 1", True, "number of stages"),
             "seed": ("int", True, "offset seed"),
-            "k_probe": ("list[int >= 0]", False, "union tail indices to probe"),
-            "min_capture": ("number", False, "per-band capture threshold", 0.99),
             "single": ({
                 "eps": ("decimal string in (0, 1)", True, "tolerance of the tower"),
                 "h": ("int >= 1 | list[int >= 1]", True, "requested interval lengths"),
@@ -280,6 +279,9 @@ SCHEMAS = {
              lambda f: f["single"]["modulus"] >= f["single_plan"].result.min_modulus,
              "{kind} single.modulus: modulus too small: need >= "
              "{single_plan.result.min_modulus}, got {single[modulus]}"),
+            (("single.modulus",), lambda f: f["single"]["modulus"] <= MODULUS_CAP,
+             f"{{kind}} single.modulus: modulus must be <= {MODULUS_CAP}, the cap the stages "
+             f"obey, got {{single[modulus]}}"),
         ],
     },
 }
@@ -509,8 +511,7 @@ def _run_lll_check(p, out, jobs, transcript):
     eps = as_fraction(p["eps"])
     if p["mode"] == "slll":
         stats = slll_stats(p["k"], S, eps, integer_interval(p["d_size"]))
-        thr = find_slll_threshold(p["k"], S, eps, shape=p["shape"],
-                                  search_cap=p["search_cap"])
+        thr = find_slll_threshold(p["k"], S, eps, shape=p["shape"])
         _write_csv(out / "lll-check-detail.csv",
                    ["quantity", "value"],
                    [("p_bound", stats.p_bound), ("d_bound", stats.d_bound),
@@ -623,8 +624,7 @@ def _run_uniform_discrepancy(p, out, jobs, transcript):
 def _run_resfin(p, out, jobs, transcript):
     pats = [Pattern.from_map(dict(zip(q["sites"], q["colors"])), p["k"])
             for q in p["patterns"]]
-    table = periodic_cylinder_table(p["k"], p["period"], pats,
-                                    shifts=tuple(p["shifts"]))
+    table = periodic_cylinder_table(p["k"], p["period"], pats)
     _write_csv(out / "resfin-detail.csv",
                ["pattern", "residues", "consistent", "value"],
                ((r.pattern.pattern_id, r.residues, r.consistent, str(r.value))
@@ -654,16 +654,18 @@ def _lengths(h):
     return (lambda n: h) if isinstance(h, int) else h.__getitem__
 
 
+# the least fraction of points that every band of a union tail must capture
+MIN_CAPTURE = Fraction(99, 100)
+
+
 def _run_rokhlin_bad(p, out, jobs, transcript):
-    rep = bad_sequence_experiment(_lengths(p["h"]), p["i_max"],
-                                  seed=p["seed"], k_probe=p.get("k_probe"))
-    min_capture = as_fraction(p["min_capture"])
+    rep = bad_sequence_experiment(_lengths(p["h"]), p["i_max"], seed=p["seed"])
     _write_csv(out / "rokhlin-bad-detail.csv",
                ["q", "band", "frac_full_average", "frac_null_average"],
                ((b.q, b.band, str(b.frac_full), str(b.frac_null))
                 for b in rep.band_rows))
     tail_ok = rep.mu_tail_ok()
-    capture_ok = all(f >= min_capture for f in rep.all_bands_frac.values())
+    capture_ok = all(f >= MIN_CAPTURE for f in rep.all_bands_frac.values())
     single = None
     if "single" in p:
         s = p["single"]

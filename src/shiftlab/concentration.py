@@ -63,26 +63,18 @@ def deviation_thresholds(d_size, k: int, s_size: int, eps):
     return threshold(int(d_size))
 
 
-def deviates(counts, d_size, k: int, s_size: int, eps):
+def deviates(counts, d_size: int, k: int, s_size: int, eps):
     """Whether a pattern seen `counts` times over |D| = d_size, with counts
     in 0..|D|, misses k^{-|S|} by eps or more: whether
     |counts k^{|S|} - |D|| >= T for T = deviation_thresholds(d_size, k,
     s_size, eps), tested exactly as counts >= ceil((|D| + T) / k^{|S|}) or
     counts <= floor((|D| - T) / k^{|S|}).  The two cutoffs are computed in
     Python ints and clamped to [-1, |D| + 1], so no count is multiplied by a
-    k^{|S|} past int64.  Takes ints or integer arrays that broadcast against
-    each other."""
+    k^{|S|} past int64.  `counts` is an int or an integer array."""
     scale = k ** s_size
-
-    def cutoffs(d: int) -> tuple[int, int]:
-        t = deviation_thresholds(d, k, s_size, eps)
-        return min(-(-(d + t) // scale), d + 1), max((d - t) // scale, -1)
-
-    if np.ndim(d_size):
-        hi, lo = np.array([cutoffs(int(d)) for d in np.ravel(d_size)],
-                          dtype=np.int64).T.reshape(2, *np.shape(d_size))
-    else:
-        hi, lo = cutoffs(int(d_size))
+    t = deviation_thresholds(d_size, k, s_size, eps)
+    hi = min(-(-(d_size + t) // scale), d_size + 1)
+    lo = max((d_size - t) // scale, -1)
     return (counts >= hi) | (counts <= lo)
 
 

@@ -268,10 +268,12 @@ def periodic_cylinder_value(k: int, period: int, phi: Pattern) -> Fraction:
     return _residue_walk(k, period, phi)[2]
 
 
-def periodic_cylinder_table(k: int, period: int, patterns: Sequence[Pattern],
-                            shifts: Sequence[int] = (1, -1)) -> PeriodicCylinderTable:
+def periodic_cylinder_table(k: int, period: int,
+                            patterns: Sequence[Pattern]) -> PeriodicCylinderTable:
     """Exact cylinder table of the mod-`period` uniform measure, plus an
-    exact check that every listed pattern has shift-invariant mass."""
+    exact check that every listed pattern has shift-invariant mass.  Only
+    the shift by 1 and its inverse are checked, the generators of Z: a
+    measure invariant under both is invariant under every shift."""
     if period < 1:
         raise ValueError("period must be >= 1")
     rows = []
@@ -279,7 +281,7 @@ def periodic_cylinder_table(k: int, period: int, patterns: Sequence[Pattern],
     for phi in patterns:
         residues, consistent, val = _residue_walk(k, period, phi)
         rows.append(PeriodicCylinderRow(phi, residues, consistent, val))
-        for g in shifts:
+        for g in (1, -1):
             if periodic_cylinder_value(k, period, phi.shifted(g)) != val:
                 invariant = False
     return PeriodicCylinderTable(period, k, rows, invariant)

@@ -137,26 +137,30 @@ def slll_stats(k: int, S: GroupSet, eps, D: GroupSet) -> InstanceStats:
     return InstanceStats(p, d if exact is None else min(exact - 1, d))
 
 
+# the largest |D| the threshold search tries
+SEARCH_CAP = 100_000
+
+
 @dataclass
 class ThresholdResult:
-    threshold: Optional[int]   # None when the margin at search_cap is >= 1
+    threshold: Optional[int]   # None when the margin at SEARCH_CAP is >= 1
     stationary_point: int
 
 
-def find_slll_threshold(k: int, S: GroupSet, eps, shape: str = "interval",
-                        search_cap: int = 100_000) -> ThresholdResult:
-    """Least m <= search_cap with margin(|D|) < 1 for every |D| in
-    [m, search_cap], for integer intervals D of size m.
+def find_slll_threshold(k: int, S: GroupSet, eps, shape: str = "interval") -> ThresholdResult:
+    """Least m <= SEARCH_CAP with margin(|D|) < 1 for every |D| in
+    [m, SEARCH_CAP], for integer intervals D of size m.
 
     The log-margin is const + log(d(m)+1) - eps^2 m / (2|S|^3); it has one
     interior maximum (at 4|S|^3/eps^2 for the generic cap) and decreases
     beyond it, so a bracket-plus-bisect on the decreasing branch suffices.
+    The stationary point is computed exactly, so an eps whose float square
+    underflows still has one.
     """
-    epsf = float(as_fraction(eps))
-    if not (0 < epsf < 1):
+    eps = as_fraction(eps)
+    if not 0 < eps < 1:
         raise CertificationError("threshold search needs 0 < eps < 1")
-    if search_cap < 1:
-        raise CertificationError(f"search_cap must be >= 1, got {search_cap}")
+    epsf = float(eps)
     s_sz = len(S)
     if shape not in ("interval", "generic") or shape == "interval" and S.interval is None:
         raise ValueError(f"shape must be 'generic' or, for an integer interval S, "
@@ -166,16 +170,16 @@ def find_slll_threshold(k: int, S: GroupSet, eps, shape: str = "interval",
         count = _neighbor_count(s_sz, m, m, shape == "interval")
         return InstanceStats(p_bound_freq(k, s_sz, epsf, m), count - 1).slll_margin
 
-    m_star = max(1, math.ceil(4.0 * s_sz ** 3 / (epsf * epsf)))
-    if margin(search_cap) >= 1.0:
+    m_star = math.ceil(4 * s_sz ** 3 / eps ** 2)
+    if margin(SEARCH_CAP) >= 1.0:
         return ThresholdResult(None, m_star)
     # No scan left of the stationary point is needed.  The log-margin is
     # concave on [1, m_star], so its least value there is at an end.  At
     # m = 1 the margin is at least 2e exp(-1/2) = 3.30 (k = |S| = 1, eps -> 1);
     # at m_star >= 5 the exponent is below 5/2 and d + 1 >= 9, so it exceeds
-    # 18 exp(-3/2) = 4.0.  So margin >= 1 on [1, m_star], and a search_cap
+    # 18 exp(-3/2) = 4.0.  So margin >= 1 on [1, m_star], and a SEARCH_CAP
     # there was reported as not found above.
-    lo, hi = m_star, search_cap  # margin(lo) >= 1 > margin(hi)
+    lo, hi = m_star, SEARCH_CAP  # margin(lo) >= 1 > margin(hi)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if margin(mid) < 1.0:

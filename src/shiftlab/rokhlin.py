@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -276,26 +276,24 @@ def plan_stages(h: Callable[[int], int], i_max: int) -> tuple[list[BadIntervalPl
     return plans, modulus
 
 
-def bad_sequence_experiment(h: Callable[[int], int], i_max: int, seed: int = 0,
-                            k_probe: Optional[Sequence[int]] = None) -> BadSequenceReport:
+def bad_sequence_experiment(h: Callable[[int], int], i_max: int,
+                            seed: int = 0) -> BadSequenceReport:
     """Concatenate the escape stages of `plan_stages` on their shared cyclic
     space, with independently seeded base offsets, and measure per-band
-    capture against the union tails A_{>=q}.  A schedule whose shared
-    modulus exceeds MODULUS_CAP = 50,000,000 points raises TowerError.
+    capture against every union tail A_{>=q}, q < i_max; the empty tail
+    A_{>=i_max} has measure 0.  A schedule whose shared modulus exceeds
+    MODULUS_CAP = 50,000,000 points raises TowerError.
     """
-    if k_probe is not None and any(q < 0 for q in k_probe):
-        raise ValueError(f"k_probe entries must be >= 0, got {list(k_probe)}")
     plans, modulus = plan_stages(h, i_max)
     if modulus > MODULUS_CAP:
         raise TowerError(f"infeasible schedule: shared modulus of at least {modulus} "
                          f"exceeds the cap {MODULUS_CAP}")
 
     # stages last first into one running union A_{>=q}, each stage's tower
-    # dropped once its slab is in; the unions come back in k_probe order
-    qs = list(k_probe) if k_probe is not None else list(range(i_max + 1))
+    # dropped once its slab is in
     union = np.zeros(-(-modulus // 64), dtype=np.uint64)
     stages = []
-    mu, rows, everywhere_frac = {}, {}, {}
+    mu, rows, everywhere_frac = {i_max: Fraction(0)}, {}, {}
     for q in range(i_max - 1, -1, -1):
         offset = int(mix_counters(derive_seed(seed, 0x70, q), q, 0)[()] % modulus)
         build = build_tower(plans[q], modulus, offset)
@@ -303,8 +301,6 @@ def bad_sequence_experiment(h: Callable[[int], int], i_max: int, seed: int = 0,
         n_start = sum(p.N for p in plans[:q])
         stages.append(StageRecord(plans[q].eps, n_start, plans[q], offset, build.mu_a))
         del build
-        if q not in qs:
-            continue
         fracs = {}
         everywhere = ~np.zeros_like(union)  # the first band clears the bits past M
         for j, captured in _captured(union, plans[q:], modulus):
@@ -313,7 +309,6 @@ def bad_sequence_experiment(h: Callable[[int], int], i_max: int, seed: int = 0,
         mu[q] = _measure(union, modulus)
         rows[q] = [BandCapture(q, i, fracs[i], fracs[i]) for i in range(q, i_max)]
         everywhere_frac[q] = _measure(everywhere, modulus)
-    return BadSequenceReport(modulus, stages[::-1],
-                             {q: mu.get(q, Fraction(0)) for q in qs},
-                             [row for q in qs for row in rows.get(q, ())],
-                             {q: everywhere_frac[q] for q in qs if q < i_max})
+    return BadSequenceReport(modulus, stages[::-1], dict(sorted(mu.items())),
+                             [row for q in range(i_max) for row in rows[q]],
+                             dict(sorted(everywhere_frac.items())))

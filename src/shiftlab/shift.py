@@ -108,9 +108,6 @@ class Config:
     def get(self, e: int) -> Optional[int]:
         return self.values.get(e)
 
-    def shifted(self, gamma: int) -> "Config":
-        return Config.from_map({d - gamma: c for d, c in self.values.items()})
-
 
 @dataclass
 class PatternStats:

@@ -102,7 +102,7 @@ def test_criterion_02_concentration_sweep():
 
 def test_criterion_03_slll_threshold():
     t0 = time.time()
-    thr = find_slll_threshold(2, S1, EPS, shape="generic", search_cap=10_000)
+    thr = find_slll_threshold(2, S1, EPS, shape="generic")
     ok = thr.threshold is not None and 3000 < thr.threshold <= 4000
 
     # margin at |D| = 4000, generic degree cap: agrees with direct arithmetic

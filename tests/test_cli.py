@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import platform
@@ -60,8 +61,7 @@ def test_list_and_describe(capsys):
     assert main(["describe", "lll-check"]) == EXIT_OK
     text = capsys.readouterr().out
     for rule in ("[required if mode = 'slll']", "[required if mode = 'glll']",
-                 '[optional, default "interval"]', "[optional, default 100000]",
-                 "[optional, default 64]"):
+                 '[optional, default "interval"]', "[optional, default 64]"):
         assert rule in text
     assert main(["describe", "wat"]) == EXIT_USAGE
     # each kind's rules, without the values a message quotes
@@ -363,10 +363,11 @@ UD = {"experiment": "uniform-discrepancy", "k": 2, "s_size": 1, "eps": "0.3",
     ({**AI, "shift_test_range": -3}, "shift_test_range must be int >= 1"),
     ({**UD, "d_sizes": []}, "d_sizes must be list[int >= 1] (a list must be nonempty)"),
     ({**LLL, "mode": "glll", "a": 0.002, "n_prefix": 0}, "n_prefix must be int >= 1"),
-    ({**ROKHLIN, "k_probe": [0, -1]}, "k_probe must be list[int >= 0]"),
+    ({**ROKHLIN, "k_probe": [0, -1]}, "unknown keys for rokhlin-bad: ['k_probe']"),
     ({**MT, "a": 0}, "a must be number > 0"),
     ({**MT, "a": -1}, "a must be number > 0"),
-    ({**LLL, "mode": "slll", "d_size": 100, "search_cap": 0}, "search_cap must be int >= 1"),
+    ({**LLL, "mode": "slll", "d_size": 100, "search_cap": 0},
+     "unknown keys for lll-check: ['search_cap']"),
     ({**RESFIN, "patterns": [{"sites": [0, 1], "colors": [1]}]}, "patterns[0]"),
     ({**RESFIN, "patterns": [PAT, {"sites": [3, 3], "colors": [0, 1]}]}, "patterns[1]"),
     ({**RESFIN, "patterns": [PAT, {"sites": [0], "colors": [0], "k": 2}]}, "patterns[1]"),
@@ -386,9 +387,9 @@ UD = {"experiment": "uniform-discrepancy", "k": 2, "s_size": 1, "eps": "0.3",
     ({**AI, "d_size": 0}, "d_size must be int >= 1"),
     ({**LLL, "mode": "slll", "d_size": 0}, "d_size must be int >= 1"),
     # values the schema did not bound before it became the only check
-    ({**RESFIN, "patterns": [PAT], "shifts": []}, "shifts must be list[int]"),
+    ({**RESFIN, "patterns": [PAT], "shifts": []}, "unknown keys for resfin: ['shifts']"),
     ({**RESFIN, "patterns": []}, "patterns must be list[{sites, colors}]"),
-    ({**ROKHLIN, "k_probe": []}, "k_probe must be list[int >= 0]"),
+    ({**ROKHLIN, "k_probe": []}, "unknown keys for rokhlin-bad: ['k_probe']"),
     ({**MT, "k": 0}, "k must be int >= 1"),
     ({**MT, "modulus": 0}, "modulus must be int >= 1"),
     ({**MT, "eps": "0"}, "eps must be decimal string in (0, 1)"),
@@ -398,7 +399,7 @@ UD = {"experiment": "uniform-discrepancy", "k": 2, "s_size": 1, "eps": "0.3",
     ({**LLL, "mode": "slll", "d_size": 100, "shape": "bogus"},
      "shape must be 'interval' | 'generic'"),
     ({**ERGODIC, "C": float("inf")}, "C must be number > 0"),
-    ({**ROKHLIN, "min_capture": float("nan")}, "min_capture must be number"),
+    ({**ROKHLIN, "min_capture": float("nan")}, "unknown keys for rokhlin-bad: ['min_capture']"),
     ({**RESFIN, "patterns": [{"sites": [0], "colors": [5]}]},
      "patterns[0] must have distinct sites, one color per site and colors below k = 2"),
     # a nested eps names its block
@@ -428,6 +429,9 @@ UD = {"experiment": "uniform-discrepancy", "k": 2, "s_size": 1, "eps": "0.3",
     ({**ERGODIC, "S": list(range(30))},
      "ergodic-converge: k^|S| must be <= 4096, the patterns a run enumerates, got k = 2 "
      "and S = [0, 1, "),
+    ({**SWEEP, "modulus": 2 ** 63}, "concentration-sweep: modulus must be <= 9223372036854775807"),
+    ({**ROKHLIN, "single": {"eps": "0.5", "h": 1, "modulus": 10 ** 14}},
+     "rokhlin-bad single.modulus: modulus must be <= 50000000"),
 ])
 def test_conditional_and_nested_keys_are_config_errors(tmp_path, capsys, doc, key):
     _assert_config_error(tmp_path, capsys, doc, key)
@@ -472,6 +476,27 @@ def test_sweep_past_int64_patterns_runs(tmp_path):
     cfg = write_config(tmp_path, {**SWEEP, "s_sizes": [64], "eps_list": ["0.1"],
                                   "d_sizes": [100], "trials": 10, "seed": 7})
     assert main(["run", cfg, "--out", str(tmp_path / "rep")]) in (EXIT_OK, EXIT_VERDICT)
+
+
+def test_sweep_on_the_largest_int64_modulus_runs(tmp_path):
+    # 2^63 - 1 points still fit int64; 2^63 is a config error (see the rows above)
+    cfg = write_config(tmp_path, {**SWEEP, "modulus": 2 ** 63 - 1})
+    assert main(["run", cfg, "--out", str(tmp_path / "rep")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("eps, case, stationary", [
+    ("1e-200", "not-found", 4 * 10 ** 400), ("1e-160", "not-found", 4 * 10 ** 320),
+    ("1e-400", "not-found", 4 * 10 ** 800), ("0.99999999999999999999", "crossing", 5),
+], ids=["1e-200", "1e-160", "1e-400", "1-1e-20"])
+def test_slll_threshold_reads_eps_exactly(tmp_path, eps, case, stationary):
+    # the stationary point 4|S|^3/eps^2 and the range check on eps are exact:
+    # as floats 1e-200 squares to 0, 4/1e-160^2 is inf, and 1e-400 and
+    # 1 - 1e-20 are 0 and 1; each ends in the verdict, not in a fault
+    cfg = write_config(tmp_path, {**LLL, "mode": "slll", "d_size": 10, "eps": eps})
+    assert main(["run", cfg, "--out", str(tmp_path / "rep")]) == EXIT_VERDICT
+    with open(tmp_path / "rep" / "lll-check-detail.csv") as fh:
+        rows = dict(csv.reader(fh))
+    assert rows["case"] == case and rows["stationary_point"] == str(stationary)
 
 
 def test_wide_pattern_sweep_builds_one_pattern(tmp_path):
@@ -702,8 +727,8 @@ def test_checker_reads_every_schema_type():
 
 
 @pytest.mark.parametrize("name, defaults", [
-    ("lll-slll", {"shape": "interval", "search_cap": 100_000}),
-    ("resfin", {"shifts": [1, -1]}),
+    ("lll-slll", {"shape": "interval"}),
+    ("lll-glll", {"n_prefix": 64}),
 ])
 def test_spelled_out_defaults_write_the_same_reports(tmp_path, name, defaults):
     shipped = json.loads((ROOT / "configs" / f"{name}.json").read_text())

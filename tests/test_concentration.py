@@ -28,22 +28,19 @@ def test_deviates_is_the_exact_rational_test(k, s, d, eps, data):
     counts = data.draw(st.lists(st.integers(0, d), min_size=1, max_size=8))
     for c in counts:
         assert deviates(c, d, k, s, eps) == _deviates_exact(c, d, k, s, eps)
-    # an array of counts against one |D|, and counts broadcast against sizes
-    assert deviates(np.array(counts), d, k, s, eps).tolist() == \
-        [_deviates_exact(c, d, k, s, eps) for c in counts]
-    sizes = np.array([d, d + 1, 2 * d])
-    got = deviates(np.array(counts)[:, None], sizes, k, s, eps)
-    assert got.tolist() == [[_deviates_exact(c, int(m), k, s, eps) for m in sizes]
-                            for c in counts]
+    # an array of counts against one |D|, for several sizes
+    for m in (d, d + 1, 2 * d):
+        assert deviates(np.array(counts), m, k, s, eps).tolist() == \
+            [_deviates_exact(c, m, k, s, eps) for c in counts]
 
 
 @pytest.mark.parametrize("eps", [Fraction(1, 10 ** 30), Fraction(10 ** 30 + 7, 3 * 10 ** 30)])
 def test_deviates_takes_a_denominator_past_int64(eps):
     # the threshold is taken in Python ints: no int64 count meets the denominator
-    counts, sizes = np.arange(81), np.array([40, 41, 80])
-    got = deviates(counts[:, None], sizes, 2, 1, eps)
-    assert got.tolist() == [[_deviates_exact(int(c), int(m), 2, 1, eps) for m in sizes]
-                            for c in counts]
+    counts = np.arange(81)
+    for m in (40, 41, 80):
+        assert deviates(counts, m, 2, 1, eps).tolist() == \
+            [_deviates_exact(int(c), m, 2, 1, eps) for c in counts]
 
 
 @pytest.mark.parametrize("eps", ["1e-30", Fraction(1, 2 ** 70), "0.3"],

@@ -149,7 +149,8 @@ def test_convergence_thresholds_once_agree_with_deviates(eps):
                                          seed=8)
     colors = color_matrix(derive_seed(8, 0xE6), 50, 8, 2)
     ones = np.cumsum(colors, axis=1)[:, sizes - 1]
-    exceed = deviates(ones, sizes, 2, 1, eps) | deviates(sizes - ones, sizes, 2, 1, eps)
+    exceed = np.stack([deviates(ones[:, j], m, 2, 1, eps) | deviates(m - ones[:, j], m, 2, 1, eps)
+                       for j, m in enumerate(sizes.tolist())], axis=1)
     beyond = np.logical_or.accumulate(exceed[:, ::-1], axis=1)[:, ::-1]
     assert 0 < beyond[:, -1].sum() < 50
     assert [r.exceed_frac_beyond for r in rep.rows] == beyond.mean(axis=0).tolist()

@@ -58,8 +58,7 @@ def test_transcript_structure():
 
 def test_interval_shape_threshold():
     from shiftlab.lll import find_slll_threshold
-    res = find_slll_threshold(2, integer_interval(1), "0.1", shape="interval",
-                              search_cap=10_000)
+    res = find_slll_threshold(2, integer_interval(1), "0.1", shape="interval")
     # oracle scan over the closed-form interval margin
     last_bad = 0
     for m in range(1, 5000):

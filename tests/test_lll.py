@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from shiftlab.concentration import deviation_exponent
 from shiftlab.groups import GroupSet, difference_set_size, integer_interval, set_product
-from shiftlab.lll import (CertificationError, FrequencyDeviationEvent, GLLLWitnessSpec,
-                          InstanceStats, _neighbor_count, check_glll_witness,
+from shiftlab.lll import (SEARCH_CAP, CertificationError, FrequencyDeviationEvent,
+                          GLLLWitnessSpec, InstanceStats, _neighbor_count, check_glll_witness,
                           event_probability_exact, find_log_growth_constant,
                           find_slll_threshold, p_bound_freq, slll_stats)
 from shiftlab.shift import Config, all_patterns
@@ -116,8 +116,7 @@ def shape_margin(k, S, eps, m, shape):
 
 
 def test_threshold_bracketing_example():
-    res = find_slll_threshold(2, integer_interval(1), "0.1", shape="generic",
-                              search_cap=10_000)
+    res = find_slll_threshold(2, integer_interval(1), "0.1", shape="generic")
     assert res.threshold is not None and 3000 < res.threshold <= 4000
     assert res.threshold == oracle_threshold(2, 1, 0.1, 5000) == 3772
     assert res.stationary_point == 400
@@ -134,23 +133,23 @@ def test_threshold_monotone_in_eps():
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 5), st.integers(1, 4),
        st.fractions(min_value=0, max_value=1, max_denominator=200).filter(lambda e: 0 < e < 1),
-       st.integers(1, 200_000), st.sampled_from(["interval", "generic"]))
-def test_threshold_crosses_beyond_the_stationary_point(k, s, eps, cap, shape):
+       st.sampled_from(["interval", "generic"]))
+def test_threshold_crosses_beyond_the_stationary_point(k, s, eps, shape):
     S = integer_interval(s)
-    res = find_slll_threshold(k, S, eps, shape=shape, search_cap=cap)
+    res = find_slll_threshold(k, S, eps, shape=shape)
     if res.threshold is not None:
-        assert res.stationary_point < res.threshold <= cap
+        assert res.stationary_point < res.threshold <= SEARCH_CAP
         assert shape_margin(k, S, eps, res.threshold, shape) < 1
         assert shape_margin(k, S, eps, res.threshold - 1, shape) >= 1
     else:
-        assert shape_margin(k, S, eps, cap, shape) >= 1
+        assert shape_margin(k, S, eps, SEARCH_CAP, shape) >= 1
 
 
 def test_threshold_not_found_within_cap():
-    res = find_slll_threshold(2, integer_interval(1), "0.01", shape="generic",
-                              search_cap=1000)
+    # eps = 0.01 with the generic cap still ends above SEARCH_CAP = 100,000
+    res = find_slll_threshold(2, integer_interval(1), "0.01", shape="generic")
     assert res.threshold is None
-    assert shape_margin(2, integer_interval(1), "0.01", 1000, "generic") >= 1
+    assert shape_margin(2, integer_interval(1), "0.01", SEARCH_CAP, "generic") >= 1
 
 
 # -- witnessed certification ----------------------------------------------------

@@ -98,7 +98,7 @@ def test_equivariance():
     c = Config.from_array(integer_interval(14), rng.integers(0, 2, 14).tolist())
     phi = Pattern.from_map({0: 1, 2: 0}, 2)
     for g in [-3, -1, 1, 4]:
-        shifted = c.shifted(g)
+        shifted = Config.from_map({d - g: col for d, col in c.values.items()})
         lhs = set(occurrences(phi, shifted).elements)
         rhs = {o - g for o in occurrences(phi, c).elements}
         assert lhs == rhs

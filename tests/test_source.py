@@ -1,10 +1,13 @@
 """Checks on the source tree and the documentation rather than on results."""
 
 import ast
+import json
 import re
 from pathlib import Path
 
 import pytest
+
+from shiftlab.cli import SCHEMAS
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = sorted(p for p in (ROOT / "src" / "shiftlab").glob("*.py")
@@ -465,3 +468,94 @@ def test_every_default_is_set_by_a_caller():
     # and a test still sets every allowlisted default
     tests = [p.read_text() for p in TESTS if p.name != "test_source.py"]
     assert set(DEFAULTS_SET_BY_TESTS) & set(unset_defaults(sources, tests)) == set()
+
+
+def _optional_keys(params: dict, prefix: str = ""):
+    """(dotted key, [default] or []) for each key of a `SCHEMAS` parameter
+    table that a config may omit, the keys of nested objects included."""
+    for name, (typ, req, _doc, *default) in params.items():
+        if req is not True:
+            yield prefix + name, default
+        obj = typ[0] if isinstance(typ, list) else typ
+        if isinstance(obj, dict):
+            yield from _optional_keys(obj, f"{prefix}{name}.")
+
+
+def _given(config, key: str) -> list:
+    """The values `config` gives the dotted `key`, one per object of a list
+    of objects on its path."""
+    name, _, rest = key.partition(".")
+    if not isinstance(config, dict) or name not in config:
+        return []
+    if not rest:
+        return [config[name]]
+    value = config[name]
+    return [v for item in (value if isinstance(value, list) else [value])
+            for v in _given(item, rest)]
+
+
+def unearned_keys(schemas, runs, allow=()) -> list[str]:
+    """Optional keys of `schemas`, as `kind.key` with nested keys dotted, that
+    no `(kind, config)` of `runs` sets to a value other than the key's
+    default and that `allow` does not list, then each `allow` entry that
+    names no optional key or that a run sets.  A key with no default is set
+    by any value a run gives it."""
+    optional, unset = set(), set()
+    for kind, schema in schemas.items():
+        for key, default in _optional_keys(schema["params"]):
+            optional.add(f"{kind}.{key}")
+            if not any(v not in default for k, config in runs if k == kind
+                       for v in _given(config, key)):
+                unset.add(f"{kind}.{key}")
+    return (sorted(unset - set(allow))
+            + [f"allowlisted but missing: {n}" for n in sorted(set(allow) - optional)]
+            + [f"allowlisted but set: {n}" for n in sorted(set(allow) & optional - unset)])
+
+
+def test_unearned_key_check_sees_unset_keys():
+    schemas = {"x": {"params": {
+        "n": ("int", True, "required"),
+        "cap": ("int", False, "only its default is given", 10),
+        "mode": ("str", False, "set", "a"),
+        "probe": ("list[int]", False, "no default, never given"),
+        "seed": ("int", False, "no default, given"),
+        "block": ({"m": ("int", True, ""), "tol": ("number", False, "", 0.5)}, False, ""),
+        "items": ([{"w": ("int", False, "", 1)}], True, ""),
+    }}}
+    # a nested key is set by any object of a list, and a run of another kind sets nothing
+    runs = [("x", {"n": 1, "cap": 10, "mode": "b", "seed": 0, "block": {"m": 1, "tol": 0.5},
+                   "items": [{"w": 1}, {"w": 2}]}),
+            ("y", {"probe": [1], "block": {"tol": 0.1}})]
+    assert unearned_keys(schemas, runs) == ["x.block.tol", "x.cap", "x.probe"]
+    assert unearned_keys(schemas, runs + [("x", {"block": {"m": 2}})]) == [
+        "x.block.tol", "x.cap", "x.probe"]
+    assert unearned_keys(schemas, runs, {"x.cap": "", "x.probe": "", "x.block.tol": "",
+                                         "x.mode": "", "x.n": "", "x.gone": ""}) == [
+        "allowlisted but missing: x.gone", "allowlisted but missing: x.n",
+        "allowlisted but set: x.mode"]
+
+
+# Optional config keys that no shipped run sets, with the reason.
+UNSET_BY_RUNS = {
+    "moser-tardos.max_steps": "bounds a run that stalls: the default budget is 1000 steps "
+                              "per induced event, 100M at M = 100,000, and the contested "
+                              "config on the ROADMAP sets it",
+    **dict.fromkeys(["moser-tardos.a", "uniform-discrepancy.a"],
+                    "the paper's witness exponent"),
+}
+
+
+def _shipped_small() -> dict:
+    """`SHIPPED_SMALL` of perfbench/workloads.py, read from its source."""
+    tree = ast.parse((ROOT / "perfbench" / "workloads.py").read_text())
+    return next(ast.literal_eval(n.value) for n in tree.body if isinstance(n, ast.Assign)
+                and [getattr(t, "id", None) for t in n.targets] == ["SHIPPED_SMALL"])
+
+
+def test_every_optional_key_is_set_by_a_run():
+    # the shipped configs, and the benchmark's self-test runs of them
+    shipped = {p.stem: json.loads(p.read_text()) for p in (ROOT / "configs").glob("*.json")}
+    configs = list(shipped.values()) + [{**shipped[name], **small}
+                                        for name, small in _shipped_small().items()]
+    runs = [(config["experiment"], config) for config in configs]
+    assert unearned_keys(SCHEMAS, runs, UNSET_BY_RUNS) == []
