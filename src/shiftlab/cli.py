@@ -45,8 +45,8 @@ from .lll import (CertificationError, FrequencyDeviationEvent, GLLLWitnessSpec, 
 from .moser_tardos import (PATTERN_CAP, TapeSpace, resample_fraction, run_mt,
                            scans_patterns, stabilization_ledger, tape_consistency)
 from .rng import _kernel_mark, _kernel_meta, derive_seed
-from .rokhlin import (MODULUS_CAP, bad_sequence_experiment, build_tower, plan_intervals,
-                      plan_stages, tower_level_rows, verify_capture)
+from .rokhlin import (MODULUS_CAP, BadIntervalPlan, bad_sequence_experiment, build_tower,
+                      plan_intervals, plan_stages, tower_level_rows, verify_capture)
 from .shift import Pattern, as_fraction
 
 EXIT_OK, EXIT_USAGE, EXIT_VERDICT, EXIT_FAULT = 0, 1, 2, 3
@@ -82,6 +82,10 @@ _SCANNABLE = (("k", "s_size"), lambda f: scans_patterns(f["k"], f["s_size"]),
 _LARGEST_SET = f"<= {sys.maxsize}, the largest set size"
 _D_SIZE_FITS = (("d_size",), lambda f: f["d_size"] <= sys.maxsize,
                 f"{{kind}}: d_size must be {_LARGEST_SET}, got {{d_size}}")
+# the kinds that allocate arrays over every point share the stages' cap
+_POINTS_CAP = f"{MODULUS_CAP}, the points cap"
+_MODULUS_FITS = (("modulus",), lambda f: f["modulus"] <= MODULUS_CAP,
+                 f"{{kind}}: modulus must be <= {_POINTS_CAP}, got {{modulus}}")
 
 SCHEMAS = {
     "ergodic-converge": {
@@ -107,9 +111,9 @@ SCHEMAS = {
             (("k", "S"), lambda f: scans_patterns(f["k"], len(f["S"])),
              f"{{kind}}: k^|S| must be <= {PATTERN_CAP}, the patterns a run enumerates, "
              f"got k = {{k}} and S = {{S}}"),
-            (("S", "C", "n_max"), lambda f: f["row_width"] <= sys.maxsize,
+            (("S", "C", "n_max"), lambda f: f["row_width"] <= MODULUS_CAP,
              f"{{kind}}: S must keep a sample's color row of max(S) - min(S) + |D_n_max| = "
-             f"{{row_width}} colors <= {sys.maxsize}, the longest array, got {{S}}"),
+             f"{{row_width}} colors <= {_POINTS_CAP}, got {{S}}"),
         ],
     },
     "concentration-sweep": {
@@ -190,6 +194,7 @@ SCHEMAS = {
             (("eps", "s_size", "d_size"), lambda f: _weight_below_one(f["witness_a"], f["d_size"]),
              "{kind}: a must keep the witness weight exp(-a d_size) below 1 as a float, "
              "got {witness_a}"),
+            _MODULUS_FITS,
         ],
     },
     "uniform-discrepancy": {
@@ -216,6 +221,7 @@ SCHEMAS = {
              lambda f: _weight_below_one(f["witness_a"], min(f["d_sizes"])),
              "{kind}: a must keep the witness weight exp(-a min(d_sizes)) below 1 as a "
              "float, got {witness_a}"),
+            _MODULUS_FITS,
         ],
     },
     "resfin": {
@@ -249,7 +255,7 @@ SCHEMAS = {
             "seed": ("int", True, "tape seed"),
             "shift_test_range": ("int >= 1", False, "number of shift amounts to test (default all)"),
         },
-        "rules": [_FREE_FOR_SD, _D_SIZE_FITS, _SCANNABLE],
+        "rules": [_FREE_FOR_SD, _D_SIZE_FITS, _SCANNABLE, _MODULUS_FITS],
     },
     "rokhlin-bad": {
         "doc": "Iterated tower construction: stages with eps_i = 2^{-i-1} on a "
@@ -272,6 +278,10 @@ SCHEMAS = {
             (("h", "i_max"), lambda f: f["stages"].result[1] <= MODULUS_CAP,
              f"{{kind}}: infeasible schedule: shared modulus of at least {{stages.result[1]}} "
              f"exceeds the cap {MODULUS_CAP}"),
+            (("single.eps",), lambda f: f["single_least_modulus"] <= MODULUS_CAP,
+             f"{{kind}} single.eps: eps must keep the least modulus of a tower, "
+             f"(floor(2/eps) + 1) ceil(2/eps) = {{single_least_modulus}}, within the cap "
+             f"{MODULUS_CAP}, got {{single[eps]}}"),
             (("single.h", "single.eps"), lambda f: f["single_plan"].needed <= f["single_plan"].given,
              "{kind} single: h gives {single_plan.given} length(s), the plan needs "
              "{single_plan.needed}"),
@@ -460,8 +470,12 @@ _DERIVED = {
     "a_limit": lambda f: deviation_exponent(float(as_fraction(f["eps"])), f["s_size"], 1),
     "bad_pattern": lambda f: _bad_pattern(f["k"], f["patterns"]),
     "stages": lambda f: _read_lengths(f["h"], lambda h: plan_stages(h, f["i_max"])),
+    "single_eps": lambda f: as_fraction(f["single"]["eps"]),
+    # the least min_modulus of a plan at single.eps: N = floor(2/eps) intervals of length 1
+    "single_least_modulus": lambda f: BadIntervalPlan(
+        f["single_eps"], math.floor(2 / f["single_eps"]), 1).min_modulus,
     "single_plan": lambda f: _read_lengths(f["single"]["h"], lambda h: plan_intervals(
-        h, as_fraction(f["single"]["eps"]))),
+        h, f["single_eps"])),
 }
 
 
@@ -823,9 +837,23 @@ def cmd_list(_args) -> int:
     return EXIT_OK
 
 
+class _UsageError(Exception):
+    """A command line that argparse rejects."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors print argparse's message and end
+    `main` with EXIT_USAGE, not with SystemExit(2), the verdict-failure code."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise _UsageError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="shiftlab", description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser = _Parser(prog="shiftlab", description=__doc__,
+                     formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command")
     p_run = sub.add_parser("run", help="run an experiment config")
     p_run.add_argument("config")
@@ -838,7 +866,10 @@ def main(argv=None) -> int:
     p_desc.set_defaults(fn=cmd_describe)
     p_list = sub.add_parser("list", help="list experiment kinds")
     p_list.set_defaults(fn=cmd_list)
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except _UsageError:
+        return EXIT_USAGE
     if not getattr(args, "fn", None):
         parser.print_help()
         return EXIT_USAGE

@@ -30,16 +30,6 @@ VACUOUS_BOUND = 0.9
 SWEEP_ALPHA = 2 * (1 - NormalDist().cdf(3.0))
 
 
-def scb_bound(s: int, b: float, t: float) -> float:
-    """2 exp(-t^2 / (2 b^2 s)): deviation bound for a quantity determined by
-    s independent trials, each moving it by at most b."""
-    if s < 1:
-        raise ValueError(f"trial count must be >= 1, got {s}")
-    if b <= 0 or t < 0:
-        raise ValueError("influence must be positive and deviation nonnegative")
-    return 2.0 * math.exp(-(t * t) / (2.0 * b * b * s))
-
-
 def deviation_exponent(eps: float, s_size: int, d_size: int) -> float:
     """eps^2 |D| / (2 |S|^3), the exponent of the frequency-deviation bound.
     Every bound, margin and witness limit in the package reads it from here,
@@ -79,7 +69,9 @@ def deviates(counts, d_size: int, k: int, s_size: int, eps):
 
 
 def concentration_bound(eps, s_size: int, d_size: int) -> float:
-    """2 exp(-eps^2 |D| / (2 |S|^3)); equals scb_bound(|S||D|, |S|, eps|D|)."""
+    """2 exp(-eps^2 |D| / (2 |S|^3)): the bounded-differences bound
+    2 exp(-t^2 / (2 b^2 s)) at s = |S||D| trials, influence b = |S| and
+    deviation t = eps|D|."""
     eps = as_fraction(eps)
     if eps <= 0:
         raise ValueError("deviation tolerance must be positive")

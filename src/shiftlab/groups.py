@@ -50,12 +50,6 @@ class GroupSet:
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __contains__(self, e) -> bool:
-        return e in self.elements
-
     @property
     def interval(self) -> Optional[tuple[int, int]]:
         """(start, length) when this is a nonempty set of consecutive
@@ -92,14 +86,6 @@ def set_product(S: GroupSet, D: GroupSet) -> GroupSet:
     return GroupSet(vals)
 
 
-def difference_set_size(S: GroupSet, D: GroupSet) -> Optional[int]:
-    """|SD - SD| computed exactly, or None when |SD| exceeds 10000."""
-    sd = set_product(S, D)
-    if len(sd) > 10_000:
-        return None
-    return len(set_product(GroupSet([-e for e in sd]), sd))
-
-
 # -- the action -------------------------------------------------------------
 
 
@@ -130,4 +116,4 @@ class CyclicTranslation:
         iv = S.interval
         if iv is not None:  # consecutive integers have distinct residues iff they fit
             return iv[1] <= self.modulus
-        return len({e % self.modulus for e in S}) == len(S)
+        return len({e % self.modulus for e in S.elements}) == len(S)

@@ -11,18 +11,16 @@ certified through an explicit witness function omega(n) = exp(-a |D_n|).
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from .concentration import deviation_exponent, deviates
-from .groups import GroupSet, difference_set_size, set_product
-from .shift import Config, all_patterns, as_fraction
+from .concentration import deviation_exponent
+from .groups import GroupSet, set_product
+from .shift import as_fraction
 
 E = math.e
 
@@ -37,8 +35,9 @@ class CertificationError(ValueError):
 @dataclass(frozen=True)
 class FrequencyDeviationEvent:
     """Colorings of SD in which some pattern on S has frequency over D at
-    least eps away from k^{-|S|}.  Always evaluated by predicate; the
-    pattern list of the event itself is never materialized."""
+    least eps away from k^{-|S|}.  `moser_tardos.violated_anchors` tests it
+    at every anchor at once; the pattern list of the event itself is never
+    materialized."""
 
     k: int
     S: GroupSet
@@ -55,29 +54,6 @@ class FrequencyDeviationEvent:
     @cached_property
     def domain(self) -> GroupSet:
         return set_product(self.S, self.D)
-
-    def holds(self, c: Config) -> bool:
-        for e in self.domain:
-            if c.get(e) is None:
-                raise ValueError(f"coloring is not total on the event domain (missing {e!r})")
-        counts = Counter(tuple(c(s + d) for s in self.S.elements) for d in self.D)
-        words = itertools.product(range(self.k), repeat=len(self.S))
-        return any(deviates(counts[w], len(self.D), self.k, len(self.S), self.eps)
-                   for w in words)
-
-
-def event_probability_exact(B: FrequencyDeviationEvent) -> Fraction:
-    """|B| / k^{|F|} by exhaustive enumeration (test oracle; tiny domains only)."""
-    F = B.domain
-    total = B.k ** len(F)
-    if total > 1 << 20:
-        raise ValueError("exact event probability is an oracle for tiny domains only")
-    hits = 0
-    for p in all_patterns(F, B.k):
-        c = Config.from_array(F, p.colors)
-        if B.holds(c):
-            hits += 1
-    return Fraction(hits, total)
 
 
 # -- symmetric certification --------------------------------------------------
@@ -122,19 +98,13 @@ def _neighbor_count(s_size: int, m_size: int, n_size: int, intervals: bool) -> i
 
 
 def slll_stats(k: int, S: GroupSet, eps, D: GroupSet) -> InstanceStats:
-    """Probability/degree bounds for the frequency event with domain SD.
-
-    The degree bound comes from the sets: the closed form 2|SD| - 2 when S
-    and D are integer intervals, at every size; else |SD - SD| - 1
-    exactly when |SD| <= 10000 (see `difference_set_size`), else the generic
-    cap |S|^2 |D|^2 - 1.
-    """
-    epsf = float(as_fraction(eps))
-    p = p_bound_freq(k, len(S), epsf, len(D))
+    """Probability/degree bounds for the frequency event with domain SD; the
+    degree bound is `_neighbor_count` less the event itself: 2|SD| - 2 when
+    S and D are integer intervals, at every size, else the generic cap
+    |S|^2 |D|^2 - 1."""
+    p = p_bound_freq(k, len(S), float(as_fraction(eps)), len(D))
     intervals = S.interval is not None and D.interval is not None
-    d = _neighbor_count(len(S), len(D), len(D), intervals) - 1
-    exact = None if intervals else difference_set_size(S, D)
-    return InstanceStats(p, d if exact is None else min(exact - 1, d))
+    return InstanceStats(p, _neighbor_count(len(S), len(D), len(D), intervals) - 1)
 
 
 # the largest |D| the threshold search tries

@@ -28,14 +28,12 @@ from .windows import SCREEN_BLOCK, circular_window_sums, interval_window_outside
 
 @dataclass(frozen=True)
 class TapeSpace:
-    """symbol(point, t) is a pure function of (seed, point, t).  `symbols`
-    returns uniform_colors' dtype: uint8 for k <= rng.BYTE_K, int64 above."""
+    """Symbol t of the tape of each point is a pure function of (seed,
+    point, t).  `symbols` returns uniform_colors' dtype: uint8 for
+    k <= rng.BYTE_K, int64 above."""
 
     seed: int
     k: int
-
-    def symbol(self, point: int, t: int) -> int:
-        return int(uniform_colors(self.seed, point, t, self.k)[()])
 
     def symbols(self, points: np.ndarray, ts: np.ndarray) -> np.ndarray:
         return uniform_colors(self.seed, points, ts, self.k)
@@ -43,7 +41,7 @@ class TapeSpace:
 
 @dataclass
 class MTResult:
-    coloring: np.ndarray          # g(p) = symbol(p, t(p)), in uniform_colors' dtype
+    coloring: np.ndarray          # g(p) = symbol t(p) of p's tape, in uniform_colors' dtype
     t: np.ndarray                 # per-point resample counts
     index_counts: dict            # (n, anchor) -> how many steps selected it
     steps: int

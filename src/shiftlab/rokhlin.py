@@ -74,11 +74,6 @@ class BadIntervalPlan:
         large the residual, fewer than H points, has measure below eps/2."""
         return self.height * math.ceil(2 / self.eps)
 
-    def interval(self, n: int) -> range:
-        if not (0 <= n < self.N):
-            raise IndexError(f"stage has intervals 0..{self.N - 1}")
-        return range(n * self.ell, (n + 1) * self.ell)
-
     @property
     def a_band(self) -> range:
         """Tower levels forming the small capture slab (top two interval widths)."""
@@ -117,14 +112,6 @@ class TowerSystem:
         if height < 1 or modulus < height:
             raise TowerError(f"need M >= H >= 1, got M={modulus}, H={height}")
         return cls(modulus, height, offset % modulus, modulus // height)
-
-    def level_array(self) -> np.ndarray:
-        """level[p] in 0..H-1, or -1 for residual points outside the tower."""
-        p = np.arange(self.modulus, dtype=np.int64)
-        rel = (p - self.offset) % self.modulus
-        lev = rel % self.height
-        lev[rel >= self.columns * self.height] = -1
-        return lev
 
     def band_mask(self, band: range) -> np.ndarray:
         """Packed mask of the points whose level lies in `band`: one period

@@ -1,4 +1,4 @@
-"""Configurations, patterns, occurrence sets, and pattern frequencies.
+"""Patterns and pattern frequencies.
 
 Sites are integers.  The shift convention throughout is
 (g . c)(d) = c(d + g), so g is an occurrence of a pattern phi in a
@@ -12,14 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping
 
-from .groups import GroupError, GroupSet
-
-
-class BoundaryError(GroupError):
-    """A frequency needs a site outside the configuration: `empirical_freq`
-    raises it instead of dropping the translate."""
+from .groups import GroupSet
 
 
 def as_fraction(x) -> Fraction:
@@ -84,31 +79,6 @@ def all_patterns(S: GroupSet, k: int) -> list[Pattern]:
     return out
 
 
-@dataclass(frozen=True)
-class Config:
-    """A total coloring of a finite window of integers."""
-
-    domain: GroupSet
-    values: Mapping  # site -> color
-
-    @classmethod
-    def from_map(cls, values: Mapping) -> "Config":
-        dom = GroupSet(values.keys())
-        return cls(dom, {int(e): int(v) for e, v in values.items()})
-
-    @classmethod
-    def from_array(cls, window: GroupSet, colors: Sequence[int]) -> "Config":
-        if len(colors) != len(window):
-            raise ValueError("color array must match the window size")
-        return cls(window, dict(zip(window.elements, (int(c) for c in colors))))
-
-    def __call__(self, e: int) -> int:
-        return self.values[e]
-
-    def get(self, e: int) -> Optional[int]:
-        return self.values.get(e)
-
-
 @dataclass
 class PatternStats:
     """Per-pattern frequencies against the Bernoulli target 1/k^{|S|}."""
@@ -123,40 +93,3 @@ class PatternStats:
         for pid, f, t, d in self.rows:
             yield (pid, float(f), float(t), float(d))
 
-
-# -- occurrence statistics -------------------------------------------------
-
-
-def occurrences(phi: Pattern, c: Config) -> GroupSet:
-    """{g : s + g in dom(c) and c(s + g) = phi(s) for all s in dom(phi)}."""
-    s0 = phi.domain.elements[0]
-    found = []
-    for w in c.domain.elements:
-        g = w - s0  # candidate with s0 + g = w
-        if all(c.get(s + g) == col for s, col in phi.items()):
-            found.append(g)
-    return GroupSet(found)
-
-
-def empirical_freq(phi: Pattern, c: Config, D: GroupSet) -> Fraction:
-    """|D ∩ occurrences(phi, c)| / |D|, exactly.
-
-    Requires full information: every translate s + d must lie inside dom(c),
-    otherwise the offending translate is reported instead of being dropped.
-    """
-    if len(D) == 0:
-        raise ValueError("averaging set must be nonempty")
-    count = 0
-    for d in D:
-        hit = True
-        for s, col in phi.items():
-            site = s + d
-            v = c.get(site)
-            if v is None:
-                raise BoundaryError(
-                    f"translate {site!r} (= {s!r} + {d!r}) falls outside the window")
-            if v != col:
-                hit = False
-        if hit:
-            count += 1
-    return Fraction(count, len(D))

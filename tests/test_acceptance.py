@@ -13,7 +13,7 @@ import numpy as np
 from shiftlab.concentration import deviation_sweep, wilson_interval
 from shiftlab.ergodic import (ergodic_convergence_experiment, log_growth_size,
                               periodic_cylinder_table, periodic_cylinder_value)
-from shiftlab.groups import CyclicTranslation, difference_set_size, integer_interval, set_product
+from shiftlab.groups import CyclicTranslation, integer_interval, set_product
 from shiftlab.lll import FrequencyDeviationEvent, InstanceStats, _neighbor_count, \
     find_log_growth_constant, find_slll_threshold, slll_stats
 from shiftlab.moser_tardos import (TapeSpace, frequency_counts, run_mt,
@@ -22,6 +22,8 @@ from shiftlab.rng import color_matrix, derive_seed, uniform_colors
 from shiftlab.rokhlin import bad_sequence_experiment, build_tower, plan_intervals, \
     verify_capture
 from shiftlab.shift import Pattern, all_patterns
+
+from oracles import difference_set_size
 
 EPS = Fraction(1, 10)
 S1 = integer_interval(1)
@@ -263,7 +265,7 @@ def test_criterion_09_tower_capture():
                       bitorder="little")
     for x in rng.integers(0, m, size=500):
         if b[x]:
-            ok &= any(bool(a[(np.asarray(plan.interval(n)) + int(x)) % m].all())
+            ok &= any(bool(a[(np.arange(n * plan.ell, (n + 1) * plan.ell) + int(x)) % m].all())
                       for n in range(plan.N))
     elapsed = time.time() - t0
     ok &= elapsed < 30

@@ -16,6 +16,7 @@ import pytest
 import shiftlab
 from shiftlab import cli
 from shiftlab.cli import EXIT_FAULT, EXIT_OK, EXIT_USAGE, EXIT_VERDICT, SCHEMAS, _conforms, main
+from shiftlab.rokhlin import MODULUS_CAP
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -265,6 +266,23 @@ def test_no_command_prints_help(capsys):
     assert main([]) == EXIT_USAGE
 
 
+CFG = str(ROOT / "configs" / "resfin.json")
+USAGE_ERRORS = [(["frob"], "argument command: invalid choice: 'frob'"),
+                (["run"], "the following arguments are required: config"),
+                (["run", CFG, "--jobs", "x"], "argument --jobs: invalid int value: 'x'"),
+                (["run", CFG, "--bogus"], "unrecognized arguments: --bogus")]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS, ids=["frob", "run", "jobs-x", "bogus"])
+def test_usage_errors_exit_1(argv, message, capsys):
+    # argparse's message, and EXIT_USAGE, not the SystemExit(2) of a verdict failure
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("usage: shiftlab") and f"error: {message}" in err
+    with pytest.raises(cli._UsageError):
+        cli._Parser(prog="shiftlab").error(message)
+
+
 def test_glll_mode_autocomputes_constant(tmp_path):
     out = tmp_path / "rep"
     cfg = write_config(tmp_path, {
@@ -343,6 +361,14 @@ RESFIN = {"experiment": "resfin", "k": 2, "period": 2}
 PAT = {"sites": [0], "colors": [0]}
 UD = {"experiment": "uniform-discrepancy", "k": 2, "s_size": 1, "eps": "0.3",
       "d_sizes": [100], "modulus": 1000, "seed": 3}
+# configs whose arrays over every point, or a sample's row of colors, would
+# pass the points cap, with the config error each ends in
+PAST_THE_POINTS_CAP = [
+    *(({**doc, "modulus": 10 ** 14}, f"{doc['experiment']}: modulus must be <= {MODULUS_CAP}, "
+       f"the points cap, got {10 ** 14}") for doc in (MT, AI, UD)),
+    ({**ERGODIC, "S": [0, 10 ** 12]}, "ergodic-converge: S must keep a sample's color row of "
+     f"max(S) - min(S) + |D_n_max| = {10 ** 12 + 97} colors <= {MODULUS_CAP}, the points cap, "
+     f"got [0, {10 ** 12}]")]
 
 
 @pytest.mark.parametrize("doc, key", [
@@ -432,9 +458,33 @@ UD = {"experiment": "uniform-discrepancy", "k": 2, "s_size": 1, "eps": "0.3",
     ({**SWEEP, "modulus": 2 ** 63}, "concentration-sweep: modulus must be <= 9223372036854775807"),
     ({**ROKHLIN, "single": {"eps": "0.5", "h": 1, "modulus": 10 ** 14}},
      "rokhlin-bad single.modulus: modulus must be <= 50000000"),
+    *PAST_THE_POINTS_CAP,
 ])
 def test_conditional_and_nested_keys_are_config_errors(tmp_path, capsys, doc, key):
     _assert_config_error(tmp_path, capsys, doc, key)
+
+
+def test_usage_and_points_cap_errors_exit_1_in_a_subprocess(tmp_path):
+    # the exit code a shell sees, through the module's sys.exit(main())
+    env = dict(os.environ, PYTHONPATH=str(Path(shiftlab.__file__).parent.parent))
+    for i, (doc, _message) in enumerate(PAST_THE_POINTS_CAP):
+        (tmp_path / f"{i}.json").write_text(json.dumps(doc))
+    for argv in [a for a, _m in USAGE_ERRORS] + [["run", p.name] for p in tmp_path.iterdir()]:
+        proc = subprocess.run([sys.executable, "-m", "shiftlab.cli", *argv], env=env,
+                              cwd=tmp_path, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == EXIT_USAGE and "Traceback" not in proc.stderr, argv
+
+
+def test_impossible_single_eps_is_refused_at_once(tmp_path, capsys):
+    # no plan of 2,000,000 intervals is read: at max(h) = 1 a tower already
+    # needs a modulus of (floor(2/eps) + 1) ceil(2/eps)
+    cfg = write_config(tmp_path, {**ROKHLIN, "single": {**SINGLE, "eps": "1e-6"}})
+    start = time.perf_counter()
+    assert main(["run", cfg, "--out", str(tmp_path / "rep")]) == EXIT_USAGE
+    assert time.perf_counter() - start < 0.1
+    assert capsys.readouterr().err.endswith(
+        f"single.eps: eps must keep the least modulus of a tower, (floor(2/eps) + 1) "
+        f"ceil(2/eps) = 4000002000000, within the cap {MODULUS_CAP}, got 1e-6\n")
 
 
 def test_config_error_writes_no_report(tmp_path, capsys):
@@ -549,9 +599,9 @@ def test_repeated_ergodic_site_is_a_config_error(tmp_path, capsys):
 def test_ergodic_color_row_rule_is_exact():
     # a sample's colors span max(S) - min(S) + |D_n_max| columns, and
     # |D_3| = ceil(60 log 5) = 97 here
-    widest = sys.maxsize - 97
+    widest = MODULUS_CAP - 97
     assert cli._validate({**ERGODIC, "S": [-1, widest - 1]})[1]["S"] == [-1, widest - 1]
-    with pytest.raises(cli.ConfigError, match=f"= {sys.maxsize + 1} colors <= "):
+    with pytest.raises(cli.ConfigError, match=f"= {MODULUS_CAP + 1} colors <= "):
         cli._validate({**ERGODIC, "S": [-1, widest]})
 
 

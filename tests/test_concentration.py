@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 from shiftlab import concentration, rng
 from shiftlab.concentration import (WILSON_Z95, McEstimate, concentration_bound, deviates,
                                     deviation_sweep, deviation_thresholds, familywise_z,
-                                    mc_deviation_prob, scb_bound, wilson_interval)
+                                    mc_deviation_prob, wilson_interval)
 from shiftlab.groups import CyclicTranslation, GroupError, GroupSet, integer_interval
 from shiftlab.shift import all_patterns
+
+from oracles import scb_bound
 
 
 def _deviates_exact(c, d, k, s, eps):

@@ -10,9 +10,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import shiftlab
-from shiftlab import shift
-from shiftlab.groups import (CyclicTranslation, GroupError, GroupSet, difference_set_size,
-                             integer_interval, set_product)
+from shiftlab.groups import CyclicTranslation, GroupError, GroupSet, integer_interval, set_product
+
+from oracles import difference_set_size
 
 
 def translates_oracle(M, elems, x):
@@ -42,7 +42,7 @@ def test_groupset_refuses_non_integers():
             GroupSet([0, bad])
     # numpy integers are integers, and are held as Python ints
     X = GroupSet([np.int64(5), np.int32(-2)])
-    assert X.elements == (-2, 5) and all(type(e) is int for e in X)
+    assert X.elements == (-2, 5) and all(type(e) is int for e in X.elements)
 
 
 @settings(max_examples=100, deadline=None)
@@ -197,8 +197,6 @@ def test_every_constructor_gives_one_canonical_form(items, other):
         assert isinstance(Y.elements, range) is _is_run(want)
         assert tuple(Y.elements) == tuple(want)
         assert Y.interval == ((want[0], len(want)) if _is_run(want) else None)
-        probe = range(min(want, default=0) - 2, max(want, default=0) + 3)
-        assert [x in Y for x in probe] == [x in want for x in probe]
 
 
 def _free_by_residues(M, elems):
@@ -220,11 +218,6 @@ def test_cyclic_free_for_intervals_matches_residue_formula():
 def test_cyclic_free_for_matches_residue_formula(M, elems):
     S = GroupSet(elems)
     assert CyclicTranslation(M).free_for(S) == _free_by_residues(M, S.elements)
-
-
-def test_boundary_error_is_a_group_error():
-    assert issubclass(shift.BoundaryError, GroupError)
-    assert shiftlab.BoundaryError is shift.BoundaryError
 
 
 @settings(max_examples=300, deadline=None)
@@ -258,5 +251,5 @@ def test_fast_freeness_matches_pairwise_and_pointwise_oracles(data):
         st.integers(1, M + 3).map(lambda n: range(start, start + n)),
         st.sets(st.integers(-30, 30), min_size=1, max_size=M + 3)))
     S = GroupSet(items)
-    pointwise = all(len(set(translates_oracle(M, S, x))) == len(S) for x in range(M))
-    assert action.free_for(S) is free_for_pairwise(M, S) is pointwise
+    pointwise = all(len(set(translates_oracle(M, S.elements, x))) == len(S) for x in range(M))
+    assert action.free_for(S) is free_for_pairwise(M, S.elements) is pointwise

@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shiftlab.concentration import deviation_exponent
-from shiftlab.groups import GroupSet, difference_set_size, integer_interval, set_product
+from shiftlab.groups import GroupSet, integer_interval, set_product
 from shiftlab.lll import (SEARCH_CAP, CertificationError, FrequencyDeviationEvent,
                           GLLLWitnessSpec, InstanceStats, _neighbor_count, check_glll_witness,
-                          event_probability_exact, find_log_growth_constant,
-                          find_slll_threshold, p_bound_freq, slll_stats)
-from shiftlab.shift import Config, all_patterns
+                          find_log_growth_constant, find_slll_threshold, p_bound_freq,
+                          slll_stats)
+from shiftlab.shift import all_patterns
+
+from oracles import difference_set_size, event_holds, event_probability_exact
 
 
 # -- events -----------------------------------------------------------------
@@ -21,10 +23,8 @@ def test_frequency_event_balanced_window_avoids():
     # ten sites, five of each color: frequency exactly 1/2 for both patterns
     ev = FrequencyDeviationEvent(2, integer_interval(1), Fraction(1, 10),
                                  integer_interval(10))
-    balanced = Config.from_array(integer_interval(10), [0, 1] * 5)
-    assert not ev.holds(balanced)
-    constant = Config.from_array(integer_interval(10), [1] * 10)
-    assert ev.holds(constant)  # frequency 1 for one pattern
+    assert not event_holds(ev, dict(enumerate([0, 1] * 5)))
+    assert event_holds(ev, dict(enumerate([1] * 10)))  # frequency 1 for one pattern
 
 
 def test_frequency_event_agrees_with_expansion():
@@ -34,10 +34,10 @@ def test_frequency_event_agrees_with_expansion():
     ev = FrequencyDeviationEvent(2, integer_interval(1), Fraction(2, 5),
                                  integer_interval(4))
     for pat in all_patterns(ev.domain, 2):
-        c = Config.from_array(ev.domain, pat.colors)
-        assert ev.holds(c) == (len(set(pat.colors)) == 1)
-    with pytest.raises(ValueError):
-        ev.holds(Config.from_array(integer_interval(3), [1, 1, 1]))  # not total on F
+        c = dict(zip(ev.domain.elements, pat.colors))
+        assert event_holds(ev, c) == (len(set(pat.colors)) == 1)
+    with pytest.raises(KeyError):
+        event_holds(ev, {0: 1, 1: 1, 2: 1})  # not total on F
 
 
 def test_event_probability_exact_is_count_ratio():
@@ -65,20 +65,20 @@ def test_slll_margin_vacuous_at_eps_zeroish():
 
 
 def test_generic_cap_dominates_exact():
+    # a set that is not an interval takes the generic cap, which bounds the
+    # exact count |SD - SD| - 1 of the other events sharing a point
     S, D = integer_interval(2), GroupSet([0, 3, 11, 20, 45])
     st = slll_stats(2, S, "0.2", D)
-    assert st.d_bound == difference_set_size(S, D) - 1
     cap = _neighbor_count(len(S), len(D), len(D), intervals=False) - 1
-    assert st.d_bound <= cap == len(S) ** 2 * len(D) ** 2 - 1
+    assert st.d_bound == cap == len(S) ** 2 * len(D) ** 2 - 1
+    assert difference_set_size(S, D) - 1 <= cap
 
 
 @pytest.mark.parametrize("d_size", [10_001, 15_946])
 def test_auto_degree_of_a_large_interval_is_the_closed_form(d_size):
-    # |SD| > 10000 leaves the exact difference set uncomputed; intervals
-    # still take the closed form 2|SD| - 2, not the generic cap
+    # intervals take the closed form 2|SD| - 2 at every size, not the generic cap
     S, D = integer_interval(1), integer_interval(d_size)
     st = slll_stats(2, S, "0.04", D)
-    assert difference_set_size(S, D) is None
     assert st.d_bound == 2 * len(set_product(S, D)) - 2 == 2 * d_size - 2
     assert st.d_bound == _neighbor_count(1, d_size, d_size, intervals=True) - 1
     # at the threshold the margin certifies, as find_slll_threshold says
@@ -87,9 +87,9 @@ def test_auto_degree_of_a_large_interval_is_the_closed_form(d_size):
 
 
 def test_auto_degree_of_a_large_gapped_set_is_the_generic_cap():
-    # |SD| = 10001 even integers: not an interval and past the exact limit
+    # |SD| = 10001 even integers: not an interval
     S, D = integer_interval(1), GroupSet(range(0, 20_002, 2))
-    assert D.interval is None and difference_set_size(S, D) is None
+    assert D.interval is None
     st = slll_stats(2, S, "0.04", D)
     assert st.d_bound == len(D) ** 2 - 1
     assert st.d_bound == _neighbor_count(1, len(D), len(D), intervals=False) - 1
@@ -198,6 +198,8 @@ def test_glll_single_event_interval_degrees():
     (row,), (row2,) = [[r for r in x.records if r.inequality_id == "witness-product"]
                        for x in (rep, rep2)]
     assert row.lhs == row2.lhs
+    # a failing row as a glll verdict failure reports it
+    assert rep2.failing()[-1].to_json()["slack"] == row2.rhs - row2.lhs
     assert row2.rhs - row.rhs == pytest.approx(
         (_neighbor_count(1, 4000, 4000, False) - _neighbor_count(1, 4000, 4000, True))
         * math.log1p(-math.exp(-10)), rel=1e-9)

@@ -201,6 +201,24 @@ def test_row_counters_wrap_past_2_64():
     _same(wrapped[2:], color_matrix(3, 2, 9, 3))
 
 
+def test_match_counts_at_several_ends():
+    # the pattern (1, 1) on the columns (j, j + 1): in row 0 at j = 1, in row 1
+    # at j = 0, 1 and 2
+    colors = np.array([[0, 1, 1, 0, 1], [1, 1, 1, 1, 0]], dtype=np.uint8)
+    got = rng._match_counts(colors, [slice(0, 4), slice(1, 5)], (1, 1), [1, 3, 4])
+    assert got.tolist() == [[0, 1, 1], [1, 3, 3]]
+
+
+def test_counter_planes_are_viewed_where_they_can_be():
+    # int64 counters are viewed as uint64, strides are counted in elements and
+    # are 0 along an axis of length 1, and only a misaligned plane is copied
+    x = np.arange(12, dtype=np.int64).reshape(3, 4)
+    assert np.shares_memory(rng._u64(x), x)
+    assert rng._plane(rng._u64(x)[:, ::2])[2:] == (4, 2) and rng._plane(x[:1])[2:] == (0, 1)
+    packed = np.zeros(4, dtype=[("pad", np.uint8), ("v", np.uint64)])["v"]
+    assert not np.shares_memory(rng._plane(packed)[0], packed)
+
+
 # -- the compiled kernel's loader ------------------------------------------------
 
 
@@ -268,6 +286,9 @@ def test_c_kernel_is_active_where_a_compiler_is_on_path():
     # a silent fallback to numpy would keep every other test green
     uniform_colors(1, 2, np.arange(3), 2)
     assert rng._kernel_meta()["rng_kernel"] == "c"
+    # and loading it again from the warm cache compiles nothing
+    lib, compiled = rng._load_kernel()
+    assert lib is not None and compiled is False
 
 
 @pytest.mark.skipif(not _compiler_on_path(), reason="no C compiler on PATH")

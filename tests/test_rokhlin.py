@@ -11,7 +11,13 @@ from shiftlab import rokhlin
 from shiftlab.rokhlin import (MODULUS_CAP, TowerError, TowerSystem, bad_sequence_experiment,
                               build_tower, plan_intervals, plan_stages, verify_capture)
 
+from oracles import level_array
 from test_windows import unpack
+
+
+def interval(plan, n: int) -> range:
+    """The n-th interval of a plan: {n ell, ..., n ell + ell - 1}."""
+    return range(n * plan.ell, (n + 1) * plan.ell)
 
 
 def oracle_minimal_n(eps: Fraction) -> int:
@@ -31,17 +37,13 @@ def test_plan_eps_01():
 
 def test_plan_unit_lengths():
     plan = plan_intervals(lambda n: 1, "0.1")
-    assert plan.ell == 1
-    assert list(plan.interval(3)) == [3]
-    assert all(len(plan.interval(n)) >= 1 for n in range(plan.N))
+    assert plan.ell == 1 and plan.height == plan.N + 1 == 21
 
 
 def test_plan_interval_lengths_cover_h():
     h = [3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 2, 3, 8, 4, 6, 2]
     plan = plan_intervals(h.__getitem__, "0.1")
     assert plan.ell == max(h[:plan.N])
-    for n in range(plan.N):
-        assert len(plan.interval(n)) == plan.ell >= h[n]
 
 
 @given(st.fractions(min_value=0, max_value=1, max_denominator=400))
@@ -74,7 +76,7 @@ def test_build_tower_with_residual():
     plan = plan_intervals(lambda n: 3, "0.25")
     M = plan.height * 8 + 5  # deliberately not a multiple of the height
     build = build_tower(plan, M)
-    residual = int((build.tower.level_array() < 0).sum())
+    residual = int((level_array(build.tower) < 0).sum())
     assert residual == M - build.tower.columns * plan.height == 5
     assert Fraction(residual, M) <= Fraction(plan.eps, 2)
     assert build.mu_a < plan.eps and build.mu_b > 1 - plan.eps
@@ -109,7 +111,7 @@ def test_capture_bulk_and_fraction():
     rng = np.random.default_rng(0)
     for x in rng.integers(0, 420_000, size=200):
         if b[x]:
-            assert any(a_lookup[(np.asarray(plan.interval(n)) + int(x)) % 420_000].all()
+            assert any(a_lookup[(np.asarray(interval(plan, n)) + int(x)) % 420_000].all()
                        for n in range(plan.N))
 
 
@@ -117,13 +119,13 @@ def test_capture_with_offset():
     plan = plan_intervals(lambda n: 5, "0.2")
     M = plan.height * 40 + 17  # a residual of 17 points
     build = build_tower(plan, M, offset=9)
-    lev = build.tower.level_array()
+    lev = level_array(build.tower)
     assert lev[0] == lev[M - 1] == -1  # the offset splits the residual across the cut
     cap = verify_capture(build)
     assert cap.fraction >= 1 - plan.eps
     # per-point enumeration against A and B read off the level oracle
     a = [level in plan.a_band for level in lev.tolist()]
-    captured = [any(all(a[(x + j) % M] for j in plan.interval(n)) for n in range(plan.N))
+    captured = [any(all(a[(x + j) % M] for j in interval(plan, n)) for n in range(plan.N))
                 for x in range(M)]
     assert cap.fraction == Fraction(sum(captured), M)
     assert cap.all_b_captured == all(c for c, level in zip(captured, lev.tolist())
@@ -216,7 +218,7 @@ def towers_and_bands(draw):
 def test_band_mask_matches_level_oracle(case):
     modulus, height, offset, band = case
     tower = TowerSystem.build(modulus, height, offset)
-    lev = tower.level_array()
+    lev = level_array(tower)
     expected = (lev >= band.start) & (lev < band.stop)
     got = tower.band_mask(band)
     assert got.dtype == np.uint64
@@ -233,7 +235,7 @@ def brute_force_bands(rep):
     M = rep.modulus
     a_sets = []
     for s in rep.stages:
-        lev = TowerSystem.build(M, s.plan.height, s.offset).level_array()
+        lev = level_array(TowerSystem.build(M, s.plan.height, s.offset))
         a_sets.append({x for x in range(M) if lev[x] in s.plan.a_band})
         assert s.mu_a == Fraction(len(a_sets[-1]), M)
     rows, everywhere = [], {}
@@ -244,7 +246,7 @@ def brute_force_bands(rep):
         for i in range(q, len(rep.stages)):
             plan = rep.stages[i].plan
             caught = {x for x in range(M)
-                      if any(all((x + j) % M in union for j in plan.interval(n))
+                      if any(all((x + j) % M in union for j in interval(plan, n))
                              for n in range(plan.N))}
             rows.append((q, i, Fraction(len(caught), M)))
             in_every_band &= caught

@@ -1,12 +1,15 @@
 """Checks on the source tree and the documentation rather than on results."""
 
 import ast
+import importlib
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
+from shiftlab import cli, rng
 from shiftlab.cli import SCHEMAS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -116,183 +119,148 @@ def test_readme_python_example_runs():
         exec(compile(block, "README.md", "exec"), {})
 
 
-def _first_arg(fn) -> str | None:
-    args = fn.args.posonlyargs + fn.args.args
-    return args[0].arg if args else None
-
-
-def _reads(node, skip=(), cls=None) -> set[str]:
-    """What `node` reads or imports, outside `skip`: `name` for a name or an
-    import, `.attr` for an attribute, and `Cls.attr` for an attribute of the
-    first argument (`self`, `cls`) of a method of `cls`, the class `node` is
-    or the one whose method it is.  A name given as the type argument of
-    `isinstance`, alone or in a tuple, is tested for, not read."""
-    typed = {id(t) for c in ast.walk(node) if isinstance(c, ast.Call)
-             and getattr(c.func, "id", None) == "isinstance" and len(c.args) == 2
-             for t in (c.args[1].elts if isinstance(c.args[1], ast.Tuple) else [c.args[1]])}
-    out = set()
-    todo = [(node, _first_arg(node) if cls and isinstance(node, ast.FunctionDef) else None)]
-    while todo:
-        n, me = todo.pop()
-        if any(n is s for s in skip):
-            continue
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and id(n) not in typed:
-            out.add(n.id)
-        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
-            mine = me and isinstance(n.value, ast.Name) and n.value.id == me
-            out.add(f"{cls}.{n.attr}" if mine else "." + n.attr)
-        elif isinstance(n, ast.alias):
-            out.add(n.asname or n.name)
-        for child in ast.iter_child_nodes(n):
-            method = n is node and isinstance(n, ast.ClassDef) and isinstance(child, ast.FunctionDef)
-            todo.append((child, _first_arg(child) if method else me))
-    return out
-
-
-def _definitions(sources) -> tuple[dict, set, dict]:
-    """What each top-level definition reads, the names of the public
-    functions, classes and methods, and each class's family: itself, its
-    bases and its subclasses among `sources`.  A public method is its own
-    definition, `Class.method`, and its class does not read its body."""
-    reads, public, bases = {}, set(), {}
-    for source in sources:
-        for node in ast.parse(source).body:
-            if isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                for t in targets:
-                    for n in ast.walk(t):
-                        if isinstance(n, ast.Name):
-                            reads.setdefault(n.id, set()).update(_reads(node))
-            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                cls = node.name if isinstance(node, ast.ClassDef) else None
-                methods = ([m for m in node.body if isinstance(m, ast.FunctionDef)
-                            and not m.name.startswith("_")] if cls else [])
-                reads.setdefault(node.name, set()).update(_reads(node, methods, cls))
-                if not node.name.startswith("_"):
-                    public.add(node.name)
-                for m in methods:
-                    key = f"{node.name}.{m.name}"
-                    reads.setdefault(key, set()).update(_reads(m, cls=cls))
-                    public.add(key)
-                if cls:
-                    bases[cls] = {b.id for b in node.bases if isinstance(b, ast.Name)}
-    family = {}
-    for cls in bases:
-        up, todo = set(), [cls]
-        while todo:
-            for b in bases.get(todo.pop(), ()):
-                if b not in up:
-                    up.add(b)
-                    todo.append(b)
-        family.setdefault(cls, set()).update({cls} | up)
-        for b in up:
-            family.setdefault(b, {b}).add(cls)
-    return reads, public, family
-
-
-def _closure(reads: dict, family: dict, seeds) -> set[str]:
-    """Definitions reached from the names in `seeds`: a top-level one when its
-    name is read, bare or as an attribute; a method when its class is reached
-    and its name is read as an attribute, or through `self` in a method of a
-    class of its family.  A plain name never reaches a method."""
-    read, reached = set(seeds), set()
-    grew = True
-    while grew:
-        grew = False
-        for key in reads.keys() - reached:
-            cls, _, name = key.rpartition(".")
-            if cls:
-                hit = cls in reached and ("." + name in read or any(
-                    f"{c}.{name}" in read for c in family[cls]))
-            else:
-                hit = "." + key in read
-            if key in read or hit:
-                reached.add(key)
-                read |= reads[key]
-                grew = True
-    return reached
-
-
-def unreached_names(sources, roots, allow) -> list[str]:
-    """Public functions, classes and methods in `sources` that neither the
-    names in `roots` nor the `allow` entries reach, then each `allow` entry
-    that names no such definition or that `roots` reach without it.  An
-    attribute read through `self` reaches only its class's family; any
-    other attribute read matches without its receiver's type, so a read
-    `x.to_json` reaches the `to_json` of every reached class."""
-    reads, public, family = _definitions(sources)
-    alone = _closure(reads, family, roots)
-    return (sorted(public - _closure(reads, family, set(roots) | set(allow)))
-            + [f"allowlisted but missing: {n}" for n in sorted(set(allow) - public)]
-            + [f"allowlisted but reached: {n}" for n in sorted(set(allow) & alone)])
-
-
-def test_reachability_check_sees_unreached_names():
-    source = ("def main():\n    return _helper().used()\n"
-              "def _helper():\n    return Box()\n"
-              "def unused():\n    return Spare()\n"
-              "class Box:\n    def used(self):\n        return 1\n"
-              "    def spare(self):\n        return 2\n"
-              "class Spare:\n    def used(self):\n        return 3\n")
-    assert unreached_names([source], {"main"}, {}) == [
-        "Box.spare", "Spare", "Spare.used", "unused"]
-    # an oracle entry reaches what it reads
-    assert unreached_names([source], {"main"}, {"unused": "", "Box.spare": ""}) == []
-    assert unreached_names([source], {"main"}, {"unused": "", "Box.spare": "", "Box": "",
-                                                "gone": ""}) == [
-        "allowlisted but missing: gone", "allowlisted but reached: Box"]
-    # a local variable `spare` does not reach Box.spare, and `self.inner` in
-    # Box reaches the `inner` of Box and of its subclass, not of Lone
-    source = ("def main():\n    spare = Box().used() + Sub().used() + Lone().used()\n"
-              "    return spare\n"
-              "class Box:\n    def used(self):\n        return self.inner()\n"
-              "    def inner(self):\n        return 1\n"
-              "    def spare(self):\n        return 2\n"
-              "class Sub(Box):\n    def inner(self):\n        return 3\n"
-              "class Lone:\n    def used(self):\n        return 4\n"
-              "    def inner(self):\n        return 5\n")
-    assert unreached_names([source], {"main"}, {}) == ["Box.spare", "Lone.inner"]
-    # a class named only as the type argument of isinstance, alone or in a
-    # tuple, is not reached: a type test builds nothing
-    source = ("def main(x):\n    if isinstance(x, Tested) or isinstance(x, (int, Built)):\n"
-              "        return 0\n    return Built()\n"
-              "class Tested:\n    pass\n"
-              "class Built:\n    pass\n")
-    assert unreached_names([source], {"main"}, {}) == ["Tested"]
-
-
-# Public names that no experiment runs but that tests rely on, with the reason.
-REACHED_BY_TESTS = {
-    **dict.fromkeys(
-        ["occurrences", "empirical_freq", "event_probability_exact", "scb_bound",
-         "TowerSystem.level_array", "TapeSpace.symbol"],
-        "oracle: a test compares a path the experiments run against it"),
-}
+def _reads(tree) -> set[str]:
+    """What `tree` reads or imports: `name` for a name or an import, `.attr`
+    for an attribute."""
+    loads = [n for n in ast.walk(tree) if isinstance(getattr(n, "ctx", None), ast.Load)]
+    return ({n.id for n in loads if isinstance(n, ast.Name)}
+            | {"." + n.attr for n in loads if isinstance(n, ast.Attribute)}
+            | {n.asname or n.name for n in ast.walk(tree) if isinstance(n, ast.alias)})
 
 
 def untested_entries(allow, tests) -> list[str]:
-    """The `allow` entries that no source in `tests` reads: a function or a
-    class by its bare name, a `Class.method` entry as the attribute `.method`."""
+    """The `allow` entries that no source in `tests` reads: a `Class.member`
+    entry as the attribute `.member`, any other by its bare name or as an
+    attribute (`rng._build`)."""
     read = set().union(*(_reads(ast.parse(t)) for t in tests))
-    return sorted(n for n in allow if "".join(n.rpartition(".")[1:]) not in read)
+    return sorted(n for n in allow
+                  if "." + n.rpartition(".")[2] not in read and ("." in n or n not in read))
 
 
 def test_untested_entry_check_sees_untested_entries():
     tests = ["from m import used\ndef test_x(b):\n    assert used() and b.spare()\n"]
     assert untested_entries({"used": "", "Box.spare": "", "gone": "", "Box.other": ""},
                             tests) == ["Box.other", "gone"]
-    # a method entry is read as an attribute, never as a bare name
-    assert untested_entries({"Box.used": ""}, tests) == ["Box.used"]
+    # a method entry is read as an attribute, never as a bare name; a
+    # function entry either way
+    assert untested_entries({"Box.used": "", "spare": ""}, tests) == ["Box.used"]
 
 
-def test_every_public_name_is_reached():
-    # the CLI entry point, the experiment drivers and all the README example reads
-    roots = {"main", "RUNNERS"}.union(*(_reads(ast.parse(b)) for b in README_BLOCKS))
-    sources = [p.read_text() for p in MODULES]
-    assert unreached_names(sources, roots, REACHED_BY_TESTS) == []
-    # and a test still reads every allowlisted name
+def _defs(node, prefix=""):
+    """(qualified name, first line of its code) of each def under `node`,
+    nested ones included; a decorated def's code starts at its first
+    decorator."""
+    for n in ast.iter_child_nodes(node):
+        if isinstance(n, ast.FunctionDef):
+            yield prefix + n.name, min(d.lineno for d in [n, *n.decorator_list])
+        if isinstance(n, (ast.FunctionDef, ast.ClassDef)):
+            yield from _defs(n, f"{prefix}{n.name}.")
+        else:
+            yield from _defs(n, prefix)
+
+
+def unreached(modules, run, allow=()) -> list[str]:
+    """The defs of `modules` (functions, methods and nested functions,
+    private ones and dunders included) that `run()` does not enter, and
+    their public classes other than exceptions that it constructs no
+    instance of, by qualified name, except those that an `allow` entry
+    covers: the def it names and the defs nested in it.  Then each `allow`
+    entry that names no def.  A class counts as constructed once an object
+    of it is the first argument of an `__init__`, a generated one included,
+    or of a def of `modules`; a class argument (`cls`) counts as itself."""
+    trees = {m.__file__: (m, ast.parse(Path(m.__file__).read_text())) for m in modules}
+    codes, classes = set(), set()
+
+    def profile(frame, event, _arg):
+        code = frame.f_code
+        if event == "call":
+            codes.add((code.co_filename, code.co_firstlineno))
+            if code.co_argcount and (code.co_name == "__init__" or code.co_filename in trees):
+                first = frame.f_locals[code.co_varnames[0]]
+                classes.add(first if isinstance(first, type) else type(first))
+
+    sys.setprofile(profile)
+    try:
+        run()
+    finally:
+        sys.setprofile(None)
+    defs = {name: (f, line) for f, (_m, tree) in trees.items() for name, line in _defs(tree)}
+    missed = [name for name, code in defs.items() if code not in codes]
+    for m, tree in trees.values():
+        public = [getattr(m, c.name) for c in tree.body
+                  if isinstance(c, ast.ClassDef) and not c.name.startswith("_")]
+        missed += [c.__name__ for c in public if not issubclass(c, BaseException)
+                   and not any(issubclass(made, c) for made in classes)]
+    return (sorted(n for n in missed if not any(n == a or n.startswith(a + ".") for a in allow))
+            + [f"allowlisted but missing: {a}" for a in sorted(set(allow) - set(defs))])
+
+
+TOY = """def main():
+    return Box().used()
+def unused():
+    return Spare()
+class Box:
+    def used(self):
+        return 1
+    def spare(self):
+        return 2
+class Spare:
+    pass
+class Failure(ValueError):
+    pass
+"""
+
+
+def test_reach_check_sees_unreached_defs_and_unbuilt_classes(tmp_path, monkeypatch):
+    # Box has no __init__ of its own: its method's `self` shows it was built;
+    # an exception class need not be
+    (tmp_path / "reach_toy.py").write_text(TOY)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    toy = importlib.import_module("reach_toy")
+    assert unreached([toy], toy.main) == ["Box.spare", "Spare", "unused"]
+    assert unreached([toy], toy.main, {"unused": "", "Box.spare": "", "gone": ""}) == [
+        "Spare", "allowlisted but missing: gone"]
+
+
+# Package defs that the shipped runs below may leave unentered, with the
+# reason: each runs or not by the host (which side of the hash kernel's
+# switch serves, whether its cache is warm) or by the outcome of a run.
+RUNTIME_PATHS = {
+    **dict.fromkeys(["color_matrix", "_count_numpy", "_match_counts"],
+                    "numpy fallback: counts what the C kernel does not take, or all "
+                    "without it"),
+    "_build": "compiles the C kernel, on a cold cache only",
+    **dict.fromkeys(["_resolve_kernel", "_load_kernel", "_cache_dirs", "_kernel_key",
+                     "_cpu_copy", "_declare", "_hash_c", "_count_c", "_plane", "_u64"],
+                    "C path: resolves the kernel once per process and runs it where "
+                    "it loads"),
+    "IneqRecord.to_json": "writes the failing rows of a glll verdict failure",
+    "find_log_growth_constant": "computes C for a glll config that omits it",
+    "_Parser.error": "ends the command on a usage error",
+}
+
+
+def _shipped_runs(out: Path):
+    """The ten shipped configs, `list`, every `describe` and the README
+    example, as a user runs them."""
+    for cfg in sorted((ROOT / "configs").glob("*.json")):
+        assert cli.main(["run", str(cfg), "--out", str(out / cfg.stem)]) == cli.EXIT_OK
+    assert cli.main(["list"]) == cli.EXIT_OK
+    assert all(cli.main(["describe", kind]) == cli.EXIT_OK for kind in SCHEMAS)
+    for block in README_BLOCKS:
+        exec(compile(block, "README.md", "exec"), {})
+
+
+@pytest.mark.parametrize("kernel", ["resolved", "numpy"])
+def test_shipped_runs_enter_every_package_def(kernel, tmp_path, capsys, monkeypatch):
+    if kernel == "numpy":
+        monkeypatch.setattr(rng, "_kernel", False)
+    modules = [importlib.import_module(f"shiftlab.{p.stem}") for p in MODULES]
+    assert unreached(modules, lambda: _shipped_runs(tmp_path), RUNTIME_PATHS) == []
+    # and each allowlisted path has a reason and a test that reads it
+    assert all(reason.strip() for reason in RUNTIME_PATHS.values())
     tests = [p.read_text() for p in TESTS if p.name != "test_source.py"]
-    assert untested_entries(REACHED_BY_TESTS, tests) == []
+    assert untested_entries(RUNTIME_PATHS, tests) == []
 
 
 def _is_dataclass(decorator) -> bool:
